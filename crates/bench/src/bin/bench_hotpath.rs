@@ -16,11 +16,12 @@
 //!   makespans — on the single-box cluster *and* on a degenerate
 //!   1-machine heterogeneous cluster, which must agree exactly — and
 //!   exits nonzero on drift, so the CI job catches bit-exactness
-//!   regressions, not just panics. The JSON output and any
-//!   `--metrics-out` file are written *before* the drift exit, so a failed
-//!   run still leaves its evidence for CI to upload.
-//! * `bench_hotpath --no-eval-cache` — disables the fingerprint-keyed
-//!   inference cache (differential runs; makespans must not move).
+//!   regressions, not just panics. With the eval cache on, quick mode
+//!   also exits nonzero if the policy's input table served no hits. The
+//!   JSON output and any `--metrics-out` file are written *before* either
+//!   exit, so a failed run still leaves its evidence for CI to upload.
+//! * `bench_hotpath --no-eval-cache` — disables the policy's frontier and
+//!   input tables (differential runs; makespans must not move).
 //! * `bench_hotpath --search-threads N [--leaf-batch B]` — measures the
 //!   tree-parallel DRL search at `[1, N]` threads instead of the full
 //!   mode's default `[1, 2, 4, 8]` sweep; in quick mode this is the only
@@ -64,6 +65,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use spear::dag::generator::LayeredDagSpec;
+use spear::rl::EvalCacheStats;
 use spear::{
     execute_multi_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FaultProfile,
     FeatureConfig, JobQueue, JobSource, MctsConfig, MctsScheduler, MetricsRegistry, Obs,
@@ -94,6 +96,14 @@ struct SectionMetrics {
     cache_evictions: u64,
     #[serde(default)]
     inference_skips: u64,
+    /// The policy's input table, probed on every frontier-table miss
+    /// (`cache_misses`): its hits are misses that ran no forward pass.
+    #[serde(default)]
+    input_hits: u64,
+    #[serde(default)]
+    input_misses: u64,
+    #[serde(default)]
+    input_evictions: u64,
     elapsed_seconds: f64,
     iterations_per_sec: f64,
     rollout_steps_per_sec: f64,
@@ -109,7 +119,7 @@ struct SectionMetrics {
 }
 
 impl SectionMetrics {
-    fn from_runs(runs: &[(u64, SearchStats)], elapsed_seconds: f64) -> Self {
+    fn from_runs(runs: &[(u64, SearchStats)], elapsed_seconds: f64, input: EvalCacheStats) -> Self {
         let sum = |f: fn(&SearchStats) -> u64| runs.iter().map(|(_, s)| f(s)).sum::<u64>();
         let iterations = sum(|s| s.iterations);
         let rollout_steps = sum(|s| s.rollout_steps);
@@ -134,6 +144,9 @@ impl SectionMetrics {
             cache_misses,
             cache_evictions,
             inference_skips,
+            input_hits: input.hits,
+            input_misses: input.misses,
+            input_evictions: input.evictions,
             elapsed_seconds,
             iterations_per_sec: per_sec(iterations),
             rollout_steps_per_sec: per_sec(rollout_steps),
@@ -338,11 +351,13 @@ fn baseline_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("baseline/bench_hotpath_baseline.json")
 }
 
+/// Schedules every DAG with `scheduler`, returning each makespan with its
+/// stats, the elapsed seconds, and the policy's input-table counters.
 fn measure(
     dags: &[Dag],
     spec: &ClusterSpec,
     mut scheduler: MctsScheduler,
-) -> (Vec<(u64, SearchStats)>, f64) {
+) -> (Vec<(u64, SearchStats)>, f64, EvalCacheStats) {
     let start = std::time::Instant::now();
     let runs: Vec<(u64, SearchStats)> = dags
         .iter()
@@ -356,7 +371,8 @@ fn measure(
             (schedule.makespan(), stats)
         })
         .collect();
-    (runs, start.elapsed().as_secs_f64())
+    let elapsed = start.elapsed().as_secs_f64();
+    (runs, elapsed, scheduler.policy().input_cache_stats())
 }
 
 fn pure_scheduler(params: &ModeParams) -> MctsScheduler {
@@ -480,9 +496,10 @@ fn run_report(params: &ModeParams, eval_cache: bool, obs: &Obs) -> HotpathReport
         params.tasks,
         if eval_cache { "on" } else { "off" }
     );
-    let (pure_runs, pure_elapsed) = measure(&dags, &spec, pure_scheduler(params).with_obs(obs));
+    let (pure_runs, pure_elapsed, pure_input) =
+        measure(&dags, &spec, pure_scheduler(params).with_obs(obs));
     eprintln!("[bench_hotpath] pure MCTS done in {pure_elapsed:.2}s");
-    let (drl_runs, drl_elapsed) = measure(
+    let (drl_runs, drl_elapsed, drl_input) = measure(
         &dags,
         &spec,
         drl_scheduler(params, eval_cache).with_obs(obs),
@@ -493,8 +510,8 @@ fn run_report(params: &ModeParams, eval_cache: bool, obs: &Obs) -> HotpathReport
         dags: params.dags,
         tasks: params.tasks,
         workload_seed: WORKLOAD_SEED,
-        pure: SectionMetrics::from_runs(&pure_runs, pure_elapsed),
-        drl: SectionMetrics::from_runs(&drl_runs, drl_elapsed),
+        pure: SectionMetrics::from_runs(&pure_runs, pure_elapsed, pure_input),
+        drl: SectionMetrics::from_runs(&drl_runs, drl_elapsed, drl_input),
     }
 }
 
@@ -740,8 +757,8 @@ const QUICK_GOLDEN_DRL: [u64; 2] = [233, 229];
 fn one_machine_equivalence(params: &ModeParams, eval_cache: bool) -> bool {
     let dags = workload::simulation_dags(params.dags, params.tasks, WORKLOAD_SEED);
     let spec = workload::degenerate_hetero_cluster();
-    let (pure_runs, _) = measure(&dags, &spec, pure_scheduler(params));
-    let (drl_runs, _) = measure(&dags, &spec, drl_scheduler(params, eval_cache));
+    let (pure_runs, _, _) = measure(&dags, &spec, pure_scheduler(params));
+    let (drl_runs, _, _) = measure(&dags, &spec, drl_scheduler(params, eval_cache));
     let pure: Vec<u64> = pure_runs.iter().map(|&(m, _)| m).collect();
     let drl: Vec<u64> = drl_runs.iter().map(|&(m, _)| m).collect();
     let ok = pure == QUICK_GOLDEN_PURE && drl == QUICK_GOLDEN_DRL;
@@ -812,6 +829,12 @@ fn main() {
     } else {
         true
     };
+    // The input table must earn its memory: a cache-on quick run whose
+    // input table never served a hit means the key or the probe broke.
+    let input_ok = !(quick && eval_cache && report.drl.input_hits == 0);
+    if !input_ok {
+        eprintln!("[bench_hotpath] INPUT TABLE SERVED NO HITS with the eval cache on");
+    }
 
     let (multi_job, multi_queue, multi_schedule) = run_multi_job(params, eval_cache, &sink);
     let faults = run_faults(&multi_queue, &multi_schedule);
@@ -862,6 +885,10 @@ fn main() {
         100.0 * report.drl.cache_hit_rate,
         report.drl.inference_skips,
         100.0 * report.drl.inference_skip_ratio
+    );
+    println!(
+        "drl input table: {} hits / {} misses / {} evictions",
+        report.drl.input_hits, report.drl.input_misses, report.drl.input_evictions
     );
     if let Some(tp) = &tree_parallel {
         for p in &tp.points {
@@ -968,10 +995,11 @@ fn main() {
     .expect("cannot write benchmark output");
     eprintln!("[bench_hotpath] wrote {}", out_path.display());
 
-    // Either gate failing means the run is evidence of a regression: the
+    // Any gate failing means the run is evidence of a regression: the
     // goldens catch exact-path drift, the judges catch an invalid fast
-    // schedule. The JSON above is already on disk either way.
-    if !golden_ok || !judges_ok {
+    // schedule, the input check a dead input table. The JSON above is
+    // already on disk either way.
+    if !golden_ok || !judges_ok || !input_ok {
         std::process::exit(1);
     }
 }

@@ -46,12 +46,13 @@ pub fn obtain(scale: Scale, spec: &ClusterSpec) -> PolicyNetwork {
     let path = report::results_dir().join(format!("policy_{}.json", scale.tag()));
     if let Ok(file) = std::fs::File::open(&path) {
         if let Ok(net) = spear::nn::Mlp::load(std::io::BufReader::new(file)) {
-            let cfg = feature_config();
-            if net.config().input == cfg.input_dim() && net.config().output == cfg.action_dim() {
-                eprintln!("[policy] reusing cached {}", path.display());
-                return PolicyNetwork::from_parts(cfg, net);
+            match PolicyNetwork::try_from_parts(feature_config(), net) {
+                Ok(policy) => {
+                    eprintln!("[policy] reusing cached {}", path.display());
+                    return policy;
+                }
+                Err(e) => eprintln!("[policy] cached network unusable ({e}); retraining"),
             }
-            eprintln!("[policy] cached network shape mismatch; retraining");
         }
     }
     eprintln!("[policy] training ({} scale)…", scale.tag());

@@ -275,7 +275,7 @@ fn build_scheduler(
             let policy = match args.get("policy") {
                 Some(path) => {
                     let net = spear::nn::Mlp::load_from_path(path)?;
-                    PolicyNetwork::from_parts(features, net)
+                    PolicyNetwork::try_from_parts(features, net)?
                 }
                 None => {
                     eprintln!("note: no --policy given; using an untrained network");
@@ -636,6 +636,60 @@ mod tests {
         let loaded: spear::Schedule =
             serde_json::from_str(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert!(loaded.makespan() > 0);
+    }
+
+    /// A `--policy` file that does not fit the paper featurizer, or whose
+    /// weight array was truncated, fails `schedule --algo spear` with a
+    /// typed shape error instead of a panic.
+    #[test]
+    fn malformed_policy_files_fail_with_shape_errors() {
+        use serde_json::Value;
+        use spear::nn::{Mlp, MlpConfig, ShapeError};
+        let dag_path = tmp("cli-dag-policy.json");
+        generate(&args(&[
+            "--tasks", "6", "--seed", "1", "--output", &dag_path,
+        ]))
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let paper = FeatureConfig::paper(2);
+
+        let wrong_width = tmp("cli-policy-wrong-width.json");
+        Mlp::new(MlpConfig::new(100, &[8], paper.action_dim()), &mut rng)
+            .save_to_path(&wrong_width)
+            .unwrap();
+
+        let truncated = tmp("cli-policy-truncated.json");
+        let net = Mlp::new(
+            MlpConfig::new(paper.input_dim(), &[8], paper.action_dim()),
+            &mut rng,
+        );
+        fn field<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
+            match v {
+                Value::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == name).unwrap().1,
+                _ => panic!("not an object"),
+            }
+        }
+        let mut value = serde_json::to_value(&net);
+        let Value::Arr(layers) = field(&mut value, "layers") else {
+            panic!("layers is an array")
+        };
+        let Value::Arr(data) = field(field(&mut layers[0], "weights"), "data") else {
+            panic!("weight data is an array")
+        };
+        data.truncate(100);
+        std::fs::write(&truncated, serde_json::to_string(&value).unwrap()).unwrap();
+
+        for (path, what) in [
+            (&wrong_width, "policy network input width"),
+            (&truncated, "layer 0 weights data length"),
+        ] {
+            let err = schedule(&args(&[
+                "--dag", &dag_path, "--algo", "spear", "--budget", "5", "--policy", path,
+            ]))
+            .expect_err("a malformed policy must not schedule");
+            let shape = err.downcast_ref::<ShapeError>().expect("a shape error");
+            assert_eq!(shape.what, what);
+        }
     }
 
     #[test]

@@ -6,9 +6,12 @@ use rand::Rng;
 use spear_cluster::env::{DecisionPolicy, EnvContext};
 use spear_cluster::{Action, ClusterSpec, SimState};
 use spear_dag::analysis::GraphFeatures;
-use spear_dag::Dag;
-use spear_nn::{InferScratch, InferenceEngine, Precision};
-use spear_rl::{EvalCache, EvalCacheF32, EvalCacheStats, PolicyNetwork, StateView};
+use spear_dag::{Dag, TaskId};
+use spear_nn::{
+    softmax_masked_f32_into, softmax_masked_into, ForwardScratch, InferScratch, InferenceEngine,
+    Precision,
+};
+use spear_rl::{input_key, EvalCache, EvalCacheStats, FeatureConfig, PolicyNetwork, StateView};
 
 /// Read-only context handed to policies at every decision.
 #[derive(Debug)]
@@ -67,9 +70,17 @@ pub trait SearchPolicy {
     /// different state space and must not survive into this one.
     fn on_episode_start(&mut self) {}
 
-    /// Hit/miss/evict counters of the policy's inference cache.
-    /// Uncached policies report zeros.
+    /// Hit/miss/evict counters of the policy's inference cache (for
+    /// [`DrlPolicy`], its frontier table). Uncached policies report
+    /// zeros.
     fn cache_stats(&self) -> EvalCacheStats {
+        EvalCacheStats::default()
+    }
+
+    /// Hit/miss/evict counters of [`DrlPolicy`]'s input table, probed on
+    /// each frontier-table miss: its hits are the misses that ran no
+    /// forward pass. Other policies report zeros.
+    fn input_cache_stats(&self) -> EvalCacheStats {
         EvalCacheStats::default()
     }
 
@@ -270,39 +281,170 @@ impl SearchPolicy for HeuristicPolicy {
 #[derive(Debug, Clone)]
 pub struct DrlPolicy {
     policy: PolicyNetwork,
+    // Forward passes actually run: hits in either table do not count.
     inferences: u64,
     skips: u64,
-    // Transposition-keyed inference cache: rollouts revisit identical
-    // states along different tree paths — and consecutive decisions
-    // re-explore overlapping subtrees — so the masked distribution is
-    // cached by `SimState::fingerprint` and cleared (by generation bump)
-    // at each episode start. `None` when disabled for differential
-    // testing (`MctsConfig::eval_cache = false`) or when the fast path
-    // owns the cache instead.
-    cache: Option<EvalCache>,
-    // Fast-precision state: the `f32` engine snapshot, its scratch, and
-    // the half-footprint `f32` row cache (double the entries at the
-    // same memory budget). All `None`/unused in `Precision::Exact`.
-    precision: Precision,
-    engine: Option<InferenceEngine>,
-    infer_scratch: InferScratch,
-    cache_f32: Option<EvalCacheF32>,
-    probs_f32: Vec<f32>,
-    // Reused across inferences: slot probabilities, featurized view, and
-    // the per-action probabilities handed back to the search. Rollouts run
-    // one inference per step, so without these the guidance path would
-    // allocate its way through every simulation.
-    probs: Vec<f64>,
+    backend: Backend,
+    // Reused across inferences: the featurizer's ready ordering, the
+    // featurized view, and the per-action probabilities handed back to
+    // the search. Rollouts run one inference per step, so without these
+    // the guidance path would allocate its way through every simulation.
+    ready: Vec<TaskId>,
     view: StateView,
     action_probs: Vec<f64>,
 }
 
-/// Entries per policy/value cache. Sized for the distinct states one
-/// *episode's* search visits across all of its decisions (a 50-task
-/// paper-simulation job touches roughly 20k unique states); power-of-two
-/// enforced by the cache itself. At the paper's action dimensionality
-/// this is a few megabytes per policy instance.
+/// The numeric mode's forward pass with its scratch, and the tables and
+/// probability row of its row scalar.
+#[derive(Debug, Clone)]
+enum Backend {
+    /// The golden-checked `f64` path.
+    Exact {
+        scratch: ForwardScratch,
+        rows: Rows<f64>,
+    },
+    /// The `f32` engine snapshot. The masked softmax stays in `f32`, so a
+    /// cached row replays exactly, and the upcast to `f64` at the
+    /// sampling boundary is exact.
+    Fast {
+        engine: InferenceEngine,
+        scratch: InferScratch,
+        rows: Rows<f32>,
+    },
+}
+
+/// One row precision's transposition tables and probability row.
+#[derive(Debug, Clone)]
+struct Rows<R> {
+    /// `None` when disabled for differential testing
+    /// (`MctsConfig::eval_cache = false`).
+    tables: Option<Tables<R>>,
+    /// The row of the latest frontier-table miss.
+    probs: Vec<R>,
+}
+
+/// The policy's two generation-cleared tables, cleared at each episode
+/// start. Rollouts revisit identical frontiers along different tree paths
+/// (and consecutive decisions re-explore overlapping subtrees), and
+/// different frontiers can featurize identically.
+#[derive(Debug, Clone)]
+struct Tables<R> {
+    /// Keyed by [`SimState::frontier_fingerprint`] and probed before
+    /// featurizing; a row plus the slot → task assignment that gives it
+    /// meaning.
+    frontier: EvalCache<R>,
+    /// Keyed by [`input_key`] of the featurized input and probed before
+    /// the forward pass; rows alone.
+    input: EvalCache<R>,
+}
+
+/// Entries in the tree-parallel search's shared policy cache. Sized for
+/// the distinct states one *episode's* search visits across all of its
+/// decisions (a 50-task paper-simulation job touches roughly 20k unique
+/// states); power-of-two enforced by the cache itself.
 pub(crate) const EVAL_CACHE_CAPACITY: usize = 32_768;
+
+/// Entries in each of [`DrlPolicy`]'s two exact-precision tables; fast
+/// precision holds twice as many `f32` rows. Both exact tables take
+/// 5.7 MB, both fast ones 7.2 MB (DESIGN.md §9 has the budget).
+const POLICY_TABLE_ENTRIES: usize = 16_384;
+
+impl<R: Copy + Default + Into<f64>> Rows<R> {
+    fn new(eval_cache: bool, entries: usize, fc: &FeatureConfig) -> Self {
+        let (action_dim, max_ready) = (fc.action_dim(), fc.process_action());
+        Rows {
+            tables: eval_cache.then(|| Tables {
+                frontier: EvalCache::new(entries, action_dim, max_ready),
+                input: EvalCache::new(entries, action_dim, 0),
+            }),
+            probs: Vec::new(),
+        }
+    }
+
+    fn begin_episode(&mut self) {
+        if let Some(tables) = self.tables.as_mut() {
+            tables.frontier.begin_generation();
+            tables.input.begin_generation();
+        }
+    }
+
+    fn stats(&self) -> (EvalCacheStats, EvalCacheStats) {
+        self.tables
+            .as_ref()
+            .map(|t| (t.frontier.stats(), t.input.stats()))
+            .unwrap_or_default()
+    }
+
+    /// Writes the probability of each of `actions` into `out` and returns
+    /// whether a forward pass ran. Probes the frontier table; on a miss
+    /// featurizes into `view` and probes the input table; on a second
+    /// miss runs `forward` (forward pass + masked softmax into the row)
+    /// and fills both tables. Under fixed weights the row is a pure
+    /// function of the input and the mask, so every hit replays the row
+    /// the miss path computes, bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn action_probs(
+        &mut self,
+        state: &SimState,
+        actions: &[Action],
+        process: usize,
+        view: &mut StateView,
+        out: &mut Vec<f64>,
+        featurize: impl FnOnce(&mut StateView),
+        forward: impl FnOnce(&StateView, &mut Vec<R>),
+    ) -> bool {
+        let frontier_key = self.tables.as_ref().map(|_| state.frontier_fingerprint());
+        if let (Some(tables), Some(key)) = (self.tables.as_mut(), frontier_key) {
+            if let Some((probs, slots)) = tables.frontier.get(key) {
+                map_onto(out, actions, probs, process, |t| slots.position(t));
+                return false;
+            }
+        }
+        featurize(view);
+        let mut ran = true;
+        match (self.tables.as_mut(), frontier_key) {
+            (Some(tables), Some(key)) => {
+                let input = input_key(&view.features, &view.mask);
+                if let Some((row, _)) = tables.input.get(input) {
+                    self.probs.clear();
+                    self.probs.extend_from_slice(row);
+                    ran = false;
+                } else {
+                    forward(view, &mut self.probs);
+                    tables.input.insert(input, &self.probs, &[]);
+                }
+                tables.frontier.insert(key, &self.probs, &view.slot_tasks);
+            }
+            _ => forward(view, &mut self.probs),
+        }
+        map_onto(out, actions, &self.probs, process, |t| {
+            view.slot_tasks.iter().position(|&s| s == Some(t))
+        });
+        ran
+    }
+}
+
+/// Maps a probability row onto `actions`: `process` is the process
+/// action's index in the row and `slot_of` finds a task's slot.
+fn map_onto<R: Copy + Into<f64>>(
+    out: &mut Vec<f64>,
+    actions: &[Action],
+    probs: &[R],
+    process: usize,
+    slot_of: impl Fn(TaskId) -> Option<usize>,
+) {
+    out.clear();
+    out.extend(actions.iter().map(|&a| match a {
+        Action::Process => probs[process].into(),
+        // A `Place` inherits its task's probability: the policy head
+        // stays task-indexed and the machine choice is resolved at the
+        // sampling boundary. Backlogged tasks are invisible to the
+        // network.
+        Action::Schedule(t) | Action::Place(t, _) => {
+            slot_of(t).map_or(1e-9, |slot| probs[slot].into())
+        }
+    }));
+}
 
 impl DrlPolicy {
     /// Wraps a trained policy network, with the inference cache enabled.
@@ -310,10 +452,10 @@ impl DrlPolicy {
         Self::with_cache(policy, true)
     }
 
-    /// Wraps a trained policy network, caching inferences by state
-    /// fingerprint iff `eval_cache` is set. Cache hits reproduce the
-    /// uncached distribution bit-identically, so this only trades memory
-    /// for speed; disabling is for differential testing.
+    /// Wraps a trained policy network, caching inferences by frontier
+    /// and by network input iff `eval_cache` is set. Cache hits reproduce
+    /// the uncached distribution bit-identically, so this only trades
+    /// memory for speed; disabling is for differential testing.
     pub fn with_cache(policy: PolicyNetwork, eval_cache: bool) -> Self {
         Self::with_cache_precision(policy, eval_cache, Precision::Exact)
     }
@@ -321,42 +463,34 @@ impl DrlPolicy {
     /// [`DrlPolicy::with_cache`] with an explicit numeric mode. `Exact`
     /// is the golden-checked `f64` path. `Fast` snapshots the weights
     /// into an `f32` [`InferenceEngine`] and caches `f32` rows — half
-    /// the footprint per entry, so the cache holds twice the entries at
-    /// the same memory budget. Within fast mode, cached and uncached
-    /// runs still agree bit-for-bit: the masked softmax is computed
-    /// entirely in `f32`, so a cached row replays exactly, and the
-    /// upcast to `f64` at the sampling boundary is exact.
+    /// the footprint per row, so its tables hold twice the entries.
+    /// Within fast mode, cached and uncached runs still agree bit-for-bit:
+    /// the masked softmax is computed entirely in `f32`, so a cached row
+    /// replays exactly, and the upcast to `f64` at the sampling boundary
+    /// is exact.
     pub fn with_cache_precision(
         policy: PolicyNetwork,
         eval_cache: bool,
         precision: Precision,
     ) -> Self {
         let fc = policy.feature_config();
-        let (action_dim, max_ready) = (fc.action_dim(), fc.process_action());
-        let (cache, engine, cache_f32) = match precision {
-            Precision::Exact => (
-                eval_cache.then(|| EvalCache::new(EVAL_CACHE_CAPACITY, action_dim, max_ready)),
-                None,
-                None,
-            ),
-            Precision::Fast => (
-                None,
-                Some(policy.inference_engine()),
-                eval_cache
-                    .then(|| EvalCacheF32::new(2 * EVAL_CACHE_CAPACITY, action_dim, max_ready)),
-            ),
+        let backend = match precision {
+            Precision::Exact => Backend::Exact {
+                scratch: ForwardScratch::default(),
+                rows: Rows::new(eval_cache, POLICY_TABLE_ENTRIES, fc),
+            },
+            Precision::Fast => Backend::Fast {
+                engine: policy.inference_engine(),
+                scratch: InferScratch::new(),
+                rows: Rows::new(eval_cache, 2 * POLICY_TABLE_ENTRIES, fc),
+            },
         };
         DrlPolicy {
             policy,
             inferences: 0,
             skips: 0,
-            cache,
-            precision,
-            engine,
-            infer_scratch: InferScratch::new(),
-            cache_f32,
-            probs_f32: Vec::new(),
-            probs: Vec::new(),
+            backend,
+            ready: Vec::new(),
             view: StateView::default(),
             action_probs: Vec::new(),
         }
@@ -364,7 +498,10 @@ impl DrlPolicy {
 
     /// The numeric mode this policy runs its forward passes in.
     pub fn precision(&self) -> Precision {
-        self.precision
+        match self.backend {
+            Backend::Exact { .. } => Precision::Exact,
+            Backend::Fast { .. } => Precision::Fast,
+        }
     }
 
     /// The wrapped network.
@@ -376,146 +513,76 @@ impl DrlPolicy {
     /// returned slice borrows the policy's scratch buffer and has one entry
     /// per action.
     ///
-    /// Consults the fingerprint-keyed cache first: a hit maps the cached
-    /// distribution onto `actions` without featurizing or running the
-    /// network, bit-identically to recomputation (the cached rows are the
-    /// exact softmax output and slot assignment a miss would produce).
-    ///
-    /// The key is [`SimState::frontier_fingerprint`], not the full state
-    /// fingerprint: the policy featurization reads only the frontier
-    /// (ready set, running tasks at clock-relative offsets, `used`,
-    /// completion count), so rollout trajectories that placed finished
-    /// work differently — or at different absolute clocks — but
-    /// reconverged to the same frontier share one cache entry. That
-    /// convergence, not exact-state revisits, is where most hits come
-    /// from.
+    /// The frontier table's key is [`SimState::frontier_fingerprint`],
+    /// not the full state fingerprint: the policy featurization reads
+    /// only the frontier (ready set, running tasks at clock-relative
+    /// offsets, `used`, completion count), so rollout trajectories that
+    /// placed finished work differently — or at different absolute
+    /// clocks — but reconverged to the same frontier share one entry.
+    /// Different frontiers can still featurize identically; the input
+    /// table catches those before the forward pass.
     fn action_probs(
         &mut self,
         ctx: &PolicyContext<'_>,
         state: &SimState,
         actions: &[Action],
     ) -> &[f64] {
-        if self.precision == Precision::Fast {
-            return self.action_probs_fast(ctx, state, actions);
-        }
-        let process_idx = self.policy.feature_config().process_action();
-        let key = self.cache.is_some().then(|| state.frontier_fingerprint());
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key) {
-            if let Some((probs, slots)) = cache.get(key) {
-                self.action_probs.clear();
-                self.action_probs.extend(actions.iter().map(|&a| {
-                    match a {
-                        Action::Process => probs[process_idx],
-                        // A `Place` inherits its task's probability: the
-                        // policy head stays task-indexed and the machine
-                        // choice is resolved at the sampling boundary.
-                        Action::Schedule(t) | Action::Place(t, _) => slots
-                            .iter()
-                            .position(|&s| s == Some(t))
-                            .map(|slot| probs[slot])
-                            // Backlogged tasks are invisible to the network.
-                            .unwrap_or(1e-9),
-                    }
-                }));
-                return &self.action_probs;
-            }
-        }
-        self.inferences += 1;
-        self.policy.action_distribution_into(
-            ctx.dag,
-            ctx.spec,
-            state,
-            ctx.features,
-            &mut self.probs,
-            &mut self.view,
-        );
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key) {
-            cache.insert(key, &self.probs, &self.view.slot_tasks);
-        }
-        self.action_probs.clear();
-        self.action_probs.extend(actions.iter().map(|&a| {
-            match a {
-                Action::Process => self.probs[process_idx],
-                Action::Schedule(t) | Action::Place(t, _) => self
-                    .view
-                    .slot_tasks
-                    .iter()
-                    .position(|&s| s == Some(t))
-                    .map(|slot| self.probs[slot])
-                    // Backlogged tasks are invisible to the network.
-                    .unwrap_or(1e-9),
-            }
-        }));
-        &self.action_probs
+        let DrlPolicy {
+            policy,
+            inferences,
+            backend,
+            ready,
+            view,
+            action_probs,
+            ..
+        } = self;
+        let process = policy.feature_config().process_action();
+        let featurize = |view: &mut StateView| {
+            policy
+                .featurizer()
+                .featurize_into(ctx.dag, ctx.spec, state, ctx.features, ready, view);
+        };
+        let ran = match backend {
+            Backend::Exact { scratch, rows } => rows.action_probs(
+                state,
+                actions,
+                process,
+                view,
+                action_probs,
+                featurize,
+                |view, probs| {
+                    let logits = policy.net().forward_one_into(&view.features, scratch);
+                    softmax_masked_into(logits, &view.mask, probs);
+                },
+            ),
+            Backend::Fast {
+                engine,
+                scratch,
+                rows,
+            } => rows.action_probs(
+                state,
+                actions,
+                process,
+                view,
+                action_probs,
+                featurize,
+                |view, probs| {
+                    let logits = engine.forward_one(&view.features, scratch);
+                    softmax_masked_f32_into(logits, &view.mask, probs);
+                },
+            ),
+        };
+        *inferences += u64::from(ran);
+        action_probs
     }
 
-    /// The fast-precision miss/hit pipeline: `f32` engine forward pass,
-    /// `f32` masked softmax, `f32` cache rows. The `f64` upcast happens
-    /// only while mapping onto `actions`, which is exact — so fast-mode
-    /// cached and uncached runs stay bit-identical to each other (the
-    /// same transparency contract the exact cache pins, inside the
-    /// fast numeric universe).
-    fn action_probs_fast(
-        &mut self,
-        ctx: &PolicyContext<'_>,
-        state: &SimState,
-        actions: &[Action],
-    ) -> &[f64] {
-        let process_idx = self.policy.feature_config().process_action();
-        let key = self
-            .cache_f32
-            .is_some()
-            .then(|| state.frontier_fingerprint());
-        if let (Some(cache), Some(key)) = (self.cache_f32.as_mut(), key) {
-            if let Some((probs, slots)) = cache.get(key) {
-                self.action_probs.clear();
-                self.action_probs.extend(actions.iter().map(|&a| {
-                    match a {
-                        Action::Process => f64::from(probs[process_idx]),
-                        Action::Schedule(t) | Action::Place(t, _) => slots
-                            .iter()
-                            .position(|&s| s == Some(t))
-                            .map(|slot| f64::from(probs[slot]))
-                            // Backlogged tasks are invisible to the network.
-                            .unwrap_or(1e-9),
-                    }
-                }));
-                return &self.action_probs;
-            }
+    /// Lifetime hit/miss/evict counters of the (frontier, input) tables;
+    /// zeros with the eval cache off.
+    fn table_stats(&self) -> (EvalCacheStats, EvalCacheStats) {
+        match &self.backend {
+            Backend::Exact { rows, .. } => rows.stats(),
+            Backend::Fast { rows, .. } => rows.stats(),
         }
-        self.inferences += 1;
-        let engine = self
-            .engine
-            .as_ref()
-            .expect("fast mode always has an engine");
-        self.policy.action_distribution_fast_into(
-            engine,
-            &mut self.infer_scratch,
-            ctx.dag,
-            ctx.spec,
-            state,
-            ctx.features,
-            &mut self.probs_f32,
-            &mut self.view,
-        );
-        if let (Some(cache), Some(key)) = (self.cache_f32.as_mut(), key) {
-            cache.insert(key, &self.probs_f32, &self.view.slot_tasks);
-        }
-        self.action_probs.clear();
-        self.action_probs.extend(actions.iter().map(|&a| {
-            match a {
-                Action::Process => f64::from(self.probs_f32[process_idx]),
-                Action::Schedule(t) | Action::Place(t, _) => self
-                    .view
-                    .slot_tasks
-                    .iter()
-                    .position(|&s| s == Some(t))
-                    .map(|slot| f64::from(self.probs_f32[slot]))
-                    // Backlogged tasks are invisible to the network.
-                    .unwrap_or(1e-9),
-            }
-        }));
-        &self.action_probs
     }
 }
 
@@ -586,27 +653,18 @@ impl SearchPolicy for DrlPolicy {
     }
 
     fn on_episode_start(&mut self) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.begin_generation();
-        }
-        if let Some(cache) = self.cache_f32.as_mut() {
-            cache.begin_generation();
+        match &mut self.backend {
+            Backend::Exact { rows, .. } => rows.begin_episode(),
+            Backend::Fast { rows, .. } => rows.begin_episode(),
         }
     }
 
     fn cache_stats(&self) -> EvalCacheStats {
-        // At most one of the two caches exists (per precision mode), so
-        // the merge is really a select.
-        self.cache
-            .as_ref()
-            .map(EvalCache::stats)
-            .unwrap_or_default()
-            .merged(
-                self.cache_f32
-                    .as_ref()
-                    .map(EvalCacheF32::stats)
-                    .unwrap_or_default(),
-            )
+        self.table_stats().0
+    }
+
+    fn input_cache_stats(&self) -> EvalCacheStats {
+        self.table_stats().1
     }
 
     fn inference_skips(&self) -> u64 {

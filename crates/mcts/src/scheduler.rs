@@ -32,7 +32,8 @@ pub struct MctsConfig {
     /// Exploit the *maximum* rollout return per node (paper Eq. 5);
     /// `false` falls back to classic mean-value UCB (ablation).
     pub max_value_backprop: bool,
-    /// Cache policy/value inferences by state fingerprint within each
+    /// Cache policy inferences (by frontier fingerprint, then by network
+    /// input) and value estimates (by state fingerprint) within each
     /// scheduling episode. Hits are bit-identical to recomputation, so
     /// this is on by default; disable (`--no-eval-cache` on the CLI) for
     /// differential testing. (Deserializing a config serialized before
@@ -119,15 +120,17 @@ pub struct SearchStats {
     pub tree_nodes: usize,
     /// Number of decisions (tree re-rootings) taken.
     pub decisions: u64,
-    /// Policy-network forward passes (zero for non-DRL policies).
+    /// Policy-network forward passes actually run (zero for non-DRL
+    /// policies): a hit in either policy table runs none.
     #[serde(default)]
     pub policy_inferences: u64,
-    /// Inferences served from the fingerprint-keyed eval cache (policy
-    /// and value caches combined).
+    /// Inferences served from the fingerprint-keyed eval cache (the
+    /// policy's frontier table and the value cache combined).
     #[serde(default)]
     pub cache_hits: u64,
-    /// Cache probes that found nothing and fell through to a fresh
-    /// inference.
+    /// Cache probes that found nothing and fell through: for the policy,
+    /// to featurization and its input table
+    /// ([`SearchPolicy::input_cache_stats`]).
     #[serde(default)]
     pub cache_misses: u64,
     /// Live cache entries displaced by inserts under capacity pressure.
@@ -373,6 +376,13 @@ impl MctsScheduler {
             obs: Obs::noop(),
             search_obs: None,
         }
+    }
+
+    /// The search policy, for its lifetime counters (such as
+    /// [`SearchPolicy::input_cache_stats`], which [`SearchStats`] does
+    /// not carry).
+    pub fn policy(&self) -> &(dyn SearchPolicy + Send) {
+        self.policy.as_ref()
     }
 
     /// The configuration.
@@ -657,9 +667,9 @@ mod tests {
         let spec = ClusterSpec::unit(2);
         let mut rng = StdRng::seed_from_u64(0);
         let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16], &mut rng);
-        let (cached, cs) = MctsScheduler::drl(small_config(), policy.clone())
-            .schedule_with_stats(&dag, &spec)
-            .unwrap();
+        let mut scheduler = MctsScheduler::drl(small_config(), policy.clone());
+        let (cached, cs) = scheduler.schedule_with_stats(&dag, &spec).unwrap();
+        let input = scheduler.policy().input_cache_stats();
         let no_cache = MctsConfig {
             eval_cache: false,
             ..small_config()
@@ -673,10 +683,16 @@ mod tests {
         assert!(cs.policy_inferences < us.policy_inferences);
         assert_eq!(cs.inference_skips, us.inference_skips);
         assert_eq!(
-            cs.policy_inferences,
-            us.policy_inferences - cs.cache_hits,
-            "every hit must replace exactly one inference"
+            cs.cache_hits + cs.cache_misses,
+            us.policy_inferences,
+            "every frontier-table probe stands for one uncached inference"
         );
+        assert_eq!(
+            cs.policy_inferences + input.hits,
+            cs.cache_misses,
+            "every frontier miss is an input-table hit or one inference"
+        );
+        assert_eq!(input.hits + input.misses, cs.cache_misses);
     }
 
     #[test]

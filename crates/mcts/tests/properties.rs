@@ -5,10 +5,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use spear_cluster::ClusterSpec;
+use spear_cluster::{ClusterSpec, JobQueue, MachineSet, Schedule, TransferMode};
 use spear_dag::generator::LayeredDagSpec;
-use spear_dag::Dag;
-use spear_mcts::{BudgetSchedule, MctsConfig, MctsScheduler, UniformPolicy};
+use spear_dag::{Dag, ResourceVec};
+use spear_mcts::{BudgetSchedule, MctsConfig, MctsScheduler, SearchStats, UniformPolicy};
+use spear_nn::Precision;
 use spear_rl::{FeatureConfig, PolicyNetwork};
 use spear_sched::Scheduler;
 
@@ -112,10 +113,12 @@ proptest! {
         prop_assert!(b.at_depth(depth + 1) <= at);
     }
 
-    /// The fingerprint-keyed eval cache is bit-transparent: cached and
-    /// `--no-eval-cache` searches produce identical schedules, makespans
-    /// and iteration counts across seeded DAG × cluster workloads — while
-    /// the cached run demonstrably serves hits and saves inferences.
+    /// The eval cache is bit-transparent: cached and `--no-eval-cache`
+    /// searches produce identical schedules, makespans and iteration
+    /// counts across seeded DAG × cluster workloads — and the accounting
+    /// is exact: every frontier-table probe stands for one uncached
+    /// forward pass, and every frontier miss is either an input-table
+    /// hit or a forward pass.
     #[test]
     fn eval_cache_is_bit_transparent(
         num_tasks in 2usize..16,
@@ -129,9 +132,9 @@ proptest! {
             ClusterSpec::new(spear_dag::ResourceVec::splat(2, capacity)).unwrap();
         let mut rng = StdRng::seed_from_u64(search_seed);
         let net = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[8], &mut rng);
-        let (cached, cs) = MctsScheduler::drl(config(12, search_seed), net.clone())
-            .schedule_with_stats(&dag, &spec)
-            .unwrap();
+        let mut cached_scheduler = MctsScheduler::drl(config(12, search_seed), net.clone());
+        let (cached, cs) = cached_scheduler.schedule_with_stats(&dag, &spec).unwrap();
+        let input = cached_scheduler.policy().input_cache_stats();
         let uncached_cfg = MctsConfig { eval_cache: false, ..config(12, search_seed) };
         let (uncached, us) = MctsScheduler::drl(uncached_cfg, net)
             .schedule_with_stats(&dag, &spec)
@@ -141,11 +144,8 @@ proptest! {
         prop_assert_eq!(cs.iterations, us.iterations);
         prop_assert_eq!(cs.rollout_steps, us.rollout_steps);
         prop_assert_eq!(us.cache_hits, 0);
-        prop_assert_eq!(
-            cs.policy_inferences + cs.cache_hits,
-            us.policy_inferences,
-            "every hit must replace exactly one inference"
-        );
+        prop_assert_eq!(cs.cache_hits + cs.cache_misses, us.policy_inferences);
+        prop_assert_eq!(cs.policy_inferences + input.hits, cs.cache_misses);
     }
 
     /// The fast-precision (`f32`) variant of the cache-transparency
@@ -171,9 +171,9 @@ proptest! {
             nn_precision: spear_nn::Precision::Fast,
             ..config(12, search_seed)
         };
-        let (cached, cs) = MctsScheduler::drl(fast_cfg.clone(), net.clone())
-            .schedule_with_stats(&dag, &spec)
-            .unwrap();
+        let mut cached_scheduler = MctsScheduler::drl(fast_cfg.clone(), net.clone());
+        let (cached, cs) = cached_scheduler.schedule_with_stats(&dag, &spec).unwrap();
+        let input = cached_scheduler.policy().input_cache_stats();
         let uncached_cfg = MctsConfig { eval_cache: false, ..fast_cfg };
         let (uncached, us) = MctsScheduler::drl(uncached_cfg, net)
             .schedule_with_stats(&dag, &spec)
@@ -185,11 +185,8 @@ proptest! {
         prop_assert_eq!(cs.iterations, us.iterations);
         prop_assert_eq!(cs.rollout_steps, us.rollout_steps);
         prop_assert_eq!(us.cache_hits, 0);
-        prop_assert_eq!(
-            cs.policy_inferences + cs.cache_hits,
-            us.policy_inferences,
-            "every hit must replace exactly one inference"
-        );
+        prop_assert_eq!(cs.cache_hits + cs.cache_misses, us.policy_inferences);
+        prop_assert_eq!(cs.policy_inferences + input.hits, cs.cache_misses);
     }
 
     /// Cross-validation against the exact solver: on tiny jobs, MCTS can
@@ -212,6 +209,80 @@ proptest! {
                 .makespan();
             prop_assert!(mcts >= opt, "mcts {} beat the proven optimum {}", mcts, opt);
         }
+    }
+}
+
+/// Schedules one problem with cache-on and cache-off Spear at
+/// `precision`: the schedules must be bit-identical, the accounting
+/// identities exact, and the input table must have served hits.
+fn assert_cache_transparent(
+    net: &PolicyNetwork,
+    precision: Precision,
+    schedule: impl Fn(&mut MctsScheduler) -> (Schedule, SearchStats),
+) {
+    let cfg = |eval_cache| MctsConfig {
+        eval_cache,
+        nn_precision: precision,
+        ..config(20, 3)
+    };
+    let mut on = MctsScheduler::drl(cfg(true), net.clone());
+    let (cached, cs) = schedule(&mut on);
+    let (uncached, us) = schedule(&mut MctsScheduler::drl(cfg(false), net.clone()));
+    assert_eq!(
+        cached, uncached,
+        "the cache changed the {precision} schedule"
+    );
+    let input = on.policy().input_cache_stats();
+    assert!(input.hits > 0, "the {precision} input table served no hits");
+    assert_eq!(cs.cache_hits + cs.cache_misses, us.policy_inferences);
+    assert_eq!(cs.policy_inferences + input.hits, cs.cache_misses);
+}
+
+/// Cache transparency on a three-job arrival stream (one
+/// `schedule_multi` episode over the union DAG), in both precisions.
+#[test]
+fn eval_cache_is_bit_transparent_on_a_job_stream() {
+    let queue = JobQueue::new(vec![
+        (0, random_dag(10, 1)),
+        (4, random_dag(12, 2)),
+        (9, random_dag(8, 3)),
+    ])
+    .unwrap();
+    let spec = ClusterSpec::unit(2);
+    let mut rng = StdRng::seed_from_u64(5);
+    let net = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[8], &mut rng);
+    for precision in [Precision::Exact, Precision::Fast] {
+        assert_cache_transparent(&net, precision, |s| {
+            s.schedule_multi_with_stats(&queue, &spec).unwrap()
+        });
+    }
+}
+
+/// Cache transparency on a three-machine heterogeneous cluster with
+/// data transfers, in both precisions.
+#[test]
+fn eval_cache_is_bit_transparent_on_a_hetero_cluster() {
+    let machines = MachineSet::new(
+        vec![
+            ResourceVec::splat(2, 1.0),
+            ResourceVec::from_slice(&[0.75, 0.5]),
+            ResourceVec::from_slice(&[0.5, 0.75]),
+        ],
+        vec![4; 9],
+        TransferMode::Direct,
+        11,
+        16,
+    )
+    .unwrap();
+    let spec = ClusterSpec::hetero(machines).unwrap();
+    let dag = random_dag(14, 6);
+    let mut rng = StdRng::seed_from_u64(5);
+    let features = FeatureConfig::small(2).with_machine_rows(3);
+    let net = PolicyNetwork::with_hidden(features, &[8], &mut rng);
+    for precision in [Precision::Exact, Precision::Fast] {
+        assert_cache_transparent(&net, precision, |s| {
+            s.schedule_with_stats(&dag, &spec).unwrap()
+        });
     }
 }
 

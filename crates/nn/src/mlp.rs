@@ -1,5 +1,6 @@
 //! The multi-layer perceptron.
 
+use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -60,6 +61,49 @@ pub struct BatchScratch {
     back: Matrix,
 }
 
+/// A network whose stored shapes disagree with each other or with its
+/// config: a truncated or hand-edited weights file, or a network built
+/// for another feature layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShapeError {
+    /// The quantity that disagrees, e.g. `layer 0 weights data length`.
+    pub what: String,
+    /// The value the rest of the network requires.
+    pub expected: usize,
+    /// The value stored.
+    pub found: usize,
+}
+
+impl ShapeError {
+    /// Returns `Ok` iff `found == expected`, else the mismatch of `what`.
+    ///
+    /// # Errors
+    /// The mismatch.
+    pub fn check(what: impl fmt::Display, expected: usize, found: usize) -> Result<(), Self> {
+        if found == expected {
+            Ok(())
+        } else {
+            Err(ShapeError {
+                what: what.to_string(),
+                expected,
+                found,
+            })
+        }
+    }
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "malformed network: {} is {}, expected {}",
+            self.what, self.found, self.expected
+        )
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
 /// A fully connected network: hidden layers with a shared activation and a
 /// linear logits layer. See the [crate docs](crate) for a training example.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -103,6 +147,48 @@ impl Mlp {
     /// Mutable layer access (used by optimizers).
     pub fn layers_mut(&mut self) -> &mut [Dense] {
         &mut self.layers
+    }
+
+    /// Checks every stored shape against the config: each layer's input
+    /// and output widths (which also chains adjacent layers), its weight
+    /// and weight-gradient matrices' dimensions and data lengths, and its
+    /// bias and bias-gradient lengths. Every constructor keeps these;
+    /// deserialization alone cannot, so [`Mlp::load`] checks them.
+    ///
+    /// # Errors
+    /// The first mismatch found.
+    pub fn validate(&self) -> Result<(), ShapeError> {
+        let widths: Vec<usize> = std::iter::once(self.config.input)
+            .chain(self.config.hidden.iter().copied())
+            .chain(std::iter::once(self.config.output))
+            .collect();
+        ShapeError::check("layer count", widths.len() - 1, self.layers.len())?;
+        for (i, (layer, io)) in self.layers.iter().zip(widths.windows(2)).enumerate() {
+            let (input, output) = (io[0], io[1]);
+            for (name, m) in [
+                ("weights", layer.weights()),
+                ("weight gradients", layer.grad_weights()),
+            ] {
+                ShapeError::check(format_args!("layer {i} {name} rows"), input, m.rows())?;
+                ShapeError::check(format_args!("layer {i} {name} columns"), output, m.cols())?;
+                ShapeError::check(
+                    format_args!("layer {i} {name} data length"),
+                    input.saturating_mul(output),
+                    m.as_slice().len(),
+                )?;
+            }
+            ShapeError::check(
+                format_args!("layer {i} bias length"),
+                output,
+                layer.bias().len(),
+            )?;
+            ShapeError::check(
+                format_args!("layer {i} bias gradient length"),
+                output,
+                layer.grad_bias().len(),
+            )?;
+        }
+        Ok(())
     }
 
     /// Total number of trainable parameters.
@@ -270,13 +356,17 @@ impl Mlp {
         Ok(())
     }
 
-    /// Deserializes a network saved with [`Mlp::save`].
+    /// Deserializes a network saved with [`Mlp::save`] and checks its
+    /// shapes ([`Mlp::validate`]).
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialization errors.
+    /// Propagates I/O and deserialization errors, and a [`ShapeError`]
+    /// for a network whose shapes disagree.
     pub fn load<R: Read>(reader: R) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(serde_json::from_reader(reader)?)
+        let net: Mlp = serde_json::from_reader(reader)?;
+        net.validate()?;
+        Ok(net)
     }
 
     /// Saves to a file path.
@@ -533,6 +623,61 @@ mod tests {
             assert!((u - v).abs() < 1e-12);
         }
         assert_eq!(net.config(), loaded.config());
+    }
+
+    /// A weights file whose shapes disagree loads as a [`ShapeError`],
+    /// never as a network that panics on its first forward pass.
+    #[test]
+    fn load_rejects_malformed_shapes() {
+        use serde_json::Value;
+        fn field<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
+            match v {
+                Value::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == name).unwrap().1,
+                _ => panic!("not an object"),
+            }
+        }
+        fn array(v: &mut Value) -> &mut Vec<Value> {
+            match v {
+                Value::Arr(items) => items,
+                _ => panic!("not an array"),
+            }
+        }
+        let saved = serde_json::to_value(&small_net(3));
+        let load = |v: &Value| -> ShapeError {
+            let text = serde_json::to_string(v).unwrap();
+            *Mlp::load(text.as_bytes())
+                .unwrap_err()
+                .downcast::<ShapeError>()
+                .expect("a shape error")
+        };
+
+        let mut truncated = saved.clone();
+        let layer0 = &mut array(field(&mut truncated, "layers"))[0];
+        array(field(field(layer0, "weights"), "data")).truncate(2);
+        let err = load(&truncated);
+        assert_eq!(err.what, "layer 0 weights data length");
+        assert_eq!((err.expected, err.found), (15, 2));
+
+        let mut short_bias = saved.clone();
+        let layer1 = &mut array(field(&mut short_bias, "layers"))[1];
+        array(field(layer1, "bias")).pop();
+        assert_eq!(load(&short_bias).what, "layer 1 bias length");
+
+        let mut short_grads = saved.clone();
+        let layer2 = &mut array(field(&mut short_grads, "layers"))[2];
+        array(field(field(layer2, "grad_weights"), "data")).pop();
+        assert_eq!(
+            load(&short_grads).what,
+            "layer 2 weight gradients data length"
+        );
+
+        let mut wrong_config = saved.clone();
+        *field(field(&mut wrong_config, "config"), "input") = Value::Num(4.0);
+        assert_eq!(load(&wrong_config).what, "layer 0 weights rows");
+
+        let mut missing_layer = saved;
+        array(field(&mut missing_layer, "layers")).pop();
+        assert_eq!(load(&missing_layer).what, "layer count");
     }
 
     #[test]

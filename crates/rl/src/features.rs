@@ -149,17 +149,25 @@ impl Featurizer {
     ) {
         out.clear();
         out.extend_from_slice(state.ready());
-        // Unstable sort: keys are unique (the id tiebreak), so the result
-        // matches a stable sort while skipping its temp-buffer allocation.
-        out.sort_unstable_by_key(|&t| {
+        let key = |&t: &TaskId| {
             let f = features.task(t);
             (
                 std::cmp::Reverse(f.b_level),
                 std::cmp::Reverse(f.children),
                 t,
             )
-        });
-        out.truncate(self.config.max_ready);
+        };
+        // Keys are unique (the id tiebreak), so selecting the visible
+        // window and then sorting only it gives exactly the full sort's
+        // prefix, and unstable sorting matches a stable one.
+        let visible = self.config.max_ready;
+        if out.len() > visible {
+            if let Some(last) = visible.checked_sub(1) {
+                out.select_nth_unstable_by_key(last, key);
+            }
+            out.truncate(visible);
+        }
+        out.sort_unstable_by_key(key);
     }
 
     /// Featurizes one state.

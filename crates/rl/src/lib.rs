@@ -49,7 +49,9 @@ mod reinforce;
 mod shared_cache;
 pub mod value;
 
-pub use cache::{EvalCache, EvalCacheF32, EvalCacheStats, ValueCache, ValueCacheF32};
+pub use cache::{
+    input_key, EvalCache, EvalCacheF32, EvalCacheStats, SlotRow, ValueCache, ValueCacheF32,
+};
 pub use episode::{
     run_episode, run_episode_with_features, run_episode_with_features_precision, Episode,
     SelectionMode, StepRecord,

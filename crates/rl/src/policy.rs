@@ -6,7 +6,7 @@ use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
 use spear_nn::{
     softmax_masked_f32_into, softmax_masked_into, ForwardScratch, InferScratch, InferenceEngine,
-    Mlp, MlpConfig,
+    Mlp, MlpConfig, ShapeError,
 };
 
 use crate::{FeatureConfig, Featurizer, StateView};
@@ -58,9 +58,30 @@ impl PolicyNetwork {
     ///
     /// Panics if the network shape disagrees with the feature config.
     pub fn from_parts(config: FeatureConfig, net: Mlp) -> Self {
-        assert_eq!(net.config().input, config.input_dim(), "input mismatch");
-        assert_eq!(net.config().output, config.action_dim(), "output mismatch");
-        Self::from_parts_unchecked(config, net)
+        Self::try_from_parts(config, net).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PolicyNetwork::from_parts`] for a network from outside the
+    /// program, such as a `--policy` file.
+    ///
+    /// # Errors
+    ///
+    /// A [`ShapeError`] if the network's layers are malformed
+    /// ([`Mlp::validate`]) or its input or output width disagrees with
+    /// the feature config.
+    pub fn try_from_parts(config: FeatureConfig, net: Mlp) -> Result<Self, ShapeError> {
+        net.validate()?;
+        ShapeError::check(
+            "policy network input width",
+            config.input_dim(),
+            net.config().input,
+        )?;
+        ShapeError::check(
+            "policy network output width",
+            config.action_dim(),
+            net.config().output,
+        )?;
+        Ok(Self::from_parts_unchecked(config, net))
     }
 
     fn from_parts_unchecked(config: FeatureConfig, net: Mlp) -> Self {
@@ -423,6 +444,15 @@ mod tests {
             rebuilt.net().parameter_count(),
             policy.net().parameter_count()
         );
+    }
+
+    #[test]
+    fn try_from_parts_rejects_a_network_for_another_layout() {
+        let (_, _, _, policy) = setup();
+        let err = PolicyNetwork::try_from_parts(FeatureConfig::paper(2), policy.net().clone())
+            .expect_err("a small-config network does not fit the paper layout");
+        assert_eq!(err.what, "policy network input width");
+        assert_eq!(err.expected, FeatureConfig::paper(2).input_dim());
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl SharedEvalCache {
                 probs.clear();
                 probs.extend_from_slice(p);
                 slot_tasks.clear();
-                slot_tasks.extend_from_slice(s);
+                slot_tasks.extend(s.tasks());
                 true
             }
             None => false,
@@ -86,7 +86,8 @@ impl SharedEvalCache {
     /// Stores `(probs, slot_tasks)` under `key` in the owning stripe.
     ///
     /// # Panics
-    /// If the row widths disagree with the ones given to `new`.
+    /// If the row widths disagree with the ones given to `new`, or a task
+    /// index does not fit the `u32` slot encoding.
     pub fn insert(&self, key: u64, probs: &[f64], slot_tasks: &[Option<TaskId>]) {
         self.stripe(key)
             .lock()
@@ -126,18 +127,14 @@ mod tests {
         let mut slots = Vec::new();
         // Keys spanning all high-bit patterns so every stripe is hit.
         let keys: Vec<u64> = (0..16).map(|i| (i as u64) << 60 | i as u64).collect();
-        for &k in &keys {
+        for (task, &k) in keys.iter().enumerate() {
             assert!(!cache.get_into(k, &mut probs, &mut slots));
-            cache.insert(
-                k,
-                &[k as f64, 0.0, 1.0],
-                &[Some(TaskId::new(k as usize)), None],
-            );
+            cache.insert(k, &[k as f64, 0.0, 1.0], &[Some(TaskId::new(task)), None]);
         }
-        for &k in &keys {
+        for (task, &k) in keys.iter().enumerate() {
             assert!(cache.get_into(k, &mut probs, &mut slots));
             assert_eq!(probs, &[k as f64, 0.0, 1.0]);
-            assert_eq!(slots, &[Some(TaskId::new(k as usize)), None]);
+            assert_eq!(slots, &[Some(TaskId::new(task)), None]);
         }
         let stats = cache.stats();
         assert_eq!(stats.hits, 16);

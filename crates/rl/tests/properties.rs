@@ -129,6 +129,46 @@ proptest! {
         }
     }
 
+    /// Selecting the visible window and sorting only it reproduces the
+    /// full sort's prefix, on ready sets with many tied b-levels and child
+    /// counts (two layers, runtimes in 1..=3, random fan-out) and on
+    /// windows narrower and wider than the ready set.
+    #[test]
+    fn visible_window_matches_the_full_sort(
+        parents in 1usize..40,
+        kids in 0usize..6,
+        dag_seed in any::<u64>(),
+        max_ready in 0usize..20,
+        steps in 0usize..10,
+        walk_seed in any::<u64>(),
+    ) {
+        use spear_dag::{DagBuilder, ResourceVec, Task};
+        let mut rng = StdRng::seed_from_u64(dag_seed);
+        let mut b = DagBuilder::new(2);
+        let task = |rng: &mut StdRng| Task::new(rng.gen_range(1..=3), ResourceVec::splat(2, 0.05));
+        let tops: Vec<_> = (0..parents).map(|_| b.add_task(task(&mut rng))).collect();
+        let bottoms: Vec<_> = (0..kids).map(|_| b.add_task(task(&mut rng))).collect();
+        for &top in &tops {
+            for &bottom in &bottoms {
+                if rng.gen_bool(0.4) {
+                    b.add_edge(top, bottom).unwrap();
+                }
+            }
+        }
+        let dag = b.build().unwrap();
+        let spec = ClusterSpec::unit(2);
+        let gf = GraphFeatures::compute(&dag);
+        let fz = Featurizer::new(FeatureConfig { max_ready, ..FeatureConfig::small(2) });
+        let state = random_state(&dag, &spec, steps, walk_seed);
+        let mut full = state.ready().to_vec();
+        full.sort_by_key(|&t| {
+            let f = gf.task(t);
+            (std::cmp::Reverse(f.b_level), std::cmp::Reverse(f.children), t)
+        });
+        full.truncate(max_ready);
+        prop_assert_eq!(fz.visible_ready(&state, &gf), full);
+    }
+
     /// A freshly initialized policy drives any job to completion with only
     /// legal actions (the masked sampler never escapes the simulator's
     /// rules).
