@@ -22,10 +22,6 @@
 //!   exit, so a failed run still leaves its evidence for CI to upload.
 //! * `bench_hotpath --no-eval-cache` — disables the policy's frontier and
 //!   input tables (differential runs; makespans must not move).
-//! * `bench_hotpath --search-threads N [--leaf-batch B]` — measures the
-//!   tree-parallel DRL search at `[1, N]` threads instead of the full
-//!   mode's default `[1, 2, 4, 8]` sweep; in quick mode this is the only
-//!   way to get a `tree_parallel` section (the CI smoke passes 4).
 //! * `bench_hotpath --metrics-out metrics.jsonl` — additionally writes the
 //!   metrics recorded during the measured runs as JSON lines, and folds the
 //!   same snapshot into the `metrics` field of the JSON output. Requires a
@@ -69,7 +65,7 @@ use spear::rl::EvalCacheStats;
 use spear::{
     execute_multi_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FaultProfile,
     FeatureConfig, JobQueue, JobSource, MctsConfig, MctsScheduler, MetricsRegistry, Obs,
-    PolicyNetwork, Schedule, SearchStats, TreeParallelMcts,
+    PolicyNetwork, Schedule, SearchStats,
 };
 use spear_bench::workload;
 
@@ -181,38 +177,6 @@ struct Speedup {
     drl_policy_inferences_per_sec: f64,
 }
 
-/// One point on the tree-parallel thread-scaling curve (DRL-guided
-/// search over the shared tree, batched leaf inference).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TreeParallelPoint {
-    threads: usize,
-    leaf_batch: usize,
-    iterations: u64,
-    elapsed_seconds: f64,
-    iterations_per_sec: f64,
-    /// Throughput relative to the 1-thread point of the same curve
-    /// (1.0 for the 1-thread point itself).
-    speedup_vs_sequential: f64,
-    vloss_collisions: u64,
-    batch_flushes: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    /// Valid but NOT pinned: schedules at >1 thread depend on worker
-    /// interleaving.
-    makespans: Vec<u64>,
-}
-
-/// The `tree_parallel` section of `BENCH_mcts.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct TreeParallelReport {
-    /// Cores visible to this run. With `host_cores: 1` the curve can
-    /// only measure coordination overhead — wall-clock speedup requires
-    /// running on a multi-core host.
-    host_cores: usize,
-    note: String,
-    points: Vec<TreeParallelPoint>,
-}
-
 /// The online multi-job section: a seeded Poisson arrival stream worked by
 /// the sequential DRL-guided search (the Spear configuration) in one
 /// continuous episode, reported as per-job completion times.
@@ -304,7 +268,6 @@ struct BenchOutput {
     report: HotpathReport,
     baseline: Option<HotpathReport>,
     speedup: Option<Speedup>,
-    tree_parallel: Option<TreeParallelReport>,
     multi_job: MultiJobReport,
     faults: FaultsReport,
     nn_precision: NnPrecisionReport,
@@ -408,82 +371,6 @@ fn drl_scheduler_precision(
         },
         policy,
     )
-}
-
-fn drl_tree_parallel(params: &ModeParams, threads: usize, leaf_batch: usize) -> TreeParallelMcts {
-    let mut rng = StdRng::seed_from_u64(0);
-    let policy = PolicyNetwork::new(FeatureConfig::paper(2), &mut rng);
-    TreeParallelMcts::drl(
-        MctsConfig {
-            initial_budget: params.drl_budget.0,
-            min_budget: params.drl_budget.1,
-            seed: SEARCH_SEED,
-            search_threads: threads,
-            leaf_batch_size: leaf_batch,
-            ..MctsConfig::default()
-        },
-        policy,
-    )
-}
-
-fn run_tree_parallel(
-    params: &ModeParams,
-    thread_counts: &[usize],
-    leaf_batch: usize,
-    obs: &Obs,
-) -> TreeParallelReport {
-    let dags = workload::simulation_dags(params.dags, params.tasks, WORKLOAD_SEED);
-    let spec = workload::cluster();
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut points = Vec::new();
-    let mut sequential_rate: Option<f64> = None;
-    for &threads in thread_counts {
-        let mut scheduler = drl_tree_parallel(params, threads, leaf_batch).with_obs(obs);
-        let start = std::time::Instant::now();
-        let runs: Vec<(u64, SearchStats)> = dags
-            .iter()
-            .map(|dag| {
-                let (schedule, stats) = scheduler
-                    .schedule_with_stats(dag, &spec)
-                    .expect("workload fits cluster");
-                schedule
-                    .validate(dag, &spec)
-                    .expect("schedule must be valid");
-                (schedule.makespan(), stats)
-            })
-            .collect();
-        let elapsed = start.elapsed().as_secs_f64();
-        let sum = |f: fn(&SearchStats) -> u64| runs.iter().map(|(_, s)| f(s)).sum::<u64>();
-        let iterations = sum(|s| s.iterations);
-        let rate = iterations as f64 / elapsed.max(1e-9);
-        if threads <= 1 {
-            sequential_rate = Some(rate);
-        }
-        eprintln!(
-            "[bench_hotpath] tree-parallel drl @ {threads} threads: {rate:.0} iterations/s in {elapsed:.2}s"
-        );
-        points.push(TreeParallelPoint {
-            threads,
-            leaf_batch,
-            iterations,
-            elapsed_seconds: elapsed,
-            iterations_per_sec: rate,
-            speedup_vs_sequential: rate / sequential_rate.unwrap_or(rate),
-            vloss_collisions: sum(|s| s.vloss_collisions),
-            batch_flushes: sum(|s| s.batch_flushes),
-            cache_hits: sum(|s| s.cache_hits),
-            cache_misses: sum(|s| s.cache_misses),
-            makespans: runs.iter().map(|&(m, _)| m).collect(),
-        });
-    }
-    TreeParallelReport {
-        host_cores,
-        note: format!(
-            "wall-clock speedup is bounded by host_cores ({host_cores}); on a 1-core host \
-             the curve measures coordination overhead, not parallel scaling"
-        ),
-        points,
-    }
 }
 
 fn run_report(params: &ModeParams, eval_cache: bool, obs: &Obs) -> HotpathReport {
@@ -784,17 +671,6 @@ fn main() {
         .position(|a| a == "--metrics-out")
         .and_then(|i| args.get(i + 1))
         .cloned();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse::<usize>()
-                    .unwrap_or_else(|_| panic!("invalid {name} `{v}`"))
-            })
-    };
-    let search_threads = flag_value("--search-threads");
-    let leaf_batch = flag_value("--leaf-batch").unwrap_or(8);
     let params = if quick { &QUICK } else { &FULL };
 
     let registry = if metrics_out.is_some() {
@@ -840,19 +716,6 @@ fn main() {
     let faults = run_faults(&multi_queue, &multi_schedule);
     let nn_precision = run_nn_precision(params, &sink);
 
-    // Tree-parallel thread-scaling curve: the full default is the
-    // 1/2/4/8 sweep; `--search-threads N` narrows it to [1, N] (the
-    // quick CI smoke uses this for a single parallel run on top of the
-    // sequential golden check).
-    let thread_counts: Vec<usize> = match search_threads {
-        Some(1) => vec![1],
-        Some(n) => vec![1, n],
-        None if quick => Vec::new(),
-        None => vec![1, 2, 4, 8],
-    };
-    let tree_parallel = (!thread_counts.is_empty())
-        .then(|| run_tree_parallel(params, &thread_counts, leaf_batch, &sink));
-
     let baseline: Option<HotpathReport> = std::fs::read_to_string(baseline_path())
         .ok()
         .and_then(|text| serde_json::from_str(&text).ok())
@@ -890,20 +753,6 @@ fn main() {
         "drl input table: {} hits / {} misses / {} evictions",
         report.drl.input_hits, report.drl.input_misses, report.drl.input_evictions
     );
-    if let Some(tp) = &tree_parallel {
-        for p in &tp.points {
-            println!(
-                "tree-parallel drl @ {} threads (leaf batch {}): {:>10.0} iterations/s ({:.2}x vs 1 thread), {} vloss collisions, {} batch flushes",
-                p.threads,
-                p.leaf_batch,
-                p.iterations_per_sec,
-                p.speedup_vs_sequential,
-                p.vloss_collisions,
-                p.batch_flushes
-            );
-        }
-        println!("tree-parallel host cores: {}", tp.host_cores);
-    }
     println!(
         "multi-job drl: {} jobs x {} tasks ({} unfinished), jct mean {} p50 {} p99 {}, unfairness {:.2}, stream makespan {}",
         multi_job.jobs,
@@ -979,7 +828,6 @@ fn main() {
         report,
         baseline,
         speedup,
-        tree_parallel,
         multi_job,
         faults,
         nn_precision,

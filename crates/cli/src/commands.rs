@@ -10,7 +10,7 @@ use spear::{
     ClusterSpec, CpScheduler, Dag, Env, FaultProfile, FeatureConfig, Graphene, JctReport, JobQueue,
     JobSource, MachineProfile, MctsConfig, MctsScheduler, MetricsRegistry, MultiJobEnv, Obs,
     ObservedScheduler, PolicyNetwork, RandomScheduler, ResourceVec, Scheduler, SjfScheduler,
-    SyntheticTraceSpec, TetrisScheduler, Trace, TraceStats, TransferMode, TreeParallelMcts,
+    SyntheticTraceSpec, TetrisScheduler, Trace, TraceStats, TransferMode,
 };
 
 use crate::args::Args;
@@ -28,9 +28,8 @@ USAGE:
                      [--machines 1] [--bandwidth 4]
                      [--transfer-mode direct|via-master]
                      [--nn-precision exact|fast]
-                     [--search-threads 1] [--leaf-batch 8]
                      [--faults 0.0] [--straggler 1.5] [--max-retries 3]
-                     [--metrics-out metrics.jsonl]
+                     [--metrics-out metrics.jsonl] [--output schedule.json]
   spear-cli schedule --arrivals poisson|periodic [--jobs 20] [--job-tasks 8]
                      [--mean-gap 8.0 | --gap 8] [--trace-file trace.json]
                      [--horizon N] [--algo ...] [... as above]
@@ -38,10 +37,12 @@ USAGE:
                      [--metrics-out metrics.jsonl]
   spear-cli evaluate [--tasks 100] [--dags 5] [--seed 0] [--budget 200]
                      [--metrics-out metrics.jsonl]
-  spear-cli stats    (--dag file.json | --stg file.stg | --trace-file file.json)
+  spear-cli stats    (--dag file.json | --stg file.stg [--drop-dummies] [--seed 0]
+                      | --trace-file file.json)
 
 All demands/capacities are fractions of a two-dimensional (CPU, memory)
-cluster unless the input file says otherwise.
+cluster unless the input file says otherwise. A flag the subcommand does
+not read is an error.
 
 --nn-precision selects the numeric mode of the DRL policy's inference
 inside the search: `exact` (the default) runs the training-grade f64
@@ -50,11 +51,6 @@ lane-padded f32 snapshot of the weights (and doubles the eval cache's
 capacity at the same memory budget) for speed, at a bounded makespan-
 quality cost validated by the differential judges. Training is always
 f64; only search-time inference changes.
-
---search-threads > 1 runs the mcts/spear searches tree-parallel: the
-workers share one tree (virtual-loss decorrelated) and DRL leaf
-inference is batched --leaf-batch rows at a time. At 1 (the default)
-the search is sequential and bit-identical to previous releases.
 
 --arrivals switches `schedule` to the online multi-job mode: a seeded
 stream of jobs (random layered DAGs, or a trace's jobs with
@@ -92,6 +88,50 @@ reproduces the single-box schedule exactly.
 cargo feature; without it the flag still works but the file only notes
 that the build has metrics compiled out.";
 
+/// The flags `generate` reads; [`crate::run`] rejects any other.
+pub const GENERATE_FLAGS: &[&str] = &["tasks", "seed", "trace", "output"];
+
+/// The flags `schedule` reads, in both its single-DAG and `--arrivals`
+/// modes.
+pub const SCHEDULE_FLAGS: &[&str] = &[
+    "dag",
+    "stg",
+    "drop-dummies",
+    "algo",
+    "budget",
+    "min-budget",
+    "policy",
+    "capacity",
+    "seed",
+    "gantt",
+    "no-eval-cache",
+    "machines",
+    "bandwidth",
+    "transfer-mode",
+    "nn-precision",
+    "faults",
+    "straggler",
+    "max-retries",
+    "metrics-out",
+    "output",
+    "arrivals",
+    "jobs",
+    "job-tasks",
+    "mean-gap",
+    "gap",
+    "trace-file",
+    "horizon",
+];
+
+/// The flags `train` reads.
+pub const TRAIN_FLAGS: &[&str] = &["profile", "output", "metrics-out"];
+
+/// The flags `evaluate` reads.
+pub const EVALUATE_FLAGS: &[&str] = &["tasks", "dags", "seed", "budget", "metrics-out"];
+
+/// The flags `stats` reads.
+pub const STATS_FLAGS: &[&str] = &["dag", "stg", "drop-dummies", "seed", "trace-file"];
+
 /// An active registry when `--metrics-out` was given (plus the path).
 fn metrics_registry(args: &Args) -> (MetricsRegistry, Option<String>) {
     match args.get("metrics-out") {
@@ -123,20 +163,22 @@ fn write_metrics(registry: &MetricsRegistry, path: Option<&str>) -> Result<(), B
 
 /// The unreliable-cluster knobs of `schedule`: `--faults <rate>` sets both
 /// the failure and the straggler probability, `--straggler` the slowdown
-/// factor, `--max-retries` the per-task retry budget. Without `--faults`
-/// the profile is null and execution stays bit-identical to the fault-free
-/// simulator.
+/// factor (finite, at least 1), `--max-retries` the per-task retry
+/// budget. Without `--faults` the profile is null and execution stays
+/// bit-identical to the fault-free simulator.
 fn fault_profile(args: &Args) -> Result<FaultProfile, Box<dyn Error>> {
     let rate: f64 = args.get_or("faults", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--faults {rate} outside [0, 1]").into());
     }
+    let straggler_factor = args.get_finite("straggler", 1.5, 1.0)?;
+    let max_retries = args.get_or("max-retries", 3)?;
     if rate == 0.0 {
         return Ok(FaultProfile::none());
     }
     Ok(FaultProfile {
-        straggler_factor: args.get_or("straggler", 1.5)?,
-        max_retries: args.get_or("max-retries", 3)?,
+        straggler_factor,
+        max_retries,
         ..FaultProfile::with_rate(rate)
     })
 }
@@ -226,7 +268,7 @@ pub fn generate(args: &Args) -> Result<(), Box<dyn Error>> {
         return write_or_print(args, &serde_json::to_string_pretty(&trace)?);
     }
     let spec = LayeredDagSpec {
-        num_tasks: args.get_or("tasks", 100)?,
+        num_tasks: args.get_count("tasks", 100)?,
         ..LayeredDagSpec::paper_simulation()
     };
     let dag = spec.generate(&mut StdRng::seed_from_u64(seed));
@@ -239,10 +281,9 @@ fn build_scheduler(
     dag_dims: usize,
     obs: &Obs,
 ) -> Result<Box<dyn Scheduler>, Box<dyn Error>> {
-    let budget: u64 = args.get_or("budget", 100)?;
+    let budget: u64 = args.get_count("budget", 100)?;
     let min_budget: u64 = args.get_or("min-budget", budget / 2)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let search_threads: usize = args.get_or("search-threads", 1)?;
     let nn_precision: spear::nn::Precision = match args.get("nn-precision") {
         Some(raw) => raw
             .parse()
@@ -257,8 +298,6 @@ fn build_scheduler(
         // cache for differential runs; results are bit-identical either
         // way, only the speed differs.
         eval_cache: !args.flag("no-eval-cache"),
-        search_threads,
-        leaf_batch_size: args.get_or("leaf-batch", 8)?,
         nn_precision,
         ..MctsConfig::default()
     };
@@ -268,7 +307,6 @@ fn build_scheduler(
         "cp" => Box::new(CpScheduler::new().with_obs(obs)),
         "graphene" => Box::new(Graphene::new()),
         "random" => Box::new(RandomScheduler::seeded(seed).with_obs(obs)),
-        "mcts" if search_threads > 1 => Box::new(TreeParallelMcts::pure(config).with_obs(obs)),
         "mcts" => Box::new(MctsScheduler::pure(config).with_obs(obs)),
         "spear" => {
             let features = FeatureConfig::paper(dag_dims);
@@ -282,11 +320,7 @@ fn build_scheduler(
                     PolicyNetwork::new(features, &mut StdRng::seed_from_u64(seed))
                 }
             };
-            if search_threads > 1 {
-                Box::new(TreeParallelMcts::drl(config, policy).with_obs(obs))
-            } else {
-                Box::new(MctsScheduler::drl(config, policy).with_obs(obs))
-            }
+            Box::new(MctsScheduler::drl(config, policy).with_obs(obs))
         }
         other => return Err(format!("unknown --algo `{other}`").into()),
     })
@@ -297,7 +331,7 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
     let seed: u64 = args.get_or("seed", 0)?;
     let process = match args.require("arrivals")? {
         "poisson" => ArrivalProcess::Poisson {
-            mean_gap: args.get_or("mean-gap", 8.0)?,
+            mean_gap: args.get_finite("mean-gap", 8.0, 0.0)?,
         },
         "periodic" => ArrivalProcess::Periodic {
             gap: args.get_or("gap", 8)?,
@@ -310,7 +344,7 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
             JobSource::Trace(trace)
         }
         None => JobSource::Layered(LayeredDagSpec {
-            num_tasks: args.get_or("job-tasks", 8)?,
+            num_tasks: args.get_count("job-tasks", 8)?,
             ..LayeredDagSpec::paper_training()
         }),
     };
@@ -512,10 +546,10 @@ pub fn train(args: &Args) -> Result<(), Box<dyn Error>> {
 
 /// `spear-cli evaluate`: compare every scheduler on random workloads.
 pub fn evaluate(args: &Args) -> Result<(), Box<dyn Error>> {
-    let tasks: usize = args.get_or("tasks", 100)?;
-    let dags: usize = args.get_or("dags", 5)?;
+    let tasks: usize = args.get_count("tasks", 100)?;
+    let dags: usize = args.get_count("dags", 5)?;
     let seed: u64 = args.get_or("seed", 0)?;
-    let budget: u64 = args.get_or("budget", 200)?;
+    let budget: u64 = args.get_count("budget", 200)?;
     let gen = LayeredDagSpec {
         num_tasks: tasks,
         ..LayeredDagSpec::paper_simulation()
@@ -594,6 +628,7 @@ pub fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Value;
 
     fn args(parts: &[&str]) -> Args {
         let argv: Vec<String> = parts.iter().map(|s| (*s).to_owned()).collect();
@@ -604,6 +639,36 @@ mod tests {
         let dir = std::env::temp_dir().join("spear-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    /// The entry `name` of a JSON object.
+    fn field<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
+        match v {
+            Value::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == name).unwrap().1,
+            _ => panic!("not an object"),
+        }
+    }
+
+    /// Element `i` of a JSON array.
+    fn item(v: &mut Value, i: usize) -> &mut Value {
+        match v {
+            Value::Arr(items) => &mut items[i],
+            _ => panic!("not an array"),
+        }
+    }
+
+    /// Writes a generated 6-task DAG, edited by `edit`, to a temp file.
+    fn edited_dag(name: &str, edit: impl FnOnce(&mut Value)) -> String {
+        let dag = LayeredDagSpec {
+            num_tasks: 6,
+            ..LayeredDagSpec::paper_simulation()
+        }
+        .generate(&mut StdRng::seed_from_u64(1));
+        let mut value = serde_json::to_value(&dag);
+        edit(&mut value);
+        let path = tmp(name);
+        std::fs::write(&path, serde_json::to_string(&value).unwrap()).unwrap();
+        path
     }
 
     #[test]
@@ -643,7 +708,6 @@ mod tests {
     /// typed shape error instead of a panic.
     #[test]
     fn malformed_policy_files_fail_with_shape_errors() {
-        use serde_json::Value;
         use spear::nn::{Mlp, MlpConfig, ShapeError};
         let dag_path = tmp("cli-dag-policy.json");
         generate(&args(&[
@@ -663,12 +727,6 @@ mod tests {
             MlpConfig::new(paper.input_dim(), &[8], paper.action_dim()),
             &mut rng,
         );
-        fn field<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
-            match v {
-                Value::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == name).unwrap().1,
-                _ => panic!("not an object"),
-            }
-        }
         let mut value = serde_json::to_value(&net);
         let Value::Arr(layers) = field(&mut value, "layers") else {
             panic!("layers is an array")
@@ -787,27 +845,147 @@ mod tests {
         assert!(err.contains("f16"), "unexpected error: {err}");
     }
 
+    /// Every bad number, misspelled or removed flag and corrupt input file
+    /// fails with a one-line error instead of a panic, an abort or a
+    /// silently wrong run.
     #[test]
-    fn schedule_with_search_threads_runs_tree_parallel() {
-        let dag_path = tmp("cli-dag-tp.json");
-        generate(&args(&[
-            "--tasks", "10", "--seed", "4", "--output", &dag_path,
-        ]))
-        .unwrap();
-        for algo in ["mcts", "spear"] {
-            schedule(&args(&[
-                "--dag",
-                &dag_path,
-                "--algo",
-                algo,
-                "--budget",
-                "12",
-                "--search-threads",
-                "3",
-                "--leaf-batch",
-                "2",
-            ]))
-            .unwrap();
+    fn bad_inputs_fail_with_one_line_errors() {
+        let dag = edited_dag("cli-bad-base.json", |_| {});
+        let runtime = |path: &str, runtime: f64| {
+            edited_dag(path, |v| {
+                *field(item(field(v, "tasks"), 1), "runtime") = Value::Num(runtime)
+            })
+        };
+        let demand = |path: &str, demand: &[f64]| {
+            let demand = Value::Arr(demand.iter().map(|&d| Value::Num(d)).collect());
+            edited_dag(path, |v| {
+                *field(item(field(v, "tasks"), 1), "demand") = demand
+            })
+        };
+        let wrapping_json = runtime("cli-bad-wrap.json", u64::MAX as f64);
+        let zero_runtime = runtime("cli-bad-zero.json", 0.0);
+        let negative_demand = demand("cli-bad-negative.json", &[-0.5, 0.5]);
+        let short_demand = demand("cli-bad-short.json", &[0.5]);
+        let self_edge = edited_dag("cli-bad-self-edge.json", |v| {
+            let Value::Arr(edges) = field(v, "edges") else {
+                panic!("edges is an array")
+            };
+            edges.push(serde_json::to_value(&spear::dag::Edge {
+                from: spear::TaskId::new(2),
+                to: spear::TaskId::new(2),
+            }));
+        });
+        let wrapping_stg = tmp("cli-bad-wrap.stg");
+        std::fs::write(&wrapping_stg, "2\n0 18446744073709551615 0\n1 4 1 0\n").unwrap();
+        let huge_header = tmp("cli-bad-header.stg");
+        std::fs::write(&huge_header, "999999999999\n0 1 0\n").unwrap();
+
+        let poisson = ["schedule", "--arrivals", "poisson", "--algo", "tetris"];
+        let faulty = ["schedule", "--dag", &dag, "--algo", "cp", "--faults", "0.2"];
+        let cases: Vec<(Vec<&str>, &str)> = vec![
+            (
+                vec!["schedule", "--dag", &dag, "--algo", "mcts", "--budget", "0"],
+                "--budget must be at least 1",
+            ),
+            (
+                vec![
+                    "schedule", "--dag", &dag, "--algo", "spear", "--budget", "0",
+                ],
+                "--budget must be at least 1",
+            ),
+            (
+                vec!["evaluate", "--budget", "0"],
+                "--budget must be at least 1",
+            ),
+            (
+                vec!["generate", "--tasks", "0"],
+                "--tasks must be at least 1",
+            ),
+            (
+                vec!["evaluate", "--tasks", "0"],
+                "--tasks must be at least 1",
+            ),
+            (
+                [&poisson[..], &["--job-tasks", "0"]].concat(),
+                "--job-tasks must be at least 1",
+            ),
+            (vec!["evaluate", "--dags", "0"], "--dags must be at least 1"),
+            (
+                [&poisson[..], &["--mean-gap", "1e300"]].concat(),
+                "past the 9007199254740992 slot ceiling",
+            ),
+            (
+                [&faulty[..], &["--straggler", "inf"]].concat(),
+                "--straggler must be a finite number >= 1",
+            ),
+            (
+                [&faulty[..], &["--straggler", "nan"]].concat(),
+                "--straggler must be a finite number >= 1",
+            ),
+            (
+                [&poisson[..], &["--mean-gap", "inf"]].concat(),
+                "--mean-gap must be a finite number >= 0",
+            ),
+            (
+                [&poisson[..], &["--mean-gap", "-3"]].concat(),
+                "--mean-gap must be a finite number >= 0",
+            ),
+            (
+                [&poisson[..], &["--mean-gap", "nan"]].concat(),
+                "--mean-gap must be a finite number >= 0",
+            ),
+            (
+                vec!["schedule", "--dag", &dag, "--bugdet", "5"],
+                "unknown flag --bugdet for schedule",
+            ),
+            (
+                vec!["generate", "--task", "3"],
+                "unknown flag --task for generate",
+            ),
+            (
+                vec!["schedule", "--dag", &dag, "--search-threads", "2"],
+                "unknown flag --search-threads for schedule",
+            ),
+            (
+                vec!["schedule", "--dag", &dag, "--leaf-batch", "8"],
+                "unknown flag --leaf-batch for schedule",
+            ),
+            (
+                vec!["schedule", "--stg", &wrapping_stg, "--algo", "tetris"],
+                "task runtimes sum to more than",
+            ),
+            (
+                vec!["schedule", "--stg", &huge_header, "--algo", "tetris"],
+                "fewer task lines than the header announced",
+            ),
+            (
+                vec!["schedule", "--dag", &wrapping_json, "--algo", "tetris"],
+                "task runtimes sum to more than",
+            ),
+            (
+                vec!["schedule", "--dag", &zero_runtime, "--algo", "tetris"],
+                "task t1 has zero runtime",
+            ),
+            (
+                vec!["schedule", "--dag", &negative_demand, "--algo", "tetris"],
+                "task t1 has a negative or non-finite resource demand",
+            ),
+            (
+                vec!["schedule", "--dag", &short_demand, "--algo", "tetris"],
+                "task t1 has 1 resource dimensions, expected 2",
+            ),
+            (
+                vec!["schedule", "--dag", &self_edge, "--algo", "tetris"],
+                "self-loop on task t2",
+            ),
+        ];
+        for (argv, want) in cases {
+            let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+            let err = crate::run(&argv)
+                .expect_err(&format!("{argv:?} must fail"))
+                .to_string();
+            assert!(err.contains(want), "{argv:?}: got `{err}`, want `{want}`");
+            assert!(!err.contains('\n'), "{argv:?}: multi-line error `{err}`");
         }
     }
 

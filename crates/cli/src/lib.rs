@@ -34,17 +34,20 @@ pub fn run(argv: &[String]) -> Result<(), Box<dyn Error>> {
         "usage: spear-cli <generate|schedule|train|evaluate|stats> [--flag value]…\n\
          run `spear-cli help` for details",
     )?;
-    let args = args::Args::parse(rest)?;
-    match command.as_str() {
-        "generate" => commands::generate(&args),
-        "schedule" => commands::schedule(&args),
-        "train" => commands::train(&args),
-        "evaluate" => commands::evaluate(&args),
-        "stats" => commands::stats(&args),
+    type Command = fn(&args::Args) -> Result<(), Box<dyn Error>>;
+    let (run, flags): (Command, &[&str]) = match command.as_str() {
+        "generate" => (commands::generate, commands::GENERATE_FLAGS),
+        "schedule" => (commands::schedule, commands::SCHEDULE_FLAGS),
+        "train" => (commands::train, commands::TRAIN_FLAGS),
+        "evaluate" => (commands::evaluate, commands::EVALUATE_FLAGS),
+        "stats" => (commands::stats, commands::STATS_FLAGS),
         "help" | "--help" | "-h" => {
             println!("{}", commands::HELP);
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command `{other}`; run `spear-cli help`").into()),
-    }
+        other => return Err(format!("unknown command `{other}`; run `spear-cli help`").into()),
+    };
+    let args = args::Args::parse(rest)?;
+    args.reject_unknown(command, flags)?;
+    run(&args)
 }

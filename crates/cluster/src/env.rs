@@ -265,7 +265,7 @@ impl Env for SimEnv<'_> {
 ///
 /// `MultiJobEnv` implements [`Env`] over the *union DAG*, so every
 /// consumer of the trait — `EpisodeDriver`, the baselines, sequential and
-/// tree-parallel MCTS, the DRL featurizer — schedules a job stream through
+/// root-parallel MCTS, the DRL featurizer — schedules a job stream through
 /// the same code path as a single job. The differences are confined to the
 /// state underneath: sources of unarrived jobs are withheld from the
 /// frontier, and `Process` advances the clock to the next *event*

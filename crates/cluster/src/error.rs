@@ -93,6 +93,10 @@ pub enum ClusterError {
         /// The offending resource dimension.
         dim: usize,
     },
+    /// A job of a stream arrives after
+    /// [`MAX_TOTAL_RUNTIME`](spear_dag::MAX_TOTAL_RUNTIME) slots, where the
+    /// simulator clock could wrap.
+    ArrivalTooLate(u64),
 }
 
 impl fmt::Display for ClusterError {
@@ -150,6 +154,11 @@ impl fmt::Display for ClusterError {
             ClusterError::MachineCapacityViolation { machine, time, dim } => write!(
                 f,
                 "machine {machine} capacity of dimension {dim} exceeded at time slot {time}"
+            ),
+            ClusterError::ArrivalTooLate(arrival) => write!(
+                f,
+                "a job arrives at slot {arrival}, past the {} slot ceiling",
+                spear_dag::MAX_TOTAL_RUNTIME
             ),
         }
     }
@@ -330,6 +339,7 @@ mod tests {
                 time: 4,
                 dim: 0,
             },
+            ClusterError::ArrivalTooLate(u64::MAX),
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -19,9 +19,9 @@
 //! zero-contention lower bound, its critical-path length).
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{Dag, DagBuilder, DagError, TaskId};
+use spear_dag::{Dag, DagBuilder, DagError, TaskId, MAX_TOTAL_RUNTIME};
 
-use crate::{Placement, Schedule, SimState, SpearError};
+use crate::{ClusterError, Placement, Schedule, SimState, SpearError};
 
 /// One job's task range inside the union DAG, plus its arrival metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -78,13 +78,17 @@ impl JobQueue {
     /// # Errors
     ///
     /// Returns [`DagError::Empty`] (as [`SpearError::Dag`]) for an empty
-    /// job list and [`DagError::DimensionMismatch`] if the jobs disagree
-    /// on resource dimensionality.
+    /// job list, [`DagError::DimensionMismatch`] if the jobs disagree
+    /// on resource dimensionality, and [`ClusterError::ArrivalTooLate`]
+    /// for an arrival past [`MAX_TOTAL_RUNTIME`].
     pub fn new(mut jobs: Vec<(u64, Dag)>) -> Result<Self, SpearError> {
-        if jobs.is_empty() {
-            return Err(DagError::Empty.into());
-        }
         jobs.sort_by_key(|&(arrival, _)| arrival);
+        let Some(&(last_arrival, _)) = jobs.last() else {
+            return Err(DagError::Empty.into());
+        };
+        if last_arrival > MAX_TOTAL_RUNTIME {
+            return Err(ClusterError::ArrivalTooLate(last_arrival).into());
+        }
         let dims = jobs[0].1.dims();
         let mut builder = DagBuilder::new(dims);
         let mut spans = Vec::with_capacity(jobs.len());
@@ -528,6 +532,16 @@ mod tests {
     #[test]
     fn empty_queue_is_an_error() {
         assert!(JobQueue::new(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn arrivals_past_the_runtime_ceiling_are_rejected() {
+        assert!(JobQueue::new(vec![(MAX_TOTAL_RUNTIME, chain(&[2]))]).is_ok());
+        let late = vec![(0, chain(&[2])), (MAX_TOTAL_RUNTIME + 1, chain(&[3]))];
+        assert_eq!(
+            JobQueue::new(late).unwrap_err(),
+            ClusterError::ArrivalTooLate(MAX_TOTAL_RUNTIME + 1).into()
+        );
     }
 
     #[test]

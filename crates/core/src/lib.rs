@@ -87,7 +87,7 @@ pub use spear_cluster::{
     MultiFaultyRun, Placement, Schedule, SimState, SpearError, TransferMode,
 };
 pub use spear_dag::{Dag, DagBuilder, DagError, ResourceVec, Task, TaskId};
-pub use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts, SearchStats, TreeParallelMcts};
+pub use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts, SearchStats};
 pub use spear_obs::{MetricsRegistry, MetricsSnapshot, Obs};
 pub use spear_rl::{FeatureConfig, PolicyNetwork};
 pub use spear_sched::{

@@ -32,6 +32,9 @@ pub enum DagError {
     },
     /// The graph has no tasks.
     Empty,
+    /// The task runtimes sum to more than
+    /// [`MAX_TOTAL_RUNTIME`](crate::MAX_TOTAL_RUNTIME) slots.
+    RuntimeOverflow,
 }
 
 impl fmt::Display for DagError {
@@ -54,6 +57,11 @@ impl fmt::Display for DagError {
                 "task {task} has {actual} resource dimensions, expected {expected}"
             ),
             DagError::Empty => write!(f, "graph has no tasks"),
+            DagError::RuntimeOverflow => write!(
+                f,
+                "task runtimes sum to more than {} slots",
+                crate::MAX_TOTAL_RUNTIME
+            ),
         }
     }
 }
@@ -79,6 +87,7 @@ mod tests {
                 actual: 3,
             },
             DagError::Empty,
+            DagError::RuntimeOverflow,
         ];
         for e in errors {
             let msg = e.to_string();

@@ -1,8 +1,16 @@
 //! The DAG type and its builder.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::{DagError, ResourceVec, Task, TaskId};
+
+/// Ceiling on a DAG's summed task runtimes, in time slots (2^53).
+///
+/// A fault-free schedule never outlasts its DAG's serial work plus the
+/// arrival and transfer waits, so with the runtimes summing to at most
+/// 2^53 the simulator's `clock + slots` stays far below `u64::MAX`. 2^53
+/// is also the largest integer a JSON number (an `f64`) holds exactly.
+pub const MAX_TOTAL_RUNTIME: u64 = 1 << 53;
 
 /// A directed edge `from -> to`: `to` may only start after `from` finished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -103,16 +111,23 @@ impl DagBuilder {
     ///
     /// Returns [`DagError::Empty`] for a task-less graph,
     /// [`DagError::ZeroRuntime`] / [`DagError::InvalidDemand`] /
-    /// [`DagError::DimensionMismatch`] for per-task problems, and
-    /// [`DagError::Cycle`] if the edges contain a directed cycle.
+    /// [`DagError::DimensionMismatch`] for per-task problems,
+    /// [`DagError::RuntimeOverflow`] if the runtimes sum to more than
+    /// [`MAX_TOTAL_RUNTIME`], and [`DagError::Cycle`] if the edges contain
+    /// a directed cycle.
     pub fn build(self) -> Result<Dag, DagError> {
         if self.tasks.is_empty() {
             return Err(DagError::Empty);
         }
+        let mut total_runtime = 0u64;
         for (i, task) in self.tasks.iter().enumerate() {
             let id = TaskId::new(i);
             if task.runtime() == 0 {
                 return Err(DagError::ZeroRuntime(id));
+            }
+            total_runtime = total_runtime.saturating_add(task.runtime());
+            if total_runtime > MAX_TOTAL_RUNTIME {
+                return Err(DagError::RuntimeOverflow);
             }
             if !task.demand().is_valid_demand() {
                 return Err(DagError::InvalidDemand(id));
@@ -181,7 +196,11 @@ fn topological_order(children: &[Vec<TaskId>], parents: &[Vec<TaskId>]) -> Optio
 /// and a valid demand vector of the declared dimensionality. A precomputed
 /// topological order is stored for the analyses in
 /// [`analysis`](crate::analysis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization goes through the builder too: it reads `dims`, `tasks`
+/// and `edges` and ignores the serialized adjacency lists and order, so
+/// a hand-edited file cannot smuggle in a graph the builder would reject.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dag {
     dims: usize,
     tasks: Vec<Task>,
@@ -189,6 +208,21 @@ pub struct Dag {
     children: Vec<Vec<TaskId>>,
     parents: Vec<Vec<TaskId>>,
     topo: Vec<TaskId>,
+}
+
+impl Deserialize for Dag {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let field = |name| v.get_field(name).ok_or_else(|| DeError::missing(name));
+        let invalid = |e: DagError| DeError(format!("invalid DAG: {e}"));
+        let mut builder = DagBuilder::new(usize::from_value(field("dims")?)?);
+        for task in Vec::<Task>::from_value(field("tasks")?)? {
+            builder.add_task(task);
+        }
+        for edge in Vec::<Edge>::from_value(field("edges")?)? {
+            builder.add_edge(edge.from, edge.to).map_err(invalid)?;
+        }
+        builder.build().map_err(invalid)
+    }
 }
 
 impl Dag {
@@ -446,5 +480,116 @@ mod tests {
         let json = serde_json::to_string(&d).unwrap();
         let back: Dag = serde_json::from_str(&json).unwrap();
         assert_eq!(d, back);
+    }
+
+    #[test]
+    fn rejects_total_runtime_above_the_ceiling() {
+        let mut b = DagBuilder::new(1);
+        b.add_task(Task::new(
+            MAX_TOTAL_RUNTIME,
+            ResourceVec::from_slice(&[0.1]),
+        ));
+        assert!(b.clone().build().is_ok());
+        b.add_task(Task::new(1, ResourceVec::from_slice(&[0.1])));
+        assert_eq!(b.build().unwrap_err(), DagError::RuntimeOverflow);
+        // A sum that would wrap `u64` is caught rather than wrapped.
+        let mut b = DagBuilder::new(1);
+        b.add_task(Task::new(u64::MAX, ResourceVec::from_slice(&[0.1])));
+        b.add_task(Task::new(5, ResourceVec::from_slice(&[0.1])));
+        assert_eq!(b.build().unwrap_err(), DagError::RuntimeOverflow);
+    }
+
+    /// The diamond's serialized tree with `edit` applied to its top-level
+    /// entry `key`, read back through the validating deserializer.
+    fn reload_edited(key: &str, edit: impl FnOnce(&mut Value)) -> Result<Dag, DeError> {
+        let mut v = diamond().to_value();
+        let Value::Obj(entries) = &mut v else {
+            panic!("a DAG serializes to an object")
+        };
+        edit(&mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1);
+        Dag::from_value(&v)
+    }
+
+    /// Sets the field `name` of task 1 in a serialized `tasks` array.
+    fn set_task1(tasks: &mut Value, name: &str, value: Value) {
+        let Value::Arr(tasks) = tasks else {
+            panic!("tasks is an array")
+        };
+        let Value::Obj(fields) = &mut tasks[1] else {
+            panic!("a task is an object")
+        };
+        fields.iter_mut().find(|(k, _)| k == name).unwrap().1 = value;
+    }
+
+    #[test]
+    fn out_of_range_topo_entries_are_ignored() {
+        let back = reload_edited("topo", |topo| {
+            *topo = Value::Arr(vec![Value::Num(999.0); 4]);
+        })
+        .unwrap();
+        assert_eq!(back, diamond());
+    }
+
+    #[test]
+    fn unknown_parent_ids_are_ignored() {
+        let back = reload_edited("parents", |parents| {
+            *parents = Value::Arr(vec![Value::Arr(vec![Value::Num(999.0)]); 4]);
+        })
+        .unwrap();
+        assert_eq!(back, diamond());
+    }
+
+    #[test]
+    fn deserializing_a_short_demand_is_rejected() {
+        let err = reload_edited("tasks", |tasks| {
+            set_task1(tasks, "demand", Value::Arr(vec![]));
+        })
+        .unwrap_err();
+        assert!(err.0.contains("task t1 has 0 resource dimensions"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_a_zero_runtime_is_rejected() {
+        let err = reload_edited("tasks", |tasks| {
+            set_task1(tasks, "runtime", Value::Num(0.0));
+        })
+        .unwrap_err();
+        assert!(err.0.contains("task t1 has zero runtime"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_a_wrapping_runtime_is_rejected() {
+        let err = reload_edited("tasks", |tasks| {
+            set_task1(tasks, "runtime", Value::Num(u64::MAX as f64));
+        })
+        .unwrap_err();
+        assert!(err.0.contains("runtimes sum to more than"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_a_self_edge_is_rejected() {
+        let err = reload_edited("edges", |edges| {
+            let Value::Arr(edges) = edges else {
+                panic!("edges is an array")
+            };
+            edges.push(
+                Edge {
+                    from: TaskId::new(2),
+                    to: TaskId::new(2),
+                }
+                .to_value(),
+            );
+        })
+        .unwrap_err();
+        assert!(err.0.contains("self-loop on task t2"), "{err}");
+    }
+
+    #[test]
+    fn deserializing_a_negative_demand_is_rejected() {
+        let err = reload_edited("tasks", |tasks| {
+            set_task1(tasks, "demand", Value::Arr(vec![Value::Num(-0.5)]));
+        })
+        .unwrap_err();
+        assert!(err.0.contains("task t1 has a negative"), "{err}");
     }
 }

@@ -41,6 +41,6 @@ mod task;
 pub mod topo;
 
 pub use error::DagError;
-pub use graph::{Dag, DagBuilder, Edge};
+pub use graph::{Dag, DagBuilder, Edge, MAX_TOTAL_RUNTIME};
 pub use resources::{ResourceVec, FIT_EPSILON};
 pub use task::{Task, TaskId};

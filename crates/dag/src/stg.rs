@@ -177,7 +177,9 @@ pub fn parse_stg<R: Rng + ?Sized>(
         .and_then(|t| t.parse().ok())
         .ok_or(StgError::MissingHeader)?;
 
-    let mut tasks: Vec<StgTask> = Vec::with_capacity(count);
+    // Grown line by line: `count` is untrusted input, so it must not size
+    // an allocation up front.
+    let mut tasks: Vec<StgTask> = Vec::new();
     for _ in 0..count {
         let (line_no, line) = lines.next().ok_or(StgError::TruncatedFile)?;
         let fields: Vec<u64> = line
@@ -192,7 +194,7 @@ pub fn parse_stg<R: Rng + ?Sized>(
         if id != tasks.len() {
             return Err(StgError::BadTaskId { line: line_no });
         }
-        if fields.len() != 3 + npred {
+        if fields.len() - 3 != npred {
             return Err(StgError::BadTaskLine { line: line_no });
         }
         let preds: Vec<usize> = fields[3..].iter().map(|&p| p as usize).collect();
@@ -362,6 +364,83 @@ mod tests {
         let dag = parse_stg(text, &uniform(), false, &mut rng).unwrap();
         assert_eq!(dag.len(), 2);
         assert_eq!(dag.edges().len(), 1);
+    }
+
+    #[test]
+    fn huge_headers_and_runtimes_fail_typed() {
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(
+            parse_stg("999999999999\n0 1 0\n", &uniform(), false, &mut rng).unwrap_err(),
+            StgError::TruncatedFile
+        );
+        assert_eq!(
+            parse_stg(
+                "2\n0 18446744073709551615 0\n1 4 1 0\n",
+                &uniform(),
+                false,
+                &mut rng
+            )
+            .unwrap_err(),
+            StgError::Graph(DagError::RuntimeOverflow)
+        );
+        // A predecessor count of u64::MAX must not overflow the field
+        // count check.
+        assert_eq!(
+            parse_stg("1\n0 1 18446744073709551615\n", &uniform(), false, &mut rng).unwrap_err(),
+            StgError::BadTaskLine { line: 2 }
+        );
+    }
+
+    /// Tokens the random streams below are drawn from: small ids, times
+    /// and counts (repeated, so that some streams parse), and values that
+    /// overflow a count, a `u64` or an allocation.
+    const TOKENS: [&str; 18] = [
+        "0",
+        "0",
+        "1",
+        "1",
+        "1",
+        "2",
+        "2",
+        "3",
+        "4",
+        "#",
+        "x",
+        "-1",
+        "1.5",
+        "4294967296",
+        "999999999999",
+        "9007199254740993",
+        "18446744073709551615",
+        "18446744073709551616",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random token streams either parse into a DAG within the runtime
+        /// ceiling or fail with a typed [`StgError`]; they never panic or
+        /// abort.
+        #[test]
+        fn random_token_streams_parse_or_fail_typed(
+            lines in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0usize..TOKENS.len(), 0..7),
+                0..8,
+            ),
+            drop_dummies in proptest::any::<bool>(),
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|line| {
+                    let tokens: Vec<&str> = line.iter().map(|&t| TOKENS[t]).collect();
+                    tokens.join(" ") + "\n"
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(0);
+            if let Ok(dag) = parse_stg(&text, &uniform(), drop_dummies, &mut rng) {
+                proptest::prop_assert!(dag.total_work() <= crate::MAX_TOTAL_RUNTIME);
+            }
+        }
     }
 
     #[test]

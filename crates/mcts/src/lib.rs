@@ -48,7 +48,6 @@ mod policies;
 mod scheduler;
 mod search;
 mod tree;
-mod tree_parallel;
 
 pub use budget::BudgetSchedule;
 pub use evaluator::{BoundEvaluator, StateEvaluator, ValueEvaluator};
@@ -61,4 +60,3 @@ pub use search::MctsSearch;
 // Re-exported because `SearchPolicy`/`StateEvaluator` signatures use it.
 pub use spear_rl::EvalCacheStats;
 pub use tree::{Node, NodeId, Tree};
-pub use tree_parallel::TreeParallelMcts;

@@ -338,12 +338,6 @@ struct Tables<R> {
     input: EvalCache<R>,
 }
 
-/// Entries in the tree-parallel search's shared policy cache. Sized for
-/// the distinct states one *episode's* search visits across all of its
-/// decisions (a 50-task paper-simulation job touches roughly 20k unique
-/// states); power-of-two enforced by the cache itself.
-pub(crate) const EVAL_CACHE_CAPACITY: usize = 32_768;
-
 /// Entries in each of [`DrlPolicy`]'s two exact-precision tables; fast
 /// precision holds twice as many `f32` rows. Both exact tables take
 /// 5.7 MB, both fast ones 7.2 MB (DESIGN.md §9 has the budget).

@@ -42,23 +42,6 @@ pub struct MctsConfig {
     pub eval_cache: bool,
     /// RNG seed for rollouts and tie-breaking.
     pub seed: u64,
-    /// Number of workers descending one shared search tree in
-    /// [`TreeParallelMcts`](crate::TreeParallelMcts). `1` (the default)
-    /// selects the sequential engine, which stays bit-identical to
-    /// [`MctsScheduler`]; values above 1 trade exact reproducibility of
-    /// the sequential search for wall-clock speed (each run is still
-    /// internally deterministic only in its per-worker streams, not in
-    /// their interleaving). Ignored by the plain [`MctsScheduler`].
-    #[serde(default = "default_search_threads")]
-    pub search_threads: usize,
-    /// Leaf states a tree-parallel worker group accumulates before one
-    /// batched policy forward pass. `1` disables batching (every leaf
-    /// infers alone); the effective flush threshold is capped at
-    /// `search_threads` since no more leaves can ever be pending.
-    /// Ignored by the plain [`MctsScheduler`] and in pure (non-DRL)
-    /// mode.
-    #[serde(default = "default_leaf_batch_size")]
-    pub leaf_batch_size: usize,
     /// Numeric precision of policy/value inference during search.
     /// `Exact` (the default, and what configs serialized before this
     /// field existed deserialize to) runs the training-grade `f64`
@@ -71,14 +54,6 @@ pub struct MctsConfig {
     pub nn_precision: spear_nn::Precision,
 }
 
-fn default_search_threads() -> usize {
-    1
-}
-
-fn default_leaf_batch_size() -> usize {
-    8
-}
-
 impl Default for MctsConfig {
     fn default() -> Self {
         MctsConfig {
@@ -89,8 +64,6 @@ impl Default for MctsConfig {
             max_value_backprop: true,
             eval_cache: true,
             seed: 0,
-            search_threads: default_search_threads(),
-            leaf_batch_size: default_leaf_batch_size(),
             nn_precision: spear_nn::Precision::default(),
         }
     }
@@ -141,24 +114,13 @@ pub struct SearchStats {
     /// still consult a stored distribution.
     #[serde(default)]
     pub inference_skips: u64,
-    /// Tree-parallel only: expansion races where a worker reached the
-    /// claim step and found its chosen action already taken by a peer
-    /// (the rollout proceeds on a substitute action). Zero for
-    /// sequential searches.
-    #[serde(default)]
-    pub vloss_collisions: u64,
-    /// Tree-parallel DRL only: batched policy forward passes (each one
-    /// matmul covering up to `leaf_batch_size` leaves). Zero for
-    /// sequential searches.
-    #[serde(default)]
-    pub batch_flushes: u64,
     /// Wall-clock seconds spent searching.
     pub elapsed_seconds: f64,
 }
 
 impl SearchStats {
     /// Combines the stats of two searches that ran concurrently on the
-    /// same job (root- or tree-parallel workers): every counter is
+    /// same job (root-parallel workers): every counter is
     /// summed, while `elapsed_seconds` takes the maximum because the
     /// workers' wall-clock intervals overlap — summing them would
     /// double-count real time and make derived rates (iterations per
@@ -175,8 +137,6 @@ impl SearchStats {
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,
             inference_skips: self.inference_skips + other.inference_skips,
-            vloss_collisions: self.vloss_collisions + other.vloss_collisions,
-            batch_flushes: self.batch_flushes + other.batch_flushes,
             elapsed_seconds: self.elapsed_seconds.max(other.elapsed_seconds),
         }
     }
@@ -187,7 +147,7 @@ impl SearchStats {
 /// sees (wall time, lookahead depth). Built lazily once an enabled sink
 /// is attached.
 #[derive(Debug, Clone)]
-pub(crate) struct SearchObs {
+struct SearchObs {
     episodes: Counter,
     decisions: Counter,
     iterations: Counter,
@@ -197,14 +157,14 @@ pub(crate) struct SearchObs {
     cache_misses: Counter,
     cache_evictions: Counter,
     inference_skips: Counter,
-    pub(crate) decision_ns: Histogram,
-    pub(crate) tree_depth: Histogram,
+    decision_ns: Histogram,
+    tree_depth: Histogram,
     tree_nodes: Histogram,
     schedule_ns: Histogram,
 }
 
 impl SearchObs {
-    pub(crate) fn new(obs: &Obs) -> Self {
+    fn new(obs: &Obs) -> Self {
         SearchObs {
             episodes: obs.counter("mcts.episodes"),
             decisions: obs.counter("mcts.decisions"),
@@ -222,7 +182,7 @@ impl SearchObs {
         }
     }
 
-    pub(crate) fn record_stats(&self, stats: &SearchStats) {
+    fn record_stats(&self, stats: &SearchStats) {
         self.episodes.incr();
         self.decisions.add(stats.decisions);
         self.iterations.add(stats.iterations);
@@ -526,8 +486,6 @@ impl MctsScheduler {
             cache_misses: cache.misses - cache_before.misses,
             cache_evictions: cache.evictions - cache_before.evictions,
             inference_skips: search.policy_inference_skips() - skips_before,
-            vloss_collisions: 0,
-            batch_flushes: 0,
             elapsed_seconds: start.elapsed().as_secs_f64(),
         };
         if spear_obs::compiled() {

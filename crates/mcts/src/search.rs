@@ -27,7 +27,7 @@ struct RolloutScratch<'a> {
 /// bit-identical to computing `(k as f64).ln()` directly.
 const LN_TABLE_SIZE: usize = 4096;
 
-pub(crate) fn ln_table() -> Vec<f64> {
+fn ln_table() -> Vec<f64> {
     (0..LN_TABLE_SIZE as u64)
         .map(|k| (k.max(1) as f64).ln())
         .collect()
@@ -39,82 +39,12 @@ pub(crate) fn ln_table() -> Vec<f64> {
 /// freeze an argmax on whichever candidate came first; `total_cmp` imposes
 /// a total order instead, keeping selection deterministic. For the finite
 /// keys produced by healthy searches the result is identical to tuple `>`.
-pub(crate) fn key_gt(a: (f64, f64), b: (f64, f64)) -> bool {
+fn key_gt(a: (f64, f64), b: (f64, f64)) -> bool {
     match a.0.total_cmp(&b.0) {
         std::cmp::Ordering::Greater => true,
         std::cmp::Ordering::Less => false,
         std::cmp::Ordering::Equal => a.1.total_cmp(&b.1) == std::cmp::Ordering::Greater,
     }
-}
-
-/// UCB child selection (paper Eq. 5) over `tree.node(id)`'s children:
-/// exploit the max rollout return (or the mean, in the ablation mode),
-/// explore by visit counts, tie-break with the mean return.
-///
-/// Shared between the sequential [`MctsSearch`] and the tree-parallel
-/// workers. Virtual losses are folded in two ways: in-flight rollouts
-/// count as visits (shrinking the exploration bonus of contested paths
-/// and growing everyone else's), and each in-flight rollout additionally
-/// charges `exploration` against the child's score so concurrent workers
-/// fan out instead of replaying the current argmax. Both adjustments are
-/// written so that sequential search — where every `vloss` is zero — is
-/// *bit-identical* to the pre-vloss formula: `visits + 0` is exact in
-/// `u64`, and the penalty subtraction only executes when a virtual loss
-/// is actually held.
-///
-/// An unvisited child with in-flight rollouts (`visits == 0`,
-/// `vloss > 0`) deliberately does **not** get the `INFINITY`
-/// first-visit bonus: its max value is still `-inf`, so other workers
-/// avoid it until the pending rollout reports back. If every child is
-/// in that state the tie-break makes the scan fall back to the first
-/// child, so selection still returns.
-pub(crate) fn select_child_ucb(
-    tree: &Tree,
-    id: NodeId,
-    exploration: f64,
-    max_value_mode: bool,
-    ln_table: &[f64],
-) -> (Action, NodeId) {
-    let node = tree.node(id);
-    debug_assert!(!node.children.is_empty());
-    // With one child there is nothing to compare; skip the UCB math.
-    // Single-child nodes are common on deep exploit chains (states
-    // where only `process` is legal), so this fast path matters.
-    if node.children.len() == 1 {
-        return node.children[0];
-    }
-    let n_eff = node.effective_visits();
-    let ln_n = match ln_table.get(n_eff as usize) {
-        Some(&ln) => ln,
-        None => (n_eff.max(1) as f64).ln(),
-    };
-    let mut best = node.children[0];
-    let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &(action, child_id) in &node.children {
-        let child = tree.node(child_id);
-        let child_n = child.effective_visits();
-        let ucb = if child_n == 0 {
-            f64::INFINITY
-        } else {
-            let exploit = if max_value_mode {
-                child.max_value
-            } else {
-                child.mean_value()
-            };
-            let mut ucb = exploit + exploration * (ln_n / child_n as f64).sqrt();
-            // Guarded so the sequential path never touches the value.
-            if child.vloss > 0 {
-                ucb -= exploration * f64::from(child.vloss);
-            }
-            ucb
-        };
-        let key = (ucb, child.mean_value());
-        if key_gt(key, best_key) {
-            best_key = key;
-            best = (action, child_id);
-        }
-    }
-    best
 }
 
 /// A Monte Carlo tree search over scheduling states of one DAG.
@@ -404,16 +334,38 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
         };
     }
 
-    /// UCB child selection (paper Eq. 5): exploit the max rollout return,
-    /// explore by visit counts, tie-break with the mean return.
+    /// UCB child selection (paper Eq. 5): exploit the max rollout return
+    /// (or the mean, in the ablation mode), explore by visit counts,
+    /// tie-break with the mean return.
     fn select_child(&self, id: NodeId) -> (Action, NodeId) {
-        select_child_ucb(
-            &self.tree,
-            id,
-            self.exploration,
-            self.max_value_mode,
-            &self.ln_table,
-        )
+        let node = self.tree.node(id);
+        debug_assert!(!node.children.is_empty());
+        // With one child there is nothing to compare; skip the UCB math.
+        // Single-child nodes are common on deep exploit chains (states
+        // where only `process` is legal), so this fast path matters.
+        if node.children.len() == 1 {
+            return node.children[0];
+        }
+        let ln_n = match self.ln_table.get(node.visits as usize) {
+            Some(&ln) => ln,
+            None => (node.visits.max(1) as f64).ln(),
+        };
+        let mut best = node.children[0];
+        let mut best_key = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for &(action, child_id) in &node.children {
+            let child = self.tree.node(child_id);
+            let ucb = if child.visits == 0 {
+                f64::INFINITY
+            } else {
+                self.exploit_value(child) + self.exploration * (ln_n / child.visits as f64).sqrt()
+            };
+            let key = (ucb, child.mean_value());
+            if key_gt(key, best_key) {
+                best_key = key;
+                best = (action, child_id);
+            }
+        }
+        best
     }
 
     /// Simulates `env` (the freshly expanded child, already replayed into
@@ -691,64 +643,6 @@ mod tests {
         assert_eq!(actions_a, actions_b, "NaN values broke determinism");
         assert_eq!(makespan_a, makespan_b);
         assert_eq!(makespan_a, 5); // schedule is still complete and valid
-    }
-
-    /// Virtual losses steer selection away from in-flight children and,
-    /// once released, leave the choice exactly where it started.
-    #[test]
-    fn virtual_loss_diverts_selection_and_is_reversible() {
-        let mut tree = Tree::new();
-        let root = tree.push(Node::fresh(None, None, Vec::new(), false, 0.0));
-        let a = tree.push(Node::fresh(
-            None,
-            Some(Action::Process),
-            Vec::new(),
-            false,
-            0.0,
-        ));
-        let b = tree.push(Node::fresh(
-            None,
-            Some(Action::Schedule(TaskId::new(0))),
-            Vec::new(),
-            false,
-            0.0,
-        ));
-        tree.node_mut(root).children =
-            vec![(Action::Process, a), (Action::Schedule(TaskId::new(0)), b)];
-        tree.node_mut(root).visits = 20;
-        // Child `a` is clearly better.
-        let na = tree.node_mut(a);
-        na.visits = 10;
-        na.max_value = -10.0;
-        na.sum_value = -110.0;
-        let nb = tree.node_mut(b);
-        nb.visits = 10;
-        nb.max_value = -12.0;
-        nb.sum_value = -140.0;
-        let table = ln_table();
-        let pick = |tree: &Tree| select_child_ucb(tree, root, 2.0, true, &table).1;
-        assert_eq!(pick(&tree), a);
-        // A worker descends through `a`: the virtual loss must divert the
-        // next worker to `b`.
-        tree.node_mut(a).vloss = 3;
-        assert_eq!(pick(&tree), b);
-        // Released: the original choice is restored.
-        tree.node_mut(a).vloss = 0;
-        assert_eq!(pick(&tree), a);
-        // An unvisited-but-in-flight child must not get the first-visit
-        // INFINITY bonus.
-        let c = tree.push(Node::fresh(
-            None,
-            Some(Action::Schedule(TaskId::new(1))),
-            Vec::new(),
-            false,
-            0.0,
-        ));
-        tree.node_mut(root)
-            .children
-            .push((Action::Schedule(TaskId::new(1)), c));
-        tree.node_mut(c).vloss = 1;
-        assert_eq!(pick(&tree), a, "in-flight unvisited child was selected");
     }
 
     /// On a DAG where one root choice is clearly better, sufficient budget

@@ -38,15 +38,6 @@ pub struct Node {
     pub max_value: f64,
     /// Sum of rollout returns (for the mean tiebreak).
     pub sum_value: f64,
-    /// Virtual losses: rollouts currently *in flight* through this node
-    /// in a tree-parallel search. Each concurrent worker increments the
-    /// counter along its selection path and decrements it when the
-    /// rollout's real value is backpropagated, so UCB selection sees
-    /// in-flight paths as already-visited-and-losing and concurrent
-    /// workers decorrelate instead of piling onto one leaf. Always zero
-    /// in sequential searches, where selection arithmetic reduces
-    /// bit-identically to the vloss-free formula.
-    pub vloss: u32,
 }
 
 impl Node {
@@ -69,15 +60,7 @@ impl Node {
             visits: 0,
             max_value: f64::NEG_INFINITY,
             sum_value: 0.0,
-            vloss: 0,
         }
-    }
-
-    /// Visits as UCB selection sees them: real visits plus in-flight
-    /// virtual losses. Equal to `visits` whenever no search worker holds
-    /// a virtual loss here (always, in sequential searches).
-    pub fn effective_visits(&self) -> u64 {
-        self.visits + u64::from(self.vloss)
     }
 
     /// Mean rollout return (`-inf` before the first visit).
@@ -233,16 +216,5 @@ mod tests {
         let node = make_node(None);
         assert_eq!(node.mean_value(), f64::NEG_INFINITY);
         assert!(node.fully_expanded());
-    }
-
-    #[test]
-    fn effective_visits_adds_virtual_losses() {
-        let mut node = make_node(None);
-        assert_eq!(node.effective_visits(), 0);
-        node.visits = 3;
-        node.vloss = 2;
-        assert_eq!(node.effective_visits(), 5);
-        node.vloss = 0;
-        assert_eq!(node.effective_visits(), node.visits);
     }
 }

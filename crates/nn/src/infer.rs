@@ -404,32 +404,6 @@ impl InferenceEngine {
         }
         &scratch.row[..self.output_dim]
     }
-
-    /// Forward pass of `n` row-major examples (`rows.len() == n *
-    /// input_dim()`), appending each logical output row to `out`
-    /// (cleared first). Each row goes through the exact
-    /// [`InferenceEngine::forward_one`] kernel, so batch rows are
-    /// bit-identical to single-example calls — the same batch≡single
-    /// contract the `f64` path pins, which lets cached and batched
-    /// results mix freely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() != n * input_dim()`.
-    pub fn forward_batch(
-        &self,
-        rows: &[f64],
-        n: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut InferScratch,
-    ) {
-        assert_eq!(rows.len(), n * self.input_dim, "batch width mismatch");
-        out.clear();
-        out.reserve(n * self.output_dim);
-        for row in rows.chunks_exact(self.input_dim.max(1)) {
-            out.extend_from_slice(self.forward_one(row, scratch));
-        }
-    }
 }
 
 /// [`softmax_masked_into`](crate::softmax_masked_into) in `f32`: the
@@ -543,27 +517,6 @@ mod tests {
             assert_eq!(fast.len(), exact.len());
             for (f, e) in fast.iter().zip(&exact) {
                 assert!((f64::from(*f) - e).abs() < 1e-3, "seed {seed}: {f} vs {e}");
-            }
-        }
-    }
-
-    /// Batch rows are bit-identical to single-example calls.
-    #[test]
-    fn forward_batch_rows_match_forward_one_bitwise() {
-        let net = paperish(5, 13, &[21, 6], 4);
-        let engine = InferenceEngine::from_mlp(&net);
-        let mut scratch = InferScratch::new();
-        let n = 5;
-        let rows: Vec<f64> = (0..n * 13)
-            .map(|i| ((i * 7) % 11) as f64 * 0.31 - 1.0)
-            .collect();
-        let mut batch = Vec::new();
-        engine.forward_batch(&rows, n, &mut batch, &mut scratch);
-        assert_eq!(batch.len(), n * 4);
-        for (r, row) in rows.chunks_exact(13).enumerate() {
-            let one = engine.forward_one(row, &mut scratch);
-            for (a, b) in batch[r * 4..(r + 1) * 4].iter().zip(one) {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
             }
         }
     }

@@ -139,18 +139,6 @@ impl Dense {
         z
     }
 
-    /// [`Dense::infer`] into a caller-owned matrix: reuses `out`'s
-    /// allocation via [`Matrix::matmul_into`], then applies the fused
-    /// bias+activation epilogue in place. Bit-identical to [`Dense::infer`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != input_dim()`.
-    pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_into(&self.weights, out);
-        self.bias_activate(out);
-    }
-
     /// Single-example inference into a caller-owned buffer: computes
     /// `act(x · W + b)` without touching the heap. The accumulation order
     /// (k ascending per output, zero inputs skipped, bias added after the

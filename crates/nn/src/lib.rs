@@ -55,5 +55,5 @@ pub use activation::{log_softmax, softmax, softmax_masked, softmax_masked_into, 
 pub use infer::{softmax_masked_f32_into, InferScratch, InferenceEngine, Precision, LANES};
 pub use layer::Dense;
 pub use matrix::Matrix;
-pub use mlp::{BatchScratch, ForwardScratch, Mlp, MlpConfig, ShapeError};
+pub use mlp::{ForwardScratch, Mlp, MlpConfig, ShapeError};
 pub use optim::{Optimizer, RmsProp, Sgd};

@@ -162,8 +162,7 @@ impl Matrix {
     /// [`Matrix::matmul`] into a caller-owned matrix: `out` is reshaped to
     /// `self.rows × other.cols` (reusing its existing allocation once it
     /// has reached steady-state capacity) and overwritten with the product.
-    /// Same loops, same accumulation order, bit-identical results — this is
-    /// the allocation-free entry the batched inference path flushes through.
+    /// Same loops, same accumulation order, bit-identical results.
     ///
     /// # Panics
     ///

@@ -52,15 +52,6 @@ pub struct ForwardScratch {
     back: Vec<f64>,
 }
 
-/// Reusable buffers for [`Mlp::forward_batch_into`]: two ping-pong
-/// activation matrices that grow to `batch × widest layer` once and are
-/// reused across flushes. The batched analogue of [`ForwardScratch`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    front: Matrix,
-    back: Matrix,
-}
-
 /// A network whose stored shapes disagree with each other or with its
 /// config: a truncated or hand-edited weights file, or a network built
 /// for another feature layout.
@@ -236,40 +227,6 @@ impl Mlp {
         a
     }
 
-    /// Inference-only batch forward through reusable ping-pong matrices:
-    /// one matrix-matrix pass per layer, zero heap allocations once the
-    /// scratch reaches steady-state capacity. This is the entry the MCTS
-    /// leaf batcher flushes through — one call per flush instead of one
-    /// [`Mlp::forward_one_into`] per leaf. Each weight matrix is streamed
-    /// from memory once per *flush* rather than once per *row*, which is
-    /// where the batching win comes from on a memory-bound net.
-    ///
-    /// Per output element the accumulation order (k ascending, zero inputs
-    /// skipped, bias added after the products) is exactly that of the
-    /// single-row path, so row `i` of the result is bit-identical to
-    /// `forward_one_into(x.row(i))` — caches can mix batch-produced and
-    /// single-produced entries without divergence.
-    ///
-    /// Returns the `batch × output` logits matrix borrowed from the
-    /// scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input width disagrees with the config.
-    pub fn forward_batch_into<'s>(&self, x: &Matrix, scratch: &'s mut BatchScratch) -> &'s Matrix {
-        assert_eq!(x.cols(), self.config.input, "input width mismatch");
-        let (first, rest) = self
-            .layers
-            .split_first()
-            .expect("an MLP always has a logits layer");
-        first.infer_into(x, &mut scratch.front);
-        for layer in rest {
-            layer.infer_into(&scratch.front, &mut scratch.back);
-            std::mem::swap(&mut scratch.front, &mut scratch.back);
-        }
-        &scratch.front
-    }
-
     /// Single-example inference through reusable ping-pong buffers: zero
     /// heap allocations in steady state (the scratch grows to the widest
     /// layer once and is reused). Returns the logits as a slice borrowed
@@ -437,114 +394,6 @@ mod tests {
             let scratched = net.forward_one_into(&features, &mut scratch);
             assert_eq!(boxed.as_slice(), scratched);
         }
-    }
-
-    #[test]
-    fn forward_batch_into_is_bit_identical_to_forward_batch() {
-        let net = small_net(6);
-        let x = Matrix::from_rows(&[
-            &[0.4, -0.2, 0.9],
-            &[-0.5, 0.3, 0.1],
-            &[0.0, 0.0, 0.0],
-            &[2.0, -2.0, 0.5],
-            &[0.7, 0.0, -0.3],
-        ]);
-        let mut scratch = BatchScratch::default();
-        assert_eq!(
-            *net.forward_batch_into(&x, &mut scratch),
-            net.forward_batch(&x)
-        );
-        // Reused scratch, different batch size: still bit-identical.
-        let y = Matrix::from_rows(&[&[1.0, 0.5, -0.5], &[0.0, 1.0, 0.0]]);
-        assert_eq!(
-            *net.forward_batch_into(&y, &mut scratch),
-            net.forward_batch(&y)
-        );
-    }
-
-    /// The contract the MCTS leaf batcher relies on: row `i` of a batched
-    /// flush is bit-identical to running that row alone through the
-    /// single-example scratch path, so cache entries produced by either
-    /// path never diverge.
-    #[test]
-    fn forward_batch_into_rows_match_forward_one_into_bitwise() {
-        let net = small_net(7);
-        let rows: Vec<Vec<f64>> = (0..9)
-            .map(|i| {
-                (0..3)
-                    .map(|j| {
-                        // Mix of zero and nonzero features to exercise the
-                        // zero-skip branches of both kernels.
-                        if (i + j) % 3 == 0 {
-                            0.0
-                        } else {
-                            (i as f64) * 0.37 - (j as f64) * 1.21
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs);
-        let mut batch_scratch = BatchScratch::default();
-        let logits = net.forward_batch_into(&x, &mut batch_scratch);
-        let mut one_scratch = ForwardScratch::default();
-        for (i, row) in rows.iter().enumerate() {
-            let single = net.forward_one_into(row, &mut one_scratch);
-            assert_eq!(logits.row(i), single, "row {i} diverged");
-        }
-    }
-
-    /// Sizes the batching win on the paper-shaped policy net; run with
-    /// `cargo test --release -p spear-nn -- --ignored --nocapture`.
-    #[test]
-    #[ignore = "timing probe, not a check"]
-    fn forward_batch_amortization_probe() {
-        let net = Mlp::new(MlpConfig::paper(163, 16), &mut StdRng::seed_from_u64(0));
-        let batch = 8;
-        let reps = 2000;
-        let rows: Vec<Vec<f64>> = (0..batch)
-            .map(|i| {
-                (0..163)
-                    .map(|j| {
-                        if (i * 7 + j) % 4 == 0 {
-                            0.0
-                        } else {
-                            0.01 * (j as f64)
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = Matrix::from_rows(&refs);
-
-        let mut one_scratch = ForwardScratch::default();
-        let t0 = std::time::Instant::now();
-        let mut sink = 0.0;
-        for _ in 0..reps {
-            for row in &rows {
-                sink += net.forward_one_into(row, &mut one_scratch)[0];
-            }
-        }
-        let one_at_a_time = t0.elapsed();
-
-        let mut batch_scratch = BatchScratch::default();
-        let t1 = std::time::Instant::now();
-        for _ in 0..reps {
-            sink += net.forward_batch_into(&x, &mut batch_scratch).get(0, 0);
-        }
-        let batched = t1.elapsed();
-
-        eprintln!(
-            "paper net, batch {batch}: one-at-a-time {:.2?} ({:.2}us/row), batched {:.2?} \
-             ({:.2}us/row), amortization {:.2}x (sink {sink})",
-            one_at_a_time,
-            one_at_a_time.as_secs_f64() * 1e6 / (reps * batch) as f64,
-            batched,
-            batched.as_secs_f64() * 1e6 / (reps * batch) as f64,
-            one_at_a_time.as_secs_f64() / batched.as_secs_f64(),
-        );
     }
 
     #[test]

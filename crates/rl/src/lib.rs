@@ -46,7 +46,6 @@ mod features;
 mod policy;
 pub mod pretrain;
 mod reinforce;
-mod shared_cache;
 pub mod value;
 
 pub use cache::{
@@ -60,5 +59,4 @@ pub use expert::{collect_expert_dataset, CpExpert, ExpertDataset};
 pub use features::{FeatureConfig, Featurizer, StateView};
 pub use policy::PolicyNetwork;
 pub use reinforce::{ReinforceConfig, ReinforceTrainer, TrainingCurvePoint};
-pub use shared_cache::SharedEvalCache;
 pub use value::{train_value_network, ValueNetwork, ValueTrainConfig};

@@ -176,38 +176,6 @@ fn drl_guided_matches_golden_schedules() {
     assert_eq!(run(drl_scheduler()), DRL_GOLDEN);
 }
 
-/// The tree-parallel scheduler at `search_threads = 1` is contractually
-/// bit-identical to the sequential search: it must reproduce the exact
-/// same golden tables, pure and DRL-guided alike.
-#[test]
-fn single_thread_tree_parallel_matches_golden_schedules() {
-    use spear::{Scheduler, TreeParallelMcts};
-    let (dags, spec) = workload();
-    let run_tp = |mut s: TreeParallelMcts| -> Vec<(u64, u64)> {
-        dags.iter()
-            .map(|dag| {
-                let sched = s.schedule(dag, &spec).expect("workload fits cluster");
-                (sched.makespan(), fingerprint(&sched))
-            })
-            .collect()
-    };
-
-    let pure_cfg = MctsConfig {
-        search_threads: 1,
-        ..pure_scheduler().config().clone()
-    };
-    assert_eq!(run_tp(TreeParallelMcts::pure(pure_cfg)), PURE_GOLDEN);
-
-    let seq_drl = drl_scheduler();
-    let drl_cfg = MctsConfig {
-        search_threads: 1,
-        ..seq_drl.config().clone()
-    };
-    let mut rng = StdRng::seed_from_u64(0);
-    let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16], &mut rng);
-    assert_eq!(run_tp(TreeParallelMcts::drl(drl_cfg, policy)), DRL_GOLDEN);
-}
-
 /// Prints the current tables; run with `-- --ignored --nocapture` to
 /// regenerate the constants above.
 #[test]

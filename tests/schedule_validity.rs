@@ -67,42 +67,6 @@ proptest! {
         schedule.validate(&dag, &spec).unwrap();
     }
 
-    /// Tree-parallel MCTS (shared tree, virtual loss, batched leaves)
-    /// must produce schedules that all three independent diffcheck
-    /// judges accept, for both pure and DRL-guided search, at any
-    /// thread count. Schedules at >1 thread are not reproducible — but
-    /// they must always be *realizable*.
-    #[test]
-    fn tree_parallel_mcts_passes_all_judges(
-        num_tasks in 2usize..16,
-        dag_seed in any::<u64>(),
-        search_seed in any::<u64>(),
-        threads in 2usize..5,
-        leaf_batch in 1usize..5,
-    ) {
-        use spear::{FeatureConfig, PolicyNetwork, TreeParallelMcts};
-        let dag = random_dag(num_tasks, 3, dag_seed);
-        let spec = ClusterSpec::unit(2);
-        let config = MctsConfig {
-            initial_budget: 24,
-            min_budget: 6,
-            seed: search_seed,
-            search_threads: threads,
-            leaf_batch_size: leaf_batch,
-            ..MctsConfig::default()
-        };
-        let mut rng = StdRng::seed_from_u64(search_seed);
-        let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[8], &mut rng);
-        for mut s in [
-            TreeParallelMcts::pure(config.clone()),
-            TreeParallelMcts::drl(config.clone(), policy),
-        ] {
-            let schedule = s.schedule(&dag, &spec).unwrap();
-            let check = spear::diffcheck::check_schedule(&dag, &spec, &schedule);
-            prop_assert!(check.all_ok(), "{}", check.summary());
-        }
-    }
-
     /// Utilization of every produced schedule lies in (0, 1].
     #[test]
     fn utilization_is_a_fraction(
