@@ -63,7 +63,7 @@ use serde::{Deserialize, Serialize};
 use spear::dag::generator::LayeredDagSpec;
 use spear::rl::EvalCacheStats;
 use spear::{
-    execute_multi_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FaultProfile,
+    execute_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FaultProfile,
     FeatureConfig, JobQueue, JobSource, MctsConfig, MctsScheduler, MetricsRegistry, Obs,
     PolicyNetwork, Schedule, SearchStats,
 };
@@ -477,17 +477,17 @@ fn run_faults(queue: &JobQueue, planned: &Schedule) -> FaultsReport {
     let plan = profile.plan(WORKLOAD_SEED);
     let spec = workload::cluster();
     let start = std::time::Instant::now();
-    let faulty = execute_multi_under_faults(queue, &spec, planned, &plan, None)
+    let faulty = execute_under_faults(queue, &spec, planned, &plan, None)
         .expect("the 5-retry budget outlasts a seeded 10% failure rate");
     let elapsed = start.elapsed().as_secs_f64();
     let report = &faulty.report;
     eprintln!(
         "[bench_hotpath] faults @ {:.0}%: realized makespan {} (planned {}), {} failures, {} stragglers",
         100.0 * profile.fail_rate,
-        faulty.run.makespan,
+        faulty.makespan,
         planned.makespan(),
-        faulty.run.failures,
-        faulty.run.straggles
+        faulty.failures,
+        faulty.straggles
     );
     FaultsReport {
         fail_rate: profile.fail_rate,
@@ -495,10 +495,10 @@ fn run_faults(queue: &JobQueue, planned: &Schedule) -> FaultsReport {
         straggler_factor: profile.straggler_factor,
         max_retries: profile.max_retries,
         planned_makespan: planned.makespan(),
-        realized_makespan: faulty.run.makespan,
-        failures: faulty.run.failures,
-        straggles: faulty.run.straggles,
-        slowdown: faulty.run.makespan as f64 / planned.makespan().max(1) as f64,
+        realized_makespan: faulty.makespan,
+        failures: faulty.failures,
+        straggles: faulty.straggles,
+        slowdown: faulty.makespan as f64 / planned.makespan().max(1) as f64,
         unfinished: report.unfinished(),
         mean_jct: report.mean_jct(),
         p99_jct: report.p99_jct(),
@@ -585,7 +585,8 @@ fn run_nn_precision(params: &ModeParams, obs: &Obs) -> NnPrecisionReport {
     // and the makespan ratio reports their quality against exact.
     let mut judges_ok = true;
     for (dag, (schedule, _)) in dags.iter().zip(&fast_runs) {
-        let tri = spear::diffcheck::check_schedule(dag, &spec, schedule);
+        let queue = JobQueue::single(dag.clone()).expect("workload forms a queue");
+        let tri = spear::diffcheck::check_schedule(&queue, &spec, schedule);
         if !tri.all_ok() {
             judges_ok = false;
             eprintln!(

@@ -1,30 +1,30 @@
 //! The differential schedule fuzzer — CI entry point.
 //!
-//! Runs a seeded `LayeredDagSpec` × scheduler-roster corpus (see
-//! `spear::diffcheck::corpus`) and re-verifies every produced schedule
-//! three independent ways: `Schedule::validate`, replay through a fresh
-//! `SimState`, and replay onto a `ResourceTimeline`. Any disagreement is a
-//! bookkeeping bug in one of the three cores; the offending case is shrunk
-//! to a minimal witness and written as a fixture JSON for triage (move it
-//! under `tests/fixtures/` once the bug is fixed, so it becomes a
-//! permanent regression test).
+//! Runs the seeded scheduler-roster corpus (see `spear::diffcheck::corpus`:
+//! single DAGs and Poisson job streams, on one box and on seeded 2–3-machine
+//! clusters, plain and epsilon-jittered) and re-verifies every produced
+//! schedule three independent ways: `Schedule::validate` with arrival
+//! gating and per-job JCT accounting, an audited replay through a fresh
+//! arrival-aware `SimState`, and replay onto `ResourceTimeline` grids. Any
+//! disagreement is a bookkeeping bug in one of the three cores; the
+//! offending case is shrunk — machines first, then the workload — to a
+//! minimal witness and written as a fixture JSON for triage (move it under
+//! `tests/fixtures/` once the bug is fixed, so it becomes a permanent
+//! regression test).
 //!
 //! Usage:
 //!
-//! * `fuzz_differential` — the CI configuration: 200 single-job cases plus
-//!   40 multi-job arrival-stream cases, 40 fault-injection cases and 40
-//!   heterogeneous-cluster cases, seed `0xD1FF5EED`, exit code 1 on any
-//!   failure.
-//! * `fuzz_differential --cases N --multi-cases M --fault-cases F
-//!   --hetero-cases H --seed S` — custom corpus sizes.
+//! * `fuzz_differential` — the CI configuration: 320 corpus cases (200
+//!   single DAGs, 40 job streams, 40 single DAGs on multi-machine clusters
+//!   and 40 job streams on multi-machine clusters) plus 40 fault-injection
+//!   cases, seed `0xD1FF5EED`, exit code 1 on any failure.
+//! * `fuzz_differential --cases N --fault-cases F --seed S` — custom sizes;
+//!   the corpus interleaves its four families five:one:one:one.
 //! * `fuzz_differential --out DIR` — where to write shrunk witnesses
 //!   (default `tests/fuzz_failures/` at the repository root).
 //!
-//! The multi-job pass runs every roster scheduler's `schedule_multi` over
-//! seeded Poisson streams and applies the strengthened online judges
-//! (arrival gating, per-job sub-schedules, JCT accounting, invariant
-//! auditor); failures are reported by case label (streams have no DAG
-//! shrinker).
+//! An unknown flag or an unparsable value is a one-line `error:` and exit
+//! code 2.
 //!
 //! The fault pass executes every roster scheduler's fault-free plan under
 //! seeded failure/straggler plans and applies the fault-aware judges
@@ -32,12 +32,6 @@
 //! the plan's draws, audited bit-identical re-execution, and the occupancy
 //! grid over failed *and* final attempts. Deterministic retry exhaustion is
 //! legal; nondeterministic exhaustion or any judge failure is a finding.
-//!
-//! The heterogeneous pass runs the roster over seeded 2–3-machine clusters
-//! with data-transfer-aware placement (both transfer modes, mixed
-//! bandwidths); every judge re-derives the transfer delays independently.
-//! A failing case first shrinks its *machine count* to the minimum that
-//! still reproduces the disagreement, then its DAG.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,84 +40,76 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use spear::diffcheck::{
-    check_schedule, corpus, fault_corpus, hetero_corpus, multi_corpus, shrink_dag, CaseSpec,
-    Fixture, HeteroCaseSpec,
-};
+use spear::diffcheck::{corpus, fault_corpus, shrink_queue, CaseSpec, Fixture};
+use spear::JobQueue;
 
-/// CI defaults: the corpus sizes the workflow's ~60 s budget is sized for.
-const DEFAULT_CASES: usize = 200;
-const DEFAULT_MULTI_CASES: usize = 40;
+/// CI defaults: the corpus sizes the workflow's budget is sized for.
+const DEFAULT_CASES: usize = 320;
 const DEFAULT_FAULT_CASES: usize = 40;
-const DEFAULT_HETERO_CASES: usize = 40;
 const DEFAULT_SEED: u64 = 0xD1FF_5EED;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Parses `--flag value` style arguments, with defaults.
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// The fuzzer's settings.
+struct Options {
+    cases: usize,
+    fault_cases: usize,
+    seed: u64,
+    out: PathBuf,
 }
 
-/// Shrinks a failing case to a minimal witness fixture.
+/// Parses `--flag value` pairs; any other argument is an error.
+fn parse_options(args: &[String]) -> Result<Options, String> {
+    let mut options = Options {
+        cases: DEFAULT_CASES,
+        fault_cases: DEFAULT_FAULT_CASES,
+        seed: DEFAULT_SEED,
+        out: repo_root().join("tests/fuzz_failures"),
+    };
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let invalid = |e: &dyn std::fmt::Display| format!("{flag} {value}: {e}");
+        match flag.as_str() {
+            "--cases" => options.cases = value.parse().map_err(|e| invalid(&e))?,
+            "--fault-cases" => options.fault_cases = value.parse().map_err(|e| invalid(&e))?,
+            "--seed" => options.seed = value.parse().map_err(|e| invalid(&e))?,
+            "--out" => options.out = PathBuf::from(value),
+            other => {
+                return Err(format!(
+                    "unknown flag {other} (--cases, --fault-cases, --seed, --out)"
+                ))
+            }
+        }
+    }
+    Ok(options)
+}
+
+/// Shrinks a failing case to a minimal witness fixture: first to the
+/// fewest machines that still reproduce the disagreement (one machine is
+/// the single box), then to a minimal workload on that cluster.
 fn shrink_case(case: &CaseSpec, why: &str) -> Fixture {
-    let dag = case.dag();
-    let spec = case.cluster();
-    let fails = |d: &spear::Dag| {
-        let mut scheduler = case.scheduler.build(case.seed, case.dims);
-        match scheduler.schedule(d, &spec) {
-            Ok(schedule) => !check_schedule(d, &spec, &schedule).all_ok(),
-            // A scheduler error on a sub-DAG is a different failure mode;
-            // keep the shrink focused on the original disagreement.
-            Err(_) => false,
-        }
-    };
-    let small = shrink_dag(&dag, fails);
-    Fixture::from_parts(
-        &format!("fuzz_{}", case.label().replace('/', "_")),
-        &format!("shrunk witness of a three-way disagreement: {why}"),
-        case.scheduler,
-        case.seed,
-        &small,
-        &spec,
-    )
-}
-
-/// Shrinks a failing heterogeneous case: first to the minimal machine
-/// count that still reproduces the disagreement, then to a minimal DAG on
-/// that cluster.
-fn shrink_hetero_case(case: &HeteroCaseSpec, why: &str) -> Fixture {
-    let fails_with = |c: &HeteroCaseSpec, d: &spear::Dag| {
-        let spec = c.cluster();
-        let mut scheduler = c.scheduler.build(c.seed, c.dims);
-        match scheduler.schedule(d, &spec) {
-            Ok(schedule) => !check_schedule(d, &spec, &schedule).all_ok(),
-            Err(_) => false,
-        }
-    };
-    let dag = case.dag();
+    // A scheduler error on a smaller workload is a different failure
+    // mode; keep the shrink focused on the original disagreement.
+    let fails = |c: &CaseSpec, q: &JobQueue| c.run_on(q).is_ok_and(|tri| !tri.all_ok());
+    let queue = case.queue();
     let mut small_case = *case;
     while small_case.machines > 1 {
-        let candidate = HeteroCaseSpec {
+        let candidate = CaseSpec {
             machines: small_case.machines - 1,
             ..small_case
         };
-        if fails_with(&candidate, &dag) {
-            small_case = candidate;
-        } else {
+        if !fails(&candidate, &queue) {
             break;
         }
+        small_case = candidate;
     }
-    let small = shrink_dag(&dag, |d| fails_with(&small_case, d));
+    let small = shrink_queue(&queue, |q| fails(&small_case, q));
     Fixture::from_parts(
         &format!("fuzz_{}", small_case.label().replace('/', "_")),
-        &format!("shrunk witness of a heterogeneous three-way disagreement: {why}"),
+        &format!("shrunk witness of a three-way disagreement: {why}"),
         small_case.scheduler,
         small_case.seed,
         &small,
@@ -132,15 +118,17 @@ fn shrink_hetero_case(case: &HeteroCaseSpec, why: &str) -> Fixture {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let cases = arg_value(&args, "--cases", DEFAULT_CASES);
-    let multi_cases = arg_value(&args, "--multi-cases", DEFAULT_MULTI_CASES);
-    let fault_cases = arg_value(&args, "--fault-cases", DEFAULT_FAULT_CASES);
-    let hetero_cases = arg_value(&args, "--hetero-cases", DEFAULT_HETERO_CASES);
-    let seed = arg_value(&args, "--seed", DEFAULT_SEED);
-    let out_dir = arg_value(&args, "--out", repo_root().join("tests/fuzz_failures"));
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let options = match parse_options(&args) {
+        Ok(options) => options,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let seed = options.seed;
 
-    let matrix = corpus(cases, seed);
+    let matrix = corpus(options.cases, seed);
     eprintln!(
         "[fuzz_differential] {} cases, base seed {seed:#x}",
         matrix.len()
@@ -166,8 +154,8 @@ fn main() -> ExitCode {
         failures += 1;
         println!("FAIL {}: {why}", case.label());
         let fixture = shrink_case(case, &why);
-        std::fs::create_dir_all(&out_dir).expect("cannot create witness dir");
-        let path = out_dir.join(format!("{}.json", fixture.name));
+        std::fs::create_dir_all(&options.out).expect("cannot create witness dir");
+        let path = options.out.join(format!("{}.json", fixture.name));
         std::fs::write(&path, fixture.to_json()).expect("cannot write witness");
         println!(
             "  shrunk witness ({} tasks) written to {}",
@@ -176,50 +164,17 @@ fn main() -> ExitCode {
         );
     }
 
-    // Multi-job pass: every scheduler's online path over seeded Poisson
-    // streams, judged by the strengthened multi-job tri-check.
-    let multi_matrix = multi_corpus(multi_cases, seed);
-    eprintln!(
-        "[fuzz_differential] {} multi-job cases, base seed {seed:#x}",
-        multi_matrix.len()
-    );
-    for (i, case) in multi_matrix.iter().enumerate() {
-        let why = match case.run() {
-            Ok((tri, report)) if tri.all_ok() && report.unfinished() == 0 => {
-                if (i + 1) % 20 == 0 {
-                    eprintln!(
-                        "[fuzz_differential] multi {}/{} ok ({:.1}s)",
-                        i + 1,
-                        multi_matrix.len(),
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-                continue;
-            }
-            Ok((tri, report)) if tri.all_ok() => {
-                format!(
-                    "{} jobs unfinished in a complete episode",
-                    report.unfinished()
-                )
-            }
-            Ok((tri, _)) => tri.summary(),
-            Err(e) => format!("scheduler error: {e}"),
-        };
-        failures += 1;
-        println!("FAIL {}: {why}", case.label());
-    }
-
     // Fault pass: fault-free plans executed under seeded fault plans,
     // judged by the fault-aware tri-check. `Ok(None)` is deterministic
     // retry exhaustion — legal, counted separately.
-    let fault_matrix = fault_corpus(fault_cases, seed);
+    let fault_matrix = fault_corpus(options.fault_cases, seed);
     eprintln!(
         "[fuzz_differential] {} fault cases, base seed {seed:#x}",
         fault_matrix.len()
     );
     let mut exhausted = 0usize;
     for (i, case) in fault_matrix.iter().enumerate() {
-        let why = match case.run() {
+        let why = match case.run_faulty() {
             Ok(Some(tri)) if tri.all_ok() => {
                 if (i + 1) % 20 == 0 {
                     eprintln!(
@@ -248,44 +203,7 @@ fn main() -> ExitCode {
         );
     }
 
-    // Heterogeneous pass: the roster over seeded multi-machine clusters
-    // with data-transfer-aware placement, judged by the same tri-check —
-    // each judge re-derives the transfer delays on its own.
-    let hetero_matrix = hetero_corpus(hetero_cases, seed);
-    eprintln!(
-        "[fuzz_differential] {} hetero cases, base seed {seed:#x}",
-        hetero_matrix.len()
-    );
-    for (i, case) in hetero_matrix.iter().enumerate() {
-        let why = match case.run() {
-            Ok(tri) if tri.all_ok() => {
-                if (i + 1) % 20 == 0 {
-                    eprintln!(
-                        "[fuzz_differential] hetero {}/{} ok ({:.1}s)",
-                        i + 1,
-                        hetero_matrix.len(),
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-                continue;
-            }
-            Ok(tri) => tri.summary(),
-            Err(e) => format!("scheduler error: {e}"),
-        };
-        failures += 1;
-        println!("FAIL {}: {why}", case.label());
-        let fixture = shrink_hetero_case(case, &why);
-        std::fs::create_dir_all(&out_dir).expect("cannot create witness dir");
-        let path = out_dir.join(format!("{}.json", fixture.name));
-        std::fs::write(&path, fixture.to_json()).expect("cannot write witness");
-        println!(
-            "  shrunk witness ({} tasks) written to {}",
-            fixture.tasks.len(),
-            path.display()
-        );
-    }
-
-    let total = matrix.len() + multi_matrix.len() + fault_matrix.len() + hetero_matrix.len();
+    let total = matrix.len() + fault_matrix.len();
     let elapsed = start.elapsed().as_secs_f64();
     if failures == 0 {
         println!("fuzz_differential: {total} cases, 0 disagreements ({elapsed:.1}s)");
@@ -293,5 +211,45 @@ fn main() -> ExitCode {
     } else {
         println!("fuzz_differential: {failures} of {total} cases FAILED ({elapsed:.1}s)");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        parse_options(&args.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn bad_flags_are_one_line_errors() {
+        for (args, want) in [
+            (&["--cases", "3x"][..], "--cases 3x: invalid digit"),
+            (&["--multi-cases", "0"][..], "unknown flag --multi-cases"),
+            (&["--hetero-cases", "0"][..], "unknown flag --hetero-cases"),
+            (&["--fault-cases"][..], "--fault-cases needs a value"),
+            (&["--seed", "-1"][..], "--seed -1: invalid digit"),
+        ] {
+            let err = parse(args)
+                .err()
+                .unwrap_or_else(|| panic!("{args:?} parsed"));
+            assert!(err.contains(want), "{args:?}: got `{err}`, want `{want}`");
+            assert!(!err.contains('\n'), "{args:?}: multi-line error `{err}`");
+        }
+    }
+
+    #[test]
+    fn flags_override_the_defaults() {
+        let options = parse(&["--cases", "16", "--fault-cases", "0", "--seed", "7"]).unwrap();
+        assert_eq!(
+            (options.cases, options.fault_cases, options.seed),
+            (16, 0, 7)
+        );
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            (defaults.cases, defaults.fault_cases, defaults.seed),
+            (DEFAULT_CASES, DEFAULT_FAULT_CASES, DEFAULT_SEED)
+        );
     }
 }

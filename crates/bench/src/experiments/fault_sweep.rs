@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 use spear::dag::generator::LayeredDagSpec;
 use spear::diffcheck::SchedulerKind;
 use spear::{
-    execute_multi_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterError, FaultProfile,
-    JobQueue, JobSource, Scheduler, SpearError,
+    execute_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterError, FaultProfile, JobQueue,
+    JobSource, Scheduler, SpearError,
 };
 
 use crate::report::{fmt_f, Table};
@@ -154,17 +154,17 @@ pub fn run(config: &Config) -> Outcome {
                 unfinished: 0,
                 exhausted_task: None,
             };
-            match execute_multi_under_faults(&queue, &spec, &planned, &plan, None) {
+            match execute_under_faults(&queue, &spec, &planned, &plan, None) {
                 Ok(faulty) => {
-                    let realized = faulty.run.makespan;
+                    let realized = faulty.makespan;
                     if rate == 0.0 {
                         baseline = Some(realized);
                     }
                     cell.realized_makespan = Some(realized);
                     cell.slowdown =
                         Some(realized as f64 / baseline.unwrap_or(realized).max(1) as f64);
-                    cell.failures = faulty.run.failures;
-                    cell.straggles = faulty.run.straggles;
+                    cell.failures = faulty.failures;
+                    cell.straggles = faulty.straggles;
                     cell.mean_jct = faulty.report.mean_jct();
                     cell.unfinished = faulty.report.unfinished();
                 }

@@ -6,10 +6,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
 use spear::{
-    execute_multi_under_faults, execute_under_faults, Action, ArrivalProcess, ArrivalStreamSpec,
-    ClusterSpec, CpScheduler, Dag, Env, FaultProfile, FeatureConfig, Graphene, JctReport, JobQueue,
-    JobSource, MachineProfile, MctsConfig, MctsScheduler, MetricsRegistry, MultiJobEnv, Obs,
-    ObservedScheduler, PolicyNetwork, RandomScheduler, ResourceVec, Scheduler, SjfScheduler,
+    execute_under_faults, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, CpScheduler, Dag,
+    FaultPlan, FaultProfile, FeatureConfig, Graphene, JctReport, JobQueue, JobSource,
+    MachineProfile, MctsConfig, MctsScheduler, MetricsRegistry, Obs, ObservedScheduler,
+    PolicyNetwork, RandomScheduler, ResourceVec, Scheduler, SimEnv, SjfScheduler,
     SyntheticTraceSpec, TetrisScheduler, Trace, TraceStats, TransferMode,
 };
 
@@ -59,7 +59,8 @@ stream of jobs (random layered DAGs, or a trace's jobs with
 continuous episode. The report is per-job completion times (mean, p50,
 p99 JCT and the slowdown-spread unfairness) instead of one makespan.
 --horizon caps the episode's wall clock: jobs not fully scheduled by
-then count as unfinished.
+then count as unfinished (a --dag run is reported as the one-job stream
+that arrives at 0).
 
 --faults injects seeded failures and stragglers at *execution* time:
 the scheduler still plans against the fault-free DAG, then the plan is
@@ -70,7 +71,10 @@ the task re-queues (dependencies unchanged) until --max-retries extra
 attempts are exhausted, which aborts the run with a typed error; a
 straggling attempt occupies the cluster --straggler times longer than
 its runtime. The realized makespan (or, with --arrivals, the realized
-JCT report) is printed next to the planned one.
+JCT report) is printed next to the planned one. Fault injection runs on
+a single box: --faults with --machines > 1 is an error, as is a
+--straggler/--max-retries pair whose worst case passes the 2^53-slot
+clock ceiling.
 
 --machines > 1 plans against a seeded heterogeneous cluster instead of
 one box: machine 0 keeps the full --capacity, later machines shrink by
@@ -183,6 +187,32 @@ fn fault_profile(args: &Args) -> Result<FaultProfile, Box<dyn Error>> {
     })
 }
 
+/// The seeded fault plan of `schedule` (`None` without `--faults`),
+/// checked against the workload and the cluster before anything is
+/// scheduled: the fault executor runs on a single box, and a plan whose
+/// worst case passes the slot ceiling could wrap its clock.
+fn fault_plan(
+    args: &Args,
+    queue: &JobQueue,
+    spec: &ClusterSpec,
+) -> Result<Option<FaultPlan>, Box<dyn Error>> {
+    let profile = fault_profile(args)?;
+    if profile.is_none() {
+        return Ok(None);
+    }
+    if spec.num_machines() > 1 {
+        return Err(format!(
+            "--faults runs on a single box; it cannot be combined with --machines {}",
+            spec.num_machines()
+        )
+        .into());
+    }
+    let plan = profile.plan(args.get_or("seed", 0)?);
+    plan.check_clock(queue)
+        .map_err(|e| format!("--straggler/--max-retries too large: {e}"))?;
+    Ok(Some(plan))
+}
+
 /// `Some(value)` as its display form, `None` as `n/a` — JCT statistics
 /// are absent (not zero) when no job completed.
 fn opt_stat<T: std::fmt::Display>(v: Option<T>) -> String {
@@ -216,10 +246,6 @@ fn cluster_spec(dims: usize, args: &Args) -> Result<ClusterSpec, Box<dyn Error>>
     };
     let seed: u64 = args.get_or("seed", 0)?;
     Ok(ClusterSpec::hetero(profile.generate(seed)?)?)
-}
-
-fn cluster_for(dag: &Dag, args: &Args) -> Result<ClusterSpec, Box<dyn Error>> {
-    cluster_spec(dag.dims(), args)
 }
 
 /// Loads a DAG from `--dag file.json` or `--stg file.stg` (STG files get
@@ -357,16 +383,17 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
     Ok(JobQueue::new(stream)?)
 }
 
-/// Replays the union `schedule` through a horizon-capped [`MultiJobEnv`]
-/// and reports the JCTs at truncation: jobs whose tasks were not all
-/// scheduled before the clock hit the horizon count as unfinished.
+/// Replays the union `schedule` — each task placed on its recorded
+/// machine — through a horizon-capped [`SimEnv`] and reports the JCTs at
+/// truncation: jobs whose tasks were not all scheduled before the clock
+/// hit the horizon count as unfinished.
 fn truncated_report(
     queue: &JobQueue,
     spec: &ClusterSpec,
     schedule: &spear::Schedule,
     horizon: u64,
 ) -> Result<JctReport, Box<dyn Error>> {
-    let mut env = MultiJobEnv::new(queue, spec)?.with_horizon(Some(horizon));
+    let mut env = SimEnv::from_queue(queue, spec)?.with_horizon(Some(horizon));
     let mut order: Vec<spear::Placement> = schedule.placements().to_vec();
     order.sort_by_key(|p| (p.start, p.task));
     'placements: for p in &order {
@@ -379,134 +406,108 @@ fn truncated_report(
         if env.is_terminal() {
             break;
         }
-        env.step(Action::Schedule(p.task))?;
+        env.step(Action::Place(p.task, p.machine))?;
     }
     while !env.is_terminal() {
         env.step(Action::Process)?;
     }
-    Ok(env.jct_report())
+    Ok(queue.jct_report_partial(env.observe()))
 }
 
-/// The online multi-job branch of `spear-cli schedule` (`--arrivals`).
-fn schedule_arrivals(args: &Args) -> Result<(), Box<dyn Error>> {
-    let queue = load_arrival_stream(args)?;
-    let union = queue.union_dag();
-    let spec = cluster_spec(union.dims(), args)?;
-    let algo = args.get("algo").unwrap_or("spear");
-    let (registry, metrics_path) = metrics_registry(args);
-    let sink = registry.sink("cli");
-    let mut scheduler =
-        ObservedScheduler::new(build_scheduler(algo, args, union.dims(), &sink)?, &sink);
-    let start = std::time::Instant::now();
-    let schedule = scheduler.schedule_multi(&queue, &spec)?;
-    let elapsed = start.elapsed();
-    schedule.validate(union, &spec)?;
+/// `spear-cli schedule`: schedule a DAG file — the one-job queue that
+/// arrives at time 0 — and report the makespan, or — with `--arrivals` —
+/// an online multi-job stream and its JCT report.
+pub fn schedule(args: &Args) -> Result<(), Box<dyn Error>> {
+    let stream = args.get("arrivals").is_some();
+    let queue = if stream {
+        load_arrival_stream(args)?
+    } else {
+        JobQueue::single(load_dag(args)?)?
+    };
+    let dag = queue.union_dag();
+    let spec = cluster_spec(dag.dims(), args)?;
+    let faults = fault_plan(args, &queue, &spec)?;
     let horizon = match args.get("horizon") {
         Some(_) => Some(args.get_or("horizon", 0)?),
         None => None,
     };
-    println!(
-        "{}: {} jobs ({} tasks), stream makespan {} in {:.2?}",
-        scheduler.name(),
-        queue.jobs(),
-        union.len(),
-        schedule.makespan(),
-        elapsed
-    );
-    let profile = fault_profile(args)?;
-    let report = if profile.is_none() {
-        match horizon {
-            Some(h) => truncated_report(&queue, &spec, &schedule, h)?,
-            None => queue.jct_report(&schedule),
-        }
-    } else {
-        let plan = profile.plan(args.get_or("seed", 0)?);
-        let faulty = execute_multi_under_faults(&queue, &spec, &schedule, &plan, horizon)?;
-        println!(
-            "faults: realized makespan {} (planned {}), {} failures, {} stragglers{}",
-            faulty.run.makespan,
-            schedule.makespan(),
-            faulty.run.failures,
-            faulty.run.straggles,
-            if faulty.truncated {
-                ", truncated at the horizon"
-            } else {
-                ""
-            }
-        );
-        faulty.report
-    };
-    println!(
-        "completed {}/{} jobs ({} unfinished), jct mean {} p50 {} p99 {}, unfairness {:.2}",
-        report.completions().len(),
-        queue.jobs(),
-        report.unfinished(),
-        opt_stat(report.mean_jct().map(|m| format!("{m:.1}"))),
-        opt_stat(report.p50_jct()),
-        opt_stat(report.p99_jct()),
-        report.unfairness()
-    );
-    if args.flag("gantt") {
-        println!("{}", schedule.render_gantt(union, &spec, 100));
-    }
-    if let Some(out) = args.get("output") {
-        std::fs::write(out, serde_json::to_string_pretty(&schedule)?)?;
-        eprintln!("wrote {out}");
-    }
-    write_metrics(&registry, metrics_path.as_deref())?;
-    Ok(())
-}
-
-/// `spear-cli schedule`: schedule a DAG file and report the makespan, or —
-/// with `--arrivals` — an online multi-job stream and its JCT report.
-pub fn schedule(args: &Args) -> Result<(), Box<dyn Error>> {
-    if args.get("arrivals").is_some() {
-        return schedule_arrivals(args);
-    }
-    let dag = load_dag(args)?;
-    let spec = cluster_for(&dag, args)?;
     let algo = args.get("algo").unwrap_or("spear");
     let (registry, metrics_path) = metrics_registry(args);
     let sink = registry.sink("cli");
     let mut scheduler =
         ObservedScheduler::new(build_scheduler(algo, args, dag.dims(), &sink)?, &sink);
     let start = std::time::Instant::now();
-    let schedule = scheduler.schedule(&dag, &spec)?;
+    let schedule = scheduler.schedule_multi(&queue, &spec)?;
     let elapsed = start.elapsed();
-    schedule.validate(&dag, &spec)?;
-    println!(
-        "{}: makespan {} (lower bound {}, serial {}) in {:.2?}",
-        scheduler.name(),
-        schedule.makespan(),
-        dag.makespan_lower_bound(spec.capacity()),
-        dag.total_work(),
-        elapsed
-    );
-    println!(
-        "utilization {:.1}%",
-        100.0 * schedule.utilization(&dag, &spec)
-    );
-    let profile = fault_profile(args)?;
-    if !profile.is_none() {
-        let plan = profile.plan(args.get_or("seed", 0)?);
-        let run = execute_under_faults(&dag, &spec, &schedule, &plan)?;
-        let tri = spear::diffcheck::check_faulty_run(&dag, &spec, &schedule, &plan, &run);
-        if !tri.all_ok() {
-            return Err(format!("fault replay judges disagree: {}", tri.summary()).into());
-        }
-        let attempts: u32 = run.attempts.iter().sum();
+    schedule.validate(dag, &spec)?;
+    if stream {
         println!(
-            "faults: realized makespan {} (planned {}), {} failures, {} stragglers, \
-             {attempts} attempts / {} tasks",
-            run.makespan,
+            "{}: {} jobs ({} tasks), stream makespan {} in {:.2?}",
+            scheduler.name(),
+            queue.jobs(),
+            dag.len(),
             schedule.makespan(),
-            run.failures,
-            run.straggles,
-            dag.len()
+            elapsed
+        );
+    } else {
+        println!(
+            "{}: makespan {} (lower bound {}, serial {}) in {:.2?}",
+            scheduler.name(),
+            schedule.makespan(),
+            dag.makespan_lower_bound(spec.capacity()),
+            dag.total_work(),
+            elapsed
+        );
+        println!(
+            "utilization {:.1}%",
+            100.0 * schedule.utilization(dag, &spec)
+        );
+    }
+    let report = match &faults {
+        Some(plan) => {
+            let run = execute_under_faults(&queue, &spec, &schedule, plan, horizon)?;
+            if !run.truncated {
+                let tri = spear::diffcheck::check_faulty_run(&queue, &spec, &schedule, plan, &run);
+                if !tri.all_ok() {
+                    return Err(format!("fault replay judges disagree: {}", tri.summary()).into());
+                }
+            }
+            let attempts: u32 = run.attempts.iter().sum();
+            println!(
+                "faults: realized makespan {} (planned {}), {} failures, {} stragglers, \
+                 {attempts} attempts / {} tasks{}",
+                run.makespan,
+                schedule.makespan(),
+                run.failures,
+                run.straggles,
+                dag.len(),
+                if run.truncated {
+                    ", truncated at the horizon"
+                } else {
+                    ""
+                }
+            );
+            run.report
+        }
+        None => match horizon {
+            Some(h) => truncated_report(&queue, &spec, &schedule, h)?,
+            None => queue.jct_report(&schedule),
+        },
+    };
+    if stream || horizon.is_some() {
+        println!(
+            "completed {}/{} jobs ({} unfinished), jct mean {} p50 {} p99 {}, unfairness {:.2}",
+            report.completions().len(),
+            queue.jobs(),
+            report.unfinished(),
+            opt_stat(report.mean_jct().map(|m| format!("{m:.1}"))),
+            opt_stat(report.p50_jct()),
+            opt_stat(report.p99_jct()),
+            report.unfairness()
         );
     }
     if args.flag("gantt") {
-        println!("{}", schedule.render_gantt(&dag, &spec, 100));
+        println!("{}", schedule.render_gantt(dag, &spec, 100));
     }
     if let Some(out) = args.get("output") {
         std::fs::write(out, serde_json::to_string_pretty(&schedule)?)?;
@@ -923,6 +924,18 @@ mod tests {
                 "--straggler must be a finite number >= 1",
             ),
             (
+                [&faulty[..], &["--straggler", "1e30"]].concat(),
+                "past the 9007199254740992 slot ceiling",
+            ),
+            (
+                [&faulty[..], &["--machines", "3"]].concat(),
+                "--faults runs on a single box; it cannot be combined with --machines 3",
+            ),
+            (
+                [&poisson[..], &["--faults", "0.2", "--machines", "2"]].concat(),
+                "--faults runs on a single box; it cannot be combined with --machines 2",
+            ),
+            (
                 [&poisson[..], &["--mean-gap", "inf"]].concat(),
                 "--mean-gap must be a finite number >= 0",
             ),
@@ -1050,6 +1063,78 @@ mod tests {
             "cp",
         ]))
         .unwrap();
+    }
+
+    /// A multi-machine stream under `--horizon` replays its placements
+    /// machine by machine: the JCT report prints, and the completed-job
+    /// count rises as the horizon loosens until every job completes.
+    #[test]
+    fn horizon_reports_a_multi_machine_stream() {
+        let argv = [
+            "--arrivals",
+            "poisson",
+            "--jobs",
+            "4",
+            "--job-tasks",
+            "6",
+            "--machines",
+            "3",
+            "--algo",
+            "tetris",
+        ];
+        schedule(&args(&[&argv[..], &["--horizon", "20"]].concat())).unwrap();
+        let parsed = args(&argv);
+        let queue = load_arrival_stream(&parsed).unwrap();
+        let spec = cluster_spec(queue.union_dag().dims(), &parsed).unwrap();
+        assert_eq!(spec.num_machines(), 3);
+        let planned = TetrisScheduler::new()
+            .schedule_multi(&queue, &spec)
+            .unwrap();
+        assert!(planned.placements().iter().any(|p| p.machine > 0));
+        let mut completed = Vec::new();
+        for horizon in (0..=planned.makespan()).step_by(5) {
+            let report = truncated_report(&queue, &spec, &planned, horizon).unwrap();
+            completed.push(report.completions().len());
+        }
+        assert!(completed.windows(2).all(|w| w[0] <= w[1]), "{completed:?}");
+        assert_eq!(completed[0], 0);
+        let full = truncated_report(&queue, &spec, &planned, planned.makespan()).unwrap();
+        assert_eq!(full.completions().len(), queue.jobs());
+    }
+
+    /// A 1e30 straggler would saturate an attempt's occupancy and wrap the
+    /// fault executor's clock, so every seed is refused with the one-line
+    /// clock error before anything is scheduled.
+    #[test]
+    fn huge_stragglers_are_rejected_before_scheduling() {
+        let dag_path = tmp("cli-dag-huge-straggler.json");
+        generate(&args(&[
+            "--tasks", "12", "--seed", "3", "--output", &dag_path,
+        ]))
+        .unwrap();
+        for seed in 1..=8 {
+            let seed = seed.to_string();
+            let argv: Vec<String> = [
+                "schedule",
+                "--dag",
+                &dag_path,
+                "--faults",
+                "0.1",
+                "--straggler",
+                "1e30",
+                "--algo",
+                "tetris",
+                "--seed",
+                &seed,
+            ]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+            let err = crate::run(&argv).unwrap_err().to_string();
+            assert!(err.contains("slot ceiling"), "seed {seed}: {err}");
+            assert!(!err.contains("disagree"), "seed {seed}: {err}");
+            assert!(!err.contains('\n'), "seed {seed}: {err}");
+        }
     }
 
     #[test]

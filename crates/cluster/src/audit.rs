@@ -24,11 +24,11 @@
 //! * **Start/finish coherence** — every running task has a recorded start,
 //!   `finish == start + runtime`, and completed tasks finished by the
 //!   current clock.
-//! * **Multi-job coherence** (multi-job states only) — arrival
-//!   monotonicity (no task starts before its job arrives; no unarrived
-//!   source leaks into the frontier), the injected-job prefix matches the
-//!   clock, and the per-job completed counts (the job-tagged half of
-//!   conservation) reconcile with the placement table.
+//! * **Arrival coherence** — arrival monotonicity (no task starts before
+//!   its job arrives; no unarrived source leaks into the frontier), the
+//!   injected-job prefix matches the clock, and the per-job completed
+//!   counts (the job-tagged half of conservation) reconcile with the
+//!   placement table. A bare DAG is the one-job queue arriving at 0.
 //! * **Fault coherence** (fault-injected states only) — attempt counts
 //!   are monotone across audited steps and bounded by the retry budget,
 //!   every recorded failed run matches the plan's seeded failure point,
@@ -588,15 +588,11 @@ impl InvariantAuditor {
             if self.listed_ready[i] || state.starts[i].is_some() {
                 continue;
             }
-            // Multi-job: sources of jobs that have not arrived are
-            // deliberately withheld from the frontier — but only until the
-            // clock crosses their arrival; a lagging injection falls
-            // through and is reported as MissingReady.
-            if state
-                .multi
-                .as_deref()
-                .is_some_and(|m| m.arrivals[m.job_of(i)] > state.clock)
-            {
+            // Sources of jobs that have not arrived are deliberately
+            // withheld from the frontier — but only until the clock
+            // crosses their arrival; a lagging injection falls through and
+            // is reported as MissingReady.
+            if state.jobs.arrivals[state.jobs.job_of(i)] > state.clock {
                 continue;
             }
             // A retry-exhausted task is deliberately *not* re-queued: it
@@ -609,61 +605,60 @@ impl InvariantAuditor {
             }
         }
 
-        // 6b. Multi-job coherence: arrival monotonicity and job-tagged
+        // 6b. Arrival coherence: arrival monotonicity and job-tagged
         // conservation. The injected prefix must match what the clock
         // implies, no start may precede its job's arrival, no unarrived
         // source may sit in the frontier, and the per-job completed
         // counts (the basis of JCT accounting and the in-flight gauges)
         // must reconcile with the placement table.
-        if let Some(multi) = state.multi.as_deref() {
-            let derived_injected = multi.arrivals.partition_point(|&a| a <= state.clock);
-            if multi.next_arrival != derived_injected {
-                return Err(AuditViolation::CountMismatch {
-                    field: "injected_jobs",
-                    recorded: multi.next_arrival,
-                    derived: derived_injected,
-                });
-            }
-            for (i, start) in state.starts.iter().enumerate() {
-                if let Some(start) = *start {
-                    let arrival = multi.arrivals[multi.job_of(i)];
-                    if start < arrival {
-                        return Err(AuditViolation::EarlyStart {
-                            task: TaskId::new(i),
-                            start,
-                            arrival,
-                        });
-                    }
-                }
-            }
-            for &t in state.tracker.ready() {
-                if multi.arrivals[multi.job_of(t.index())] > state.clock {
-                    return Err(AuditViolation::UnarrivedReady { task: t });
-                }
-            }
-            let mut jobs_done = 0usize;
-            for job in 0..multi.jobs() {
-                let range = multi.job_range(job);
-                let tasks = range.len();
-                let derived = range.filter(|&i| is_done(i)).count();
-                if derived != multi.completed[job] as usize {
-                    return Err(AuditViolation::JobCountMismatch {
-                        job,
-                        recorded: multi.completed[job] as usize,
-                        derived,
+        let jobs = &state.jobs;
+        let derived_injected = jobs.arrivals.partition_point(|&a| a <= state.clock);
+        if jobs.next_arrival != derived_injected {
+            return Err(AuditViolation::CountMismatch {
+                field: "injected_jobs",
+                recorded: jobs.next_arrival,
+                derived: derived_injected,
+            });
+        }
+        for (i, start) in state.starts.iter().enumerate() {
+            if let Some(start) = *start {
+                let arrival = jobs.arrivals[jobs.job_of(i)];
+                if start < arrival {
+                    return Err(AuditViolation::EarlyStart {
+                        task: TaskId::new(i),
+                        start,
+                        arrival,
                     });
                 }
-                if derived == tasks {
-                    jobs_done += 1;
-                }
             }
-            if jobs_done != multi.jobs_done {
-                return Err(AuditViolation::CountMismatch {
-                    field: "jobs_done",
-                    recorded: multi.jobs_done,
-                    derived: jobs_done,
+        }
+        for &t in state.tracker.ready() {
+            if jobs.arrivals[jobs.job_of(t.index())] > state.clock {
+                return Err(AuditViolation::UnarrivedReady { task: t });
+            }
+        }
+        let mut jobs_done = 0usize;
+        for job in 0..jobs.jobs() {
+            let range = jobs.job_range(job);
+            let tasks = range.len();
+            let derived = range.filter(|&i| is_done(i)).count();
+            if derived != jobs.completed[job] as usize {
+                return Err(AuditViolation::JobCountMismatch {
+                    job,
+                    recorded: jobs.completed[job] as usize,
+                    derived,
                 });
             }
+            if derived == tasks {
+                jobs_done += 1;
+            }
+        }
+        if jobs_done != jobs.jobs_done {
+            return Err(AuditViolation::CountMismatch {
+                field: "jobs_done",
+                recorded: jobs.jobs_done,
+                derived: jobs_done,
+            });
         }
 
         // 6c. Fault coherence: attempt counts are monotone and bounded,
@@ -1113,7 +1108,7 @@ mod tests {
             // Claim the t=5 job was injected while the clock is still 0
             // (without touching the frontier, so only the prefix check
             // can see it).
-            sim.multi.as_deref_mut().unwrap().next_arrival = 2;
+            sim.jobs.next_arrival = 2;
             let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
             assert_eq!(
                 err,
@@ -1132,7 +1127,7 @@ mod tests {
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
             sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
             sim.apply(dag, Action::Process).unwrap(); // job 0 done at t=2
-            sim.multi.as_deref_mut().unwrap().completed[0] = 0;
+            sim.jobs.completed[0] = 0;
             let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
             assert_eq!(
                 err,
@@ -1150,7 +1145,7 @@ mod tests {
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
             sim.run_with(dag, |_, actions| actions[0]).unwrap();
-            sim.multi.as_deref_mut().unwrap().jobs_done = 1;
+            sim.jobs.jobs_done = 1;
             let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
             assert_eq!(
                 err,

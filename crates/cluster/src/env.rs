@@ -5,9 +5,11 @@
 //! different buffering, RNG threading and error handling. This module is
 //! the single seam they now share:
 //!
-//! * [`Env`] — the MDP view of the simulator (`reset` / `legal_into` /
-//!   `step` / `observe` / `is_terminal` / `makespan`), implemented by
-//!   [`SimEnv`] over [`SimState`];
+//! * [`SimEnv`] — the MDP view of the simulator (`reset` / `legal_into` /
+//!   `step` / `observe` / `is_terminal` / `makespan`) over a
+//!   [`SimState`]: one DAG, or a [`JobQueue`]'s arrival stream with an
+//!   optional wall-clock horizon — a bare DAG is the one-job queue that
+//!   arrives at time 0;
 //! * [`DecisionPolicy`] — "given the observation and the legal actions,
 //!   pick one", generic over the RNG so both seeded and deterministic
 //!   policies fit;
@@ -27,7 +29,7 @@ use spear_obs::{Counter, Gauge, Histogram, Obs};
 
 use crate::audit::InvariantAuditor;
 use crate::faults::FaultPlan;
-use crate::jobs::{JctReport, JobQueue};
+use crate::jobs::JobQueue;
 use crate::{Action, ClusterError, ClusterSpec, Schedule, SimState, SpearError};
 
 /// The typed fails-fast error for a retry-exhausted (poisoned) state.
@@ -43,90 +45,42 @@ fn exhaustion_error(state: &SimState, task: TaskId) -> SpearError {
 /// need not capture the borrows themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct EnvContext<'a> {
-    /// The job being scheduled.
+    /// The job being scheduled (a queue's union DAG).
     pub dag: &'a Dag,
     /// The cluster it runs on.
     pub spec: &'a ClusterSpec,
 }
 
-/// The MDP interface over the scheduling simulator.
+/// The scheduling environment: a [`SimState`] plus the borrows it is
+/// stepped against.
+///
+/// Built from one DAG ([`SimEnv::new`]) or from a [`JobQueue`]
+/// ([`SimEnv::from_queue`]), whose union DAG it then steps: sources of
+/// unarrived jobs are withheld from the frontier, and `Process` advances
+/// the clock to the next *event* (completion or arrival). Every consumer
+/// — `EpisodeDriver`, the baselines, sequential and root-parallel MCTS,
+/// the DRL featurizer — schedules a job stream through the same code path
+/// as a single job.
+///
+/// Termination: the episode is terminal when every job completed, or —
+/// with [`SimEnv::with_horizon`] — once the clock reaches the horizon, in
+/// which case [`SimEnv::is_truncated`] reports `true` and
+/// [`EpisodeDriver::drive`] returns [`DriveOutcome::Truncated`].
+/// [`JobQueue::jct_report_partial`] tallies per-job completion times of
+/// either (jobs with unscheduled tasks count as unfinished).
 ///
 /// `legal_into` and `step_trusted` are the allocation-free pair from the
 /// hot path; `step` is the checked variant that returns a typed error for
-/// illegal actions instead of corrupting the state.
-pub trait Env {
-    /// The job being scheduled.
-    fn dag(&self) -> &Dag;
-
-    /// The cluster capacity model.
-    fn spec(&self) -> &ClusterSpec;
-
-    /// Rewinds to the initial state of the episode.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the DAG cannot run on the cluster.
-    fn reset(&mut self) -> Result<(), SpearError>;
-
-    /// Writes the legal actions of the current state into `out` (clearing
-    /// it first): ready-and-fitting `Schedule` actions in ascending task-id
-    /// order, then `Process` if anything is running. Non-terminal states
-    /// always have at least one legal action.
-    fn legal_into(&self, out: &mut Vec<Action>);
-
-    /// Applies `action` after checking its legality.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError::Cluster`] if `action` is illegal in the
-    /// current state; the state is unchanged on error.
-    fn step(&mut self, action: Action) -> Result<(), SpearError>;
-
-    /// Applies an action known to be legal (obtained from
-    /// [`Env::legal_into`] on this exact state) without re-checking;
-    /// legality is debug-asserted. The hot-path counterpart of
-    /// [`Env::step`].
-    fn step_trusted(&mut self, action: Action);
-
-    /// The full observation of the current state.
-    fn observe(&self) -> &SimState;
-
-    /// Whether the episode is over — every task finished, or (for
-    /// environments with a wall-clock horizon) the episode was cut off;
-    /// [`Env::is_truncated`] distinguishes the two.
-    fn is_terminal(&self) -> bool;
-
-    /// Whether the episode ended by hitting an environment-imposed bound
-    /// (e.g. [`MultiJobEnv`]'s wall-clock horizon) rather than by
-    /// completing every task. Environments without such a bound — like
-    /// [`SimEnv`] — never truncate, which this default encodes.
-    fn is_truncated(&self) -> bool {
-        false
-    }
-
-    /// The episode's makespan, once terminal.
-    fn makespan(&self) -> Option<u64>;
-
-    /// The static context handed to policies.
-    fn ctx(&self) -> EnvContext<'_> {
-        EnvContext {
-            dag: self.dag(),
-            spec: self.spec(),
-        }
-    }
-}
-
-/// The standard single-job environment: a [`SimState`] plus the borrows it
-/// is stepped against.
-///
-/// `clone`/`clone_from` reuse the state's interior allocations, so keeping
-/// one `SimEnv` as a scratch and `clone_from`ing a root into it (the MCTS
-/// pattern) stays allocation-free.
+/// illegal actions instead of corrupting the state. `clone`/`clone_from`
+/// reuse the state's interior allocations, so keeping one `SimEnv` as a
+/// scratch and `clone_from`ing a root into it (the MCTS pattern) stays
+/// allocation-free.
 #[derive(Debug)]
 pub struct SimEnv<'a> {
     dag: &'a Dag,
     spec: &'a ClusterSpec,
     state: SimState,
+    horizon: Option<u64>,
     faults: FaultPlan,
 }
 
@@ -137,27 +91,18 @@ impl<'a> SimEnv<'a> {
     ///
     /// Fails if the DAG cannot run on the cluster.
     pub fn new(dag: &'a Dag, spec: &'a ClusterSpec) -> Result<Self, SpearError> {
-        let state = SimState::new(dag, spec)?;
-        Ok(SimEnv {
-            dag,
-            spec,
-            state,
-            faults: FaultPlan::none(),
-        })
+        Ok(Self::from_state(dag, spec, SimState::new(dag, spec)?))
     }
 
-    /// Attaches a fault-injection plan; [`Env::reset`] re-applies it, so
-    /// every episode of this environment replays the same seeded faults.
-    /// Call before the first step. A [`FaultPlan::none`] plan leaves the
-    /// environment bit-identical to an unfaulted one.
-    #[must_use]
-    pub fn with_faults(self, plan: FaultPlan) -> Self {
-        SimEnv {
-            dag: self.dag,
-            spec: self.spec,
-            state: self.state.with_faults(plan),
-            faults: plan,
-        }
+    /// Creates the environment at time 0 of `queue`'s arrival stream,
+    /// with only time-0 jobs visible.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the union DAG cannot run on the cluster.
+    pub fn from_queue(queue: &'a JobQueue, spec: &'a ClusterSpec) -> Result<Self, SpearError> {
+        let state = SimState::new_multi(queue, spec)?;
+        Ok(Self::from_state(queue.union_dag(), spec, state))
     }
 
     /// Adopts an existing simulation state (e.g. a replayed search node),
@@ -168,140 +113,9 @@ impl<'a> SimEnv<'a> {
             dag,
             spec,
             state,
+            horizon: None,
             faults,
         }
-    }
-
-    /// The current simulation state (same as [`Env::observe`]).
-    pub fn state(&self) -> &SimState {
-        &self.state
-    }
-
-    /// Releases the owned simulation state (the reverse of
-    /// [`SimEnv::from_state`]).
-    pub fn into_state(self) -> SimState {
-        self.state
-    }
-
-    /// Extracts the completed schedule.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::RetriesExhausted`] if fault injection
-    /// poisoned the episode, and [`SpearError::IncompleteEpisode`] if the
-    /// episode has not reached the terminal state.
-    pub fn into_schedule(self) -> Result<Schedule, SpearError> {
-        if let Some(task) = self.state.exhausted() {
-            return Err(exhaustion_error(&self.state, task));
-        }
-        if !self.state.is_terminal(self.dag) {
-            return Err(SpearError::IncompleteEpisode);
-        }
-        Ok(self.state.into_schedule(self.dag))
-    }
-}
-
-impl Clone for SimEnv<'_> {
-    fn clone(&self) -> Self {
-        SimEnv {
-            dag: self.dag,
-            spec: self.spec,
-            state: self.state.clone(),
-            faults: self.faults,
-        }
-    }
-
-    /// Reuses `self.state`'s interior allocations.
-    fn clone_from(&mut self, source: &Self) {
-        self.dag = source.dag;
-        self.spec = source.spec;
-        self.state.clone_from(&source.state);
-        self.faults = source.faults;
-    }
-}
-
-impl Env for SimEnv<'_> {
-    fn dag(&self) -> &Dag {
-        self.dag
-    }
-
-    fn spec(&self) -> &ClusterSpec {
-        self.spec
-    }
-
-    fn reset(&mut self) -> Result<(), SpearError> {
-        self.state = SimState::new(self.dag, self.spec)?.with_faults(self.faults);
-        Ok(())
-    }
-
-    fn legal_into(&self, out: &mut Vec<Action>) {
-        self.state.legal_actions_into(self.dag, out);
-    }
-
-    fn step(&mut self, action: Action) -> Result<(), SpearError> {
-        self.state.apply(self.dag, action)?;
-        Ok(())
-    }
-
-    fn step_trusted(&mut self, action: Action) {
-        self.state.apply_legal(self.dag, action);
-    }
-
-    fn observe(&self) -> &SimState {
-        &self.state
-    }
-
-    fn is_terminal(&self) -> bool {
-        self.state.is_terminal(self.dag)
-    }
-
-    fn makespan(&self) -> Option<u64> {
-        self.state.makespan()
-    }
-}
-
-/// The continuous-arrival environment: a [`JobQueue`]'s union DAG stepped
-/// by a multi-job [`SimState`], with an optional wall-clock horizon.
-///
-/// `MultiJobEnv` implements [`Env`] over the *union DAG*, so every
-/// consumer of the trait — `EpisodeDriver`, the baselines, sequential and
-/// root-parallel MCTS, the DRL featurizer — schedules a job stream through
-/// the same code path as a single job. The differences are confined to the
-/// state underneath: sources of unarrived jobs are withheld from the
-/// frontier, and `Process` advances the clock to the next *event*
-/// (completion or arrival).
-///
-/// Termination: the episode is terminal when the queue is drained and
-/// every job completed, or — with [`MultiJobEnv::with_horizon`] — once the
-/// clock reaches the horizon, in which case [`Env::is_truncated`] reports
-/// `true` and [`EpisodeDriver::drive`] returns
-/// [`DriveOutcome::Truncated`]. Either way,
-/// [`MultiJobEnv::jct_report`] tallies per-job completion times (jobs
-/// with unscheduled tasks count as unfinished).
-#[derive(Debug)]
-pub struct MultiJobEnv<'a> {
-    queue: &'a JobQueue,
-    spec: &'a ClusterSpec,
-    state: SimState,
-    horizon: Option<u64>,
-    faults: FaultPlan,
-}
-
-impl<'a> MultiJobEnv<'a> {
-    /// Creates the environment at time 0 with only time-0 jobs visible.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the union DAG cannot run on the cluster.
-    pub fn new(queue: &'a JobQueue, spec: &'a ClusterSpec) -> Result<Self, SpearError> {
-        let state = SimState::new_multi(queue, spec)?;
-        Ok(MultiJobEnv {
-            queue,
-            spec,
-            state,
-            horizon: None,
-            faults: FaultPlan::none(),
-        })
     }
 
     /// Caps the episode at `horizon` clock slots: the episode ends (as
@@ -312,79 +126,138 @@ impl<'a> MultiJobEnv<'a> {
         self
     }
 
-    /// Attaches a fault-injection plan; [`Env::reset`] re-applies it, so
-    /// every episode of this environment replays the same seeded faults.
-    /// Call before the first step. A [`FaultPlan::none`] plan leaves the
-    /// environment bit-identical to an unfaulted one.
+    /// Attaches a fault-injection plan; [`SimEnv::reset`] re-applies it,
+    /// so every episode of this environment replays the same seeded
+    /// faults. Call before the first step. A [`FaultPlan::none`] plan
+    /// leaves the environment bit-identical to an unfaulted one.
     #[must_use]
     pub fn with_faults(self, plan: FaultPlan) -> Self {
-        MultiJobEnv {
-            queue: self.queue,
-            spec: self.spec,
+        SimEnv {
             state: self.state.with_faults(plan),
-            horizon: self.horizon,
             faults: plan,
+            ..self
         }
     }
 
-    /// The job queue this episode schedules.
-    pub fn queue(&self) -> &JobQueue {
-        self.queue
+    /// The job being scheduled (a queue's union DAG).
+    pub fn dag(&self) -> &'a Dag {
+        self.dag
     }
 
-    /// The wall-clock horizon, if any.
-    pub fn horizon(&self) -> Option<u64> {
-        self.horizon
+    /// The cluster capacity model.
+    pub fn spec(&self) -> &'a ClusterSpec {
+        self.spec
     }
 
-    /// The current simulation state (same as [`Env::observe`]).
-    pub fn state(&self) -> &SimState {
+    /// The static context handed to policies.
+    pub fn ctx(&self) -> EnvContext<'a> {
+        EnvContext {
+            dag: self.dag,
+            spec: self.spec,
+        }
+    }
+
+    /// Rewinds to the initial state of the episode (same arrivals, same
+    /// fault plan).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the DAG cannot run on the cluster.
+    pub fn reset(&mut self) -> Result<(), SpearError> {
+        self.state = self
+            .state
+            .restart(self.dag, self.spec)?
+            .with_faults(self.faults);
+        Ok(())
+    }
+
+    /// Writes the legal actions of the current state into `out` (clearing
+    /// it first): ready-and-fitting `Schedule` actions in ascending task-id
+    /// order, then `Process` if anything is running or pending. Non-terminal
+    /// states always have at least one legal action.
+    #[inline]
+    pub fn legal_into(&self, out: &mut Vec<Action>) {
+        self.state.legal_actions_into(self.dag, out);
+    }
+
+    /// Applies `action` after checking its legality.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpearError::Cluster`] if `action` is illegal in the
+    /// current state; the state is unchanged on error.
+    pub fn step(&mut self, action: Action) -> Result<(), SpearError> {
+        self.state.apply(self.dag, action)?;
+        Ok(())
+    }
+
+    /// Applies an action known to be legal (obtained from
+    /// [`SimEnv::legal_into`] on this exact state) without re-checking;
+    /// legality is debug-asserted. The hot-path counterpart of
+    /// [`SimEnv::step`].
+    #[inline]
+    pub fn step_trusted(&mut self, action: Action) {
+        self.state.apply_legal(self.dag, action);
+    }
+
+    /// The full observation of the current state.
+    #[inline]
+    pub fn observe(&self) -> &SimState {
         &self.state
     }
 
-    /// Releases the owned simulation state.
-    pub fn into_state(self) -> SimState {
-        self.state
+    /// Whether the episode is over — every task finished, or the
+    /// horizon cut it off; [`SimEnv::is_truncated`] distinguishes the
+    /// two.
+    #[inline]
+    pub fn is_terminal(&self) -> bool {
+        self.complete() || self.horizon_reached()
     }
 
-    /// Per-job completion times of the episode so far — complete after a
-    /// terminal episode, partial (with a non-zero unfinished count) after
-    /// a truncated one.
-    pub fn jct_report(&self) -> JctReport {
-        self.queue.jct_report_partial(&self.state)
+    /// Whether the episode ended by hitting the horizon rather than by
+    /// completing every task.
+    pub fn is_truncated(&self) -> bool {
+        !self.complete() && self.horizon_reached()
     }
 
-    /// Extracts the completed union schedule (split it per job with
-    /// [`JobQueue::per_job_schedules`]).
+    /// The episode's makespan, once terminal.
+    pub fn makespan(&self) -> Option<u64> {
+        self.state.makespan()
+    }
+
+    /// Extracts the completed schedule (of the union DAG; split it per
+    /// job with [`JobQueue::per_job_schedules`]).
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::RetriesExhausted`] if fault injection
     /// poisoned the episode, and [`SpearError::IncompleteEpisode`] if some
-    /// job has unfinished tasks — including horizon-truncated episodes.
+    /// task is unfinished — including horizon-truncated episodes.
     pub fn into_schedule(self) -> Result<Schedule, SpearError> {
         if let Some(task) = self.state.exhausted() {
             return Err(exhaustion_error(&self.state, task));
         }
-        if !self.state.is_terminal(self.queue.union_dag()) {
+        if !self.complete() {
             return Err(SpearError::IncompleteEpisode);
         }
-        Ok(self.state.into_schedule(self.queue.union_dag()))
+        Ok(self.state.into_schedule(self.dag))
     }
 
+    #[inline]
     fn complete(&self) -> bool {
-        self.state.is_terminal(self.queue.union_dag())
+        self.state.is_terminal(self.dag)
     }
 
+    #[inline]
     fn horizon_reached(&self) -> bool {
         self.horizon.is_some_and(|h| self.state.clock() >= h)
     }
 }
 
-impl Clone for MultiJobEnv<'_> {
+impl Clone for SimEnv<'_> {
     fn clone(&self) -> Self {
-        MultiJobEnv {
-            queue: self.queue,
+        SimEnv {
+            dag: self.dag,
             spec: self.spec,
             state: self.state.clone(),
             horizon: self.horizon,
@@ -394,55 +267,11 @@ impl Clone for MultiJobEnv<'_> {
 
     /// Reuses `self.state`'s interior allocations.
     fn clone_from(&mut self, source: &Self) {
-        self.queue = source.queue;
+        self.dag = source.dag;
         self.spec = source.spec;
         self.state.clone_from(&source.state);
         self.horizon = source.horizon;
         self.faults = source.faults;
-    }
-}
-
-impl Env for MultiJobEnv<'_> {
-    fn dag(&self) -> &Dag {
-        self.queue.union_dag()
-    }
-
-    fn spec(&self) -> &ClusterSpec {
-        self.spec
-    }
-
-    fn reset(&mut self) -> Result<(), SpearError> {
-        self.state = SimState::new_multi(self.queue, self.spec)?.with_faults(self.faults);
-        Ok(())
-    }
-
-    fn legal_into(&self, out: &mut Vec<Action>) {
-        self.state.legal_actions_into(self.queue.union_dag(), out);
-    }
-
-    fn step(&mut self, action: Action) -> Result<(), SpearError> {
-        self.state.apply(self.queue.union_dag(), action)?;
-        Ok(())
-    }
-
-    fn step_trusted(&mut self, action: Action) {
-        self.state.apply_legal(self.queue.union_dag(), action);
-    }
-
-    fn observe(&self) -> &SimState {
-        &self.state
-    }
-
-    fn is_terminal(&self) -> bool {
-        self.complete() || self.horizon_reached()
-    }
-
-    fn is_truncated(&self) -> bool {
-        !self.complete() && self.horizon_reached()
-    }
-
-    fn makespan(&self) -> Option<u64> {
-        self.state.makespan()
     }
 }
 
@@ -453,7 +282,7 @@ impl Env for MultiJobEnv<'_> {
 /// including [`NoRng`], which panics if drawn from.
 pub trait DecisionPolicy<R: Rng + ?Sized> {
     /// Picks one of `legal` for the current `state`. `legal` is exactly
-    /// [`Env::legal_into`]'s output for `state` and is never empty.
+    /// [`SimEnv::legal_into`]'s output for `state` and is never empty.
     fn decide(
         &mut self,
         ctx: &EnvContext<'_>,
@@ -611,7 +440,7 @@ impl EpisodeObs {
     /// Re-bases the fault-delta tracking on `env`'s current totals — call
     /// at the start of a drive so a reset (rewound) state does not make
     /// the deltas go backwards.
-    fn sync_faults<E: Env>(&self, env: &E) {
+    fn sync_faults(&self, env: &SimEnv<'_>) {
         let state = env.observe();
         self.seen_failures.set(state.fault_failures());
         self.seen_straggles.set(state.fault_straggles());
@@ -620,7 +449,7 @@ impl EpisodeObs {
     /// Records one applied action. Admissions count `Schedule`s; clock
     /// advances sample the post-advance backlog (ready-set depth) and
     /// per-resource occupancy fractions.
-    fn record_step<E: Env>(&self, env: &E, action: Action) {
+    fn record_step(&self, env: &SimEnv<'_>, action: Action) {
         self.steps.incr();
         match action {
             Action::Schedule(_) | Action::Place(..) => self.admissions.incr(),
@@ -635,10 +464,8 @@ impl EpisodeObs {
                         gauge.set(u / c);
                     }
                 }
-                if state.is_multi_job() {
-                    self.jobs_pending.set(state.pending_jobs() as f64);
-                    self.jobs_in_flight.set(state.jobs_in_flight() as f64);
-                }
+                self.jobs_pending.set(state.pending_jobs() as f64);
+                self.jobs_in_flight.set(state.jobs_in_flight() as f64);
             }
         }
         let state = env.observe();
@@ -665,7 +492,7 @@ impl EpisodeObs {
         }
     }
 
-    fn record_terminal<E: Env>(&self, env: &E) {
+    fn record_terminal(&self, env: &SimEnv<'_>) {
         self.episodes.incr();
         if let Some(makespan) = env.makespan() {
             self.makespan.set(makespan as f64);
@@ -673,7 +500,7 @@ impl EpisodeObs {
     }
 }
 
-/// Runs episodes of a [`DecisionPolicy`] on an [`Env`], owning the
+/// Runs episodes of a [`DecisionPolicy`] on a [`SimEnv`], owning the
 /// legal-action scratch buffer so steady-state stepping performs no heap
 /// allocations (PR 1's hot-path contract, now behind one reusable driver).
 ///
@@ -686,8 +513,8 @@ impl EpisodeObs {
 /// [`EpisodeDriver::with_obs`] records per-step simulation metrics
 /// (`sim.steps`, `sim.admissions`, `sim.clock_advances`,
 /// `sim.backlog_depth`, `sim.occupancy.r*`, `sim.episodes`,
-/// `sim.makespan`, for multi-job episodes `sim.jobs.pending` /
-/// `sim.jobs.in_flight`, and for fault-injected episodes
+/// `sim.makespan`, `sim.jobs.pending` / `sim.jobs.in_flight`, and for
+/// fault-injected episodes
 /// `sim.faults.injected` / `sim.faults.stragglers` / `sim.faults.retries`
 /// plus the `sim.faults.reexec_latency` histogram). Instrumentation is pure
 /// observation — it reads the state and never influences a decision — and
@@ -774,7 +601,7 @@ impl<P> EpisodeDriver<P> {
     /// Builds the instrument handles on first use. Gated on the constant
     /// [`spear_obs::compiled`] so disabled builds optimize the whole
     /// instrumentation path out of the stepping loops.
-    fn prepare_obs<E: Env>(&mut self, env: &E) {
+    fn prepare_obs(&mut self, env: &SimEnv<'_>) {
         if spear_obs::compiled() && self.episode_obs.is_none() && self.obs.is_enabled() {
             self.episode_obs = Some(EpisodeObs::new(&self.obs, env.spec().capacity().dims()));
         }
@@ -791,7 +618,7 @@ impl<P> EpisodeDriver<P> {
     }
 
     /// Steps `env` until it is terminal or `max_steps` actions were
-    /// applied, checking every action's legality ([`Env::step`]).
+    /// applied, checking every action's legality ([`SimEnv::step`]).
     ///
     /// When auditing is on (see [`EpisodeDriver::audits`]), the state is
     /// cross-checked before the first decision and after every applied
@@ -804,15 +631,14 @@ impl<P> EpisodeDriver<P> {
     /// a task burned its whole retry budget (the episode fails fast; it
     /// can never complete) — or [`SpearError::Audit`] if the state
     /// violates a simulation invariant.
-    pub fn drive<R, E>(
+    pub fn drive<R>(
         &mut self,
-        env: &mut E,
+        env: &mut SimEnv<'_>,
         rng: &mut R,
         max_steps: u64,
     ) -> Result<DriveOutcome, SpearError>
     where
         R: Rng + ?Sized,
-        E: Env,
         P: DecisionPolicy<R>,
     {
         if let Some(auditor) = &mut self.auditor {
@@ -851,9 +677,9 @@ impl<P> EpisodeDriver<P> {
         if let Some(task) = env.observe().exhausted() {
             return Err(exhaustion_error(env.observe(), task));
         }
-        // Environments with their own bound (a multi-job wall-clock
-        // horizon) exit the loop "terminal" but truncated — report that
-        // faithfully and skip the completed-episode instruments.
+        // A horizon-capped environment exits the loop "terminal" but
+        // truncated — report that faithfully and skip the
+        // completed-episode instruments.
         if env.is_truncated() {
             return Ok(DriveOutcome::Truncated { steps });
         }
@@ -866,7 +692,7 @@ impl<P> EpisodeDriver<P> {
     }
 
     /// Like [`EpisodeDriver::drive`] but applies actions through
-    /// [`Env::step_trusted`] — the allocation- and check-free loop for hot
+    /// [`SimEnv::step_trusted`] — the allocation- and check-free loop for hot
     /// paths whose policies are known to pick only legal actions (legality
     /// is still debug-asserted). This loop has no error channel, so a
     /// retry-exhausted (poisoned) fault-injected episode comes back as
@@ -878,13 +704,17 @@ impl<P> EpisodeDriver<P> {
     ///
     /// Panics on an invariant violation when auditing is on — a corrupt
     /// state on the trusted path is always a bug.
-    pub fn drive_trusted<R, E>(&mut self, env: &mut E, rng: &mut R, max_steps: u64) -> DriveOutcome
+    pub fn drive_trusted<R>(
+        &mut self,
+        env: &mut SimEnv<'_>,
+        rng: &mut R,
+        max_steps: u64,
+    ) -> DriveOutcome
     where
         R: Rng + ?Sized,
-        E: Env,
         P: DecisionPolicy<R>,
     {
-        let audit = |auditor: &mut Option<InvariantAuditor>, env: &E| {
+        let audit = |auditor: &mut Option<InvariantAuditor>, env: &SimEnv<'_>| {
             if let Some(auditor) = auditor {
                 if let Err(violation) = auditor.check(env.dag(), env.observe()) {
                     panic!("invariant audit failed on the trusted path: {violation}");
@@ -1128,13 +958,13 @@ mod tests {
         fn driver_runs_a_job_stream_to_completion() {
             let queue = queue();
             let spec = ClusterSpec::unit(1);
-            let mut env = MultiJobEnv::new(&queue, &spec).unwrap();
+            let mut env = SimEnv::from_queue(&queue, &spec).unwrap();
             let outcome = EpisodeDriver::new(first_legal())
                 .drive(&mut env, &mut NoRng, u64::MAX)
                 .unwrap();
             assert!(outcome.is_terminal());
             assert!(!env.is_truncated());
-            let report = env.jct_report();
+            let report = queue.jct_report_partial(env.observe());
             assert_eq!(report.completions().len(), 3);
             assert_eq!(report.unfinished(), 0);
             let schedule = env.into_schedule().unwrap();
@@ -1149,7 +979,7 @@ mod tests {
         fn horizon_truncates_and_reports_partial_jcts() {
             let queue = queue();
             let spec = ClusterSpec::unit(1);
-            let mut env = MultiJobEnv::new(&queue, &spec)
+            let mut env = SimEnv::from_queue(&queue, &spec)
                 .unwrap()
                 .with_horizon(Some(3));
             let outcome = EpisodeDriver::new(first_legal())
@@ -1157,7 +987,7 @@ mod tests {
                 .unwrap();
             assert!(!outcome.is_terminal());
             assert!(env.is_truncated());
-            let report = env.jct_report();
+            let report = queue.jct_report_partial(env.observe());
             assert_eq!(report.completions().len(), 1); // only the t=0 job
             assert_eq!(report.unfinished(), 2);
             let err = env.into_schedule().unwrap_err();
@@ -1168,7 +998,7 @@ mod tests {
         fn reset_rewinds_to_the_gated_initial_state() {
             let queue = queue();
             let spec = ClusterSpec::unit(1);
-            let mut env = MultiJobEnv::new(&queue, &spec).unwrap();
+            let mut env = SimEnv::from_queue(&queue, &spec).unwrap();
             EpisodeDriver::new(first_legal())
                 .drive(&mut env, &mut NoRng, u64::MAX)
                 .unwrap();
@@ -1182,8 +1012,8 @@ mod tests {
         fn trusted_and_checked_multi_drives_are_identical() {
             let queue = queue();
             let spec = ClusterSpec::unit(1);
-            let mut a = MultiJobEnv::new(&queue, &spec).unwrap();
-            let mut b = MultiJobEnv::new(&queue, &spec).unwrap();
+            let mut a = SimEnv::from_queue(&queue, &spec).unwrap();
+            let mut b = SimEnv::from_queue(&queue, &spec).unwrap();
             let mut driver = EpisodeDriver::new(first_legal());
             let oa = driver.drive(&mut a, &mut NoRng, u64::MAX).unwrap();
             let ob = driver.drive_trusted(&mut b, &mut NoRng, u64::MAX);
@@ -1259,15 +1089,19 @@ mod tests {
             let queue = JobQueue::new(vec![(0, job(3)), (2, job(4))]).unwrap();
             let spec = ClusterSpec::unit(1);
             let plan = flaky(0.5, 6);
-            let mut env = MultiJobEnv::new(&queue, &spec).unwrap().with_faults(plan);
+            let mut env = SimEnv::from_queue(&queue, &spec).unwrap().with_faults(plan);
             let mut driver = EpisodeDriver::new(first_legal());
             driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
-            let report = env.jct_report();
+            let report = queue.jct_report_partial(env.observe());
             assert_eq!(report.completions().len(), 2);
             env.reset().unwrap();
             assert_eq!(env.observe().fault_plan(), Some(&plan));
             driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
-            assert_eq!(env.jct_report(), report, "seeded faults replay identically");
+            assert_eq!(
+                queue.jct_report_partial(env.observe()),
+                report,
+                "seeded faults replay identically"
+            );
         }
 
         #[cfg(feature = "obs")]

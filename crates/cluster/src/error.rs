@@ -97,6 +97,17 @@ pub enum ClusterError {
     /// [`MAX_TOTAL_RUNTIME`](spear_dag::MAX_TOTAL_RUNTIME) slots, where the
     /// simulator clock could wrap.
     ArrivalTooLate(u64),
+    /// A fault plan could stretch an execution past
+    /// [`MAX_TOTAL_RUNTIME`](spear_dag::MAX_TOTAL_RUNTIME) slots (see
+    /// [`FaultPlan::worst_case_clock`](crate::FaultPlan::worst_case_clock)),
+    /// where the executor's clock could wrap.
+    FaultClockTooLate(f64),
+    /// Fault injection was asked to run on a multi-machine cluster; its
+    /// executor dispatches tasks to a single box.
+    FaultsNeedSingleBox {
+        /// Machines of the rejected cluster.
+        machines: usize,
+    },
 }
 
 impl fmt::Display for ClusterError {
@@ -159,6 +170,15 @@ impl fmt::Display for ClusterError {
                 f,
                 "a job arrives at slot {arrival}, past the {} slot ceiling",
                 spear_dag::MAX_TOTAL_RUNTIME
+            ),
+            ClusterError::FaultClockTooLate(worst) => write!(
+                f,
+                "the fault plan can stretch the run to {worst:e} slots, past the {} slot ceiling",
+                spear_dag::MAX_TOTAL_RUNTIME
+            ),
+            ClusterError::FaultsNeedSingleBox { machines } => write!(
+                f,
+                "fault injection runs on a single box, not a {machines}-machine cluster"
             ),
         }
     }
@@ -340,6 +360,8 @@ mod tests {
                 dim: 0,
             },
             ClusterError::ArrivalTooLate(u64::MAX),
+            ClusterError::FaultClockTooLate(1e30),
+            ClusterError::FaultsNeedSingleBox { machines: 3 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

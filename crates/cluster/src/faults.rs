@@ -25,14 +25,13 @@
 //! attempts the episode is poisoned and fails fast with
 //! [`ClusterError::RetriesExhausted`].
 //!
-//! [`execute_under_faults`] replays a fault-free planned [`Schedule`]
-//! under a plan with greedy priority dispatch (planned `(start, task)`
-//! order), returning the realized [`FaultyRun`];
-//! [`execute_multi_under_faults`] is the multi-job, horizon-aware
-//! variant.
+//! [`execute_under_faults`] replays a fault-free planned [`Schedule`] of
+//! a [`JobQueue`] under a plan with greedy priority dispatch (planned
+//! `(start, task)` order), optionally up to a horizon, returning the
+//! realized [`FaultyRun`].
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{Dag, TaskId};
+use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
 
 use crate::audit::InvariantAuditor;
 use crate::jobs::{JctReport, JobQueue};
@@ -196,6 +195,42 @@ impl FaultPlan {
             FaultOutcome::Straggle { slots } => slots,
         }
     }
+
+    /// The latest clock an execution of `queue` under this plan can
+    /// reach: the last arrival plus the total work × (straggler factor +
+    /// max retries). Each failed attempt holds at most its runtime and the
+    /// final attempt at most `ceil(runtime × factor)`, and greedy dispatch
+    /// never idles the cluster after the last arrival while work remains.
+    #[must_use]
+    pub fn worst_case_clock(&self, queue: &JobQueue) -> f64 {
+        let retries = if self.fail_rate > 0.0 {
+            f64::from(self.max_retries)
+        } else {
+            0.0
+        };
+        let stretch = if self.straggler_rate > 0.0 {
+            self.straggler_factor.max(1.0)
+        } else {
+            1.0
+        };
+        let last_arrival = queue.spans().last().map_or(0, |s| s.arrival);
+        last_arrival as f64 + queue.union_dag().total_work() as f64 * (stretch + retries)
+    }
+
+    /// Rejects a plan whose [worst-case clock](Self::worst_case_clock) on
+    /// `queue` exceeds [`MAX_TOTAL_RUNTIME`]: past it, a straggling
+    /// attempt's occupancy saturates and the executor's clock could wrap.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::FaultClockTooLate`] with the worst-case clock.
+    pub fn check_clock(&self, queue: &JobQueue) -> Result<(), ClusterError> {
+        let worst = self.worst_case_clock(queue);
+        if worst > MAX_TOTAL_RUNTIME as f64 {
+            return Err(ClusterError::FaultClockTooLate(worst));
+        }
+        Ok(())
+    }
 }
 
 /// One aborted execution attempt: the task occupied the cluster over
@@ -269,8 +304,8 @@ impl FaultState {
 pub struct FaultyRun {
     /// The realized schedule: one placement per *started* task, with the
     /// final attempt's actual start and occupancy (straggling attempts
-    /// finish later than `start + runtime`). Complete in single-job
-    /// runs; may omit never-started tasks under a multi-job horizon.
+    /// finish later than `start + runtime`). Complete unless a horizon
+    /// cut the episode, which may leave tasks unstarted.
     pub schedule: Schedule,
     /// Every aborted attempt, in failure order.
     pub failed_runs: Vec<FailedRun>,
@@ -283,13 +318,6 @@ pub struct FaultyRun {
     pub failures: u64,
     /// Total straggling attempts.
     pub straggles: u64,
-}
-
-/// The realized outcome of a multi-job execution under faults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiFaultyRun {
-    /// The realized run (partial if the horizon cut the episode).
-    pub run: FaultyRun,
     /// Fault-aware JCT report over the realized execution (censored at
     /// the final clock when truncated).
     pub report: JctReport,
@@ -310,20 +338,18 @@ fn dispatch_order(planned: &Schedule) -> Vec<TaskId> {
 }
 
 /// Greedy priority dispatch of `order` over `sim` until terminal (or the
-/// horizon): schedule the first priority-order task that is ready and
-/// fits, else process. Deterministic given `(order, plan)`; fails fast
-/// with [`ClusterError::RetriesExhausted`] when a task runs out of
-/// retries, and audits every step when an auditor is supplied.
+/// horizon): place the first priority-order task that is ready and fits
+/// on machine 0, else process. Deterministic given `(order, plan)`; fails
+/// fast with [`ClusterError::RetriesExhausted`] when a task runs out of
+/// retries, and audits every step.
 fn dispatch(
     dag: &Dag,
     order: &[TaskId],
     sim: &mut SimState,
-    mut auditor: Option<&mut InvariantAuditor>,
     horizon: Option<u64>,
 ) -> Result<(), SpearError> {
-    if let Some(a) = auditor.as_deref_mut() {
-        a.check(dag, sim)?;
-    }
+    let mut auditor = InvariantAuditor::new();
+    auditor.check(dag, sim)?;
     loop {
         if let Some(task) = sim.exhausted() {
             return Err(ClusterError::RetriesExhausted {
@@ -339,11 +365,9 @@ fn dispatch(
             .iter()
             .copied()
             .find(|&t| sim.can_schedule(dag, t))
-            .map_or(Action::Process, Action::Schedule);
+            .map_or(Action::Process, |t| Action::Place(t, 0));
         sim.apply(dag, action)?;
-        if let Some(a) = auditor.as_deref_mut() {
-            a.check(dag, sim)?;
-        }
+        auditor.check(dag, sim)?;
     }
 }
 
@@ -369,95 +393,54 @@ fn realized_schedule(dag: &Dag, sim: &SimState) -> Schedule {
     Schedule::from_placements(placements, makespan)
 }
 
-fn freeze_run(dag: &Dag, sim: &SimState) -> FaultyRun {
-    let schedule = realized_schedule(dag, sim);
-    let makespan = schedule.makespan();
-    FaultyRun {
-        schedule,
-        failed_runs: sim.failed_runs().to_vec(),
-        attempts: (0..dag.len())
-            .map(|i| sim.attempts_of(TaskId::new(i)))
-            .collect(),
-        makespan,
-        failures: sim.fault_failures(),
-        straggles: sim.fault_straggles(),
-    }
-}
-
-fn execute_impl(
-    dag: &Dag,
-    spec: &ClusterSpec,
-    planned: &Schedule,
-    plan: &FaultPlan,
-    audited: bool,
-) -> Result<FaultyRun, SpearError> {
-    let mut sim = SimState::new(dag, spec)?.with_faults(*plan);
-    let order = dispatch_order(planned);
-    let mut auditor = audited.then(InvariantAuditor::new);
-    dispatch(dag, &order, &mut sim, auditor.as_mut(), None)?;
-    Ok(freeze_run(dag, &sim))
-}
-
-/// Executes a fault-free planned schedule under `plan` with greedy
-/// priority dispatch (planned `(start, task)` order) and returns the
-/// realized run. With `FaultPlan::none()` the realized schedule equals
-/// the planned one re-simulated, bit for bit.
+/// Executes a fault-free planned schedule of `queue` under `plan` with
+/// greedy priority dispatch (planned `(start, task)` order) and returns
+/// the realized run, with the invariant auditor checking the simulation
+/// after every step. Stops at `horizon` (if given) like a horizon-capped
+/// [`SimEnv`](crate::SimEnv): the realized run may then be partial and
+/// the JCT report censored at the final clock. With `FaultPlan::none()`
+/// and no horizon the realized schedule equals the planned one
+/// re-simulated, bit for bit.
 ///
 /// # Errors
 ///
-/// [`ClusterError::RetriesExhausted`] when a task fails more than
-/// `max_retries + 1` attempts; construction errors as [`SimState::new`].
+/// * [`ClusterError::FaultsNeedSingleBox`] for a spec with more than one
+///   machine (the dispatcher does not choose machines);
+/// * [`ClusterError::FaultClockTooLate`] for a plan whose worst case
+///   passes the slot ceiling ([`FaultPlan::check_clock`]);
+/// * [`ClusterError::RetriesExhausted`] when a task fails more than
+///   `max_retries + 1` attempts — even under a horizon;
+/// * [`SpearError::Audit`] on an invariant violation, and construction
+///   errors as [`SimState::new_multi`].
 pub fn execute_under_faults(
-    dag: &Dag,
-    spec: &ClusterSpec,
-    planned: &Schedule,
-    plan: &FaultPlan,
-) -> Result<FaultyRun, SpearError> {
-    execute_impl(dag, spec, planned, plan, false)
-}
-
-/// [`execute_under_faults`] with the invariant auditor checking the
-/// simulation after every step — the sim-replay judge of the fault-aware
-/// differential harness.
-///
-/// # Errors
-///
-/// Additionally [`SpearError::Audit`] on any invariant violation.
-pub fn execute_under_faults_audited(
-    dag: &Dag,
-    spec: &ClusterSpec,
-    planned: &Schedule,
-    plan: &FaultPlan,
-) -> Result<FaultyRun, SpearError> {
-    execute_impl(dag, spec, planned, plan, true)
-}
-
-/// Executes a planned multi-job union schedule under `plan`, stopping at
-/// `horizon` (if given) like [`MultiJobEnv`](crate::MultiJobEnv): the
-/// realized run may then be partial and the JCT report censored at the
-/// final clock.
-///
-/// # Errors
-///
-/// As [`execute_under_faults`]; retry exhaustion fails fast even under a
-/// horizon.
-pub fn execute_multi_under_faults(
     queue: &JobQueue,
     spec: &ClusterSpec,
     planned: &Schedule,
     plan: &FaultPlan,
     horizon: Option<u64>,
-) -> Result<MultiFaultyRun, SpearError> {
+) -> Result<FaultyRun, SpearError> {
+    if spec.num_machines() > 1 {
+        return Err(ClusterError::FaultsNeedSingleBox {
+            machines: spec.num_machines(),
+        }
+        .into());
+    }
+    plan.check_clock(queue)?;
     let dag = queue.union_dag();
     let mut sim = SimState::new_multi(queue, spec)?.with_faults(*plan);
-    let order = dispatch_order(planned);
-    dispatch(dag, &order, &mut sim, None, horizon)?;
-    let truncated = !sim.is_terminal(dag);
-    let report = queue.jct_report_partial(&sim);
-    Ok(MultiFaultyRun {
-        run: freeze_run(dag, &sim),
-        report,
-        truncated,
+    dispatch(dag, &dispatch_order(planned), &mut sim, horizon)?;
+    let schedule = realized_schedule(dag, &sim);
+    Ok(FaultyRun {
+        makespan: schedule.makespan(),
+        schedule,
+        failed_runs: sim.failed_runs().to_vec(),
+        attempts: (0..dag.len())
+            .map(|i| sim.attempts_of(TaskId::new(i)))
+            .collect(),
+        failures: sim.fault_failures(),
+        straggles: sim.fault_straggles(),
+        report: queue.jct_report_partial(&sim),
+        truncated: !sim.is_terminal(dag),
     })
 }
 
@@ -494,6 +477,17 @@ mod tests {
         let mut sim = SimState::new(dag, spec).unwrap();
         sim.run_with(dag, |_, actions| actions[0]).unwrap();
         sim.into_schedule(dag)
+    }
+
+    /// Executes `planned` (of `dag` as a one-job queue) under `plan`.
+    fn execute(
+        dag: &Dag,
+        spec: &ClusterSpec,
+        planned: &Schedule,
+        plan: &FaultPlan,
+    ) -> Result<FaultyRun, SpearError> {
+        let queue = JobQueue::single(dag.clone()).unwrap();
+        execute_under_faults(&queue, spec, planned, plan, None)
     }
 
     #[test]
@@ -559,8 +553,9 @@ mod tests {
         let dag = diamond(2);
         let spec = ClusterSpec::unit(2);
         let planned = greedy_schedule(&dag, &spec);
-        let run = execute_under_faults_audited(&dag, &spec, &planned, &FaultPlan::none()).unwrap();
+        let run = execute(&dag, &spec, &planned, &FaultPlan::none()).unwrap();
         assert_eq!(run.schedule, planned);
+        assert!(!run.truncated);
         assert_eq!(run.failures, 0);
         assert_eq!(run.straggles, 0);
         assert!(run.failed_runs.is_empty());
@@ -573,8 +568,8 @@ mod tests {
         let spec = ClusterSpec::unit(2);
         let planned = greedy_schedule(&dag, &spec);
         let p = plan(0.35, 0.3, 2.0, 5);
-        let a = execute_under_faults_audited(&dag, &spec, &planned, &p).unwrap();
-        let b = execute_under_faults(&dag, &spec, &planned, &p).unwrap();
+        let a = execute(&dag, &spec, &planned, &p).unwrap();
+        let b = execute(&dag, &spec, &planned, &p).unwrap();
         assert_eq!(a, b, "same plan must realize the same run");
         assert!(a.makespan >= planned.makespan());
     }
@@ -585,7 +580,7 @@ mod tests {
         let spec = ClusterSpec::unit(1);
         let planned = greedy_schedule(&dag, &spec);
         let p = plan(1.0, 0.0, 1.0, 2);
-        let err = execute_under_faults(&dag, &spec, &planned, &p).unwrap_err();
+        let err = execute(&dag, &spec, &planned, &p).unwrap_err();
         match err.root_cause() {
             SpearError::Cluster(ClusterError::RetriesExhausted { attempts, .. }) => {
                 assert_eq!(*attempts, 3);
@@ -612,14 +607,60 @@ mod tests {
         };
         // Job 0 occupies the cluster until t=4, so the horizon at t=3
         // cuts the episode before job 1 can start.
-        let out = execute_multi_under_faults(&queue, &spec, &planned, &FaultPlan::none(), Some(3))
-            .unwrap();
+        let out =
+            execute_under_faults(&queue, &spec, &planned, &FaultPlan::none(), Some(3)).unwrap();
         assert!(out.truncated);
         assert_eq!(out.report.completions().len(), 1);
         assert_eq!(out.report.unfinished(), 1);
-        let full =
-            execute_multi_under_faults(&queue, &spec, &planned, &FaultPlan::none(), None).unwrap();
+        let full = execute_under_faults(&queue, &spec, &planned, &FaultPlan::none(), None).unwrap();
         assert!(!full.truncated);
         assert_eq!(full.report.unfinished(), 0);
+    }
+
+    #[test]
+    fn worst_case_clock_past_the_ceiling_is_a_typed_error() {
+        // A 1e30 straggler would saturate an attempt's occupancy at
+        // u64::MAX and wrap the executor's clock, so the plan is refused
+        // before anything runs.
+        let dag = diamond(1);
+        let spec = ClusterSpec::unit(1);
+        let planned = greedy_schedule(&dag, &spec);
+        let queue = JobQueue::single(dag.clone()).unwrap();
+        let huge = plan(0.1, 0.1, 1e30, 3);
+        assert!(huge.worst_case_clock(&queue) > MAX_TOTAL_RUNTIME as f64);
+        let err = execute(&dag, &spec, &planned, &huge).unwrap_err();
+        assert!(
+            matches!(err, SpearError::Cluster(ClusterError::FaultClockTooLate(w)) if w > 1e30),
+            "{err:?}"
+        );
+        // Total work 10: (1.5 + 3) × 10 slots at worst, well inside.
+        let sane = plan(0.1, 0.1, 1.5, 3);
+        assert_eq!(sane.worst_case_clock(&queue), 45.0);
+        assert!(sane.check_clock(&queue).is_ok());
+        // Rates of zero make the factor and the retries irrelevant.
+        let idle = plan(0.0, 0.0, 1e30, u32::MAX);
+        assert_eq!(idle.worst_case_clock(&queue), 10.0);
+    }
+
+    #[test]
+    fn a_multi_machine_spec_is_a_typed_error() {
+        use crate::{MachineSet, TransferMode};
+        let dag = diamond(1);
+        let unit = ResourceVec::from_slice(&[1.0]);
+        let planned = greedy_schedule(&dag, &ClusterSpec::unit(1));
+        let p = plan(0.2, 0.2, 2.0, 3);
+        let two = MachineSet::uniform(2, unit.clone(), 4, TransferMode::Direct, 0, 4).unwrap();
+        let err = execute(&dag, &ClusterSpec::hetero(two).unwrap(), &planned, &p).unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::FaultsNeedSingleBox { machines: 2 }.into()
+        );
+        // One machine is the single box: its run equals the unit spec's.
+        let one = MachineSet::uniform(1, unit, 4, TransferMode::Direct, 0, 4).unwrap();
+        let on_one = execute(&dag, &ClusterSpec::hetero(one).unwrap(), &planned, &p).unwrap();
+        assert_eq!(
+            on_one,
+            execute(&dag, &ClusterSpec::unit(1), &planned, &p).unwrap()
+        );
     }
 }

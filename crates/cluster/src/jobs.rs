@@ -1,14 +1,15 @@
-//! Multi-job arrival queues and per-job completion-time accounting.
+//! Job arrival queues and per-job completion-time accounting.
 //!
 //! A [`JobQueue`] freezes a stream of `(arrival_time, DAG)` pairs into one
 //! *union DAG* — every job's tasks concatenated with shifted ids, no edges
 //! between jobs — plus the arrival metadata the simulator needs to gate
 //! each job's sources until its arrival time. The union view is what lets
-//! the whole scheduler stack run unchanged: the frontier of a multi-job
-//! [`SimState`] is simply the union of the per-job
-//! frontiers of the *arrived* jobs, so `legal_actions_into`/`apply_legal`
-//! and everything above them (baselines, MCTS, the DRL featurizer) operate
-//! on one DAG exactly as in the single-job regime.
+//! the whole scheduler stack run unchanged: the frontier of a
+//! [`SimState`] is simply the union of the per-job frontiers of the
+//! *arrived* jobs, so `legal_actions_into`/`apply_legal` and everything
+//! above them (baselines, MCTS, the DRL featurizer) operate on one DAG.
+//! The paper's setting — one DAG — is the one-job queue
+//! ([`JobQueue::single`]) that arrives at time 0.
 //!
 //! Scoring changes with the regime: a shared cluster is judged on *job
 //! completion time* (JCT), not one makespan. [`JctReport`] carries per-job
@@ -122,8 +123,8 @@ impl JobQueue {
     }
 
     /// Wraps a single already-built DAG as a one-job queue arriving at
-    /// time 0 — the degenerate stream whose episode is action-for-action
-    /// identical to the single-job simulator.
+    /// time 0 — the stream every single-DAG entry point schedules. Its
+    /// initial state equals [`SimState::new`] on `dag`.
     pub fn single(dag: Dag) -> Result<Self, SpearError> {
         JobQueue::new(vec![(0, dag)])
     }
@@ -293,7 +294,7 @@ pub struct JobCompletion {
     pub slowdown: f64,
 }
 
-/// Per-job completion-time statistics of a multi-job episode.
+/// Per-job completion-time statistics of an episode.
 ///
 /// Percentiles use the nearest-rank definition (the smallest recorded JCT
 /// with at least `p`% of jobs at or below it), so they are exact recorded
@@ -396,16 +397,15 @@ impl JctReport {
     }
 }
 
-/// Simulation-time arrival bookkeeping of a multi-job episode, embedded in
-/// [`SimState`] (absent — `None` — in the single-job regime, which keeps
-/// that regime bit-identical to the pre-multi-job simulator).
+/// Simulation-time arrival bookkeeping of an episode, embedded in every
+/// [`SimState`]. A bare DAG is the one-job queue that arrives at time 0.
 ///
-/// Only [`MultiJob::next_arrival`], the per-job completion counts and
+/// Only [`JobLedger::next_arrival`], the per-job completion counts and
 /// `jobs_done` mutate during an episode; the arrival/bound tables are
 /// per-episode constants, cloned (and reused via `clone_from`) with the
 /// state so search-tree snapshots need no back-reference to the queue.
 #[derive(Debug, PartialEq, Serialize, Deserialize)]
-pub(crate) struct MultiJob {
+pub(crate) struct JobLedger {
     /// Arrival slot per job, non-decreasing (queue order).
     pub(crate) arrivals: Vec<u64>,
     /// Union-task index at which each job's block starts, plus a final
@@ -421,9 +421,9 @@ pub(crate) struct MultiJob {
 
 // Manual `Clone` so `clone_from` reuses the interior vectors — the MCTS
 // rollout scratch clones one state (including this) per rollout.
-impl Clone for MultiJob {
+impl Clone for JobLedger {
     fn clone(&self) -> Self {
-        MultiJob {
+        JobLedger {
             arrivals: self.arrivals.clone(),
             bounds: self.bounds.clone(),
             next_arrival: self.next_arrival,
@@ -441,18 +441,51 @@ impl Clone for MultiJob {
     }
 }
 
-impl MultiJob {
+impl JobLedger {
     /// Builds the initial bookkeeping for `queue`: nothing injected yet
     /// (the constructor of the state injects time-0 arrivals itself).
     pub(crate) fn new(queue: &JobQueue) -> Self {
         let mut bounds: Vec<u32> = queue.spans().iter().map(|s| s.first_task as u32).collect();
         bounds.push(queue.union_dag().len() as u32);
-        MultiJob {
+        JobLedger {
             arrivals: queue.spans().iter().map(|s| s.arrival).collect(),
             bounds,
             next_arrival: 0,
             completed: vec![0; queue.jobs()],
             jobs_done: 0,
+        }
+    }
+
+    /// The bookkeeping of a bare DAG of `tasks` tasks: one job arriving at
+    /// time 0 — what [`JobLedger::new`] builds for `JobQueue::single`.
+    pub(crate) fn single(tasks: usize) -> Self {
+        JobLedger {
+            arrivals: vec![0],
+            bounds: vec![0, tasks as u32],
+            next_arrival: 0,
+            completed: vec![0],
+            jobs_done: 0,
+        }
+    }
+
+    /// The same arrival stream with nothing injected or completed yet.
+    pub(crate) fn restarted(&self) -> Self {
+        JobLedger {
+            arrivals: self.arrivals.clone(),
+            bounds: self.bounds.clone(),
+            next_arrival: 0,
+            completed: vec![0; self.jobs()],
+            jobs_done: 0,
+        }
+    }
+
+    /// Records the completion of union-DAG task index `task`.
+    #[inline]
+    pub(crate) fn complete(&mut self, task: usize) {
+        let job = self.job_of(task);
+        self.completed[job] += 1;
+        if self.completed[job] as usize == self.job_range(job).len() {
+            self.jobs_done += 1;
         }
     }
 
@@ -715,7 +748,11 @@ mod tests {
     #[test]
     fn multi_job_bookkeeping_maps_tasks_to_jobs() {
         let queue = JobQueue::new(vec![(0, chain(&[1, 1])), (4, chain(&[2]))]).unwrap();
-        let multi = MultiJob::new(&queue);
+        let multi = JobLedger::new(&queue);
+        assert_eq!(
+            JobLedger::single(3),
+            JobLedger::new(&JobQueue::single(chain(&[1, 1, 1])).unwrap())
+        );
         assert_eq!(multi.jobs(), 2);
         assert_eq!(multi.job_of(0), 0);
         assert_eq!(multi.job_of(1), 0);

@@ -56,15 +56,9 @@ mod timeline;
 
 pub use action::Action;
 pub use audit::{AuditViolation, InvariantAuditor};
-pub use env::{
-    DecisionPolicy, DriveOutcome, Env, EnvContext, EpisodeDriver, FnPolicy, MultiJobEnv, NoRng,
-    SimEnv,
-};
+pub use env::{DecisionPolicy, DriveOutcome, EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 pub use error::{ClusterError, ErrorContext, SpearError};
-pub use faults::{
-    execute_multi_under_faults, execute_under_faults, execute_under_faults_audited, FailedRun,
-    FaultOutcome, FaultPlan, FaultyRun, MultiFaultyRun,
-};
+pub use faults::{execute_under_faults, FailedRun, FaultOutcome, FaultPlan, FaultyRun};
 pub use hetero::{MachineSet, TransferMode};
 pub use jobs::{JctReport, JobCompletion, JobQueue, JobSpan};
 pub use schedule::{Placement, Schedule};

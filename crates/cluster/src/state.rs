@@ -6,7 +6,7 @@ use spear_dag::{Dag, ResourceVec, TaskId, FIT_EPSILON};
 
 use crate::faults::{attempt_key, FailedRun, FaultOutcome, FaultPlan, FaultState};
 use crate::hetero::MachineSet;
-use crate::jobs::{JobQueue, MultiJob};
+use crate::jobs::{JobLedger, JobQueue};
 use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule};
 
 // --- State fingerprinting -------------------------------------------------
@@ -162,22 +162,19 @@ pub struct SimState {
     // cache hit.
     #[serde(default)]
     pub(crate) placement_hash: u64,
-    // Arrival bookkeeping of a multi-job episode; `None` in the single-job
-    // regime, which therefore stays bit-identical to the pre-multi-job
-    // simulator (every multi branch below is behind this option). Boxed so
-    // the single-job state grows by one pointer, not five vectors.
-    #[serde(default)]
-    pub(crate) multi: Option<Box<MultiJob>>,
+    // Arrival bookkeeping: which jobs of the queue have reached the
+    // frontier and how far each has completed. Always present — a bare
+    // DAG is the one-job queue that arrives at time 0.
+    pub(crate) jobs: JobLedger,
     // Fault-injection bookkeeping; `None` in fault-free episodes, which
     // therefore stay bit-identical to the pre-fault simulator (every
-    // fault branch below is behind this option). Boxed for the same
-    // one-pointer-growth reason as `multi`.
+    // fault branch below is behind this option). Boxed so the fault-free
+    // state grows by one pointer.
     #[serde(default)]
     pub(crate) faults: Option<Box<FaultState>>,
     // Heterogeneous-cluster bookkeeping (per-machine accounting + network
     // model); `None` on single-box states, which therefore stay
-    // bit-identical to the pre-hetero simulator. Boxed like `multi` and
-    // `faults`.
+    // bit-identical to the pre-hetero simulator. Boxed like `faults`.
     #[serde(default)]
     pub(crate) hetero: Option<Box<HeteroState>>,
 }
@@ -198,7 +195,7 @@ impl Clone for SimState {
             scheduled: self.scheduled,
             max_finish: self.max_finish,
             placement_hash: self.placement_hash,
-            multi: self.multi.clone(),
+            jobs: self.jobs.clone(),
             faults: self.faults.clone(),
             hetero: self.hetero.clone(),
         }
@@ -215,12 +212,9 @@ impl Clone for SimState {
         self.scheduled = source.scheduled;
         self.max_finish = source.max_finish;
         self.placement_hash = source.placement_hash;
-        match (&mut self.multi, &source.multi) {
-            // Reuse the boxed bookkeeping's interior vectors.
-            (Some(dst), Some(src)) => dst.as_mut().clone_from(src.as_ref()),
-            (dst, src) => *dst = src.clone(),
-        }
+        self.jobs.clone_from(&source.jobs);
         match (&mut self.faults, &source.faults) {
+            // Reuse the boxed bookkeeping's interior vectors.
             (Some(dst), Some(src)) => dst.as_mut().clone_from(src.as_ref()),
             (dst, src) => *dst = src.clone(),
         }
@@ -232,7 +226,10 @@ impl Clone for SimState {
 }
 
 impl SimState {
-    /// Creates the initial state (time 0, empty cluster, sources ready).
+    /// Creates the initial state (time 0, empty cluster, sources ready):
+    /// the episode of `dag` as the one-job queue that arrives at time 0.
+    /// It equals [`SimState::new_multi`] on `JobQueue::single(dag)` in
+    /// every field, fingerprints included.
     ///
     /// # Errors
     ///
@@ -240,8 +237,26 @@ impl SimState {
     /// task demanding more than total capacity — such a task could never be
     /// scheduled and the simulation would deadlock).
     pub fn new(dag: &Dag, spec: &ClusterSpec) -> Result<Self, ClusterError> {
+        Self::with_jobs(dag, spec, JobLedger::single(dag.len()))
+    }
+
+    /// Creates the initial state of an episode over `queue`'s union DAG:
+    /// time 0, empty cluster, and *only* the sources of jobs arriving at
+    /// time 0 ready — later jobs' sources are withheld from the frontier
+    /// until the clock crosses their arrival (a `Process` action advances
+    /// to the earlier of the next task completion and the next arrival).
+    ///
+    /// # Errors
+    ///
+    /// Fails if the union DAG does not fit the cluster, exactly as
+    /// [`SimState::new`].
+    pub fn new_multi(queue: &JobQueue, spec: &ClusterSpec) -> Result<Self, ClusterError> {
+        Self::with_jobs(queue.union_dag(), spec, JobLedger::new(queue))
+    }
+
+    fn with_jobs(dag: &Dag, spec: &ClusterSpec, jobs: JobLedger) -> Result<Self, ClusterError> {
         spec.validate_dag(dag)?;
-        Ok(SimState {
+        let mut state = SimState {
             clock: 0,
             capacity: spec.capacity().clone(),
             used: ResourceVec::zeros(spec.capacity().dims()),
@@ -252,12 +267,29 @@ impl SimState {
             scheduled: 0,
             max_finish: 0,
             placement_hash: 0,
-            multi: None,
+            jobs,
             faults: None,
             hetero: spec
                 .machines()
                 .map(|m| Box::new(HeteroState::new(m.clone(), dag.len()))),
-        })
+        };
+        // `ReadyTracker::new` seeded every source; withhold them all and
+        // let `advance_arrivals` re-inject the time-0 jobs, so arrival
+        // injection has exactly one code path. Sources are the only tasks
+        // that need gating — every other task has a pending parent in its
+        // own job (cross-job edges do not exist in the union DAG).
+        let withheld: Vec<TaskId> = state.tracker.ready().to_vec();
+        for t in withheld {
+            state.tracker.take(t);
+        }
+        state.advance_arrivals(dag);
+        Ok(state)
+    }
+
+    /// The initial state of this state's episode: the same DAG, cluster
+    /// and arrival stream at time 0, without a fault plan.
+    pub(crate) fn restart(&self, dag: &Dag, spec: &ClusterSpec) -> Result<Self, ClusterError> {
+        Self::with_jobs(dag, spec, self.jobs.restarted())
     }
 
     /// Attaches a fault plan to a *fresh* state (no task scheduled yet).
@@ -278,40 +310,6 @@ impl SimState {
             self.faults = Some(Box::new(FaultState::new(plan, self.starts.len())));
         }
         self
-    }
-
-    /// Creates the initial state of a multi-job episode over `queue`'s
-    /// union DAG: time 0, empty cluster, and *only* the sources of jobs
-    /// arriving at time 0 ready — later jobs' sources are withheld from
-    /// the frontier until the clock crosses their arrival (a `Process`
-    /// action advances to the earlier of the next task completion and the
-    /// next arrival).
-    ///
-    /// A one-job queue arriving at time 0 steps action-for-action like
-    /// [`SimState::new`] on the same DAG (the fingerprints differ — they
-    /// fold the arrival bookkeeping — but legality, placements and the
-    /// makespan are identical).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the union DAG does not fit the cluster, exactly as
-    /// [`SimState::new`].
-    pub fn new_multi(queue: &JobQueue, spec: &ClusterSpec) -> Result<Self, ClusterError> {
-        let dag = queue.union_dag();
-        let mut state = SimState::new(dag, spec)?;
-        let multi = MultiJob::new(queue);
-        // `ReadyTracker::new` seeded every source; withhold them all and
-        // let `advance_arrivals` re-inject the time-0 jobs, so arrival
-        // injection has exactly one code path. Sources are the only tasks
-        // that need gating — every other task has a pending parent in its
-        // own job (cross-job edges do not exist in the union DAG).
-        let withheld: Vec<TaskId> = state.tracker.ready().to_vec();
-        for t in withheld {
-            state.tracker.take(t);
-        }
-        state.multi = Some(Box::new(multi));
-        state.advance_arrivals(dag);
-        Ok(state)
     }
 
     /// Current simulation time.
@@ -400,13 +398,6 @@ impl SimState {
         self.running.iter().map(|r| r.finish).min()
     }
 
-    /// Whether this state runs a multi-job episode (created by
-    /// [`SimState::new_multi`]).
-    #[inline]
-    pub fn is_multi_job(&self) -> bool {
-        self.multi.is_some()
-    }
-
     /// The attached fault plan, if any ([`SimState::with_faults`]).
     #[inline]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
@@ -481,24 +472,22 @@ impl SimState {
         }
     }
 
-    /// Jobs whose arrival time the clock has not reached yet (0 in the
-    /// single-job regime).
+    /// Jobs whose arrival time the clock has not reached yet.
     #[inline]
     pub fn pending_jobs(&self) -> usize {
-        self.multi.as_ref().map_or(0, |m| m.pending_jobs())
+        self.jobs.pending_jobs()
     }
 
-    /// Arrived jobs with at least one uncompleted task (0 in the
-    /// single-job regime).
+    /// Arrived jobs with at least one uncompleted task.
     #[inline]
     pub fn jobs_in_flight(&self) -> usize {
-        self.multi.as_ref().map_or(0, |m| m.jobs_in_flight())
+        self.jobs.jobs_in_flight()
     }
 
-    /// Jobs whose every task has completed (0 in the single-job regime).
+    /// Jobs whose every task has completed.
     #[inline]
     pub fn jobs_completed(&self) -> usize {
-        self.multi.as_ref().map_or(0, |m| m.jobs_done)
+        self.jobs.jobs_done
     }
 
     /// Arrival time of the next not-yet-arrived job — always strictly
@@ -506,21 +495,18 @@ impl SimState {
     /// are injected into the frontier eagerly).
     #[inline]
     pub fn next_arrival(&self) -> Option<u64> {
-        self.multi.as_ref().and_then(|m| m.next_arrival_time())
+        self.jobs.next_arrival_time()
     }
 
-    /// The queue index of the job owning `task`, or `None` in the
-    /// single-job regime.
-    pub fn job_of(&self, task: TaskId) -> Option<usize> {
-        self.multi.as_ref().map(|m| m.job_of(task.index()))
+    /// The queue index of the job owning `task` (0 for a bare DAG).
+    pub fn job_of(&self, task: TaskId) -> usize {
+        self.jobs.job_of(task.index())
     }
 
-    /// The arrival time of job `job` (queue order); `None` in the
-    /// single-job regime or for an out-of-range index.
+    /// The arrival time of job `job` (queue order); `None` for an
+    /// out-of-range index.
     pub fn arrival_of(&self, job: usize) -> Option<u64> {
-        self.multi
-            .as_ref()
-            .and_then(|m| m.arrivals.get(job).copied())
+        self.jobs.arrivals.get(job).copied()
     }
 
     /// Whether this state runs on a heterogeneous cluster (created from
@@ -655,14 +641,13 @@ impl SimState {
         for &u in self.used.as_slice() {
             h = fold(h, u.to_bits());
         }
-        // Multi-job: the injected-prefix index pins the arrival progress.
-        // Together with the clock (folded above) it determines the entire
-        // remaining arrival stream — the arrival table itself is a
-        // per-episode constant, and the eval caches are cleared per
-        // episode. Single-job states fold nothing here, keeping their
-        // fingerprints bit-identical to the pre-multi-job simulator.
-        if let Some(multi) = &self.multi {
-            h = fold(h, multi.next_arrival as u64);
+        // Arrival progress: the injected-prefix index. Together with the
+        // clock (folded above) it determines the entire remaining arrival
+        // stream — the arrival table itself is a per-episode constant, and
+        // the eval caches are cleared per episode. A one-job episode folds
+        // nothing: its progress is a function of the clock alone.
+        if self.jobs.jobs() > 1 {
+            h = fold(h, self.jobs.next_arrival as u64);
         }
         // Fault injection: two states with identical placements but
         // different retry histories face different *future* outcomes
@@ -729,14 +714,16 @@ impl SimState {
         for &u in self.used.as_slice() {
             h = fold(h, u.to_bits());
         }
-        // Multi-job: two states with the same visible frontier but
+        // Arrivals: two states with the same visible frontier but
         // different queued-arrival outlooks must not share a key, so fold
         // the pending-job count and the clock-*relative* distance to the
         // next arrival (relative, like the running finishes, to stay
-        // history-free). Single-job states fold nothing.
-        if let Some(multi) = &self.multi {
-            h = fold(h, multi.pending_jobs() as u64);
-            if let Some(arrival) = multi.next_arrival_time() {
+        // history-free). A one-job episode folds nothing: its only
+        // pre-arrival state is also its only state with an empty frontier,
+        // nothing running and nothing completed.
+        if self.jobs.jobs() > 1 {
+            h = fold(h, self.jobs.pending_jobs() as u64);
+            if let Some(arrival) = self.jobs.next_arrival_time() {
                 h = fold(h, arrival - self.clock);
             }
         }
@@ -1081,7 +1068,7 @@ impl SimState {
 
     fn process_unchecked(&mut self, dag: &Dag) {
         // `Process` advances to the next *event*: the earliest running
-        // finish, the next job arrival (multi-job regime), or the next
+        // finish, the next job arrival, or the next
         // transfer release (heterogeneous regime, where a ready task may
         // be waiting only for a parent's output to arrive at a machine).
         let next = [
@@ -1118,13 +1105,7 @@ impl SimState {
                     self.retire_failed(done.task, next);
                 } else {
                     self.tracker.complete_in_place(dag, done.task);
-                    if let Some(multi) = self.multi.as_deref_mut() {
-                        let job = multi.job_of(done.task.index());
-                        multi.completed[job] += 1;
-                        if multi.completed[job] as usize == multi.job_range(job).len() {
-                            multi.jobs_done += 1;
-                        }
-                    }
+                    self.jobs.complete(done.task.index());
                 }
             } else {
                 i += 1;
@@ -1194,22 +1175,19 @@ impl SimState {
 
     /// Injects every job whose arrival time the clock has reached: its
     /// sources enter the ready frontier (non-source tasks are gated by
-    /// their own parents). No-op in the single-job regime.
+    /// their own parents).
     fn advance_arrivals(&mut self, dag: &Dag) {
-        let Some(multi) = self.multi.as_deref_mut() else {
-            return;
-        };
-        while let Some(arrival) = multi.next_arrival_time() {
+        while let Some(arrival) = self.jobs.next_arrival_time() {
             if arrival > self.clock {
                 break;
             }
-            for task in multi.job_range(multi.next_arrival) {
+            for task in self.jobs.job_range(self.jobs.next_arrival) {
                 let task = TaskId::new(task);
                 if dag.parents(task).is_empty() {
                     self.tracker.insert_ready(task);
                 }
             }
-            multi.next_arrival += 1;
+            self.jobs.next_arrival += 1;
         }
     }
 
@@ -1693,7 +1671,7 @@ mod tests {
             assert!(sim.is_terminal(dag));
             assert_eq!(sim.makespan(), Some(7));
             assert_eq!(sim.jobs_completed(), 2);
-            assert_eq!(sim.job_of(TaskId::new(1)), Some(1));
+            assert_eq!(sim.job_of(TaskId::new(1)), 1);
             assert_eq!(sim.arrival_of(1), Some(5));
         }
 
@@ -1735,34 +1713,49 @@ mod tests {
         }
 
         #[test]
-        fn degenerate_single_job_queue_matches_single_job_stepping() {
-            // One job arriving at 0: same legality sequence, same
-            // schedule as the plain single-job state.
-            let mut b = DagBuilder::new(1);
-            let a = b.add_task(Task::new(2, ResourceVec::from_slice(&[0.5])));
-            let c = b.add_task(Task::new(3, ResourceVec::from_slice(&[0.5])));
-            b.add_edge(a, c).unwrap();
-            let dag = b.build().unwrap();
-            let spec = ClusterSpec::unit(1);
-            let queue = JobQueue::single(dag.clone()).unwrap();
-
-            let mut single = SimState::new(&dag, &spec).unwrap();
-            let mut multi = SimState::new_multi(&queue, &spec).unwrap();
-            assert!(multi.is_multi_job() && !single.is_multi_job());
-            while !single.is_terminal(&dag) {
-                let legal_single = single.legal_actions(&dag);
-                let legal_multi = multi.legal_actions(queue.union_dag());
-                assert_eq!(legal_single, legal_multi);
-                single.apply(&dag, legal_single[0]).unwrap();
-                multi.apply(queue.union_dag(), legal_multi[0]).unwrap();
-                assert_eq!(single.clock(), multi.clock());
+        fn a_bare_dag_is_the_one_job_queue_arriving_at_zero() {
+            // `new(dag)` and `new_multi(single(dag))` build the same state
+            // in every field, so both fingerprints agree — on a single box
+            // and on a three-machine cluster — and keep agreeing as the
+            // two episodes step in lockstep.
+            use crate::{MachineSet, TransferMode};
+            let mut b = DagBuilder::new(2);
+            let demand = |c: f64, m: f64| ResourceVec::from_slice(&[c, m]);
+            let a = b.add_task(Task::new(2, demand(0.5, 0.25)));
+            let l = b.add_task(Task::new(3, demand(0.25, 0.5)));
+            let r = b.add_task(Task::new(1, demand(0.5, 0.5)));
+            let d = b.add_task(Task::new(2, demand(0.75, 0.25)));
+            b.add_task(Task::new(4, demand(0.25, 0.25)));
+            for (from, to) in [(a, l), (a, r), (l, d), (r, d)] {
+                b.add_edge(from, to).unwrap();
             }
-            assert!(multi.is_terminal(queue.union_dag()));
-            assert_eq!(single.makespan(), multi.makespan());
-            assert_eq!(
-                single.into_schedule(&dag),
-                multi.into_schedule(queue.union_dag())
-            );
+            let dag = b.build().unwrap();
+            let machines = MachineSet::uniform(
+                3,
+                ResourceVec::from_slice(&[1.0, 1.0]),
+                2,
+                TransferMode::Direct,
+                7,
+                4,
+            )
+            .unwrap();
+            for spec in [ClusterSpec::unit(2), ClusterSpec::hetero(machines).unwrap()] {
+                let queue = JobQueue::single(dag.clone()).unwrap();
+                let mut bare = SimState::new(&dag, &spec).unwrap();
+                let mut one = SimState::new_multi(&queue, &spec).unwrap();
+                loop {
+                    assert_eq!(bare, one);
+                    assert_eq!(bare.fingerprint(), one.fingerprint());
+                    assert_eq!(bare.frontier_fingerprint(), one.frontier_fingerprint());
+                    if bare.is_terminal(&dag) {
+                        assert_eq!(bare.jobs_completed(), 1);
+                        break;
+                    }
+                    let action = *bare.legal_actions(&dag).last().unwrap();
+                    bare.apply(&dag, action).unwrap();
+                    one.apply(queue.union_dag(), action).unwrap();
+                }
+            }
         }
 
         #[test]

@@ -2,25 +2,30 @@
 //!
 //! Every scheduler in this reproduction emits a [`Schedule`], and every
 //! paper comparison trusts that those schedules are feasible. This module
-//! re-verifies each schedule **three independent ways** and flags any
-//! disagreement:
+//! re-verifies each schedule of a [`JobQueue`] — one DAG is the one-job
+//! queue that arrives at time 0 — **three independent ways** and flags any
+//! disagreement ([`check_schedule`]):
 //!
 //! 1. [`Schedule::validate`] — the declarative checker (completeness,
-//!    precedence, capacity event sweep);
-//! 2. replay through a fresh [`SimState`] — the operational semantics the
-//!    schedule was produced under, step by step;
-//! 3. replay onto a [`ResourceTimeline`] — the slot-by-slot occupancy
-//!    grid, the third accounting of the same capacity constraint.
+//!    precedence, transfers, capacity event sweep), plus arrival gating,
+//!    per-job JCT accounting and job-local re-validation;
+//! 2. replay through a fresh arrival-aware [`SimState`] — the operational
+//!    semantics the schedule was produced under, `Place(task, machine)` by
+//!    `Place`, with the [`InvariantAuditor`] after every step;
+//! 3. replay onto [`ResourceTimeline`] grids, one per machine — the
+//!    slot-by-slot occupancy, the third accounting of the same capacity
+//!    constraint.
 //!
 //! A schedule all three accept is near-certainly feasible; a schedule they
 //! *disagree* on exposes a bookkeeping bug in one of the three cores (the
 //! epsilon-drift fixture under `tests/fixtures/` is exactly such a case,
 //! found by this harness). The seeded fuzz corpus ([`corpus`]) crosses
-//! [`LayeredDagSpec`] workloads with every scheduler in the workspace —
-//! including an epsilon-jitter mode that places demands within one
-//! [`FIT_EPSILON`] of the capacity boundary, where
-//! the accounting bugs live. Failing cases shrink to minimized committed
-//! fixtures ([`Fixture`]).
+//! [`LayeredDagSpec`] workloads — single DAGs and Poisson streams, on one
+//! box and on seeded multi-machine clusters — with every scheduler in the
+//! workspace, including an epsilon-jitter mode that places demands within
+//! one [`FIT_EPSILON`] of the capacity boundary, where the accounting bugs
+//! live. Failing cases shrink to minimized committed fixtures
+//! ([`Fixture`]): machines first, then the workload ([`shrink_queue`]).
 //!
 //! Fault-injected executions get their own tri-judge ([`check_faulty_run`]
 //! over a [`FaultyRun`]): the declarative judge re-derives every attempt
@@ -35,9 +40,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use spear_cluster::{
-    execute_under_faults, execute_under_faults_audited, Action, ClusterError, ClusterSpec,
-    FaultOutcome, FaultPlan, FaultyRun, InvariantAuditor, JctReport, JobQueue, MachineSet,
-    ResourceTimeline, Schedule, SimState, SpearError, TransferMode,
+    execute_under_faults, Action, ClusterError, ClusterSpec, FaultOutcome, FaultPlan, FaultyRun,
+    InvariantAuditor, JobQueue, MachineSet, ResourceTimeline, Schedule, SimState, SpearError,
+    TransferMode,
 };
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::{Dag, DagBuilder, ResourceVec, Task, TaskId, FIT_EPSILON};
@@ -199,30 +204,80 @@ impl TriCheck {
     }
 }
 
-/// Runs all three judges on `schedule`.
-pub fn check_schedule(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> TriCheck {
+/// Runs all three judges on `schedule`, a schedule of `queue`'s union DAG.
+pub fn check_schedule(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> TriCheck {
     TriCheck {
-        validate: schedule.validate(dag, spec).map_err(|e| e.to_string()),
-        sim_replay: replay_sim(dag, spec, schedule),
-        timeline_replay: replay_timeline(dag, spec, schedule),
+        validate: validate(queue, spec, schedule),
+        sim_replay: replay_sim(queue, spec, schedule),
+        timeline_replay: replay_timeline(queue, spec, schedule),
     }
 }
 
-/// Replays `schedule` action-by-action through a fresh [`SimState`]: each
-/// task is scheduled exactly when its recorded start equals the clock, and
-/// `Process` advances between starts. Rejects schedules the operational
-/// semantics cannot realize (unreachable start times, capacity refusals,
-/// precedence refusals, makespan mismatch).
-///
-/// On a heterogeneous cluster the replay issues [`Action::Place`] on the
-/// recorded machine — the simulator's own per-machine admission and
-/// transfer gate then re-derive every cross-machine delay independently
-/// of the declarative judge — and the [`InvariantAuditor`] runs after
-/// every action.
-fn replay_sim(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
-    let hetero = spec.machines().is_some();
-    let mut sim = SimState::new(dag, spec).map_err(|e| format!("initial state: {e}"))?;
-    let mut auditor = hetero.then(InvariantAuditor::new);
+/// The declarative judge: [`Schedule::validate`] on the union DAG, arrival
+/// gating, per-job JCT accounting against [`JobQueue::jct_report`], and —
+/// on a single box — every per-job sub-schedule re-validated against its
+/// own job DAG. (Transfer payloads are seeded by union task ids, so on a
+/// multi-machine cluster a job-local re-check would read other edges'
+/// payloads; the union check covers transfers there.)
+fn validate(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
+    schedule
+        .validate(queue.union_dag(), spec)
+        .map_err(|e| e.to_string())?;
+    for span in queue.spans() {
+        for local in 0..span.tasks {
+            let task = TaskId::new(span.first_task + local);
+            let p = schedule
+                .placement_of(task)
+                .ok_or_else(|| format!("job {}: task {task} is unplaced", span.job))?;
+            if p.start < span.arrival {
+                return Err(format!(
+                    "job {}: task {task} starts at {} before the job arrives at {}",
+                    span.job, p.start, span.arrival
+                ));
+            }
+        }
+    }
+    let report = queue.jct_report(schedule);
+    if report.unfinished() != 0 || report.completions().len() != queue.jobs() {
+        return Err(format!(
+            "report covers {} of {} jobs ({} unfinished) in a complete schedule",
+            report.completions().len(),
+            queue.jobs(),
+            report.unfinished()
+        ));
+    }
+    let local = spec.machines().is_none();
+    for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
+        if local {
+            sub.validate(queue.job_dag(span.job), spec)
+                .map_err(|e| format!("job {} sub-schedule: {e}", span.job))?;
+        }
+        let c = &report.completions()[span.job];
+        let jct = sub.makespan() - span.arrival;
+        if c.jct != jct {
+            return Err(format!(
+                "job {}: report says jct {} but the placements span {}",
+                span.job, c.jct, jct
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Replays `schedule` action-by-action through a fresh arrival-aware
+/// [`SimState`]: each task is placed on its recorded machine exactly when
+/// its recorded start equals the clock, and `Process` advances between
+/// starts. The simulator's own admission, arrival gate and transfer gate
+/// re-derive every constraint independently of the declarative judge, the
+/// [`InvariantAuditor`] runs after every placement and drain step, and the
+/// terminal state's JCT report must match the placement-derived one.
+/// Rejects schedules the operational semantics cannot realize
+/// (unreachable start times, capacity, precedence or arrival refusals,
+/// makespan mismatch).
+fn replay_sim(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
+    let dag = queue.union_dag();
+    let mut sim = SimState::new_multi(queue, spec).map_err(|e| format!("initial state: {e}"))?;
+    let mut auditor = InvariantAuditor::new();
     let mut order: Vec<usize> = (0..schedule.placements().len()).collect();
     order.sort_by_key(|&i| {
         let p = &schedule.placements()[i];
@@ -242,59 +297,76 @@ fn replay_sim(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), 
                 sim.clock()
             ));
         }
-        let action = if hetero {
-            Action::Place(p.task, p.machine)
-        } else {
-            Action::Schedule(p.task)
-        };
-        sim.apply(dag, action)
+        sim.apply(dag, Action::Place(p.task, p.machine))
             .map_err(|e| format!("scheduling task {} at {}: {e}", p.task, p.start))?;
-        if let Some(auditor) = auditor.as_mut() {
-            auditor
-                .check(dag, &sim)
-                .map_err(|v| format!("auditor after placing task {}: {v}", p.task))?;
-        }
+        auditor
+            .check(dag, &sim)
+            .map_err(|v| format!("auditor after placing task {}: {v}", p.task))?;
     }
     while !sim.is_terminal(dag) {
         sim.apply(dag, Action::Process)
             .map_err(|e| format!("draining the cluster: {e}"))?;
-        if let Some(auditor) = auditor.as_mut() {
-            auditor
-                .check(dag, &sim)
-                .map_err(|v| format!("auditor while draining: {v}"))?;
-        }
+        auditor
+            .check(dag, &sim)
+            .map_err(|v| format!("auditor while draining: {v}"))?;
     }
     match sim.makespan() {
-        Some(m) if m == schedule.makespan() => Ok(()),
-        Some(m) => Err(format!(
-            "replayed makespan {m} != recorded makespan {}",
-            schedule.makespan()
-        )),
-        None => Err("terminal state reports no makespan".to_owned()),
+        Some(m) if m == schedule.makespan() => {}
+        Some(m) => {
+            return Err(format!(
+                "replayed makespan {m} != recorded makespan {}",
+                schedule.makespan()
+            ))
+        }
+        None => return Err("terminal state reports no makespan".to_owned()),
     }
+    let from_state = queue.jct_report_partial(&sim);
+    let from_schedule = queue.jct_report(schedule);
+    if from_state != from_schedule {
+        return Err(format!(
+            "state-derived JCT report {from_state:?} != placement-derived {from_schedule:?}"
+        ));
+    }
+    Ok(())
 }
 
-/// Replays `schedule` onto a [`ResourceTimeline`]: every placement must
+/// The occupancy judge: the union schedule must fit its grids, and — for
+/// a complete stream of several jobs on a single box, where job-local ids
+/// carry no transfer payloads — so must every per-job sub-schedule on its
+/// own (a one-job queue's sub-schedule is the union schedule).
+fn replay_timeline(
+    queue: &JobQueue,
+    spec: &ClusterSpec,
+    schedule: &Schedule,
+) -> Result<(), String> {
+    replay_grids(queue.union_dag(), spec, schedule)?;
+    let complete = queue
+        .union_dag()
+        .task_ids()
+        .all(|t| schedule.placement_of(t).is_some());
+    if complete && queue.jobs() > 1 && spec.machines().is_none() {
+        for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
+            replay_grids(queue.job_dag(span.job), spec, &sub)
+                .map_err(|e| format!("job {}: {e}", span.job))?;
+        }
+    }
+    Ok(())
+}
+
+/// Replays `schedule` onto [`ResourceTimeline`]s: every placement must
 /// fit the already-placed occupancy slot-by-slot, and durations must match
-/// runtimes. (Precedence is out of scope here — the timeline is the
-/// capacity judge.)
+/// runtimes. (Precedence and completeness are out of scope here — the
+/// timeline is the capacity judge.)
 ///
-/// On a heterogeneous cluster the judge keeps **one occupancy grid per
-/// machine** (each with that machine's own capacity) and additionally
-/// re-derives every cross-machine transfer delay from the
-/// [`MachineSet`] alone — seeded edge bytes divided by link bandwidth —
-/// and rejects any child that starts inside its transfer window. That
-/// derivation shares no code with [`Schedule::validate`]'s edge loop or
-/// the simulator's gate, so a bug in either shows up as a judge
-/// disagreement rather than a silent agreement.
-fn replay_timeline(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
-    let mut grids: Vec<ResourceTimeline> = match spec.machines() {
-        Some(m) => (0..m.len())
-            .map(|i| ResourceTimeline::new(m.capacity(i as u32).clone()))
-            .collect(),
-        None => vec![ResourceTimeline::new(spec.capacity().clone())],
-    };
-    let mut latest = 0u64;
+/// The judge keeps **one occupancy grid per machine** (each with that
+/// machine's own capacity) and on a multi-machine cluster additionally
+/// re-derives every cross-machine transfer delay from the [`MachineSet`]
+/// alone — seeded edge bytes divided by link bandwidth — and rejects any
+/// child that starts inside its transfer window. That derivation shares
+/// no code with [`Schedule::validate`]'s edge loop or the simulator's
+/// gate, so a bug in either shows up as a judge disagreement rather than
+/// a silent agreement.
+fn replay_grids(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
     for p in schedule.placements() {
         let runtime = dag.task(p.task).runtime();
         if p.finish.checked_sub(p.start) != Some(runtime) {
@@ -303,23 +375,13 @@ fn replay_timeline(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result
                 p.task, p.start, p.finish
             ));
         }
-        let tl = grids.get_mut(p.machine as usize).ok_or_else(|| {
-            format!(
-                "task {} is placed on machine {} of a {}-machine cluster",
-                p.task,
-                p.machine,
-                spec.num_machines()
-            )
-        })?;
-        if !tl.fits(dag.task(p.task).demand(), p.start, runtime) {
-            return Err(format!(
-                "task {} does not fit machine {}'s occupancy grid at [{}, {})",
-                p.task, p.machine, p.start, p.finish
-            ));
-        }
-        tl.place(dag.task(p.task).demand(), p.start, runtime);
-        latest = latest.max(p.finish);
     }
+    let placements = schedule.placements().iter();
+    fill_grids(
+        dag,
+        spec,
+        placements.map(|p| (p.task, p.start, p.finish, p.machine)),
+    )?;
     if let Some(machines) = spec.machines() {
         for e in dag.edges() {
             let (parent, child) = match (schedule.placement_of(e.from), schedule.placement_of(e.to))
@@ -339,74 +401,272 @@ fn replay_timeline(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result
             }
         }
     }
-    if latest != schedule.makespan() && !schedule.placements().is_empty() {
-        return Err(format!(
+    match schedule.placements().iter().map(|p| p.finish).max() {
+        Some(latest) if latest != schedule.makespan() => Err(format!(
             "latest finish {latest} != recorded makespan {}",
             schedule.makespan()
-        ));
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Places occupancy intervals `(task, start, end, machine)` one by one
+/// onto a [`ResourceTimeline`] per machine (each with that machine's own
+/// capacity): every interval must fit the occupancy already placed, slot
+/// by slot.
+fn fill_grids(
+    dag: &Dag,
+    spec: &ClusterSpec,
+    intervals: impl IntoIterator<Item = (TaskId, u64, u64, u32)>,
+) -> Result<(), String> {
+    let mut grids: Vec<ResourceTimeline> = match spec.machines() {
+        Some(m) => (0..m.len())
+            .map(|i| ResourceTimeline::new(m.capacity(i as u32).clone()))
+            .collect(),
+        None => vec![ResourceTimeline::new(spec.capacity().clone())],
+    };
+    for (task, start, end, machine) in intervals {
+        let slots = end
+            .checked_sub(start)
+            .ok_or_else(|| format!("task {task} spans [{start}, {end}) backwards"))?;
+        let tl = grids.get_mut(machine as usize).ok_or_else(|| {
+            format!(
+                "task {task} is placed on machine {machine} of a {}-machine cluster",
+                spec.num_machines()
+            )
+        })?;
+        let demand = dag.task(task).demand();
+        if !tl.fits(demand, start, slots) {
+            return Err(format!(
+                "task {task} does not fit machine {machine}'s occupancy grid at [{start}, {end})"
+            ));
+        }
+        tl.place(demand, start, slots);
     }
     Ok(())
 }
 
-/// One fuzz case: a seeded workload crossed with a scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One fuzz case: a seeded workload — one DAG, or a Poisson stream of
+/// `jobs` DAGs — on one box or a seeded multi-machine cluster, crossed
+/// with a scheduler.
+///
+/// A multi-machine cluster's capacities taper (machine 0 is always
+/// full-size, so every task admissible on a unit cluster stays admissible)
+/// and its bandwidth matrix is deterministically non-uniform in the seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseSpec {
-    /// Seed for both the workload generator and the scheduler.
+    /// Seed for the workload, the network and the scheduler.
     pub seed: u64,
-    /// Number of tasks in the generated DAG.
+    /// Jobs in the stream; 1 is the paper's single DAG arriving at 0.
+    pub jobs: usize,
+    /// Tasks per job DAG.
     pub num_tasks: usize,
     /// Resource dimensions.
     pub dims: usize,
+    /// Mean Poisson inter-arrival gap in time slots (streams only).
+    pub mean_gap: f64,
+    /// Machines; 1 is the single unit box.
+    pub machines: usize,
+    /// Base link bandwidth in bytes per slot (multi-machine only).
+    pub bandwidth: u64,
+    /// How cross-machine transfers are routed (multi-machine only).
+    pub mode: TransferMode,
     /// The scheduler under test.
     pub scheduler: SchedulerKind,
     /// Snap demands next to the capacity boundary (within one
     /// `FIT_EPSILON`) to probe the epsilon-admission region.
     pub epsilon_jitter: bool,
+    /// Execution-time faults for [`CaseSpec::run_faulty`], frozen to a
+    /// plan by the case seed. The scheduler always plans against the
+    /// fault-free workload — faults bite at execution time — so every
+    /// roster member runs unchanged.
+    pub faults: FaultProfile,
 }
 
 impl CaseSpec {
-    /// Generates the case's DAG deterministically from its seed.
-    pub fn dag(&self) -> Dag {
-        let spec = LayeredDagSpec {
+    /// The paper's setting: one DAG of `num_tasks` tasks on a unit box.
+    pub fn single(seed: u64, num_tasks: usize, dims: usize, scheduler: SchedulerKind) -> Self {
+        CaseSpec {
+            seed,
+            jobs: 1,
+            num_tasks,
+            dims,
+            mean_gap: 0.0,
+            machines: 1,
+            bandwidth: 1,
+            mode: TransferMode::Direct,
+            scheduler,
+            epsilon_jitter: false,
+            faults: FaultProfile::none(),
+        }
+    }
+
+    /// Generates the case's job queue deterministically from its seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the case parameters are degenerate (zero jobs/tasks).
+    pub fn queue(&self) -> JobQueue {
+        let layered = LayeredDagSpec {
             num_tasks: self.num_tasks,
             dims: self.dims,
             ..LayeredDagSpec::paper_training()
         };
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let dag = spec.generate(&mut rng);
-        if self.epsilon_jitter {
-            jitter_demands(&dag, &mut rng)
+        let mut jobs = if self.jobs == 1 {
+            vec![(0, layered.generate(&mut rng))]
         } else {
-            dag
+            ArrivalStreamSpec {
+                jobs: self.jobs,
+                process: ArrivalProcess::Poisson {
+                    mean_gap: self.mean_gap,
+                },
+                source: JobSource::Layered(layered),
+            }
+            .generate(self.seed)
+            .expect("layered source is total")
+        };
+        if self.epsilon_jitter {
+            for (_, dag) in &mut jobs {
+                *dag = jitter_demands(dag, &mut rng);
+            }
+        }
+        JobQueue::new(jobs).expect("generated jobs form a valid queue")
+    }
+
+    /// The seeded machine set of a multi-machine case (`None` on one box).
+    ///
+    /// # Panics
+    ///
+    /// Panics only on degenerate parameters (zero bandwidth).
+    pub fn machine_set(&self) -> Option<MachineSet> {
+        let n = self.machines;
+        if n <= 1 {
+            return None;
+        }
+        // Capacities taper: 1.0, 0.75, 0.5, 0.75, 1.0, ... per dimension.
+        let tapers = [1.0, 0.75, 0.5, 0.75];
+        let capacities: Vec<ResourceVec> = (0..n)
+            .map(|i| {
+                let scale = tapers[i % tapers.len()];
+                ResourceVec::from_slice(&vec![scale; self.dims])
+            })
+            .collect();
+        // Non-uniform links: the (i, j) link gets 1x or 2x the base
+        // bandwidth, deterministically in (seed, i, j).
+        let bandwidth: Vec<u64> = (0..n * n)
+            .map(|ij| self.bandwidth * (1 + (self.seed.wrapping_add(ij as u64)) % 2))
+            .collect();
+        Some(
+            MachineSet::new(capacities, bandwidth, self.mode, self.seed, 8)
+                .expect("case parameters form a valid machine set"),
+        )
+    }
+
+    /// The cluster the case runs on: a unit box, or the seeded machine set.
+    ///
+    /// # Panics
+    ///
+    /// Panics only on degenerate parameters.
+    pub fn cluster(&self) -> ClusterSpec {
+        match self.machine_set() {
+            Some(m) => ClusterSpec::hetero(m).expect("machine set is valid"),
+            None => ClusterSpec::unit(self.dims),
         }
     }
 
-    /// The (unit-capacity) cluster the case runs on.
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::unit(self.dims)
+    /// Runs the scheduler on `queue` (the case's workload, or a shrunk
+    /// one) and judges its schedule three ways.
+    ///
+    /// # Errors
+    ///
+    /// The scheduler's own failure — also a finding.
+    pub fn run_on(&self, queue: &JobQueue) -> Result<TriCheck, String> {
+        let spec = self.cluster();
+        let schedule = self
+            .scheduler
+            .build(self.seed, self.dims)
+            .schedule_multi(queue, &spec)
+            .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
+        Ok(check_schedule(queue, &spec, &schedule))
     }
 
-    /// Runs the scheduler and judges its schedule three ways. `Err` means
-    /// the scheduler itself failed — also a finding.
+    /// Runs the scheduler on the case's workload and judges its schedule
+    /// three ways.
+    ///
+    /// # Errors
+    ///
+    /// The scheduler's own failure — also a finding.
     pub fn run(&self) -> Result<TriCheck, String> {
-        let dag = self.dag();
+        self.run_on(&self.queue())
+    }
+
+    /// The frozen fault plan of this case.
+    pub fn plan(&self) -> FaultPlan {
+        self.faults.plan(self.seed)
+    }
+
+    /// Plans on the fault-free workload, executes the plan under the
+    /// case's fault plan, and judges the realized run three ways.
+    ///
+    /// `Ok(None)` means the execution exhausted a task's retry budget — a
+    /// legal outcome, but only a *deterministic* one: the case re-executes
+    /// and demands the identical typed error, reporting any divergence as
+    /// a finding.
+    ///
+    /// # Errors
+    ///
+    /// The scheduler's own failure, a non-exhaustion execution error, or
+    /// nondeterministic exhaustion — all findings.
+    pub fn run_faulty(&self) -> Result<Option<TriCheck>, String> {
+        let queue = self.queue();
         let spec = self.cluster();
         let mut scheduler = self.scheduler.build(self.seed, self.dims);
-        let schedule = scheduler
-            .schedule(&dag, &spec)
+        let planned = scheduler
+            .schedule_multi(&queue, &spec)
             .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
-        Ok(check_schedule(&dag, &spec, &schedule))
+        let plan = self.plan();
+        match execute_under_faults(&queue, &spec, &planned, &plan, None) {
+            Ok(run) => Ok(Some(check_faulty_run(&queue, &spec, &planned, &plan, &run))),
+            Err(SpearError::Cluster(ClusterError::RetriesExhausted { task, attempts })) => {
+                match execute_under_faults(&queue, &spec, &planned, &plan, None) {
+                    Err(SpearError::Cluster(ClusterError::RetriesExhausted {
+                        task: t2,
+                        attempts: a2,
+                    })) if t2 == task && a2 == attempts => Ok(None),
+                    other => Err(format!(
+                        "retry exhaustion is nondeterministic: task {task} after {attempts} \
+                         attempts, then {other:?}"
+                    )),
+                }
+            }
+            Err(e) => Err(format!("execution under faults failed: {e}")),
+        }
     }
 
-    /// Short label for reports, e.g. `tetris/n25/seed42/jitter`.
+    /// Short label for reports, e.g. `tetris/n25/seed42/jitter` or
+    /// `cp/j4xn6/m3/bw4/via-master/seed7`.
     pub fn label(&self) -> String {
-        format!(
-            "{}/n{}/seed{}{}",
-            self.scheduler.name(),
-            self.num_tasks,
-            self.seed,
-            if self.epsilon_jitter { "/jitter" } else { "" }
-        )
+        let mut label = format!("{}/", self.scheduler.name());
+        if self.jobs > 1 {
+            label += &format!("j{}x", self.jobs);
+        }
+        label += &format!("n{}", self.num_tasks);
+        if self.machines > 1 {
+            let mode = match self.mode {
+                TransferMode::Direct => "direct",
+                TransferMode::ViaMaster => "via-master",
+            };
+            label += &format!("/m{}/bw{}/{mode}", self.machines, self.bandwidth);
+        }
+        label += &format!("/seed{}", self.seed);
+        if self.epsilon_jitter {
+            label += "/jitter";
+        }
+        if !self.faults.is_none() {
+            label += &format!("/f{:.2}", self.faults.fail_rate);
+        }
+        label
     }
 }
 
@@ -442,286 +702,89 @@ fn jitter_demands<R: Rng + ?Sized>(dag: &Dag, rng: &mut R) -> Dag {
 }
 
 /// The seeded fuzz corpus: `count` cases cycling the full scheduler roster
-/// over mixed job sizes, alternating plain and epsilon-jittered demands.
+/// through four interleaved families, in every eight cases five single
+/// DAGs on one box, then one job stream on one box, one single DAG on a
+/// 2–3-machine cluster and one job stream on a 2–3-machine cluster.
+/// Case `j` of a family keeps the same parameters whatever `count` is.
 /// Deterministic in `base_seed`, so CI replays the exact same matrix.
 pub fn corpus(count: usize, base_seed: u64) -> Vec<CaseSpec> {
-    let sizes = [8usize, 14, 25];
+    const FAMILIES: [usize; 8] = [0, 0, 0, 0, 0, 1, 2, 3];
+    let mut next = [0usize; 4];
     (0..count)
-        .map(|i| CaseSpec {
-            seed: base_seed.wrapping_add(i as u64),
-            num_tasks: sizes[i % sizes.len()],
-            dims: 1 + (i / sizes.len()) % 2,
-            scheduler: SchedulerKind::ALL[i % SchedulerKind::ALL.len()],
-            epsilon_jitter: i % 2 == 1,
-        })
-        .collect()
-}
-
-/// Runs the three judges on a multi-job union schedule, strengthened for
-/// the online regime:
-///
-/// 1. **validate** — [`Schedule::validate`] on the union DAG, plus arrival
-///    gating (no task starts before its job arrives), plus every per-job
-///    sub-schedule re-validated against its own job DAG, plus the per-job
-///    JCTs of [`JobQueue::jct_report`] cross-checked against the
-///    placements;
-/// 2. **sim replay** — the schedule replayed action-by-action through a
-///    fresh multi-job [`SimState`], with the [`InvariantAuditor`] run
-///    after every action and [`JobQueue::jct_report_partial`] at the
-///    terminal state compared to the placement-derived report;
-/// 3. **timeline replay** — the union schedule and every per-job
-///    sub-schedule replayed onto [`ResourceTimeline`] occupancy grids.
-pub fn check_multi_schedule(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> TriCheck {
-    TriCheck {
-        validate: validate_multi(queue, spec, schedule),
-        sim_replay: replay_sim_multi(queue, spec, schedule),
-        timeline_replay: replay_timeline_multi(queue, spec, schedule),
-    }
-}
-
-/// The declarative multi-job judge: union validity, arrival gating,
-/// per-job sub-schedule validity, and per-job JCT accounting.
-fn validate_multi(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
-    schedule
-        .validate(queue.union_dag(), spec)
-        .map_err(|e| format!("union schedule: {e}"))?;
-    for span in queue.spans() {
-        for local in 0..span.tasks {
-            let task = TaskId::new(span.first_task + local);
-            let p = schedule
-                .placement_of(task)
-                .ok_or_else(|| format!("job {}: task {task} is unplaced", span.job))?;
-            if p.start < span.arrival {
-                return Err(format!(
-                    "job {}: task {task} starts at {} before the job arrives at {}",
-                    span.job, p.start, span.arrival
-                ));
+        .map(|i| {
+            let family = FAMILIES[i % FAMILIES.len()];
+            let j = next[family];
+            next[family] += 1;
+            let seed = base_seed.wrapping_add(j as u64);
+            let scheduler = SchedulerKind::ALL[j % SchedulerKind::ALL.len()];
+            let gaps = [2.0, 6.0, 12.0];
+            let bandwidths = [1u64, 4, 16];
+            let mode = if (j / 2) % 2 == 0 {
+                TransferMode::Direct
+            } else {
+                TransferMode::ViaMaster
+            };
+            match family {
+                // Single DAGs of mixed sizes, alternating plain and
+                // epsilon-jittered demands.
+                0 => CaseSpec {
+                    epsilon_jitter: j % 2 == 1,
+                    ..CaseSpec::single(seed, [8, 14, 25][j % 3], 1 + (j / 3) % 2, scheduler)
+                },
+                // Poisson streams of mixed load.
+                1 => CaseSpec {
+                    jobs: 3 + j % 3,
+                    mean_gap: gaps[j % 3],
+                    ..CaseSpec::single(seed, 6 + 2 * (j % 2), 1 + (j / 3) % 2, scheduler)
+                },
+                // Single DAGs on multi-machine clusters, both transfer
+                // modes, mixed bandwidths.
+                2 => CaseSpec {
+                    machines: 2 + j % 2,
+                    bandwidth: bandwidths[j % 3],
+                    mode,
+                    ..CaseSpec::single(seed, [6, 10, 14][j % 3], 1 + (j / 3) % 2, scheduler)
+                },
+                // Streams on multi-machine clusters.
+                _ => CaseSpec {
+                    jobs: 3 + j % 3,
+                    mean_gap: gaps[j % 3],
+                    machines: 2 + j % 2,
+                    bandwidth: bandwidths[j % 3],
+                    mode,
+                    ..CaseSpec::single(seed, 6, 1 + (j / 3) % 2, scheduler)
+                },
             }
-        }
-    }
-    let subs = queue.per_job_schedules(schedule);
-    let report = queue.jct_report(schedule);
-    if report.unfinished() != 0 {
-        return Err(format!(
-            "{} jobs unfinished in a complete schedule",
-            report.unfinished()
-        ));
-    }
-    if report.completions().len() != queue.jobs() {
-        return Err(format!(
-            "report covers {} of {} jobs",
-            report.completions().len(),
-            queue.jobs()
-        ));
-    }
-    for (span, sub) in queue.spans().iter().zip(&subs) {
-        sub.validate(queue.job_dag(span.job), spec)
-            .map_err(|e| format!("job {} sub-schedule: {e}", span.job))?;
-        let c = &report.completions()[span.job];
-        let jct = sub.makespan() - span.arrival;
-        if c.jct != jct {
-            return Err(format!(
-                "job {}: report says jct {} but the placements span {}",
-                span.job, c.jct, jct
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The operational multi-job judge: replay through a fresh multi-job
-/// [`SimState`] (which enforces arrival gating natively), auditing every
-/// step, then cross-check the terminal state's JCT report.
-fn replay_sim_multi(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    schedule: &Schedule,
-) -> Result<(), String> {
-    let dag = queue.union_dag();
-    let mut sim = SimState::new_multi(queue, spec).map_err(|e| format!("initial state: {e}"))?;
-    let mut auditor = InvariantAuditor::new();
-    let mut order: Vec<usize> = (0..schedule.placements().len()).collect();
-    order.sort_by_key(|&i| {
-        let p = &schedule.placements()[i];
-        (p.start, p.task)
-    });
-    for &i in &order {
-        let p = &schedule.placements()[i];
-        while sim.clock() < p.start {
-            sim.apply(dag, Action::Process)
-                .map_err(|e| format!("advancing to start {} of task {}: {e}", p.start, p.task))?;
-        }
-        if sim.clock() != p.start {
-            return Err(format!(
-                "task {} starts at {} but the clock can only reach {}",
-                p.task,
-                p.start,
-                sim.clock()
-            ));
-        }
-        sim.apply(dag, Action::Schedule(p.task))
-            .map_err(|e| format!("scheduling task {} at {}: {e}", p.task, p.start))?;
-        auditor
-            .check(dag, &sim)
-            .map_err(|v| format!("auditor after scheduling task {}: {v}", p.task))?;
-    }
-    while !sim.is_terminal(dag) {
-        sim.apply(dag, Action::Process)
-            .map_err(|e| format!("draining the cluster: {e}"))?;
-        auditor
-            .check(dag, &sim)
-            .map_err(|v| format!("auditor while draining: {v}"))?;
-    }
-    match sim.makespan() {
-        Some(m) if m == schedule.makespan() => {}
-        Some(m) => {
-            return Err(format!(
-                "replayed makespan {m} != recorded makespan {}",
-                schedule.makespan()
-            ))
-        }
-        None => return Err("terminal state reports no makespan".to_owned()),
-    }
-    let from_state = queue.jct_report_partial(&sim);
-    let from_schedule = queue.jct_report(schedule);
-    if from_state != from_schedule {
-        return Err(format!(
-            "state-derived JCT report {from_state:?} != placement-derived {from_schedule:?}"
-        ));
-    }
-    Ok(())
-}
-
-/// The occupancy multi-job judge: the union schedule and each per-job
-/// sub-schedule must fit their resource grids independently.
-fn replay_timeline_multi(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    schedule: &Schedule,
-) -> Result<(), String> {
-    replay_timeline(queue.union_dag(), spec, schedule).map_err(|e| format!("union: {e}"))?;
-    for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
-        replay_timeline(queue.job_dag(span.job), spec, &sub)
-            .map_err(|e| format!("job {}: {e}", span.job))?;
-    }
-    Ok(())
-}
-
-/// One multi-job fuzz case: a seeded Poisson arrival stream crossed with a
-/// scheduler's [`Scheduler::schedule_multi`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MultiCaseSpec {
-    /// Seed for the arrival stream, the job DAGs, and the scheduler.
-    pub seed: u64,
-    /// Number of jobs in the stream.
-    pub jobs: usize,
-    /// Tasks per job DAG.
-    pub tasks_per_job: usize,
-    /// Resource dimensions.
-    pub dims: usize,
-    /// Mean Poisson inter-arrival gap in time slots.
-    pub mean_gap: f64,
-    /// The scheduler under test.
-    pub scheduler: SchedulerKind,
-}
-
-impl MultiCaseSpec {
-    /// Generates the case's job queue deterministically from its seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the case parameters are degenerate (zero jobs/tasks).
-    pub fn queue(&self) -> JobQueue {
-        let stream = ArrivalStreamSpec {
-            jobs: self.jobs,
-            process: ArrivalProcess::Poisson {
-                mean_gap: self.mean_gap,
-            },
-            source: JobSource::Layered(LayeredDagSpec {
-                num_tasks: self.tasks_per_job,
-                dims: self.dims,
-                ..LayeredDagSpec::paper_training()
-            }),
-        };
-        let jobs = stream.generate(self.seed).expect("layered source is total");
-        JobQueue::new(jobs).expect("generated stream forms a valid queue")
-    }
-
-    /// The (unit-capacity) cluster the case runs on.
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::unit(self.dims)
-    }
-
-    /// Runs the scheduler's multi-job path and judges the union schedule
-    /// three ways; also returns the per-job JCT report the judges vetted.
-    /// `Err` means the scheduler itself failed — also a finding.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduler's own failure as a string.
-    pub fn run(&self) -> Result<(TriCheck, JctReport), String> {
-        let queue = self.queue();
-        let spec = self.cluster();
-        let mut scheduler = self.scheduler.build(self.seed, self.dims);
-        let schedule = scheduler
-            .schedule_multi(&queue, &spec)
-            .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
-        let report = queue.jct_report(&schedule);
-        Ok((check_multi_schedule(&queue, &spec, &schedule), report))
-    }
-
-    /// Short label for reports, e.g. `tetris/j20xn8/seed42`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/j{}xn{}/seed{}",
-            self.scheduler.name(),
-            self.jobs,
-            self.tasks_per_job,
-            self.seed
-        )
-    }
-}
-
-/// The seeded multi-job corpus: `count` cases cycling the full roster over
-/// Poisson streams of mixed load. Deterministic in `base_seed`.
-pub fn multi_corpus(count: usize, base_seed: u64) -> Vec<MultiCaseSpec> {
-    let gaps = [2.0, 6.0, 12.0];
-    (0..count)
-        .map(|i| MultiCaseSpec {
-            seed: base_seed.wrapping_add(i as u64),
-            jobs: 3 + i % 3,
-            tasks_per_job: 6 + 2 * (i % 2),
-            dims: 1 + (i / 3) % 2,
-            mean_gap: gaps[i % gaps.len()],
-            scheduler: SchedulerKind::ALL[i % SchedulerKind::ALL.len()],
         })
         .collect()
 }
 
 /// Runs the three fault-aware judges on a realized run: `run` must be the
-/// outcome of executing the fault-free `planned` schedule to completion
-/// under `plan` (no horizon — every task placed).
+/// outcome of executing the fault-free `planned` schedule of `queue` to
+/// completion under `plan` (no horizon — every task placed).
 ///
 /// 1. **validate** — declarative re-derivation of the whole run from the
-///    plan's pure draws: completeness, per-attempt durations, every failed
-///    attempt matching a `Fail` draw exactly, the retry budget, re-queue
-///    ordering, precedence on realized times, a capacity event sweep over
-///    final *and* failed occupancy intervals, and the fault counters;
+///    plan's pure draws: completeness, arrival gating, per-attempt
+///    durations, every failed attempt matching a `Fail` draw exactly, the
+///    retry budget, re-queue ordering, precedence on realized times, a
+///    capacity event sweep over final *and* failed occupancy intervals,
+///    the fault counters and the JCT report;
 /// 2. **sim replay** — a fresh audited re-execution
-///    ([`execute_under_faults_audited`]) compared bit-for-bit against the
+///    ([`execute_under_faults`]) compared bit-for-bit against the
 ///    recorded run;
 /// 3. **timeline replay** — failed and final attempts placed onto a
 ///    [`ResourceTimeline`] occupancy grid with their realized durations.
 pub fn check_faulty_run(
-    dag: &Dag,
+    queue: &JobQueue,
     spec: &ClusterSpec,
     planned: &Schedule,
     plan: &FaultPlan,
     run: &FaultyRun,
 ) -> TriCheck {
+    let dag = queue.union_dag();
     TriCheck {
-        validate: validate_faulty(dag, spec, plan, run),
-        sim_replay: replay_sim_faulty(dag, spec, planned, plan, run),
+        validate: validate_faulty(queue, spec, plan, run),
+        sim_replay: replay_sim_faulty(queue, spec, planned, plan, run),
         timeline_replay: replay_timeline_faulty(dag, spec, plan, run),
     }
 }
@@ -730,11 +793,15 @@ pub fn check_faulty_run(
 /// pure per-(task, attempt) draws and checks the recorded intervals and
 /// counters against that derivation.
 fn validate_faulty(
-    dag: &Dag,
+    queue: &JobQueue,
     spec: &ClusterSpec,
     plan: &FaultPlan,
     run: &FaultyRun,
 ) -> Result<(), String> {
+    let dag = queue.union_dag();
+    if run.truncated {
+        return Err("the run was cut short by a horizon".to_owned());
+    }
     if run.attempts.len() != dag.len() {
         return Err(format!(
             "attempts vector covers {} of {} tasks",
@@ -848,8 +915,24 @@ fn validate_faulty(
             ));
         }
     }
-    // 3. Precedence on realized times: no attempt of a child (failed or
-    // final) may begin before the parent's completing attempt finishes.
+    // 3. Arrivals and precedence on realized times: no attempt (failed
+    // or final) may begin before its job arrives, nor a child's before
+    // the parent's completing attempt finishes.
+    for span in queue.spans() {
+        let tasks = span.first_task..span.first_task + span.tasks;
+        let early = run
+            .failed_runs
+            .iter()
+            .map(|f| (f.task, f.start))
+            .chain(run.schedule.placements().iter().map(|p| (p.task, p.start)))
+            .find(|&(t, start)| tasks.contains(&t.index()) && start < span.arrival);
+        if let Some((task, start)) = early {
+            return Err(format!(
+                "task {task} begins at {start} before job {} arrives at {}",
+                span.job, span.arrival
+            ));
+        }
+    }
     for e in dag.edges() {
         let parent = run
             .schedule
@@ -941,6 +1024,9 @@ fn validate_faulty(
             run.schedule.makespan()
         ));
     }
+    if run.report != queue.jct_report(&run.schedule) {
+        return Err("the JCT report disagrees with the realized placements".to_owned());
+    }
     Ok(())
 }
 
@@ -948,13 +1034,13 @@ fn validate_faulty(
 /// same plan with the invariant auditor on, and demand a bit-identical
 /// realized run.
 fn replay_sim_faulty(
-    dag: &Dag,
+    queue: &JobQueue,
     spec: &ClusterSpec,
     planned: &Schedule,
     plan: &FaultPlan,
     run: &FaultyRun,
 ) -> Result<(), String> {
-    let reexec = execute_under_faults_audited(dag, spec, planned, plan)
+    let reexec = execute_under_faults(queue, spec, planned, plan, None)
         .map_err(|e| format!("audited re-execution: {e}"))?;
     if &reexec == run {
         return Ok(());
@@ -985,23 +1071,6 @@ fn replay_timeline_faulty(
     plan: &FaultPlan,
     run: &FaultyRun,
 ) -> Result<(), String> {
-    let mut tl = ResourceTimeline::new(spec.capacity().clone());
-    for f in &run.failed_runs {
-        let dur = f.end.checked_sub(f.start).ok_or_else(|| {
-            format!(
-                "failed attempt {} of task {} ends before it starts",
-                f.attempt, f.task
-            )
-        })?;
-        if !tl.fits(dag.task(f.task).demand(), f.start, dur) {
-            return Err(format!(
-                "failed attempt {} of task {} does not fit the grid at [{}, {})",
-                f.attempt, f.task, f.start, f.end
-            ));
-        }
-        tl.place(dag.task(f.task).demand(), f.start, dur);
-    }
-    let mut latest = 0u64;
     for p in run.schedule.placements() {
         let attempts = run
             .attempts
@@ -1016,250 +1085,40 @@ fn replay_timeline_faulty(
                 p.task, p.start, p.finish
             ));
         }
-        if !tl.fits(dag.task(p.task).demand(), p.start, slots) {
-            return Err(format!(
-                "task {} does not fit the occupancy grid at [{}, {})",
-                p.task, p.start, p.finish
-            ));
-        }
-        tl.place(dag.task(p.task).demand(), p.start, slots);
-        latest = latest.max(p.finish);
     }
-    if latest != run.makespan && !run.schedule.placements().is_empty() {
-        return Err(format!(
+    // Failed attempts hold their slots until they abort, so they share
+    // the grid with the final attempts.
+    let failed = run.failed_runs.iter().map(|f| (f.task, f.start, f.end, 0));
+    let placements = run.schedule.placements().iter();
+    fill_grids(
+        dag,
+        spec,
+        failed.chain(placements.map(|p| (p.task, p.start, p.finish, p.machine))),
+    )?;
+    match run.schedule.placements().iter().map(|p| p.finish).max() {
+        Some(latest) if latest != run.makespan => Err(format!(
             "latest finish {latest} != recorded makespan {}",
             run.makespan
-        ));
-    }
-    Ok(())
-}
-
-/// One fault-injection fuzz case: a seeded workload crossed with a
-/// scheduler and an unreliable-cluster [`FaultProfile`]. The scheduler
-/// always plans against the fault-free DAG — faults bite at execution
-/// time — so every roster member runs unchanged.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultCaseSpec {
-    /// Seed for the workload, the scheduler *and* the fault plan.
-    pub seed: u64,
-    /// Number of tasks in the generated DAG.
-    pub num_tasks: usize,
-    /// Resource dimensions.
-    pub dims: usize,
-    /// The scheduler under test.
-    pub scheduler: SchedulerKind,
-    /// The unreliable-cluster knobs; frozen to a plan via the case seed.
-    pub profile: FaultProfile,
-}
-
-impl FaultCaseSpec {
-    /// Generates the case's DAG deterministically from its seed.
-    pub fn dag(&self) -> Dag {
-        LayeredDagSpec {
-            num_tasks: self.num_tasks,
-            dims: self.dims,
-            ..LayeredDagSpec::paper_training()
-        }
-        .generate(&mut StdRng::seed_from_u64(self.seed))
-    }
-
-    /// The (unit-capacity) cluster the case runs on.
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::unit(self.dims)
-    }
-
-    /// The frozen fault plan of this case.
-    pub fn plan(&self) -> FaultPlan {
-        self.profile.plan(self.seed)
-    }
-
-    /// Plans on the fault-free DAG, executes the plan under the case's
-    /// fault plan, and judges the realized run three ways.
-    ///
-    /// `Ok(None)` means the execution exhausted a task's retry budget — a
-    /// legal outcome, but only a *deterministic* one: the case re-executes
-    /// and demands the identical typed error, reporting any divergence as
-    /// a finding.
-    ///
-    /// # Errors
-    ///
-    /// The scheduler's own failure, a non-exhaustion execution error, or
-    /// nondeterministic exhaustion — all findings.
-    pub fn run(&self) -> Result<Option<TriCheck>, String> {
-        let dag = self.dag();
-        let spec = self.cluster();
-        let mut scheduler = self.scheduler.build(self.seed, self.dims);
-        let planned = scheduler
-            .schedule(&dag, &spec)
-            .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
-        let plan = self.plan();
-        match execute_under_faults(&dag, &spec, &planned, &plan) {
-            Ok(run) => Ok(Some(check_faulty_run(&dag, &spec, &planned, &plan, &run))),
-            Err(SpearError::Cluster(ClusterError::RetriesExhausted { task, attempts })) => {
-                match execute_under_faults(&dag, &spec, &planned, &plan) {
-                    Err(SpearError::Cluster(ClusterError::RetriesExhausted {
-                        task: t2,
-                        attempts: a2,
-                    })) if t2 == task && a2 == attempts => Ok(None),
-                    other => Err(format!(
-                        "retry exhaustion is nondeterministic: task {task} after {attempts} \
-                         attempts, then {other:?}"
-                    )),
-                }
-            }
-            Err(e) => Err(format!("execution under faults failed: {e}")),
-        }
-    }
-
-    /// Short label for reports, e.g. `tetris/n25/seed42/f0.10`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/n{}/seed{}/f{:.2}",
-            self.scheduler.name(),
-            self.num_tasks,
-            self.seed,
-            self.profile.fail_rate
-        )
+        )),
+        _ => Ok(()),
     }
 }
 
-/// The seeded fault-injection corpus: `count` cases cycling the full
-/// roster over mixed job sizes and the EXPERIMENTS.md fault rates.
+/// The seeded fault-injection corpus: `count` single-DAG cases cycling the
+/// full roster over mixed job sizes and the EXPERIMENTS.md fault rates.
 /// Deterministic in `base_seed`.
-pub fn fault_corpus(count: usize, base_seed: u64) -> Vec<FaultCaseSpec> {
+pub fn fault_corpus(count: usize, base_seed: u64) -> Vec<CaseSpec> {
     let sizes = [8usize, 14, 25];
     let rates = [0.05, 0.10, 0.20];
     (0..count)
-        .map(|i| FaultCaseSpec {
-            seed: base_seed.wrapping_add(i as u64),
-            num_tasks: sizes[i % sizes.len()],
-            dims: 1 + (i / sizes.len()) % 2,
-            scheduler: SchedulerKind::ALL[i % SchedulerKind::ALL.len()],
-            profile: FaultProfile::with_rate(rates[i % rates.len()]),
-        })
-        .collect()
-}
-
-/// One heterogeneous-cluster fuzz case: a seeded workload crossed with a
-/// scheduler on a multi-machine [`ClusterSpec`] with data-transfer-aware
-/// placement. Machine capacities taper (machine 0 is always full-size, so
-/// every task admissible on a unit cluster stays admissible here) and the
-/// bandwidth matrix is deterministically non-uniform in the case seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeteroCaseSpec {
-    /// Seed for the workload generator, the scheduler, and the network.
-    pub seed: u64,
-    /// Number of tasks in the generated DAG.
-    pub num_tasks: usize,
-    /// Resource dimensions.
-    pub dims: usize,
-    /// Number of machines (≥ 1).
-    pub machines: usize,
-    /// Base link bandwidth in bytes per slot.
-    pub bandwidth: u64,
-    /// How cross-machine transfers are routed.
-    pub mode: TransferMode,
-    /// The scheduler under test.
-    pub scheduler: SchedulerKind,
-}
-
-impl HeteroCaseSpec {
-    /// Generates the case's DAG deterministically from its seed.
-    pub fn dag(&self) -> Dag {
-        LayeredDagSpec {
-            num_tasks: self.num_tasks,
-            dims: self.dims,
-            ..LayeredDagSpec::paper_training()
-        }
-        .generate(&mut StdRng::seed_from_u64(self.seed))
-    }
-
-    /// The seeded heterogeneous machine set of this case.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on degenerate parameters (zero machines/bandwidth).
-    pub fn machine_set(&self) -> MachineSet {
-        let n = self.machines;
-        // Capacities taper: 1.0, 0.75, 0.5, 0.75, 1.0, ... per dimension.
-        let tapers = [1.0, 0.75, 0.5, 0.75];
-        let capacities: Vec<ResourceVec> = (0..n)
-            .map(|i| {
-                let scale = tapers[i % tapers.len()];
-                ResourceVec::from_slice(&vec![scale; self.dims])
-            })
-            .collect();
-        // Non-uniform links: the (i, j) link gets 1x or 2x the base
-        // bandwidth, deterministically in (seed, i, j).
-        let bandwidth: Vec<u64> = (0..n * n)
-            .map(|ij| self.bandwidth * (1 + (self.seed.wrapping_add(ij as u64)) % 2))
-            .collect();
-        MachineSet::new(capacities, bandwidth, self.mode, self.seed, 8)
-            .expect("case parameters form a valid machine set")
-    }
-
-    /// The heterogeneous cluster the case runs on.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on degenerate parameters.
-    pub fn cluster(&self) -> ClusterSpec {
-        ClusterSpec::hetero(self.machine_set()).expect("machine set is valid")
-    }
-
-    /// Runs the scheduler on the heterogeneous cluster and judges its
-    /// schedule three ways. `Err` means the scheduler itself failed —
-    /// also a finding.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduler's own failure as a string.
-    pub fn run(&self) -> Result<TriCheck, String> {
-        let dag = self.dag();
-        let spec = self.cluster();
-        let mut scheduler = self.scheduler.build(self.seed, self.dims);
-        let schedule = scheduler
-            .schedule(&dag, &spec)
-            .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
-        Ok(check_schedule(&dag, &spec, &schedule))
-    }
-
-    /// Short label for reports, e.g. `tetris/n14/m3/bw4/direct/seed42`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/n{}/m{}/bw{}/{}/seed{}",
-            self.scheduler.name(),
-            self.num_tasks,
-            self.machines,
-            self.bandwidth,
-            match self.mode {
-                TransferMode::Direct => "direct",
-                TransferMode::ViaMaster => "via-master",
-            },
-            self.seed
-        )
-    }
-}
-
-/// The seeded heterogeneous corpus: `count` cases cycling the full roster
-/// over 2–3 machine clusters, both transfer modes, and mixed bandwidths.
-/// Deterministic in `base_seed`.
-pub fn hetero_corpus(count: usize, base_seed: u64) -> Vec<HeteroCaseSpec> {
-    let sizes = [6usize, 10, 14];
-    let bandwidths = [1u64, 4, 16];
-    (0..count)
-        .map(|i| HeteroCaseSpec {
-            seed: base_seed.wrapping_add(i as u64),
-            num_tasks: sizes[i % sizes.len()],
-            dims: 1 + (i / sizes.len()) % 2,
-            machines: 2 + i % 2,
-            bandwidth: bandwidths[i % bandwidths.len()],
-            mode: if (i / 2) % 2 == 0 {
-                TransferMode::Direct
-            } else {
-                TransferMode::ViaMaster
-            },
-            scheduler: SchedulerKind::ALL[i % SchedulerKind::ALL.len()],
+        .map(|i| {
+            let scheduler = SchedulerKind::ALL[i % SchedulerKind::ALL.len()];
+            let seed = base_seed.wrapping_add(i as u64);
+            let dims = 1 + (i / sizes.len()) % 2;
+            CaseSpec {
+                faults: FaultProfile::with_rate(rates[i % rates.len()]),
+                ..CaseSpec::single(seed, sizes[i % sizes.len()], dims, scheduler)
+            }
         })
         .collect()
 }
@@ -1282,12 +1141,22 @@ pub struct FixtureEdge {
     pub to: usize,
 }
 
+/// One job of a job-stream [`Fixture`]: the next `tasks` tasks of the
+/// fixture's task list, arriving at `arrival`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct FixtureJob {
+    /// Arrival time slot.
+    pub arrival: u64,
+    /// Number of tasks in the job.
+    pub tasks: usize,
+}
+
 /// A minimized, self-contained regression case committed under
-/// `tests/fixtures/`: the exact DAG (tasks + edges), the cluster capacity,
-/// and which scheduler (with which seed) exposes the disagreement.
-/// [`Fixture::verify`] re-runs the scheduler — not a stored schedule — so
-/// a fixture keeps guarding the code path after the underlying bug is
-/// fixed.
+/// `tests/fixtures/`: the exact workload (tasks + edges, and for a job
+/// stream its arrivals), the cluster, and which scheduler (with which
+/// seed) exposes the disagreement. [`Fixture::verify`] re-runs the
+/// scheduler — not a stored schedule — so a fixture keeps guarding the
+/// code path after the underlying bug is fixed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fixture {
     /// Stable fixture name (also the file stem).
@@ -1309,10 +1178,15 @@ pub struct Fixture {
     /// single-box cluster described by `capacity`.
     #[serde(default)]
     pub machines: Option<MachineSet>,
+    /// The jobs of a job-stream witness, in queue order, partitioning the
+    /// task list; empty (the default, so legacy fixtures parse) means the
+    /// whole task list is one job arriving at 0.
+    #[serde(default)]
+    pub jobs: Vec<FixtureJob>,
 }
 
 impl Fixture {
-    /// Reconstructs the DAG.
+    /// Reconstructs the DAG (a job stream's union DAG).
     ///
     /// # Panics
     ///
@@ -1328,6 +1202,19 @@ impl Fixture {
                 .expect("fixture edge must be valid");
         }
         b.build().expect("fixture must encode a valid dag")
+    }
+
+    /// Reconstructs the job queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the jobs do not partition a valid workload.
+    pub fn queue(&self) -> JobQueue {
+        let dag = self.dag();
+        if self.jobs.is_empty() {
+            return JobQueue::single(dag).expect("fixture must encode a valid dag");
+        }
+        queue_of(&dag, &self.jobs)
     }
 
     /// Reconstructs the cluster spec (heterogeneous when the fixture
@@ -1355,24 +1242,27 @@ impl Fixture {
     pub fn verify(&self) -> TriCheck {
         let kind = SchedulerKind::from_name(&self.scheduler)
             .unwrap_or_else(|| panic!("unknown scheduler {:?} in fixture", self.scheduler));
-        let dag = self.dag();
+        let queue = self.queue();
         let spec = self.cluster();
         let schedule = kind
             .build(self.seed, spec.dims())
-            .schedule(&dag, &spec)
+            .schedule_multi(&queue, &spec)
             .unwrap_or_else(|e| panic!("fixture scheduler {} failed: {e}", self.scheduler));
-        check_schedule(&dag, &spec, &schedule)
+        check_schedule(&queue, &spec, &schedule)
     }
 
-    /// Captures a concrete (dag, scheduler, seed) triple as a fixture.
+    /// Captures a concrete (workload, scheduler, seed) triple as a
+    /// fixture.
     pub fn from_parts(
         name: &str,
         description: &str,
         scheduler: SchedulerKind,
         seed: u64,
-        dag: &Dag,
+        queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Fixture {
+        let dag = queue.union_dag();
+        let bare = queue.jobs() == 1 && queue.span(0).arrival == 0;
         Fixture {
             name: name.to_owned(),
             description: description.to_owned(),
@@ -1396,17 +1286,35 @@ impl Fixture {
                 })
                 .collect(),
             machines: spec.machines().cloned(),
+            jobs: if bare {
+                Vec::new()
+            } else {
+                queue
+                    .spans()
+                    .iter()
+                    .map(|s| FixtureJob {
+                        arrival: s.arrival,
+                        tasks: s.tasks,
+                    })
+                    .collect()
+            },
         }
     }
 
     /// Serializes to pretty JSON (the committed fixture format; f64
-    /// demands round-trip exactly through shortest-float formatting).
+    /// demands round-trip exactly through shortest-float formatting). A
+    /// bare-DAG fixture omits its empty `jobs` list, so it serializes as
+    /// before job streams existed.
     ///
     /// # Panics
     ///
     /// Panics if serialization fails (it cannot for this type).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fixture serialization cannot fail")
+        let mut value = serde_json::to_value(self);
+        if let (true, serde_json::Value::Obj(fields)) = (self.jobs.is_empty(), &mut value) {
+            fields.retain(|(name, _)| name != "jobs");
+        }
+        serde_json::to_string_pretty(&value).expect("fixture serialization cannot fail")
     }
 
     /// Parses a fixture file.
@@ -1419,26 +1327,42 @@ impl Fixture {
     }
 }
 
-/// Shrinks a failing case to a locally-minimal DAG: repeatedly try
-/// removing one task (dropping its edges), keeping any removal after
-/// which `fails` still holds, until a full pass removes nothing. The
-/// predicate receives the candidate DAG and must return `true` while the
-/// bug still reproduces.
-pub fn shrink_dag<F>(dag: &Dag, mut fails: F) -> Dag
+/// Shrinks a failing workload to a locally-minimal one: repeatedly try
+/// removing one task (dropping its edges, and its job once empty), keeping
+/// any removal after which `fails` still holds, until a full pass removes
+/// nothing. Arrivals stay with their jobs. The predicate receives the
+/// candidate queue and must return `true` while the bug still reproduces.
+pub fn shrink_queue<F>(queue: &JobQueue, mut fails: F) -> JobQueue
 where
-    F: FnMut(&Dag) -> bool,
+    F: FnMut(&JobQueue) -> bool,
 {
-    let mut current = dag.clone();
+    let mut dag = queue.union_dag().clone();
+    let mut jobs: Vec<FixtureJob> = queue
+        .spans()
+        .iter()
+        .map(|s| FixtureJob {
+            arrival: s.arrival,
+            tasks: s.tasks,
+        })
+        .collect();
     loop {
         let mut removed_any = false;
         let mut i = 0;
-        while i < current.len() {
-            if current.len() <= 1 {
-                break;
+        while i < dag.len() && dag.len() > 1 {
+            let candidate = remove_task(&dag, i);
+            let mut candidate_jobs = jobs.clone();
+            let mut first = 0;
+            for (k, job) in jobs.iter().enumerate() {
+                if i < first + job.tasks {
+                    candidate_jobs[k].tasks -= 1;
+                    break;
+                }
+                first += job.tasks;
             }
-            let candidate = remove_task(&current, i);
-            if fails(&candidate) {
-                current = candidate;
+            candidate_jobs.retain(|job| job.tasks > 0);
+            if fails(&queue_of(&candidate, &candidate_jobs)) {
+                dag = candidate;
+                jobs = candidate_jobs;
                 removed_any = true;
                 // Indices shifted; re-test the same position.
             } else {
@@ -1446,9 +1370,37 @@ where
             }
         }
         if !removed_any {
-            return current;
+            return queue_of(&dag, &jobs);
         }
     }
+}
+
+/// Rebuilds the queue whose union DAG is `dag`, cut into `jobs`'
+/// consecutive task blocks (edges never cross blocks).
+fn queue_of(dag: &Dag, jobs: &[FixtureJob]) -> JobQueue {
+    let mut first = 0;
+    let pairs = jobs
+        .iter()
+        .map(|job| {
+            let block = first..first + job.tasks;
+            first += job.tasks;
+            let mut b = DagBuilder::new(dag.dims());
+            for t in &dag.tasks()[block.clone()] {
+                b.add_task(t.clone());
+            }
+            for e in dag.edges() {
+                if block.contains(&e.from.index()) {
+                    b.add_edge(
+                        TaskId::new(e.from.index() - block.start),
+                        TaskId::new(e.to.index() - block.start),
+                    )
+                    .expect("edges stay inside their job");
+                }
+            }
+            (job.arrival, b.build().expect("a job block is a valid dag"))
+        })
+        .collect();
+    JobQueue::new(pairs).expect("job blocks form a valid queue")
 }
 
 /// Rebuilds `dag` without task `removed` (edges touching it are dropped;
@@ -1485,13 +1437,8 @@ mod tests {
 
     #[test]
     fn a_clean_tetris_case_passes_three_ways() {
-        let case = CaseSpec {
-            seed: 7,
-            num_tasks: 10,
-            dims: 2,
-            scheduler: SchedulerKind::Tetris,
-            epsilon_jitter: false,
-        };
+        let case = CaseSpec::single(7, 10, 2, SchedulerKind::Tetris);
+        assert_eq!(case.label(), "tetris/n10/seed7");
         let tri = case.run().unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
         assert!(!tri.is_disagreement());
@@ -1504,7 +1451,7 @@ mod tests {
         let mut b = DagBuilder::new(1);
         b.add_task(Task::new(2, ResourceVec::from_slice(&[0.6])));
         b.add_task(Task::new(2, ResourceVec::from_slice(&[0.6])));
-        let dag = b.build().unwrap();
+        let queue = JobQueue::single(b.build().unwrap()).unwrap();
         let spec = ClusterSpec::unit(1);
         let schedule = Schedule::from_placements(
             vec![
@@ -1513,41 +1460,39 @@ mod tests {
             ],
             2,
         );
-        let tri = check_schedule(&dag, &spec, &schedule);
+        let tri = check_schedule(&queue, &spec, &schedule);
         assert!(tri.validate.is_err());
         assert!(tri.sim_replay.is_err());
         assert!(tri.timeline_replay.is_err());
         assert!(!tri.is_disagreement());
     }
 
+    fn stream(seed: u64, jobs: usize, num_tasks: usize, dims: usize, mean_gap: f64) -> CaseSpec {
+        CaseSpec {
+            jobs,
+            mean_gap,
+            ..CaseSpec::single(seed, num_tasks, dims, SchedulerKind::Tetris)
+        }
+    }
+
     #[test]
     fn a_clean_multi_job_case_passes_three_ways() {
-        let case = MultiCaseSpec {
-            seed: 5,
-            jobs: 3,
-            tasks_per_job: 6,
-            dims: 2,
-            mean_gap: 4.0,
-            scheduler: SchedulerKind::Tetris,
-        };
-        let (tri, report) = case.run().unwrap();
+        let case = stream(5, 3, 6, 2, 4.0);
+        assert_eq!(case.label(), "tetris/j3xn6/seed5");
+        let queue = case.queue();
+        assert_eq!(queue.jobs(), 3);
+        let tri = case.run_on(&queue).unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
-        assert_eq!(report.completions().len(), 3);
-        assert_eq!(report.unfinished(), 0);
     }
 
     #[test]
     fn an_early_start_multi_schedule_is_rejected() {
         // Schedule a job's task before the job arrives: the declarative
         // judge must flag arrival gating and the sim replay must refuse
-        // (the multi-job state never exposes the task as ready early).
-        let case = MultiCaseSpec {
-            seed: 9,
-            jobs: 2,
-            tasks_per_job: 4,
-            dims: 1,
-            mean_gap: 20.0,
+        // (the arrival-aware state never exposes the task as ready early).
+        let case = CaseSpec {
             scheduler: SchedulerKind::Sjf,
+            ..stream(9, 2, 4, 1, 20.0)
         };
         let queue = case.queue();
         let spec = case.cluster();
@@ -1564,55 +1509,77 @@ mod tests {
         }
         let makespan = placements.iter().map(|p| p.finish).max().unwrap();
         let corrupted = Schedule::from_placements(placements, makespan);
-        let tri = check_multi_schedule(&queue, &spec, &corrupted);
+        let tri = check_schedule(&queue, &spec, &corrupted);
         assert!(tri.validate.is_err(), "{}", tri.summary());
         assert!(tri.sim_replay.is_err(), "{}", tri.summary());
     }
 
     #[test]
-    fn multi_corpus_is_deterministic_and_covers_the_roster() {
-        let a = multi_corpus(30, 3);
-        let b = multi_corpus(30, 3);
-        assert_eq!(a, b);
-        for kind in SchedulerKind::ALL {
-            assert!(
-                a.iter().any(|c| c.scheduler == kind),
-                "{} missing",
-                kind.name()
-            );
-        }
-    }
-
-    #[test]
     fn corpus_is_deterministic_and_covers_the_roster() {
-        let a = corpus(64, 1);
-        let b = corpus(64, 1);
-        assert_eq!(a, b);
-        for kind in SchedulerKind::ALL {
-            assert!(
-                a.iter().any(|c| c.scheduler == kind),
-                "{} missing",
-                kind.name()
-            );
+        let a = corpus(320, 1);
+        assert_eq!(a, corpus(320, 1));
+        // Four families: single DAGs and streams, on one box and on
+        // multi-machine clusters, each crossing the whole roster.
+        let families: [&dyn Fn(&CaseSpec) -> bool; 4] = [
+            &|c| c.jobs == 1 && c.machines == 1,
+            &|c| c.jobs > 1 && c.machines == 1,
+            &|c| c.jobs == 1 && c.machines > 1,
+            &|c| c.jobs > 1 && c.machines > 1,
+        ];
+        let sizes: Vec<usize> = families
+            .iter()
+            .map(|f| a.iter().filter(|c| f(c)).count())
+            .collect();
+        assert_eq!(sizes, [200, 40, 40, 40]);
+        for family in families {
+            for kind in SchedulerKind::ALL {
+                assert!(
+                    a.iter().any(|c| family(c) && c.scheduler == kind),
+                    "{} missing",
+                    kind.name()
+                );
+            }
+            // A family's j-th case does not depend on the corpus size.
+            let small: Vec<CaseSpec> = corpus(64, 1).into_iter().filter(|c| family(c)).collect();
+            let large: Vec<CaseSpec> = a.iter().copied().filter(|c| family(c)).collect();
+            assert_eq!(small[..], large[..small.len()]);
         }
         assert!(a.iter().any(|c| c.epsilon_jitter));
         assert!(a.iter().any(|c| !c.epsilon_jitter));
+        assert!(a
+            .iter()
+            .any(|c| c.mode == TransferMode::Direct && c.machines > 1));
+        assert!(a.iter().any(|c| c.mode == TransferMode::ViaMaster));
+        assert!(a.iter().any(|c| c.machines == 2));
+        assert!(a.iter().any(|c| c.machines == 3));
     }
 
     #[test]
     fn a_clean_hetero_case_passes_three_ways() {
-        let case = HeteroCaseSpec {
-            seed: 7,
-            num_tasks: 10,
-            dims: 2,
+        let case = CaseSpec {
             machines: 3,
             bandwidth: 2,
-            mode: TransferMode::Direct,
-            scheduler: SchedulerKind::Tetris,
+            ..CaseSpec::single(7, 10, 2, SchedulerKind::Tetris)
         };
+        assert_eq!(case.label(), "tetris/n10/m3/bw2/direct/seed7");
         let tri = case.run().unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
         assert!(!tri.is_disagreement());
+    }
+
+    #[test]
+    fn streams_on_multi_machine_clusters_pass_three_ways() {
+        // One roster pass over the corpus family that crosses arrival
+        // streams with 2–3-machine clusters.
+        let cases: Vec<CaseSpec> = corpus(80, 0x5EED)
+            .into_iter()
+            .filter(|c| c.jobs > 1 && c.machines > 1)
+            .collect();
+        assert_eq!(cases.len(), SchedulerKind::ALL.len());
+        for case in cases {
+            let tri = case.run().unwrap();
+            assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
+        }
     }
 
     #[test]
@@ -1624,7 +1591,7 @@ mod tests {
         let parent = b.add_task(Task::new(2, ResourceVec::from_slice(&[0.5])));
         let child = b.add_task(Task::new(2, ResourceVec::from_slice(&[0.5])));
         b.add_edge(parent, child).unwrap();
-        let dag = b.build().unwrap();
+        let queue = JobQueue::single(b.build().unwrap()).unwrap();
         let machines = MachineSet::uniform(
             2,
             ResourceVec::from_slice(&[1.0]),
@@ -1653,7 +1620,7 @@ mod tests {
             ],
             4,
         );
-        let tri = check_schedule(&dag, &spec, &schedule);
+        let tri = check_schedule(&queue, &spec, &schedule);
         assert!(tri.validate.is_err(), "{}", tri.summary());
         assert!(tri.sim_replay.is_err(), "{}", tri.summary());
         assert!(tri.timeline_replay.is_err(), "{}", tri.summary());
@@ -1661,42 +1628,20 @@ mod tests {
     }
 
     #[test]
-    fn hetero_corpus_is_deterministic_and_covers_the_roster() {
-        let a = hetero_corpus(40, 4);
-        assert_eq!(a, hetero_corpus(40, 4));
-        for kind in SchedulerKind::ALL {
-            assert!(
-                a.iter().any(|c| c.scheduler == kind),
-                "{} missing",
-                kind.name()
-            );
-        }
-        assert!(a.iter().any(|c| c.mode == TransferMode::Direct));
-        assert!(a.iter().any(|c| c.mode == TransferMode::ViaMaster));
-        assert!(a.iter().any(|c| c.machines == 2));
-        assert!(a.iter().any(|c| c.machines == 3));
-    }
-
-    #[test]
     fn hetero_fixture_round_trips_the_machine_set() {
-        let case = HeteroCaseSpec {
-            seed: 11,
-            num_tasks: 6,
-            dims: 1,
+        let case = CaseSpec {
             machines: 2,
             bandwidth: 4,
             mode: TransferMode::ViaMaster,
-            scheduler: SchedulerKind::Sjf,
+            ..CaseSpec::single(11, 6, 1, SchedulerKind::Sjf)
         };
-        let dag = case.dag();
-        let spec = case.cluster();
         let fixture = Fixture::from_parts(
             "hetero-round-trip",
             "serialization test",
             case.scheduler,
             case.seed,
-            &dag,
-            &spec,
+            &case.queue(),
+            &case.cluster(),
         );
         let parsed = Fixture::from_json(&fixture.to_json()).unwrap();
         assert_eq!(parsed, fixture);
@@ -1705,14 +1650,48 @@ mod tests {
         assert!(tri.all_ok(), "{}", tri.summary());
     }
 
-    fn faulty_case(seed: u64, profile: FaultProfile) -> FaultCaseSpec {
-        FaultCaseSpec {
-            seed,
-            num_tasks: 12,
-            dims: 2,
-            scheduler: SchedulerKind::Tetris,
-            profile,
+    #[test]
+    fn a_stream_fixture_round_trips_its_arrivals() {
+        let case = CaseSpec {
+            machines: 2,
+            bandwidth: 4,
+            ..stream(3, 3, 6, 1, 6.0)
+        };
+        let queue = case.queue();
+        let fixture = Fixture::from_parts(
+            "stream-round-trip",
+            "serialization test",
+            case.scheduler,
+            case.seed,
+            &queue,
+            &case.cluster(),
+        );
+        assert_eq!(fixture.jobs.len(), 3);
+        let parsed = Fixture::from_json(&fixture.to_json()).unwrap();
+        assert_eq!(parsed, fixture);
+        assert_eq!(parsed.queue(), queue);
+        let tri = parsed.verify();
+        assert!(tri.all_ok(), "{}", tri.summary());
+    }
+
+    fn faulty_case(seed: u64, faults: FaultProfile) -> CaseSpec {
+        CaseSpec {
+            faults,
+            ..CaseSpec::single(seed, 12, 2, SchedulerKind::Tetris)
         }
+    }
+
+    /// The case's fault-free plan and its execution under the case plan.
+    fn plan_and_run(case: &CaseSpec) -> (JobQueue, ClusterSpec, Schedule, FaultyRun) {
+        let queue = case.queue();
+        let spec = case.cluster();
+        let planned = case
+            .scheduler
+            .build(case.seed, case.dims)
+            .schedule_multi(&queue, &spec)
+            .unwrap();
+        let run = execute_under_faults(&queue, &spec, &planned, &case.plan(), None).unwrap();
+        (queue, spec, planned, run)
     }
 
     #[test]
@@ -1726,22 +1705,14 @@ mod tests {
                 max_retries: 5,
             },
         );
-        let dag = case.dag();
-        let spec = case.cluster();
-        let planned = case
-            .scheduler
-            .build(case.seed, case.dims)
-            .schedule(&dag, &spec)
-            .unwrap();
-        let plan = case.plan();
-        let run = execute_under_faults(&dag, &spec, &planned, &plan).unwrap();
+        let (queue, spec, planned, run) = plan_and_run(&case);
         assert!(
             run.failures > 0 && run.straggles > 0,
             "seed must actually inject faults (got {} failures, {} straggles)",
             run.failures,
             run.straggles
         );
-        let tri = check_faulty_run(&dag, &spec, &planned, &plan, &run);
+        let tri = check_faulty_run(&queue, &spec, &planned, &case.plan(), &run);
         assert!(tri.all_ok(), "{}", tri.summary());
         assert!(run.makespan >= planned.makespan());
     }
@@ -1749,34 +1720,18 @@ mod tests {
     #[test]
     fn a_null_profile_leaves_execution_fault_free() {
         let case = faulty_case(5, FaultProfile::none());
-        let dag = case.dag();
-        let spec = case.cluster();
-        let planned = case
-            .scheduler
-            .build(case.seed, case.dims)
-            .schedule(&dag, &spec)
-            .unwrap();
-        let plan = case.plan();
-        assert!(plan.is_none());
-        let run = execute_under_faults(&dag, &spec, &planned, &plan).unwrap();
+        assert!(case.plan().is_none());
+        let (queue, spec, planned, run) = plan_and_run(&case);
         assert_eq!((run.failures, run.straggles), (0, 0));
         assert!(run.failed_runs.is_empty());
-        let tri = check_faulty_run(&dag, &spec, &planned, &plan, &run);
+        let tri = check_faulty_run(&queue, &spec, &planned, &case.plan(), &run);
         assert!(tri.all_ok(), "{}", tri.summary());
     }
 
     #[test]
     fn a_tampered_faulty_run_is_rejected_coherently() {
         let case = faulty_case(7, FaultProfile::with_rate(0.2));
-        let dag = case.dag();
-        let spec = case.cluster();
-        let planned = case
-            .scheduler
-            .build(case.seed, case.dims)
-            .schedule(&dag, &spec)
-            .unwrap();
-        let plan = case.plan();
-        let run = execute_under_faults(&dag, &spec, &planned, &plan).unwrap();
+        let (queue, spec, planned, run) = plan_and_run(&case);
         // Stretch the latest-finishing placement by one slot: the
         // declarative judge sees a duration off its draw, the operational
         // judge sees divergent placements, the occupancy judge sees the
@@ -1790,7 +1745,7 @@ mod tests {
         let mut bad = run.clone();
         bad.schedule = Schedule::from_placements(placements, makespan);
         bad.makespan = makespan;
-        let tri = check_faulty_run(&dag, &spec, &planned, &plan, &bad);
+        let tri = check_faulty_run(&queue, &spec, &planned, &case.plan(), &bad);
         assert!(tri.validate.is_err(), "{}", tri.summary());
         assert!(tri.sim_replay.is_err(), "{}", tri.summary());
         assert!(tri.timeline_replay.is_err(), "{}", tri.summary());
@@ -1808,7 +1763,7 @@ mod tests {
                 max_retries: 0,
             },
         );
-        assert_eq!(case.run().unwrap(), None);
+        assert_eq!(case.run_faulty().unwrap(), None);
     }
 
     #[test]
@@ -1822,27 +1777,26 @@ mod tests {
                 kind.name()
             );
         }
-        assert!(a.iter().all(|c| !c.profile.is_none()));
+        assert!(a.iter().all(|c| !c.faults.is_none()));
+        assert_eq!(a[1].label(), "sjf/n14/seed3/f0.10");
     }
 
     #[test]
     fn fixture_json_round_trips_sub_epsilon_demands() {
         let case = CaseSpec {
-            seed: 3,
-            num_tasks: 6,
-            dims: 1,
-            scheduler: SchedulerKind::Sjf,
             epsilon_jitter: true,
+            ..CaseSpec::single(3, 6, 1, SchedulerKind::Sjf)
         };
-        let dag = case.dag();
+        let queue = case.queue();
         let fixture = Fixture::from_parts(
             "round-trip",
             "serialization test",
             case.scheduler,
             case.seed,
-            &dag,
+            &queue,
             &case.cluster(),
         );
+        assert!(fixture.jobs.is_empty(), "one job at 0 is the bare DAG");
         let parsed = Fixture::from_json(&fixture.to_json()).unwrap();
         assert_eq!(parsed, fixture);
         // Bit-exact demands survive the JSON round trip.
@@ -1851,26 +1805,41 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
-        assert_eq!(parsed.dag().len(), dag.len());
+        assert_eq!(parsed.queue(), queue);
     }
 
     #[test]
     fn shrinking_keeps_the_failure_and_minimizes() {
-        let case = CaseSpec {
-            seed: 11,
-            num_tasks: 12,
-            dims: 1,
-            scheduler: SchedulerKind::Tetris,
-            epsilon_jitter: false,
-        };
-        let dag = case.dag();
+        let queue = CaseSpec::single(11, 12, 1, SchedulerKind::Tetris).queue();
         // Pretend the bug is "contains a task with runtime >= 2".
-        let fails = |d: &Dag| d.tasks().iter().any(|t| t.runtime() >= 2);
-        if !fails(&dag) {
+        let fails = |q: &JobQueue| q.union_dag().tasks().iter().any(|t| t.runtime() >= 2);
+        if !fails(&queue) {
             return; // seed produced all-1 runtimes; nothing to shrink
         }
-        let small = shrink_dag(&dag, fails);
+        let small = shrink_queue(&queue, fails);
         assert!(fails(&small));
-        assert_eq!(small.len(), 1, "minimal witness is a single task");
+        assert_eq!(
+            small.union_dag().len(),
+            1,
+            "minimal witness is a single task"
+        );
+    }
+
+    #[test]
+    fn shrinking_a_stream_keeps_arrivals_with_their_jobs() {
+        let queue = stream(4, 3, 6, 1, 6.0).queue();
+        let last = *queue.spans().last().unwrap();
+        assert!(last.arrival > 0, "seed must produce a staggered stream");
+        // Pretend the bug needs one task of the last job plus an edge.
+        let fails = |q: &JobQueue| {
+            q.spans().iter().any(|s| s.arrival == last.arrival) && !q.union_dag().edges().is_empty()
+        };
+        let small = shrink_queue(&queue, fails);
+        assert!(fails(&small));
+        assert_eq!(small.union_dag().len(), 2, "an edge needs two tasks");
+        assert!(small.jobs() <= 2, "emptied jobs are dropped");
+        for span in small.spans() {
+            assert!(queue.spans().iter().any(|s| s.arrival == span.arrival));
+        }
     }
 }

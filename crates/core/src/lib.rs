@@ -79,12 +79,11 @@ pub use spear_cluster::env;
 pub use spear_cluster::audit;
 
 // The most-used types at the top level.
-pub use spear_cluster::env::{DecisionPolicy, Env, EnvContext, EpisodeDriver, MultiJobEnv, SimEnv};
+pub use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
 pub use spear_cluster::{
-    execute_multi_under_faults, execute_under_faults, execute_under_faults_audited, Action,
-    AuditViolation, ClusterError, ClusterSpec, ErrorContext, FailedRun, FaultOutcome, FaultPlan,
-    FaultyRun, InvariantAuditor, JctReport, JobCompletion, JobQueue, JobSpan, MachineSet,
-    MultiFaultyRun, Placement, Schedule, SimState, SpearError, TransferMode,
+    execute_under_faults, Action, AuditViolation, ClusterError, ClusterSpec, ErrorContext,
+    FailedRun, FaultOutcome, FaultPlan, FaultyRun, InvariantAuditor, JctReport, JobCompletion,
+    JobQueue, JobSpan, MachineSet, Placement, Schedule, SimState, SpearError, TransferMode,
 };
 pub use spear_dag::{Dag, DagBuilder, DagError, ResourceVec, Task, TaskId};
 pub use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts, SearchStats};

@@ -160,8 +160,7 @@ impl SpearScheduler {
         self.inner.schedule_with_stats(dag, spec)
     }
 
-    /// Schedules a continuous-arrival job stream and reports search
-    /// statistics (see
+    /// Schedules a job stream and reports search statistics (see
     /// [`MctsScheduler::schedule_multi_with_stats`]).
     ///
     /// # Errors
@@ -184,10 +183,6 @@ impl SpearScheduler {
 impl Scheduler for SpearScheduler {
     fn name(&self) -> &str {
         "spear"
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        self.inner.schedule(dag, spec)
     }
 
     fn schedule_multi(

@@ -1,6 +1,7 @@
 //! Differential schedule fuzzing (tier-1 slice).
 //!
-//! Runs a seeded `LayeredDagSpec` × scheduler-roster corpus through the
+//! Runs a seeded `LayeredDagSpec` × scheduler-roster corpus — single DAGs
+//! and job streams, on one box and on multi-machine clusters — through the
 //! three-way checker of [`spear::diffcheck`] and verifies every committed
 //! regression fixture under `tests/fixtures/`. The CI fuzz job
 //! (`fuzz_differential` in `spear-bench`) runs the same harness over a
@@ -11,16 +12,16 @@
 use std::fs;
 use std::path::PathBuf;
 
-use spear::diffcheck::{corpus, shrink_dag, CaseSpec, Fixture, SchedulerKind};
+use spear::diffcheck::{corpus, shrink_queue, CaseSpec, Fixture, SchedulerKind};
 use spear::Scheduler;
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures")
 }
 
-/// The tier-1 corpus: small but crossing the full roster, both plain and
-/// epsilon-jittered. The CI job runs ≥ 200 cases; this slice must stay
-/// fast enough for debug builds.
+/// The tier-1 corpus: small but crossing the full roster and all four
+/// families, both plain and epsilon-jittered. The CI job runs 320 cases;
+/// this slice must stay fast enough for debug builds.
 #[test]
 fn seeded_corpus_has_no_three_way_disagreements() {
     let mut failures = Vec::new();
@@ -73,11 +74,8 @@ fn epsilon_boundary_sweep_stays_consistent() {
     for seed in 0..12u64 {
         for scheduler in [SchedulerKind::Tetris, SchedulerKind::Sjf, SchedulerKind::Cp] {
             let case = CaseSpec {
-                seed,
-                num_tasks: 14,
-                dims: 1,
-                scheduler,
                 epsilon_jitter: true,
+                ..CaseSpec::single(seed, 14, 1, scheduler)
             };
             match case.run() {
                 Ok(tri) if tri.all_ok() => {}
@@ -104,21 +102,18 @@ fn mcts_matrix_passes_three_ways_and_cache_is_transparent() {
     ];
     for (cached, uncached) in pairs {
         for seed in [3u64, 19] {
-            let mk = |scheduler| CaseSpec {
-                seed,
-                num_tasks: 12,
-                dims: 2,
-                scheduler,
-                epsilon_jitter: false,
-            };
+            let mk = |scheduler| CaseSpec::single(seed, 12, 2, scheduler);
             for case in [mk(cached), mk(uncached)] {
                 let tri = case.run().unwrap();
                 assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
             }
             let case = mk(cached);
-            let (dag, spec) = (case.dag(), case.cluster());
-            let on = cached.build(seed, 2).schedule(&dag, &spec).unwrap();
-            let off = uncached.build(seed, 2).schedule(&dag, &spec).unwrap();
+            let (queue, spec) = (case.queue(), case.cluster());
+            let on = cached.build(seed, 2).schedule_multi(&queue, &spec).unwrap();
+            let off = uncached
+                .build(seed, 2)
+                .schedule_multi(&queue, &spec)
+                .unwrap();
             assert_eq!(
                 on,
                 off,
@@ -133,18 +128,12 @@ fn mcts_matrix_passes_three_ways_and_cache_is_transparent() {
 /// witness that still round-trips through the fixture format.
 #[test]
 fn shrunk_witness_round_trips_as_fixture() {
-    let case = CaseSpec {
-        seed: 5,
-        num_tasks: 20,
-        dims: 2,
-        scheduler: SchedulerKind::Tetris,
-        epsilon_jitter: false,
-    };
-    let dag = case.dag();
+    let case = CaseSpec::single(5, 20, 2, SchedulerKind::Tetris);
     // Synthetic "bug": the DAG contains an edge (shrinks to 2 tasks).
-    let small = shrink_dag(&dag, |d| !d.edges().is_empty());
-    assert!(small.len() <= 3, "shrunk to {} tasks", small.len());
-    assert!(!small.edges().is_empty());
+    let small = shrink_queue(&case.queue(), |q| !q.union_dag().edges().is_empty());
+    let dag = small.union_dag();
+    assert!(dag.len() <= 3, "shrunk to {} tasks", dag.len());
+    assert!(!dag.edges().is_empty());
     let fixture = Fixture::from_parts(
         "shrunk-witness",
         "synthetic shrink round-trip",
@@ -154,6 +143,6 @@ fn shrunk_witness_round_trips_as_fixture() {
         &case.cluster(),
     );
     let parsed = Fixture::from_json(&fixture.to_json()).unwrap();
-    assert_eq!(parsed.dag().len(), small.len());
-    assert_eq!(parsed.dag().edges(), small.edges());
+    assert_eq!(parsed.dag().len(), dag.len());
+    assert_eq!(parsed.dag().edges(), dag.edges());
 }

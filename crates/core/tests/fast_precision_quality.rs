@@ -25,13 +25,7 @@ use spear::{FeatureConfig, MctsConfig, MctsScheduler, PolicyNetwork, Scheduler};
 const MAKESPAN_BAND: f64 = 1.05;
 
 fn drl_case(seed: u64, num_tasks: usize) -> CaseSpec {
-    CaseSpec {
-        seed,
-        num_tasks,
-        dims: 2,
-        scheduler: SchedulerKind::MctsDrl,
-        epsilon_jitter: false,
-    }
+    CaseSpec::single(seed, num_tasks, 2, SchedulerKind::MctsDrl)
 }
 
 /// A DRL scheduler at the requested precision. Everything except
@@ -58,14 +52,14 @@ fn scheduler(
 }
 
 fn run_case(case: CaseSpec, cfg: FeatureConfig, hidden: &[usize], failures: &mut Vec<String>) {
-    let dag = case.dag();
+    let queue = case.queue();
     let spec = case.cluster();
     let mut pair = Vec::new();
     for precision in [Precision::Exact, Precision::Fast] {
         let mut sched = scheduler(case.seed, cfg.clone(), hidden, precision);
-        match sched.schedule(&dag, &spec) {
+        match sched.schedule_multi(&queue, &spec) {
             Ok(schedule) => {
-                let tri = check_schedule(&dag, &spec, &schedule);
+                let tri = check_schedule(&queue, &spec, &schedule);
                 if !tri.all_ok() {
                     failures.push(format!(
                         "{} [{precision}]: judges rejected: {}",

@@ -101,12 +101,13 @@ where
         dag: &Dag,
         spec: &ClusterSpec,
     ) -> Result<(Schedule, Vec<SearchStats>), SpearError> {
-        self.race_workers(|scheduler| scheduler.schedule_with_stats(dag, spec))
+        self.schedule_multi_with_stats(&JobQueue::single(dag.clone())?, spec)
     }
 
-    /// Multi-job counterpart of [`RootParallelMcts::schedule_with_stats`]:
+    /// Like [`RootParallelMcts::schedule_with_stats`] over a job stream:
     /// every worker searches the same arrival stream independently and the
-    /// best union schedule wins.
+    /// best union schedule wins (deterministic tie-break on the lowest
+    /// worker seed).
     ///
     /// # Errors
     ///
@@ -116,27 +117,17 @@ where
         queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Result<(Schedule, Vec<SearchStats>), SpearError> {
-        self.race_workers(|scheduler| scheduler.schedule_multi_with_stats(queue, spec))
-    }
-
-    /// Spawns the worker pool, runs `search` in each, and keeps the best
-    /// schedule (deterministic tie-break on the lowest worker seed).
-    fn race_workers<R>(&mut self, search: R) -> Result<(Schedule, Vec<SearchStats>), SpearError>
-    where
-        R: Fn(&mut MctsScheduler) -> Result<(Schedule, SearchStats), SpearError> + Sync,
-    {
         let results: Vec<Result<(Schedule, SearchStats), SpearError>> = thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
                 .map(|w| {
                     let factory = &self.factory;
                     let registry = &self.registry;
-                    let search = &search;
                     scope.spawn(move || {
                         let mut scheduler = factory(w as u64);
                         if spear_obs::compiled() && registry.is_active() {
                             scheduler.set_obs(&registry.sink(&format!("mcts-worker-{w}")));
                         }
-                        search(&mut scheduler)
+                        scheduler.schedule_multi_with_stats(queue, spec)
                     })
                 })
                 .collect();
@@ -207,10 +198,6 @@ where
 {
     fn name(&self) -> &str {
         "mcts-parallel"
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        Ok(self.schedule_with_stats(dag, spec)?.0)
     }
 
     fn schedule_multi(

@@ -372,7 +372,8 @@ impl MctsScheduler {
         }
     }
 
-    /// Schedules `dag` and reports search statistics alongside.
+    /// Schedules `dag` — the one-job queue that arrives at time 0 — and
+    /// reports search statistics alongside.
     ///
     /// # Errors
     ///
@@ -382,15 +383,13 @@ impl MctsScheduler {
         dag: &Dag,
         spec: &ClusterSpec,
     ) -> Result<(Schedule, SearchStats), SpearError> {
-        // Scale exploration to the makespan magnitude (paper §IV).
-        let estimate = spear_sched::greedy_makespan_estimate(dag, spec)? as f64;
-        self.run_search(dag, spec, None, estimate)
+        self.schedule_multi_with_stats(&JobQueue::single(dag.clone())?, spec)
     }
 
-    /// Schedules a continuous-arrival job stream and reports search
-    /// statistics alongside. The search tree spans the union DAG; every
-    /// rollout inherits the arrival gating through state cloning, so the
-    /// optimized makespan is the stream's completion time.
+    /// Schedules a job stream and reports search statistics alongside.
+    /// The search tree spans the union DAG; every rollout inherits the
+    /// arrival gating through state cloning, so the optimized makespan is
+    /// the stream's completion time.
     ///
     /// # Errors
     ///
@@ -400,20 +399,10 @@ impl MctsScheduler {
         queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Result<(Schedule, SearchStats), SpearError> {
+        // Scale exploration to the makespan magnitude (paper §IV).
         let estimate = spear_sched::greedy_makespan_estimate_multi(queue, spec)? as f64;
+        let dag = queue.union_dag();
         let root = SimState::new_multi(queue, spec)?;
-        self.run_search(queue.union_dag(), spec, Some(root), estimate)
-    }
-
-    /// Shared decision loop behind the single- and multi-job entry
-    /// points: `root` of `None` starts from the DAG's initial state.
-    fn run_search(
-        &mut self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        root: Option<SimState>,
-        estimate: f64,
-    ) -> Result<(Schedule, SearchStats), SpearError> {
         let start = std::time::Instant::now();
         self.prepare_obs();
         let features = GraphFeatures::compute(dag);
@@ -428,25 +417,15 @@ impl MctsScheduler {
                 .unwrap_or_default(),
         );
 
-        let mut search = match root {
-            Some(state) => MctsSearch::from_root_state(
-                dag,
-                spec,
-                &features,
-                self.policy.as_mut(),
-                exploration,
-                self.config.seed,
-                state,
-            )?,
-            None => MctsSearch::new(
-                dag,
-                spec,
-                &features,
-                self.policy.as_mut(),
-                exploration,
-                self.config.seed,
-            )?,
-        };
+        let mut search = MctsSearch::from_root_state(
+            dag,
+            spec,
+            &features,
+            self.policy.as_mut(),
+            exploration,
+            self.config.seed,
+            root,
+        )?;
         search.set_max_value_mode(self.config.max_value_backprop);
         if let Some((evaluator, steps)) = self.evaluator.as_mut() {
             search.set_rollout_truncation(*steps, evaluator.as_mut());
@@ -502,10 +481,6 @@ impl MctsScheduler {
 impl Scheduler for MctsScheduler {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        Ok(self.schedule_with_stats(dag, spec)?.0)
     }
 
     fn schedule_multi(

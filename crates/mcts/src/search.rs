@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spear_cluster::env::{DriveOutcome, Env, EpisodeDriver, SimEnv};
+use spear_cluster::env::{DriveOutcome, EpisodeDriver, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;
@@ -92,12 +92,12 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
         exploration: f64,
         seed: u64,
     ) -> Result<Self, SpearError> {
-        let root_env = SimEnv::new(dag, spec)?;
-        Self::from_env(dag, spec, features, policy, exploration, seed, root_env)
+        let root_state = SimState::new(dag, spec)?;
+        Self::from_root_state(dag, spec, features, policy, exploration, seed, root_state)
     }
 
     /// Creates a search rooted at an arbitrary simulation state of `dag`
-    /// — e.g. a multi-job state built with
+    /// — e.g. a job stream's state built with
     /// [`SimState::new_multi`](spear_cluster::SimState::new_multi), whose
     /// arrival gating every rollout then inherits through state cloning.
     ///
@@ -115,19 +115,6 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
     ) -> Result<Self, SpearError> {
         spec.validate_dag(dag)?;
         let root_env = SimEnv::from_state(dag, spec, root_state);
-        Self::from_env(dag, spec, features, policy, exploration, seed, root_env)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_env(
-        dag: &'a Dag,
-        spec: &'a ClusterSpec,
-        features: &'a GraphFeatures,
-        policy: &'a mut P,
-        exploration: f64,
-        seed: u64,
-        root_env: SimEnv<'a>,
-    ) -> Result<Self, SpearError> {
         // A new search is a new episode: cached policies drop entries
         // computed under a previous DAG/spec. Within this episode they
         // retain entries across decisions (same DAG, same weights — a
@@ -196,7 +183,7 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
 
     /// The current root state.
     pub fn root_state(&self) -> &SimState {
-        self.root_env.state()
+        self.root_env.observe()
     }
 
     /// Whether the committed schedule is complete.
@@ -377,7 +364,7 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
     /// around the scratch legal buffer each rollout so the hot path stays
     /// allocation-free once the buffers have warmed up: actions are
     /// enumerated into the reused buffer and applied with
-    /// [`Env::step_trusted`].
+    /// [`SimEnv::step_trusted`].
     fn rollout(&mut self, env: &mut SimEnv<'a>, legal: &mut Vec<Action>) -> f64 {
         // Truncation only applies when an evaluator can bootstrap the
         // remainder; without one the rollout always runs to termination.

@@ -1,7 +1,7 @@
 //! Full-episode rollouts of the policy on the simulator.
 
 use rand::Rng;
-use spear_cluster::env::{DecisionPolicy, Env, EnvContext, EpisodeDriver, SimEnv};
+use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;

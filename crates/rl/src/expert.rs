@@ -7,7 +7,7 @@
 //! in the network's own action space, and [`collect_expert_dataset`] turns
 //! its decisions into `(features, action, mask)` training rows.
 
-use spear_cluster::env::{Env, EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
+use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;

@@ -16,7 +16,7 @@
 //! * a configurable node budget; the result reports whether the search
 //!   completed (proving optimality) or was truncated.
 
-use spear_cluster::env::{Env, MultiJobEnv, SimEnv};
+use spear_cluster::env::SimEnv;
 use spear_cluster::{Action, ClusterSpec, JobQueue, Schedule, SimState, SpearError};
 use spear_dag::analysis;
 use spear_dag::{Dag, TaskId};
@@ -68,54 +68,19 @@ impl BnBScheduler {
         BnBScheduler { config }
     }
 
-    /// Runs the exact search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError`] if the DAG cannot run on the cluster.
-    pub fn solve(&self, dag: &Dag, spec: &ClusterSpec) -> Result<BnBOutcome, SpearError> {
-        // Incumbent: the greedy packer.
-        let greedy = TetrisScheduler::new().schedule(dag, spec)?;
-        let b_levels = analysis::b_levels(dag);
-        let mut search = Search {
-            dag,
-            spec,
-            b_levels,
-            arrivals: None,
-            best: greedy.makespan(),
-            best_state: None,
-            nodes: 0,
-            max_nodes: self.config.max_nodes,
-        };
-        let root = SimEnv::new(dag, spec)?;
-        let exhausted = search.dfs(&root)?;
-        let schedule = match search.best_state {
-            Some(state) => SimEnv::from_state(dag, spec, state).into_schedule()?,
-            None => greedy,
-        };
-        Ok(BnBOutcome {
-            schedule,
-            proved_optimal: exhausted,
-            nodes: search.nodes,
-        })
-    }
-
-    /// Exact search over an arrival stream: the branch-and-bound explores
-    /// the multi-job simulator's action space, so its optimum is the
-    /// best *union makespan* any online scheduler could achieve on this
-    /// stream (given full knowledge of future arrivals).
+    /// Runs the exact search over an arrival stream: the branch-and-bound
+    /// explores the simulator's action space, so its optimum is the best
+    /// *union makespan* any online scheduler could achieve on this stream
+    /// (given full knowledge of future arrivals). A single DAG is the
+    /// one-job queue [`JobQueue::single`].
     ///
     /// # Errors
     ///
     /// Returns [`SpearError`] if any job cannot run on the cluster.
-    pub fn solve_multi(
-        &self,
-        queue: &JobQueue,
-        spec: &ClusterSpec,
-    ) -> Result<BnBOutcome, SpearError> {
+    pub fn solve(&self, queue: &JobQueue, spec: &ClusterSpec) -> Result<BnBOutcome, SpearError> {
         let dag = queue.union_dag();
+        // Incumbent: the greedy packer.
         let greedy = TetrisScheduler::new().schedule_multi(queue, spec)?;
-        let b_levels = analysis::b_levels(dag);
         // Per-task release times tighten the bound: an unstarted task can
         // never start before its job arrives.
         let mut arrivals = vec![0u64; dag.len()];
@@ -125,14 +90,15 @@ impl BnBScheduler {
         let mut search = Search {
             dag,
             spec,
-            b_levels,
-            arrivals: Some(arrivals),
+            b_levels: analysis::b_levels(dag),
+            arrivals,
+            load: vec![0.0; spec.dims()],
             best: greedy.makespan(),
             best_state: None,
             nodes: 0,
             max_nodes: self.config.max_nodes,
         };
-        let root = MultiJobEnv::new(queue, spec)?;
+        let root = SimEnv::from_queue(queue, spec)?;
         let exhausted = search.dfs(&root)?;
         let schedule = match search.best_state {
             Some(state) => SimEnv::from_state(dag, spec, state).into_schedule()?,
@@ -151,16 +117,12 @@ impl Scheduler for BnBScheduler {
         "bnb"
     }
 
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        Ok(self.solve(dag, spec)?.schedule)
-    }
-
     fn schedule_multi(
         &mut self,
         queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Result<Schedule, SpearError> {
-        Ok(self.solve_multi(queue, spec)?.schedule)
+        Ok(self.solve(queue, spec)?.schedule)
     }
 }
 
@@ -168,10 +130,11 @@ struct Search<'a> {
     dag: &'a Dag,
     spec: &'a ClusterSpec,
     b_levels: Vec<u64>,
-    /// Per-task release times (multi-job searches only); `None` keeps the
-    /// single-job bound — and therefore the explored tree — bit-identical
-    /// to what it was before arrivals existed.
-    arrivals: Option<Vec<u64>>,
+    /// Per-task release times: each task's job arrival. Arrivals of zero
+    /// never raise the bound, so a single DAG explores the same tree.
+    arrivals: Vec<u64>,
+    /// Scratch of the per-dimension unscheduled load.
+    load: Vec<f64>,
     best: u64,
     best_state: Option<SimState>,
     nodes: u64,
@@ -193,7 +156,7 @@ impl Search<'_> {
     /// starts relative to this relaxation, so the bound stays admissible,
     /// and the aggregate load bound relaxes per-machine capacities to
     /// their sum, which again only under-estimates the true makespan.
-    fn lower_bound(&self, state: &SimState) -> u64 {
+    fn lower_bound(&mut self, state: &SimState) -> u64 {
         let mut lb = state.max_finish();
         // Ready tasks: start >= clock.
         for &t in state.ready() {
@@ -207,24 +170,19 @@ impl Search<'_> {
                 }
             }
         }
-        // Release-time bound (multi-job only): an unstarted task cannot
-        // start before its job arrives, so it finishes no earlier than
-        // arrival + b-level.
-        if let Some(arrivals) = &self.arrivals {
-            for t in self.dag.task_ids() {
-                if state.start_of(t).is_none() {
-                    lb = lb.max(arrivals[t.index()] + self.b_levels[t.index()]);
+        // Unscheduled tasks: a task cannot start before its job arrives,
+        // so it finishes no earlier than arrival + b-level; and their
+        // summed load per dimension must fit after `clock`.
+        self.load.fill(0.0);
+        for t in self.dag.task_ids() {
+            if state.start_of(t).is_none() {
+                lb = lb.max(self.arrivals[t.index()] + self.b_levels[t.index()]);
+                for (r, load) in self.load.iter_mut().enumerate() {
+                    *load += self.dag.task(t).load(r);
                 }
             }
         }
-        // Load bound over unscheduled tasks.
-        for r in 0..self.spec.dims() {
-            let mut load = 0.0;
-            for t in self.dag.task_ids() {
-                if state.start_of(t).is_none() {
-                    load += self.dag.task(t).load(r);
-                }
-            }
+        for (r, &load) in self.load.iter().enumerate() {
             let cap = self.spec.capacity()[r];
             if cap > 0.0 {
                 lb = lb.max(state.clock() + (load / cap).floor() as u64);
@@ -239,9 +197,9 @@ impl Search<'_> {
     /// # Errors
     ///
     /// Propagates simulator errors (legal actions never fail to apply, but
-    /// the checked [`Env::step`] surfaces any violation as a typed error
+    /// the checked [`SimEnv::step`] surfaces any violation as a typed error
     /// instead of panicking).
-    fn dfs<E: Env + Clone>(&mut self, env: &E) -> Result<bool, SpearError> {
+    fn dfs(&mut self, env: &SimEnv<'_>) -> Result<bool, SpearError> {
         if self.nodes >= self.max_nodes {
             return Ok(false);
         }
@@ -292,7 +250,8 @@ pub fn optimal_makespan(
     spec: &ClusterSpec,
     max_nodes: u64,
 ) -> Result<Option<u64>, SpearError> {
-    let outcome = BnBScheduler::with_config(BnBConfig { max_nodes }).solve(dag, spec)?;
+    let outcome = BnBScheduler::with_config(BnBConfig { max_nodes })
+        .solve(&JobQueue::single(dag.clone())?, spec)?;
     Ok(outcome.proved_optimal.then(|| outcome.schedule.makespan()))
 }
 
@@ -314,7 +273,7 @@ mod tests {
         b.add_task(Task::new(5, ResourceVec::from_slice(&[0.5])));
         let dag = b.build().unwrap();
         let outcome = BnBScheduler::new()
-            .solve(&dag, &ClusterSpec::unit(1))
+            .solve(&JobQueue::single(dag).unwrap(), &ClusterSpec::unit(1))
             .unwrap();
         assert!(outcome.proved_optimal);
         assert_eq!(outcome.schedule.makespan(), 5);
@@ -333,7 +292,8 @@ mod tests {
         }
         let dag = b.build().unwrap();
         let spec = ClusterSpec::unit(2);
-        let outcome = BnBScheduler::new().solve(&dag, &spec).unwrap();
+        let queue = JobQueue::single(dag.clone()).unwrap();
+        let outcome = BnBScheduler::new().solve(&queue, &spec).unwrap();
         assert!(outcome.proved_optimal);
         assert_eq!(outcome.schedule.makespan(), 20);
         outcome.schedule.validate(&dag, &spec).unwrap();
@@ -348,7 +308,8 @@ mod tests {
                 ..LayeredDagSpec::paper_training()
             }
             .generate(&mut StdRng::seed_from_u64(seed));
-            let outcome = BnBScheduler::new().solve(&dag, &spec).unwrap();
+            let queue = JobQueue::single(dag.clone()).unwrap();
+            let outcome = BnBScheduler::new().solve(&queue, &spec).unwrap();
             assert!(outcome.proved_optimal, "seed {seed} did not finish");
             let opt = outcome.schedule.makespan();
             for mut h in [
@@ -372,7 +333,7 @@ mod tests {
         .generate(&mut StdRng::seed_from_u64(9));
         let spec = ClusterSpec::unit(2);
         let outcome = BnBScheduler::with_config(BnBConfig { max_nodes: 50 })
-            .solve(&dag, &spec)
+            .solve(&JobQueue::single(dag.clone()).unwrap(), &spec)
             .unwrap();
         // Truncated search still returns a valid schedule (the greedy
         // incumbent at worst).
@@ -398,7 +359,7 @@ mod tests {
         ])
         .unwrap();
         let spec = ClusterSpec::unit(1);
-        let outcome = BnBScheduler::new().solve_multi(&queue, &spec).unwrap();
+        let outcome = BnBScheduler::new().solve(&queue, &spec).unwrap();
         assert!(outcome.proved_optimal);
         let s = &outcome.schedule;
         s.validate(queue.union_dag(), &spec).unwrap();

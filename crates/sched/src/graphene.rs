@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use spear_cluster::{ClusterSpec, JobQueue, ResourceTimeline, Schedule, SpearError};
 use spear_dag::{Dag, TaskId};
 
-use crate::{execute_priority_order, execute_priority_order_multi, Scheduler};
+use crate::{execute_priority_order, Scheduler};
 
 /// Which end of the virtual resource-time space packing starts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -174,55 +174,19 @@ impl Graphene {
         starts.into_iter().map(|(_, _, t)| t).collect()
     }
 
-    /// Like [`Scheduler::schedule`] but also reports which threshold and
-    /// direction won — useful for ablations over the parameter sensitivity
-    /// the Spear paper criticizes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError`] if the DAG cannot run on the cluster.
-    pub fn schedule_with_details(
-        &self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-    ) -> Result<(Schedule, GrapheneChoice), SpearError> {
-        spec.validate_dag(dag)?;
-        let mut best: Option<(Schedule, GrapheneChoice)> = None;
-        for &threshold in &self.config.runtime_thresholds {
-            let troublesome = self.troublesome_tasks(dag, spec, threshold);
-            for direction in [PackDirection::Forward, PackDirection::Backward] {
-                let order = self.virtual_order(dag, spec, &troublesome, direction);
-                let schedule = execute_priority_order(dag, spec, &order)?;
-                let better = match &best {
-                    Some((b, _)) => schedule.makespan() < b.makespan(),
-                    None => true,
-                };
-                if better {
-                    best = Some((
-                        schedule,
-                        GrapheneChoice {
-                            threshold,
-                            direction,
-                            troublesome: troublesome.len(),
-                        },
-                    ));
-                }
-            }
-        }
-        Ok(best.expect("config has at least one threshold"))
-    }
-
-    /// Multi-job variant of [`Graphene::schedule_with_details`]: the
-    /// troublesome sets and virtual orders are derived on the arrival
-    /// stream's union DAG (the virtual packing ignores arrivals, exactly
-    /// as it ignores dependencies), then every candidate order is executed
-    /// arrival-aware through the multi-job simulator and the best real
-    /// schedule wins.
+    /// Like [`Scheduler::schedule_multi`] but also reports which
+    /// threshold and direction won — useful for ablations over the
+    /// parameter sensitivity the Spear paper criticizes. The troublesome
+    /// sets and virtual orders are derived on the union DAG (the virtual
+    /// packing ignores arrivals, exactly as it ignores dependencies), then
+    /// every candidate order is executed arrival-aware and the best real
+    /// schedule wins. A single DAG is the one-job queue
+    /// [`JobQueue::single`].
     ///
     /// # Errors
     ///
     /// Returns [`SpearError`] if any job cannot run on the cluster.
-    pub fn schedule_multi_with_details(
+    pub fn schedule_with_details(
         &self,
         queue: &JobQueue,
         spec: &ClusterSpec,
@@ -234,7 +198,7 @@ impl Graphene {
             let troublesome = self.troublesome_tasks(dag, spec, threshold);
             for direction in [PackDirection::Forward, PackDirection::Backward] {
                 let order = self.virtual_order(dag, spec, &troublesome, direction);
-                let schedule = execute_priority_order_multi(queue, spec, &order)?;
+                let schedule = execute_priority_order(queue, spec, &order)?;
                 let better = match &best {
                     Some((b, _)) => schedule.makespan() < b.makespan(),
                     None => true,
@@ -260,16 +224,12 @@ impl Scheduler for Graphene {
         "graphene"
     }
 
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        Ok(self.schedule_with_details(dag, spec)?.0)
-    }
-
     fn schedule_multi(
         &mut self,
         queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Result<Schedule, SpearError> {
-        Ok(self.schedule_multi_with_details(queue, spec)?.0)
+        Ok(self.schedule_with_details(queue, spec)?.0)
     }
 }
 
@@ -325,8 +285,9 @@ mod tests {
     #[test]
     fn details_report_winning_parameters() {
         let dag = LayeredDagSpec::paper_training().generate(&mut StdRng::seed_from_u64(3));
+        let queue = JobQueue::single(dag.clone()).unwrap();
         let (s, choice) = Graphene::new()
-            .schedule_with_details(&dag, &spec2())
+            .schedule_with_details(&queue, &spec2())
             .unwrap();
         assert!([0.2, 0.4, 0.6, 0.8].contains(&choice.threshold));
         assert!(choice.troublesome <= dag.len());

@@ -50,10 +50,7 @@ mod scorers;
 
 pub use bnb::{BnBConfig, BnBOutcome, BnBScheduler};
 pub use graphene::{Graphene, GrapheneConfig, PackDirection};
-pub use list::{
-    execute_priority_order, execute_priority_order_multi, PriorityListScheduler, ScoreContext,
-    TaskScorer,
-};
+pub use list::{execute_priority_order, PriorityListScheduler, ScoreContext, TaskScorer};
 pub use observed::ObservedScheduler;
 pub use scorers::{
     CpScheduler, CpScorer, RandomScheduler, RandomScorer, SjfScheduler, SjfScorer, TetrisScheduler,
@@ -67,21 +64,13 @@ use spear_dag::Dag;
 ///
 /// Implementations take `&mut self` because several schedulers carry
 /// internal RNG state. The returned [`Schedule`] always passes
-/// [`Schedule::validate`] for the same `dag` and `spec`.
+/// [`Schedule::validate`] for the same DAG (a queue's union DAG) and
+/// `spec`.
 pub trait Scheduler {
     /// Human-readable name used in experiment reports (e.g. `"tetris"`).
     fn name(&self) -> &str;
 
-    /// Produces a complete schedule of `dag` on `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpearError`] if the DAG cannot run on the cluster
-    /// (dimension mismatch or an oversized task).
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError>;
-
-    /// Produces a complete schedule of a continuous-arrival job stream on
-    /// `spec` (the online multi-job setting).
+    /// Produces a complete schedule of a job stream on `spec`.
     ///
     /// The returned schedule places every task of the [`JobQueue`]'s union
     /// DAG; no task starts before its job's arrival. Per-job completion
@@ -89,21 +78,28 @@ pub trait Scheduler {
     ///
     /// # Errors
     ///
-    /// Returns [`SpearError`] if any job cannot run on the cluster.
+    /// Returns [`SpearError`] if any job cannot run on the cluster
+    /// (dimension mismatch or an oversized task).
     fn schedule_multi(
         &mut self,
         queue: &JobQueue,
         spec: &ClusterSpec,
     ) -> Result<Schedule, SpearError>;
+
+    /// Produces a complete schedule of `dag` on `spec`: the one-job queue
+    /// that arrives at time 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpearError`] if the DAG cannot run on the cluster.
+    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
+        self.schedule_multi(&JobQueue::single(dag.clone())?, spec)
+    }
 }
 
 impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        (**self).schedule(dag, spec)
     }
 
     fn schedule_multi(
@@ -118,10 +114,6 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 impl<S: Scheduler + ?Sized> Scheduler for &mut S {
     fn name(&self) -> &str {
         (**self).name()
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        (**self).schedule(dag, spec)
     }
 
     fn schedule_multi(
@@ -142,11 +134,11 @@ impl<S: Scheduler + ?Sized> Scheduler for &mut S {
 ///
 /// Returns [`SpearError`] if the DAG cannot run on the cluster.
 pub fn greedy_makespan_estimate(dag: &Dag, spec: &ClusterSpec) -> Result<u64, SpearError> {
-    Ok(TetrisScheduler::new().schedule(dag, spec)?.makespan())
+    greedy_makespan_estimate_multi(&JobQueue::single(dag.clone())?, spec)
 }
 
-/// Multi-job counterpart of [`greedy_makespan_estimate`]: the Tetris
-/// packer's makespan over the whole arrival stream.
+/// The Tetris packer's makespan over a whole arrival stream (see
+/// [`greedy_makespan_estimate`]).
 ///
 /// # Errors
 ///

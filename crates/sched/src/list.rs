@@ -6,7 +6,7 @@
 //! resource- and dependency-aware *executor*; the [`TaskScorer`] is the
 //! *policy*.
 
-use spear_cluster::env::{Env, EnvContext, EpisodeDriver, FnPolicy, MultiJobEnv, NoRng, SimEnv};
+use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use spear_cluster::{Action, ClusterSpec, JobQueue, Schedule, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
@@ -99,9 +99,17 @@ impl<S: TaskScorer> PriorityListScheduler<S> {
     }
 }
 
-impl<S: TaskScorer> PriorityListScheduler<S> {
-    /// Drives any env to termination with the greedy scoring policy.
-    fn drive_env<E: Env>(&mut self, env: &mut E) -> Result<(), SpearError> {
+impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
+    fn name(&self) -> &str {
+        self.scorer.name()
+    }
+
+    fn schedule_multi(
+        &mut self,
+        queue: &JobQueue,
+        spec: &ClusterSpec,
+    ) -> Result<Schedule, SpearError> {
+        let mut env = SimEnv::from_queue(queue, spec)?;
         let features = GraphFeatures::compute(env.dag());
         let scorer = &mut self.scorer;
         // The legal `Schedule` actions are exactly the ready-and-fitting
@@ -117,29 +125,7 @@ impl<S: TaskScorer> PriorityListScheduler<S> {
         });
         EpisodeDriver::new(policy)
             .with_obs(&self.obs)
-            .drive(env, &mut NoRng, u64::MAX)?;
-        Ok(())
-    }
-}
-
-impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
-    fn name(&self) -> &str {
-        self.scorer.name()
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        let mut env = SimEnv::new(dag, spec)?;
-        self.drive_env(&mut env)?;
-        env.into_schedule()
-    }
-
-    fn schedule_multi(
-        &mut self,
-        queue: &JobQueue,
-        spec: &ClusterSpec,
-    ) -> Result<Schedule, SpearError> {
-        let mut env = MultiJobEnv::new(queue, spec)?;
-        self.drive_env(&mut env)?;
+            .drive(&mut env, &mut NoRng, u64::MAX)?;
         env.into_schedule()
     }
 }
@@ -206,34 +192,13 @@ fn select_best<F: FnMut(TaskId) -> f64>(
 }
 
 /// Executes a fixed priority order dependency- and resource-aware: at every
-/// decision point the earliest-in-order ready task that fits is scheduled.
+/// decision point the earliest-in-order legal task is scheduled — a task
+/// is eligible once its job has arrived, it is ready and it fits.
 ///
 /// This is Graphene's final stage (running the order derived from the
 /// virtual placement through the real cluster) and is generally useful for
-/// turning any total order of tasks into a valid schedule.
-///
-/// `order` must contain every task exactly once.
-///
-/// # Errors
-///
-/// Returns [`SpearError`] if the DAG cannot run on the cluster.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the DAG's tasks.
-pub fn execute_priority_order(
-    dag: &Dag,
-    spec: &ClusterSpec,
-    order: &[TaskId],
-) -> Result<Schedule, SpearError> {
-    let mut env = SimEnv::new(dag, spec)?;
-    drive_priority_order(&mut env, order)?;
-    env.into_schedule()
-}
-
-/// Multi-job counterpart of [`execute_priority_order`]: runs a total order
-/// over the union DAG's tasks through a [`MultiJobEnv`], so a task is only
-/// eligible once its job has arrived (on top of readiness and fit).
+/// turning any total order of tasks into a valid schedule. A single DAG is
+/// the one-job queue [`JobQueue::single`].
 ///
 /// `order` must contain every task of the union DAG exactly once.
 ///
@@ -244,21 +209,12 @@ pub fn execute_priority_order(
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the union DAG's tasks.
-pub fn execute_priority_order_multi(
+pub fn execute_priority_order(
     queue: &JobQueue,
     spec: &ClusterSpec,
     order: &[TaskId],
 ) -> Result<Schedule, SpearError> {
-    let mut env = MultiJobEnv::new(queue, spec)?;
-    drive_priority_order(&mut env, order)?;
-    env.into_schedule()
-}
-
-/// Shared executor behind [`execute_priority_order`] and
-/// [`execute_priority_order_multi`]: at every decision point the
-/// earliest-in-order legal task is scheduled.
-fn drive_priority_order<E: Env>(env: &mut E, order: &[TaskId]) -> Result<(), SpearError> {
-    let dag = env.dag();
+    let dag = queue.union_dag();
     assert_eq!(order.len(), dag.len(), "order must cover every task");
     let mut rank = vec![usize::MAX; dag.len()];
     for (i, &t) in order.iter().enumerate() {
@@ -290,8 +246,9 @@ fn drive_priority_order<E: Env>(env: &mut E, order: &[TaskId]) -> Result<(), Spe
         }
         best.map_or(Action::Process, |(a, ..)| a)
     });
-    EpisodeDriver::new(policy).drive(env, &mut NoRng, u64::MAX)?;
-    Ok(())
+    let mut env = SimEnv::from_queue(queue, spec)?;
+    EpisodeDriver::new(policy).drive(&mut env, &mut NoRng, u64::MAX)?;
+    env.into_schedule()
 }
 
 #[cfg(test)]
@@ -368,7 +325,8 @@ mod tests {
         let c = b.add_task(Task::new(2, ResourceVec::from_slice(&[0.5])));
         b.add_edge(a, c).unwrap();
         let dag = b.build().unwrap();
-        let s = execute_priority_order(&dag, &ClusterSpec::unit(1), &[c, a]).unwrap();
+        let queue = JobQueue::single(dag.clone()).unwrap();
+        let s = execute_priority_order(&queue, &ClusterSpec::unit(1), &[c, a]).unwrap();
         assert_eq!(s.placement_of(a).unwrap().start, 0);
         assert_eq!(s.placement_of(c).unwrap().start, 2);
         s.validate(&dag, &ClusterSpec::unit(1)).unwrap();
@@ -378,7 +336,8 @@ mod tests {
     fn execute_order_follows_order_among_ready() {
         let dag = three_independent();
         let order = [TaskId::new(2), TaskId::new(0), TaskId::new(1)];
-        let s = execute_priority_order(&dag, &ClusterSpec::unit(1), &order).unwrap();
+        let queue = JobQueue::single(dag).unwrap();
+        let s = execute_priority_order(&queue, &ClusterSpec::unit(1), &order).unwrap();
         assert_eq!(s.placement_of(TaskId::new(2)).unwrap().start, 0);
         assert_eq!(s.placement_of(TaskId::new(0)).unwrap().start, 2);
         assert_eq!(s.placement_of(TaskId::new(1)).unwrap().start, 4);
@@ -387,16 +346,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "order must cover every task")]
     fn execute_order_rejects_short_order() {
-        let dag = three_independent();
-        let _ = execute_priority_order(&dag, &ClusterSpec::unit(1), &[TaskId::new(0)]);
+        let queue = JobQueue::single(three_independent()).unwrap();
+        let _ = execute_priority_order(&queue, &ClusterSpec::unit(1), &[TaskId::new(0)]);
     }
 
     #[test]
     #[should_panic(expected = "twice")]
     fn execute_order_rejects_duplicates() {
-        let dag = three_independent();
+        let queue = JobQueue::single(three_independent()).unwrap();
         let order = [TaskId::new(0), TaskId::new(0), TaskId::new(1)];
-        let _ = execute_priority_order(&dag, &ClusterSpec::unit(1), &order);
+        let _ = execute_priority_order(&queue, &ClusterSpec::unit(1), &order);
     }
 
     #[test]
@@ -420,20 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_single_job_queue_matches_schedule() {
-        let dag = three_independent();
-        let spec = ClusterSpec::unit(1);
-        let single = PriorityListScheduler::new(ById)
-            .schedule(&dag, &spec)
-            .unwrap();
-        let queue = JobQueue::single(dag).unwrap();
-        let multi = PriorityListScheduler::new(ById)
-            .schedule_multi(&queue, &spec)
-            .unwrap();
-        assert_eq!(single, multi);
-    }
-
-    #[test]
     fn execute_order_multi_gates_on_arrival() {
         // The order begs for the late job first, but it cannot start
         // before t=3; the earlier job fills the gap.
@@ -445,7 +390,7 @@ mod tests {
         let queue = JobQueue::new(vec![(0, one_task(2)), (3, one_task(2))]).unwrap();
         let spec = ClusterSpec::unit(1);
         let order = [TaskId::new(1), TaskId::new(0)];
-        let s = execute_priority_order_multi(&queue, &spec, &order).unwrap();
+        let s = execute_priority_order(&queue, &spec, &order).unwrap();
         assert_eq!(s.placement_of(TaskId::new(0)).unwrap().start, 0);
         assert_eq!(s.placement_of(TaskId::new(1)).unwrap().start, 3);
     }

@@ -1,14 +1,13 @@
 //! Per-scheduler decision-latency instrumentation.
 //!
 //! [`ObservedScheduler`] wraps any [`Scheduler`] and records how long each
-//! `schedule` call takes into the `sched.<name>.schedule_ns` histogram,
+//! schedule call takes into the `sched.<name>.schedule_ns` histogram,
 //! plus a `sched.<name>.schedules` call counter and the resulting
 //! makespan as `sched.<name>.makespan`. The wrapper never changes the
 //! wrapped scheduler's output — it only times the call — so it is safe to
 //! drop into any experiment without perturbing results.
 
 use spear_cluster::{ClusterSpec, JobQueue, Schedule, SpearError};
-use spear_dag::Dag;
 use spear_obs::{Counter, Gauge, Histogram, Obs};
 
 use crate::Scheduler;
@@ -92,25 +91,6 @@ impl<S: Scheduler> Scheduler for ObservedScheduler<S> {
         self.inner.name()
     }
 
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        let span = if spear_obs::compiled() {
-            self.sched_obs
-                .as_ref()
-                .map(|so| so.schedule_ns.start_span())
-        } else {
-            None
-        };
-        let result = self.inner.schedule(dag, spec);
-        drop(span);
-        if spear_obs::compiled() {
-            if let (Some(so), Ok(schedule)) = (&self.sched_obs, &result) {
-                so.schedules.incr();
-                so.makespan.set(schedule.makespan() as f64);
-            }
-        }
-        result
-    }
-
     fn schedule_multi(
         &mut self,
         queue: &JobQueue,
@@ -142,6 +122,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spear_dag::generator::LayeredDagSpec;
+    use spear_dag::Dag;
     use spear_obs::MetricsRegistry;
 
     fn dag() -> Dag {

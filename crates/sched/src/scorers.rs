@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spear_cluster::{ClusterSpec, JobQueue, Schedule, SpearError};
-use spear_dag::{Dag, TaskId};
+use spear_dag::TaskId;
 
 use crate::{PriorityListScheduler, Scheduler, ScoreContext, TaskScorer};
 
@@ -115,14 +115,6 @@ macro_rules! wrap_scheduler {
                 self.inner.scorer().name()
             }
 
-            fn schedule(
-                &mut self,
-                dag: &Dag,
-                spec: &ClusterSpec,
-            ) -> Result<Schedule, SpearError> {
-                self.inner.schedule(dag, spec)
-            }
-
             fn schedule_multi(
                 &mut self,
                 queue: &JobQueue,
@@ -200,10 +192,6 @@ impl RandomScheduler {
 impl Scheduler for RandomScheduler {
     fn name(&self) -> &str {
         "random"
-    }
-
-    fn schedule(&mut self, dag: &Dag, spec: &ClusterSpec) -> Result<Schedule, SpearError> {
-        self.inner.schedule(dag, spec)
     }
 
     fn schedule_multi(

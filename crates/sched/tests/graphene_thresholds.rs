@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spear_cluster::ClusterSpec;
+use spear_cluster::{ClusterSpec, JobQueue};
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::{Dag, DagBuilder, ResourceVec, Task, TaskId};
 use spear_sched::{Graphene, GrapheneConfig, Scheduler};
@@ -96,7 +96,10 @@ fn demand_threshold_widens_every_runtime_set() {
 fn winning_choice_comes_from_the_sweep() {
     let dag = LayeredDagSpec::paper_training().generate(&mut StdRng::seed_from_u64(17));
     let spec = ClusterSpec::unit(2);
-    let (schedule, choice) = Graphene::new().schedule_with_details(&dag, &spec).unwrap();
+    let queue = JobQueue::single(dag.clone()).unwrap();
+    let (schedule, choice) = Graphene::new()
+        .schedule_with_details(&queue, &spec)
+        .unwrap();
     schedule.validate(&dag, &spec).unwrap();
     assert!([0.2, 0.4, 0.6, 0.8].contains(&choice.threshold));
     assert_eq!(

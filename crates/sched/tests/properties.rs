@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use spear_cluster::ClusterSpec;
+use spear_cluster::{ClusterSpec, JobQueue};
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::{Dag, TaskId};
 use spear_sched::{
@@ -96,7 +96,8 @@ proptest! {
         let spec = ClusterSpec::unit(2);
         let mut order: Vec<TaskId> = dag.task_ids().collect();
         order.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
-        let s = execute_priority_order(&dag, &spec, &order).unwrap();
+        let queue = JobQueue::single(dag.clone()).unwrap();
+        let s = execute_priority_order(&queue, &spec, &order).unwrap();
         s.validate(&dag, &spec).unwrap();
         prop_assert!(s.makespan() <= dag.total_work());
     }

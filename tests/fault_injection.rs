@@ -7,19 +7,20 @@
 use spear::dag::generator::LayeredDagSpec;
 use spear::diffcheck::{check_faulty_run, SchedulerKind};
 use spear::{
-    execute_multi_under_faults, execute_under_faults, ArrivalProcess, ArrivalStreamSpec,
-    ClusterError, ClusterSpec, Dag, FaultPlan, FaultProfile, JobQueue, JobSource, Scheduler,
-    SpearError,
+    execute_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterError, ClusterSpec, FaultPlan,
+    FaultProfile, JobQueue, JobSource, Scheduler, SpearError,
 };
 
-fn dag(num_tasks: usize, seed: u64) -> Dag {
+/// A seeded single DAG: the one-job queue arriving at time 0.
+fn single(num_tasks: usize, seed: u64) -> JobQueue {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    LayeredDagSpec {
+    let dag = LayeredDagSpec {
         num_tasks,
         ..LayeredDagSpec::paper_training()
     }
-    .generate(&mut StdRng::seed_from_u64(seed))
+    .generate(&mut StdRng::seed_from_u64(seed));
+    JobQueue::single(dag).unwrap()
 }
 
 fn stream_queue(jobs: usize, tasks_per_job: usize, seed: u64) -> JobQueue {
@@ -43,7 +44,7 @@ fn stream_queue(jobs: usize, tasks_per_job: usize, seed: u64) -> JobQueue {
 #[test]
 fn the_roster_survives_ten_percent_faults_and_passes_the_tri_judge() {
     let spec = ClusterSpec::unit(2);
-    let dag = dag(14, 11);
+    let queue = single(14, 11);
     let profile = FaultProfile {
         max_retries: 5,
         ..FaultProfile::with_rate(0.10)
@@ -51,12 +52,17 @@ fn the_roster_survives_ten_percent_faults_and_passes_the_tri_judge() {
     let plan = profile.plan(11);
     let mut total_faults = 0;
     for kind in SchedulerKind::ALL {
-        let planned = kind.build(11, 2).schedule(&dag, &spec).unwrap();
-        let run = execute_under_faults(&dag, &spec, &planned, &plan)
+        let planned = kind.build(11, 2).schedule_multi(&queue, &spec).unwrap();
+        let run = execute_under_faults(&queue, &spec, &planned, &plan, None)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        let tri = check_faulty_run(&dag, &spec, &planned, &plan, &run);
+        let tri = check_faulty_run(&queue, &spec, &planned, &plan, &run);
         assert!(tri.all_ok(), "{}: {}", kind.name(), tri.summary());
-        assert_eq!(run.attempts.len(), dag.len(), "{}", kind.name());
+        assert_eq!(
+            run.attempts.len(),
+            queue.union_dag().len(),
+            "{}",
+            kind.name()
+        );
         total_faults += run.failures + run.straggles;
     }
     assert!(total_faults > 0, "the 10% sweep never drew a fault");
@@ -68,21 +74,21 @@ fn the_roster_survives_ten_percent_faults_and_passes_the_tri_judge() {
 #[test]
 fn null_plans_are_identity_regardless_of_seed() {
     let spec = ClusterSpec::unit(2);
-    let dag = dag(12, 3);
+    let queue = single(12, 3);
     let planned = SchedulerKind::Tetris
         .build(3, 2)
-        .schedule(&dag, &spec)
+        .schedule_multi(&queue, &spec)
         .unwrap();
     let null = FaultPlan::none();
     let reseeded = FaultProfile::none().plan(0xdead_beef);
     assert!(null.is_none() && reseeded.is_none());
-    let a = execute_under_faults(&dag, &spec, &planned, &null).unwrap();
-    let b = execute_under_faults(&dag, &spec, &planned, &reseeded).unwrap();
+    let a = execute_under_faults(&queue, &spec, &planned, &null, None).unwrap();
+    let b = execute_under_faults(&queue, &spec, &planned, &reseeded, None).unwrap();
     assert_eq!(a, b, "null plans must be seed-independent");
     assert_eq!((a.failures, a.straggles), (0, 0));
     assert!(a.failed_runs.is_empty());
     assert!(a.attempts.iter().all(|&n| n == 1));
-    let tri = check_faulty_run(&dag, &spec, &planned, &null, &a);
+    let tri = check_faulty_run(&queue, &spec, &planned, &null, &a);
     assert!(tri.all_ok(), "{}", tri.summary());
 }
 
@@ -92,10 +98,10 @@ fn null_plans_are_identity_regardless_of_seed() {
 #[test]
 fn retry_exhaustion_is_a_deterministic_typed_error() {
     let spec = ClusterSpec::unit(2);
-    let dag = dag(9, 21);
+    let queue = single(9, 21);
     let planned = SchedulerKind::Sjf
         .build(21, 2)
-        .schedule(&dag, &spec)
+        .schedule_multi(&queue, &spec)
         .unwrap();
     let plan = FaultPlan {
         seed: 21,
@@ -110,8 +116,8 @@ fn retry_exhaustion_is_a_deterministic_typed_error() {
         }
         other => panic!("expected retry exhaustion, got {other:?}"),
     };
-    let first = exhausted(execute_under_faults(&dag, &spec, &planned, &plan));
-    let second = exhausted(execute_under_faults(&dag, &spec, &planned, &plan));
+    let first = exhausted(execute_under_faults(&queue, &spec, &planned, &plan, None));
+    let second = exhausted(execute_under_faults(&queue, &spec, &planned, &plan, None));
     assert_eq!(first, second, "exhaustion must be seed-deterministic");
     assert_eq!(first.1, 1, "a zero-retry budget allows exactly one attempt");
 }
@@ -134,13 +140,17 @@ fn faults_compose_with_a_multi_job_horizon() {
     }
     .plan(31);
 
-    let full = execute_multi_under_faults(&queue, &spec, &planned, &plan, None).unwrap();
+    let full = execute_under_faults(&queue, &spec, &planned, &plan, None).unwrap();
     assert!(!full.truncated);
     assert_eq!(full.report.unfinished(), 0);
     assert_eq!(full.report.completions().len(), queue.jobs());
+    // The complete stream run passes the fault-aware judges, arrival
+    // gating of every attempt included.
+    let tri = check_faulty_run(&queue, &spec, &planned, &plan, &full);
+    assert!(tri.all_ok(), "{}", tri.summary());
 
-    let horizon = full.run.makespan / 2;
-    let cut = execute_multi_under_faults(&queue, &spec, &planned, &plan, Some(horizon)).unwrap();
+    let horizon = full.makespan / 2;
+    let cut = execute_under_faults(&queue, &spec, &planned, &plan, Some(horizon)).unwrap();
     assert!(cut.truncated, "half the realized makespan must truncate");
     assert!(cut.report.unfinished() > 0);
     assert_eq!(
@@ -148,7 +158,7 @@ fn faults_compose_with_a_multi_job_horizon() {
         queue.jobs(),
         "every job is either completed or censored"
     );
-    assert!(cut.run.makespan <= full.run.makespan);
+    assert!(cut.makespan <= full.makespan);
     // The censored report still yields a finite unfairness bound.
     assert!(cut.report.unfairness() >= 1.0 || cut.report.completions().is_empty());
 }
@@ -164,9 +174,8 @@ fn faults_never_speed_up_a_realized_stream() {
         .build(47, 2)
         .schedule_multi(&queue, &spec)
         .unwrap();
-    let baseline = execute_multi_under_faults(&queue, &spec, &planned, &FaultPlan::none(), None)
+    let baseline = execute_under_faults(&queue, &spec, &planned, &FaultPlan::none(), None)
         .unwrap()
-        .run
         .makespan;
     for rate in [0.05, 0.15, 0.30] {
         let plan = FaultProfile {
@@ -174,9 +183,7 @@ fn faults_never_speed_up_a_realized_stream() {
             ..FaultProfile::with_rate(rate)
         }
         .plan(47);
-        let run = execute_multi_under_faults(&queue, &spec, &planned, &plan, None)
-            .unwrap()
-            .run;
+        let run = execute_under_faults(&queue, &spec, &planned, &plan, None).unwrap();
         assert!(
             run.makespan >= baseline,
             "rate {rate}: realized {} beat the fault-free realization {baseline}",

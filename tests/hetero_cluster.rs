@@ -14,10 +14,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
-use spear::diffcheck::{check_schedule, Fixture, HeteroCaseSpec, SchedulerKind};
+use spear::diffcheck::{check_schedule, CaseSpec, Fixture, SchedulerKind};
 use spear::{
-    Action, ClusterSpec, Dag, DagBuilder, MachineSet, Placement, ResourceVec, Schedule, SimState,
-    Task, TaskId, TransferMode,
+    Action, ClusterSpec, Dag, DagBuilder, JobQueue, MachineSet, Placement, ResourceVec, Schedule,
+    SimState, Task, TaskId, TransferMode,
 };
 
 fn fixtures_dir() -> PathBuf {
@@ -26,15 +26,11 @@ fn fixtures_dir() -> PathBuf {
 
 /// The seeded 3-machine spec the roster test runs on: full-size machine
 /// 0, tapered machines 1–2, non-uniform links, direct transfers.
-fn roster_case(scheduler: SchedulerKind) -> HeteroCaseSpec {
-    HeteroCaseSpec {
-        seed: 42,
-        num_tasks: 12,
-        dims: 2,
+fn roster_case(scheduler: SchedulerKind) -> CaseSpec {
+    CaseSpec {
         machines: 3,
         bandwidth: 2,
-        mode: TransferMode::Direct,
-        scheduler,
+        ..CaseSpec::single(42, 12, 2, scheduler)
     }
 }
 
@@ -59,17 +55,17 @@ fn full_roster_passes_three_judges_on_a_three_machine_cluster() {
 fn via_master_mode_passes_and_the_cluster_is_actually_used() {
     let mut spread = false;
     for kind in SchedulerKind::ALL {
-        let case = HeteroCaseSpec {
+        let case = CaseSpec {
             mode: TransferMode::ViaMaster,
             ..roster_case(kind)
         };
-        let dag = case.dag();
+        let queue = case.queue();
         let spec = case.cluster();
         let schedule = kind
             .build(case.seed, case.dims)
-            .schedule(&dag, &spec)
+            .schedule_multi(&queue, &spec)
             .unwrap_or_else(|e| panic!("{}: {e}", case.label()));
-        let tri = check_schedule(&dag, &spec, &schedule);
+        let tri = check_schedule(&queue, &spec, &schedule);
         assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
         spread |= schedule.placements().iter().any(|p| p.machine > 0);
     }
@@ -129,9 +125,10 @@ fn golden_schedule() -> Schedule {
 #[test]
 fn hand_computed_two_machine_schedule_matches_the_committed_golden() {
     let (dag, spec) = golden_workload();
+    let queue = JobQueue::single(dag.clone()).unwrap();
     let schedule = golden_schedule();
     schedule.validate(&dag, &spec).expect("golden is valid");
-    let tri = check_schedule(&dag, &spec, &schedule);
+    let tri = check_schedule(&queue, &spec, &schedule);
     assert!(tri.all_ok(), "{}", tri.summary());
 
     // Start-by-start: exactly the hand computation above.
@@ -156,7 +153,7 @@ fn hand_computed_two_machine_schedule_matches_the_committed_golden() {
          2 + 1 slot for 1 byte over a 1-byte/slot link",
         SchedulerKind::Tetris,
         0,
-        &dag,
+        &queue,
         &spec,
     )
     .to_json();
@@ -191,7 +188,7 @@ fn golden_schedule_with_an_early_start_is_rejected_by_all_judges() {
     early[3].start = 2;
     early[3].finish = 3;
     let bad = Schedule::from_placements(early, 4);
-    let tri = check_schedule(&dag, &spec, &bad);
+    let tri = check_schedule(&JobQueue::single(dag).unwrap(), &spec, &bad);
     assert!(tri.validate.is_err(), "validate accepted a gated start");
     assert!(tri.sim_replay.is_err(), "sim replay accepted a gated start");
     assert!(

@@ -5,8 +5,33 @@
 //! two-job interleavings.
 
 use spear::dag::generator::LayeredDagSpec;
-use spear::diffcheck::{check_multi_schedule, MultiCaseSpec, SchedulerKind};
-use spear::{ArrivalProcess, ArrivalStreamSpec, JobQueue, JobSource, Scheduler};
+use spear::diffcheck::{check_schedule, CaseSpec, SchedulerKind, TriCheck};
+use spear::{ArrivalProcess, ArrivalStreamSpec, JctReport, JobQueue, JobSource, Scheduler};
+
+/// A seeded Poisson stream of `jobs` five-task jobs on a unit box.
+fn stream(seed: u64, jobs: usize, mean_gap: f64, scheduler: SchedulerKind) -> CaseSpec {
+    CaseSpec {
+        jobs,
+        mean_gap,
+        ..CaseSpec::single(seed, 5, 2, scheduler)
+    }
+}
+
+/// Schedules the case's stream and returns the judges' verdict with the
+/// stream's JCT report.
+fn run(case: &CaseSpec) -> (TriCheck, JctReport) {
+    let queue = case.queue();
+    let spec = case.cluster();
+    let schedule = case
+        .scheduler
+        .build(case.seed, case.dims)
+        .schedule_multi(&queue, &spec)
+        .unwrap_or_else(|e| panic!("{}: {e}", case.label()));
+    (
+        check_schedule(&queue, &spec, &schedule),
+        queue.jct_report(&schedule),
+    )
+}
 
 /// The ISSUE acceptance episode: all ten diffcheck schedulers complete a
 /// seeded 20-job Poisson stream; the resulting JctReport covers every job
@@ -14,17 +39,8 @@ use spear::{ArrivalProcess, ArrivalStreamSpec, JobQueue, JobSource, Scheduler};
 #[test]
 fn all_ten_schedulers_complete_a_20_job_poisson_episode() {
     for kind in SchedulerKind::ALL {
-        let case = MultiCaseSpec {
-            seed: 2024,
-            jobs: 20,
-            tasks_per_job: 5,
-            dims: 2,
-            mean_gap: 6.0,
-            scheduler: kind,
-        };
-        let (tri, report) = case
-            .run()
-            .unwrap_or_else(|e| panic!("{}: {e}", case.label()));
+        let case = stream(2024, 20, 6.0, kind);
+        let (tri, report) = run(&case);
         assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
         assert_eq!(report.completions().len(), 20, "{}", case.label());
         assert_eq!(report.unfinished(), 0, "{}", case.label());
@@ -52,16 +68,9 @@ fn all_ten_schedulers_complete_a_20_job_poisson_episode() {
 #[test]
 fn multi_job_episodes_are_seed_deterministic() {
     for kind in SchedulerKind::ALL {
-        let case = MultiCaseSpec {
-            seed: 7,
-            jobs: 6,
-            tasks_per_job: 5,
-            dims: 2,
-            mean_gap: 4.0,
-            scheduler: kind,
-        };
-        let (_, a) = case.run().unwrap();
-        let (_, b) = case.run().unwrap();
+        let case = stream(7, 6, 4.0, kind);
+        let (_, a) = run(&case);
+        let (_, b) = run(&case);
         assert_eq!(a, b, "{} is not deterministic", case.label());
     }
 }
@@ -95,8 +104,8 @@ mod union_frontier_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Two interleaved jobs driven through the multi-job environment
-        /// (via each list scheduler's `schedule_multi`) always produce a
+        /// Two interleaved jobs driven through the environment (via each
+        /// list scheduler's `schedule_multi`) always produce a
         /// union schedule that all three judges accept — including the
         /// per-job sub-schedule and JCT cross-checks inside them.
         #[test]
@@ -110,7 +119,7 @@ mod union_frontier_properties {
             for kind in [SchedulerKind::Tetris, SchedulerKind::Sjf, SchedulerKind::Cp] {
                 let mut s = kind.build(seed, 2);
                 let schedule = s.schedule_multi(&queue, &spec).unwrap();
-                let tri = check_multi_schedule(&queue, &spec, &schedule);
+                let tri = check_schedule(&queue, &spec, &schedule);
                 prop_assert!(
                     tri.all_ok(),
                     "{} seed {seed} gap {gap}: {}",
