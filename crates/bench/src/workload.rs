@@ -22,19 +22,6 @@ pub fn cluster() -> ClusterSpec {
     ClusterSpec::unit(2)
 }
 
-/// The degenerate heterogeneous cluster: one machine with exactly the
-/// capacity of [`cluster`]. Schedules on it must be placement-for-
-/// placement identical to the single-box spec (with machine column 0) —
-/// the quick bench asserts its makespans against the same goldens.
-pub fn degenerate_hetero_cluster() -> ClusterSpec {
-    use spear::dag::ResourceVec;
-    use spear::{MachineSet, TransferMode};
-    let machines =
-        MachineSet::uniform(1, ResourceVec::splat(2, 1.0), 1, TransferMode::Direct, 0, 1)
-            .expect("a unit machine is a valid set");
-    ClusterSpec::hetero(machines).expect("one unit machine is a valid cluster")
-}
-
 /// Mean of a slice of u64 makespans.
 pub fn mean_u64(values: &[u64]) -> f64 {
     if values.is_empty() {

@@ -9,8 +9,8 @@ use spear::{
     execute_under_faults, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, CpScheduler, Dag,
     FaultPlan, FaultProfile, FeatureConfig, Graphene, JctReport, JobQueue, JobSource,
     MachineProfile, MctsConfig, MctsScheduler, MetricsRegistry, Obs, ObservedScheduler,
-    PolicyNetwork, RandomScheduler, ResourceVec, Scheduler, SimEnv, SjfScheduler,
-    SyntheticTraceSpec, TetrisScheduler, Trace, TraceStats, TransferMode,
+    PolicyNetwork, RandomScheduler, Scheduler, SimEnv, SjfScheduler, SyntheticTraceSpec,
+    TetrisScheduler, Trace, TraceStats, TransferMode,
 };
 
 use crate::args::Args;
@@ -71,21 +71,20 @@ the task re-queues (dependencies unchanged) until --max-retries extra
 attempts are exhausted, which aborts the run with a typed error; a
 straggling attempt occupies the cluster --straggler times longer than
 its runtime. The realized makespan (or, with --arrivals, the realized
-JCT report) is printed next to the planned one. Fault injection runs on
-a single box: --faults with --machines > 1 is an error, as is a
---straggler/--max-retries pair whose worst case passes the 2^53-slot
-clock ceiling.
+JCT report) is printed next to the planned one. Every attempt runs on
+the machine the plan placed its task on, so faults work with any
+--machines. A --straggler/--max-retries pair whose worst case passes
+the 2^53-slot clock ceiling is an error.
 
---machines > 1 plans against a seeded heterogeneous cluster instead of
-one box: machine 0 keeps the full --capacity, later machines shrink by
-a seeded factor, and every placement names its machine. A task whose
-parent ran elsewhere waits for a deterministic transfer of the edge's
-payload — ceil(bytes / link bandwidth) slots over the direct link, or
-up then down the master uplinks with --transfer-mode via-master.
---bandwidth sets the baseline link speed in bytes per slot. The same
---seed always yields the same machine set, payload sizes and schedule.
-With --machines 1 (explicitly) the degenerate one-machine cluster
-reproduces the single-box schedule exactly.
+--machines N (1 to 1024) plans against a seeded cluster of N machines:
+machine 0 keeps the full --capacity, later machines shrink by a seeded
+factor, and every placement names its machine. A task whose parent ran
+elsewhere waits for a deterministic transfer of the edge's payload —
+ceil(bytes / link bandwidth) slots over the direct link, or up then
+down the master uplinks with --transfer-mode via-master. --bandwidth
+sets the baseline link speed in bytes per slot. The same --seed always
+yields the same machine set, payload sizes and schedule. The default,
+one machine, is the paper's single box.
 
 --metrics-out writes every metric recorded during the run as JSON lines
 (one metric per line). Metric recording is compiled in behind the `obs`
@@ -188,24 +187,12 @@ fn fault_profile(args: &Args) -> Result<FaultProfile, Box<dyn Error>> {
 }
 
 /// The seeded fault plan of `schedule` (`None` without `--faults`),
-/// checked against the workload and the cluster before anything is
-/// scheduled: the fault executor runs on a single box, and a plan whose
-/// worst case passes the slot ceiling could wrap its clock.
-fn fault_plan(
-    args: &Args,
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-) -> Result<Option<FaultPlan>, Box<dyn Error>> {
+/// checked against the workload before anything is scheduled: a plan
+/// whose worst case passes the slot ceiling could wrap its clock.
+fn fault_plan(args: &Args, queue: &JobQueue) -> Result<Option<FaultPlan>, Box<dyn Error>> {
     let profile = fault_profile(args)?;
     if profile.is_none() {
         return Ok(None);
-    }
-    if spec.num_machines() > 1 {
-        return Err(format!(
-            "--faults runs on a single box; it cannot be combined with --machines {}",
-            spec.num_machines()
-        )
-        .into());
     }
     let plan = profile.plan(args.get_or("seed", 0)?);
     plan.check_clock(queue)
@@ -219,23 +206,18 @@ fn opt_stat<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map_or_else(|| "n/a".to_owned(), |x| x.to_string())
 }
 
-/// The cluster the schedulers plan against: a single box of `--capacity`
-/// by default, or — with `--machines N` — a seeded heterogeneous set of
-/// `N` machines linked at `--bandwidth` bytes/slot with `--transfer-mode`
-/// routing (machine 0 keeps the full `--capacity`, so single-box
-/// workloads stay admissible).
+/// The cluster the schedulers plan against: a seeded set of `--machines`
+/// machines (one by default: the paper's single box of `--capacity`)
+/// linked at `--bandwidth` bytes/slot with `--transfer-mode` routing.
+/// Machine 0 keeps the full `--capacity`, so single-box workloads stay
+/// admissible.
 fn cluster_spec(dims: usize, args: &Args) -> Result<ClusterSpec, Box<dyn Error>> {
     let capacity: f64 = args.get_or("capacity", 1.0)?;
     let machines: usize = args.get_or("machines", 1)?;
-    // Validate the mode even on the single-box path below, so a typo'd
-    // value never silently degrades to a default.
     let mode = match args.get("transfer-mode") {
         Some(raw) => TransferMode::parse(raw).map_err(|e| format!("--transfer-mode: {e}"))?,
         None => TransferMode::Direct,
     };
-    if machines <= 1 && args.get("machines").is_none() {
-        return Ok(ClusterSpec::new(ResourceVec::splat(dims, capacity))?);
-    }
     let profile = MachineProfile {
         machines,
         dims,
@@ -426,7 +408,7 @@ pub fn schedule(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     let dag = queue.union_dag();
     let spec = cluster_spec(dag.dims(), args)?;
-    let faults = fault_plan(args, &queue, &spec)?;
+    let faults = fault_plan(args, &queue)?;
     let horizon = match args.get("horizon") {
         Some(_) => Some(args.get_or("horizon", 0)?),
         None => None,
@@ -928,12 +910,16 @@ mod tests {
                 "past the 9007199254740992 slot ceiling",
             ),
             (
-                [&faulty[..], &["--machines", "3"]].concat(),
-                "--faults runs on a single box; it cannot be combined with --machines 3",
+                vec!["schedule", "--dag", &dag, "--machines", "0"],
+                "a cluster needs between 1 and 1024 machines, got 0",
             ),
             (
-                [&poisson[..], &["--faults", "0.2", "--machines", "2"]].concat(),
-                "--faults runs on a single box; it cannot be combined with --machines 2",
+                vec!["schedule", "--dag", &dag, "--machines", "100000"],
+                "a cluster needs between 1 and 1024 machines, got 100000",
+            ),
+            (
+                [&poisson[..], &["--machines", "4294967296"]].concat(),
+                "a cluster needs between 1 and 1024 machines, got 4294967296",
             ),
             (
                 [&poisson[..], &["--mean-gap", "inf"]].concat(),
@@ -1176,6 +1162,27 @@ mod tests {
     }
 
     #[test]
+    fn faults_run_on_a_multi_machine_cluster() {
+        // Each run replays its plan under faults on three machines and
+        // fails unless the realized run passes the fault tri-judge.
+        let dag_path = tmp("cli-dag-faults-m3.json");
+        generate(&args(&[
+            "--tasks", "12", "--seed", "3", "--output", &dag_path,
+        ]))
+        .unwrap();
+        let dag = format!("--dag {dag_path} --algo tetris --faults 0.2 --seed 1");
+        let stream = "--arrivals poisson --jobs 4 --job-tasks 6 --transfer-mode via-master \
+                      --algo cp --faults 0.1 --seed 5";
+        for flags in [dag.as_str(), stream] {
+            let flags: Vec<&str> = flags
+                .split_whitespace()
+                .chain(["--machines", "3"])
+                .collect();
+            schedule(&args(&flags)).unwrap();
+        }
+    }
+
+    #[test]
     fn exhausted_retries_surface_as_a_typed_error() {
         let dag_path = tmp("cli-dag-exhaust.json");
         generate(&args(&["--tasks", "6", "--output", &dag_path])).unwrap();
@@ -1281,13 +1288,8 @@ mod tests {
             serde_json::from_str(&std::fs::read_to_string(&homo).unwrap()).unwrap();
         let b: spear::Schedule =
             serde_json::from_str(&std::fs::read_to_string(&one).unwrap()).unwrap();
-        // Same starts and finishes; the degenerate cluster only adds the
-        // (all-zero) machine column.
-        assert_eq!(a.makespan(), b.makespan());
-        for (x, y) in a.placements().iter().zip(b.placements()) {
-            assert_eq!((x.task, x.start, x.finish), (y.task, y.start, y.finish));
-            assert_eq!(y.machine, 0);
-        }
+        // `--machines 1` is the default single box.
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -11,17 +11,12 @@ use spear_dag::TaskId;
 /// one ready task to the cluster at the current time (time does not
 /// advance), or *process* — advance time to the next task completion. This
 /// decoupling shrinks the action space from `2^n` subsets to `n + 1`
-/// choices.
+/// choices. A committed task names its machine; on the paper's single box
+/// that is always machine 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Action {
-    /// Start the given ready task now, consuming its demand. The only
-    /// scheduling action of the single-box regime (the simulator rejects
-    /// it on heterogeneous clusters, where a machine must be named).
-    Schedule(TaskId),
-    /// Start the given ready task (first field) now on a specific machine
-    /// (second field) of a heterogeneous cluster, consuming its demand
-    /// there. On a single-box cluster `Place(t, 0)` is equivalent to
-    /// `Schedule(t)`.
+    /// Start the given ready task (first field) now on the given machine
+    /// (second field), consuming its demand there.
     Place(TaskId, u32),
     /// Advance the clock until at least one running task finishes
     /// (the paper's `-1` action).
@@ -31,7 +26,6 @@ pub enum Action {
 impl fmt::Display for Action {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Action::Schedule(t) => write!(f, "schedule({t})"),
             Action::Place(task, machine) => write!(f, "place({task}@m{machine})"),
             Action::Process => write!(f, "process"),
         }
@@ -39,22 +33,18 @@ impl fmt::Display for Action {
 }
 
 impl Action {
-    /// The task this action schedules, if any.
+    /// The task this action places, if any.
     pub fn task(self) -> Option<TaskId> {
         match self {
-            Action::Schedule(t) => Some(t),
             Action::Place(task, _) => Some(task),
             Action::Process => None,
         }
     }
 
-    /// The machine this action places its task on: explicit for
-    /// [`Action::Place`], machine 0 for [`Action::Schedule`] (the
-    /// single-box regime's only machine), `None` for
+    /// The machine this action places its task on, `None` for
     /// [`Action::Process`].
     pub fn machine(self) -> Option<u32> {
         match self {
-            Action::Schedule(_) => Some(0),
             Action::Place(_, machine) => Some(machine),
             Action::Process => None,
         }
@@ -67,17 +57,12 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(Action::Schedule(TaskId::new(3)).to_string(), "schedule(t3)");
         assert_eq!(Action::Place(TaskId::new(3), 2).to_string(), "place(t3@m2)");
         assert_eq!(Action::Process.to_string(), "process");
     }
 
     #[test]
     fn task_accessor() {
-        assert_eq!(
-            Action::Schedule(TaskId::new(1)).task(),
-            Some(TaskId::new(1))
-        );
         assert_eq!(
             Action::Place(TaskId::new(1), 2).task(),
             Some(TaskId::new(1))
@@ -87,7 +72,7 @@ mod tests {
 
     #[test]
     fn machine_accessor() {
-        assert_eq!(Action::Schedule(TaskId::new(1)).machine(), Some(0));
+        assert_eq!(Action::Place(TaskId::new(1), 0).machine(), Some(0));
         assert_eq!(Action::Place(TaskId::new(1), 2).machine(), Some(2));
         assert_eq!(Action::Process.machine(), None);
     }

@@ -37,12 +37,13 @@
 //!   placement or resources behind), the exhaustion marker is coherent,
 //!   and the incremental attempt hash matches a from-scratch
 //!   recomputation.
-//! * **Heterogeneous coherence** (multi-machine states only) — machine
-//!   assignments mirror the start table, every machine's `used`/`free`
-//!   reconciles with the demand actually running on it (per-machine
-//!   conservation), and every started task respects the transfer gate
-//!   against edge delays the auditor re-derives from the machine set
-//!   itself.
+//! * **Machine coherence** — machine assignments mirror the start table,
+//!   every machine's `used`/`free` reconciles with the demand actually
+//!   running on it (per-machine conservation), and every started task
+//!   respects the transfer gate against edge delays the auditor
+//!   re-derives from the machine set itself. On a one-machine cluster the
+//!   machine's row is the aggregate and there are no transfers, so the
+//!   group re-checks what the groups above already hold.
 //!
 //! The auditor is pure observation: it never mutates the state, so an
 //! audited episode is bit-identical to an unaudited one. It is wired into
@@ -203,7 +204,7 @@ pub enum AuditViolation {
     },
     /// A machine's recorded `used` disagrees with the summed demand of
     /// the running tasks placed on it — the per-machine admission basis
-    /// is corrupt (heterogeneous states only).
+    /// is corrupt.
     MachineUsedMismatch {
         /// The machine with corrupt accounting.
         machine: u32,
@@ -216,7 +217,7 @@ pub enum AuditViolation {
     },
     /// A machine's `free + Σ(demands running on it)` drifted away from
     /// its capacity, or its derived `free` exceeds its capacity —
-    /// per-machine conservation is broken (heterogeneous states only).
+    /// per-machine conservation is broken.
     MachineConservation {
         /// The machine with corrupt accounting.
         machine: u32,
@@ -230,15 +231,14 @@ pub enum AuditViolation {
         capacity: f64,
     },
     /// A task's machine assignment is incoherent: assigned without a
-    /// recorded start, started without an assignment, or out of range
-    /// (heterogeneous states only).
+    /// recorded start, started without an assignment, or out of range.
     MachineAssignment {
         /// The incoherently assigned task.
         task: TaskId,
     },
     /// A task started inside the transfer window of a cross-machine
     /// parent — the start precedes the parent's finish plus the
-    /// re-derived edge transfer delay (heterogeneous states only).
+    /// re-derived edge transfer delay.
     TransferGatedStart {
         /// The parent whose output had not arrived yet.
         parent: TaskId,
@@ -410,7 +410,7 @@ impl Error for AuditViolation {}
 /// let mut sim = SimState::new(&dag, &spec)?;
 /// let mut audit = InvariantAuditor::new();
 /// audit.check(&dag, &sim)?;
-/// sim.apply(&dag, Action::Schedule(t))?;
+/// sim.apply(&dag, Action::Place(t, 0))?;
 /// audit.check(&dag, &sim)?;
 /// # Ok(())
 /// # }
@@ -754,86 +754,78 @@ impl InvariantAuditor {
             self.last_attempts.clear();
         }
 
-        // 6d. Heterogeneous-cluster coherence: machine assignments mirror
-        // the start table, every machine's `used`/`free` reconciles with
-        // the demand actually running on it, and every started task
-        // respects the transfer gate — its start at or after each
-        // parent's finish plus the edge delay *re-derived here* from the
-        // machine set's seeded bytes and link bandwidths. Single-box
-        // states skip the whole group.
-        if let Some(h) = state.hetero.as_deref() {
-            let n = h.machines.len();
-            for i in 0..dag.len() {
-                let assigned = h.machine_of[i];
-                let incoherent = assigned.is_some() != state.starts[i].is_some()
-                    || assigned.is_some_and(|m| (m as usize) >= n);
-                if incoherent {
-                    return Err(AuditViolation::MachineAssignment {
-                        task: TaskId::new(i),
-                    });
-                }
+        // 6d. Machine coherence: machine assignments mirror the start
+        // table, every machine's `used`/`free` reconciles with the demand
+        // actually running on it, and every started task respects the
+        // transfer gate — its start at or after each parent's finish plus
+        // the edge delay *re-derived here* from the machine set's seeded
+        // bytes and link bandwidths.
+        let machines = state.machines();
+        let n = machines.len();
+        for i in 0..dag.len() {
+            let assigned = state.machine_of(TaskId::new(i));
+            let incoherent = assigned.is_some() != state.starts[i].is_some()
+                || assigned.is_some_and(|m| (m as usize) >= n);
+            if incoherent {
+                return Err(AuditViolation::MachineAssignment {
+                    task: TaskId::new(i),
+                });
             }
-            for m in 0..n {
-                let machine = m as u32;
-                let cap = h.machines.capacity(machine);
-                self.committed.clear();
-                self.committed.resize(dims, 0.0);
-                for r in &state.running {
-                    if h.machine_of[r.task.index()] == Some(machine) {
-                        let demand = dag.task(r.task).demand();
-                        for d in 0..dims {
-                            self.committed[d] += demand[d];
-                        }
-                    }
-                }
-                for d in 0..dims {
-                    if (h.used[m][d] - self.committed[d]).abs() > FIT_EPSILON {
-                        return Err(AuditViolation::MachineUsedMismatch {
-                            machine,
-                            dim: d,
-                            used: h.used[m][d],
-                            committed: self.committed[d],
-                        });
-                    }
-                    let drifted = h.free[m][d] > cap[d]
-                        || (h.free[m][d] + self.committed[d] - cap[d]).abs() > tolerance;
-                    if drifted {
-                        return Err(AuditViolation::MachineConservation {
-                            machine,
-                            dim: d,
-                            free: h.free[m][d],
-                            committed: self.committed[d],
-                            capacity: cap[d],
-                        });
+        }
+        for m in 0..n {
+            let machine = m as u32;
+            let cap = machines.capacity(machine);
+            let (used, free) = (state.machine_used(machine), state.machine_free(machine));
+            self.committed.clear();
+            self.committed.resize(dims, 0.0);
+            for r in &state.running {
+                if state.machine_of(r.task) == Some(machine) {
+                    let demand = dag.task(r.task).demand();
+                    for d in 0..dims {
+                        self.committed[d] += demand[d];
                     }
                 }
             }
-            for e in dag.edges() {
-                let (Some(ps), Some(cs)) =
-                    (state.starts[e.from.index()], state.starts[e.to.index()])
-                else {
-                    continue;
-                };
-                let (Some(pm), Some(cm)) =
-                    (h.machine_of[e.from.index()], h.machine_of[e.to.index()])
-                else {
-                    continue; // assignment coherence already checked above
-                };
-                let finish = ps.saturating_add(state.run_slots_of(dag, e.from));
-                let ready = finish.saturating_add(h.machines.edge_delay(
-                    e.from.index(),
-                    e.to.index(),
-                    pm,
-                    cm,
-                ));
-                if cs < ready {
-                    return Err(AuditViolation::TransferGatedStart {
-                        parent: e.from,
-                        child: e.to,
-                        start: cs,
-                        ready,
+            for d in 0..dims {
+                if (used[d] - self.committed[d]).abs() > FIT_EPSILON {
+                    return Err(AuditViolation::MachineUsedMismatch {
+                        machine,
+                        dim: d,
+                        used: used[d],
+                        committed: self.committed[d],
                     });
                 }
+                let drifted =
+                    free[d] > cap[d] || (free[d] + self.committed[d] - cap[d]).abs() > tolerance;
+                if drifted {
+                    return Err(AuditViolation::MachineConservation {
+                        machine,
+                        dim: d,
+                        free: free[d],
+                        committed: self.committed[d],
+                        capacity: cap[d],
+                    });
+                }
+            }
+        }
+        for e in dag.edges() {
+            let (Some(ps), Some(cs)) = (state.starts[e.from.index()], state.starts[e.to.index()])
+            else {
+                continue;
+            };
+            let (Some(pm), Some(cm)) = (state.machine_of(e.from), state.machine_of(e.to)) else {
+                continue; // assignment coherence already checked above
+            };
+            let finish = ps.saturating_add(state.run_slots_of(dag, e.from));
+            let ready =
+                finish.saturating_add(machines.edge_delay(e.from.index(), e.to.index(), pm, cm));
+            if cs < ready {
+                return Err(AuditViolation::TransferGatedStart {
+                    parent: e.from,
+                    child: e.to,
+                    start: cs,
+                    ready,
+                });
             }
         }
 
@@ -926,7 +918,7 @@ mod tests {
     fn corrupted_used_accounting_is_caught() {
         let dag = diamond();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Shrink `used` while leaving `free` consistent with the running
         // set — conservation still holds, so only the direct used-vs-
         // running cross-check can see this.
@@ -940,7 +932,7 @@ mod tests {
         let dag = diamond();
         let spec = ClusterSpec::unit(1);
         let mut sim = SimState::new(&dag, &spec).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         let mut audit = InvariantAuditor::new();
         audit.check(&dag, &sim).unwrap();
@@ -953,7 +945,7 @@ mod tests {
     fn stale_ready_entry_is_caught() {
         let dag = diamond();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Replacing the tracker resets the frontier to the sources, so it
         // re-lists the already-started task 0.
         sim.tracker = ReadyTracker::new(&dag);
@@ -970,7 +962,7 @@ mod tests {
     fn running_finish_must_match_start_plus_runtime() {
         let dag = diamond();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         sim.running[0].finish = 7; // runtime is 2, start is 0
         let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
         assert_eq!(
@@ -985,7 +977,7 @@ mod tests {
     fn desynced_fingerprint_is_caught() {
         let dag = diamond();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Flip bits in the incremental placement hash without touching the
         // state it summarizes — the from-scratch recomputation disagrees.
         sim.placement_hash ^= 0xdead_beef;
@@ -997,7 +989,7 @@ mod tests {
     fn scheduled_counter_mismatch_is_caught() {
         let dag = diamond();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         sim.scheduled = 3;
         let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
         assert_eq!(
@@ -1050,7 +1042,7 @@ mod tests {
             let queue = JobQueue::new(vec![(0, job(2)), (0, job(2))]).unwrap();
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             let leaked = TaskId::new(1);
             sim.tracker.take(leaked);
             sim.running.push(Running {
@@ -1125,7 +1117,7 @@ mod tests {
             let queue = queue();
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap(); // job 0 done at t=2
             sim.jobs.completed[0] = 0;
             let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
@@ -1240,7 +1232,7 @@ mod tests {
                 .unwrap()
                 .with_faults(plan(1.0, 5));
             let mut audit = InvariantAuditor::new();
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap(); // attempt 1 fails
             audit.check(&dag, &sim).unwrap();
             let f = sim.faults.as_deref_mut().unwrap();
@@ -1264,7 +1256,7 @@ mod tests {
             let mut sim = SimState::new(&dag, &ClusterSpec::unit(1))
                 .unwrap()
                 .with_faults(plan(1.0, 5));
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap(); // attempt fails
             sim.faults.as_deref_mut().unwrap().failed_runs.clear();
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
@@ -1284,7 +1276,7 @@ mod tests {
             let mut sim = SimState::new(&dag, &ClusterSpec::unit(1))
                 .unwrap()
                 .with_faults(plan(1.0, 5));
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap();
             // Stretch the recorded failed interval past the plan's seeded
             // failure point.
@@ -1307,7 +1299,7 @@ mod tests {
             let mut sim = SimState::new(&dag, &ClusterSpec::unit(1))
                 .unwrap()
                 .with_faults(plan(0.3, 2));
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.faults.as_deref_mut().unwrap().attempt_hash ^= 1;
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
             assert!(matches!(
@@ -1388,7 +1380,7 @@ mod tests {
             // Shrink machine 0's `used` while its `free` still reconciles
             // with the running set — only the per-machine used-vs-running
             // cross-check can see this.
-            sim.hetero.as_deref_mut().unwrap().used[0] = ResourceVec::from_slice(&[0.1]);
+            sim.machine_used[0] = ResourceVec::from_slice(&[0.1]);
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
             assert!(matches!(
                 err,
@@ -1401,7 +1393,7 @@ mod tests {
             let dag = diamond();
             let spec = spec();
             let mut sim = SimState::new(&dag, &spec).unwrap();
-            sim.hetero.as_deref_mut().unwrap().free[1] = ResourceVec::from_slice(&[0.9]);
+            sim.machine_free[1] = ResourceVec::from_slice(&[0.9]);
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
             assert!(matches!(
                 err,
@@ -1415,7 +1407,7 @@ mod tests {
             let spec = spec();
             let mut sim = SimState::new(&dag, &spec).unwrap();
             // Assign a machine to a task that never started.
-            sim.hetero.as_deref_mut().unwrap().machine_of[2] = Some(1);
+            sim.machine_of[2] = Some(1);
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
             assert_eq!(
                 err,
@@ -1429,7 +1421,7 @@ mod tests {
         fn transfer_gated_start_violation_is_caught() {
             let dag = diamond();
             let spec = spec();
-            let machines = spec.machines().unwrap();
+            let machines = spec.machines();
             let mut sim = SimState::new(&dag, &spec).unwrap();
             // Run the episode placing everything on machine 0 (no
             // transfers), then rewrite task 1's assignment to machine 1:
@@ -1445,8 +1437,7 @@ mod tests {
                 sim.apply(&dag, a).unwrap();
             }
             assert!(machines.edge_delay(0, 1, 0, 1) > 0);
-            let h = sim.hetero.as_deref_mut().unwrap();
-            h.machine_of[1] = Some(1);
+            sim.machine_of[1] = Some(1);
             let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
             assert!(matches!(
                 err,

@@ -172,8 +172,9 @@ impl<'a> SimEnv<'a> {
     }
 
     /// Writes the legal actions of the current state into `out` (clearing
-    /// it first): ready-and-fitting `Schedule` actions in ascending task-id
-    /// order, then `Process` if anything is running or pending. Non-terminal
+    /// it first): ready-and-fitting `Place` actions in ascending task-id
+    /// (then machine) order, then `Process` if anything is running or
+    /// pending. Non-terminal
     /// states always have at least one legal action.
     #[inline]
     pub fn legal_into(&self, out: &mut Vec<Action>) {
@@ -446,13 +447,13 @@ impl EpisodeObs {
         self.seen_straggles.set(state.fault_straggles());
     }
 
-    /// Records one applied action. Admissions count `Schedule`s; clock
+    /// Records one applied action. Admissions count `Place`s; clock
     /// advances sample the post-advance backlog (ready-set depth) and
     /// per-resource occupancy fractions.
     fn record_step(&self, env: &SimEnv<'_>, action: Action) {
         self.steps.incr();
         match action {
-            Action::Schedule(_) | Action::Place(..) => self.admissions.incr(),
+            Action::Place(..) => self.admissions.incr(),
             Action::Process => {
                 self.clock_advances.incr();
                 let state = env.observe();
@@ -478,7 +479,7 @@ impl EpisodeObs {
             self.fault_stragglers
                 .add(straggles.saturating_sub(self.seen_straggles.get()));
             self.seen_straggles.set(straggles);
-            if let Action::Schedule(task) = action {
+            if let Action::Place(task, _) = action {
                 if state.attempts_of(task) > 1 {
                     self.fault_retries.incr();
                     if let Some(failed_at) = state.last_failure_of(task) {
@@ -818,7 +819,7 @@ mod tests {
         assert_eq!(env.makespan(), None);
         let mut legal = Vec::new();
         env.legal_into(&mut legal);
-        assert_eq!(legal, vec![Action::Schedule(TaskId::new(0))]);
+        assert_eq!(legal, vec![Action::Place(TaskId::new(0), 0)]);
         env.step(legal[0]).unwrap();
         assert_eq!(env.observe().start_of(TaskId::new(0)), Some(0));
         env.reset().unwrap();
@@ -831,7 +832,7 @@ mod tests {
         let dag = diamond();
         let spec = ClusterSpec::unit(1);
         let mut env = SimEnv::new(&dag, &spec).unwrap();
-        let err = env.step(Action::Schedule(TaskId::new(3))).unwrap_err();
+        let err = env.step(Action::Place(TaskId::new(3), 0)).unwrap_err();
         assert_eq!(
             err,
             SpearError::Cluster(crate::ClusterError::TaskNotReady(TaskId::new(3)))
@@ -1137,7 +1138,7 @@ mod tests {
         let spec = ClusterSpec::unit(1);
         let root = SimEnv::new(&dag, &spec).unwrap();
         let mut scratch = root.clone();
-        scratch.step_trusted(Action::Schedule(TaskId::new(0)));
+        scratch.step_trusted(Action::Place(TaskId::new(0), 0));
         scratch.clone_from(&root);
         assert_eq!(scratch.observe().start_of(TaskId::new(0)), None);
         assert_eq!(scratch.observe().clock(), 0);

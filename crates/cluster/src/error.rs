@@ -25,9 +25,10 @@ pub enum ClusterError {
         /// Dimensions of the DAG's task demands.
         dag: usize,
     },
-    /// `Schedule(t)` was applied but `t` is not in the ready set.
+    /// `Place(t, m)` was applied but `t` is not in the ready set.
     TaskNotReady(TaskId),
-    /// `Schedule(t)` was applied but `t`'s demand exceeds the free capacity.
+    /// `Place(t, m)` was applied but `t`'s demand exceeds machine `m`'s
+    /// free capacity.
     InsufficientResources(TaskId),
     /// `Process` was applied with an empty cluster (nothing can finish, so
     /// time would never advance).
@@ -72,9 +73,6 @@ pub enum ClusterError {
         /// The out-of-range machine index.
         machine: u32,
     },
-    /// `Schedule(t)` was applied to a heterogeneous cluster, where every
-    /// placement must name a machine (`Action::Place`).
-    MachineRequired(TaskId),
     /// A task was placed before the data transfer from some
     /// differently-located parent completed.
     TransferViolation {
@@ -102,12 +100,9 @@ pub enum ClusterError {
     /// [`FaultPlan::worst_case_clock`](crate::FaultPlan::worst_case_clock)),
     /// where the executor's clock could wrap.
     FaultClockTooLate(f64),
-    /// Fault injection was asked to run on a multi-machine cluster; its
-    /// executor dispatches tasks to a single box.
-    FaultsNeedSingleBox {
-        /// Machines of the rejected cluster.
-        machines: usize,
-    },
+    /// A machine set was asked for no machines, or for more than
+    /// [`MAX_MACHINES`](crate::hetero::MAX_MACHINES).
+    MachineCount(usize),
 }
 
 impl fmt::Display for ClusterError {
@@ -154,10 +149,6 @@ impl fmt::Display for ClusterError {
             ClusterError::MachineOutOfRange { task, machine } => {
                 write!(f, "task {task} names machine {machine} outside the cluster")
             }
-            ClusterError::MachineRequired(t) => write!(
-                f,
-                "task {t} must be placed on a named machine of a heterogeneous cluster"
-            ),
             ClusterError::TransferViolation { parent, child } => write!(
                 f,
                 "task {child} starts before the data transfer from parent {parent} completes"
@@ -176,9 +167,10 @@ impl fmt::Display for ClusterError {
                 "the fault plan can stretch the run to {worst:e} slots, past the {} slot ceiling",
                 spear_dag::MAX_TOTAL_RUNTIME
             ),
-            ClusterError::FaultsNeedSingleBox { machines } => write!(
+            ClusterError::MachineCount(n) => write!(
                 f,
-                "fault injection runs on a single box, not a {machines}-machine cluster"
+                "a cluster needs between 1 and {} machines, got {n}",
+                crate::hetero::MAX_MACHINES
             ),
         }
     }
@@ -349,7 +341,6 @@ mod tests {
                 task: TaskId::new(6),
                 machine: 3,
             },
-            ClusterError::MachineRequired(TaskId::new(7)),
             ClusterError::TransferViolation {
                 parent: TaskId::new(0),
                 child: TaskId::new(1),
@@ -361,7 +352,7 @@ mod tests {
             },
             ClusterError::ArrivalTooLate(u64::MAX),
             ClusterError::FaultClockTooLate(1e30),
-            ClusterError::FaultsNeedSingleBox { machines: 3 },
+            ClusterError::MachineCount(0),
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

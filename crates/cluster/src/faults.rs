@@ -27,8 +27,8 @@
 //!
 //! [`execute_under_faults`] replays a fault-free planned [`Schedule`] of
 //! a [`JobQueue`] under a plan with greedy priority dispatch (planned
-//! `(start, task)` order), optionally up to a horizon, returning the
-//! realized [`FaultyRun`].
+//! `(start, task)` order, each task on its planned machine), optionally
+//! up to a horizon, returning the realized [`FaultyRun`].
 
 use serde::{Deserialize, Serialize};
 use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
@@ -36,7 +36,7 @@ use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
 use crate::audit::InvariantAuditor;
 use crate::jobs::{JctReport, JobQueue};
 use crate::state::mix64;
-use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule, SimState, SpearError};
+use crate::{Action, ClusterError, ClusterSpec, Schedule, SimState, SpearError};
 
 /// Hash-domain salt of the fail/no-fail draw.
 const SALT_FAIL: u64 = 0x1fd3_4c2b_9a6e_8d17;
@@ -233,8 +233,8 @@ impl FaultPlan {
     }
 }
 
-/// One aborted execution attempt: the task occupied the cluster over
-/// `[start, end)` and then failed, freeing its resources.
+/// One aborted execution attempt: the task occupied machine `machine`
+/// over `[start, end)` and then failed, freeing its resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FailedRun {
     /// The task that failed.
@@ -245,12 +245,14 @@ pub struct FailedRun {
     pub end: u64,
     /// 0-based attempt index of the aborted run.
     pub attempt: u32,
+    /// The machine the attempt ran on.
+    pub machine: u32,
 }
 
 /// Per-episode fault bookkeeping carried by [`SimState`] when a plan is
 /// attached. Boxed behind an `Option` so fault-free states grow by one
 /// pointer and skip every fault branch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     /// The plan realizing per-attempt outcomes.
     pub(crate) plan: FaultPlan,
@@ -326,25 +328,30 @@ pub struct FaultyRun {
 }
 
 /// Sorts a planned schedule into the greedy dispatch priority order:
-/// ascending planned start, ties by task id.
-fn dispatch_order(planned: &Schedule) -> Vec<TaskId> {
-    let mut order: Vec<(u64, TaskId)> = planned
+/// ascending planned start, ties by task id; each task keeps its planned
+/// machine.
+fn dispatch_order(planned: &Schedule) -> Vec<(TaskId, u32)> {
+    let mut order: Vec<(u64, TaskId, u32)> = planned
         .placements()
         .iter()
-        .map(|p| (p.start, p.task))
+        .map(|p| (p.start, p.task, p.machine))
         .collect();
     order.sort_unstable();
-    order.into_iter().map(|(_, t)| t).collect()
+    order.into_iter().map(|(_, t, m)| (t, m)).collect()
 }
 
 /// Greedy priority dispatch of `order` over `sim` until terminal (or the
-/// horizon): place the first priority-order task that is ready and fits
-/// on machine 0, else process. Deterministic given `(order, plan)`; fails
-/// fast with [`ClusterError::RetriesExhausted`] when a task runs out of
-/// retries, and audits every step.
+/// horizon): place the first priority-order task that can start on its
+/// planned machine, else process. Deterministic given `(order, plan)`;
+/// fails fast with [`ClusterError::RetriesExhausted`] when a task runs
+/// out of retries, and audits every step.
+///
+/// Dispatch never stalls: while nothing runs and no job or transfer is
+/// pending, every ready task's planned machine is idle and holds its
+/// inputs, so some task can start.
 fn dispatch(
     dag: &Dag,
-    order: &[TaskId],
+    order: &[(TaskId, u32)],
     sim: &mut SimState,
     horizon: Option<u64>,
 ) -> Result<(), SpearError> {
@@ -364,48 +371,24 @@ fn dispatch(
         let action = order
             .iter()
             .copied()
-            .find(|&t| sim.can_schedule(dag, t))
-            .map_or(Action::Process, |t| Action::Place(t, 0));
+            .find(|&(t, m)| sim.can_schedule_on(dag, t, m))
+            .map_or(Action::Process, |(t, m)| Action::Place(t, m));
         sim.apply(dag, action)?;
         auditor.check(dag, sim)?;
     }
 }
 
-/// Freezes the (possibly partial) realized schedule out of a fault-aware
-/// simulation: one placement per started task, finish = start + the
-/// final attempt's effective occupancy.
-fn realized_schedule(dag: &Dag, sim: &SimState) -> Schedule {
-    let mut placements = Vec::new();
-    let mut makespan = 0u64;
-    for i in 0..dag.len() {
-        let task = TaskId::new(i);
-        if let Some(start) = sim.start_of(task) {
-            let finish = start + sim.run_slots_of(dag, task);
-            makespan = makespan.max(finish);
-            placements.push(Placement {
-                task,
-                start,
-                finish,
-                machine: sim.machine_of(task).unwrap_or(0),
-            });
-        }
-    }
-    Schedule::from_placements(placements, makespan)
-}
-
 /// Executes a fault-free planned schedule of `queue` under `plan` with
-/// greedy priority dispatch (planned `(start, task)` order) and returns
-/// the realized run, with the invariant auditor checking the simulation
-/// after every step. Stops at `horizon` (if given) like a horizon-capped
-/// [`SimEnv`](crate::SimEnv): the realized run may then be partial and
-/// the JCT report censored at the final clock. With `FaultPlan::none()`
-/// and no horizon the realized schedule equals the planned one
-/// re-simulated, bit for bit.
+/// greedy priority dispatch (planned `(start, task)` order, each task on
+/// its planned machine) and returns the realized run, with the invariant
+/// auditor checking the simulation after every step. Stops at `horizon`
+/// (if given) like a horizon-capped [`SimEnv`](crate::SimEnv): the
+/// realized run may then be partial and the JCT report censored at the
+/// final clock. With `FaultPlan::none()` and no horizon the realized
+/// schedule equals the planned one re-simulated, bit for bit.
 ///
 /// # Errors
 ///
-/// * [`ClusterError::FaultsNeedSingleBox`] for a spec with more than one
-///   machine (the dispatcher does not choose machines);
 /// * [`ClusterError::FaultClockTooLate`] for a plan whose worst case
 ///   passes the slot ceiling ([`FaultPlan::check_clock`]);
 /// * [`ClusterError::RetriesExhausted`] when a task fails more than
@@ -419,17 +402,11 @@ pub fn execute_under_faults(
     plan: &FaultPlan,
     horizon: Option<u64>,
 ) -> Result<FaultyRun, SpearError> {
-    if spec.num_machines() > 1 {
-        return Err(ClusterError::FaultsNeedSingleBox {
-            machines: spec.num_machines(),
-        }
-        .into());
-    }
     plan.check_clock(queue)?;
     let dag = queue.union_dag();
     let mut sim = SimState::new_multi(queue, spec)?.with_faults(*plan);
     dispatch(dag, &dispatch_order(planned), &mut sim, horizon)?;
-    let schedule = realized_schedule(dag, &sim);
+    let schedule = sim.started_schedule(dag);
     Ok(FaultyRun {
         makespan: schedule.makespan(),
         schedule,
@@ -643,24 +620,22 @@ mod tests {
     }
 
     #[test]
-    fn a_multi_machine_spec_is_a_typed_error() {
+    fn a_one_machine_set_runs_faults_like_the_unit_box() {
         use crate::{MachineSet, TransferMode};
         let dag = diamond(1);
-        let unit = ResourceVec::from_slice(&[1.0]);
+        let one = MachineSet::uniform(
+            1,
+            ResourceVec::from_slice(&[1.0]),
+            4,
+            TransferMode::ViaMaster,
+            3,
+            4,
+        );
         let planned = greedy_schedule(&dag, &ClusterSpec::unit(1));
-        let p = plan(0.2, 0.2, 2.0, 3);
-        let two = MachineSet::uniform(2, unit.clone(), 4, TransferMode::Direct, 0, 4).unwrap();
-        let err = execute(&dag, &ClusterSpec::hetero(two).unwrap(), &planned, &p).unwrap_err();
-        assert_eq!(
-            err,
-            ClusterError::FaultsNeedSingleBox { machines: 2 }.into()
-        );
-        // One machine is the single box: its run equals the unit spec's.
-        let one = MachineSet::uniform(1, unit, 4, TransferMode::Direct, 0, 4).unwrap();
-        let on_one = execute(&dag, &ClusterSpec::hetero(one).unwrap(), &planned, &p).unwrap();
-        assert_eq!(
-            on_one,
-            execute(&dag, &ClusterSpec::unit(1), &planned, &p).unwrap()
-        );
+        let p = plan(0.4, 0.3, 2.0, 6);
+        let run = execute(&dag, &ClusterSpec::unit(1), &planned, &p).unwrap();
+        assert!(run.failures > 0, "the plan must bite");
+        let spec = ClusterSpec::hetero(one.unwrap()).unwrap();
+        assert_eq!(execute(&dag, &spec, &planned, &p).unwrap(), run);
     }
 }

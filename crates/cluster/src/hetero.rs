@@ -1,10 +1,11 @@
-//! Heterogeneous machine sets and the inter-machine network model.
+//! Machine sets and the inter-machine network model.
 //!
-//! A [`MachineSet`] turns the single-box [`ClusterSpec`](crate::ClusterSpec)
-//! into a set of machines with individual capacities plus a bandwidth
-//! matrix. A task whose parent ran on a *different* machine pays a
-//! deterministic transfer delay of `ceil(edge_bytes / bandwidth)` slots
-//! before it may start — dslab-style, in one of two [`TransferMode`]s.
+//! Every [`ClusterSpec`](crate::ClusterSpec) is a [`MachineSet`]: machines
+//! with individual capacities plus a bandwidth matrix. The paper's single
+//! box is the one-machine set. A task whose parent ran on a *different*
+//! machine pays a deterministic transfer delay of `ceil(edge_bytes /
+//! bandwidth)` slots before it may start — dslab-style, in one of two
+//! [`TransferMode`]s.
 //! Edge payload sizes are drawn from a seeded hash of the `(parent,
 //! child)` pair, so every component of the model (simulator, schedule
 //! validator, diffcheck judges) can re-derive the same delays
@@ -57,8 +58,12 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Most machines a [`MachineSet`] may hold. The bandwidth matrix of the
+/// largest set takes 8 MiB, and `n × n` cannot overflow.
+pub const MAX_MACHINES: usize = 1024;
+
 /// A set of machines with individual capacities and a link-bandwidth
-/// matrix. Attach one to a cluster with
+/// matrix. Build a cluster from one with
 /// [`ClusterSpec::hetero`](crate::ClusterSpec::hetero).
 ///
 /// Bandwidths are integers in *bytes per slot* and must be ≥ 1; the
@@ -81,11 +86,12 @@ impl MachineSet {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::InvalidCapacity`] if there are no machines, a
-    /// capacity has a non-positive/non-finite component or the machines
-    /// disagree on dimensionality; [`ClusterError::InvalidBandwidth`] if
-    /// the matrix is not `n × n`, contains a zero entry, or
-    /// `max_edge_bytes` is zero.
+    /// [`ClusterError::MachineCount`] for no machines or more than
+    /// [`MAX_MACHINES`]; [`ClusterError::InvalidCapacity`] if a capacity
+    /// has a non-positive/non-finite component or the machines disagree
+    /// on dimensionality; [`ClusterError::InvalidBandwidth`] if the
+    /// matrix is not `n × n`, contains a zero entry, or `max_edge_bytes`
+    /// is zero.
     pub fn new(
         capacities: Vec<ResourceVec>,
         bandwidth: Vec<u64>,
@@ -94,9 +100,7 @@ impl MachineSet {
         max_edge_bytes: u64,
     ) -> Result<Self, ClusterError> {
         let n = capacities.len();
-        if n == 0 {
-            return Err(ClusterError::InvalidCapacity);
-        }
+        Self::check_count(n)?;
         let dims = capacities[0].dims();
         for c in &capacities {
             if c.dims() != dims
@@ -123,7 +127,8 @@ impl MachineSet {
     ///
     /// # Errors
     ///
-    /// As [`MachineSet::new`].
+    /// As [`MachineSet::new`]; the machine count is checked before
+    /// anything is allocated.
     pub fn uniform(
         n: usize,
         capacity: ResourceVec,
@@ -132,13 +137,27 @@ impl MachineSet {
         seed: u64,
         max_edge_bytes: u64,
     ) -> Result<Self, ClusterError> {
+        Self::check_count(n)?;
         MachineSet::new(
-            vec![capacity; n.max(1)],
-            vec![bandwidth; n.max(1) * n.max(1)],
+            vec![capacity; n],
+            vec![bandwidth; n * n],
             mode,
             seed,
             max_edge_bytes,
         )
+    }
+
+    /// Checks a machine count against `1..=`[`MAX_MACHINES`].
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::MachineCount`] outside that range.
+    pub fn check_count(n: usize) -> Result<(), ClusterError> {
+        if (1..=MAX_MACHINES).contains(&n) {
+            Ok(())
+        } else {
+            Err(ClusterError::MachineCount(n))
+        }
     }
 
     /// Number of machines.
@@ -166,8 +185,8 @@ impl MachineSet {
         &self.capacities
     }
 
-    /// Sum of all machine capacities — the aggregate the single-box
-    /// consumers (featurizer globals, lower bounds) see.
+    /// Sum of all machine capacities — the aggregate the cluster-wide
+    /// consumers (featurizer, lower bounds, utilization) see.
     pub fn total_capacity(&self) -> ResourceVec {
         let mut total = ResourceVec::zeros(self.capacities[0].dims());
         for c in &self.capacities {
@@ -250,15 +269,6 @@ impl MachineSet {
         }
         self.transfer_delay(self.edge_bytes(parent, child), src, dst)
     }
-
-    /// The smallest delay the edge `parent → child` can incur when the
-    /// parent ran on `src` and the child may run anywhere — the
-    /// capacity-relaxed bound BnB uses (0: co-locating with the parent is
-    /// always an option in the relaxation).
-    #[inline]
-    pub fn min_edge_delay(&self, _parent: usize, _child: usize, _src: u32) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +293,7 @@ mod tests {
     fn rejects_bad_sets() {
         assert_eq!(
             MachineSet::new(vec![], vec![], TransferMode::Direct, 0, 1).unwrap_err(),
-            ClusterError::InvalidCapacity
+            ClusterError::MachineCount(0)
         );
         assert_eq!(
             MachineSet::new(
@@ -329,6 +339,22 @@ mod tests {
             .unwrap_err(),
             ClusterError::InvalidBandwidth
         );
+    }
+
+    #[test]
+    fn machine_counts_outside_the_ceiling_fail_before_allocating() {
+        let unit = ResourceVec::from_slice(&[1.0]);
+        // `n * n` wraps at 2^32 machines on 64-bit targets, and 10^5
+        // machines would need an 80 GB matrix: both are refused before
+        // any vector is built.
+        for n in [0, MAX_MACHINES + 1, 100_000, usize::MAX] {
+            assert_eq!(
+                MachineSet::uniform(n, unit.clone(), 1, TransferMode::Direct, 0, 1).unwrap_err(),
+                ClusterError::MachineCount(n)
+            );
+        }
+        let most = MachineSet::uniform(MAX_MACHINES, unit, 1, TransferMode::Direct, 0, 1);
+        assert_eq!(most.unwrap().len(), MAX_MACHINES);
     }
 
     #[test]

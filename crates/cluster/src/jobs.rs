@@ -404,7 +404,7 @@ impl JctReport {
 /// `jobs_done` mutate during an episode; the arrival/bound tables are
 /// per-episode constants, cloned (and reused via `clone_from`) with the
 /// state so search-tree snapshots need no back-reference to the queue.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct JobLedger {
     /// Arrival slot per job, non-decreasing (queue order).
     pub(crate) arrivals: Vec<u64>,
@@ -728,7 +728,7 @@ mod tests {
         let spec = ClusterSpec::new(ResourceVec::from_slice(&[0.75])).unwrap();
         let mut sim = SimState::new_multi(&queue, &spec).unwrap();
         for local in 0..4 {
-            sim.apply(queue.union_dag(), Action::Schedule(TaskId::new(local)))
+            sim.apply(queue.union_dag(), Action::Place(TaskId::new(local), 0))
                 .unwrap();
             sim.apply(queue.union_dag(), Action::Process).unwrap();
         }

@@ -5,9 +5,10 @@
 //! rectangle per resource dimension, with width = capacity and height =
 //! time. Tasks occupy sub-rectangles for their runtime. The scheduling agent
 //! interacts with the cluster through the decoupled action space
-//! `{schedule task i, process}`: scheduling freezes time and commits a ready
-//! task that fits the free capacity; *process* advances the clock to the
-//! next task completion.
+//! `{place task i on machine m, process}`: placing freezes time and commits
+//! a ready task that fits the machine's free capacity; *process* advances
+//! the clock to the next task completion. The paper's single box is the
+//! one-machine cluster, where every placement names machine 0.
 //!
 //! The central type is [`SimState`]: a cheaply cloneable simulation state
 //! that MCTS snapshots per search node, the DRL agent featurizes, and the
@@ -30,9 +31,9 @@
 //! let spec = ClusterSpec::new(ResourceVec::from_slice(&[1.0]))?;
 //!
 //! let mut sim = SimState::new(&dag, &spec)?;
-//! sim.apply(&dag, Action::Schedule(a))?;
+//! sim.apply(&dag, Action::Place(a, 0))?;
 //! sim.apply(&dag, Action::Process)?; // a finishes at t=2
-//! sim.apply(&dag, Action::Schedule(c))?;
+//! sim.apply(&dag, Action::Place(c, 0))?;
 //! sim.apply(&dag, Action::Process)?; // c finishes at t=5
 //! assert_eq!(sim.makespan(), Some(5));
 //! # Ok(())

@@ -1,7 +1,7 @@
 //! Finished schedules and their validation.
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{Dag, ResourceVec, TaskId, FIT_EPSILON};
+use spear_dag::{Dag, TaskId};
 
 use crate::{ClusterError, ClusterSpec};
 
@@ -14,9 +14,8 @@ pub struct Placement {
     pub start: u64,
     /// Finish time slot (exclusive): `start + runtime`.
     pub finish: u64,
-    /// The machine the task occupies — always 0 in the single-box
-    /// regime, and defaulted to 0 when deserializing pre-hetero
-    /// schedules.
+    /// The machine the task occupies — always 0 on a single box, and
+    /// defaulted to 0 when deserializing pre-hetero schedules.
     #[serde(default)]
     pub machine: u32,
 }
@@ -177,16 +176,16 @@ impl Schedule {
     ///
     /// 1. every task appears exactly once with duration equal to its
     ///    runtime, and the recorded makespan equals the latest finish;
-    /// 2. every placement names an in-range machine (machine 0 in the
-    ///    single-box regime);
-    /// 3. every task starts at or after each parent's finish — plus, on
-    ///    a heterogeneous cluster, the transfer delay of the edge when
-    ///    parent and child ran on different machines (re-derived here
-    ///    from the [`MachineSet`](crate::MachineSet) alone, independent
-    ///    of the simulator);
+    /// 2. every placement names an in-range machine (machine 0 on a
+    ///    single box);
+    /// 3. every task starts at or after each parent's finish plus the
+    ///    transfer delay of the edge when parent and child ran on
+    ///    different machines (re-derived here from the
+    ///    [`MachineSet`](crate::MachineSet) alone, independent of the
+    ///    simulator);
     /// 4. at every time slot the summed demand of running tasks fits the
     ///    aggregate cluster capacity — and each machine's individual
-    ///    capacity on a heterogeneous cluster.
+    ///    capacity.
     ///
     /// # Errors
     ///
@@ -223,10 +222,9 @@ impl Schedule {
                 .expect("non-empty dag has placements");
             return Err(ClusterError::WrongDuration(worst.task));
         }
-        // 2. Machine indices. The single-box regime has exactly one
-        // machine, so any nonzero index is out of range.
+        // 2. Machine indices.
         let machines = spec.machines();
-        let num_machines = machines.map_or(1, |m| m.len()) as u32;
+        let num_machines = machines.len() as u32;
         for p in &self.placements {
             if p.machine >= num_machines {
                 return Err(ClusterError::MachineOutOfRange {
@@ -247,75 +245,21 @@ impl Schedule {
                     child: e.to,
                 });
             }
-            if let Some(m) = machines {
-                let delay =
-                    m.edge_delay(e.from.index(), e.to.index(), parent.machine, child.machine);
-                if child.start < parent.finish + delay {
-                    return Err(ClusterError::TransferViolation {
-                        parent: e.from,
-                        child: e.to,
-                    });
-                }
+            let delay =
+                machines.edge_delay(e.from.index(), e.to.index(), parent.machine, child.machine);
+            if child.start < parent.finish + delay {
+                return Err(ClusterError::TransferViolation {
+                    parent: e.from,
+                    child: e.to,
+                });
             }
         }
-        // 4. Capacity, via an event sweep over start/finish boundaries.
-        let mut events: Vec<(u64, bool, TaskId)> = Vec::with_capacity(self.placements.len() * 2);
-        for p in &self.placements {
-            events.push((p.start, false, p.task)); // false = start
-            events.push((p.finish, true, p.task)); // true = end
-        }
-        // Ends sort before starts at the same instant: a task may begin
-        // exactly when another finishes.
-        events.sort_by_key(|&(t, is_start, _)| (t, !is_start));
-        let mut used = ResourceVec::zeros(spec.dims());
-        for &(time, is_end, task) in &events {
-            let demand = dag.task(task).demand();
-            if is_end {
-                used.saturating_sub_assign(demand);
-            } else {
-                used.add_assign(demand);
-                if !used.fits_within(spec.capacity()) {
-                    let dim = (0..spec.dims())
-                        .find(|&r| used[r] > spec.capacity()[r] + FIT_EPSILON)
-                        .unwrap_or(0);
-                    return Err(ClusterError::CapacityViolation { time, dim });
-                }
-            }
-        }
-        // Per-machine sweeps: the same arithmetic against each machine's
-        // own capacity, restricted to its placements.
-        if let Some(m) = machines {
-            for machine in 0..num_machines {
-                let cap = m.capacity(machine);
-                let mut used = ResourceVec::zeros(spec.dims());
-                for &(time, is_end, task) in &events {
-                    if self
-                        .placement_of(task)
-                        .expect("completeness checked above")
-                        .machine
-                        != machine
-                    {
-                        continue;
-                    }
-                    let demand = dag.task(task).demand();
-                    if is_end {
-                        used.saturating_sub_assign(demand);
-                    } else {
-                        used.add_assign(demand);
-                        if !used.fits_within(cap) {
-                            let dim = (0..spec.dims())
-                                .find(|&r| used[r] > cap[r] + FIT_EPSILON)
-                                .unwrap_or(0);
-                            return Err(ClusterError::MachineCapacityViolation {
-                                machine,
-                                time,
-                                dim,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+        // 4. Capacity, via event sweeps over start/finish boundaries.
+        let intervals = self.placements.iter();
+        spec.check_occupancy(
+            dag,
+            intervals.map(|p| (p.start, p.finish, p.task, p.machine)),
+        )?;
         Ok(())
     }
 }
@@ -323,7 +267,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spear_dag::{DagBuilder, Task};
+    use spear_dag::{DagBuilder, ResourceVec, Task};
 
     fn chain() -> Dag {
         let mut b = DagBuilder::new(1);

@@ -1,5 +1,7 @@
 //! The cloneable simulation state.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 use spear_dag::topo::ReadyTracker;
 use spear_dag::{Dag, ResourceVec, TaskId, FIT_EPSILON};
@@ -17,7 +19,7 @@ use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule};
 // incrementally — the placement XOR-set, which would be `O(n)` to rebuild
 // — and everything that is small at any instant (the running vector, the
 // clock, `used` bit patterns) is folded in at read time. The split keeps
-// the always-on maintenance cost at a single key mix per `Schedule`
+// the always-on maintenance cost at a single key mix per `Place`
 // action (`Process` pays nothing), so pure-MCTS rollouts, which never
 // read the fingerprint, stay within noise of the unfingerprinted
 // simulator; the read-time fold is `O(cluster width)` and only runs on
@@ -49,12 +51,12 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Zobrist-style key of one committed placement `(task, start)`. Start
-/// times are unbounded, so keys are mixed on demand rather than drawn
-/// from a pretabulated random table. A single finalizer over the odd-
-/// multiplier combination keeps the per-`Schedule` maintenance cost to
-/// one mix; distinct `(task, start)` pairs collide pre-mix only on a
-/// 64-bit coincidence of the linear map.
+/// Zobrist-style key of one committed placement `(task, start)` on a
+/// one-machine cluster. Start times are unbounded, so keys are mixed on
+/// demand rather than drawn from a pretabulated random table. A single
+/// finalizer over the odd-multiplier combination keeps the per-`Place`
+/// maintenance cost to one mix; distinct `(task, start)` pairs collide
+/// pre-mix only on a 64-bit coincidence of the linear map.
 #[inline]
 fn placement_key(task: usize, start: u64) -> u64 {
     mix64(
@@ -64,11 +66,11 @@ fn placement_key(task: usize, start: u64) -> u64 {
 }
 
 /// Zobrist-style key of one committed placement `(task, start, machine)`
-/// in the heterogeneous regime. Built on [`placement_key`] so the
-/// single-box key family is untouched; the `+ 1` keeps machine 0 from
-/// degenerating to a zero mix term.
+/// on a cluster of two or more machines. Built on [`placement_key`] so
+/// the one-machine key family is untouched; the `+ 1` keeps machine 0
+/// from degenerating to a zero mix term.
 #[inline]
-fn hetero_placement_key(task: usize, start: u64, machine: u32) -> u64 {
+fn machine_placement_key(task: usize, start: u64, machine: u32) -> u64 {
     mix64(placement_key(task, start) ^ (u64::from(machine) + 1).wrapping_mul(0xd6e8_feb8_6659_fd93))
 }
 
@@ -76,37 +78,6 @@ fn hetero_placement_key(task: usize, start: u64, machine: u32) -> u64 {
 #[inline]
 fn fold(h: u64, v: u64) -> u64 {
     mix64(h.wrapping_add(mix64(v)))
-}
-
-/// Per-machine bookkeeping of a heterogeneous episode: the machine set
-/// (capacities + network model), per-machine accounting mirroring the
-/// global `used`/`free` pair, and each started task's machine. `None` on
-/// single-box states, which therefore stay bit-identical to the
-/// pre-hetero simulator (every hetero branch is behind the option).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct HeteroState {
-    pub(crate) machines: MachineSet,
-    /// Summed demand of the running set, per machine (the per-machine
-    /// admission truth, same sum-based rule as the global `used`).
-    pub(crate) used: Vec<ResourceVec>,
-    /// Derived `max(0, capacity - used)` per machine.
-    pub(crate) free: Vec<ResourceVec>,
-    /// Machine of every started task (`None` before its start; retracted
-    /// when a faulty attempt aborts).
-    pub(crate) machine_of: Vec<Option<u32>>,
-}
-
-impl HeteroState {
-    fn new(machines: MachineSet, num_tasks: usize) -> Self {
-        let dims = machines.capacity(0).dims();
-        let n = machines.len();
-        HeteroState {
-            free: machines.capacities().to_vec(),
-            used: vec![ResourceVec::zeros(dims); n],
-            machine_of: vec![None; num_tasks],
-            machines,
-        }
-    }
 }
 
 /// A task currently occupying the cluster.
@@ -130,7 +101,13 @@ pub struct Running {
 /// action space and enforces their legality; see [`SimState::legal_actions`]
 /// for the exact filter (which doubles as the paper's §III-C expansion
 /// pruning).
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Every state runs on a [`MachineSet`]; the paper's single box is the
+/// one-machine set. Machine terms (per-machine rows, transfer gates,
+/// machine-aware fingerprint keys) appear only from two machines on, so
+/// a one-machine state steps, clones and fingerprints like the single box
+/// always did.
+#[derive(Debug, PartialEq)]
 pub struct SimState {
     // Fields are `pub(crate)` so the invariant auditor (`crate::audit`) can
     // cross-check them — and its tests can corrupt them — without widening
@@ -156,11 +133,10 @@ pub struct SimState {
     pub(crate) max_finish: u64,
     // Incrementally maintained XOR-set hash behind `fingerprint()`: one
     // key per committed placement. Placements only accumulate, so
-    // maintenance is a single XOR per `Schedule` action and `Process`
+    // maintenance is a single XOR per `Place` action and `Process`
     // pays nothing. The invariant auditor recomputes it from scratch and
     // reports any drift as a caught violation rather than a silent wrong
     // cache hit.
-    #[serde(default)]
     pub(crate) placement_hash: u64,
     // Arrival bookkeeping: which jobs of the queue have reached the
     // frontier and how far each has completed. Always present — a bare
@@ -170,18 +146,28 @@ pub struct SimState {
     // therefore stay bit-identical to the pre-fault simulator (every
     // fault branch below is behind this option). Boxed so the fault-free
     // state grows by one pointer.
-    #[serde(default)]
     pub(crate) faults: Option<Box<FaultState>>,
-    // Heterogeneous-cluster bookkeeping (per-machine accounting + network
-    // model); `None` on single-box states, which therefore stay
-    // bit-identical to the pre-hetero simulator. Boxed like `faults`.
-    #[serde(default)]
-    pub(crate) hetero: Option<Box<HeteroState>>,
+    // The machine set (capacities + network model), shared by the spec
+    // and every state of the episode.
+    pub(crate) machines: Arc<MachineSet>,
+    // Per-machine rows, present from two machines on: the summed demand
+    // running on each machine (the per-machine admission truth, same
+    // sum-based rule as `used`) and its derived `free`. A one-machine
+    // cluster keeps both empty — its only machine's row *is* the
+    // aggregate `used`/`free` pair, so it pays for no mirror.
+    pub(crate) machine_used: Vec<ResourceVec>,
+    pub(crate) machine_free: Vec<ResourceVec>,
+    // Machine of every started task (`None` before its start; retracted
+    // when a faulty attempt aborts). Empty on a one-machine cluster,
+    // where every started task runs on machine 0.
+    pub(crate) machine_of: Vec<Option<u32>>,
 }
 
 // Manual `Clone` so `clone_from` reuses every interior allocation. MCTS
 // clones one state per rollout; with `clone_from` into a persistent scratch
-// state the steady-state rollout loop does zero heap allocations.
+// state the steady-state rollout loop does zero heap allocations, whatever
+// the machine count (the per-machine rows are plain vectors too, and the
+// shared machine set is only re-pointed when it differs).
 impl Clone for SimState {
     fn clone(&self) -> Self {
         SimState {
@@ -197,7 +183,10 @@ impl Clone for SimState {
             placement_hash: self.placement_hash,
             jobs: self.jobs.clone(),
             faults: self.faults.clone(),
-            hetero: self.hetero.clone(),
+            machines: Arc::clone(&self.machines),
+            machine_used: self.machine_used.clone(),
+            machine_free: self.machine_free.clone(),
+            machine_of: self.machine_of.clone(),
         }
     }
 
@@ -218,9 +207,14 @@ impl Clone for SimState {
             (Some(dst), Some(src)) => dst.as_mut().clone_from(src.as_ref()),
             (dst, src) => *dst = src.clone(),
         }
-        match (&mut self.hetero, &source.hetero) {
-            (Some(dst), Some(src)) => dst.as_mut().clone_from(src.as_ref()),
-            (dst, src) => *dst = src.clone(),
+        if !Arc::ptr_eq(&self.machines, &source.machines) {
+            self.machines = Arc::clone(&source.machines);
+        }
+        // One-machine states carry no rows: skip three empty copies.
+        if self.spans_machines() || source.spans_machines() {
+            self.machine_used.clone_from(&source.machine_used);
+            self.machine_free.clone_from(&source.machine_free);
+            self.machine_of.clone_from(&source.machine_of);
         }
     }
 }
@@ -256,6 +250,12 @@ impl SimState {
 
     fn with_jobs(dag: &Dag, spec: &ClusterSpec, jobs: JobLedger) -> Result<Self, ClusterError> {
         spec.validate_dag(dag)?;
+        let machines = Arc::clone(spec.shared_machines());
+        let rows = if machines.len() > 1 {
+            machines.len()
+        } else {
+            0
+        };
         let mut state = SimState {
             clock: 0,
             capacity: spec.capacity().clone(),
@@ -269,9 +269,10 @@ impl SimState {
             placement_hash: 0,
             jobs,
             faults: None,
-            hetero: spec
-                .machines()
-                .map(|m| Box::new(HeteroState::new(m.clone(), dag.len()))),
+            machine_used: vec![ResourceVec::zeros(spec.dims()); rows],
+            machine_free: machines.capacities()[..rows].to_vec(),
+            machine_of: vec![None; if rows > 0 { dag.len() } else { 0 }],
+            machines,
         };
         // `ReadyTracker::new` seeded every source; withhold them all and
         // let `advance_arrivals` re-inject the time-0 jobs, so arrival
@@ -509,104 +510,129 @@ impl SimState {
         self.jobs.arrivals.get(job).copied()
     }
 
-    /// Whether this state runs on a heterogeneous cluster (created from
-    /// a spec with a [`MachineSet`]).
+    /// The machine set this state runs on (one machine for a single box).
     #[inline]
-    pub fn is_hetero(&self) -> bool {
-        self.hetero.is_some()
+    pub fn machines(&self) -> &MachineSet {
+        &self.machines
     }
 
-    /// The machine set of a heterogeneous state, if any.
-    #[inline]
-    pub fn machines(&self) -> Option<&MachineSet> {
-        self.hetero.as_deref().map(|h| &h.machines)
-    }
-
-    /// Number of machines (1 in the single-box regime).
+    /// Number of machines (1 for a single box).
     #[inline]
     pub fn num_machines(&self) -> usize {
-        self.hetero.as_deref().map_or(1, |h| h.machines.len())
+        self.machines.len()
     }
 
-    /// The machine `task` was placed on: `Some(0)` for every started task
-    /// in the single-box regime, the placement machine in the
-    /// heterogeneous regime, `None` before the task starts.
+    /// Whether the cluster has two or more machines: only then do
+    /// placements carry machine terms (per-machine rows, transfer gates,
+    /// machine-aware fingerprint keys).
+    #[inline]
+    fn spans_machines(&self) -> bool {
+        !self.machine_used.is_empty()
+    }
+
+    /// The machine `task` was placed on, `None` before the task starts.
     #[inline]
     pub fn machine_of(&self, task: TaskId) -> Option<u32> {
-        match self.hetero.as_deref() {
-            Some(h) => h.machine_of[task.index()],
-            None => self.starts[task.index()].map(|_| 0),
+        if self.spans_machines() {
+            self.machine_of[task.index()]
+        } else {
+            self.starts[task.index()].map(|_| 0)
         }
     }
 
-    /// Summed demand of the tasks running on machine `m` (the global
-    /// `used` in the single-box regime).
+    /// Summed demand of the tasks running on machine `m` (the aggregate
+    /// [`SimState::used`] on a one-machine cluster).
     #[inline]
     pub fn machine_used(&self, m: u32) -> &ResourceVec {
-        match self.hetero.as_deref() {
-            Some(h) => &h.used[m as usize],
-            None => &self.used,
+        self.machine_row(m).0
+    }
+
+    /// Free capacity of machine `m` (the aggregate [`SimState::free`] on
+    /// a one-machine cluster).
+    #[inline]
+    pub fn machine_free(&self, m: u32) -> &ResourceVec {
+        if self.spans_machines() {
+            &self.machine_free[m as usize]
+        } else {
+            &self.free
         }
     }
 
-    /// Free capacity of machine `m` (the global `free` in the single-box
-    /// regime).
+    /// Machine `m`'s admission row: the summed demand running on it and
+    /// its capacity — the aggregate pair on a one-machine cluster.
     #[inline]
-    pub fn machine_free(&self, m: u32) -> &ResourceVec {
-        match self.hetero.as_deref() {
-            Some(h) => &h.free[m as usize],
-            None => &self.free,
+    fn machine_row(&self, m: u32) -> (&ResourceVec, &ResourceVec) {
+        if self.spans_machines() {
+            (&self.machine_used[m as usize], self.machines.capacity(m))
+        } else {
+            (&self.used, &self.capacity)
+        }
+    }
+
+    /// The fingerprint key of one placement: `(task, start)` on one
+    /// machine, `(task, start, machine)` from two machines on.
+    #[inline]
+    fn key_of(&self, task: usize, start: u64, machine: u32) -> u64 {
+        if self.spans_machines() {
+            machine_placement_key(task, start, machine)
+        } else {
+            placement_key(task, start)
         }
     }
 
     /// Earliest slot at which `task` could start on machine `m` once its
     /// parents' outputs have arrived there: the max over parents of
-    /// `parent_finish + transfer_delay`, 0 for sources or single-box
-    /// states. Only meaningful for *ready* tasks (every parent started
-    /// and finished).
+    /// `parent_finish + transfer_delay`; 0 for sources and on a
+    /// one-machine cluster, which has no links. Only meaningful for
+    /// *ready* tasks (every parent started and finished).
+    #[inline]
     pub fn transfer_ready_on(&self, dag: &Dag, task: TaskId, m: u32) -> u64 {
-        let Some(h) = self.hetero.as_deref() else {
+        if !self.spans_machines() {
             return 0;
-        };
-        let mut at = 0;
-        for &p in dag.parents(task) {
-            let start = self.starts[p.index()].expect("transfer_ready_on requires a ready task");
-            let finish = start + self.run_slots_of(dag, p);
-            let src = h.machine_of[p.index()].expect("completed parent has a machine");
-            at = at.max(finish + h.machines.edge_delay(p.index(), task.index(), src, m));
         }
-        at
+        dag.parents(task)
+            .iter()
+            .map(|&p| self.transfer_arrival(dag, p, task, m))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Slot at which the output of the finished parent `p` reaches
+    /// machine `m` for `task` (a machine-spanning state only).
+    fn transfer_arrival(&self, dag: &Dag, p: TaskId, task: TaskId, m: u32) -> u64 {
+        let start = self.starts[p.index()].expect("transfer_ready_on requires a ready task");
+        let finish = start + self.run_slots_of(dag, p);
+        let src = self.machine_of[p.index()].expect("completed parent has a machine");
+        finish + self.machines.edge_delay(p.index(), task.index(), src, m)
+    }
+
+    /// Whether `task` fits machine `m`'s remaining capacity and has every
+    /// parent's output on `m` already (readiness is the caller's check).
+    #[inline]
+    fn fits_on(&self, dag: &Dag, task: TaskId, m: u32) -> bool {
+        let (used, capacity) = self.machine_row(m);
+        Self::admits_in(used, dag.task(task).demand(), capacity)
+            && self.transfer_ready_on(dag, task, m) <= self.clock
     }
 
     /// Whether `task` is ready, fits machine `m`'s remaining capacity,
     /// and has every parent's output already transferred to `m`.
     pub fn can_schedule_on(&self, dag: &Dag, task: TaskId, m: u32) -> bool {
-        if self.tracker.ready().binary_search(&task).is_err() {
-            return false;
-        }
-        match self.hetero.as_deref() {
-            Some(h) => {
-                (m as usize) < h.machines.len()
-                    && Self::admits_in(
-                        &h.used[m as usize],
-                        dag.task(task).demand(),
-                        h.machines.capacity(m),
-                    )
-                    && self.transfer_ready_on(dag, task, m) <= self.clock
-            }
-            None => m == 0 && self.admits(dag.task(task).demand()),
-        }
+        self.tracker.ready().binary_search(&task).is_ok()
+            && (m as usize) < self.machines.len()
+            && self.fits_on(dag, task, m)
     }
 
     /// A 64-bit Zobrist-style fingerprint of the exact simulation state.
     /// The placement component is maintained incrementally by
     /// [`SimState::apply`]/[`SimState::apply_legal`] (one key XOR per
-    /// `Schedule` action); the rest — the running vector, the clock, the
+    /// `Place` action); the rest — the running vector, the clock, the
     /// `used` bit patterns — is small at any instant and folded in here,
     /// at read time, in `O(cluster width)`.
     ///
     /// The fingerprint covers everything the DRL featurizer reads:
-    /// committed placements (an XOR-set of per-`(task, start)` keys — the
+    /// committed placements (an XOR-set of per-`(task, start)` keys,
+    /// machine-aware from two machines on — the
     /// ready frontier and completion set derive from placements, so they
     /// are covered transitively), the running vector *including its
     /// order*, the clock, and the exact bit patterns of the `used`
@@ -657,15 +683,14 @@ impl SimState {
         if let Some(f) = self.faults.as_deref() {
             h = fold(h, f.attempt_hash);
         }
-        // Heterogeneous clusters: per-machine occupancy feeds admission
-        // and featurization, so fold each machine's exact `used` bit
-        // patterns (machine assignments themselves are covered by the
-        // machine-aware placement keys). Single-box states fold nothing.
-        if let Some(hs) = self.hetero.as_deref() {
-            for mu in &hs.used {
-                for &u in mu.as_slice() {
-                    h = fold(h, u.to_bits());
-                }
+        // Two or more machines: per-machine occupancy feeds admission,
+        // so fold each machine's exact `used` bit patterns (machine
+        // assignments themselves are covered by the machine-aware
+        // placement keys). A one-machine cluster has no per-machine rows
+        // and folds nothing: its only row is the aggregate folded above.
+        for mu in &self.machine_used {
+            for &u in mu.as_slice() {
+                h = fold(h, u.to_bits());
             }
         }
         h
@@ -733,18 +758,19 @@ impl SimState {
         if let Some(f) = self.faults.as_deref() {
             h = fold(h, f.attempt_hash);
         }
-        // Heterogeneous clusters: the legality mask depends on where
+        // Two or more machines: the legality mask depends on where
         // *completed* parents ran (transfer gating reads their finish
         // times and machines), which the frontier deliberately does not
         // capture. Rather than weaken the equal-fingerprint ⇒
         // equal-featurization contract, fold the full placement set and
-        // the absolute clock back in: hetero frontier keys give up
+        // the absolute clock back in: such frontier keys give up
         // cross-history cache hits but never alias states with different
-        // transfer outlooks. Single-box states fold nothing.
-        if let Some(hs) = self.hetero.as_deref() {
+        // transfer outlooks. A one-machine cluster has no transfers and
+        // folds nothing, keeping the single box's cross-history hits.
+        if self.spans_machines() {
             h = fold(h, self.placement_hash);
             h = fold(h, self.clock);
-            for mu in &hs.used {
+            for mu in &self.machine_used {
                 for &u in mu.as_slice() {
                     h = fold(h, u.to_bits());
                 }
@@ -760,31 +786,17 @@ impl SimState {
         let mut placement = 0u64;
         for (i, start) in self.starts.iter().enumerate() {
             if let Some(s) = start {
-                placement ^= match self.hetero.as_deref() {
-                    Some(h) => hetero_placement_key(
-                        i,
-                        *s,
-                        h.machine_of[i].expect("started task has a machine"),
-                    ),
-                    None => placement_key(i, *s),
-                };
+                let machine = self.machine_of(TaskId::new(i));
+                placement ^= self.key_of(i, *s, machine.expect("started task has a machine"));
             }
         }
         placement
     }
 
     /// Sum-based feasibility: `used + demand <= capacity + FIT_EPSILON` in
-    /// every dimension. The same arithmetic as `Schedule::validate` and the
-    /// `ResourceTimeline`, so the three can never disagree about what fits.
-    #[inline]
-    fn admits(&self, demand: &ResourceVec) -> bool {
-        debug_assert_eq!(demand.dims(), self.capacity.dims());
-        Self::admits_in(&self.used, demand, &self.capacity)
-    }
-
-    /// The sum-based admission rule against an arbitrary `(used,
-    /// capacity)` pair — shared by the global and the per-machine
-    /// accounting so the two regimes can never disagree on arithmetic.
+    /// every dimension, against one machine's `(used, capacity)` row. The
+    /// same arithmetic as `Schedule::validate` and the `ResourceTimeline`,
+    /// so the three can never disagree about what fits.
     #[inline]
     fn admits_in(used: &ResourceVec, demand: &ResourceVec, capacity: &ResourceVec) -> bool {
         used.as_slice()
@@ -794,41 +806,32 @@ impl SimState {
             .all(|((&u, &d), &c)| u + d <= c + FIT_EPSILON)
     }
 
-    /// Whether `task` is ready and fits the remaining capacity — of the
-    /// single box, or of *some* machine (with its transfers complete) in
-    /// the heterogeneous regime.
+    /// Whether `task` is ready and fits the remaining capacity of *some*
+    /// machine, with its transfers there complete.
     ///
     /// The ready set is kept sorted by id ([`ReadyTracker::ready`]), so
     /// membership is a binary search rather than a linear scan — this
     /// check sits on the search hot path via [`SimState::apply`].
     pub fn can_schedule(&self, dag: &Dag, task: TaskId) -> bool {
-        if self.tracker.ready().binary_search(&task).is_err() {
-            return false;
-        }
-        match self.hetero.as_deref() {
-            Some(h) => (0..h.machines.len() as u32).any(|m| {
-                Self::admits_in(
-                    &h.used[m as usize],
-                    dag.task(task).demand(),
-                    h.machines.capacity(m),
-                ) && self.transfer_ready_on(dag, task, m) <= self.clock
-            }),
-            None => self.admits(dag.task(task).demand()),
-        }
+        self.tracker.ready().binary_search(&task).is_ok()
+            && (0..self.machines.len() as u32).any(|m| self.fits_on(dag, task, m))
     }
 
     /// Earliest future instant at which waiting alone (no completion, no
     /// arrival) unlocks a currently-blocked `(ready task, machine)` pair:
     /// the minimum pending transfer-release time. `None` when no such
-    /// pair exists (or in the single-box regime, where starts are never
-    /// transfer-gated).
+    /// pair exists (always on a one-machine cluster, where starts are
+    /// never transfer-gated).
     fn next_transfer_release(&self, dag: &Dag) -> Option<u64> {
-        let h = self.hetero.as_deref()?;
+        if !self.spans_machines() {
+            return None;
+        }
         let mut next: Option<u64> = None;
         for &t in self.tracker.ready() {
             let demand = dag.task(t).demand();
-            for m in 0..h.machines.len() as u32 {
-                if !Self::admits_in(&h.used[m as usize], demand, h.machines.capacity(m)) {
+            for m in 0..self.machines.len() as u32 {
+                let (used, capacity) = self.machine_row(m);
+                if !Self::admits_in(used, demand, capacity) {
                     continue;
                 }
                 let at = self.transfer_ready_on(dag, t, m);
@@ -840,18 +843,18 @@ impl SimState {
         next
     }
 
-    /// The legal actions in this state, in deterministic order (schedules
-    /// sorted by task id, then `Process`).
+    /// The legal actions in this state, in deterministic order (placements
+    /// sorted by task id, then machine, then `Process`).
     ///
     /// This implements the paper's expansion filters (§III-C):
     ///
     /// 1. `Process` is only legal when the cluster is non-empty (otherwise
     ///    time could never advance).
-    /// 2. `Schedule(t)` is only legal when `t` is ready *and fits the free
-    ///    capacity right now* — i.e. it can start before the earliest finish
-    ///    time of the running tasks. A ready task that does not fit now
-    ///    gains nothing over waiting for the next completion, so it is
-    ///    pruned.
+    /// 2. `Place(t, m)` is only legal when `t` is ready *and fits machine
+    ///    `m`'s free capacity right now*, with its parents' outputs on `m`
+    ///    — i.e. it can start before the earliest finish time of the
+    ///    running tasks. A ready task that does not fit now gains nothing
+    ///    over waiting for the next completion, so it is pruned.
     ///
     /// Returns an empty vector exactly in terminal states: if nothing runs,
     /// the frontier is non-empty (or the simulation finished) and every
@@ -874,25 +877,24 @@ impl SimState {
         if self.exhausted().is_some() {
             return;
         }
-        if let Some(h) = self.hetero.as_deref() {
-            // Heterogeneous regime: one `Place` per (ready task, machine)
-            // pair that fits *and* has its parent transfers complete —
-            // task-id-major, machine-minor order keeps the list
-            // deterministic.
+        // One `Place` per (ready task, machine) pair that fits *and* has
+        // its parent transfers complete — task-id-major, machine-minor
+        // order keeps the list deterministic. A one-machine cluster has
+        // one admission row and no transfers, so its loop is the plain
+        // fit check (this sits on the rollout hot path).
+        if self.spans_machines() {
+            let machines = self.machines.len() as u32;
             for &t in self.tracker.ready() {
-                let demand = dag.task(t).demand();
-                for m in 0..h.machines.len() as u32 {
-                    if Self::admits_in(&h.used[m as usize], demand, h.machines.capacity(m))
-                        && self.transfer_ready_on(dag, t, m) <= self.clock
-                    {
+                for m in 0..machines {
+                    if self.fits_on(dag, t, m) {
                         out.push(Action::Place(t, m));
                     }
                 }
             }
         } else {
             for &t in self.tracker.ready() {
-                if self.admits(dag.task(t).demand()) {
-                    out.push(Action::Schedule(t));
+                if Self::admits_in(&self.used, dag.task(t).demand(), &self.capacity) {
+                    out.push(Action::Place(t, 0));
                 }
             }
         }
@@ -914,10 +916,14 @@ impl SimState {
     ///
     /// # Errors
     ///
-    /// * [`ClusterError::TaskNotReady`] — scheduling a task whose parents
+    /// * [`ClusterError::MachineOutOfRange`] — placing a task on a machine
+    ///   the cluster does not have.
+    /// * [`ClusterError::TaskNotReady`] — placing a task whose parents
     ///   are incomplete (or that already ran).
-    /// * [`ClusterError::InsufficientResources`] — scheduling a task that
-    ///   does not fit the free capacity.
+    /// * [`ClusterError::InsufficientResources`] — placing a task that
+    ///   does not fit the machine's free capacity.
+    /// * [`ClusterError::TransferViolation`] — placing a task before a
+    ///   parent's output reaches the machine.
     /// * [`ClusterError::NothingRunning`] — processing an empty cluster.
     /// * [`ClusterError::SimulationFinished`] — any action on a terminal
     ///   state.
@@ -926,39 +932,15 @@ impl SimState {
             return Err(ClusterError::SimulationFinished);
         }
         match action {
-            Action::Schedule(task) => {
-                if self.hetero.is_some() {
-                    return Err(ClusterError::MachineRequired(task));
-                }
-                if self.tracker.ready().binary_search(&task).is_err() {
-                    return Err(ClusterError::TaskNotReady(task));
-                }
-                if !self.admits(dag.task(task).demand()) {
-                    return Err(ClusterError::InsufficientResources(task));
-                }
-                self.schedule_unchecked(dag, task, 0);
-                Ok(())
-            }
             Action::Place(task, machine) => {
-                let Some(h) = self.hetero.as_deref() else {
-                    // Single box: `Place { machine: 0 }` aliases
-                    // `Schedule`; any other machine does not exist.
-                    if machine != 0 {
-                        return Err(ClusterError::MachineOutOfRange { task, machine });
-                    }
-                    return self.apply(dag, Action::Schedule(task));
-                };
-                if machine as usize >= h.machines.len() {
+                if machine as usize >= self.machines.len() {
                     return Err(ClusterError::MachineOutOfRange { task, machine });
                 }
                 if self.tracker.ready().binary_search(&task).is_err() {
                     return Err(ClusterError::TaskNotReady(task));
                 }
-                if !Self::admits_in(
-                    &h.used[machine as usize],
-                    dag.task(task).demand(),
-                    h.machines.capacity(machine),
-                ) {
+                let (used, capacity) = self.machine_row(machine);
+                if !Self::admits_in(used, dag.task(task).demand(), capacity) {
                     return Err(ClusterError::InsufficientResources(task));
                 }
                 if self.transfer_ready_on(dag, task, machine) > self.clock {
@@ -968,12 +950,7 @@ impl SimState {
                         .parents(task)
                         .iter()
                         .copied()
-                        .max_by_key(|&p| {
-                            let start = self.starts[p.index()].expect("ready task");
-                            let finish = start + self.run_slots_of(dag, p);
-                            let src = h.machine_of[p.index()].expect("completed parent");
-                            finish + h.machines.edge_delay(p.index(), task.index(), src, machine)
-                        })
+                        .max_by_key(|&p| self.transfer_arrival(dag, p, task, machine))
                         .expect("a transfer-gated task has parents");
                     return Err(ClusterError::TransferViolation {
                         parent,
@@ -1005,12 +982,6 @@ impl SimState {
     pub fn apply_legal(&mut self, dag: &Dag, action: Action) {
         debug_assert!(!self.is_terminal(dag), "apply_legal on a terminal state");
         match action {
-            Action::Schedule(task) => {
-                debug_assert!(self.hetero.is_none(), "hetero states require Place");
-                debug_assert!(self.tracker.ready().binary_search(&task).is_ok());
-                debug_assert!(self.admits(dag.task(task).demand()));
-                self.schedule_unchecked(dag, task, 0);
-            }
             Action::Place(task, machine) => {
                 debug_assert!(self.can_schedule_on(dag, task, machine));
                 self.schedule_unchecked(dag, task, machine);
@@ -1028,10 +999,11 @@ impl SimState {
 
     fn schedule_unchecked(&mut self, dag: &Dag, task: TaskId, machine: u32) {
         self.tracker.take(task);
-        self.used.add_assign(dag.task(task).demand());
-        if let Some(h) = self.hetero.as_deref_mut() {
-            h.used[machine as usize].add_assign(dag.task(task).demand());
-            h.machine_of[task.index()] = Some(machine);
+        let demand = dag.task(task).demand();
+        self.used.add_assign(demand);
+        if self.spans_machines() {
+            self.machine_used[machine as usize].add_assign(demand);
+            self.machine_of[task.index()] = Some(machine);
         }
         self.refresh_free();
         // Under a fault plan the attempt starts *now*: the attempt
@@ -1056,10 +1028,7 @@ impl SimState {
             None => dag.task(task).runtime(),
         };
         let finish = self.clock + slots;
-        self.placement_hash ^= match self.hetero {
-            Some(_) => hetero_placement_key(task.index(), self.clock, machine),
-            None => placement_key(task.index(), self.clock),
-        };
+        self.placement_hash ^= self.key_of(task.index(), self.clock, machine);
         self.running.push(Running { task, finish });
         self.starts[task.index()] = Some(self.clock);
         self.scheduled += 1;
@@ -1068,9 +1037,9 @@ impl SimState {
 
     fn process_unchecked(&mut self, dag: &Dag) {
         // `Process` advances to the next *event*: the earliest running
-        // finish, the next job arrival, or the next
-        // transfer release (heterogeneous regime, where a ready task may
-        // be waiting only for a parent's output to arrive at a machine).
+        // finish, the next job arrival, or the next transfer release
+        // (from two machines on, a ready task may be waiting only for a
+        // parent's output to arrive at a machine).
         let next = [
             self.earliest_finish(),
             self.next_arrival(),
@@ -1090,11 +1059,11 @@ impl SimState {
                 // Saturating: adds and subtractions of the same demands do
                 // not cancel exactly in floating point, so an empty cluster
                 // could otherwise record a tiny negative `used`.
-                self.used
-                    .saturating_sub_assign(dag.task(done.task).demand());
-                if let Some(h) = self.hetero.as_deref_mut() {
-                    let m = h.machine_of[done.task.index()].expect("running task has a machine");
-                    h.used[m as usize].saturating_sub_assign(dag.task(done.task).demand());
+                let demand = dag.task(done.task).demand();
+                self.used.saturating_sub_assign(demand);
+                if self.spans_machines() {
+                    let m = self.machine_of[done.task.index()].expect("running task has a machine");
+                    self.machine_used[m as usize].saturating_sub_assign(demand);
                 }
                 if self.attempt_failed(dag, done.task) {
                     // The attempt aborted: the resources are freed (above)
@@ -1139,18 +1108,16 @@ impl SimState {
             .expect("a failing attempt was started");
         self.scheduled -= 1;
         // The placement XOR-set is self-inverse: re-keying the retracted
-        // `(task, start)` pair removes exactly that placement. The
-        // retracted machine is cleared too — a retried task may be placed
-        // elsewhere.
-        self.placement_hash ^= match self.hetero.as_deref_mut() {
-            Some(h) => {
-                let machine = h.machine_of[i]
-                    .take()
-                    .expect("failed attempt had a machine");
-                hetero_placement_key(i, start, machine)
-            }
-            None => placement_key(i, start),
+        // placement removes exactly that placement. The retracted machine
+        // is cleared too — a retried task may be placed elsewhere.
+        let machine = if self.spans_machines() {
+            self.machine_of[i]
+                .take()
+                .expect("failed attempt had a machine")
+        } else {
+            0
         };
+        self.placement_hash ^= self.key_of(i, start, machine);
         let f = self
             .faults
             .as_deref_mut()
@@ -1160,6 +1127,7 @@ impl SimState {
             start,
             end: now,
             attempt: f.attempts[i] - 1,
+            machine,
         });
         f.last_fail[i] = now;
         if f.attempts[i] >= f.plan.max_attempts() {
@@ -1191,18 +1159,20 @@ impl SimState {
         }
     }
 
-    /// Rebuilds the derived `free` view from `capacity` and `used`. The
-    /// saturating subtraction clamps at zero, so `free` never exceeds the
-    /// capacity and never goes negative — even in the (legal) state where
-    /// an epsilon-tolerant admission pushed `used` slightly past capacity.
+    /// Rebuilds the derived `free` views from the capacities and `used`
+    /// rows. The saturating subtraction clamps at zero, so `free` never
+    /// exceeds the capacity and never goes negative — even in the (legal)
+    /// state where an epsilon-tolerant admission pushed `used` slightly
+    /// past capacity.
     #[inline]
     fn refresh_free(&mut self) {
         self.free.clone_from(&self.capacity);
         self.free.saturating_sub_assign(&self.used);
-        if let Some(h) = self.hetero.as_deref_mut() {
-            for m in 0..h.machines.len() {
-                h.free[m].clone_from(h.machines.capacity(m as u32));
-                h.free[m].saturating_sub_assign(&h.used[m]);
+        if self.spans_machines() {
+            let rows = self.machine_free.iter_mut().zip(&self.machine_used);
+            for ((free, used), capacity) in rows.zip(self.machines.capacities()) {
+                free.clone_from(capacity);
+                free.saturating_sub_assign(used);
             }
         }
     }
@@ -1248,24 +1218,30 @@ impl SimState {
             self.exhausted().is_none(),
             "cannot extract a schedule from a retry-exhausted simulation"
         );
-        let placements = self
-            .starts
-            .iter()
-            .enumerate()
-            .map(|(i, start)| {
+        self.started_schedule(dag)
+    }
+
+    /// The (possibly partial) schedule of the tasks started so far: one
+    /// placement per started task on its machine, finishing after the
+    /// current attempt's effective occupancy.
+    pub(crate) fn started_schedule(&self, dag: &Dag) -> Schedule {
+        let mut makespan = 0;
+        let placements = (0..dag.len())
+            .filter_map(|i| {
                 let task = TaskId::new(i);
-                let start = start.expect("terminal state has all tasks scheduled");
-                Placement {
+                let start = self.starts[i]?;
+                let finish = start + self.run_slots_of(dag, task);
+                makespan = makespan.max(finish);
+                let machine = self.machine_of(task).expect("started task has a machine");
+                Some(Placement {
                     task,
                     start,
-                    finish: start + self.run_slots_of(dag, task),
-                    machine: self.hetero.as_deref().map_or(0, |h| {
-                        h.machine_of[i].expect("completed task has a machine")
-                    }),
-                }
+                    finish,
+                    machine,
+                })
             })
             .collect();
-        Schedule::from_placements(placements, self.max_finish)
+        Schedule::from_placements(placements, makespan)
     }
 }
 
@@ -1304,16 +1280,16 @@ mod tests {
     fn tight_capacity_serializes_tasks() {
         let dag = two_independent(); // each task needs 0.6 of 1.0
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Second task no longer fits.
         assert_eq!(
-            sim.apply(&dag, Action::Schedule(TaskId::new(1)))
+            sim.apply(&dag, Action::Place(TaskId::new(1), 0))
                 .unwrap_err(),
             ClusterError::InsufficientResources(TaskId::new(1))
         );
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.clock(), 2);
-        sim.apply(&dag, Action::Schedule(TaskId::new(1))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.makespan(), Some(5));
     }
@@ -1323,8 +1299,8 @@ mod tests {
         let dag = two_independent();
         let spec = ClusterSpec::new(ResourceVec::from_slice(&[2.0])).unwrap();
         let mut sim = SimState::new(&dag, &spec).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(1))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap(); // t=2: task 0 done
         assert_eq!(sim.clock(), 2);
         assert_eq!(sim.completed(), 1);
@@ -1337,11 +1313,11 @@ mod tests {
         let dag = chain();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
         assert_eq!(
-            sim.apply(&dag, Action::Schedule(TaskId::new(1)))
+            sim.apply(&dag, Action::Place(TaskId::new(1), 0))
                 .unwrap_err(),
             ClusterError::TaskNotReady(TaskId::new(1))
         );
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.ready(), &[TaskId::new(1)]);
     }
@@ -1364,7 +1340,7 @@ mod tests {
         let a0 = sim.legal_actions(&dag);
         assert_eq!(a0.len(), 2);
         assert!(!a0.contains(&Action::Process));
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Now: task 1 does not fit; only Process remains.
         assert_eq!(sim.legal_actions(&dag), vec![Action::Process]);
     }
@@ -1389,8 +1365,8 @@ mod tests {
         b.add_task(Task::new(2, ResourceVec::from_slice(&[0.3])));
         let dag = b.build().unwrap();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(1))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.completed(), 2);
         assert!(sim.is_terminal(&dag));
@@ -1401,7 +1377,7 @@ mod tests {
     fn free_capacity_is_restored_after_completion() {
         let dag = two_independent();
         let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         assert!((sim.free()[0] - 0.4).abs() < 1e-9);
         sim.apply(&dag, Action::Process).unwrap();
         assert!((sim.free()[0] - 1.0).abs() < 1e-9);
@@ -1424,7 +1400,7 @@ mod tests {
         let spec = ClusterSpec::unit(1);
         let mut sim = SimState::new(&dag, &spec).unwrap();
         for i in 0..cycles {
-            sim.apply(&dag, Action::Schedule(TaskId::new(i))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(i), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap();
             // The clamp makes this exact (not merely within FIT_EPSILON):
             // an idle cluster reports precisely its capacity as free.
@@ -1460,20 +1436,20 @@ mod tests {
         let spec = ClusterSpec::unit(1);
         let mut sim = SimState::new(&dag, &spec).unwrap();
         // Both first tasks fit together: 1.0 + 0.8e-9 <= 1.0 + 1e-9.
-        sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
-        sim.apply(&dag, Action::Schedule(TaskId::new(1))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap(); // t=1: task 0 done
         assert_eq!(sim.clock(), 1);
         // Task 2 with the still-running task 1 would use 1.0 + 1.1e-9 —
         // past the shared epsilon. The old rule admitted it here.
         assert!(!sim.can_schedule(&dag, TaskId::new(2)));
         assert_eq!(
-            sim.apply(&dag, Action::Schedule(TaskId::new(2)))
+            sim.apply(&dag, Action::Place(TaskId::new(2), 0))
                 .unwrap_err(),
             ClusterError::InsufficientResources(TaskId::new(2))
         );
         sim.apply(&dag, Action::Process).unwrap(); // t=2: task 1 done
-        sim.apply(&dag, Action::Schedule(TaskId::new(2))).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(2), 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.makespan(), Some(3));
         sim.into_schedule(&dag).validate(&dag, &spec).unwrap();
@@ -1494,7 +1470,7 @@ mod tests {
         for order in [[0usize, 1], [1, 0]] {
             let mut sim = SimState::new(&dag, &spec).unwrap();
             for i in order {
-                sim.apply(&dag, Action::Schedule(TaskId::new(i))).unwrap();
+                sim.apply(&dag, Action::Place(TaskId::new(i), 0)).unwrap();
             }
             sim.apply(&dag, Action::Process).unwrap();
             assert_eq!(sim.makespan(), Some(1), "order {order:?}");
@@ -1554,7 +1530,7 @@ mod tests {
         let fp = |order: [usize; 2]| {
             let mut sim = SimState::new(&dag, &spec).unwrap();
             for i in order {
-                sim.apply(&dag, Action::Schedule(TaskId::new(i))).unwrap();
+                sim.apply(&dag, Action::Place(TaskId::new(i), 0)).unwrap();
             }
             assert_eq!(sim.recompute_placement_hash(), sim.placement_hash);
             sim.fingerprint()
@@ -1588,17 +1564,17 @@ mod tests {
             sim
         };
         let p1 = run(&[
-            Action::Schedule(e),
-            Action::Schedule(a),
+            Action::Place(e, 0),
+            Action::Place(a, 0),
             Action::Process,
-            Action::Schedule(t_b),
+            Action::Place(t_b, 0),
         ]);
         let p2 = run(&[
-            Action::Schedule(e),
+            Action::Place(e, 0),
             Action::Process,
-            Action::Schedule(a),
+            Action::Place(a, 0),
             Action::Process,
-            Action::Schedule(t_b),
+            Action::Place(t_b, 0),
         ]);
         assert_eq!(p1.ready(), p2.ready());
         assert_eq!(p1.completed(), p2.completed());
@@ -1614,7 +1590,7 @@ mod tests {
             "different histories must keep distinct full fingerprints"
         );
         // And a genuinely different frontier must not collide.
-        let p3 = run(&[Action::Schedule(e), Action::Schedule(t_b)]);
+        let p3 = run(&[Action::Place(e, 0), Action::Place(t_b, 0)]);
         assert_ne!(p1.frontier_fingerprint(), p3.frontier_fingerprint());
     }
 
@@ -1625,7 +1601,7 @@ mod tests {
         let initial = sim.fingerprint();
         let mut a = sim.clone();
         assert_eq!(a.fingerprint(), initial);
-        a.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        a.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         assert_ne!(a.fingerprint(), initial);
         let mut b = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
         b.clone_from(&a);
@@ -1653,7 +1629,7 @@ mod tests {
             assert_eq!(sim.ready(), &[TaskId::new(0)]);
             assert_eq!(sim.pending_jobs(), 1);
             assert_eq!(sim.next_arrival(), Some(5));
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap();
             // Job 0 done at t=2; the cluster idles but job 1 is queued, so
             // Process is legal and jumps the clock to the arrival.
@@ -1666,7 +1642,7 @@ mod tests {
             assert_eq!(sim.ready(), &[TaskId::new(1)]);
             assert_eq!(sim.pending_jobs(), 0);
             assert_eq!(sim.next_arrival(), None);
-            sim.apply(dag, Action::Schedule(TaskId::new(1))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(1), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap();
             assert!(sim.is_terminal(dag));
             assert_eq!(sim.makespan(), Some(7));
@@ -1684,13 +1660,13 @@ mod tests {
                 JobQueue::new(vec![(0, one_task_job(4, 0.4)), (3, one_task_job(2, 0.4))]).unwrap();
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap();
             // Clock stops at the arrival (3), not the finish (4).
             assert_eq!(sim.clock(), 3);
             assert_eq!(sim.running().len(), 1);
             assert_eq!(sim.ready(), &[TaskId::new(1)]);
-            sim.apply(dag, Action::Schedule(TaskId::new(1))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(1), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap(); // t=4: job 0 done
             sim.apply(dag, Action::Process).unwrap(); // t=5: job 1 done
             assert_eq!(sim.makespan(), Some(5));
@@ -1704,7 +1680,7 @@ mod tests {
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
             // Job 1's source is not ready before its arrival.
             assert_eq!(
-                sim.apply(dag, Action::Schedule(TaskId::new(1)))
+                sim.apply(dag, Action::Place(TaskId::new(1), 0))
                     .unwrap_err(),
                 ClusterError::TaskNotReady(TaskId::new(1))
             );
@@ -1767,7 +1743,7 @@ mod tests {
                 JobQueue::new(vec![(0, one_task_job(2, 0.6)), (6, one_task_job(2, 0.6))]).unwrap();
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap(); // t=2, idle, 1 pending
             let before = sim.frontier_fingerprint();
             let full_before = sim.fingerprint();
@@ -1785,7 +1761,7 @@ mod tests {
                 JobQueue::new(vec![(0, one_task_job(2, 0.6)), (5, one_task_job(2, 0.6))]).unwrap();
             let dag = queue.union_dag();
             let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             let mid = queue.jct_report_partial(&sim);
             assert_eq!(mid.completions().len(), 1); // job 0 fully scheduled
             assert_eq!(mid.unfinished(), 1);
@@ -1834,7 +1810,7 @@ mod tests {
             let mut sim = SimState::new(&dag, &spec)
                 .unwrap()
                 .with_faults(always_fail(3));
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             let first_finish = sim.running()[0].finish;
             assert!(
                 first_finish <= 2,
@@ -1863,7 +1839,7 @@ mod tests {
             // max_retries = 1 → two attempts allowed, both fail.
             for _ in 0..2 {
                 assert!(sim.exhausted().is_none());
-                sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+                sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
                 sim.apply(&dag, Action::Process).unwrap();
             }
             assert_eq!(sim.exhausted(), Some(TaskId::new(0)));
@@ -1883,7 +1859,7 @@ mod tests {
             let mut sim = SimState::new(&dag, &ClusterSpec::unit(1))
                 .unwrap()
                 .with_faults(always_fail(0));
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap();
             let _ = sim.into_schedule(&dag);
         }
@@ -1900,7 +1876,7 @@ mod tests {
                 .unwrap()
                 .with_faults(always_fail(5));
             let fresh = sim.fingerprint();
-            sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(&dag, Action::Process).unwrap();
             // Placement retracted: the placement component is back to the
             // fresh value, but the attempt fold must keep the states
@@ -1942,8 +1918,8 @@ mod tests {
                     .unwrap()
                     .with_faults(always_fail(4));
                 let mut trail = Vec::new();
-                sim.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
-                sim.apply(&dag, Action::Schedule(TaskId::new(1))).unwrap();
+                sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
+                sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
                 trail.push(sim.fingerprint());
                 while !sim.is_terminal(&dag) {
                     let actions = sim.legal_actions(&dag);
@@ -1994,7 +1970,6 @@ mod tests {
             let dag = chain(); // t0 (2 slots) -> t1 (3 slots), 0.5 each
             let spec = two_machine_spec();
             let mut sim = SimState::new(&dag, &spec).unwrap();
-            assert!(sim.is_hetero());
             assert_eq!(sim.num_machines(), 2);
 
             sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
@@ -2035,14 +2010,9 @@ mod tests {
         }
 
         #[test]
-        fn schedule_requires_a_machine_and_single_box_place_aliases_it() {
+        fn place_outside_the_cluster_is_a_typed_error() {
             let dag = chain();
             let mut sim = SimState::new(&dag, &two_machine_spec()).unwrap();
-            assert_eq!(
-                sim.apply(&dag, Action::Schedule(TaskId::new(0)))
-                    .unwrap_err(),
-                ClusterError::MachineRequired(TaskId::new(0))
-            );
             assert_eq!(
                 sim.apply(&dag, Action::Place(TaskId::new(0), 2))
                     .unwrap_err(),
@@ -2051,8 +2021,7 @@ mod tests {
                     machine: 2
                 }
             );
-            // On a single box `Place(t, 0)` aliases `Schedule`; any other
-            // machine index does not exist.
+            // A single box has machine 0 only.
             let mut single = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
             assert_eq!(
                 single
@@ -2067,46 +2036,44 @@ mod tests {
                 .apply(&dag, Action::Place(TaskId::new(0), 0))
                 .unwrap();
             assert_eq!(single.start_of(TaskId::new(0)), Some(0));
+            assert_eq!(single.machine_of(TaskId::new(0)), Some(0));
         }
 
         #[test]
         fn degenerate_one_machine_stepping_matches_the_single_box() {
-            // A 1-machine hetero spec has no cross-machine links, so the
-            // same greedy decisions yield the same clocks, accounting and
-            // final schedule as the plain single-box simulator (the
-            // fingerprints differ by design: hetero states fold the
-            // placement set back in).
+            // A one-machine set has no links, whatever its network knobs,
+            // so the same greedy decisions yield the same clocks,
+            // accounting, fingerprints and final schedule as the unit box.
             let dag = chain();
             let machines = MachineSet::uniform(
                 1,
                 ResourceVec::from_slice(&[1.0]),
-                1,
-                TransferMode::Direct,
-                0,
-                1,
+                7,
+                TransferMode::ViaMaster,
+                3,
+                16,
             )
             .unwrap();
-            let hetero_spec = ClusterSpec::hetero(machines).unwrap();
-            let mut h = SimState::new(&dag, &hetero_spec).unwrap();
+            let one_spec = ClusterSpec::hetero(machines).unwrap();
+            let mut h = SimState::new(&dag, &one_spec).unwrap();
             let mut s = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
             while !s.is_terminal(&dag) {
                 let action = s.legal_actions(&dag)[0];
+                assert_eq!(h.legal_actions(&dag), s.legal_actions(&dag));
                 s.apply(&dag, action).unwrap();
-                let mirrored = match action {
-                    Action::Schedule(t) => Action::Place(t, 0),
-                    other => other,
-                };
-                h.apply(&dag, mirrored).unwrap();
+                h.apply(&dag, action).unwrap();
                 assert_eq!(h.clock(), s.clock());
                 assert_eq!(h.used().as_slice(), s.used().as_slice());
                 assert_eq!(h.free().as_slice(), s.free().as_slice());
+                assert_eq!(h.fingerprint(), s.fingerprint());
+                assert_eq!(h.frontier_fingerprint(), s.frontier_fingerprint());
             }
             assert!(h.is_terminal(&dag));
             assert_eq!(h.makespan(), s.makespan());
             let hs = h.into_schedule(&dag);
             let ss = s.into_schedule(&dag);
             assert_eq!(hs.placements(), ss.placements());
-            hs.validate(&dag, &hetero_spec).unwrap();
+            hs.validate(&dag, &one_spec).unwrap();
         }
     }
 }

@@ -7,8 +7,12 @@
 //! * Graphene's **virtual placement** phase, which packs troublesome tasks
 //!   into an empty space forward (from time 0 up) or backward (from a
 //!   horizon down) while ignoring dependencies, and
-//! * the DRL featurizer, which renders the first `H` slots of the *actual*
-//!   cluster occupancy as part of the network input.
+//! * the occupancy judges of `diffcheck`, which replay a schedule (and a
+//!   fault-injected run's failed attempts) slot by slot against each
+//!   machine's capacity.
+//!
+//! Occupancy is stored as a step function over change points, so memory
+//! and time grow with the number of placements, not with their runtimes.
 
 use serde::{Deserialize, Serialize};
 use spear_dag::{ResourceVec, FIT_EPSILON};
@@ -29,7 +33,13 @@ use spear_dag::{ResourceVec, FIT_EPSILON};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceTimeline {
     capacity: ResourceVec,
-    used: Vec<ResourceVec>,
+    // Change points `(slot, used)`, strictly increasing in `slot` and
+    // starting at slot 0: `used` holds from its slot until the next
+    // point's, the last one until `horizon`. Splitting a segment copies
+    // its sum, so every slot's sum accumulates its placements' demands in
+    // placement order, exactly as a per-slot grid would.
+    segments: Vec<(u64, ResourceVec)>,
+    horizon: u64,
 }
 
 impl ResourceTimeline {
@@ -37,7 +47,8 @@ impl ResourceTimeline {
     pub fn new(capacity: ResourceVec) -> Self {
         ResourceTimeline {
             capacity,
-            used: Vec::new(),
+            segments: Vec::new(),
+            horizon: 0,
         }
     }
 
@@ -49,29 +60,61 @@ impl ResourceTimeline {
     /// Number of slots currently materialized (the latest finish of any
     /// placement; slots beyond are implicitly empty).
     pub fn horizon(&self) -> u64 {
-        self.used.len() as u64
+        self.horizon
+    }
+
+    /// Index of the segment holding `slot` (which must be below the
+    /// horizon).
+    fn segment_at(&self, slot: u64) -> usize {
+        self.segments.partition_point(|&(t, _)| t <= slot) - 1
+    }
+
+    /// End (exclusive) of segment `i`.
+    fn segment_end(&self, i: usize) -> u64 {
+        self.segments.get(i + 1).map_or(self.horizon, |&(t, _)| t)
     }
 
     /// Occupancy at `slot` (zero beyond the horizon).
     pub fn used_at(&self, slot: u64) -> ResourceVec {
-        self.used
-            .get(slot as usize)
-            .cloned()
-            .unwrap_or_else(|| ResourceVec::zeros(self.capacity.dims()))
+        if slot >= self.horizon {
+            return ResourceVec::zeros(self.capacity.dims());
+        }
+        self.segments[self.segment_at(slot)].1.clone()
     }
 
-    /// Free capacity at `slot`.
-    pub fn free_at(&self, slot: u64) -> ResourceVec {
-        self.capacity.saturating_sub(&self.used_at(slot))
+    /// The segments inside `[start, end)` in which `demand` does not fit,
+    /// as `(start of the first, end of the last)`; `None` when it fits
+    /// throughout. Slots at or beyond the horizon are empty.
+    fn blocked(&self, demand: &ResourceVec, start: u64, end: u64) -> Option<(u64, u64)> {
+        let end = end.min(self.horizon);
+        if start >= end {
+            return None;
+        }
+        let mut blocked: Option<(u64, u64)> = None;
+        let mut i = self.segment_at(start);
+        while i < self.segments.len() && self.segments[i].0 < end {
+            let (from, used) = &self.segments[i];
+            let fits = used
+                .as_slice()
+                .iter()
+                .zip(demand.as_slice())
+                .zip(self.capacity.as_slice())
+                .all(|((&u, &d), &c)| u + d <= c + FIT_EPSILON);
+            if !fits {
+                let first = blocked.map_or(*from, |(first, _)| first);
+                blocked = Some((first, self.segment_end(i)));
+            }
+            i += 1;
+        }
+        blocked
     }
 
     /// Whether `demand` fits in every slot of `[start, start + duration)`.
     ///
     /// Overflow-safe: an interval that would run past `u64::MAX` on the
     /// time axis does not fit (rather than wrapping or panicking on
-    /// `start + duration`). Allocation-free: slots are compared
-    /// component-wise in place — this sits inside Graphene's packing loop,
-    /// which probes `O(horizon)` candidate starts per task.
+    /// `start + duration`). Allocation-free: segments are compared
+    /// component-wise in place — this sits inside Graphene's packing loop.
     pub fn fits(&self, demand: &ResourceVec, start: u64, duration: u64) -> bool {
         if !demand.fits_within(&self.capacity) {
             return false;
@@ -79,21 +122,14 @@ impl ResourceTimeline {
         let Some(end) = start.checked_add(duration) else {
             return false;
         };
-        // Slots at or beyond the horizon are empty, so only the
-        // materialized prefix needs a per-slot check.
-        let end = end.min(self.horizon());
-        (start..end).all(|s| {
-            let used = self.used[s as usize].as_slice();
-            used.iter()
-                .zip(demand.as_slice())
-                .zip(self.capacity.as_slice())
-                .all(|((&u, &d), &c)| u + d <= c + FIT_EPSILON)
-        })
+        self.blocked(demand, start, end).is_none()
     }
 
     /// The earliest start `>= not_before` at which `demand` fits for
     /// `duration` consecutive slots. Always exists (beyond the horizon the
     /// timeline is empty), provided `demand` fits the total capacity.
+    /// Probes jump past blocking segments instead of stepping slot by
+    /// slot.
     ///
     /// # Panics
     ///
@@ -114,31 +150,41 @@ impl ResourceTimeline {
                 t <= last_feasible,
                 "no feasible start before the end of the time axis"
             );
-            if self.fits(demand, t, duration) {
-                return t;
+            // Every start before the end of the last blocking segment in
+            // the window still overlaps that segment.
+            match self.blocked(demand, t, t + duration) {
+                None => return t,
+                Some((_, last_end)) => t = last_end,
             }
-            t += 1;
-            // Beyond the horizon everything is free; the loop terminates.
-            debug_assert!(t <= self.horizon().saturating_add(1));
         }
     }
 
     /// The latest start such that the task *finishes by* `deadline`
     /// (`start + duration <= deadline`) and fits; `None` if no such start
-    /// exists. Used by Graphene's backward packing.
+    /// exists. Used by Graphene's backward packing; probes jump below
+    /// blocking segments instead of stepping slot by slot.
     pub fn latest_start(&self, demand: &ResourceVec, duration: u64, deadline: u64) -> Option<u64> {
-        if duration == 0 || duration > deadline {
+        if duration == 0 || duration > deadline || !demand.fits_within(&self.capacity) {
             return None;
         }
         let mut t = deadline - duration;
         loop {
-            if self.fits(demand, t, duration) {
-                return Some(t);
+            // Every start above `first_start - duration` still overlaps
+            // the first blocking segment in the window.
+            match self.blocked(demand, t, t + duration) {
+                None => return Some(t),
+                Some((first_start, _)) => t = first_start.checked_sub(duration)?,
             }
-            if t == 0 {
-                return None;
-            }
-            t -= 1;
+        }
+    }
+
+    /// Splits the segment holding `slot` so that a change point sits at
+    /// `slot` (which must be below the horizon).
+    fn split_at(&mut self, slot: u64) {
+        let i = self.segment_at(slot);
+        if self.segments[i].0 != slot {
+            let used = self.segments[i].1.clone();
+            self.segments.insert(i + 1, (slot, used));
         }
     }
 
@@ -152,26 +198,27 @@ impl ResourceTimeline {
     /// to end there (adversarial trace inputs used to wrap `start +
     /// duration` in release builds and panic in debug builds).
     pub fn place(&mut self, demand: &ResourceVec, start: u64, duration: u64) {
-        let end = start.saturating_add(duration) as usize;
-        while self.used.len() < end {
-            self.used.push(ResourceVec::zeros(self.capacity.dims()));
+        let end = start.saturating_add(duration);
+        if end > self.horizon {
+            // The grown tail is empty until something lands on it.
+            let zeros = ResourceVec::zeros(self.capacity.dims());
+            self.segments.push((self.horizon, zeros));
+            self.horizon = end;
         }
-        for s in start as usize..end {
-            self.used[s].add_assign(demand);
+        if start >= end {
+            return;
         }
-    }
-
-    /// Average utilization of the materialized horizon (1.0 = full).
-    pub fn utilization(&self) -> f64 {
-        if self.used.is_empty() {
-            return 0.0;
+        self.split_at(start);
+        if end < self.horizon {
+            self.split_at(end);
         }
-        let total: f64 = self
-            .used
-            .iter()
-            .map(|u| u.utilization_of(&self.capacity))
-            .sum();
-        total / self.used.len() as f64
+        let first = self.segment_at(start);
+        for (from, used) in &mut self.segments[first..] {
+            if *from >= end {
+                break;
+            }
+            used.add_assign(demand);
+        }
     }
 }
 
@@ -188,7 +235,7 @@ mod tests {
         let tl = unit();
         assert_eq!(tl.horizon(), 0);
         assert!(tl.fits(&ResourceVec::from_slice(&[1.0, 1.0]), 100, 50));
-        assert_eq!(tl.free_at(42).as_slice(), &[1.0, 1.0]);
+        assert_eq!(tl.used_at(42).as_slice(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -295,10 +342,54 @@ mod tests {
     }
 
     #[test]
-    fn utilization_accounts_for_horizon() {
+    fn zero_duration_placements_grow_the_horizon_only() {
         let mut tl = ResourceTimeline::new(ResourceVec::from_slice(&[1.0]));
-        tl.place(&ResourceVec::from_slice(&[1.0]), 0, 1);
-        tl.place(&ResourceVec::from_slice(&[0.0]), 1, 1); // extends horizon
-        assert!((tl.utilization() - 0.5).abs() < 1e-9);
+        tl.place(&ResourceVec::from_slice(&[0.5]), 0, 1);
+        tl.place(&ResourceVec::from_slice(&[0.5]), 4, 0);
+        assert_eq!(tl.horizon(), 4);
+        assert_eq!(tl.used_at(0).as_slice(), &[0.5]);
+        assert_eq!(tl.used_at(3).as_slice(), &[0.0]);
+    }
+
+    #[test]
+    fn sums_accumulate_in_placement_order_like_a_per_slot_grid() {
+        // A per-slot grid adds each placement's demand to its slots in
+        // placement order; the step function must produce the same bits
+        // wherever placements overlap partially.
+        let demands = [0.1, 0.2, 0.3, 0.7, 0.05];
+        let spans = [(0u64, 5u64), (2, 9), (4, 4), (1, 2), (8, 3)];
+        let mut tl = ResourceTimeline::new(ResourceVec::from_slice(&[10.0]));
+        let mut grid = [0.0f64; 12];
+        for (&d, &(start, len)) in demands.iter().zip(&spans) {
+            tl.place(&ResourceVec::from_slice(&[d]), start, len);
+            for slot in &mut grid[start as usize..(start + len) as usize] {
+                *slot += d;
+            }
+        }
+        assert_eq!(tl.horizon(), 11);
+        for (slot, &want) in grid.iter().enumerate() {
+            assert_eq!(
+                tl.used_at(slot as u64)[0].to_bits(),
+                want.to_bits(),
+                "slot {slot}"
+            );
+        }
+    }
+
+    #[test]
+    fn billions_of_slots_cost_a_few_segments() {
+        // One 3e9-slot placement used to materialize one vector per slot.
+        let mut tl = unit();
+        let long = 3_000_000_000;
+        let d = ResourceVec::from_slice(&[0.6, 0.6]);
+        tl.place(&d, 0, long);
+        assert_eq!(tl.horizon(), long);
+        assert_eq!(tl.earliest_start(&d, 5, 0), long);
+        assert_eq!(tl.latest_start(&d, 5, long + 10), Some(long + 5));
+        assert_eq!(tl.latest_start(&d, 5, long + 4), None);
+        assert!(tl.fits(&ResourceVec::from_slice(&[0.4, 0.4]), 7, long));
+        tl.place(&d, long - 1, 2);
+        assert!(!tl.fits(&d, long, 1));
+        assert_eq!(tl.earliest_start(&d, 1, 0), long + 1);
     }
 }

@@ -97,7 +97,7 @@ proptest! {
             prop_assert!(!legal.is_empty());
             // Probe every conceivable action against the legal list.
             let mut all: Vec<Action> =
-                dag.task_ids().map(Action::Schedule).collect();
+                dag.task_ids().map(|t| Action::Place(t, 0)).collect();
             all.push(Action::Process);
             for &action in &all {
                 let expected_ok = legal.contains(&action);
@@ -132,7 +132,7 @@ proptest! {
             for t in dag.task_ids() {
                 prop_assert_eq!(
                     checked.can_schedule(&dag, t),
-                    legal.contains(&Action::Schedule(t)),
+                    legal.contains(&Action::Place(t, 0)),
                     "can_schedule({}) disagrees with legal_actions", t
                 );
             }
@@ -189,7 +189,7 @@ proptest! {
             let action = legal[rng.gen_range(0..legal.len())];
             sim.apply(&dag, action).unwrap();
             match action {
-                Action::Schedule(_) | Action::Place(..) => prop_assert_eq!(sim.clock(), before),
+                Action::Place(..) => prop_assert_eq!(sim.clock(), before),
                 Action::Process => prop_assert!(sim.clock() > before),
             }
         }
@@ -250,11 +250,11 @@ fn three_dimensional_resources_work() {
     let spec = ClusterSpec::unit(3);
     let mut sim = SimState::new(&dag, &spec).unwrap();
     // d cannot co-run with a (dim 2: 0.8+0.3 > 1) but fits alongside c.
-    sim.apply(&dag, Action::Schedule(a)).unwrap();
+    sim.apply(&dag, Action::Place(a, 0)).unwrap();
     assert!(!sim.can_schedule(&dag, d));
     sim.apply(&dag, Action::Process).unwrap();
-    sim.apply(&dag, Action::Schedule(c)).unwrap();
-    sim.apply(&dag, Action::Schedule(d)).unwrap(); // fits alongside c
+    sim.apply(&dag, Action::Place(c, 0)).unwrap();
+    sim.apply(&dag, Action::Place(d, 0)).unwrap(); // fits alongside c
     sim.apply(&dag, Action::Process).unwrap();
     sim.apply(&dag, Action::Process).unwrap();
     let schedule = sim.into_schedule(&dag);

@@ -246,7 +246,9 @@ fn validate(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result
             report.unfinished()
         ));
     }
-    let local = spec.machines().is_none();
+    // Job-local ids carry no transfer payloads, so sub-schedules
+    // re-validate on one machine only.
+    let local = spec.num_machines() == 1;
     for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
         if local {
             sub.validate(queue.job_dag(span.job), spec)
@@ -344,7 +346,7 @@ fn replay_timeline(
         .union_dag()
         .task_ids()
         .all(|t| schedule.placement_of(t).is_some());
-    if complete && queue.jobs() > 1 && spec.machines().is_none() {
+    if complete && queue.jobs() > 1 && spec.num_machines() == 1 {
         for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
             replay_grids(queue.job_dag(span.job), spec, &sub)
                 .map_err(|e| format!("job {}: {e}", span.job))?;
@@ -359,13 +361,12 @@ fn replay_timeline(
 /// timeline is the capacity judge.)
 ///
 /// The judge keeps **one occupancy grid per machine** (each with that
-/// machine's own capacity) and on a multi-machine cluster additionally
-/// re-derives every cross-machine transfer delay from the [`MachineSet`]
-/// alone — seeded edge bytes divided by link bandwidth — and rejects any
-/// child that starts inside its transfer window. That derivation shares
-/// no code with [`Schedule::validate`]'s edge loop or the simulator's
-/// gate, so a bug in either shows up as a judge disagreement rather than
-/// a silent agreement.
+/// machine's own capacity) and re-derives every cross-machine transfer
+/// delay from the [`MachineSet`] alone — seeded edge bytes divided by
+/// link bandwidth — rejecting any child that starts inside its transfer
+/// window. That derivation shares no code with [`Schedule::validate`]'s
+/// edge loop or the simulator's gate, so a bug in either shows up as a
+/// judge disagreement rather than a silent agreement.
 fn replay_grids(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
     for p in schedule.placements() {
         let runtime = dag.task(p.task).runtime();
@@ -382,23 +383,21 @@ fn replay_grids(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<()
         spec,
         placements.map(|p| (p.task, p.start, p.finish, p.machine)),
     )?;
-    if let Some(machines) = spec.machines() {
-        for e in dag.edges() {
-            let (parent, child) = match (schedule.placement_of(e.from), schedule.placement_of(e.to))
-            {
-                (Some(p), Some(c)) => (p, c),
-                // Completeness is the declarative judge's concern.
-                _ => continue,
-            };
-            let bytes = machines.edge_bytes(e.from.index(), e.to.index());
-            let delay = machines.transfer_delay(bytes, parent.machine, child.machine);
-            if child.start < parent.finish.saturating_add(delay) {
-                return Err(format!(
-                    "task {} starts at {} inside the transfer window of its parent {} \
-                     (finish {} + {bytes} bytes over the m{}->m{} link = {delay} slots)",
-                    e.to, child.start, e.from, parent.finish, parent.machine, child.machine
-                ));
-            }
+    let machines = spec.machines();
+    for e in dag.edges() {
+        let (parent, child) = match (schedule.placement_of(e.from), schedule.placement_of(e.to)) {
+            (Some(p), Some(c)) => (p, c),
+            // Completeness is the declarative judge's concern.
+            _ => continue,
+        };
+        let bytes = machines.edge_bytes(e.from.index(), e.to.index());
+        let delay = machines.transfer_delay(bytes, parent.machine, child.machine);
+        if child.start < parent.finish.saturating_add(delay) {
+            return Err(format!(
+                "task {} starts at {} inside the transfer window of its parent {} \
+                 (finish {} + {bytes} bytes over the m{}->m{} link = {delay} slots)",
+                e.to, child.start, e.from, parent.finish, parent.machine, child.machine
+            ));
         }
     }
     match schedule.placements().iter().map(|p| p.finish).max() {
@@ -419,12 +418,12 @@ fn fill_grids(
     spec: &ClusterSpec,
     intervals: impl IntoIterator<Item = (TaskId, u64, u64, u32)>,
 ) -> Result<(), String> {
-    let mut grids: Vec<ResourceTimeline> = match spec.machines() {
-        Some(m) => (0..m.len())
-            .map(|i| ResourceTimeline::new(m.capacity(i as u32).clone()))
-            .collect(),
-        None => vec![ResourceTimeline::new(spec.capacity().clone())],
-    };
+    let mut grids: Vec<ResourceTimeline> = spec
+        .machines()
+        .capacities()
+        .iter()
+        .map(|c| ResourceTimeline::new(c.clone()))
+        .collect();
     for (task, start, end, machine) in intervals {
         let slots = end
             .checked_sub(start)
@@ -534,15 +533,15 @@ impl CaseSpec {
         JobQueue::new(jobs).expect("generated jobs form a valid queue")
     }
 
-    /// The seeded machine set of a multi-machine case (`None` on one box).
+    /// The cluster the case runs on: a unit box, or the seeded machine set.
     ///
     /// # Panics
     ///
     /// Panics only on degenerate parameters (zero bandwidth).
-    pub fn machine_set(&self) -> Option<MachineSet> {
+    pub fn cluster(&self) -> ClusterSpec {
         let n = self.machines;
         if n <= 1 {
-            return None;
+            return ClusterSpec::unit(self.dims);
         }
         // Capacities taper: 1.0, 0.75, 0.5, 0.75, 1.0, ... per dimension.
         let tapers = [1.0, 0.75, 0.5, 0.75];
@@ -557,22 +556,9 @@ impl CaseSpec {
         let bandwidth: Vec<u64> = (0..n * n)
             .map(|ij| self.bandwidth * (1 + (self.seed.wrapping_add(ij as u64)) % 2))
             .collect();
-        Some(
-            MachineSet::new(capacities, bandwidth, self.mode, self.seed, 8)
-                .expect("case parameters form a valid machine set"),
-        )
-    }
-
-    /// The cluster the case runs on: a unit box, or the seeded machine set.
-    ///
-    /// # Panics
-    ///
-    /// Panics only on degenerate parameters.
-    pub fn cluster(&self) -> ClusterSpec {
-        match self.machine_set() {
-            Some(m) => ClusterSpec::hetero(m).expect("machine set is valid"),
-            None => ClusterSpec::unit(self.dims),
-        }
+        let machines = MachineSet::new(capacities, bandwidth, self.mode, self.seed, 8)
+            .expect("case parameters form a valid machine set");
+        ClusterSpec::hetero(machines).expect("machine set is valid")
     }
 
     /// Runs the scheduler on `queue` (the case's workload, or a shrunk
@@ -708,55 +694,64 @@ fn jitter_demands<R: Rng + ?Sized>(dag: &Dag, rng: &mut R) -> Dag {
 /// Case `j` of a family keeps the same parameters whatever `count` is.
 /// Deterministic in `base_seed`, so CI replays the exact same matrix.
 pub fn corpus(count: usize, base_seed: u64) -> Vec<CaseSpec> {
-    const FAMILIES: [usize; 8] = [0, 0, 0, 0, 0, 1, 2, 3];
-    let mut next = [0usize; 4];
-    (0..count)
-        .map(|i| {
-            let family = FAMILIES[i % FAMILIES.len()];
-            let j = next[family];
-            next[family] += 1;
-            let seed = base_seed.wrapping_add(j as u64);
-            let scheduler = SchedulerKind::ALL[j % SchedulerKind::ALL.len()];
-            let gaps = [2.0, 6.0, 12.0];
-            let bandwidths = [1u64, 4, 16];
-            let mode = if (j / 2) % 2 == 0 {
-                TransferMode::Direct
-            } else {
-                TransferMode::ViaMaster
-            };
-            match family {
-                // Single DAGs of mixed sizes, alternating plain and
-                // epsilon-jittered demands.
-                0 => CaseSpec {
-                    epsilon_jitter: j % 2 == 1,
-                    ..CaseSpec::single(seed, [8, 14, 25][j % 3], 1 + (j / 3) % 2, scheduler)
-                },
-                // Poisson streams of mixed load.
-                1 => CaseSpec {
-                    jobs: 3 + j % 3,
-                    mean_gap: gaps[j % 3],
-                    ..CaseSpec::single(seed, 6 + 2 * (j % 2), 1 + (j / 3) % 2, scheduler)
-                },
-                // Single DAGs on multi-machine clusters, both transfer
-                // modes, mixed bandwidths.
-                2 => CaseSpec {
-                    machines: 2 + j % 2,
-                    bandwidth: bandwidths[j % 3],
-                    mode,
-                    ..CaseSpec::single(seed, [6, 10, 14][j % 3], 1 + (j / 3) % 2, scheduler)
-                },
-                // Streams on multi-machine clusters.
-                _ => CaseSpec {
-                    jobs: 3 + j % 3,
-                    mean_gap: gaps[j % 3],
-                    machines: 2 + j % 2,
-                    bandwidth: bandwidths[j % 3],
-                    mode,
-                    ..CaseSpec::single(seed, 6, 1 + (j / 3) % 2, scheduler)
-                },
-            }
-        })
+    interleave(count, &[0, 0, 0, 0, 0, 1, 2, 3])
+        .map(|(family, j)| family_case(family, j, base_seed))
         .collect()
+}
+
+/// `(family, j)` of each of `count` cases cycling through `pattern`: the
+/// i-th case is the j-th of its family, whatever `count` is.
+fn interleave(count: usize, pattern: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut next = [0usize; 4];
+    (0..count).map(move |i| {
+        let family = pattern[i % pattern.len()];
+        next[family] += 1;
+        (family, next[family] - 1)
+    })
+}
+
+/// Case `j` of corpus family `family` (0–3, see [`corpus`]).
+fn family_case(family: usize, j: usize, base_seed: u64) -> CaseSpec {
+    let seed = base_seed.wrapping_add(j as u64);
+    let scheduler = SchedulerKind::ALL[j % SchedulerKind::ALL.len()];
+    let gaps = [2.0, 6.0, 12.0];
+    let bandwidths = [1u64, 4, 16];
+    let mode = if (j / 2).is_multiple_of(2) {
+        TransferMode::Direct
+    } else {
+        TransferMode::ViaMaster
+    };
+    match family {
+        // Single DAGs of mixed sizes, alternating plain and
+        // epsilon-jittered demands.
+        0 => CaseSpec {
+            epsilon_jitter: j % 2 == 1,
+            ..CaseSpec::single(seed, [8, 14, 25][j % 3], 1 + (j / 3) % 2, scheduler)
+        },
+        // Poisson streams of mixed load.
+        1 => CaseSpec {
+            jobs: 3 + j % 3,
+            mean_gap: gaps[j % 3],
+            ..CaseSpec::single(seed, 6 + 2 * (j % 2), 1 + (j / 3) % 2, scheduler)
+        },
+        // Single DAGs on multi-machine clusters, both transfer
+        // modes, mixed bandwidths.
+        2 => CaseSpec {
+            machines: 2 + j % 2,
+            bandwidth: bandwidths[j % 3],
+            mode,
+            ..CaseSpec::single(seed, [6, 10, 14][j % 3], 1 + (j / 3) % 2, scheduler)
+        },
+        // Streams on multi-machine clusters.
+        _ => CaseSpec {
+            jobs: 3 + j % 3,
+            mean_gap: gaps[j % 3],
+            machines: 2 + j % 2,
+            bandwidth: bandwidths[j % 3],
+            mode,
+            ..CaseSpec::single(seed, 6, 1 + (j / 3) % 2, scheduler)
+        },
+    }
 }
 
 /// Runs the three fault-aware judges on a realized run: `run` must be the
@@ -766,14 +761,16 @@ pub fn corpus(count: usize, base_seed: u64) -> Vec<CaseSpec> {
 /// 1. **validate** — declarative re-derivation of the whole run from the
 ///    plan's pure draws: completeness, arrival gating, per-attempt
 ///    durations, every failed attempt matching a `Fail` draw exactly, the
-///    retry budget, re-queue ordering, precedence on realized times, a
-///    capacity event sweep over final *and* failed occupancy intervals,
-///    the fault counters and the JCT report;
+///    retry budget, re-queue ordering, precedence and transfer windows on
+///    realized times, capacity event sweeps (the cluster's and each
+///    machine's) over final *and* failed occupancy intervals, the fault
+///    counters and the JCT report;
 /// 2. **sim replay** — a fresh audited re-execution
 ///    ([`execute_under_faults`]) compared bit-for-bit against the
 ///    recorded run;
-/// 3. **timeline replay** — failed and final attempts placed onto a
-///    [`ResourceTimeline`] occupancy grid with their realized durations.
+/// 3. **timeline replay** — failed and final attempts placed onto their
+///    machine's [`ResourceTimeline`] occupancy grid with their realized
+///    durations.
 pub fn check_faulty_run(
     queue: &JobQueue,
     spec: &ClusterSpec,
@@ -915,9 +912,10 @@ fn validate_faulty(
             ));
         }
     }
-    // 3. Arrivals and precedence on realized times: no attempt (failed
-    // or final) may begin before its job arrives, nor a child's before
-    // the parent's completing attempt finishes.
+    // 3. Arrivals, precedence and transfers on realized times: no attempt
+    // (failed or final) may begin before its job arrives, nor a child's
+    // before the parent's completing attempt finishes and its output
+    // reaches the attempt's machine.
     for span in queue.spans() {
         let tasks = span.first_task..span.first_task + span.tasks;
         let early = run
@@ -933,57 +931,42 @@ fn validate_faulty(
             ));
         }
     }
+    let machines = spec.machines();
+    let attempts_of = |task: TaskId| {
+        let failed = run.failed_runs.iter().filter(move |f| f.task == task);
+        failed.map(|f| (f.start, f.machine)).chain(
+            run.schedule
+                .placement_of(task)
+                .map(|p| (p.start, p.machine)),
+        )
+    };
     for e in dag.edges() {
         let parent = run
             .schedule
             .placement_of(e.from)
             .expect("completeness checked above");
-        let child_first = run
-            .failed_runs
-            .iter()
-            .filter(|f| f.task == e.to)
-            .map(|f| f.start)
-            .chain(run.schedule.placement_of(e.to).map(|p| p.start))
-            .min()
-            .expect("completeness checked above");
-        if child_first < parent.finish {
-            return Err(format!(
-                "task {} begins at {child_first} before its parent {} finishes at {}",
-                e.to, e.from, parent.finish
-            ));
-        }
-    }
-    // 4. Capacity, via an event sweep over final *and* failed occupancy
-    // intervals — failed attempts hold resources until they abort, so
-    // they are part of the same constraint. Ends sort before starts at
-    // the same instant, exactly as in `Schedule::validate`.
-    let mut events: Vec<(u64, bool, TaskId)> =
-        Vec::with_capacity(2 * (run.schedule.placements().len() + run.failed_runs.len()));
-    for p in run.schedule.placements() {
-        if p.finish > p.start {
-            events.push((p.start, false, p.task));
-            events.push((p.finish, true, p.task));
-        }
-    }
-    for f in &run.failed_runs {
-        events.push((f.start, false, f.task));
-        events.push((f.end, true, f.task));
-    }
-    events.sort_by_key(|&(t, is_end, _)| (t, !is_end));
-    let mut used = ResourceVec::zeros(spec.dims());
-    for (time, is_end, task) in events {
-        let demand = dag.task(task).demand();
-        if is_end {
-            used.saturating_sub_assign(demand);
-        } else {
-            used.add_assign(demand);
-            if !used.fits_within(spec.capacity()) {
+        for (start, machine) in attempts_of(e.to) {
+            let bytes = machines.edge_bytes(e.from.index(), e.to.index());
+            let delay = machines.transfer_delay(bytes, parent.machine, machine);
+            if start < parent.finish.saturating_add(delay) {
                 return Err(format!(
-                    "capacity exceeded at t={time} when task {task} starts"
+                    "task {} begins at {start} on m{machine} before its parent {} finishes at \
+                     {} on m{} plus {delay} transfer slots",
+                    e.to, e.from, parent.finish, parent.machine
                 ));
             }
         }
     }
+    // 4. Capacity, via event sweeps over final *and* failed occupancy
+    // intervals — failed attempts hold resources until they abort, so
+    // they are part of the same constraint — for the cluster and for
+    // each machine, with the arithmetic of `Schedule::validate`.
+    let finals = run.schedule.placements().iter();
+    let finals = finals.map(|p| (p.start, p.finish, p.task, p.machine));
+    let failed = run.failed_runs.iter();
+    let failed = failed.map(|f| (f.start, f.end, f.task, f.machine));
+    spec.check_occupancy(dag, finals.chain(failed))
+        .map_err(|e| format!("realized occupancy: {e}"))?;
     // 5. Fault accounting and the makespan.
     if run.failures != run.failed_runs.len() as u64 {
         return Err(format!(
@@ -1088,7 +1071,10 @@ fn replay_timeline_faulty(
     }
     // Failed attempts hold their slots until they abort, so they share
     // the grid with the final attempts.
-    let failed = run.failed_runs.iter().map(|f| (f.task, f.start, f.end, 0));
+    let failed = run
+        .failed_runs
+        .iter()
+        .map(|f| (f.task, f.start, f.end, f.machine));
     let placements = run.schedule.placements().iter();
     fill_grids(
         dag,
@@ -1105,20 +1091,19 @@ fn replay_timeline_faulty(
 }
 
 /// The seeded fault-injection corpus: `count` single-DAG cases cycling the
-/// full roster over mixed job sizes and the EXPERIMENTS.md fault rates.
-/// Deterministic in `base_seed`.
+/// full roster over mixed job sizes and the EXPERIMENTS.md fault rates,
+/// in every four cases three on one box (the [`corpus`]'s single DAGs
+/// without jitter) and one on a 2–3-machine cluster (its multi-machine
+/// DAGs). Case `j` of a family keeps the same parameters whatever `count`
+/// is, so the one-box cases are the corpus's cases from before machines
+/// joined it. Deterministic in `base_seed`.
 pub fn fault_corpus(count: usize, base_seed: u64) -> Vec<CaseSpec> {
-    let sizes = [8usize, 14, 25];
     let rates = [0.05, 0.10, 0.20];
-    (0..count)
-        .map(|i| {
-            let scheduler = SchedulerKind::ALL[i % SchedulerKind::ALL.len()];
-            let seed = base_seed.wrapping_add(i as u64);
-            let dims = 1 + (i / sizes.len()) % 2;
-            CaseSpec {
-                faults: FaultProfile::with_rate(rates[i % rates.len()]),
-                ..CaseSpec::single(seed, sizes[i % sizes.len()], dims, scheduler)
-            }
+    interleave(count, &[0, 0, 0, 2])
+        .map(|(family, j)| CaseSpec {
+            faults: FaultProfile::with_rate(rates[j % rates.len()]),
+            epsilon_jitter: false,
+            ..family_case(family, j, base_seed)
         })
         .collect()
 }
@@ -1285,7 +1270,8 @@ impl Fixture {
                     to: e.to.index(),
                 })
                 .collect(),
-            machines: spec.machines().cloned(),
+            // Any one-machine set is the single box of its capacity.
+            machines: (spec.num_machines() > 1).then(|| spec.machines().clone()),
             jobs: if bare {
                 Vec::new()
             } else {
@@ -1767,6 +1753,41 @@ mod tests {
     }
 
     #[test]
+    fn a_faulty_run_over_billions_of_slots_is_judged_without_a_per_slot_grid() {
+        // The occupancy judge used to materialize one vector per time
+        // slot, so one 3e9-slot task exhausted memory.
+        let dag = CaseSpec::single(3, 12, 2, SchedulerKind::Tetris).queue();
+        let dag = dag.union_dag();
+        let long = 3_000_000_000;
+        let mut b = DagBuilder::new(2);
+        for (i, t) in dag.tasks().iter().enumerate() {
+            let runtime = if i == 0 { long } else { t.runtime() };
+            b.add_task(Task::new(runtime, t.demand().clone()));
+        }
+        for e in dag.edges() {
+            b.add_edge(e.from, e.to).unwrap();
+        }
+        let queue = JobQueue::single(b.build().unwrap()).unwrap();
+        for spec in [
+            ClusterSpec::unit(2),
+            CaseSpec {
+                machines: 3,
+                ..CaseSpec::single(3, 12, 2, SchedulerKind::Tetris)
+            }
+            .cluster(),
+        ] {
+            let planned = TetrisScheduler::new()
+                .schedule_multi(&queue, &spec)
+                .unwrap();
+            let plan = FaultProfile::with_rate(0.2).plan(1);
+            let run = execute_under_faults(&queue, &spec, &planned, &plan, None).unwrap();
+            assert!(run.failures > 0 && run.makespan >= long);
+            let tri = check_faulty_run(&queue, &spec, &planned, &plan, &run);
+            assert!(tri.all_ok(), "{}", tri.summary());
+        }
+    }
+
+    #[test]
     fn fault_corpus_is_deterministic_and_covers_the_roster() {
         let a = fault_corpus(30, 2);
         assert_eq!(a, fault_corpus(30, 2));
@@ -1779,6 +1800,18 @@ mod tests {
         }
         assert!(a.iter().all(|c| !c.faults.is_none()));
         assert_eq!(a[1].label(), "sjf/n14/seed3/f0.10");
+        // One case in four runs on 2–3 machines, and the one-box cases
+        // keep their parameters at any corpus size.
+        let multi: Vec<&CaseSpec> = a.iter().filter(|c| c.machines > 1).collect();
+        assert_eq!(multi.len(), 7);
+        assert!(a.iter().skip(3).step_by(4).all(|c| c.machines > 1));
+        assert!(multi.iter().any(|c| c.machines == 2) && multi.iter().any(|c| c.machines == 3));
+        assert!(multi.iter().any(|c| c.mode == TransferMode::ViaMaster));
+        let one_box = |n| -> Vec<CaseSpec> {
+            let cases = fault_corpus(n, 2).into_iter();
+            cases.filter(|c| c.machines == 1).collect()
+        };
+        assert_eq!(one_box(8)[..], one_box(40)[..6]);
     }
 
     #[test]

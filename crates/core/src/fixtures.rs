@@ -137,15 +137,15 @@ mod tests {
             tasks.fillers[1],
             tasks.fillers[2],
         ] {
-            sim.apply(&dag, Action::Schedule(t)).unwrap();
+            sim.apply(&dag, Action::Place(t, 0)).unwrap();
         }
         // Process to t=5 (gate/fillers done), then to t=10 (balanced done).
         sim.apply(&dag, Action::Process).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.clock(), 10);
         // t=10: the cpu/mem pair co-runs.
-        sim.apply(&dag, Action::Schedule(tasks.cpu_heavy)).unwrap();
-        sim.apply(&dag, Action::Schedule(tasks.mem_heavy)).unwrap();
+        sim.apply(&dag, Action::Place(tasks.cpu_heavy, 0)).unwrap();
+        sim.apply(&dag, Action::Place(tasks.mem_heavy, 0)).unwrap();
         sim.apply(&dag, Action::Process).unwrap();
         assert_eq!(sim.makespan(), Some(motivating_optimal_makespan()));
     }

@@ -359,7 +359,7 @@ mod tests {
         let mut ev = BoundEvaluator;
         // Initially: clock 0 + b-level(a)=8.
         assert_eq!(ev.estimate_final_makespan(&ctx, &state), 8.0);
-        state.apply(&dag, Action::Schedule(a)).unwrap();
+        state.apply(&dag, Action::Place(a, 0)).unwrap();
         // a finishes at 5, its unscheduled child adds b-level 3.
         assert_eq!(ev.estimate_final_makespan(&ctx, &state), 8.0);
         assert_eq!(ev.name(), "bound");

@@ -218,9 +218,8 @@ impl HeuristicPolicy {
         match action {
             // Process only when nothing else scores: rank below any task.
             Action::Process => f64::NEG_INFINITY,
-            Action::Schedule(t) => ctx.dag.task(t).demand().dot(state.free()),
-            // Hetero placement: align against the target machine's free
-            // vector, so the packer prefers the machine the task fits best.
+            // Align against the target machine's free vector, so the
+            // packer prefers the machine the task fits best.
             Action::Place(t, m) => ctx.dag.task(t).demand().dot(state.machine_free(m)),
         }
     }
@@ -434,9 +433,7 @@ fn map_onto<R: Copy + Into<f64>>(
         // stays task-indexed and the machine choice is resolved at the
         // sampling boundary. Backlogged tasks are invisible to the
         // network.
-        Action::Schedule(t) | Action::Place(t, _) => {
-            slot_of(t).map_or(1e-9, |slot| probs[slot].into())
-        }
+        Action::Place(t, _) => slot_of(t).map_or(1e-9, |slot| probs[slot].into()),
     }));
 }
 
@@ -718,7 +715,7 @@ mod tests {
         let mut policy = HeuristicPolicy;
         // Free = [1,1]: task 0 has the highest dot product (0.9).
         let a = policy.choose_rollout(&ctx, &state, &legal, &mut rng);
-        assert_eq!(a, Action::Schedule(TaskId::new(0)));
+        assert_eq!(a, Action::Place(TaskId::new(0), 0));
     }
 
     #[test]
@@ -730,7 +727,7 @@ mod tests {
             features: &features,
         };
         let mut state = SimState::new(&dag, &spec).unwrap();
-        state.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        state.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         // Legal now: schedule 1 or 2 (both fit), or process.
         let legal = state.legal_actions(&dag);
         assert!(legal.contains(&Action::Process));

@@ -548,7 +548,7 @@ mod tests {
             search.run_iteration();
         }
         let size_before = search.tree_size();
-        search.advance(Action::Schedule(TaskId::new(0))).unwrap();
+        search.advance(Action::Place(TaskId::new(0), 0)).unwrap();
         // The child existed (both root actions were expanded in 10
         // iterations), so no node was allocated.
         assert_eq!(search.tree_size(), size_before);
@@ -563,7 +563,7 @@ mod tests {
         let mut search = MctsSearch::new(&dag, &spec, &features, &mut policy, 5.0, 6).unwrap();
         // No iterations: advancing must create the child on demand.
         let size_before = search.tree_size();
-        search.advance(Action::Schedule(TaskId::new(1))).unwrap();
+        search.advance(Action::Place(TaskId::new(1), 0)).unwrap();
         assert_eq!(search.tree_size(), size_before + 1);
         assert_eq!(search.root_state().start_of(TaskId::new(1)), Some(0));
     }

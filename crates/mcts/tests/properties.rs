@@ -277,7 +277,7 @@ fn eval_cache_is_bit_transparent_on_a_hetero_cluster() {
     let spec = ClusterSpec::hetero(machines).unwrap();
     let dag = random_dag(14, 6);
     let mut rng = StdRng::seed_from_u64(5);
-    let features = FeatureConfig::small(2).with_machine_rows(3);
+    let features = FeatureConfig::small(2);
     let net = PolicyNetwork::with_hidden(features, &[8], &mut rng);
     for precision in [Precision::Exact, Precision::Fast] {
         assert_cache_transparent(&net, precision, |s| {

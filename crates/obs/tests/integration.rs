@@ -55,7 +55,7 @@ impl<R: rand::Rng + ?Sized> DecisionPolicy<R> for FirstFit {
         legal
             .iter()
             .copied()
-            .find(|a| matches!(a, Action::Schedule(_)))
+            .find(|a| matches!(a, Action::Place(..)))
             .unwrap_or(Action::Process)
     }
 }

@@ -92,7 +92,10 @@ pub fn collect_expert_dataset(
             let action = if idx == featurizer.config().process_action() {
                 Action::Process
             } else {
-                Action::Schedule(view.slot_tasks[idx].expect("legal slot actions hold a task"))
+                Action::Place(
+                    view.slot_tasks[idx].expect("legal slot actions hold a task"),
+                    0,
+                )
             };
             data.features.push(view.features);
             data.actions.push(idx);

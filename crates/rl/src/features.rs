@@ -20,14 +20,6 @@ pub struct FeatureConfig {
     /// Tetris/SJF; setting this to `false` zeroes them out (the feature
     /// ablation) while keeping the input width unchanged.
     pub graph_features: bool,
-    /// Per-machine occupancy rows appended to the input for heterogeneous
-    /// clusters: one row of `dims` utilization fractions per machine, up
-    /// to this many machines. `0` — the default, and what every existing
-    /// constructor produces — appends nothing, keeping the single-box
-    /// input layout (and therefore every exact-precision golden)
-    /// bit-identical to the pre-hetero featurizer.
-    #[serde(default)]
-    pub machine_rows: usize,
 }
 
 impl FeatureConfig {
@@ -38,7 +30,6 @@ impl FeatureConfig {
             horizon: 20,
             max_ready: 15,
             graph_features: true,
-            machine_rows: 0,
         }
     }
 
@@ -49,20 +40,12 @@ impl FeatureConfig {
             horizon: 8,
             max_ready: 5,
             graph_features: true,
-            machine_rows: 0,
         }
     }
 
     /// Disables the graph-derived features (ablation).
     pub fn without_graph_features(mut self) -> Self {
         self.graph_features = false;
-        self
-    }
-
-    /// Appends per-machine occupancy rows for clusters of up to
-    /// `machines` machines (heterogeneous scheduling).
-    pub fn with_machine_rows(mut self, machines: usize) -> Self {
-        self.machine_rows = machines;
         self
     }
 
@@ -76,11 +59,8 @@ impl FeatureConfig {
     /// Total input width of the policy network.
     pub fn input_dim(&self) -> usize {
         // Cluster image + task slots + globals (backlog, running fraction,
-        // completed fraction) + per-machine occupancy rows.
-        self.dims * self.horizon
-            + self.max_ready * self.per_task_features()
-            + 3
-            + self.machine_rows * self.dims
+        // completed fraction).
+        self.dims * self.horizon + self.max_ready * self.per_task_features() + 3
     }
 
     /// Output width: one logit per visible ready slot plus the process
@@ -282,24 +262,6 @@ impl Featurizer {
         out.push(state.running().len() as f64 / n);
         out.push(state.completed() as f64 / n);
 
-        // --- Per-machine occupancy rows (heterogeneous clusters). ---
-        // One row of current utilization fractions per configured machine;
-        // rows beyond the state's machine count (or on a single-box state)
-        // are zero. A `machine_rows: 0` config appends nothing, so the
-        // single-box layout is bit-identical to the pre-hetero featurizer.
-        for m in 0..cfg.machine_rows {
-            match state.machines() {
-                Some(ms) if m < ms.len() => {
-                    let used = state.machine_used(m as u32);
-                    let cap = ms.capacity(m as u32);
-                    for r in 0..cfg.dims {
-                        out.push((used[r] / cap[r]).min(1.0));
-                    }
-                }
-                _ => out.extend(std::iter::repeat_n(0.0, cfg.dims)),
-            }
-        }
-
         debug_assert_eq!(out.len(), cfg.input_dim());
 
         // --- Legality mask. ---
@@ -382,7 +344,7 @@ mod tests {
     fn occupancy_image_reflects_running_tasks() {
         let (dag, spec, gf, f) = setup();
         let mut state = SimState::new(&dag, &spec).unwrap();
-        state.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        state.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         let view = f.featurize(&dag, &spec, &state, &gf);
         let h = f.config().horizon;
         // Dimension 0 occupied at 0.5 for the first 4 slots, then free.
@@ -403,7 +365,7 @@ mod tests {
         let (dag, spec, gf, f) = setup();
         let mut state = SimState::new(&dag, &spec).unwrap();
         // Schedule task 0 (0.5, 0.2): task 1 (0.3,0.3) still fits.
-        state.apply(&dag, Action::Schedule(TaskId::new(0))).unwrap();
+        state.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
         let view = f.featurize(&dag, &spec, &state, &gf);
         assert_eq!(view.slot_tasks[0], Some(TaskId::new(1)));
         assert!(view.mask[0]);
@@ -443,50 +405,6 @@ mod tests {
             let legal = state.legal_actions(&dag);
             state.apply(&dag, legal[0]).unwrap();
         }
-    }
-
-    #[test]
-    fn machine_rows_append_per_machine_utilization() {
-        use spear_cluster::{MachineSet, TransferMode};
-        let dag = small_dag();
-        let gf = GraphFeatures::compute(&dag);
-        let ms = MachineSet::uniform(
-            2,
-            ResourceVec::from_slice(&[1.0, 1.0]),
-            4,
-            TransferMode::Direct,
-            7,
-            8,
-        )
-        .unwrap();
-        let spec = ClusterSpec::hetero(ms).unwrap();
-        let f = Featurizer::new(FeatureConfig::small(2).with_machine_rows(2));
-        let mut state = SimState::new(&dag, &spec).unwrap();
-        state.apply(&dag, Action::Place(TaskId::new(0), 1)).unwrap();
-        let view = f.featurize(&dag, &spec, &state, &gf);
-        assert_eq!(view.features.len(), f.config().input_dim());
-        let base = f.config().input_dim() - 2 * 2;
-        // Machine 0 idle, machine 1 running task 0 (0.5, 0.2).
-        assert_eq!(&view.features[base..base + 2], &[0.0, 0.0]);
-        assert!((view.features[base + 2] - 0.5).abs() < 1e-9);
-        assert!((view.features[base + 3] - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn machine_rows_beyond_cluster_are_zero_and_single_box_is_unchanged() {
-        let (dag, spec, gf, _) = setup();
-        let state = SimState::new(&dag, &spec).unwrap();
-        let plain = Featurizer::new(FeatureConfig::small(2));
-        let wide = Featurizer::new(FeatureConfig::small(2).with_machine_rows(3));
-        let a = plain.featurize(&dag, &spec, &state, &gf);
-        let b = wide.featurize(&dag, &spec, &state, &gf);
-        // A single-box state has no machines: the extra rows are all zero and
-        // the prefix is bit-identical to the machine_rows = 0 layout.
-        assert_eq!(b.features.len(), a.features.len() + 3 * 2);
-        assert_eq!(&b.features[..a.features.len()], &a.features[..]);
-        assert!(b.features[a.features.len()..].iter().all(|&v| v == 0.0));
-        assert_eq!(a.slot_tasks, b.slot_tasks);
-        assert_eq!(a.mask, b.mask);
     }
 
     #[test]

@@ -244,8 +244,9 @@ impl PolicyNetwork {
         if index == self.featurizer.config().process_action() {
             Action::Process
         } else {
-            Action::Schedule(
+            Action::Place(
                 view.slot_tasks[index].expect("masked sampling never picks an empty slot"),
+                0,
             )
         }
     }

@@ -93,7 +93,7 @@ proptest! {
             match task {
                 Some(t) => prop_assert_eq!(
                     view.mask[slot],
-                    legal.contains(&Action::Schedule(*t)),
+                    legal.contains(&Action::Place(*t, 0)),
                     "slot {} task {}", slot, t
                 ),
                 None => prop_assert!(!view.mask[slot], "empty slot {} marked legal", slot),

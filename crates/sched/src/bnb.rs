@@ -149,10 +149,9 @@ impl Search<'_> {
     /// * the remaining resource-time load per dimension must fit after
     ///   `clock`.
     ///
-    /// On heterogeneous clusters the bound uses the *min-transfer
-    /// relaxation*: every cross-machine edge delay is relaxed to
-    /// [`spear_cluster::MachineSet::min_edge_delay`] (zero, since a child
-    /// may always be co-located with its parent). Transfers can only delay
+    /// On a cluster of several machines the bound uses the *min-transfer
+    /// relaxation*: every cross-machine edge delay is relaxed to zero,
+    /// since a child may always be co-located with its parent. Transfers can only delay
     /// starts relative to this relaxation, so the bound stays admissible,
     /// and the aggregate load bound relaxes per-machine capacities to
     /// their sum, which again only under-estimates the true makespan.
@@ -219,11 +218,10 @@ impl Search<'_> {
         let mut exhausted = true;
         let mut actions = Vec::new();
         env.legal_into(&mut actions);
-        // Schedule actions ascending by id; process last (already the
-        // simulator's order, but make it explicit for the symmetry
-        // argument).
+        // Placements ascending by task id, then machine; process last
+        // (already the simulator's order, but make it explicit for the
+        // symmetry argument).
         actions.sort_by_key(|a| match a {
-            Action::Schedule(t) => (0, t.index(), 0),
             Action::Place(t, m) => (0, t.index(), *m as usize),
             Action::Process => (1, usize::MAX, usize::MAX),
         });

@@ -246,6 +246,30 @@ mod tests {
     }
 
     #[test]
+    fn billions_of_slots_pack_without_a_per_slot_grid() {
+        // Virtual placement used to materialize one occupancy vector per
+        // time slot, so one 3e9-slot task exhausted memory.
+        let spec = LayeredDagSpec {
+            num_tasks: 12,
+            ..LayeredDagSpec::paper_simulation()
+        };
+        let dag = spec.generate(&mut StdRng::seed_from_u64(3));
+        let long = 3_000_000_000;
+        let mut b = DagBuilder::new(2);
+        for (i, t) in dag.tasks().iter().enumerate() {
+            let runtime = if i == 0 { long } else { t.runtime() };
+            b.add_task(Task::new(runtime, t.demand().clone()));
+        }
+        for e in dag.edges() {
+            b.add_edge(e.from, e.to).unwrap();
+        }
+        let dag = b.build().unwrap();
+        let schedule = Graphene::new().schedule(&dag, &spec2()).unwrap();
+        schedule.validate(&dag, &spec2()).unwrap();
+        assert!(schedule.makespan() >= long);
+    }
+
+    #[test]
     fn troublesome_set_shrinks_with_threshold() {
         let dag = LayeredDagSpec::paper_training().generate(&mut StdRng::seed_from_u64(1));
         let g = Graphene::new();

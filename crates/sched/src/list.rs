@@ -112,7 +112,7 @@ impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
         let mut env = SimEnv::from_queue(queue, spec)?;
         let features = GraphFeatures::compute(env.dag());
         let scorer = &mut self.scorer;
-        // The legal `Schedule` actions are exactly the ready-and-fitting
+        // The legal `Place` actions are exactly the ready-and-fitting
         // candidates, already in ascending task-id order; the greedy policy
         // just ranks them (strict `>` keeps ties on the lowest id).
         let policy = FnPolicy(|ctx: &EnvContext<'_>, state: &SimState, legal: &[Action]| {
@@ -132,10 +132,11 @@ impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
 
 /// Fraction of `task`'s parents that ran on machine `m` — the locality
 /// bonus of a `(task, machine)` pair. Placing a child next to its parents
-/// keeps future data local; 0 for source tasks and on single-box states
-/// (where every parent trivially shares the one machine anyway).
+/// keeps future data local; 0 for source tasks and on a one-machine
+/// cluster, where every parent trivially shares the one machine (a bonus
+/// there would rank children above equally-scored sources).
 pub(crate) fn locality(dag: &Dag, state: &SimState, task: TaskId, m: u32) -> f64 {
-    if !state.is_hetero() {
+    if state.num_machines() == 1 {
         return 0.0;
     }
     let parents = dag.parents(task);
@@ -152,8 +153,8 @@ pub(crate) fn locality(dag: &Dag, state: &SimState, task: TaskId, m: u32) -> f64
 /// Picks the scheduling action with the highest task score, breaking score
 /// ties toward the better machine locality and remaining ties toward the
 /// slice order (lowest task id, then lowest machine id), or `Process` when
-/// nothing fits. On heterogeneous clusters this ranks the full
-/// `(task, machine)` product the legal list spells out.
+/// nothing fits. This ranks the full `(task, machine)` product the legal
+/// list spells out.
 fn select_best<F: FnMut(TaskId) -> f64>(
     dag: &Dag,
     state: &SimState,

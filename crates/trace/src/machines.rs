@@ -70,10 +70,14 @@ impl MachineProfile {
     /// # Errors
     ///
     /// [`TraceError::Cluster`] if the knobs describe an invalid set
-    /// (zero machines, dimensions, bandwidth or payload bound).
+    /// (zero machines or more than
+    /// [`MAX_MACHINES`](spear_cluster::hetero::MAX_MACHINES) — refused
+    /// before anything is allocated — or zero dimensions, bandwidth or
+    /// payload bound).
     pub fn generate(&self, seed: u64) -> Result<MachineSet, TraceError> {
-        let mut rng = StdRng::seed_from_u64(seed);
         let n = self.machines;
+        MachineSet::check_count(n).map_err(TraceError::Cluster)?;
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut capacities = Vec::with_capacity(n);
         for m in 0..n {
             let keep = if m == 0 {
@@ -142,9 +146,14 @@ mod tests {
 
     #[test]
     fn degenerate_profiles_are_rejected() {
-        let mut p = MachineProfile::sweep(0);
-        assert!(p.generate(1).is_err());
-        p.machines = 2;
+        use spear_cluster::ClusterError;
+        // Machine counts outside 1..=1024 fail before the 80 GB matrix of
+        // 10^5 machines (or the wrapped `n * n` of 2^32) is allocated.
+        for n in [0, 1025, 100_000, usize::MAX] {
+            let err = MachineProfile::sweep(n).generate(1).unwrap_err();
+            assert_eq!(err, TraceError::Cluster(ClusterError::MachineCount(n)));
+        }
+        let mut p = MachineProfile::sweep(2);
         p.base_bandwidth = 0;
         assert!(p.generate(1).is_err());
     }

@@ -5,7 +5,7 @@
 //! on multi-job arrival streams.
 
 use spear::dag::generator::LayeredDagSpec;
-use spear::diffcheck::{check_faulty_run, SchedulerKind};
+use spear::diffcheck::{check_faulty_run, CaseSpec, SchedulerKind};
 use spear::{
     execute_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterError, ClusterSpec, FaultPlan,
     FaultProfile, JobQueue, JobSource, Scheduler, SpearError,
@@ -38,12 +38,17 @@ fn stream_queue(jobs: usize, tasks_per_job: usize, seed: u64) -> JobQueue {
 }
 
 /// Every roster member's plan survives execution under a 10% seeded
-/// failure/straggler rate, and the realized run passes all three
-/// fault-aware judges. The sweep as a whole must actually draw faults —
-/// a silently fault-free "fault" test would prove nothing.
+/// failure/straggler rate, on the unit box and on three machines, and
+/// the realized run passes all three fault-aware judges with every
+/// attempt on its task's planned machine. The sweep as a whole must
+/// actually draw faults — a silently fault-free "fault" test would prove
+/// nothing.
 #[test]
 fn the_roster_survives_ten_percent_faults_and_passes_the_tri_judge() {
-    let spec = ClusterSpec::unit(2);
+    let three = CaseSpec {
+        machines: 3,
+        ..CaseSpec::single(11, 14, 2, SchedulerKind::Tetris)
+    };
     let queue = single(14, 11);
     let profile = FaultProfile {
         max_retries: 5,
@@ -51,18 +56,26 @@ fn the_roster_survives_ten_percent_faults_and_passes_the_tri_judge() {
     };
     let plan = profile.plan(11);
     let mut total_faults = 0;
-    for kind in SchedulerKind::ALL {
-        let planned = kind.build(11, 2).schedule_multi(&queue, &spec).unwrap();
-        let run = execute_under_faults(&queue, &spec, &planned, &plan, None)
+    for (spec, kind) in [ClusterSpec::unit(2), three.cluster()]
+        .iter()
+        .flat_map(|spec| SchedulerKind::ALL.map(|kind| (spec, kind)))
+    {
+        let planned = kind.build(11, 2).schedule_multi(&queue, spec).unwrap();
+        let run = execute_under_faults(&queue, spec, &planned, &plan, None)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-        let tri = check_faulty_run(&queue, &spec, &planned, &plan, &run);
+        let tri = check_faulty_run(&queue, spec, &planned, &plan, &run);
         assert!(tri.all_ok(), "{}: {}", kind.name(), tri.summary());
-        assert_eq!(
-            run.attempts.len(),
-            queue.union_dag().len(),
-            "{}",
-            kind.name()
-        );
+        assert_eq!(run.attempts.len(), queue.union_dag().len());
+        let on = |t| planned.placement_of(t).map(|p| p.machine);
+        assert!(run
+            .schedule
+            .placements()
+            .iter()
+            .all(|p| on(p.task) == Some(p.machine)));
+        assert!(run
+            .failed_runs
+            .iter()
+            .all(|f| on(f.task) == Some(f.machine)));
         total_faults += run.failures + run.straggles;
     }
     assert!(total_faults > 0, "the 10% sweep never drew a fault");

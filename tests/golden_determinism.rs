@@ -1,7 +1,10 @@
 //! Golden determinism tests: fixed-seed searches must reproduce exactly
 //! the schedules recorded here. These constants pin the behavior of the
 //! MCTS hot path — any refactor that changes RNG call order, float
-//! summation order, or action enumeration order will trip them.
+//! summation order, or action enumeration order will trip them. Every
+//! table holds on the unit box and on a one-machine set with arbitrary
+//! network knobs: a single box is a one-machine cluster. The state keys
+//! behind the inference caches are pinned the same way.
 //!
 //! To regenerate after an *intentional* behavior change, run
 //! `cargo test --release --test golden_determinism -- --ignored --nocapture`
@@ -10,10 +13,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spear::dag::generator::LayeredDagSpec;
+use spear::dag::ResourceVec;
+use spear::diffcheck::{CaseSpec, SchedulerKind};
 use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver};
 use spear::{
-    Action, ClusterSpec, Dag, FeatureConfig, MctsConfig, MctsScheduler, PolicyNetwork, Schedule,
-    SimState,
+    Action, ClusterSpec, Dag, FeatureConfig, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork,
+    Schedule, Scheduler, SimState, TransferMode,
 };
 
 /// Number of fixed workload DAGs each golden table covers.
@@ -51,69 +56,125 @@ const ENV_DRIVER_GOLDEN: [(u64, u64); GOLDEN_DAGS] = [
 /// Seed of the uniform policy behind [`ENV_DRIVER_GOLDEN`].
 const ENV_DRIVER_SEED: u64 = 7;
 
-/// The fixed workload: same generator family as the fig6a experiment.
-fn workload() -> (Vec<Dag>, ClusterSpec) {
+/// Makespans of pure MCTS (budget 60/12) on the quick workload: two
+/// 30-task DAGs of the simulation family, seed 42.
+const QUICK_PURE_GOLDEN: [u64; 2] = [203, 208];
+
+/// Makespans of DRL-guided MCTS (untrained paper-size network, budget
+/// 15/3) on the quick workload, with the inference caches on or off.
+const QUICK_DRL_GOLDEN: [u64; 2] = [233, 229];
+
+/// `(steps, FNV-1a fold of fingerprint and frontier fingerprint after
+/// every step)` of a seeded uniform episode on the unit box and on a
+/// three-machine cluster. These are the cache keys of the DRL search:
+/// pinning them pins its cache hits and forward-pass counts.
+const KEY_GOLDEN: [(usize, u64); 2] = [(24, 0x6e81_35bf_641c_a550), (24, 0xc877_547e_20a6_7b61)];
+
+/// The two clusters every table is checked on: the unit box and a
+/// one-machine set whose (unused) network knobs are arbitrary.
+fn clusters() -> [ClusterSpec; 2] {
+    let one = MachineSet::uniform(
+        1,
+        ResourceVec::splat(2, 1.0),
+        7,
+        TransferMode::ViaMaster,
+        3,
+        16,
+    )
+    .expect("one unit machine is a valid set");
+    [
+        ClusterSpec::unit(2),
+        ClusterSpec::hetero(one).expect("one unit machine is a valid cluster"),
+    ]
+}
+
+/// `count` DAGs of `tasks` tasks from the fig6a generator family.
+fn dags(count: usize, tasks: usize) -> Vec<Dag> {
     let spec = LayeredDagSpec {
-        num_tasks: GOLDEN_TASKS,
+        num_tasks: tasks,
         ..LayeredDagSpec::paper_simulation()
     };
     let mut rng = StdRng::seed_from_u64(GOLDEN_SEED);
-    let dags = (0..GOLDEN_DAGS).map(|_| spec.generate(&mut rng)).collect();
-    (dags, ClusterSpec::unit(2))
+    (0..count).map(|_| spec.generate(&mut rng)).collect()
+}
+
+/// The fixed workload: same generator family as the fig6a experiment.
+fn workload() -> Vec<Dag> {
+    dags(GOLDEN_DAGS, GOLDEN_TASKS)
+}
+
+/// Search seed 7 at the given budget, with the eval cache on or off.
+fn config(initial_budget: u64, min_budget: u64, eval_cache: bool) -> MctsConfig {
+    MctsConfig {
+        initial_budget,
+        min_budget,
+        seed: 7,
+        eval_cache,
+        ..MctsConfig::default()
+    }
 }
 
 fn pure_scheduler() -> MctsScheduler {
-    MctsScheduler::pure(MctsConfig {
-        initial_budget: 80,
-        min_budget: 16,
-        seed: 7,
-        ..MctsConfig::default()
-    })
+    MctsScheduler::pure(config(80, 16, true))
 }
 
 fn drl_scheduler() -> MctsScheduler {
     let mut rng = StdRng::seed_from_u64(0);
     let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16], &mut rng);
-    MctsScheduler::drl(
-        MctsConfig {
-            initial_budget: 30,
-            min_budget: 6,
-            seed: 7,
-            ..MctsConfig::default()
-        },
-        policy,
-    )
+    MctsScheduler::drl(config(30, 6, true), policy)
+}
+
+/// DRL-guided search with an untrained paper-size network.
+fn quick_drl(eval_cache: bool) -> MctsScheduler {
+    let policy = PolicyNetwork::new(FeatureConfig::paper(2), &mut StdRng::seed_from_u64(0));
+    MctsScheduler::drl(config(15, 3, eval_cache), policy)
+}
+
+/// FNV-1a over a sequence of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for x in words {
+        for byte in x.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 /// FNV-1a over every task's start time in task order: detects any change
 /// to the schedule, not just its makespan.
 fn fingerprint(schedule: &Schedule) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for p in schedule.placements() {
-        fold(p.task.index() as u64);
-        fold(p.start);
-    }
-    h
+    fnv(schedule
+        .placements()
+        .iter()
+        .flat_map(|p| [p.task.index() as u64, p.start]))
 }
 
-fn run(mut scheduler: MctsScheduler) -> Vec<(u64, u64)> {
-    use spear::Scheduler;
-    let (dags, spec) = workload();
+/// Each DAG's schedule under `scheduler` on `spec`, validated.
+fn schedules(scheduler: &mut MctsScheduler, dags: &[Dag], spec: &ClusterSpec) -> Vec<Schedule> {
     dags.iter()
         .map(|dag| {
             let s = scheduler
-                .schedule(dag, &spec)
+                .schedule(dag, spec)
                 .expect("workload fits cluster");
-            s.validate(dag, &spec).expect("schedule must be valid");
-            (s.makespan(), fingerprint(&s))
+            s.validate(dag, spec).expect("schedule must be valid");
+            s
         })
         .collect()
+}
+
+fn run(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> Vec<(u64, u64)> {
+    let schedules = schedules(&mut scheduler, &workload(), spec);
+    schedules
+        .iter()
+        .map(|s| (s.makespan(), fingerprint(s)))
+        .collect()
+}
+
+fn quick_makespans(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> Vec<u64> {
+    let schedules = schedules(&mut scheduler, &dags(2, 30), spec);
+    schedules.iter().map(Schedule::makespan).collect()
 }
 
 /// Uniformly random over the legal actions; one RNG draw per decision.
@@ -131,22 +192,50 @@ impl DecisionPolicy<StdRng> for UniformDriverPolicy {
     }
 }
 
-fn run_env_driver() -> Vec<(u64, u64)> {
-    let (dags, spec) = workload();
-    dags.iter()
+fn run_env_driver(spec: &ClusterSpec) -> Vec<(u64, u64)> {
+    workload()
+        .iter()
         .map(|dag| {
             let s = EpisodeDriver::new(UniformDriverPolicy)
-                .run(dag, &spec, &mut StdRng::seed_from_u64(ENV_DRIVER_SEED))
+                .run(dag, spec, &mut StdRng::seed_from_u64(ENV_DRIVER_SEED))
                 .expect("workload fits cluster");
-            s.validate(dag, &spec).expect("schedule must be valid");
+            s.validate(dag, spec).expect("schedule must be valid");
             (s.makespan(), fingerprint(&s))
         })
         .collect()
 }
 
+/// The cache-key trail of a seeded uniform episode of a 12-task DAG.
+fn key_trail(spec: &ClusterSpec) -> (usize, u64) {
+    let dag = &dags(1, 12)[0];
+    let mut state = SimState::new(dag, spec).expect("workload fits cluster");
+    let mut rng = StdRng::seed_from_u64(ENV_DRIVER_SEED);
+    let mut keys = vec![state.fingerprint(), state.frontier_fingerprint()];
+    while !state.is_terminal(dag) {
+        let legal = state.legal_actions(dag);
+        let action = legal[rng.gen_range(0..legal.len())];
+        state.apply(dag, action).expect("legal actions never fail");
+        keys.extend([state.fingerprint(), state.frontier_fingerprint()]);
+    }
+    (keys.len() / 2 - 1, fnv(keys))
+}
+
+/// The fuzz corpus's three machines of unequal shape over unequal
+/// links.
+fn three_machines() -> ClusterSpec {
+    let case = CaseSpec::single(11, 12, 2, SchedulerKind::Tetris);
+    CaseSpec {
+        machines: 3,
+        ..case
+    }
+    .cluster()
+}
+
 #[test]
 fn pure_mcts_matches_golden_schedules() {
-    assert_eq!(run(pure_scheduler()), PURE_GOLDEN);
+    for spec in clusters() {
+        assert_eq!(run(pure_scheduler(), &spec), PURE_GOLDEN);
+    }
 }
 
 /// The Env layer itself reproduces the pinned schedules: seeded episodes
@@ -154,26 +243,62 @@ fn pure_mcts_matches_golden_schedules() {
 /// and bit-identical to the hand-rolled stepping loop they replaced.
 #[test]
 fn env_driver_matches_golden_schedules() {
-    assert_eq!(run_env_driver(), ENV_DRIVER_GOLDEN);
-    // Cross-check: the same seed through a raw legal_actions/apply loop.
-    let (dags, spec) = workload();
-    for (dag, &(makespan, fp)) in dags.iter().zip(&ENV_DRIVER_GOLDEN) {
-        let mut state = SimState::new(dag, &spec).expect("workload fits cluster");
-        let mut rng = StdRng::seed_from_u64(ENV_DRIVER_SEED);
-        let mut legal = Vec::new();
-        while !state.is_terminal(dag) {
-            state.legal_actions_into(dag, &mut legal);
-            let action = legal[rng.gen_range(0..legal.len())];
-            state.apply(dag, action).expect("legal actions never fail");
+    for spec in clusters() {
+        assert_eq!(run_env_driver(&spec), ENV_DRIVER_GOLDEN);
+        // Cross-check: the same seed through a raw legal_actions/apply loop.
+        for (dag, &(makespan, fp)) in workload().iter().zip(&ENV_DRIVER_GOLDEN) {
+            let mut state = SimState::new(dag, &spec).expect("workload fits cluster");
+            let mut rng = StdRng::seed_from_u64(ENV_DRIVER_SEED);
+            let mut legal = Vec::new();
+            while !state.is_terminal(dag) {
+                state.legal_actions_into(dag, &mut legal);
+                let action = legal[rng.gen_range(0..legal.len())];
+                state.apply(dag, action).expect("legal actions never fail");
+            }
+            let s = state.into_schedule(dag);
+            assert_eq!((s.makespan(), fingerprint(&s)), (makespan, fp));
         }
-        let s = state.into_schedule(dag);
-        assert_eq!((s.makespan(), fingerprint(&s)), (makespan, fp));
     }
 }
 
 #[test]
 fn drl_guided_matches_golden_schedules() {
-    assert_eq!(run(drl_scheduler()), DRL_GOLDEN);
+    for spec in clusters() {
+        assert_eq!(run(drl_scheduler(), &spec), DRL_GOLDEN);
+    }
+}
+
+/// The quick workload's makespans, for pure and DRL-guided search with
+/// the inference caches on and off.
+#[test]
+fn quick_searches_match_golden_makespans() {
+    for spec in clusters() {
+        let quick_pure = MctsScheduler::pure(config(60, 12, true));
+        assert_eq!(quick_makespans(quick_pure, &spec), QUICK_PURE_GOLDEN);
+        for eval_cache in [true, false] {
+            assert_eq!(
+                quick_makespans(quick_drl(eval_cache), &spec),
+                QUICK_DRL_GOLDEN,
+                "eval cache {eval_cache}"
+            );
+        }
+    }
+}
+
+/// Both fingerprints after every step of a seeded episode, on the unit
+/// box and on three machines.
+#[test]
+fn cache_keys_match_golden_trails() {
+    let [unit, _] = clusters();
+    assert_eq!([key_trail(&unit), key_trail(&three_machines())], KEY_GOLDEN);
+}
+
+/// A one-machine set keys every state exactly like the unit box, so the
+/// DRL search's cache hits do not depend on how a single box is spelled.
+#[test]
+fn a_one_machine_set_keys_like_the_unit_box() {
+    let [unit, one] = clusters();
+    assert_eq!(key_trail(&one), key_trail(&unit));
 }
 
 /// Prints the current tables; run with `-- --ignored --nocapture` to
@@ -181,10 +306,11 @@ fn drl_guided_matches_golden_schedules() {
 #[test]
 #[ignore = "generator for the golden constants, not a check"]
 fn print_golden_tables() {
+    let unit = ClusterSpec::unit(2);
     for (name, results) in [
-        ("PURE", run(pure_scheduler())),
-        ("DRL", run(drl_scheduler())),
-        ("ENV_DRIVER", run_env_driver()),
+        ("PURE", run(pure_scheduler(), &unit)),
+        ("DRL", run(drl_scheduler(), &unit)),
+        ("ENV_DRIVER", run_env_driver(&unit)),
     ] {
         println!("const {name}_GOLDEN: [(u64, u64); GOLDEN_DAGS] = [");
         for (makespan, fp) in results {
@@ -192,4 +318,6 @@ fn print_golden_tables() {
         }
         println!("];");
     }
+    let [(a, ka), (b, kb)] = [key_trail(&unit), key_trail(&three_machines())];
+    println!("const KEY_GOLDEN: [(usize, u64); 2] = [({a}, {ka:#018x}), ({b}, {kb:#018x})];");
 }
