@@ -7,4 +7,3 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod table1;
-pub mod value_ext;

@@ -357,7 +357,7 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
         }),
     };
     let stream = ArrivalStreamSpec {
-        jobs: args.get_or("jobs", 20)?,
+        jobs: args.get_count("jobs", 20)?,
         process,
         source,
     }
@@ -891,6 +891,10 @@ mod tests {
             (
                 [&poisson[..], &["--job-tasks", "0"]].concat(),
                 "--job-tasks must be at least 1",
+            ),
+            (
+                [&poisson[..], &["--jobs", "0"]].concat(),
+                "--jobs must be at least 1",
             ),
             (vec!["evaluate", "--dags", "0"], "--dags must be at least 1"),
             (

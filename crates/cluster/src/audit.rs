@@ -1498,7 +1498,7 @@ mod tests {
                 |_: &crate::env::EnvContext<'_>, _: &SimState, legal: &[Action]| legal[0],
             ))
             .with_audit(true);
-            match driver.drive(&mut env, &mut NoRng, u64::MAX) {
+            match driver.drive(&mut env, &mut NoRng) {
                 Err(SpearError::Audit(v)) => v,
                 other => panic!("corrupted state was not rejected as an audit error: {other:?}"),
             }

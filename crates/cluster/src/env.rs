@@ -360,9 +360,8 @@ pub enum DriveOutcome {
         /// Actions applied during this call.
         steps: u64,
     },
-    /// The step bound was hit first (checked *before* each decision, so a
-    /// truncated call never consumes policy randomness for the unreached
-    /// step); the environment holds a partial state.
+    /// The environment's horizon ([`SimEnv::with_horizon`]) cut the
+    /// episode off; the environment holds a partial state.
     Truncated {
         /// Actions applied during this call.
         steps: u64,
@@ -618,8 +617,8 @@ impl<P> EpisodeDriver<P> {
         &mut self.policy
     }
 
-    /// Steps `env` until it is terminal or `max_steps` actions were
-    /// applied, checking every action's legality ([`SimEnv::step`]).
+    /// Steps `env` until it is terminal, checking every action's legality
+    /// ([`SimEnv::step`]).
     ///
     /// When auditing is on (see [`EpisodeDriver::audits`]), the state is
     /// cross-checked before the first decision and after every applied
@@ -636,7 +635,6 @@ impl<P> EpisodeDriver<P> {
         &mut self,
         env: &mut SimEnv<'_>,
         rng: &mut R,
-        max_steps: u64,
     ) -> Result<DriveOutcome, SpearError>
     where
         R: Rng + ?Sized,
@@ -654,9 +652,6 @@ impl<P> EpisodeDriver<P> {
         }
         let mut steps = 0u64;
         while !env.is_terminal() {
-            if steps >= max_steps {
-                return Ok(DriveOutcome::Truncated { steps });
-            }
             env.legal_into(&mut self.legal);
             debug_assert!(!self.legal.is_empty(), "non-terminal state has no actions");
             let ctx = env.ctx();
@@ -705,12 +700,7 @@ impl<P> EpisodeDriver<P> {
     ///
     /// Panics on an invariant violation when auditing is on — a corrupt
     /// state on the trusted path is always a bug.
-    pub fn drive_trusted<R>(
-        &mut self,
-        env: &mut SimEnv<'_>,
-        rng: &mut R,
-        max_steps: u64,
-    ) -> DriveOutcome
+    pub fn drive_trusted<R>(&mut self, env: &mut SimEnv<'_>, rng: &mut R) -> DriveOutcome
     where
         R: Rng + ?Sized,
         P: DecisionPolicy<R>,
@@ -734,9 +724,6 @@ impl<P> EpisodeDriver<P> {
         }
         let mut steps = 0u64;
         while !env.is_terminal() {
-            if steps >= max_steps {
-                return DriveOutcome::Truncated { steps };
-            }
             env.legal_into(&mut self.legal);
             debug_assert!(!self.legal.is_empty(), "non-terminal state has no actions");
             let ctx = env.ctx();
@@ -779,7 +766,7 @@ impl<P> EpisodeDriver<P> {
         P: DecisionPolicy<R>,
     {
         let mut env = SimEnv::new(dag, spec)?;
-        self.drive(&mut env, rng, u64::MAX)?;
+        self.drive(&mut env, rng)?;
         env.into_schedule()
     }
 }
@@ -866,56 +853,12 @@ mod tests {
         let mut a = SimEnv::new(&dag, &spec).unwrap();
         let mut b = SimEnv::new(&dag, &spec).unwrap();
         let mut driver = EpisodeDriver::new(first_legal());
-        let oa = driver.drive(&mut a, &mut NoRng, u64::MAX).unwrap();
-        let ob = driver.drive_trusted(&mut b, &mut NoRng, u64::MAX);
+        let oa = driver.drive(&mut a, &mut NoRng).unwrap();
+        let ob = driver.drive_trusted(&mut b, &mut NoRng);
         assert_eq!(oa, ob);
         assert!(oa.is_terminal());
         assert_eq!(a.makespan(), b.makespan());
         assert_eq!(a.into_schedule().unwrap(), b.into_schedule().unwrap());
-    }
-
-    #[test]
-    fn truncation_stops_before_the_decision() {
-        let dag = diamond();
-        let spec = ClusterSpec::unit(1);
-        let mut env = SimEnv::new(&dag, &spec).unwrap();
-        let mut draws = 0u64;
-        let mut driver = EpisodeDriver::new(FnPolicy(
-            |_: &EnvContext<'_>, _: &SimState, legal: &[Action]| {
-                draws += 1;
-                legal[0]
-            },
-        ));
-        let outcome = driver.drive(&mut env, &mut NoRng, 2).unwrap();
-        assert_eq!(outcome, DriveOutcome::Truncated { steps: 2 });
-        drop(driver);
-        // Exactly two decisions were made: the bound is checked before the
-        // third decision, not after it.
-        assert_eq!(draws, 2);
-        assert!(!outcome.is_terminal());
-        // A partial episode refuses to produce a schedule.
-        assert_eq!(
-            env.into_schedule().unwrap_err(),
-            SpearError::IncompleteEpisode
-        );
-    }
-
-    #[test]
-    fn driver_resumes_after_truncation() {
-        let dag = diamond();
-        let spec = ClusterSpec::unit(1);
-        let mut env = SimEnv::new(&dag, &spec).unwrap();
-        let mut driver = EpisodeDriver::new(first_legal());
-        let mut total = 0;
-        loop {
-            let outcome = driver.drive(&mut env, &mut NoRng, 1).unwrap();
-            total += outcome.steps();
-            if outcome.is_terminal() {
-                break;
-            }
-        }
-        assert!(total > 0);
-        assert!(env.makespan().is_some());
     }
 
     #[test]
@@ -961,7 +904,7 @@ mod tests {
             let spec = ClusterSpec::unit(1);
             let mut env = SimEnv::from_queue(&queue, &spec).unwrap();
             let outcome = EpisodeDriver::new(first_legal())
-                .drive(&mut env, &mut NoRng, u64::MAX)
+                .drive(&mut env, &mut NoRng)
                 .unwrap();
             assert!(outcome.is_terminal());
             assert!(!env.is_truncated());
@@ -984,7 +927,7 @@ mod tests {
                 .unwrap()
                 .with_horizon(Some(3));
             let outcome = EpisodeDriver::new(first_legal())
-                .drive(&mut env, &mut NoRng, u64::MAX)
+                .drive(&mut env, &mut NoRng)
                 .unwrap();
             assert!(!outcome.is_terminal());
             assert!(env.is_truncated());
@@ -1001,7 +944,7 @@ mod tests {
             let spec = ClusterSpec::unit(1);
             let mut env = SimEnv::from_queue(&queue, &spec).unwrap();
             EpisodeDriver::new(first_legal())
-                .drive(&mut env, &mut NoRng, u64::MAX)
+                .drive(&mut env, &mut NoRng)
                 .unwrap();
             env.reset().unwrap();
             assert_eq!(env.observe().clock(), 0);
@@ -1016,8 +959,8 @@ mod tests {
             let mut a = SimEnv::from_queue(&queue, &spec).unwrap();
             let mut b = SimEnv::from_queue(&queue, &spec).unwrap();
             let mut driver = EpisodeDriver::new(first_legal());
-            let oa = driver.drive(&mut a, &mut NoRng, u64::MAX).unwrap();
-            let ob = driver.drive_trusted(&mut b, &mut NoRng, u64::MAX);
+            let oa = driver.drive(&mut a, &mut NoRng).unwrap();
+            let ob = driver.drive_trusted(&mut b, &mut NoRng);
             assert_eq!(oa, ob);
             assert_eq!(a.into_schedule().unwrap(), b.into_schedule().unwrap());
         }
@@ -1044,7 +987,7 @@ mod tests {
             let spec = ClusterSpec::unit(1);
             let mut env = SimEnv::new(&dag, &spec).unwrap().with_faults(flaky(1.0, 2));
             let mut driver = EpisodeDriver::new(first_legal());
-            let err = driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap_err();
+            let err = driver.drive(&mut env, &mut NoRng).unwrap_err();
             match err.root_cause() {
                 SpearError::Cluster(ClusterError::RetriesExhausted { attempts, .. }) => {
                     assert_eq!(*attempts, 3); // max_retries + 1
@@ -1068,14 +1011,14 @@ mod tests {
             let plan = flaky(0.4, 8);
             let mut env = SimEnv::new(&dag, &spec).unwrap().with_faults(plan);
             let mut driver = EpisodeDriver::new(first_legal());
-            driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
+            driver.drive(&mut env, &mut NoRng).unwrap();
             let first = env.observe().clone();
             assert!(first.fault_failures() > 0, "plan at 0.4 should bite");
             env.reset().unwrap();
             assert_eq!(env.observe().fault_plan(), Some(&plan));
             assert_eq!(env.observe().fault_failures(), 0);
             // The replayed episode is bit-identical: same seeded faults.
-            driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
+            driver.drive(&mut env, &mut NoRng).unwrap();
             assert_eq!(env.observe().fingerprint(), first.fingerprint());
             assert_eq!(env.observe().fault_failures(), first.fault_failures());
         }
@@ -1092,12 +1035,12 @@ mod tests {
             let plan = flaky(0.5, 6);
             let mut env = SimEnv::from_queue(&queue, &spec).unwrap().with_faults(plan);
             let mut driver = EpisodeDriver::new(first_legal());
-            driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
+            driver.drive(&mut env, &mut NoRng).unwrap();
             let report = queue.jct_report_partial(env.observe());
             assert_eq!(report.completions().len(), 2);
             env.reset().unwrap();
             assert_eq!(env.observe().fault_plan(), Some(&plan));
-            driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
+            driver.drive(&mut env, &mut NoRng).unwrap();
             assert_eq!(
                 queue.jct_report_partial(env.observe()),
                 report,
@@ -1116,7 +1059,7 @@ mod tests {
             let obs = registry.sink("episode");
             let mut env = SimEnv::new(&dag, &spec).unwrap().with_faults(flaky(0.4, 8));
             let mut driver = EpisodeDriver::new(first_legal()).with_obs(&obs);
-            driver.drive(&mut env, &mut NoRng, u64::MAX).unwrap();
+            driver.drive(&mut env, &mut NoRng).unwrap();
             let snapshot = registry.snapshot();
             let failures = env.observe().fault_failures();
             assert!(failures > 0, "plan at 0.4 should bite");

@@ -14,8 +14,9 @@ use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule};
 // --- State fingerprinting -------------------------------------------------
 //
 // `SimState::fingerprint` condenses the exact simulation state into 64
-// bits so the DRL search can cache policy/value evaluations by state
-// (see `spear-rl`'s `EvalCache`). Exactly one ingredient is maintained
+// bits, the exact-state key beside the coarser frontier fingerprint that
+// the DRL search's policy cache reads (see `spear-rl`'s `EvalCache`).
+// Exactly one ingredient is maintained
 // incrementally — the placement XOR-set, which would be `O(n)` to rebuild
 // — and everything that is small at any instant (the running vector, the
 // clock, `used` bit patterns) is folded in at read time. The split keeps
@@ -714,9 +715,7 @@ impl SimState {
     /// (absent a 64-bit collision) therefore imply bit-identical policy
     /// featurization — which is what lets the policy inference cache in
     /// `spear-rl` serve hits *across* decisions and rollout
-    /// trajectories that merely reconverge to the same frontier. Value
-    /// estimates do NOT qualify (they read the absolute clock and
-    /// `max_finish`); the value cache keys on the full fingerprint.
+    /// trajectories that merely reconverge to the same frontier.
     pub fn frontier_fingerprint(&self) -> u64 {
         let ready = self.tracker.ready();
         // Section lengths first, so (ready, running) item sequences of

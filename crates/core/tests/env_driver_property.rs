@@ -86,11 +86,7 @@ proptest! {
         let spec = ClusterSpec::unit(2);
         let mut env = SimEnv::new(&dag, &spec).expect("dag fits cluster");
         let mut driver = EpisodeDriver::new(UniformPolicy);
-        let outcome = driver.drive_trusted(
-            &mut env,
-            &mut StdRng::seed_from_u64(policy_seed),
-            u64::MAX,
-        );
+        let outcome = driver.drive_trusted(&mut env, &mut StdRng::seed_from_u64(policy_seed));
         prop_assert!(outcome.is_terminal());
         let trusted = env.into_schedule().expect("terminal episode");
         let manual = hand_rolled(&dag, &spec, policy_seed);

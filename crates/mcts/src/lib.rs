@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod evaluator;
 mod parallel;
 mod policies;
 mod scheduler;
@@ -50,13 +49,12 @@ mod search;
 mod tree;
 
 pub use budget::BudgetSchedule;
-pub use evaluator::{BoundEvaluator, StateEvaluator, ValueEvaluator};
 pub use parallel::RootParallelMcts;
 pub use policies::{
     DrlPolicy, HeuristicPolicy, PolicyContext, RandomPolicy, SearchPolicy, UniformPolicy,
 };
 pub use scheduler::{MctsConfig, MctsScheduler, SearchStats};
 pub use search::MctsSearch;
-// Re-exported because `SearchPolicy`/`StateEvaluator` signatures use it.
+// Re-exported because `SearchPolicy` signatures use it.
 pub use spear_rl::EvalCacheStats;
 pub use tree::{Node, NodeId, Tree};

@@ -9,10 +9,7 @@ use spear_obs::{Counter, Histogram, Obs};
 use spear_rl::PolicyNetwork;
 use spear_sched::Scheduler;
 
-use crate::{
-    BudgetSchedule, DrlPolicy, HeuristicPolicy, MctsSearch, RandomPolicy, SearchPolicy,
-    StateEvaluator, ValueEvaluator,
-};
+use crate::{BudgetSchedule, DrlPolicy, HeuristicPolicy, MctsSearch, RandomPolicy, SearchPolicy};
 
 /// Configuration of the MCTS scheduler.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,16 +30,16 @@ pub struct MctsConfig {
     /// `false` falls back to classic mean-value UCB (ablation).
     pub max_value_backprop: bool,
     /// Cache policy inferences (by frontier fingerprint, then by network
-    /// input) and value estimates (by state fingerprint) within each
-    /// scheduling episode. Hits are bit-identical to recomputation, so
-    /// this is on by default; disable (`--no-eval-cache` on the CLI) for
-    /// differential testing. (Deserializing a config serialized before
-    /// this field existed yields `false` — the safe, slower setting.)
+    /// input) within each scheduling episode. Hits are bit-identical to
+    /// recomputation, so this is on by default; disable
+    /// (`--no-eval-cache` on the CLI) for differential testing.
+    /// (Deserializing a config serialized before this field existed
+    /// yields `false` — the safe, slower setting.)
     #[serde(default)]
     pub eval_cache: bool,
     /// RNG seed for rollouts and tie-breaking.
     pub seed: u64,
-    /// Numeric precision of policy/value inference during search.
+    /// Numeric precision of policy inference during search.
     /// `Exact` (the default, and what configs serialized before this
     /// field existed deserialize to) runs the training-grade `f64`
     /// forward pass and stays bit-identical to earlier releases; `Fast`
@@ -97,8 +94,8 @@ pub struct SearchStats {
     /// policies): a hit in either policy table runs none.
     #[serde(default)]
     pub policy_inferences: u64,
-    /// Inferences served from the fingerprint-keyed eval cache (the
-    /// policy's frontier table and the value cache combined).
+    /// Inferences served from the policy's fingerprint-keyed frontier
+    /// table.
     #[serde(default)]
     pub cache_hits: u64,
     /// Cache probes that found nothing and fell through: for the policy,
@@ -215,7 +212,6 @@ impl SearchObs {
 pub struct MctsScheduler {
     config: MctsConfig,
     policy: Box<dyn SearchPolicy + Send>,
-    evaluator: Option<(Box<dyn StateEvaluator + Send>, u64)>,
     name: String,
     obs: Obs,
     search_obs: Option<SearchObs>,
@@ -237,7 +233,6 @@ impl MctsScheduler {
         MctsScheduler {
             config,
             policy: Box::new(RandomPolicy),
-            evaluator: None,
             name: "mcts".to_owned(),
             obs: Obs::noop(),
             search_obs: None,
@@ -249,7 +244,6 @@ impl MctsScheduler {
         MctsScheduler {
             config,
             policy: Box::new(HeuristicPolicy),
-            evaluator: None,
             name: "mcts-heuristic".to_owned(),
             obs: Obs::noop(),
             search_obs: None,
@@ -266,57 +260,7 @@ impl MctsScheduler {
         MctsScheduler {
             config,
             policy,
-            evaluator: None,
             name: "spear".to_owned(),
-            obs: Obs::noop(),
-            search_obs: None,
-        }
-    }
-
-    /// The full Spear scheduler with **truncated rollouts**: after
-    /// `truncate_steps` simulated actions the rollout stops and the
-    /// trained value network bootstraps the remaining makespan — an
-    /// extension beyond the paper that attacks the rollout cost (see the
-    /// `value_extension` experiment).
-    pub fn drl_with_value(
-        config: MctsConfig,
-        policy: PolicyNetwork,
-        value: spear_rl::ValueNetwork,
-        truncate_steps: u64,
-    ) -> Self {
-        let policy = Box::new(DrlPolicy::with_cache_precision(
-            policy,
-            config.eval_cache,
-            config.nn_precision,
-        ));
-        let evaluator = Box::new(ValueEvaluator::with_cache_precision(
-            value,
-            config.eval_cache,
-            config.nn_precision,
-        ));
-        MctsScheduler {
-            config,
-            policy,
-            evaluator: Some((evaluator, truncate_steps)),
-            name: "spear-value".to_owned(),
-            obs: Obs::noop(),
-            search_obs: None,
-        }
-    }
-
-    /// Any policy with any rollout evaluator (ablations).
-    pub fn with_policy_and_evaluator(
-        config: MctsConfig,
-        policy: Box<dyn SearchPolicy + Send>,
-        evaluator: Box<dyn StateEvaluator + Send>,
-        truncate_steps: u64,
-        name: impl Into<String>,
-    ) -> Self {
-        MctsScheduler {
-            config,
-            policy,
-            evaluator: Some((evaluator, truncate_steps)),
-            name: name.into(),
             obs: Obs::noop(),
             search_obs: None,
         }
@@ -331,7 +275,6 @@ impl MctsScheduler {
         MctsScheduler {
             config,
             policy,
-            evaluator: None,
             name: name.into(),
             obs: Obs::noop(),
             search_obs: None,
@@ -410,12 +353,7 @@ impl MctsScheduler {
         let budget = self.config.budget();
         let inferences_before = self.policy.inferences();
         let skips_before = self.policy.inference_skips();
-        let cache_before = self.policy.cache_stats().merged(
-            self.evaluator
-                .as_ref()
-                .map(|(e, _)| e.cache_stats())
-                .unwrap_or_default(),
-        );
+        let cache_before = self.policy.cache_stats();
 
         let mut search = MctsSearch::from_root_state(
             dag,
@@ -427,9 +365,6 @@ impl MctsScheduler {
             root,
         )?;
         search.set_max_value_mode(self.config.max_value_backprop);
-        if let Some((evaluator, steps)) = self.evaluator.as_mut() {
-            search.set_rollout_truncation(*steps, evaluator.as_mut());
-        }
         let mut decisions = 0u64;
         while !search.is_terminal() {
             decisions += 1;
@@ -452,9 +387,7 @@ impl MctsScheduler {
             search.advance(action)?;
             drop(span);
         }
-        let cache = search
-            .policy_cache_stats()
-            .merged(search.evaluator_cache_stats());
+        let cache = search.policy_cache_stats();
         let stats = SearchStats {
             iterations: search.iterations(),
             rollout_steps: search.rollout_steps(),

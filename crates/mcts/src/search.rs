@@ -2,14 +2,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spear_cluster::env::{DriveOutcome, EpisodeDriver, SimEnv};
+use spear_cluster::env::{EpisodeDriver, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;
 
 use crate::policies::RolloutAdapter;
 use crate::tree::{Node, NodeId, Tree};
-use crate::{PolicyContext, SearchPolicy, StateEvaluator};
+use crate::{PolicyContext, SearchPolicy};
 
 /// Reusable buffers for the rollout hot loop. The search owns one scratch
 /// and `clone_from`s the root environment into it, so steady-state rollouts
@@ -35,10 +35,12 @@ fn ln_table() -> Vec<f64> {
 
 /// Strictly-greater comparison of a `(primary, tiebreak)` selection key
 /// under [`f64::total_cmp`]. IEEE `>` is always false when either side is
-/// NaN, so a NaN value (e.g. from a misbehaving evaluator) would silently
-/// freeze an argmax on whichever candidate came first; `total_cmp` imposes
-/// a total order instead, keeping selection deterministic. For the finite
-/// keys produced by healthy searches the result is identical to tuple `>`.
+/// NaN, so a NaN key (e.g. from a NaN exploration constant, which the
+/// public [`MctsConfig::exploration_coeff`](crate::MctsConfig) admits)
+/// would silently freeze an argmax on whichever candidate came first;
+/// `total_cmp` imposes a total order instead, keeping selection
+/// deterministic. For the finite keys produced by healthy searches the
+/// result is identical to tuple `>`.
 fn key_gt(a: (f64, f64), b: (f64, f64)) -> bool {
     match a.0.total_cmp(&b.0) {
         std::cmp::Ordering::Greater => true,
@@ -65,8 +67,6 @@ pub struct MctsSearch<'a, P: SearchPolicy + ?Sized> {
     root_env: SimEnv<'a>,
     exploration: f64,
     max_value_mode: bool,
-    evaluator: Option<&'a mut dyn StateEvaluator>,
-    truncate_after: u64,
     rng: StdRng,
     scratch: RolloutScratch<'a>,
     ln_table: Vec<f64>,
@@ -140,8 +140,6 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
             root_env,
             exploration,
             max_value_mode: true,
-            evaluator: None,
-            truncate_after: u64::MAX,
             rng: StdRng::seed_from_u64(seed),
             scratch: RolloutScratch::default(),
             ln_table: ln_table(),
@@ -149,21 +147,6 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
             rollout_steps: 0,
             max_depth: 0,
         })
-    }
-
-    /// Enables truncated rollouts: after `max_steps` simulated actions the
-    /// rollout stops and `evaluator` bootstraps the remaining makespan
-    /// (extension beyond the paper; see the `evaluator` module).
-    pub fn set_rollout_truncation(
-        &mut self,
-        max_steps: u64,
-        evaluator: &'a mut dyn StateEvaluator,
-    ) {
-        self.truncate_after = max_steps;
-        // Joining this search's episode: see `new` for the cache
-        // lifetime contract.
-        evaluator.on_episode_start();
-        self.evaluator = Some(evaluator);
     }
 
     /// Switches between max-value exploitation (paper Eq. 5, the default)
@@ -222,14 +205,6 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
     /// decisions.
     pub fn policy_inference_skips(&self) -> u64 {
         self.policy.inference_skips()
-    }
-
-    /// Hit/miss/evict counters of the evaluator's cache, if any.
-    pub fn evaluator_cache_stats(&self) -> spear_rl::EvalCacheStats {
-        self.evaluator
-            .as_ref()
-            .map(|e| e.cache_stats())
-            .unwrap_or_default()
     }
 
     /// Nodes allocated so far.
@@ -366,32 +341,15 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
     /// enumerated into the reused buffer and applied with
     /// [`SimEnv::step_trusted`].
     fn rollout(&mut self, env: &mut SimEnv<'a>, legal: &mut Vec<Action>) -> f64 {
-        // Truncation only applies when an evaluator can bootstrap the
-        // remainder; without one the rollout always runs to termination.
-        let max_steps = if self.evaluator.is_some() {
-            self.truncate_after
-        } else {
-            u64::MAX
-        };
         let adapter = RolloutAdapter {
             policy: &mut *self.policy,
             features: self.features,
         };
         let mut driver = EpisodeDriver::from_parts(adapter, std::mem::take(legal));
-        let outcome = driver.drive_trusted(env, &mut self.rng, max_steps);
+        let outcome = driver.drive_trusted(env, &mut self.rng);
         *legal = driver.into_parts().1;
         self.rollout_steps += outcome.steps();
-        match outcome {
-            DriveOutcome::Terminal { .. } => -(env.makespan().expect("terminal state") as f64),
-            DriveOutcome::Truncated { .. } => {
-                let ctx = self.ctx();
-                let evaluator = self
-                    .evaluator
-                    .as_deref_mut()
-                    .expect("truncation implies an evaluator");
-                -evaluator.estimate_final_makespan(&ctx, env.observe())
-            }
-        }
+        -(env.makespan().expect("rollouts run to the terminal state") as f64)
     }
 
     /// The best root action by exploitation only: maximum value first,
@@ -586,23 +544,10 @@ mod tests {
         assert!(key_gt((1.0, f64::NAN), (1.0, f64::INFINITY)));
     }
 
-    /// A truncation evaluator that poisons every rollout value with NaN.
-    struct NanEvaluator;
-
-    impl StateEvaluator for NanEvaluator {
-        fn estimate_final_makespan(&mut self, _: &PolicyContext<'_>, _: &SimState) -> f64 {
-            f64::NAN
-        }
-
-        fn name(&self) -> &str {
-            "nan"
-        }
-    }
-
-    /// With IEEE `>` a NaN-valued child could never win a comparison, so
-    /// selection silently froze on the first child. Under `total_cmp` the
-    /// search stays deterministic and completes even when every backed-up
-    /// value is NaN.
+    /// With IEEE `>` a NaN key could never win a comparison, so selection
+    /// silently froze on the first child. A NaN exploration constant makes
+    /// the UCB key of every visited child NaN; under `total_cmp` the search
+    /// stays deterministic and completes.
     #[test]
     fn nan_rollout_values_do_not_break_determinism() {
         let run = |seed: u64| {
@@ -610,10 +555,8 @@ mod tests {
             let spec = ClusterSpec::unit(1);
             let features = GraphFeatures::compute(&dag);
             let mut policy = RandomPolicy;
-            let mut evaluator = NanEvaluator;
             let mut search =
-                MctsSearch::new(&dag, &spec, &features, &mut policy, 5.0, seed).unwrap();
-            search.set_rollout_truncation(0, &mut evaluator);
+                MctsSearch::new(&dag, &spec, &features, &mut policy, f64::NAN, seed).unwrap();
             let mut actions = Vec::new();
             while !search.is_terminal() {
                 for _ in 0..8 {
@@ -627,7 +570,7 @@ mod tests {
         };
         let (actions_a, makespan_a) = run(11);
         let (actions_b, makespan_b) = run(11);
-        assert_eq!(actions_a, actions_b, "NaN values broke determinism");
+        assert_eq!(actions_a, actions_b, "NaN keys broke determinism");
         assert_eq!(makespan_a, makespan_b);
         assert_eq!(makespan_a, 5); // schedule is still complete and valid
     }

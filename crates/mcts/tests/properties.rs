@@ -285,63 +285,3 @@ fn eval_cache_is_bit_transparent_on_a_hetero_cluster() {
         });
     }
 }
-
-/// Value-truncated Spear produces valid schedules and meaningfully fewer
-/// rollout steps than untruncated Spear at the same budget.
-#[test]
-fn value_truncated_spear_is_valid_and_cheaper() {
-    use spear_rl::{train_value_network, PolicyNetwork, ValueNetwork, ValueTrainConfig};
-    let dag = random_dag(14, 9);
-    let spec = ClusterSpec::unit(2);
-    let mut rng = StdRng::seed_from_u64(0);
-    let mut policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[12], &mut rng);
-    let mut value = ValueNetwork::new(FeatureConfig::small(2), &[16], &mut rng);
-    train_value_network(
-        &mut value,
-        &mut policy,
-        std::slice::from_ref(&dag),
-        &spec,
-        &ValueTrainConfig {
-            episodes_per_dag: 3,
-            epochs: 5,
-            batch_size: 64,
-            learning_rate: 1e-2,
-        },
-        &mut rng,
-    )
-    .unwrap();
-
-    let cfg = config(30, 1);
-    let (full_sched, full_stats) = MctsScheduler::drl(cfg.clone(), policy.clone())
-        .schedule_with_stats(&dag, &spec)
-        .unwrap();
-    let (trunc_sched, trunc_stats) = MctsScheduler::drl_with_value(cfg, policy, value, 4)
-        .schedule_with_stats(&dag, &spec)
-        .unwrap();
-    full_sched.validate(&dag, &spec).unwrap();
-    trunc_sched.validate(&dag, &spec).unwrap();
-    assert!(
-        trunc_stats.rollout_steps < full_stats.rollout_steps,
-        "truncation did not reduce rollout steps: {} vs {}",
-        trunc_stats.rollout_steps,
-        full_stats.rollout_steps
-    );
-}
-
-/// The analytic bound evaluator also works as a truncation target.
-#[test]
-fn bound_evaluator_truncation_is_valid() {
-    use spear_mcts::{BoundEvaluator, RandomPolicy};
-    let dag = random_dag(12, 4);
-    let spec = ClusterSpec::unit(2);
-    let mut s = MctsScheduler::with_policy_and_evaluator(
-        config(25, 2),
-        Box::new(RandomPolicy),
-        Box::new(BoundEvaluator),
-        3,
-        "mcts-bound",
-    );
-    let schedule = s.schedule(&dag, &spec).unwrap();
-    schedule.validate(&dag, &spec).unwrap();
-    assert_eq!(s.name(), "mcts-bound");
-}

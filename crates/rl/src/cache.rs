@@ -9,10 +9,9 @@
 //! [`EvalCache`]s: a **frontier table** keyed by
 //! [`SimState::frontier_fingerprint`] and probed before featurizing, and
 //! an **input table** keyed by [`input_key`] of the featurized input and
-//! probed between featurization and the forward pass. [`ValueCache`]
-//! keys value estimates by the full [`SimState::fingerprint`].
+//! probed between featurization and the forward pass.
 //!
-//! Both caches are capacity-bounded open-addressing tables with linear
+//! Both tables are capacity-bounded open-addressing tables with linear
 //! probing and **generation clearing**: callers bump the generation at
 //! each scheduling *episode* (one complete `schedule()` of one DAG),
 //! which invalidates every entry in O(1) without touching the storage.
@@ -38,7 +37,6 @@
 //! runs.
 //!
 //! [`SimState`]: spear_cluster::SimState
-//! [`SimState::fingerprint`]: spear_cluster::SimState::fingerprint
 //! [`SimState::frontier_fingerprint`]: spear_cluster::SimState::frontier_fingerprint
 
 use spear_dag::TaskId;
@@ -149,18 +147,6 @@ pub struct EvalCacheStats {
     pub misses: u64,
     /// Inserts that overwrote a live entry for a *different* key.
     pub evictions: u64,
-}
-
-impl EvalCacheStats {
-    /// Component-wise sum, for aggregating per-worker caches.
-    #[must_use]
-    pub fn merged(self, other: Self) -> Self {
-        Self {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-        }
-    }
 }
 
 /// Generation-cleared policy-evaluation cache.
@@ -309,97 +295,6 @@ impl<T: Copy + Default> EvalCache<T> {
 /// The `f32`-row policy cache of the fast-precision inference path.
 pub type EvalCacheF32 = EvalCache<f32>;
 
-/// The `f32` value cache of the fast-precision inference path.
-pub type ValueCacheF32 = ValueCache<f32>;
-
-/// Generation-cleared scalar cache for value-network estimates, keyed
-/// the same way as [`EvalCache`]. Generic over the stored scalar like
-/// [`EvalCache`] (`f64` exact, `f32` fast).
-#[derive(Debug, Clone)]
-pub struct ValueCache<T = f64> {
-    /// Slot count; always a power of two so probing can mask.
-    capacity: usize,
-    /// Fingerprint stored in each slot.
-    keys: Vec<u64>,
-    /// Generation tag per slot; `0` is never current.
-    gens: Vec<u64>,
-    /// Current generation.
-    generation: u64,
-    /// Cached scalar per slot.
-    values: Vec<T>,
-    /// Lifetime counters.
-    stats: EvalCacheStats,
-}
-
-impl<T: Copy + Default> ValueCache<T> {
-    /// Creates a cache with room for at least `capacity` entries
-    /// (rounded up to a power of two).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(PROBE_LIMIT).next_power_of_two();
-        Self {
-            capacity,
-            keys: vec![0; capacity],
-            gens: vec![0; capacity],
-            generation: 1,
-            values: vec![T::default(); capacity],
-            stats: EvalCacheStats::default(),
-        }
-    }
-
-    /// Invalidates every entry in O(1).
-    pub fn begin_generation(&mut self) {
-        self.generation += 1;
-    }
-
-    /// Looks up `key`, counting a hit or a miss.
-    pub fn get(&mut self, key: u64) -> Option<T> {
-        let mask = self.capacity - 1;
-        let start = (key as usize) & mask;
-        for step in 0..PROBE_LIMIT {
-            let idx = (start + step) & mask;
-            if self.gens[idx] != self.generation {
-                break;
-            }
-            if self.keys[idx] == key {
-                self.stats.hits += 1;
-                return Some(self.values[idx]);
-            }
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Stores `value` under `key`, evicting at the probe start if the
-    /// window is full.
-    pub fn insert(&mut self, key: u64, value: T) {
-        let mask = self.capacity - 1;
-        let start = (key as usize) & mask;
-        let mut target = start;
-        let mut found = false;
-        for step in 0..PROBE_LIMIT {
-            let idx = (start + step) & mask;
-            if self.gens[idx] != self.generation || self.keys[idx] == key {
-                target = idx;
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            self.stats.evictions += 1;
-        }
-        self.keys[target] = key;
-        self.gens[target] = self.generation;
-        self.values[target] = value;
-    }
-
-    /// Lifetime hit/miss/evict counters.
-    #[must_use]
-    pub fn stats(&self) -> EvalCacheStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,24 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn value_cache_round_trips_and_clears() {
-        let mut cache = ValueCache::new(32);
-        assert!(cache.get(1).is_none());
-        cache.insert(1, 123.5);
-        assert_eq!(cache.get(1), Some(123.5));
-        cache.begin_generation();
-        assert!(cache.get(1).is_none());
-        assert_eq!(
-            cache.stats(),
-            EvalCacheStats {
-                hits: 1,
-                misses: 2,
-                evictions: 0
-            }
-        );
-    }
-
-    #[test]
     fn f32_variants_round_trip_at_half_footprint() {
         let mut cache: EvalCacheF32 = EvalCache::new(64, 3, 2);
         assert!(cache.get(42).is_none());
@@ -498,12 +375,6 @@ mod tests {
         assert_eq!(s.position(TaskId::new(7)), Some(0));
         cache.begin_generation();
         assert!(cache.get(42).is_none());
-
-        let mut values: ValueCacheF32 = ValueCache::new(32);
-        values.insert(9, 123.5f32);
-        assert_eq!(values.get(9), Some(123.5f32));
-        values.begin_generation();
-        assert!(values.get(9).is_none());
     }
 
     #[test]
@@ -562,27 +433,5 @@ mod tests {
         let (p, s) = cache.get(key).unwrap();
         assert_eq!(p, &[0.75, 0.25]);
         assert_eq!(s.tasks().count(), 0);
-    }
-
-    #[test]
-    fn stats_merge_componentwise() {
-        let a = EvalCacheStats {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-        };
-        let b = EvalCacheStats {
-            hits: 10,
-            misses: 20,
-            evictions: 30,
-        };
-        assert_eq!(
-            a.merged(b),
-            EvalCacheStats {
-                hits: 11,
-                misses: 22,
-                evictions: 33
-            }
-        );
     }
 }

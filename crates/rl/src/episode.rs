@@ -5,7 +5,6 @@ use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;
-use spear_nn::{InferScratch, InferenceEngine, Precision};
 
 use crate::PolicyNetwork;
 
@@ -29,9 +28,6 @@ pub struct StepRecord {
     pub action: usize,
     /// The legality mask at the decision point.
     pub mask: Vec<bool>,
-    /// Simulation clock at the decision point (used by value-network
-    /// regression targets: remaining makespan = final − clock).
-    pub clock: u64,
 }
 
 /// The outcome of one rollout.
@@ -107,7 +103,6 @@ impl<R: Rng + ?Sized> DecisionPolicy<R> for NetworkPolicy<'_, '_> {
                 features: view.features,
                 action: idx,
                 mask: view.mask,
-                clock: state.clock(),
             });
         }
         action
@@ -141,98 +136,7 @@ pub fn run_episode_with_features<R: Rng + ?Sized>(
         greedy: mode == SelectionMode::Greedy,
         record: record.then_some(&mut steps),
     });
-    let outcome = driver.drive(&mut env, rng, u64::MAX)?;
-    debug_assert!(outcome.is_terminal());
-    drop(driver);
-    let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
-    Ok(Episode { steps, makespan })
-}
-
-/// [`NetworkPolicy`] over the `f32` inference engine: each decision
-/// runs the fast forward pass and selects through the same rules
-/// ([`PolicyNetwork::choose_action_index_fast`]).
-struct FastNetworkPolicy<'a, 'b> {
-    policy: &'a mut PolicyNetwork,
-    engine: InferenceEngine,
-    scratch: InferScratch,
-    features: &'a GraphFeatures,
-    greedy: bool,
-    record: Option<&'b mut Vec<StepRecord>>,
-}
-
-impl<R: Rng + ?Sized> DecisionPolicy<R> for FastNetworkPolicy<'_, '_> {
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        _legal: &[Action],
-        rng: &mut R,
-    ) -> Action {
-        let (idx, view) = self.policy.choose_action_index_fast(
-            &self.engine,
-            &mut self.scratch,
-            ctx.dag,
-            ctx.spec,
-            state,
-            self.features,
-            self.greedy,
-            rng,
-        );
-        let action = self.policy.action_from_index(&view, idx);
-        if let Some(steps) = self.record.as_deref_mut() {
-            steps.push(StepRecord {
-                features: view.features,
-                action: idx,
-                mask: view.mask,
-                clock: state.clock(),
-            });
-        }
-        action
-    }
-
-    fn name(&self) -> &str {
-        "policy-network-fast"
-    }
-}
-
-/// [`run_episode_with_features`] with an explicit [`Precision`]:
-/// `Exact` delegates to the `f64` path unchanged (bit-identical to the
-/// pinned golden rollouts); `Fast` snapshots an `f32`
-/// [`InferenceEngine`] once for the episode and decides through it.
-///
-/// Training never calls this with `Fast` — gradients always come from
-/// the `f64` network — but *evaluation* rollouts (greedy benchmarking,
-/// the CLI's `evaluate`) can.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-#[allow(clippy::too_many_arguments)]
-pub fn run_episode_with_features_precision<R: Rng + ?Sized>(
-    policy: &mut PolicyNetwork,
-    dag: &Dag,
-    spec: &ClusterSpec,
-    features: &GraphFeatures,
-    mode: SelectionMode,
-    record: bool,
-    rng: &mut R,
-    precision: Precision,
-) -> Result<Episode, SpearError> {
-    if precision == Precision::Exact {
-        return run_episode_with_features(policy, dag, spec, features, mode, record, rng);
-    }
-    let mut steps = Vec::new();
-    let mut env = SimEnv::new(dag, spec)?;
-    let engine = policy.inference_engine();
-    let mut driver = EpisodeDriver::new(FastNetworkPolicy {
-        policy,
-        engine,
-        scratch: InferScratch::new(),
-        features,
-        greedy: mode == SelectionMode::Greedy,
-        record: record.then_some(&mut steps),
-    });
-    let outcome = driver.drive(&mut env, rng, u64::MAX)?;
+    let outcome = driver.drive(&mut env, rng)?;
     debug_assert!(outcome.is_terminal());
     drop(driver);
     let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
@@ -338,76 +242,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a.makespan, b.makespan);
-    }
-
-    #[test]
-    fn exact_precision_delegates_bit_identically() {
-        let (dag, spec, mut policy) = setup();
-        let features = GraphFeatures::compute(&dag);
-        let a = run_episode_with_features(
-            &mut policy,
-            &dag,
-            &spec,
-            &features,
-            SelectionMode::Sample,
-            true,
-            &mut StdRng::seed_from_u64(5),
-        )
-        .unwrap();
-        let b = run_episode_with_features_precision(
-            &mut policy,
-            &dag,
-            &spec,
-            &features,
-            SelectionMode::Sample,
-            true,
-            &mut StdRng::seed_from_u64(5),
-            Precision::Exact,
-        )
-        .unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_episode_completes_near_exact() {
-        let (dag, spec, mut policy) = setup();
-        let features = GraphFeatures::compute(&dag);
-        let exact = run_episode_with_features_precision(
-            &mut policy,
-            &dag,
-            &spec,
-            &features,
-            SelectionMode::Greedy,
-            false,
-            &mut StdRng::seed_from_u64(6),
-            Precision::Exact,
-        )
-        .unwrap();
-        let fast = run_episode_with_features_precision(
-            &mut policy,
-            &dag,
-            &spec,
-            &features,
-            SelectionMode::Greedy,
-            false,
-            &mut StdRng::seed_from_u64(6),
-            Precision::Fast,
-        )
-        .unwrap();
-        assert!(fast.makespan >= dag.critical_path_length());
-        assert!(fast.makespan <= dag.total_work());
-        // Greedy fast decisions may flip only inside the f32 tolerance
-        // band, so the makespans stay in the same neighbourhood.
-        let (lo, hi) = (
-            exact.makespan.min(fast.makespan),
-            exact.makespan.max(fast.makespan),
-        );
-        assert!(
-            hi as f64 <= lo as f64 * 1.5,
-            "exact {} vs fast {}",
-            exact.makespan,
-            fast.makespan
-        );
     }
 
     #[test]

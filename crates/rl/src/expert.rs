@@ -103,7 +103,7 @@ pub fn collect_expert_dataset(
             action
         },
     ));
-    driver.drive(&mut env, &mut NoRng, u64::MAX)?;
+    driver.drive(&mut env, &mut NoRng)?;
     drop(driver);
     let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
     Ok((data, makespan))

@@ -46,17 +46,10 @@ mod features;
 mod policy;
 pub mod pretrain;
 mod reinforce;
-pub mod value;
 
-pub use cache::{
-    input_key, EvalCache, EvalCacheF32, EvalCacheStats, SlotRow, ValueCache, ValueCacheF32,
-};
-pub use episode::{
-    run_episode, run_episode_with_features, run_episode_with_features_precision, Episode,
-    SelectionMode, StepRecord,
-};
+pub use cache::{input_key, EvalCache, EvalCacheF32, EvalCacheStats, SlotRow};
+pub use episode::{run_episode, run_episode_with_features, Episode, SelectionMode, StepRecord};
 pub use expert::{collect_expert_dataset, CpExpert, ExpertDataset};
 pub use features::{FeatureConfig, Featurizer, StateView};
 pub use policy::PolicyNetwork;
 pub use reinforce::{ReinforceConfig, ReinforceTrainer, TrainingCurvePoint};
-pub use value::{train_value_network, ValueNetwork, ValueTrainConfig};

@@ -4,10 +4,7 @@ use rand::Rng;
 use spear_cluster::{Action, ClusterSpec, SimState};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
-use spear_nn::{
-    softmax_masked_f32_into, softmax_masked_into, ForwardScratch, InferScratch, InferenceEngine,
-    Mlp, MlpConfig, ShapeError,
-};
+use spear_nn::{softmax_masked_into, ForwardScratch, InferenceEngine, Mlp, MlpConfig, ShapeError};
 
 use crate::{FeatureConfig, Featurizer, StateView};
 
@@ -158,61 +155,6 @@ impl PolicyNetwork {
         InferenceEngine::from_mlp(&self.net)
     }
 
-    /// The fast-precision variant of
-    /// [`PolicyNetwork::action_distribution_into`]: featurizes in `f64`
-    /// (featurization is exact in both modes), runs the `f32` engine,
-    /// and computes the masked softmax entirely in `f32` — so a cached
-    /// `f32` probability row replays bit-identically to the miss that
-    /// produced it. Upcasting to `f64` at the sampling boundary is
-    /// exact, which keeps cached and uncached fast-mode schedules
-    /// identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn action_distribution_fast_into(
-        &mut self,
-        engine: &InferenceEngine,
-        scratch: &mut InferScratch,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        state: &SimState,
-        features: &GraphFeatures,
-        probs: &mut Vec<f32>,
-        view: &mut StateView,
-    ) {
-        self.featurizer
-            .featurize_into(dag, spec, state, features, &mut self.ready_scratch, view);
-        let logits = engine.forward_one(&view.features, scratch);
-        softmax_masked_f32_into(logits, &view.mask, probs);
-    }
-
-    /// Fast-precision [`PolicyNetwork::choose_action_index`]: the same
-    /// selection rules (argmax when `greedy`, one uniform draw
-    /// otherwise) over the `f32` distribution, upcast exactly at the
-    /// comparison boundary.
-    #[allow(clippy::too_many_arguments)]
-    pub fn choose_action_index_fast<R: Rng + ?Sized>(
-        &mut self,
-        engine: &InferenceEngine,
-        scratch: &mut InferScratch,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        state: &SimState,
-        features: &GraphFeatures,
-        greedy: bool,
-        rng: &mut R,
-    ) -> (usize, StateView) {
-        let mut probs = Vec::new();
-        let mut view = StateView::default();
-        self.action_distribution_fast_into(
-            engine, scratch, dag, spec, state, features, &mut probs, &mut view,
-        );
-        let idx = if greedy {
-            argmax_f32(&probs)
-        } else {
-            sample_index_f32(&probs, rng)
-        };
-        (idx, view)
-    }
-
     /// Picks a network action: samples from the masked distribution, or
     /// takes the argmax when `greedy`.
     pub fn choose_action_index<R: Rng + ?Sized>(
@@ -261,35 +203,6 @@ fn argmax(probs: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// [`argmax`] over an `f32` row (first on ties) — comparisons on the
-/// `f32` values directly, which orders identically to exact upcasts.
-fn argmax_f32(probs: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &p) in probs.iter().enumerate() {
-        if p > probs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// [`sample_index`] over an `f32` row: the same single uniform `f64`
-/// draw, with each probability upcast exactly into the accumulation.
-fn sample_index_f32<R: Rng + ?Sized>(probs: &[f32], rng: &mut R) -> usize {
-    let x: f64 = rng.gen();
-    let mut acc = 0.0;
-    for (i, &p) in probs.iter().enumerate() {
-        acc += f64::from(p);
-        if x < acc {
-            return i;
-        }
-    }
-    probs
-        .iter()
-        .rposition(|&p| p > 0.0)
-        .expect("distribution has positive mass")
 }
 
 /// Samples an index from a probability vector.
@@ -353,41 +266,6 @@ mod tests {
             let (fresh_probs, fresh_view) = policy.action_distribution(&dag, &spec, &state, &gf);
             assert_eq!(probs, fresh_probs);
             assert_eq!(view, fresh_view);
-            let idx = view.mask.iter().position(|&m| m).expect("a legal action");
-            let action = policy.action_from_index(&view, idx);
-            state.apply(&dag, action).unwrap();
-        }
-    }
-
-    #[test]
-    fn fast_distribution_tracks_exact_and_respects_mask() {
-        let (dag, spec, gf, mut policy) = setup();
-        let engine = policy.inference_engine();
-        let mut scratch = InferScratch::new();
-        let mut state = SimState::new(&dag, &spec).unwrap();
-        let mut fast = Vec::new();
-        let mut fast_view = StateView::default();
-        while !state.is_terminal(&dag) {
-            policy.action_distribution_fast_into(
-                &engine,
-                &mut scratch,
-                &dag,
-                &spec,
-                &state,
-                &gf,
-                &mut fast,
-                &mut fast_view,
-            );
-            let (exact, view) = policy.action_distribution(&dag, &spec, &state, &gf);
-            assert_eq!(fast_view, view);
-            assert!((fast.iter().map(|&p| f64::from(p)).sum::<f64>() - 1.0).abs() < 1e-5);
-            for ((f, e), &legal) in fast.iter().zip(&exact).zip(&view.mask) {
-                if legal {
-                    assert!((f64::from(*f) - e).abs() < 1e-3, "{f} vs {e}");
-                } else {
-                    assert_eq!(*f, 0.0);
-                }
-            }
             let idx = view.mask.iter().position(|&m| m).expect("a legal action");
             let action = policy.action_from_index(&view, idx);
             state.apply(&dag, action).unwrap();

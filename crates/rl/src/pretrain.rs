@@ -116,45 +116,6 @@ const ACCURACY_CHUNK: usize = 256;
 /// matrix-matrix passes (no gradient caching), so it is cheap to call
 /// between epochs.
 pub fn accuracy(policy: &PolicyNetwork, data: &ExpertDataset) -> f64 {
-    accuracy_with_precision(policy, data, spear_nn::Precision::Exact)
-}
-
-/// [`accuracy`] with an explicit precision: `Exact` runs the batched
-/// `f64` evaluation; `Fast` snapshots the `f32` engine once and scores
-/// every row through it — the evaluation-side counterpart of the search
-/// loop's fast path (training gradients always stay `f64`).
-pub fn accuracy_with_precision(
-    policy: &PolicyNetwork,
-    data: &ExpertDataset,
-    precision: spear_nn::Precision,
-) -> f64 {
-    if precision == spear_nn::Precision::Exact {
-        return accuracy_exact(policy, data);
-    }
-    if data.is_empty() {
-        return 0.0;
-    }
-    let engine = spear_nn::InferenceEngine::from_mlp(policy.net());
-    let mut scratch = spear_nn::InferScratch::new();
-    let mut probs = Vec::new();
-    let mut correct = 0usize;
-    for i in 0..data.len() {
-        let logits = engine.forward_one(&data.features[i], &mut scratch);
-        spear_nn::softmax_masked_f32_into(logits, &data.masks[i], &mut probs);
-        let argmax = probs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probabilities"))
-            .map(|(i, _)| i)
-            .expect("non-empty action space");
-        if argmax == data.actions[i] {
-            correct += 1;
-        }
-    }
-    correct as f64 / data.len() as f64
-}
-
-fn accuracy_exact(policy: &PolicyNetwork, data: &ExpertDataset) -> f64 {
     if data.is_empty() {
         return 0.0;
     }
@@ -228,28 +189,6 @@ mod tests {
             "accuracy did not improve: {acc_before} -> {acc_after}"
         );
         assert!(acc_after > 0.5, "accuracy too low: {acc_after}");
-    }
-
-    #[test]
-    fn fast_accuracy_tracks_exact() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let dags: Vec<Dag> = (0..3)
-            .map(|_| {
-                LayeredDagSpec {
-                    num_tasks: 10,
-                    ..LayeredDagSpec::paper_training()
-                }
-                .generate(&mut rng)
-            })
-            .collect();
-        let spec = ClusterSpec::unit(2);
-        let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16], &mut rng);
-        let data = build_dataset(&policy, &dags, &spec).unwrap();
-        let exact = accuracy(&policy, &data);
-        let fast = accuracy_with_precision(&policy, &data, spear_nn::Precision::Fast);
-        // f32 rounding can flip rows whose top-two probabilities are
-        // within tolerance of each other; the rates must stay close.
-        assert!((exact - fast).abs() <= 0.05, "exact {exact} vs fast {fast}");
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
         });
         EpisodeDriver::new(policy)
             .with_obs(&self.obs)
-            .drive(&mut env, &mut NoRng, u64::MAX)?;
+            .drive(&mut env, &mut NoRng)?;
         env.into_schedule()
     }
 }
@@ -248,7 +248,7 @@ pub fn execute_priority_order(
         best.map_or(Action::Process, |(a, ..)| a)
     });
     let mut env = SimEnv::from_queue(queue, spec)?;
-    EpisodeDriver::new(policy).drive(&mut env, &mut NoRng, u64::MAX)?;
+    EpisodeDriver::new(policy).drive(&mut env, &mut NoRng)?;
     env.into_schedule()
 }
 

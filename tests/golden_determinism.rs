@@ -4,7 +4,8 @@
 //! summation order, or action enumeration order will trip them. Every
 //! table holds on the unit box and on a one-machine set with arbitrary
 //! network knobs: a single box is a one-machine cluster. The state keys
-//! behind the inference caches are pinned the same way.
+//! behind the inference caches are pinned the same way, and so is the
+//! work the quick searches do.
 //!
 //! To regenerate after an *intentional* behavior change, run
 //! `cargo test --release --test golden_determinism -- --ignored --nocapture`
@@ -14,11 +15,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spear::dag::generator::LayeredDagSpec;
 use spear::dag::ResourceVec;
-use spear::diffcheck::{CaseSpec, SchedulerKind};
+use spear::diffcheck::{check_schedule, CaseSpec, SchedulerKind};
 use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver};
+use spear::nn::Precision;
+use spear::rl::EvalCacheStats;
 use spear::{
-    Action, ClusterSpec, Dag, FeatureConfig, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork,
-    Schedule, Scheduler, SimState, TransferMode,
+    Action, ClusterSpec, Dag, FeatureConfig, JobQueue, MachineSet, MctsConfig, MctsScheduler,
+    PolicyNetwork, Schedule, Scheduler, SearchStats, SimState, TransferMode,
 };
 
 /// Number of fixed workload DAGs each golden table covers.
@@ -63,6 +66,53 @@ const QUICK_PURE_GOLDEN: [u64; 2] = [203, 208];
 /// Makespans of DRL-guided MCTS (untrained paper-size network, budget
 /// 15/3) on the quick workload, with the inference caches on or off.
 const QUICK_DRL_GOLDEN: [u64; 2] = [233, 229];
+
+/// Search work of quick pure MCTS, summed over both quick DAGs: every
+/// [`SearchStats`] counter, with the wall clock zeroed. Pins how much a
+/// search does, not just the makespans it finds.
+const QUICK_PURE_WORK: SearchStats = SearchStats {
+    iterations: 1558,
+    rollout_steps: 35570,
+    tree_nodes: 1436,
+    decisions: 117,
+    policy_inferences: 0,
+    cache_hits: 0,
+    cache_misses: 0,
+    cache_evictions: 0,
+    inference_skips: 0,
+    elapsed_seconds: 0.0,
+};
+
+/// [`QUICK_PURE_WORK`] for quick DRL-guided search with the inference
+/// caches on: the frontier table's counters are `cache_*`.
+const QUICK_DRL_WORK: SearchStats = SearchStats {
+    iterations: 387,
+    rollout_steps: 10957,
+    tree_nodes: 365,
+    decisions: 117,
+    policy_inferences: 2428,
+    cache_hits: 2986,
+    cache_misses: 2945,
+    cache_evictions: 0,
+    inference_skips: 5389,
+    elapsed_seconds: 0.0,
+};
+
+/// The input table behind the frontier table in [`QUICK_DRL_WORK`]'s run.
+const QUICK_DRL_INPUT_TABLE: EvalCacheStats = EvalCacheStats {
+    hits: 517,
+    misses: 2428,
+    evictions: 0,
+};
+
+/// [`QUICK_DRL_WORK`] with the caches off: the same search, with every
+/// frontier probe a forward pass.
+const QUICK_DRL_UNCACHED_WORK: SearchStats = SearchStats {
+    policy_inferences: 5931,
+    cache_hits: 0,
+    cache_misses: 0,
+    ..QUICK_DRL_WORK
+};
 
 /// `(steps, FNV-1a fold of fingerprint and frontier fingerprint after
 /// every step)` of a seeded uniform episode on the unit box and on a
@@ -124,10 +174,19 @@ fn drl_scheduler() -> MctsScheduler {
     MctsScheduler::drl(config(30, 6, true), policy)
 }
 
-/// DRL-guided search with an untrained paper-size network.
-fn quick_drl(eval_cache: bool) -> MctsScheduler {
+/// Quick pure MCTS.
+fn quick_pure() -> MctsScheduler {
+    MctsScheduler::pure(config(60, 12, true))
+}
+
+/// Quick DRL-guided search with an untrained paper-size network.
+fn quick_drl(eval_cache: bool, nn_precision: Precision) -> MctsScheduler {
     let policy = PolicyNetwork::new(FeatureConfig::paper(2), &mut StdRng::seed_from_u64(0));
-    MctsScheduler::drl(config(15, 3, eval_cache), policy)
+    let config = MctsConfig {
+        nn_precision,
+        ..config(15, 3, eval_cache)
+    };
+    MctsScheduler::drl(config, policy)
 }
 
 /// FNV-1a over a sequence of words.
@@ -172,9 +231,32 @@ fn run(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// The quick workload: two 30-task DAGs of the simulation family.
+fn quick_dags() -> Vec<Dag> {
+    dags(2, 30)
+}
+
 fn quick_makespans(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> Vec<u64> {
-    let schedules = schedules(&mut scheduler, &dags(2, 30), spec);
+    let schedules = schedules(&mut scheduler, &quick_dags(), spec);
     schedules.iter().map(Schedule::makespan).collect()
+}
+
+/// The search work of `scheduler` on the quick workload, summed over both
+/// DAGs with the wall clock zeroed, and its policy's input-table counters.
+fn quick_work(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> (SearchStats, EvalCacheStats) {
+    let work = quick_dags()
+        .iter()
+        .map(|dag| {
+            let (_, stats) = scheduler
+                .schedule_with_stats(dag, spec)
+                .expect("workload fits cluster");
+            SearchStats {
+                elapsed_seconds: 0.0,
+                ..stats
+            }
+        })
+        .fold(SearchStats::default(), SearchStats::merged);
+    (work, scheduler.policy().input_cache_stats())
 }
 
 /// Uniformly random over the legal actions; one RNG draw per decision.
@@ -273,14 +355,51 @@ fn drl_guided_matches_golden_schedules() {
 #[test]
 fn quick_searches_match_golden_makespans() {
     for spec in clusters() {
-        let quick_pure = MctsScheduler::pure(config(60, 12, true));
-        assert_eq!(quick_makespans(quick_pure, &spec), QUICK_PURE_GOLDEN);
+        assert_eq!(quick_makespans(quick_pure(), &spec), QUICK_PURE_GOLDEN);
         for eval_cache in [true, false] {
             assert_eq!(
-                quick_makespans(quick_drl(eval_cache), &spec),
+                quick_makespans(quick_drl(eval_cache, Precision::Exact), &spec),
                 QUICK_DRL_GOLDEN,
                 "eval cache {eval_cache}"
             );
+        }
+    }
+}
+
+/// The quick searches' work: iterations, rollout steps, tree nodes,
+/// decisions, forward passes and every policy-table counter. A change that
+/// keeps the makespans but searches more or less trips this.
+#[test]
+fn quick_searches_do_golden_work() {
+    let none = EvalCacheStats::default();
+    for spec in clusters() {
+        assert_eq!(quick_work(quick_pure(), &spec), (QUICK_PURE_WORK, none));
+        assert_eq!(
+            quick_work(quick_drl(true, Precision::Exact), &spec),
+            (QUICK_DRL_WORK, QUICK_DRL_INPUT_TABLE)
+        );
+        assert_eq!(
+            quick_work(quick_drl(false, Precision::Exact), &spec),
+            (QUICK_DRL_UNCACHED_WORK, none)
+        );
+    }
+}
+
+/// Fast-precision schedules are not pinned: `f32` rounding may flip a
+/// near-tie. Every one must still pass all three diffcheck judges. (The
+/// eval cache is bit-transparent within a precision, so one setting
+/// covers both.)
+#[test]
+fn fast_quick_searches_pass_the_judges() {
+    for spec in clusters() {
+        let mut scheduler = quick_drl(false, Precision::Fast);
+        for dag in quick_dags() {
+            let schedule = scheduler
+                .schedule(&dag, &spec)
+                .expect("workload fits cluster");
+            let queue = JobQueue::single(dag).expect("one job forms a queue");
+            let tri = check_schedule(&queue, &spec, &schedule);
+            assert!(tri.all_ok(), "{}", tri.summary());
         }
     }
 }
@@ -320,4 +439,13 @@ fn print_golden_tables() {
     }
     let [(a, ka), (b, kb)] = [key_trail(&unit), key_trail(&three_machines())];
     println!("const KEY_GOLDEN: [(usize, u64); 2] = [({a}, {ka:#018x}), ({b}, {kb:#018x})];");
+    for (name, scheduler) in [
+        ("PURE", quick_pure()),
+        ("DRL", quick_drl(true, Precision::Exact)),
+        ("DRL_UNCACHED", quick_drl(false, Precision::Exact)),
+    ] {
+        let (work, input) = quick_work(scheduler, &unit);
+        println!("const QUICK_{name}_WORK: SearchStats = {work:#?};");
+        println!("// input table: {input:?}");
+    }
 }
