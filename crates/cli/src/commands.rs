@@ -862,6 +862,20 @@ mod tests {
         std::fs::write(&wrapping_stg, "2\n0 18446744073709551615 0\n1 4 1 0\n").unwrap();
         let huge_header = tmp("cli-bad-header.stg");
         std::fs::write(&huge_header, "999999999999\n0 1 0\n").unwrap();
+        // A policy whose first weight is `1e999`, which parses as infinity.
+        let inf_policy = tmp("cli-bad-policy.json");
+        let paper = FeatureConfig::paper(2);
+        let net = spear::nn::Mlp::new(
+            spear::nn::MlpConfig::new(paper.input_dim(), &[8], paper.action_dim()),
+            &mut StdRng::seed_from_u64(0),
+        );
+        let mut value = serde_json::to_value(&net);
+        let layer0 = item(field(&mut value, "layers"), 0);
+        *item(field(field(layer0, "weights"), "data"), 0) = Value::Num(123_456_789.0);
+        let text = serde_json::to_string(&value)
+            .unwrap()
+            .replacen("[123456789,", "[1e999,", 1);
+        std::fs::write(&inf_policy, text).unwrap();
 
         let poisson = ["schedule", "--arrivals", "poisson", "--algo", "tetris"];
         let faulty = ["schedule", "--dag", &dag, "--algo", "cp", "--faults", "0.2"];
@@ -980,6 +994,18 @@ mod tests {
             (
                 vec!["schedule", "--dag", &self_edge, "--algo", "tetris"],
                 "self-loop on task t2",
+            ),
+            (
+                vec![
+                    "schedule",
+                    "--dag",
+                    &dag,
+                    "--algo",
+                    "spear",
+                    "--policy",
+                    &inf_policy,
+                ],
+                "malformed network: layer 0 non-finite weight count is 1, expected 0",
             ),
         ];
         for (argv, want) in cases {

@@ -806,14 +806,20 @@ impl SimState {
     }
 
     /// Whether `task` is ready and fits the remaining capacity of *some*
-    /// machine, with its transfers there complete.
-    ///
-    /// The ready set is kept sorted by id ([`ReadyTracker::ready`]), so
-    /// membership is a binary search rather than a linear scan — this
-    /// check sits on the search hot path via [`SimState::apply`].
+    /// machine, with its transfers there complete: readiness (a binary
+    /// search of the id-sorted ready set) and then
+    /// [`SimState::fits_somewhere`].
     pub fn can_schedule(&self, dag: &Dag, task: TaskId) -> bool {
-        self.tracker.ready().binary_search(&task).is_ok()
-            && (0..self.machines.len() as u32).any(|m| self.fits_on(dag, task, m))
+        self.tracker.ready().binary_search(&task).is_ok() && self.fits_somewhere(dag, task)
+    }
+
+    /// Whether `task` fits the remaining capacity of *some* machine now,
+    /// with its parents' outputs already on that machine. Readiness is
+    /// the caller's check: a caller that draws `task` from
+    /// [`SimState::ready`] (the DRL featurizer's legality mask) asks
+    /// only this.
+    pub fn fits_somewhere(&self, dag: &Dag, task: TaskId) -> bool {
+        (0..self.machines.len() as u32).any(|m| self.fits_on(dag, task, m))
     }
 
     /// Earliest future instant at which waiting alone (no completion, no

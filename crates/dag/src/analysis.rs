@@ -113,10 +113,13 @@ pub struct GraphFeatures {
     critical_path: u64,
     max_children: usize,
     max_b_load: Vec<f64>,
+    cp_order: Vec<TaskId>,
+    cp_rank: Vec<u32>,
 }
 
 impl GraphFeatures {
-    /// Computes every static feature of `dag` in three topological sweeps.
+    /// Computes every static feature of `dag` in three topological sweeps,
+    /// then ranks the tasks in the CP order ([`GraphFeatures::cp_order`]).
     pub fn compute(dag: &Dag) -> Self {
         let bl = b_levels(dag);
         let tl = t_levels(dag);
@@ -136,12 +139,37 @@ impl GraphFeatures {
                 b_load: loads.iter().map(|l| l[i]).collect(),
             })
             .collect();
+        let mut keys: Vec<_> = (0..dag.len())
+            .map(|i| (std::cmp::Reverse(bl[i]), std::cmp::Reverse(kids[i]), i))
+            .collect();
+        keys.sort_unstable();
+        let cp_order: Vec<TaskId> = keys.iter().map(|&(_, _, i)| TaskId::new(i)).collect();
+        let mut cp_rank = vec![0u32; dag.len()];
+        for (rank, t) in cp_order.iter().enumerate() {
+            cp_rank[t.index()] = u32::try_from(rank).expect("task ids fit in u32");
+        }
         GraphFeatures {
             per_task,
             critical_path,
             max_children,
             max_b_load,
+            cp_order,
+            cp_rank,
         }
+    }
+
+    /// Every task in the CP order: descending b-level, then descending
+    /// child count, then ascending id. The id makes each key unique, so
+    /// this is a total order and any subset sorted by the same key is a
+    /// subsequence of it.
+    pub fn cp_order(&self) -> &[TaskId] {
+        &self.cp_order
+    }
+
+    /// Each task's position in [`GraphFeatures::cp_order`], indexed by
+    /// task id: the inverse permutation.
+    pub fn cp_rank(&self) -> &[u32] {
+        &self.cp_rank
     }
 
     /// Features of one task.
@@ -304,6 +332,50 @@ mod tests {
         assert_eq!(f.task(TaskId::new(0)).children, 2);
         assert!((f.max_b_load()[0] - 2.0).abs() < 1e-9);
         assert!((f.max_b_load()[1] - 2.0).abs() < 1e-9);
+    }
+
+    /// `cp_order` sorts by (b-level desc, children desc, id asc) and
+    /// `cp_rank` is its inverse, on a graph full of tied b-levels and
+    /// child counts.
+    #[test]
+    fn cp_order_and_rank_are_inverse_sorted_permutations() {
+        let mut b = DagBuilder::new(1);
+        let ids: Vec<TaskId> = (0..12u64)
+            .map(|i| b.add_task(Task::new(1 + i % 3, ResourceVec::from_slice(&[0.1]))))
+            .collect();
+        for (from, to) in [
+            (0, 6),
+            (1, 6),
+            (1, 7),
+            (2, 8),
+            (3, 8),
+            (3, 9),
+            (4, 10),
+            (6, 11),
+        ] {
+            b.add_edge(ids[from], ids[to]).unwrap();
+        }
+        let d = b.build().unwrap();
+        let f = GraphFeatures::compute(&d);
+        let mut expected: Vec<TaskId> = d.task_ids().collect();
+        expected.sort_by_key(|&t| {
+            let tf = f.task(t);
+            (
+                std::cmp::Reverse(tf.b_level),
+                std::cmp::Reverse(tf.children),
+                t,
+            )
+        });
+        assert_eq!(f.cp_order(), expected.as_slice());
+        assert_eq!(f.cp_rank().len(), d.len());
+        for (rank, &t) in f.cp_order().iter().enumerate() {
+            assert_eq!(f.cp_rank()[t.index()] as usize, rank);
+        }
+        // A tie on b-level and children falls back to the id.
+        let (t5, t8) = (ids[5], ids[8]);
+        assert_eq!(f.task(t5).b_level, f.task(t8).b_level);
+        assert_eq!(f.task(t5).children, f.task(t8).children);
+        assert!(f.cp_rank()[t5.index()] < f.cp_rank()[t8.index()]);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! * **Input-major, like training**: weights stay `in × out` so row `k`
 //!   is "what input `k` contributes to every output". A zero feature —
 //!   and the featurized states are mostly zeros (empty ready slots,
-//!   sparse cluster image) — skips its whole row. This is the same
-//!   sparsity-compaction structure as the tuned `f64` kernel in
-//!   [`Dense::forward_one_into`](crate::Dense::forward_one_into), at
-//!   half the weight-stream bandwidth.
+//!   sparse cluster image) — skips its whole row. The exact `f64`
+//!   kernel in [`Dense::forward_one_into`](crate::Dense::forward_one_into)
+//!   skips zeros too, compacting 64 inputs at a time and sweeping
+//!   register-held column blocks over them; this engine compacts the
+//!   whole input once and streams half the weight bytes.
 //! * **Lane-padded outputs**: every weight row, the bias, and the
 //!   activation scratch are padded with zeros to a multiple of
 //!   [`LANES`], so the vectorized sweep over outputs has no scalar

@@ -5,6 +5,27 @@ use serde::{Deserialize, Serialize};
 
 use crate::{Activation, Matrix};
 
+/// Inputs compacted per pass of [`Dense::forward_one_into`]: small
+/// enough that the compaction block stays a few cache lines of stack.
+const CHUNK: usize = 64;
+
+/// Folds the compacted rows into outputs `j..j + B`: the `B` partial
+/// sums are loaded once, take `vals[i] * w[rows[i] + j..]` for each row
+/// in order, and are stored once. Per output that is the same add
+/// sequence as [`Matrix::matmul`]'s row loop.
+#[inline(always)]
+fn fold_block<const B: usize>(w: &[f64], rows: &[usize], vals: &[f64], j: usize, out: &mut [f64]) {
+    let dst: &mut [f64; B] = (&mut out[j..j + B]).try_into().expect("block width");
+    let mut acc = *dst;
+    for (&row, &a) in rows.iter().zip(vals) {
+        let wr: &[f64; B] = w[row + j..row + j + B].try_into().expect("block width");
+        for (c, &wv) in acc.iter_mut().zip(wr) {
+            *c += a * wv;
+        }
+    }
+    *dst = acc;
+}
+
 /// A dense layer `a = act(x · W + b)` with gradient accumulators.
 ///
 /// `W` has shape `in × out`; inputs are batches of shape `batch × in`.
@@ -145,33 +166,24 @@ impl Dense {
     /// products) matches [`Matrix::matmul`] + bias broadcast exactly, so
     /// the result is bit-identical to [`Dense::forward`] on a 1-row batch.
     ///
-    /// Two kernels, selected by output width (both memory-bound on the
-    /// weight stream, so the goal is to touch as few weight rows as
-    /// possible and keep each touched row a single contiguous sweep):
+    /// One kernel serves every layer width. The input is read in chunks
+    /// of 64; each chunk's *nonzero* entries are compacted into a
+    /// stack block, and the outputs are then swept in column blocks of
+    /// 32, 8 and finally 1, each block's partial sums held in registers
+    /// while every compacted row of the chunk is folded in (k ascending)
+    /// and stored back once. The featurized input is sparse (empty
+    /// slots, unoccupied image pixels) and so are ReLU activations, so
+    /// most weight rows are never loaded at all.
     ///
-    /// * **Wide outputs** (`n > 16`, the hidden layers): the *nonzero*
-    ///   inputs select which weight rows are touched, and the touched
-    ///   rows are folded four per pass over the accumulator row (adds
-    ///   k-ascending, so identical to one pass per row). The featurized
-    ///   input is sparse (empty slots,
-    ///   unoccupied image pixels) and so are ReLU hidden activations, so
-    ///   most weight rows are never loaded at all. The nonzeros are first
-    ///   compacted **branchlessly** into a stack block (unconditional
-    ///   write, conditional increment): a per-input `if a == 0.0` branch
-    ///   would be near-random on real activations and every mispredict
-    ///   costs more than a compaction step — a tax invisible in
-    ///   microbenchmarks that replay one input (the predictor memorizes
-    ///   the pattern) but dominant in situ where each call sees a fresh
-    ///   pattern. Skipping a zero input is bit-identical to folding it
-    ///   in: with finite weights, `0.0 * w` is `±0.0`, and adding `±0.0`
-    ///   to an accumulator that is never `-0.0` (an ascending chain
-    ///   seeded with `+0.0` cannot produce `-0.0`) returns the
-    ///   accumulator unchanged.
-    /// * **Narrow outputs** (`n <= 16`, the logit layer): per-row loop
-    ///   overhead would dominate a 2-vector-wide sweep, so the input is
-    ///   consumed in unconditional quads — one pass over the output row
-    ///   folds in four weight rows, with the adds still in k-ascending
-    ///   order, bit-identical to four separate passes.
+    /// The compaction is **branchless** (unconditional write, conditional
+    /// increment): a per-input `if a == 0.0` branch would be near-random
+    /// on real activations, a tax invisible in microbenchmarks that
+    /// replay one input but dominant in situ. Skipping a zero input is
+    /// bit-identical to folding it in: with finite weights (which
+    /// [`Mlp::validate`](crate::Mlp::validate) enforces on load),
+    /// `0.0 * w` is `±0.0`, and adding `±0.0` to an accumulator that is
+    /// never `-0.0` (an ascending chain seeded with `+0.0` cannot produce
+    /// `-0.0`) returns the accumulator unchanged.
     ///
     /// # Panics
     ///
@@ -182,79 +194,29 @@ impl Dense {
         out.clear();
         out.resize(n, 0.0);
         let w = self.weights.as_slice();
-        if n > 16 {
-            // Blocked so the compaction buffers stay small and on the
-            // stack regardless of input width; processing blocks in
-            // order keeps the accumulation k-ascending.
-            const BLOCK: usize = 512;
-            let mut idx = [0u32; BLOCK];
-            let mut val = [0.0f64; BLOCK];
-            for (block, chunk) in x.chunks(BLOCK).enumerate() {
-                let base = block * BLOCK;
-                let mut nnz = 0usize;
-                for (k, &a) in chunk.iter().enumerate() {
-                    idx[nnz] = (base + k) as u32;
-                    val[nnz] = a;
-                    nnz += usize::from(a != 0.0);
-                }
-                // Fold four compacted rows per pass over `out`: the
-                // read-modify-write traffic on the accumulator row drops
-                // 4x, and the per-output add chain stays k-ascending —
-                // bit-identical to four separate single-row passes.
-                let mut i = 0usize;
-                while i + 4 <= nnz {
-                    let (k0, k1, k2, k3) = (
-                        idx[i] as usize,
-                        idx[i + 1] as usize,
-                        idx[i + 2] as usize,
-                        idx[i + 3] as usize,
-                    );
-                    let (a0, a1, a2, a3) = (val[i], val[i + 1], val[i + 2], val[i + 3]);
-                    let r0 = &w[k0 * n..k0 * n + n];
-                    let r1 = &w[k1 * n..k1 * n + n];
-                    let r2 = &w[k2 * n..k2 * n + n];
-                    let r3 = &w[k3 * n..k3 * n + n];
-                    for (j, cv) in out.iter_mut().enumerate() {
-                        let mut acc = *cv;
-                        acc += a0 * r0[j];
-                        acc += a1 * r1[j];
-                        acc += a2 * r2[j];
-                        acc += a3 * r3[j];
-                        *cv = acc;
-                    }
-                    i += 4;
-                }
-                for (&k, &a) in idx[i..nnz].iter().zip(&val[i..nnz]) {
-                    let k = k as usize;
-                    for (cv, &wv) in out.iter_mut().zip(&w[k * n..(k + 1) * n]) {
-                        *cv += a * wv;
-                    }
-                }
+        // Offsets of the chunk's nonzero weight rows, and their inputs.
+        let mut rows = [0usize; CHUNK];
+        let mut vals = [0.0f64; CHUNK];
+        for (c, chunk) in x.chunks(CHUNK).enumerate() {
+            let mut nnz = 0usize;
+            for (k, &a) in chunk.iter().enumerate() {
+                rows[nnz] = (c * CHUNK + k) * n;
+                vals[nnz] = a;
+                nnz += usize::from(a != 0.0);
             }
-        } else {
-            let mut k = 0;
-            while k + 4 <= x.len() {
-                let (a0, a1, a2, a3) = (x[k], x[k + 1], x[k + 2], x[k + 3]);
-                let (r0, rest) = w[k * n..(k + 4) * n].split_at(n);
-                let (r1, rest) = rest.split_at(n);
-                let (r2, r3) = rest.split_at(n);
-                for (j, cv) in out.iter_mut().enumerate() {
-                    let mut acc = *cv;
-                    acc += a0 * r0[j];
-                    acc += a1 * r1[j];
-                    acc += a2 * r2[j];
-                    acc += a3 * r3[j];
-                    *cv = acc;
-                }
-                k += 4;
+            let (rows, vals) = (&rows[..nnz], &vals[..nnz]);
+            let mut j = 0;
+            while j + 32 <= n {
+                fold_block::<32>(w, rows, vals, j, out);
+                j += 32;
             }
-            for (kk, &a) in x.iter().enumerate().skip(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                for (cv, &wv) in out.iter_mut().zip(&w[kk * n..(kk + 1) * n]) {
-                    *cv += a * wv;
-                }
+            while j + 8 <= n {
+                fold_block::<8>(w, rows, vals, j, out);
+                j += 8;
+            }
+            while j < n {
+                fold_block::<1>(w, rows, vals, j, out);
+                j += 1;
             }
         }
         // Fused epilogue: act(z + b) in one walk, same per-element ops as
@@ -404,23 +366,24 @@ mod tests {
         }
     }
 
-    /// The single-example kernels must stay bit-identical to the batch
-    /// path across unroll boundaries (lengths not divisible by 4), sparse
-    /// inputs (zeros inside and outside full quads — exercising both the
-    /// zero-skip and the fold-the-zero-through paths), and both output
-    /// widths (narrow quad kernel and wide row-pass kernel).
+    /// The single-example kernel must stay bit-identical to the batch
+    /// path on every column-block remainder (outputs covering each mix of
+    /// 32-, 8- and 1-wide blocks), on one and several compaction chunks
+    /// (inputs below, at and past multiples of [`CHUNK`]), and on sparse
+    /// inputs: zeros scattered through the input, at both edges of every
+    /// chunk, and one all-zero chunk.
     #[test]
     fn forward_one_into_unroll_matches_batch_path_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
-        for input in [1usize, 3, 4, 5, 7, 8, 11, 16] {
-            for output in [3usize, 16, 17, 33] {
+        for input in [1usize, 3, 4, 5, 7, 8, 11, 16, 63, 64, 65, 163, 600] {
+            for output in [1usize, 3, 7, 8, 9, 16, 17, 31, 32, 33, 40, 128, 130] {
                 for act in [Activation::Relu, Activation::Identity, Activation::Tanh] {
                     let layer = Dense::new(input, output, act, &mut rng);
                     let x: Vec<f64> = (0..input)
                         .map(|i| {
-                            // Scatter exact zeros through the input so the
-                            // sparse handling of both kernels runs.
-                            if i % 3 == 0 {
+                            let edge = i % CHUNK == 0 || i % CHUNK == CHUNK - 1;
+                            let empty_chunk = (2 * CHUNK..3 * CHUNK).contains(&i);
+                            if i % 3 == 0 || edge || empty_chunk {
                                 0.0
                             } else {
                                 (i as f64) * 0.37 - 1.0

@@ -54,7 +54,8 @@ pub struct ForwardScratch {
 
 /// A network whose stored shapes disagree with each other or with its
 /// config: a truncated or hand-edited weights file, or a network built
-/// for another feature layout.
+/// for another feature layout. A parameter that is not finite counts
+/// too: its layer's non-finite count must be 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeError {
     /// The quantity that disagrees, e.g. `layer 0 weights data length`.
@@ -143,8 +144,11 @@ impl Mlp {
     /// Checks every stored shape against the config: each layer's input
     /// and output widths (which also chains adjacent layers), its weight
     /// and weight-gradient matrices' dimensions and data lengths, and its
-    /// bias and bias-gradient lengths. Every constructor keeps these;
-    /// deserialization alone cannot, so [`Mlp::load`] checks them.
+    /// bias and bias-gradient lengths. It also checks that every weight
+    /// and bias is finite: the inference kernels skip zero inputs, which
+    /// equals folding them in only when `0 × w` is `±0` (DESIGN.md §9).
+    /// Every constructor keeps these; deserialization alone cannot, so
+    /// [`Mlp::load`] checks them.
     ///
     /// # Errors
     /// The first mismatch found.
@@ -178,6 +182,16 @@ impl Mlp {
                 output,
                 layer.grad_bias().len(),
             )?;
+            for (name, values) in [
+                ("weight", layer.weights().as_slice()),
+                ("bias", layer.bias()),
+            ] {
+                ShapeError::check(
+                    format_args!("layer {i} non-finite {name} count"),
+                    0,
+                    values.iter().filter(|v| !v.is_finite()).count(),
+                )?;
+            }
         }
         Ok(())
     }
@@ -385,14 +399,37 @@ mod tests {
         assert_eq!(cached, uncached);
     }
 
+    /// `forward_one_into` equals the batch path bit for bit, on a small
+    /// net and on the committed policy's shape (163 → 128/32/32 → 16) with
+    /// a sparse, featurization-like input.
     #[test]
     fn forward_one_into_is_bit_identical_to_forward_one() {
-        let mut net = small_net(5);
+        let paper = Mlp::new(
+            MlpConfig::new(163, &[128, 32, 32], 16),
+            &mut StdRng::seed_from_u64(6),
+        );
+        let sparse: Vec<f64> = (0..163)
+            .map(|i| {
+                if i % 5 < 2 {
+                    0.0
+                } else {
+                    (f64::from(i) * 0.113).sin()
+                }
+            })
+            .collect();
+        let small_inputs = vec![
+            vec![0.4, -0.2, 0.9],
+            vec![0.0, 0.0, 0.0],
+            vec![-1.5, 2.5, 0.0],
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let mut scratch = ForwardScratch::default();
-        for features in [[0.4, -0.2, 0.9], [0.0, 0.0, 0.0], [-1.5, 2.5, 0.0]] {
-            let boxed = net.forward_one(&features);
-            let scratched = net.forward_one_into(&features, &mut scratch);
-            assert_eq!(boxed.as_slice(), scratched);
+        for (mut net, inputs) in [(small_net(5), small_inputs), (paper, vec![sparse])] {
+            for features in inputs {
+                let boxed = net.forward_one(&features);
+                let scratched = net.forward_one_into(&features, &mut scratch);
+                assert_eq!(bits(&boxed), bits(scratched));
+            }
         }
     }
 
@@ -524,9 +561,24 @@ mod tests {
         *field(field(&mut wrong_config, "config"), "input") = Value::Num(4.0);
         assert_eq!(load(&wrong_config).what, "layer 0 weights rows");
 
-        let mut missing_layer = saved;
+        let mut missing_layer = saved.clone();
         array(field(&mut missing_layer, "layers")).pop();
         assert_eq!(load(&missing_layer).what, "layer count");
+
+        // JSON has no infinity, but `1e999` parses as one. A sentinel
+        // marks where the overflowing literal goes.
+        let mut infinite = saved;
+        let layer1 = &mut array(field(&mut infinite, "layers"))[1];
+        array(field(field(layer1, "weights"), "data"))[0] = Value::Num(123_456_789.0);
+        let text = serde_json::to_string(&infinite)
+            .unwrap()
+            .replacen("[123456789,", "[1e999,", 1);
+        let err = *Mlp::load(text.as_bytes())
+            .unwrap_err()
+            .downcast::<ShapeError>()
+            .expect("a shape error");
+        assert_eq!(err.what, "layer 1 non-finite weight count");
+        assert_eq!((err.expected, err.found), (0, 1));
     }
 
     #[test]

@@ -92,8 +92,9 @@ pub struct StateView {
 /// Renders [`SimState`]s into policy-network inputs.
 ///
 /// Ready tasks are assigned to slots in descending b-level order (ties by
-/// id), so the most critical work is always visible even when the frontier
-/// exceeds `max_ready` — the overflow forms the paper's backlog.
+/// descending child count, then id), so the most critical work is always
+/// visible even when the frontier exceeds `max_ready` — the overflow
+/// forms the paper's backlog.
 #[derive(Debug, Clone)]
 pub struct Featurizer {
     config: FeatureConfig,
@@ -121,33 +122,47 @@ impl Featurizer {
 
     /// [`Featurizer::visible_ready`] into a caller-owned buffer (cleared
     /// first).
+    ///
+    /// The CP order is a total order fixed per DAG
+    /// ([`GraphFeatures::cp_order`]), so the ready set sorted by it is a
+    /// subsequence of it: one bit per ready task at its CP rank, read
+    /// from the lowest rank up, gives the window without comparing a
+    /// single key. That is `O(|ready| + n / 64)` per call. The bitset
+    /// lives on the stack for DAGs of up to 256 tasks (a 10 × 20 stream's
+    /// union included) and on the heap beyond.
     pub fn visible_ready_into(
         &self,
         state: &SimState,
         features: &GraphFeatures,
         out: &mut Vec<TaskId>,
     ) {
+        const STACK_WORDS: usize = 4;
         out.clear();
-        out.extend_from_slice(state.ready());
-        let key = |&t: &TaskId| {
-            let f = features.task(t);
-            (
-                std::cmp::Reverse(f.b_level),
-                std::cmp::Reverse(f.children),
-                t,
-            )
+        let rank = features.cp_rank();
+        let order = features.cp_order();
+        let len = rank.len().div_ceil(64);
+        let mut stack = [0u64; STACK_WORDS];
+        let mut heap = Vec::new();
+        let words = if len <= STACK_WORDS {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 0u64);
+            &mut heap[..]
         };
-        // Keys are unique (the id tiebreak), so selecting the visible
-        // window and then sorting only it gives exactly the full sort's
-        // prefix, and unstable sorting matches a stable one.
-        let visible = self.config.max_ready;
-        if out.len() > visible {
-            if let Some(last) = visible.checked_sub(1) {
-                out.select_nth_unstable_by_key(last, key);
-            }
-            out.truncate(visible);
+        for &t in state.ready() {
+            let r = rank[t.index()] as usize;
+            words[r / 64] |= 1 << (r % 64);
         }
-        out.sort_unstable_by_key(key);
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                if out.len() == self.config.max_ready {
+                    return;
+                }
+                out.push(order[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
+            }
+        }
     }
 
     /// Featurizes one state.
@@ -269,9 +284,10 @@ impl Featurizer {
         view.mask.resize(cfg.action_dim(), false);
         for (slot, task) in view.slot_tasks.iter().enumerate() {
             if let Some(t) = *task {
-                // Route through the simulator's own admission rule so the
-                // mask can never disagree with `SimState::legal_actions`.
-                view.mask[slot] = state.can_schedule(dag, t);
+                // Slot tasks are ready by construction; route the fit
+                // through the simulator's own admission rule so the mask
+                // can never disagree with `SimState::legal_actions`.
+                view.mask[slot] = state.fits_somewhere(dag, t);
             }
         }
         view.mask[cfg.process_action()] = !state.running().is_empty();

@@ -129,44 +129,82 @@ proptest! {
         }
     }
 
-    /// Selecting the visible window and sorting only it reproduces the
-    /// full sort's prefix, on ready sets with many tied b-levels and child
-    /// counts (two layers, runtimes in 1..=3, random fan-out) and on
-    /// windows narrower and wider than the ready set.
+    /// The rank-indexed visible window equals the full sort's prefix, and
+    /// every slot's mask equals `SimState::can_schedule`, on every regime
+    /// at once: one job or a stream of arriving jobs (`new_multi`), on one
+    /// machine or on 2–3 machines in either transfer mode, over DAGs of 1
+    /// to 300 tasks — so the rank bitset spans one to five words, the
+    /// last past the on-stack ones — with many tied b-levels and child
+    /// counts (two layers, runtimes in 1..=3, 1–3 parents per bottom
+    /// task), and windows narrower and wider than the ready set. Every
+    /// state along a random walk is checked.
     #[test]
     fn visible_window_matches_the_full_sort(
-        parents in 1usize..40,
-        kids in 0usize..6,
+        tasks in 1usize..301,
+        jobs in 1usize..4,
+        machines in 1usize..4,
+        via_master in any::<bool>(),
         dag_seed in any::<u64>(),
         max_ready in 0usize..20,
-        steps in 0usize..10,
+        steps in 0usize..120,
         walk_seed in any::<u64>(),
     ) {
+        use spear_cluster::{JobQueue, MachineSet, TransferMode};
         use spear_dag::{DagBuilder, ResourceVec, Task};
         let mut rng = StdRng::seed_from_u64(dag_seed);
-        let mut b = DagBuilder::new(2);
-        let task = |rng: &mut StdRng| Task::new(rng.gen_range(1..=3), ResourceVec::splat(2, 0.05));
-        let tops: Vec<_> = (0..parents).map(|_| b.add_task(task(&mut rng))).collect();
-        let bottoms: Vec<_> = (0..kids).map(|_| b.add_task(task(&mut rng))).collect();
-        for &top in &tops {
-            for &bottom in &bottoms {
-                if rng.gen_bool(0.4) {
-                    b.add_edge(top, bottom).unwrap();
+        let jobs = jobs.min(tasks);
+        let mut stream = Vec::new();
+        for j in 0..jobs {
+            let size = tasks / jobs + usize::from(j < tasks % jobs);
+            let mut b = DagBuilder::new(2);
+            let task = |rng: &mut StdRng| {
+                Task::new(rng.gen_range(1..=3), ResourceVec::splat(2, 0.05))
+            };
+            let tops: Vec<_> = (0..size.div_ceil(2))
+                .map(|_| b.add_task(task(&mut rng)))
+                .collect();
+            for _ in tops.len()..size {
+                let bottom = b.add_task(task(&mut rng));
+                for _ in 0..rng.gen_range(1usize..4) {
+                    let top = tops[rng.gen_range(0..tops.len())];
+                    let _ = b.add_edge(top, bottom);
                 }
             }
+            stream.push((rng.gen_range(0u64..20) * j as u64, b.build().unwrap()));
         }
-        let dag = b.build().unwrap();
-        let spec = ClusterSpec::unit(2);
-        let gf = GraphFeatures::compute(&dag);
+        let queue = JobQueue::new(stream).unwrap();
+        let dag = queue.union_dag();
+        let mode = if via_master { TransferMode::ViaMaster } else { TransferMode::Direct };
+        let spec = if machines == 1 {
+            ClusterSpec::unit(2)
+        } else {
+            let capacity = ResourceVec::splat(2, 1.0);
+            let set = MachineSet::uniform(machines, capacity, 2, mode, dag_seed, 16).unwrap();
+            ClusterSpec::hetero(set).unwrap()
+        };
+        let gf = GraphFeatures::compute(dag);
         let fz = Featurizer::new(FeatureConfig { max_ready, ..FeatureConfig::small(2) });
-        let state = random_state(&dag, &spec, steps, walk_seed);
-        let mut full = state.ready().to_vec();
-        full.sort_by_key(|&t| {
-            let f = gf.task(t);
-            (std::cmp::Reverse(f.b_level), std::cmp::Reverse(f.children), t)
-        });
-        full.truncate(max_ready);
-        prop_assert_eq!(fz.visible_ready(&state, &gf), full);
+        let mut state = SimState::new_multi(&queue, &spec).unwrap();
+        let mut walk = StdRng::seed_from_u64(walk_seed);
+        for _ in 0..=steps {
+            let mut full = state.ready().to_vec();
+            full.sort_by_key(|&t| {
+                let f = gf.task(t);
+                (std::cmp::Reverse(f.b_level), std::cmp::Reverse(f.children), t)
+            });
+            full.truncate(max_ready);
+            prop_assert_eq!(fz.visible_ready(&state, &gf), full);
+            let view = fz.featurize(dag, &spec, &state, &gf);
+            for (slot, task) in view.slot_tasks.iter().enumerate() {
+                let legal = task.is_some_and(|t| state.can_schedule(dag, t));
+                prop_assert_eq!(view.mask[slot], legal, "slot {} task {:?}", slot, task);
+            }
+            let legal = state.legal_actions(dag);
+            if legal.is_empty() {
+                break;
+            }
+            state.apply(dag, legal[walk.gen_range(0..legal.len())]).expect("legal");
+        }
     }
 
     /// A freshly initialized policy drives any job to completion with only
