@@ -672,6 +672,23 @@ mod tests {
         stats(&args(&["--trace-file", &path])).unwrap();
     }
 
+    /// `stats` sums runtimes near `u64::MAX` without overflow: in the
+    /// first job's mean, and in the middle pair of the per-job means.
+    #[test]
+    fn stats_summarizes_huge_trace_runtimes() {
+        let job = |map_runtimes: Vec<u64>| spear::TraceJob {
+            id: "j".into(),
+            map_demands: vec![spear::ResourceVec::from_slice(&[0.1]); map_runtimes.len()],
+            map_runtimes,
+            reduce_runtimes: vec![1],
+            reduce_demands: vec![spear::ResourceVec::from_slice(&[0.1])],
+        };
+        let jobs = vec![job(vec![u64::MAX; 2]), job(vec![3])];
+        let path = tmp("cli-huge-trace.json");
+        std::fs::write(&path, serde_json::to_string(&Trace { jobs }).unwrap()).unwrap();
+        stats(&args(&["--trace-file", &path])).unwrap();
+    }
+
     #[test]
     fn schedule_with_mcts_and_output() {
         let dag_path = tmp("cli-dag2.json");

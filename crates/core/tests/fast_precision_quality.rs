@@ -10,9 +10,9 @@
 //! The band is deliberately symmetric — an untrained policy gives
 //! neither mode a quality edge, so a fast-mode makespan either much
 //! better *or* much worse than exact would equally signal a numerics
-//! bug. The full benchmark corpus (`bench_hotpath`) currently measures
-//! a ratio of exactly 1.0; the bound here leaves headroom for argmax
-//! flips inside the `f32` tolerance band.
+//! bug. On six 50-task DAGs of the simulation family (seed 42) the two
+//! modes found identical makespans, a ratio of 1.0; the bound here leaves
+//! headroom for argmax flips inside the `f32` tolerance band.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

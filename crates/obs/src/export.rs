@@ -77,25 +77,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Renders the snapshot as a single JSON document: an object with a
-    /// `metrics` array holding the same per-metric objects [`to_jsonl`]
-    /// emits line by line. This is the shape `bench_hotpath` folds into
-    /// `BENCH_mcts.json`.
-    ///
-    /// [`to_jsonl`]: MetricsSnapshot::to_jsonl
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        for (i, line) in self.to_jsonl().lines().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(line);
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Renders the snapshot in the Prometheus text exposition format.
     /// Names are prefixed with `spear_` and sanitized to the Prometheus
     /// charset; histogram buckets are emitted cumulatively with a final
@@ -255,16 +236,6 @@ mod tests {
         assert!(prom.contains("spear_mcts_decision_ns_count 3"));
         assert!(prom.contains("spear_sim_admissions 12"));
         assert!(prom.contains("spear_rl_mean_entropy 0.5"));
-    }
-
-    #[test]
-    fn json_document_wraps_the_same_objects() {
-        let json = sample().to_json();
-        assert!(json.starts_with("{\"metrics\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("{\"metric\":\"sim.admissions\",\"kind\":\"counter\",\"value\":12}"));
-        assert_eq!(json.matches("\"metric\":").count(), 3);
-        assert_eq!(MetricsSnapshot::default().to_json(), "{\"metrics\":[]}");
     }
 
     #[test]

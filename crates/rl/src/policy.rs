@@ -14,8 +14,9 @@ use crate::{FeatureConfig, Featurizer, StateView};
 ///
 /// The policy owns the scratch buffers of its inference path (featurizer
 /// ready-ordering and MLP activations), so repeated
-/// [`PolicyNetwork::action_distribution_into`] calls touch the heap only
-/// until the buffers reach their steady-state sizes.
+/// [`PolicyNetwork::action_distribution`] calls allocate only the
+/// distribution and view they return once the buffers reach their
+/// steady-state sizes.
 #[derive(Debug, Clone)]
 pub struct PolicyNetwork {
     featurizer: Featurizer,
@@ -119,31 +120,15 @@ impl PolicyNetwork {
         state: &SimState,
         features: &GraphFeatures,
     ) -> (Vec<f64>, StateView) {
-        let mut probs = Vec::new();
-        let mut view = StateView::default();
-        self.action_distribution_into(dag, spec, state, features, &mut probs, &mut view);
-        (probs, view)
-    }
-
-    /// [`PolicyNetwork::action_distribution`] into caller-owned buffers —
-    /// the allocation-free inference hot path used by the MCTS guidance
-    /// policy. `probs` and `view` are cleared and refilled; the values are
-    /// bit-identical to the allocating variant.
-    pub fn action_distribution_into(
-        &mut self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        state: &SimState,
-        features: &GraphFeatures,
-        probs: &mut Vec<f64>,
-        view: &mut StateView,
-    ) {
+        let (mut probs, mut view) = (Vec::new(), StateView::default());
+        let ready = &mut self.ready_scratch;
         self.featurizer
-            .featurize_into(dag, spec, state, features, &mut self.ready_scratch, view);
+            .featurize_into(dag, spec, state, features, ready, &mut view);
         let logits = self
             .net
             .forward_one_into(&view.features, &mut self.forward_scratch);
-        softmax_masked_into(logits, &view.mask, probs);
+        softmax_masked_into(logits, &view.mask, &mut probs);
+        (probs, view)
     }
 
     /// Snapshots the current weights into an `f32`
@@ -255,17 +240,19 @@ mod tests {
         }
     }
 
+    /// Reusing the scratch buffers is invisible: at every state of an
+    /// episode, a long-lived policy answers like one built fresh from the
+    /// same network.
     #[test]
-    fn distribution_into_reused_buffers_matches_allocating_variant() {
+    fn reused_scratch_buffers_match_a_fresh_policy() {
         let (dag, spec, gf, mut policy) = setup();
         let mut state = SimState::new(&dag, &spec).unwrap();
-        let mut probs = Vec::new();
-        let mut view = StateView::default();
         while !state.is_terminal(&dag) {
-            policy.action_distribution_into(&dag, &spec, &state, &gf, &mut probs, &mut view);
-            let (fresh_probs, fresh_view) = policy.action_distribution(&dag, &spec, &state, &gf);
-            assert_eq!(probs, fresh_probs);
-            assert_eq!(view, fresh_view);
+            let reused = policy.action_distribution(&dag, &spec, &state, &gf);
+            let mut fresh =
+                PolicyNetwork::from_parts(policy.feature_config().clone(), policy.net().clone());
+            assert_eq!(reused, fresh.action_distribution(&dag, &spec, &state, &gf));
+            let view = reused.1;
             let idx = view.mask.iter().position(|&m| m).expect("a legal action");
             let action = policy.action_from_index(&view, idx);
             state.apply(&dag, action).unwrap();

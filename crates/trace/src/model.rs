@@ -106,11 +106,12 @@ impl TraceJob {
     }
 }
 
+/// Mean of `values`, summed in `u128` so no trace's runtimes overflow it.
 fn mean(values: &[u64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.iter().sum::<u64>() as f64 / values.len() as f64
+    values.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / values.len() as f64
 }
 
 /// A collection of trace jobs.
@@ -184,6 +185,11 @@ mod tests {
             map_demands: vec![ResourceVec::from_slice(&[0.1, 0.1]); maps],
             reduce_demands: vec![ResourceVec::from_slice(&[0.2, 0.2]); reduces],
         }
+    }
+
+    #[test]
+    fn mean_of_huge_runtimes_does_not_overflow() {
+        assert_eq!(mean(&[u64::MAX, u64::MAX]), u64::MAX as f64);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub fn median_u64(values: &[u64]) -> f64 {
     if n % 2 == 1 {
         sorted[n / 2] as f64
     } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) as f64 / 2.0
+        (u128::from(sorted[n / 2 - 1]) + u128::from(sorted[n / 2])) as f64 / 2.0
     }
 }
 
@@ -145,6 +145,11 @@ mod tests {
         assert_eq!(median_u64(&[3, 1, 2]), 2.0);
         assert_eq!(median_u64(&[4, 1, 2, 3]), 2.5);
         assert_eq!(median_u64(&[]), 0.0);
+    }
+
+    #[test]
+    fn median_of_a_huge_middle_pair_does_not_overflow() {
+        assert_eq!(median_u64(&[3, u64::MAX]), 2f64.powi(63));
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             start.elapsed()
         );
     }
-    println!();
-    println!("best-of-K never loses to any single worker; on a multi-core");
-    println!("host the workers run concurrently (this box has 1 CPU).");
+    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+    println!("\nbest-of-K never loses to any single worker; the workers run");
+    println!("concurrently, on up to {cpus} CPUs of this host.");
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! table holds on the unit box and on a one-machine set with arbitrary
 //! network knobs: a single box is a one-machine cluster. The state keys
 //! behind the inference caches are pinned the same way, and so is the
-//! work the quick searches do.
+//! work the quick searches do, on DAGs and on an arrival stream.
 //!
 //! To regenerate after an *intentional* behavior change, run
 //! `cargo test --release --test golden_determinism -- --ignored --nocapture`
@@ -20,8 +20,9 @@ use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver};
 use spear::nn::Precision;
 use spear::rl::EvalCacheStats;
 use spear::{
-    Action, ClusterSpec, Dag, FeatureConfig, JobQueue, MachineSet, MctsConfig, MctsScheduler,
-    PolicyNetwork, Schedule, Scheduler, SearchStats, SimState, TransferMode,
+    Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FeatureConfig, JobQueue,
+    JobSource, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork, Schedule, Scheduler,
+    SearchStats, SimState, TransferMode,
 };
 
 /// Number of fixed workload DAGs each golden table covers.
@@ -113,6 +114,115 @@ const QUICK_DRL_UNCACHED_WORK: SearchStats = SearchStats {
     cache_misses: 0,
     ..QUICK_DRL_WORK
 };
+
+/// What a search on the quick stream found and did: the union makespan,
+/// each job's JCT in arrival order, the search work with the wall clock
+/// zeroed and the policy's input-table counters.
+#[derive(Debug, PartialEq)]
+struct StreamRun {
+    makespan: u64,
+    jcts: [u64; 4],
+    work: SearchStats,
+    input_table: EvalCacheStats,
+}
+
+/// No input table: pure MCTS, or the caches off.
+const NO_TABLE: EvalCacheStats = EvalCacheStats {
+    hits: 0,
+    misses: 0,
+    evictions: 0,
+};
+
+/// Quick pure MCTS on the quick stream, on a single box.
+const STREAM_PURE: StreamRun = StreamRun {
+    makespan: 200,
+    jcts: [200, 179, 152, 158],
+    work: SearchStats {
+        iterations: 845,
+        rollout_steps: 23719,
+        tree_nodes: 740,
+        decisions: 64,
+        ..QUICK_PURE_WORK
+    },
+    input_table: NO_TABLE,
+};
+
+/// Quick DRL-guided search on the quick stream, on a single box.
+const STREAM_DRL: StreamRun = StreamRun {
+    makespan: 216,
+    jcts: [159, 213, 192, 169],
+    work: SearchStats {
+        iterations: 207,
+        rollout_steps: 6954,
+        tree_nodes: 197,
+        decisions: 63,
+        policy_inferences: 3444,
+        cache_hits: 404,
+        cache_misses: 3616,
+        cache_evictions: 0,
+        inference_skips: 3130,
+        elapsed_seconds: 0.0,
+    },
+    input_table: EvalCacheStats {
+        hits: 172,
+        misses: 3444,
+        evictions: 0,
+    },
+};
+
+/// [`STREAM_PURE`] on [`three_machines`].
+const STREAM_PURE_3: StreamRun = StreamRun {
+    makespan: 111,
+    jcts: [101, 106, 94, 107],
+    work: SearchStats {
+        iterations: 845,
+        rollout_steps: 24362,
+        tree_nodes: 718,
+        decisions: 64,
+        ..QUICK_PURE_WORK
+    },
+    input_table: NO_TABLE,
+};
+
+/// [`STREAM_DRL`] on [`three_machines`].
+const STREAM_DRL_3: StreamRun = StreamRun {
+    makespan: 118,
+    jcts: [118, 97, 85, 96],
+    work: SearchStats {
+        iterations: 192,
+        rollout_steps: 6663,
+        tree_nodes: 183,
+        decisions: 58,
+        policy_inferences: 3625,
+        cache_hits: 229,
+        cache_misses: 3885,
+        cache_evictions: 0,
+        inference_skips: 2731,
+        elapsed_seconds: 0.0,
+    },
+    input_table: EvalCacheStats {
+        hits: 260,
+        misses: 3625,
+        evictions: 0,
+    },
+};
+
+/// `run` with the caches off: the same search, with `forwards` forward
+/// passes and no table hits.
+const fn uncached(mut run: StreamRun, forwards: u64) -> StreamRun {
+    run.work.policy_inferences = forwards;
+    run.work.cache_hits = 0;
+    run.work.cache_misses = 0;
+    run.input_table = NO_TABLE;
+    run
+}
+
+/// The [`StreamRun`]s of quick pure MCTS and of quick DRL-guided search
+/// with the caches on and off, on a single box and on three machines.
+const STREAM_GOLDEN: [[StreamRun; 3]; 2] = [
+    [STREAM_PURE, STREAM_DRL, uncached(STREAM_DRL, 4020)],
+    [STREAM_PURE_3, STREAM_DRL_3, uncached(STREAM_DRL_3, 4114)],
+];
 
 /// `(steps, FNV-1a fold of fingerprint and frontier fingerprint after
 /// every step)` of a seeded uniform episode on the unit box and on a
@@ -259,6 +369,52 @@ fn quick_work(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> (SearchStats,
     (work, scheduler.policy().input_cache_stats())
 }
 
+/// The quick stream: four 8-task jobs of the simulation family arriving
+/// as a Poisson process with mean gap 5, seed 42.
+fn quick_stream() -> JobQueue {
+    let stream = ArrivalStreamSpec {
+        jobs: 4,
+        process: ArrivalProcess::Poisson { mean_gap: 5.0 },
+        source: JobSource::Layered(LayeredDagSpec {
+            num_tasks: 8,
+            ..LayeredDagSpec::paper_simulation()
+        }),
+    }
+    .generate(GOLDEN_SEED)
+    .expect("layered job source is total");
+    JobQueue::new(stream).expect("generated stream forms a valid queue")
+}
+
+/// Quick pure MCTS and quick DRL-guided search with the caches on and
+/// off, each run on the quick stream.
+fn stream_runs(spec: &ClusterSpec) -> [StreamRun; 3] {
+    let queue = quick_stream();
+    [
+        quick_pure(),
+        quick_drl(true, Precision::Exact),
+        quick_drl(false, Precision::Exact),
+    ]
+    .map(|mut scheduler| {
+        let (schedule, stats) = scheduler
+            .schedule_multi_with_stats(&queue, spec)
+            .expect("stream fits cluster");
+        schedule
+            .validate(queue.union_dag(), spec)
+            .expect("schedule must be valid");
+        let report = queue.jct_report(&schedule);
+        let jcts: Vec<u64> = report.completions().iter().map(|c| c.jct).collect();
+        StreamRun {
+            makespan: schedule.makespan(),
+            jcts: jcts.try_into().expect("every job completes"),
+            work: SearchStats {
+                elapsed_seconds: 0.0,
+                ..stats
+            },
+            input_table: scheduler.policy().input_cache_stats(),
+        }
+    })
+}
+
 /// Uniformly random over the legal actions; one RNG draw per decision.
 struct UniformDriverPolicy;
 
@@ -385,6 +541,17 @@ fn quick_searches_do_golden_work() {
     }
 }
 
+/// The quick searches on an arrival stream: the union makespan, each
+/// job's JCT and the search work, on a single box and on three machines.
+#[test]
+fn quick_stream_searches_do_golden_work() {
+    let [single, three] = STREAM_GOLDEN;
+    for spec in clusters() {
+        assert_eq!(stream_runs(&spec), single);
+    }
+    assert_eq!(stream_runs(&three_machines()), three);
+}
+
 /// Fast-precision schedules are not pinned: `f32` rounding may flip a
 /// near-tie. Every one must still pass all three diffcheck judges. (The
 /// eval cache is bit-transparent within a precision, so one setting
@@ -447,5 +614,11 @@ fn print_golden_tables() {
         let (work, input) = quick_work(scheduler, &unit);
         println!("const QUICK_{name}_WORK: SearchStats = {work:#?};");
         println!("// input table: {input:?}");
+    }
+    for (suffix, spec) in [("", unit), ("_3", three_machines())] {
+        let [pure, drl, uncached] = stream_runs(&spec);
+        println!("const STREAM_PURE{suffix}: StreamRun = {pure:#?};");
+        println!("const STREAM_DRL{suffix}: StreamRun = {drl:#?};");
+        println!("// uncached forwards: {}", uncached.work.policy_inferences);
     }
 }
