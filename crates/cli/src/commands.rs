@@ -347,10 +347,7 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
         other => return Err(format!("unknown --arrivals `{other}` (poisson|periodic)").into()),
     };
     let source = match args.get("trace-file") {
-        Some(path) => {
-            let trace: Trace = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-            JobSource::Trace(trace)
-        }
+        Some(path) => JobSource::Trace(Trace::load_from_path(path)?),
         None => JobSource::Layered(LayeredDagSpec {
             num_tasks: args.get_count("job-tasks", 8)?,
             ..LayeredDagSpec::paper_training()
@@ -592,8 +589,7 @@ pub fn stats(args: &Args) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
     if let Some(path) = args.get("trace-file") {
-        let trace: Trace = serde_json::from_str(&std::fs::read_to_string(path)?)?;
-        let s = TraceStats::compute(&trace);
+        let s = TraceStats::compute(&Trace::load_from_path(path)?);
         println!("jobs                  : {}", s.jobs);
         println!("median map tasks      : {}", s.median_map_tasks);
         println!("median reduce tasks   : {}", s.median_reduce_tasks);
@@ -687,6 +683,44 @@ mod tests {
         let path = tmp("cli-huge-trace.json");
         std::fs::write(&path, serde_json::to_string(&Trace { jobs }).unwrap()).unwrap();
         stats(&args(&["--trace-file", &path])).unwrap();
+    }
+
+    /// `stats` refuses a trace whose map stage has more runtimes than
+    /// demand vectors with the one-line error `schedule` gives.
+    #[test]
+    fn stats_and_schedule_refuse_a_misaligned_trace_alike() {
+        let job = spear::TraceJob {
+            id: "a".into(),
+            map_runtimes: vec![5, 7],
+            reduce_runtimes: vec![3],
+            map_demands: vec![spear::ResourceVec::from_slice(&[0.1])],
+            reduce_demands: vec![spear::ResourceVec::from_slice(&[0.1])],
+        };
+        let path = tmp("cli-misaligned-trace.json");
+        std::fs::write(
+            &path,
+            serde_json::to_string(&Trace { jobs: vec![job] }).unwrap(),
+        )
+        .unwrap();
+        let fails = |argv: &[&str]| {
+            let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
+            crate::run(&argv).unwrap_err().to_string()
+        };
+        let want = "job a: map stage has 2 runtimes but 1 demand vectors";
+        assert_eq!(fails(&["stats", "--trace-file", &path]), want);
+        let schedule = [
+            "schedule",
+            "--arrivals",
+            "poisson",
+            "--jobs",
+            "1",
+            "--algo",
+            "tetris",
+        ];
+        assert_eq!(
+            fails(&[&schedule[..], &["--trace-file", &path]].concat()),
+            want
+        );
     }
 
     #[test]

@@ -34,9 +34,8 @@
 //!   every recorded failed run matches the plan's seeded failure point,
 //!   the failure count reconciles with the attempt/start tables
 //!   (freed-on-failure accounting: a retracted attempt must not leave a
-//!   placement or resources behind), the exhaustion marker is coherent,
-//!   and the incremental attempt hash matches a from-scratch
-//!   recomputation.
+//!   placement or resources behind), and the exhaustion marker is
+//!   coherent.
 //! * **Machine coherence** — machine assignments mirror the start table,
 //!   every machine's `used`/`free` reconciles with the demand actually
 //!   running on it (per-machine conservation), and every started task
@@ -161,14 +160,15 @@ pub enum AuditViolation {
         /// The count derived from starts/running.
         derived: usize,
     },
-    /// The incrementally maintained state fingerprint disagrees with a
-    /// from-scratch recomputation — the inference cache would be keyed by
-    /// a hash of some *other* state, turning every lookup into a
-    /// potential silent wrong-cache-hit.
+    /// The incrementally maintained placement hash disagrees with a
+    /// from-scratch recomputation — the frontier fingerprint of a
+    /// multi-machine state would key the inference cache by a hash of
+    /// some *other* state, turning every lookup into a potential silent
+    /// wrong-cache-hit.
     FingerprintDesync {
-        /// The fingerprint derived from the incremental placement hash.
+        /// The incrementally maintained placement hash.
         stored: u64,
-        /// The fingerprint recomputed from the placement list.
+        /// The placement hash recomputed from the placement list.
         recomputed: u64,
     },
     /// A task accumulated more execution attempts than its retry budget
@@ -326,7 +326,7 @@ impl fmt::Display for AuditViolation {
             ),
             AuditViolation::FingerprintDesync { stored, recomputed } => write!(
                 f,
-                "state fingerprint {stored:#018x} disagrees with the \
+                "placement hash {stored:#018x} disagrees with the \
                  from-scratch recomputation {recomputed:#018x}"
             ),
             AuditViolation::RetryOverrun {
@@ -740,14 +740,6 @@ impl InvariantAuditor {
                     return Err(AuditViolation::StaleReady { task: t });
                 }
             }
-            let recomputed = f.recompute_attempt_hash();
-            if f.attempt_hash != recomputed {
-                return Err(AuditViolation::FaultAccounting {
-                    field: "attempt_hash",
-                    recorded: f.attempt_hash,
-                    derived: recomputed,
-                });
-            }
             self.last_attempts.clear();
             self.last_attempts.extend_from_slice(&f.attempts);
         } else {
@@ -829,18 +821,19 @@ impl InvariantAuditor {
             }
         }
 
-        // 7. Fingerprint coherence: the incremental placement hash behind
-        // `SimState::fingerprint` must equal a from-scratch recomputation
-        // from the placement list (the other fingerprint ingredients are
-        // folded at read time and cannot drift). Checked last on purpose:
-        // a corruption that breaks a semantic invariant (say, an injected
-        // running entry) usually desyncs the fingerprint too, and should
-        // be reported as the semantic violation, not as hash drift.
-        let placement = state.recompute_placement_hash();
-        if placement != state.placement_hash {
+        // 7. Fingerprint coherence: the incremental placement hash that
+        // the frontier fingerprint folds from two machines on must equal
+        // a from-scratch recomputation from the placement list (0 on one
+        // machine; the other ingredients are folded at read time and
+        // cannot drift). Checked last on purpose: a corruption that
+        // breaks a semantic invariant (say, an injected running entry)
+        // usually desyncs the hash too, and should be reported as the
+        // semantic violation, not as hash drift.
+        let recomputed = state.recompute_placement_hash();
+        if recomputed != state.placement_hash {
             return Err(AuditViolation::FingerprintDesync {
-                stored: state.fingerprint(),
-                recomputed: state.fold_fingerprint(placement),
+                stored: state.placement_hash,
+                recomputed,
             });
         }
 
@@ -975,9 +968,19 @@ mod tests {
 
     #[test]
     fn desynced_fingerprint_is_caught() {
+        // The placement hash exists from two machines on.
         let dag = diamond();
-        let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
+        let machines = crate::MachineSet::uniform(
+            2,
+            ResourceVec::from_slice(&[1.0]),
+            1,
+            crate::TransferMode::Direct,
+            0,
+            1,
+        )
+        .unwrap();
+        let mut sim = SimState::new(&dag, &ClusterSpec::hetero(machines).unwrap()).unwrap();
+        sim.apply(&dag, Action::Place(TaskId::new(0), 1)).unwrap();
         // Flip bits in the incremental placement hash without touching the
         // state it summarizes — the from-scratch recomputation disagrees.
         sim.placement_hash ^= 0xdead_beef;
@@ -1237,7 +1240,6 @@ mod tests {
             audit.check(&dag, &sim).unwrap();
             let f = sim.faults.as_deref_mut().unwrap();
             f.attempts[0] = 0;
-            f.attempt_hash = f.recompute_attempt_hash();
             f.failed_runs.clear();
             let err = audit.check(&dag, &sim).unwrap_err();
             assert_eq!(
@@ -1288,24 +1290,6 @@ mod tests {
                 err,
                 AuditViolation::FaultAccounting {
                     field: "failed_run",
-                    ..
-                }
-            ));
-        }
-
-        #[test]
-        fn desynced_attempt_hash_is_caught() {
-            let dag = diamond();
-            let mut sim = SimState::new(&dag, &ClusterSpec::unit(1))
-                .unwrap()
-                .with_faults(plan(0.3, 2));
-            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
-            sim.faults.as_deref_mut().unwrap().attempt_hash ^= 1;
-            let err = InvariantAuditor::new().check(&dag, &sim).unwrap_err();
-            assert!(matches!(
-                err,
-                AuditViolation::FaultAccounting {
-                    field: "attempt_hash",
                     ..
                 }
             ));
@@ -1560,9 +1544,9 @@ mod tests {
                 );
             }
 
-            /// A fingerprint desynced from the state it summarizes is
-            /// rejected before the first decision, whatever (reachable)
-            /// state the episode was in.
+            /// A multi-machine placement hash desynced from the state it
+            /// summarizes is rejected before the first decision, whatever
+            /// (reachable) state the episode was in.
             #[test]
             fn desynced_fingerprint_is_rejected(
                 num_tasks in 2usize..24,
@@ -1570,9 +1554,19 @@ mod tests {
                 policy_seed in any::<u64>(),
                 steps in 0usize..20,
                 flip in any::<u64>(),
+                machines in 2usize..4,
             ) {
                 let dag = random_dag(num_tasks, dag_seed);
-                let spec = ClusterSpec::unit(2);
+                let set = crate::MachineSet::uniform(
+                    machines,
+                    ResourceVec::splat(2, 1.0),
+                    2,
+                    crate::TransferMode::Direct,
+                    dag_seed,
+                    4,
+                )
+                .unwrap();
+                let spec = ClusterSpec::hetero(set).unwrap();
                 let mut sim = SimState::new(&dag, &spec).unwrap();
                 random_prefix(&dag, &mut sim, policy_seed, steps);
                 // `| 1` guarantees at least one bit actually flips.

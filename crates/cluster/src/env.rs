@@ -5,8 +5,8 @@
 //! different buffering, RNG threading and error handling. This module is
 //! the single seam they now share:
 //!
-//! * [`SimEnv`] — the MDP view of the simulator (`reset` / `legal_into` /
-//!   `step` / `observe` / `is_terminal` / `makespan`) over a
+//! * [`SimEnv`] — the MDP view of the simulator (`legal_into` / `step` /
+//!   `observe` / `is_terminal` / `makespan`) over a
 //!   [`SimState`]: one DAG, or a [`JobQueue`]'s arrival stream with an
 //!   optional wall-clock horizon — a bare DAG is the one-job queue that
 //!   arrives at time 0;
@@ -81,7 +81,6 @@ pub struct SimEnv<'a> {
     spec: &'a ClusterSpec,
     state: SimState,
     horizon: Option<u64>,
-    faults: FaultPlan,
 }
 
 impl<'a> SimEnv<'a> {
@@ -106,15 +105,13 @@ impl<'a> SimEnv<'a> {
     }
 
     /// Adopts an existing simulation state (e.g. a replayed search node),
-    /// inheriting whatever fault plan the state carries.
+    /// with whatever fault plan the state carries.
     pub fn from_state(dag: &'a Dag, spec: &'a ClusterSpec, state: SimState) -> Self {
-        let faults = state.fault_plan().copied().unwrap_or_default();
         SimEnv {
             dag,
             spec,
             state,
             horizon: None,
-            faults,
         }
     }
 
@@ -126,15 +123,14 @@ impl<'a> SimEnv<'a> {
         self
     }
 
-    /// Attaches a fault-injection plan; [`SimEnv::reset`] re-applies it,
-    /// so every episode of this environment replays the same seeded
-    /// faults. Call before the first step. A [`FaultPlan::none`] plan
-    /// leaves the environment bit-identical to an unfaulted one.
+    /// Attaches a fault-injection plan to the state, so the episode
+    /// replays the plan's seeded faults. Call before the first step. A
+    /// [`FaultPlan::none`] plan leaves the environment bit-identical to
+    /// an unfaulted one.
     #[must_use]
     pub fn with_faults(self, plan: FaultPlan) -> Self {
         SimEnv {
             state: self.state.with_faults(plan),
-            faults: plan,
             ..self
         }
     }
@@ -155,20 +151,6 @@ impl<'a> SimEnv<'a> {
             dag: self.dag,
             spec: self.spec,
         }
-    }
-
-    /// Rewinds to the initial state of the episode (same arrivals, same
-    /// fault plan).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the DAG cannot run on the cluster.
-    pub fn reset(&mut self) -> Result<(), SpearError> {
-        self.state = self
-            .state
-            .restart(self.dag, self.spec)?
-            .with_faults(self.faults);
-        Ok(())
     }
 
     /// Writes the legal actions of the current state into `out` (clearing
@@ -262,7 +244,6 @@ impl Clone for SimEnv<'_> {
             spec: self.spec,
             state: self.state.clone(),
             horizon: self.horizon,
-            faults: self.faults,
         }
     }
 
@@ -272,7 +253,6 @@ impl Clone for SimEnv<'_> {
         self.spec = source.spec;
         self.state.clone_from(&source.state);
         self.horizon = source.horizon;
-        self.faults = source.faults;
     }
 }
 
@@ -408,8 +388,8 @@ struct EpisodeObs {
     fault_retries: Counter,
     reexec_latency: Histogram,
     /// Cumulative state totals already flushed into the fault counters —
-    /// counters are monotone across episodes while the state's totals
-    /// rewind on reset, so steps record deltas against these.
+    /// counters are monotone across episodes while each episode's state
+    /// counts from its own start, so steps record deltas against these.
     seen_failures: Cell<u64>,
     seen_straggles: Cell<u64>,
 }
@@ -438,7 +418,7 @@ impl EpisodeObs {
     }
 
     /// Re-bases the fault-delta tracking on `env`'s current totals — call
-    /// at the start of a drive so a reset (rewound) state does not make
+    /// at the start of a drive so a fresh episode's state does not make
     /// the deltas go backwards.
     fn sync_faults(&self, env: &SimEnv<'_>) {
         let state = env.observe();
@@ -797,6 +777,7 @@ mod tests {
         FnPolicy(|_: &EnvContext<'_>, _: &SimState, legal: &[Action]| legal[0])
     }
 
+    /// Resetting is building a fresh environment over the same inputs.
     #[test]
     fn env_reset_and_step_round_trip() {
         let dag = diamond();
@@ -809,7 +790,7 @@ mod tests {
         assert_eq!(legal, vec![Action::Place(TaskId::new(0), 0)]);
         env.step(legal[0]).unwrap();
         assert_eq!(env.observe().start_of(TaskId::new(0)), Some(0));
-        env.reset().unwrap();
+        let env = SimEnv::new(&dag, &spec).unwrap();
         assert_eq!(env.observe().start_of(TaskId::new(0)), None);
         assert_eq!(env.ctx().dag.len(), 4);
     }
@@ -938,6 +919,8 @@ mod tests {
             assert_eq!(err, SpearError::IncompleteEpisode);
         }
 
+        /// A reset — a fresh environment over the same queue — starts
+        /// every job over, with only the time-0 job's sources ready.
         #[test]
         fn reset_rewinds_to_the_gated_initial_state() {
             let queue = queue();
@@ -946,7 +929,8 @@ mod tests {
             EpisodeDriver::new(first_legal())
                 .drive(&mut env, &mut NoRng)
                 .unwrap();
-            env.reset().unwrap();
+            assert_eq!(env.observe().pending_jobs(), 0);
+            let env = SimEnv::from_queue(&queue, &spec).unwrap();
             assert_eq!(env.observe().clock(), 0);
             assert_eq!(env.observe().ready(), &[TaskId::new(0)]);
             assert_eq!(env.observe().pending_jobs(), 2);
@@ -1004,23 +988,24 @@ mod tests {
             ));
         }
 
+        /// A reset — a fresh environment with the same plan — replays
+        /// the same seeded faults, bit for bit.
         #[test]
         fn reset_reapplies_the_fault_plan() {
             let dag = diamond();
             let spec = ClusterSpec::unit(1);
             let plan = flaky(0.4, 8);
-            let mut env = SimEnv::new(&dag, &spec).unwrap().with_faults(plan);
+            let fresh = || SimEnv::new(&dag, &spec).unwrap().with_faults(plan);
             let mut driver = EpisodeDriver::new(first_legal());
+            let mut env = fresh();
             driver.drive(&mut env, &mut NoRng).unwrap();
             let first = env.observe().clone();
             assert!(first.fault_failures() > 0, "plan at 0.4 should bite");
-            env.reset().unwrap();
+            let mut env = fresh();
             assert_eq!(env.observe().fault_plan(), Some(&plan));
             assert_eq!(env.observe().fault_failures(), 0);
-            // The replayed episode is bit-identical: same seeded faults.
             driver.drive(&mut env, &mut NoRng).unwrap();
-            assert_eq!(env.observe().fingerprint(), first.fingerprint());
-            assert_eq!(env.observe().fault_failures(), first.fault_failures());
+            assert_eq!(env.observe(), &first);
         }
 
         #[test]
@@ -1033,12 +1018,13 @@ mod tests {
             let queue = JobQueue::new(vec![(0, job(3)), (2, job(4))]).unwrap();
             let spec = ClusterSpec::unit(1);
             let plan = flaky(0.5, 6);
-            let mut env = SimEnv::from_queue(&queue, &spec).unwrap().with_faults(plan);
+            let fresh = || SimEnv::from_queue(&queue, &spec).unwrap().with_faults(plan);
             let mut driver = EpisodeDriver::new(first_legal());
+            let mut env = fresh();
             driver.drive(&mut env, &mut NoRng).unwrap();
             let report = queue.jct_report_partial(env.observe());
             assert_eq!(report.completions().len(), 2);
-            env.reset().unwrap();
+            let mut env = fresh();
             assert_eq!(env.observe().fault_plan(), Some(&plan));
             driver.drive(&mut env, &mut NoRng).unwrap();
             assert_eq!(

@@ -28,12 +28,13 @@
 //! [`execute_under_faults`] replays a fault-free planned [`Schedule`] of
 //! a [`JobQueue`] under a plan with greedy priority dispatch (planned
 //! `(start, task)` order, each task on its planned machine), optionally
-//! up to a horizon, returning the realized [`FaultyRun`].
+//! up to a horizon, returning the realized [`FaultyRun`]. The dispatcher
+//! is a policy of the one [`EpisodeDriver`].
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
+use spear_dag::{TaskId, MAX_TOTAL_RUNTIME};
 
-use crate::audit::InvariantAuditor;
+use crate::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use crate::jobs::{JctReport, JobQueue};
 use crate::state::mix64;
 use crate::{Action, ClusterError, ClusterSpec, Schedule, SimState, SpearError};
@@ -44,29 +45,11 @@ const SALT_FAIL: u64 = 0x1fd3_4c2b_9a6e_8d17;
 const SALT_POINT: u64 = 0x6b79_0b5c_2d84_f3a1;
 /// Hash-domain salt of the straggle/no-straggle draw.
 const SALT_STRAGGLE: u64 = 0xb4e5_d621_7f38_0c95;
-/// Hash-domain salt of the per-(task, attempts) fingerprint keys.
-const SALT_ATTEMPT: u64 = 0x94c1_73ae_55d9_216b;
 
 /// Uniform draw in `[0, 1)` from the top 53 bits of a mixed hash.
 #[inline]
 fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Zobrist-style key of one task's attempt counter, XOR-folded into the
-/// state fingerprints so two states that differ only in retry history
-/// (and therefore in future fault outcomes) never alias. Zero attempts
-/// key to zero, keeping fresh fault states' hash at 0.
-#[inline]
-pub(crate) fn attempt_key(task: usize, attempts: u32) -> u64 {
-    if attempts == 0 {
-        return 0;
-    }
-    mix64(
-        (task as u64).wrapping_mul(0x2545_f491_4f6c_dd1d)
-            ^ u64::from(attempts).wrapping_mul(0xff51_afd7_ed55_8ccd)
-            ^ SALT_ATTEMPT,
-    )
 }
 
 /// What fault (if any) a given execution attempt of a task suffers.
@@ -109,12 +92,6 @@ pub struct FaultPlan {
     /// Failed attempts a task may accumulate beyond its first attempt
     /// before the episode fails fast ([`ClusterError::RetriesExhausted`]).
     pub max_retries: u32,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
 }
 
 impl FaultPlan {
@@ -272,10 +249,6 @@ pub(crate) struct FaultState {
     /// The first task to exhaust its retry budget, if any: a poison
     /// marker that makes the state terminal and the episode fail fast.
     pub(crate) exhausted: Option<TaskId>,
-    /// Incremental XOR-set of [`attempt_key`]s, folded into the state
-    /// fingerprints: states differing only in retry history differ in
-    /// future fault outcomes and must not alias.
-    pub(crate) attempt_hash: u64,
 }
 
 impl FaultState {
@@ -287,17 +260,7 @@ impl FaultState {
             failed_runs: Vec::new(),
             straggles: 0,
             exhausted: None,
-            attempt_hash: 0,
         }
-    }
-
-    /// From-scratch recomputation of [`FaultState::attempt_hash`] — the
-    /// invariant auditor's ground truth.
-    pub(crate) fn recompute_attempt_hash(&self) -> u64 {
-        self.attempts
-            .iter()
-            .enumerate()
-            .fold(0, |h, (i, &a)| h ^ attempt_key(i, a))
     }
 }
 
@@ -340,52 +303,21 @@ fn dispatch_order(planned: &Schedule) -> Vec<(TaskId, u32)> {
     order.into_iter().map(|(_, t, m)| (t, m)).collect()
 }
 
-/// Greedy priority dispatch of `order` over `sim` until terminal (or the
-/// horizon): place the first priority-order task that can start on its
-/// planned machine, else process. Deterministic given `(order, plan)`;
-/// fails fast with [`ClusterError::RetriesExhausted`] when a task runs
-/// out of retries, and audits every step.
-///
-/// Dispatch never stalls: while nothing runs and no job or transfer is
-/// pending, every ready task's planned machine is idle and holds its
-/// inputs, so some task can start.
-fn dispatch(
-    dag: &Dag,
-    order: &[(TaskId, u32)],
-    sim: &mut SimState,
-    horizon: Option<u64>,
-) -> Result<(), SpearError> {
-    let mut auditor = InvariantAuditor::new();
-    auditor.check(dag, sim)?;
-    loop {
-        if let Some(task) = sim.exhausted() {
-            return Err(ClusterError::RetriesExhausted {
-                task,
-                attempts: sim.attempts_of(task),
-            }
-            .into());
-        }
-        if sim.is_terminal(dag) || horizon.is_some_and(|h| sim.clock() >= h) {
-            return Ok(());
-        }
-        let action = order
-            .iter()
-            .copied()
-            .find(|&(t, m)| sim.can_schedule_on(dag, t, m))
-            .map_or(Action::Process, |(t, m)| Action::Place(t, m));
-        sim.apply(dag, action)?;
-        auditor.check(dag, sim)?;
-    }
-}
-
 /// Executes a fault-free planned schedule of `queue` under `plan` with
-/// greedy priority dispatch (planned `(start, task)` order, each task on
-/// its planned machine) and returns the realized run, with the invariant
-/// auditor checking the simulation after every step. Stops at `horizon`
-/// (if given) like a horizon-capped [`SimEnv`](crate::SimEnv): the
-/// realized run may then be partial and the JCT report censored at the
-/// final clock. With `FaultPlan::none()` and no horizon the realized
-/// schedule equals the planned one re-simulated, bit for bit.
+/// greedy priority dispatch and returns the realized run: an audited
+/// [`EpisodeDriver`] drives a [`SimEnv`] carrying the plan, optionally
+/// capped at `horizon` (the realized run may then be partial and the JCT
+/// report censored at the final clock). At every decision the dispatcher
+/// places the first task in planned `(start, task)` order that can start
+/// on its planned machine, and processes when none can. Dispatch never
+/// stalls: while nothing runs and no job or transfer is pending, every
+/// ready task's planned machine is idle and holds its inputs.
+///
+/// Dispatch starts a task as soon as it can, so it reproduces a plan only
+/// where the plan never idles a startable task: with `FaultPlan::none()`
+/// and no horizon, a list scheduler's plan comes back unchanged, but a
+/// search plan that deliberately waits (branch-and-bound, MCTS) can be
+/// realized with a different schedule and makespan.
 ///
 /// # Errors
 ///
@@ -403,9 +335,21 @@ pub fn execute_under_faults(
     horizon: Option<u64>,
 ) -> Result<FaultyRun, SpearError> {
     plan.check_clock(queue)?;
-    let dag = queue.union_dag();
-    let mut sim = SimState::new_multi(queue, spec)?.with_faults(*plan);
-    dispatch(dag, &dispatch_order(planned), &mut sim, horizon)?;
+    let order = dispatch_order(planned);
+    let dispatch = |ctx: &EnvContext<'_>, sim: &SimState, _: &[Action]| {
+        order
+            .iter()
+            .copied()
+            .find(|&(t, m)| sim.can_schedule_on(ctx.dag, t, m))
+            .map_or(Action::Process, |(t, m)| Action::Place(t, m))
+    };
+    let mut env = SimEnv::from_queue(queue, spec)?
+        .with_faults(*plan)
+        .with_horizon(horizon);
+    EpisodeDriver::new(FnPolicy(dispatch))
+        .with_audit(true)
+        .drive(&mut env, &mut NoRng)?;
+    let (dag, sim) = (env.dag(), env.observe());
     let schedule = sim.started_schedule(dag);
     Ok(FaultyRun {
         makespan: schedule.makespan(),
@@ -416,15 +360,15 @@ pub fn execute_under_faults(
             .collect(),
         failures: sim.fault_failures(),
         straggles: sim.fault_straggles(),
-        report: queue.jct_report_partial(&sim),
-        truncated: !sim.is_terminal(dag),
+        report: queue.jct_report_partial(sim),
+        truncated: env.is_truncated(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spear_dag::{DagBuilder, ResourceVec, Task};
+    use spear_dag::{Dag, DagBuilder, ResourceVec, Task};
 
     fn plan(fail_rate: f64, straggler_rate: f64, factor: f64, retries: u32) -> FaultPlan {
         FaultPlan {
@@ -508,21 +452,6 @@ mod tests {
             .count();
         let rate = fails as f64 / 2000.0;
         assert!((rate - 0.2).abs() < 0.03, "realized fail rate {rate}");
-    }
-
-    #[test]
-    fn attempt_keys_track_retry_history() {
-        assert_eq!(attempt_key(3, 0), 0);
-        assert_ne!(attempt_key(3, 1), attempt_key(3, 2));
-        assert_ne!(attempt_key(3, 1), attempt_key(4, 1));
-        let mut fs = FaultState::new(plan(0.5, 0.0, 1.0, 3), 4);
-        assert_eq!(fs.recompute_attempt_hash(), 0);
-        fs.attempts[2] = 2;
-        fs.attempts[0] = 1;
-        assert_eq!(
-            fs.recompute_attempt_hash(),
-            attempt_key(2, 2) ^ attempt_key(0, 1)
-        );
     }
 
     #[test]

@@ -468,17 +468,6 @@ impl JobLedger {
         }
     }
 
-    /// The same arrival stream with nothing injected or completed yet.
-    pub(crate) fn restarted(&self) -> Self {
-        JobLedger {
-            arrivals: self.arrivals.clone(),
-            bounds: self.bounds.clone(),
-            next_arrival: 0,
-            completed: vec![0; self.jobs()],
-            jobs_done: 0,
-        }
-    }
-
     /// Records the completion of union-DAG task index `task`.
     #[inline]
     pub(crate) fn complete(&mut self, task: usize) {

@@ -6,41 +6,12 @@ use serde::{Deserialize, Serialize};
 use spear_dag::topo::ReadyTracker;
 use spear_dag::{Dag, ResourceVec, TaskId, FIT_EPSILON};
 
-use crate::faults::{attempt_key, FailedRun, FaultOutcome, FaultPlan, FaultState};
+use crate::faults::{FailedRun, FaultOutcome, FaultPlan, FaultState};
 use crate::hetero::MachineSet;
 use crate::jobs::{JobLedger, JobQueue};
 use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule};
 
-// --- State fingerprinting -------------------------------------------------
-//
-// `SimState::fingerprint` condenses the exact simulation state into 64
-// bits, the exact-state key beside the coarser frontier fingerprint that
-// the DRL search's policy cache reads (see `spear-rl`'s `EvalCache`).
-// Exactly one ingredient is maintained
-// incrementally — the placement XOR-set, which would be `O(n)` to rebuild
-// — and everything that is small at any instant (the running vector, the
-// clock, `used` bit patterns) is folded in at read time. The split keeps
-// the always-on maintenance cost at a single key mix per `Place`
-// action (`Process` pays nothing), so pure-MCTS rollouts, which never
-// read the fingerprint, stay within noise of the unfingerprinted
-// simulator; the read-time fold is `O(cluster width)` and only runs on
-// cache probes.
-//
-// The running-vector fold is *order-sensitive* on purpose: the
-// featurizer renders the occupancy image by iterating `running` in vector
-// order, and `swap_remove` makes that order history-dependent, so two
-// states that differ only in running order can featurize differently.
-// Likewise `used` is hashed by exact bit pattern because its low-order
-// floating-point bits (a function of admission history) feed the
-// legality mask through the sum-based admission rule. Equal fingerprints
-// therefore imply bit-identical featurization, not merely logically
-// equal states.
-
-/// Seed of the read-time fingerprint fold (an arbitrary odd constant).
-const FP_SEED: u64 = 0x5bd1_e995_9c3b_2f8d;
-
-/// Seed of the frontier fingerprint fold — a distinct domain from
-/// [`FP_SEED`] so the two key families never alias.
+/// Seed of the frontier fingerprint fold (an arbitrary odd constant).
 const FRONTIER_SEED: u64 = 0x27d4_eb2f_1656_67c5;
 
 /// SplitMix64 finalizer: a cheap full-avalanche bijection on `u64`.
@@ -52,12 +23,9 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Zobrist-style key of one committed placement `(task, start)` on a
-/// one-machine cluster. Start times are unbounded, so keys are mixed on
-/// demand rather than drawn from a pretabulated random table. A single
-/// finalizer over the odd-multiplier combination keeps the per-`Place`
-/// maintenance cost to one mix; distinct `(task, start)` pairs collide
-/// pre-mix only on a 64-bit coincidence of the linear map.
+/// The inner mix of [`machine_placement_key`]: one finalizer over an
+/// odd-multiplier combination of `(task, start)`, so distinct pairs
+/// collide pre-mix only on a 64-bit coincidence of the linear map.
 #[inline]
 fn placement_key(task: usize, start: u64) -> u64 {
     mix64(
@@ -67,15 +35,15 @@ fn placement_key(task: usize, start: u64) -> u64 {
 }
 
 /// Zobrist-style key of one committed placement `(task, start, machine)`
-/// on a cluster of two or more machines. Built on [`placement_key`] so
-/// the one-machine key family is untouched; the `+ 1` keeps machine 0
-/// from degenerating to a zero mix term.
+/// on a cluster of two or more machines. Start times are unbounded, so
+/// keys are mixed on demand rather than drawn from a pretabulated random
+/// table; the `+ 1` keeps machine 0 from degenerating to a zero mix term.
 #[inline]
 fn machine_placement_key(task: usize, start: u64, machine: u32) -> u64 {
     mix64(placement_key(task, start) ^ (u64::from(machine) + 1).wrapping_mul(0xd6e8_feb8_6659_fd93))
 }
 
-/// Order-sensitive fold of one component into the fingerprint.
+/// Order-sensitive fold of one component into the frontier fingerprint.
 #[inline]
 fn fold(h: u64, v: u64) -> u64 {
     mix64(h.wrapping_add(mix64(v)))
@@ -105,9 +73,9 @@ pub struct Running {
 ///
 /// Every state runs on a [`MachineSet`]; the paper's single box is the
 /// one-machine set. Machine terms (per-machine rows, transfer gates,
-/// machine-aware fingerprint keys) appear only from two machines on, so
-/// a one-machine state steps, clones and fingerprints like the single box
-/// always did.
+/// the placement hash and the frontier key's machine folds) appear only
+/// from two machines on, so a one-machine state steps, clones and keys
+/// like the single box always did.
 #[derive(Debug, PartialEq)]
 pub struct SimState {
     // Fields are `pub(crate)` so the invariant auditor (`crate::audit`) can
@@ -132,12 +100,13 @@ pub struct SimState {
     pub(crate) starts: Vec<Option<u64>>,
     pub(crate) scheduled: usize,
     pub(crate) max_finish: u64,
-    // Incrementally maintained XOR-set hash behind `fingerprint()`: one
-    // key per committed placement. Placements only accumulate, so
-    // maintenance is a single XOR per `Place` action and `Process`
-    // pays nothing. The invariant auditor recomputes it from scratch and
-    // reports any drift as a caught violation rather than a silent wrong
-    // cache hit.
+    // Incrementally maintained XOR-set of `machine_placement_key`s, one
+    // per committed placement, that the frontier fingerprint folds from
+    // two machines on; 0 on a one-machine cluster, whose frontier key
+    // never reads it. Maintenance is one key mix per `Place` (and per
+    // retracted attempt); `Process` pays nothing. The invariant auditor
+    // recomputes it from scratch and reports any drift as a caught
+    // violation rather than a silent wrong cache hit.
     pub(crate) placement_hash: u64,
     // Arrival bookkeeping: which jobs of the queue have reached the
     // frontier and how far each has completed. Always present — a bare
@@ -201,7 +170,6 @@ impl Clone for SimState {
         self.starts.clone_from(&source.starts);
         self.scheduled = source.scheduled;
         self.max_finish = source.max_finish;
-        self.placement_hash = source.placement_hash;
         self.jobs.clone_from(&source.jobs);
         match (&mut self.faults, &source.faults) {
             // Reuse the boxed bookkeeping's interior vectors.
@@ -211,8 +179,10 @@ impl Clone for SimState {
         if !Arc::ptr_eq(&self.machines, &source.machines) {
             self.machines = Arc::clone(&source.machines);
         }
-        // One-machine states carry no rows: skip three empty copies.
+        // One-machine states carry no rows and no placement hash: skip
+        // three empty copies and a zero.
         if self.spans_machines() || source.spans_machines() {
+            self.placement_hash = source.placement_hash;
             self.machine_used.clone_from(&source.machine_used);
             self.machine_free.clone_from(&source.machine_free);
             self.machine_of.clone_from(&source.machine_of);
@@ -224,7 +194,7 @@ impl SimState {
     /// Creates the initial state (time 0, empty cluster, sources ready):
     /// the episode of `dag` as the one-job queue that arrives at time 0.
     /// It equals [`SimState::new_multi`] on `JobQueue::single(dag)` in
-    /// every field, fingerprints included.
+    /// every field.
     ///
     /// # Errors
     ///
@@ -288,15 +258,9 @@ impl SimState {
         Ok(state)
     }
 
-    /// The initial state of this state's episode: the same DAG, cluster
-    /// and arrival stream at time 0, without a fault plan.
-    pub(crate) fn restart(&self, dag: &Dag, spec: &ClusterSpec) -> Result<Self, ClusterError> {
-        Self::with_jobs(dag, spec, self.jobs.restarted())
-    }
-
     /// Attaches a fault plan to a *fresh* state (no task scheduled yet).
     /// A [`FaultPlan::none`] plan attaches nothing: the state stays
-    /// bit-identical — same fingerprints, same serialization — to one
+    /// bit-identical — same frontier key, same serialization — to one
     /// that never saw a plan.
     ///
     /// # Panics
@@ -525,7 +489,7 @@ impl SimState {
 
     /// Whether the cluster has two or more machines: only then do
     /// placements carry machine terms (per-machine rows, transfer gates,
-    /// machine-aware fingerprint keys).
+    /// the placement hash).
     #[inline]
     fn spans_machines(&self) -> bool {
         !self.machine_used.is_empty()
@@ -567,17 +531,6 @@ impl SimState {
             (&self.machine_used[m as usize], self.machines.capacity(m))
         } else {
             (&self.used, &self.capacity)
-        }
-    }
-
-    /// The fingerprint key of one placement: `(task, start)` on one
-    /// machine, `(task, start, machine)` from two machines on.
-    #[inline]
-    fn key_of(&self, task: usize, start: u64, machine: u32) -> u64 {
-        if self.spans_machines() {
-            machine_placement_key(task, start, machine)
-        } else {
-            placement_key(task, start)
         }
     }
 
@@ -624,98 +577,30 @@ impl SimState {
             && self.fits_on(dag, task, m)
     }
 
-    /// A 64-bit Zobrist-style fingerprint of the exact simulation state.
-    /// The placement component is maintained incrementally by
-    /// [`SimState::apply`]/[`SimState::apply_legal`] (one key XOR per
-    /// `Place` action); the rest — the running vector, the clock, the
-    /// `used` bit patterns — is small at any instant and folded in here,
-    /// at read time, in `O(cluster width)`.
-    ///
-    /// The fingerprint covers everything the DRL featurizer reads:
-    /// committed placements (an XOR-set of per-`(task, start)` keys,
-    /// machine-aware from two machines on — the
-    /// ready frontier and completion set derive from placements, so they
-    /// are covered transitively), the running vector *including its
-    /// order*, the clock, and the exact bit patterns of the `used`
-    /// accounting vector. Equal fingerprints therefore imply
-    /// bit-identical featurization; see the `EvalCache` in `spear-rl`.
-    /// For the coarser history-free key the policy cache uses, see
-    /// [`SimState::frontier_fingerprint`].
-    ///
-    /// Collisions are possible in principle (64-bit hash of an unbounded
-    /// state space) but are caught neither here nor by the cache — the
-    /// collision-safety argument lives in DESIGN.md §9. Desyncs (a
-    /// maintenance bug, not a collision) *are* caught: the invariant
-    /// auditor recomputes the placement component from scratch.
-    #[inline]
-    pub fn fingerprint(&self) -> u64 {
-        self.fold_fingerprint(self.placement_hash)
-    }
-
-    /// Folds the given placement component with the read-time ones
-    /// (running vector, clock, `used` bit patterns) into the final
-    /// fingerprint. The sequential fold is order-sensitive, which is what
-    /// makes the running component track vector order for free.
-    pub(crate) fn fold_fingerprint(&self, placement: u64) -> u64 {
-        let mut h = fold(FP_SEED, placement);
-        for r in &self.running {
-            h = fold(
-                h,
-                (r.task.index() as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53) ^ r.finish,
-            );
-        }
-        h = fold(h, self.clock);
-        for &u in self.used.as_slice() {
-            h = fold(h, u.to_bits());
-        }
-        // Arrival progress: the injected-prefix index. Together with the
-        // clock (folded above) it determines the entire remaining arrival
-        // stream — the arrival table itself is a per-episode constant, and
-        // the eval caches are cleared per episode. A one-job episode folds
-        // nothing: its progress is a function of the clock alone.
-        if self.jobs.jobs() > 1 {
-            h = fold(h, self.jobs.next_arrival as u64);
-        }
-        // Fault injection: two states with identical placements but
-        // different retry histories face different *future* outcomes
-        // (the plan draws per attempt), so fold the attempt XOR-set.
-        // Fault-free states fold nothing, staying bit-identical to the
-        // pre-fault simulator.
-        if let Some(f) = self.faults.as_deref() {
-            h = fold(h, f.attempt_hash);
-        }
-        // Two or more machines: per-machine occupancy feeds admission,
-        // so fold each machine's exact `used` bit patterns (machine
-        // assignments themselves are covered by the machine-aware
-        // placement keys). A one-machine cluster has no per-machine rows
-        // and folds nothing: its only row is the aggregate folded above.
-        for mu in &self.machine_used {
-            for &u in mu.as_slice() {
-                h = fold(h, u.to_bits());
-            }
-        }
-        h
-    }
-
     /// A 64-bit fingerprint of the scheduling *frontier*: the ready set
     /// (already sorted by id), the running vector with clock-*relative*
     /// finish times (in vector order), the completion count, and the
-    /// exact bit patterns of `used`. Unlike [`SimState::fingerprint`]
-    /// it deliberately excludes committed placements and the absolute
-    /// clock: two states that placed their *finished* work differently
-    /// (or at different times) but arrived at the same frontier share a
-    /// frontier fingerprint.
+    /// exact bit patterns of `used`. It deliberately excludes committed
+    /// placements and the absolute clock (on one machine): two states
+    /// that placed their *finished* work differently (or at different
+    /// times) but arrived at the same frontier share a frontier
+    /// fingerprint. It is the only state key; the policy inference cache
+    /// in `spear-rl` reads it.
     ///
     /// This is exactly the information a frontier-local function of the
     /// state can read. The DRL featurizer is one: its occupancy image
     /// spans `[clock, clock + horizon)` (so only relative finishes
-    /// matter), its ready slots and legality mask derive from the ready
-    /// set, `used`, and static task data, and its globals from the
-    /// ready/running/completed counts. Equal frontier fingerprints
-    /// (absent a 64-bit collision) therefore imply bit-identical policy
-    /// featurization — which is what lets the policy inference cache in
-    /// `spear-rl` serve hits *across* decisions and rollout
-    /// trajectories that merely reconverge to the same frontier.
+    /// matter) and accumulates in running-vector order (so the fold is
+    /// order-sensitive), its ready slots and legality mask derive from
+    /// the ready set, static task data and `used` (whose low-order bits,
+    /// a function of admission history, feed the sum-based admission
+    /// rule, so they are folded by bit pattern), and its globals from the
+    /// ready/running/completed counts. It reads no retry history, so a
+    /// fault plan's attempt counts are not folded. Equal frontier
+    /// fingerprints (absent a 64-bit collision) therefore imply
+    /// bit-identical policy featurization — which is what lets the cache
+    /// serve hits *across* decisions and rollout trajectories that merely
+    /// reconverge to the same frontier.
     pub fn frontier_fingerprint(&self) -> u64 {
         let ready = self.tracker.ready();
         // Section lengths first, so (ready, running) item sequences of
@@ -751,12 +636,6 @@ impl SimState {
                 h = fold(h, arrival - self.clock);
             }
         }
-        // Same argument as `fold_fingerprint`: retry history changes the
-        // plan's future draws, so frontier-equal states with different
-        // attempt counts must not alias.
-        if let Some(f) = self.faults.as_deref() {
-            h = fold(h, f.attempt_hash);
-        }
         // Two or more machines: the legality mask depends on where
         // *completed* parents ran (transfer gating reads their finish
         // times and machines), which the frontier deliberately does not
@@ -779,17 +658,17 @@ impl SimState {
     }
 
     /// Recomputes the incrementally maintained placement hash from
-    /// scratch — the invariant auditor's ground truth for
-    /// [`SimState::fingerprint`].
+    /// scratch — the invariant auditor's ground truth. Always 0 on a
+    /// one-machine cluster, which maintains none.
     pub(crate) fn recompute_placement_hash(&self) -> u64 {
-        let mut placement = 0u64;
-        for (i, start) in self.starts.iter().enumerate() {
-            if let Some(s) = start {
-                let machine = self.machine_of(TaskId::new(i));
-                placement ^= self.key_of(i, *s, machine.expect("started task has a machine"));
-            }
+        if !self.spans_machines() {
+            return 0;
         }
-        placement
+        let placed = self.starts.iter().zip(&self.machine_of).enumerate();
+        placed.fold(0, |h, (i, placement)| match placement {
+            (Some(start), Some(m)) => h ^ machine_placement_key(i, *start, *m),
+            _ => h,
+        })
     }
 
     /// Sum-based feasibility: `used + demand <= capacity + FIT_EPSILON` in
@@ -1009,17 +888,17 @@ impl SimState {
         if self.spans_machines() {
             self.machine_used[machine as usize].add_assign(demand);
             self.machine_of[task.index()] = Some(machine);
+            self.placement_hash ^= machine_placement_key(task.index(), self.clock, machine);
         }
         self.refresh_free();
         // Under a fault plan the attempt starts *now*: the attempt
-        // counter advances (with its fingerprint key) and the occupancy
-        // stretches or truncates per the plan's seeded outcome.
+        // counter advances and the occupancy stretches or truncates per
+        // the plan's seeded outcome.
         let slots = match self.faults.as_deref_mut() {
             Some(f) => {
                 let i = task.index();
                 let attempt = f.attempts[i];
                 f.attempts[i] += 1;
-                f.attempt_hash ^= attempt_key(i, attempt) ^ attempt_key(i, attempt + 1);
                 let runtime = dag.task(task).runtime();
                 match f.plan.outcome(task, attempt, runtime) {
                     FaultOutcome::None => runtime,
@@ -1033,7 +912,6 @@ impl SimState {
             None => dag.task(task).runtime(),
         };
         let finish = self.clock + slots;
-        self.placement_hash ^= self.key_of(task.index(), self.clock, machine);
         self.running.push(Running { task, finish });
         self.starts[task.index()] = Some(self.clock);
         self.scheduled += 1;
@@ -1112,17 +990,18 @@ impl SimState {
             .take()
             .expect("a failing attempt was started");
         self.scheduled -= 1;
-        // The placement XOR-set is self-inverse: re-keying the retracted
-        // placement removes exactly that placement. The retracted machine
-        // is cleared too — a retried task may be placed elsewhere.
+        // The retracted machine is cleared — a retried task may be placed
+        // elsewhere — and the placement XOR-set is self-inverse:
+        // re-keying the retracted placement removes exactly that one.
         let machine = if self.spans_machines() {
-            self.machine_of[i]
+            let m = self.machine_of[i]
                 .take()
-                .expect("failed attempt had a machine")
+                .expect("failed attempt had a machine");
+            self.placement_hash ^= machine_placement_key(i, start, m);
+            m
         } else {
             0
         };
-        self.placement_hash ^= self.key_of(i, start, machine);
         let f = self
             .faults
             .as_deref_mut()
@@ -1268,6 +1147,21 @@ mod tests {
         let c = b.add_task(Task::new(3, ResourceVec::from_slice(&[0.5])));
         b.add_edge(a, c).unwrap();
         b.build().unwrap()
+    }
+
+    /// Two unit machines, bandwidth 1, `max_edge_bytes` 1: every
+    /// cross-machine edge costs exactly one transfer slot.
+    fn two_machine_spec() -> ClusterSpec {
+        let machines = crate::MachineSet::uniform(
+            2,
+            ResourceVec::from_slice(&[1.0]),
+            1,
+            crate::TransferMode::Direct,
+            0,
+            1,
+        )
+        .unwrap();
+        ClusterSpec::hetero(machines).unwrap()
     }
 
     #[test]
@@ -1503,21 +1397,20 @@ mod tests {
 
     #[test]
     fn fingerprint_stays_in_sync_with_recomputation() {
+        // The placement hash the two-machine frontier key folds, stepped
+        // along the last legal action (task 1 first, then machine 1).
         let dag = two_independent();
-        let mut sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        let check = |sim: &SimState| {
+        let mut sim = SimState::new(&dag, &two_machine_spec()).unwrap();
+        while !sim.is_terminal(&dag) {
+            let action = *sim.legal_actions(&dag).last().unwrap();
+            sim.apply(&dag, action).unwrap();
             assert_eq!(
                 sim.recompute_placement_hash(),
                 sim.placement_hash,
                 "incremental placement hash drifted from recomputation"
             );
-        };
-        check(&sim);
-        while !sim.is_terminal(&dag) {
-            let actions = sim.legal_actions(&dag);
-            sim.apply(&dag, actions[0]).unwrap();
-            check(&sim);
         }
+        assert_ne!(sim.placement_hash, 0);
     }
 
     #[test]
@@ -1525,8 +1418,7 @@ mod tests {
         // Two same-shape tasks admitted in opposite orders reach states
         // that are logically equivalent as *sets* but featurize
         // differently (the occupancy image follows vector order), so
-        // their fingerprints must differ — and each must still agree
-        // with the from-scratch placement recomputation.
+        // their frontier fingerprints must differ.
         let mut b = DagBuilder::new(1);
         b.add_task(Task::new(2, ResourceVec::from_slice(&[0.3])));
         b.add_task(Task::new(3, ResourceVec::from_slice(&[0.3])));
@@ -1537,8 +1429,7 @@ mod tests {
             for i in order {
                 sim.apply(&dag, Action::Place(TaskId::new(i), 0)).unwrap();
             }
-            assert_eq!(sim.recompute_placement_hash(), sim.placement_hash);
-            sim.fingerprint()
+            sim.frontier_fingerprint()
         };
         assert_ne!(fp([0, 1]), fp([1, 0]));
     }
@@ -1552,8 +1443,7 @@ mod tests {
         // Both arrive at the same frontier — ready {C}, running [(B,
         // rel-finish 2)], 2 completed, identical `used` bits (dyadic
         // arithmetic is exact) — but with different placements and
-        // clocks. The frontier fingerprints must agree while the full
-        // fingerprints differ.
+        // clocks. The frontier fingerprints must agree.
         let mut b = DagBuilder::new(1);
         let e = b.add_task(Task::new(1, ResourceVec::from_slice(&[0.5])));
         let a = b.add_task(Task::new(1, ResourceVec::from_slice(&[0.5])));
@@ -1589,11 +1479,6 @@ mod tests {
             p2.frontier_fingerprint(),
             "same frontier must share a frontier fingerprint"
         );
-        assert_ne!(
-            p1.fingerprint(),
-            p2.fingerprint(),
-            "different histories must keep distinct full fingerprints"
-        );
         // And a genuinely different frontier must not collide.
         let p3 = run(&[Action::Place(e, 0), Action::Place(t_b, 0)]);
         assert_ne!(p1.frontier_fingerprint(), p3.frontier_fingerprint());
@@ -1603,14 +1488,14 @@ mod tests {
     fn fingerprint_distinguishes_states_and_clones_preserve_it() {
         let dag = two_independent();
         let sim = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
-        let initial = sim.fingerprint();
+        let initial = sim.frontier_fingerprint();
         let mut a = sim.clone();
-        assert_eq!(a.fingerprint(), initial);
+        assert_eq!(a.frontier_fingerprint(), initial);
         a.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
-        assert_ne!(a.fingerprint(), initial);
+        assert_ne!(a.frontier_fingerprint(), initial);
         let mut b = SimState::new(&dag, &ClusterSpec::unit(1)).unwrap();
         b.clone_from(&a);
-        assert_eq!(b.fingerprint(), a.fingerprint());
+        assert_eq!(b.frontier_fingerprint(), a.frontier_fingerprint());
     }
 
     mod multi_job {
@@ -1696,9 +1581,9 @@ mod tests {
         #[test]
         fn a_bare_dag_is_the_one_job_queue_arriving_at_zero() {
             // `new(dag)` and `new_multi(single(dag))` build the same state
-            // in every field, so both fingerprints agree — on a single box
-            // and on a three-machine cluster — and keep agreeing as the
-            // two episodes step in lockstep.
+            // in every field, so their frontier fingerprints agree — on a
+            // single box and on a three-machine cluster — and keep
+            // agreeing as the two episodes step in lockstep.
             use crate::{MachineSet, TransferMode};
             let mut b = DagBuilder::new(2);
             let demand = |c: f64, m: f64| ResourceVec::from_slice(&[c, m]);
@@ -1726,7 +1611,6 @@ mod tests {
                 let mut one = SimState::new_multi(&queue, &spec).unwrap();
                 loop {
                     assert_eq!(bare, one);
-                    assert_eq!(bare.fingerprint(), one.fingerprint());
                     assert_eq!(bare.frontier_fingerprint(), one.frontier_fingerprint());
                     if bare.is_terminal(&dag) {
                         assert_eq!(bare.jobs_completed(), 1);
@@ -1751,13 +1635,8 @@ mod tests {
             sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
             sim.apply(dag, Action::Process).unwrap(); // t=2, idle, 1 pending
             let before = sim.frontier_fingerprint();
-            let full_before = sim.fingerprint();
             sim.apply(dag, Action::Process).unwrap(); // t=6: arrival injected
             assert_ne!(sim.frontier_fingerprint(), before);
-            assert_ne!(sim.fingerprint(), full_before);
-            // And the incremental placement hash still agrees with the
-            // from-scratch recomputation.
-            assert_eq!(sim.recompute_placement_hash(), sim.placement_hash);
         }
 
         #[test]
@@ -1803,7 +1682,7 @@ mod tests {
                 .with_faults(FaultPlan::none());
             assert!(faulty.faults.is_none());
             assert_eq!(plain, faulty);
-            assert_eq!(plain.fingerprint(), faulty.fingerprint());
+            assert_eq!(plain.frontier_fingerprint(), faulty.frontier_fingerprint());
             faulty.run_with(&dag, |_, actions| actions[0]).unwrap();
             assert_eq!(faulty.makespan(), Some(5));
         }
@@ -1831,7 +1710,6 @@ mod tests {
             assert_eq!(sim.attempts_of(TaskId::new(0)), 1);
             assert_eq!(sim.fault_failures(), 1);
             assert_eq!(sim.last_failure_of(TaskId::new(0)), Some(sim.clock()));
-            assert_eq!(sim.recompute_placement_hash(), sim.placement_hash);
         }
 
         #[test]
@@ -1870,27 +1748,6 @@ mod tests {
         }
 
         #[test]
-        fn retry_history_changes_the_fingerprints() {
-            // Drive two copies of the same state to the same frontier —
-            // one suffering a failure and retrying, one not — and check
-            // the attempt fold keeps their fingerprints distinct when
-            // their *visible* frontiers re-converge.
-            let dag = chain();
-            let spec = ClusterSpec::unit(1);
-            let mut sim = SimState::new(&dag, &spec)
-                .unwrap()
-                .with_faults(always_fail(5));
-            let fresh = sim.fingerprint();
-            sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
-            sim.apply(&dag, Action::Process).unwrap();
-            // Placement retracted: the placement component is back to the
-            // fresh value, but the attempt fold must keep the states
-            // distinct (the next attempt draws different luck).
-            assert_eq!(sim.recompute_placement_hash(), 0);
-            assert_ne!(sim.fingerprint(), fresh);
-        }
-
-        #[test]
         fn stragglers_stretch_occupancy_without_failing() {
             let plan = FaultPlan {
                 seed: 0,
@@ -1925,18 +1782,15 @@ mod tests {
                 let mut trail = Vec::new();
                 sim.apply(&dag, Action::Place(TaskId::new(0), 0)).unwrap();
                 sim.apply(&dag, Action::Place(TaskId::new(1), 0)).unwrap();
-                trail.push(sim.fingerprint());
+                trail.push(sim.clone());
                 while !sim.is_terminal(&dag) {
                     let actions = sim.legal_actions(&dag);
                     sim.apply(&dag, actions[0]).unwrap();
-                    trail.push(sim.fingerprint());
+                    trail.push(sim.clone());
                 }
-                (trail, sim.ready().to_vec())
+                trail
             };
-            let (a, ready_a) = run();
-            let (b, ready_b) = run();
-            assert_eq!(a, b);
-            assert_eq!(ready_a, ready_b);
+            assert_eq!(run(), run());
         }
     }
 
@@ -1954,21 +1808,6 @@ mod tests {
     mod hetero {
         use super::*;
         use crate::{MachineSet, TransferMode};
-
-        /// Two unit machines, bandwidth 1, `max_edge_bytes` 1: every
-        /// cross-machine edge costs exactly one transfer slot.
-        fn two_machine_spec() -> ClusterSpec {
-            let machines = MachineSet::uniform(
-                2,
-                ResourceVec::from_slice(&[1.0]),
-                1,
-                TransferMode::Direct,
-                0,
-                1,
-            )
-            .unwrap();
-            ClusterSpec::hetero(machines).unwrap()
-        }
 
         #[test]
         fn place_tracks_per_machine_accounting_and_transfer_gating() {
@@ -2048,7 +1887,7 @@ mod tests {
         fn degenerate_one_machine_stepping_matches_the_single_box() {
             // A one-machine set has no links, whatever its network knobs,
             // so the same greedy decisions yield the same clocks,
-            // accounting, fingerprints and final schedule as the unit box.
+            // accounting, frontier keys and final schedule as the unit box.
             let dag = chain();
             let machines = MachineSet::uniform(
                 1,
@@ -2070,7 +1909,6 @@ mod tests {
                 assert_eq!(h.clock(), s.clock());
                 assert_eq!(h.used().as_slice(), s.used().as_slice());
                 assert_eq!(h.free().as_slice(), s.free().as_slice());
-                assert_eq!(h.fingerprint(), s.fingerprint());
                 assert_eq!(h.frontier_fingerprint(), s.frontier_fingerprint());
             }
             assert!(h.is_terminal(&dag));

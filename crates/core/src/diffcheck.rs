@@ -72,8 +72,8 @@ pub enum SchedulerKind {
     BnB,
     /// Pure MCTS with random rollouts.
     MctsPure,
-    /// Pure MCTS with the transposition cache disabled.
-    MctsPureNoCache,
+    /// MCTS guided by the greedy packing heuristic.
+    MctsHeuristic,
     /// MCTS guided by an (untrained) DRL policy — the Spear configuration.
     MctsDrl,
     /// DRL-guided MCTS with the inference cache disabled, so the fuzzer
@@ -92,7 +92,7 @@ impl SchedulerKind {
         SchedulerKind::Graphene,
         SchedulerKind::BnB,
         SchedulerKind::MctsPure,
-        SchedulerKind::MctsPureNoCache,
+        SchedulerKind::MctsHeuristic,
         SchedulerKind::MctsDrl,
         SchedulerKind::MctsDrlNoCache,
     ];
@@ -107,7 +107,7 @@ impl SchedulerKind {
             SchedulerKind::Graphene => "graphene",
             SchedulerKind::BnB => "bnb",
             SchedulerKind::MctsPure => "mcts-pure",
-            SchedulerKind::MctsPureNoCache => "mcts-pure-nocache",
+            SchedulerKind::MctsHeuristic => "mcts-heuristic",
             SchedulerKind::MctsDrl => "mcts-drl",
             SchedulerKind::MctsDrlNoCache => "mcts-drl-nocache",
         }
@@ -131,14 +131,18 @@ impl SchedulerKind {
             SchedulerKind::BnB => {
                 Box::new(BnBScheduler::with_config(BnBConfig { max_nodes: 20_000 }))
             }
-            SchedulerKind::MctsPure | SchedulerKind::MctsPureNoCache => {
-                Box::new(MctsScheduler::pure(MctsConfig {
+            SchedulerKind::MctsPure | SchedulerKind::MctsHeuristic => {
+                let config = MctsConfig {
                     initial_budget: 32,
                     min_budget: 8,
                     seed,
-                    eval_cache: self != SchedulerKind::MctsPureNoCache,
                     ..MctsConfig::default()
-                }))
+                };
+                Box::new(if self == SchedulerKind::MctsPure {
+                    MctsScheduler::pure(config)
+                } else {
+                    MctsScheduler::heuristic(config)
+                })
             }
             SchedulerKind::MctsDrl | SchedulerKind::MctsDrlNoCache => {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);

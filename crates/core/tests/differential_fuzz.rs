@@ -91,36 +91,33 @@ fn epsilon_boundary_sweep_stays_consistent() {
     );
 }
 
-/// The MCTS sub-matrix (pure + DRL, cache on/off): every variant must
-/// pass all three judges, and the inference cache must be a pure
-/// optimization — cache-on and cache-off schedules are bit-identical.
+/// The MCTS sub-matrix (pure, heuristic-guided, DRL with the cache on
+/// and off): every variant must pass all three judges, and the inference
+/// cache must be a pure optimization — cache-on and cache-off DRL
+/// schedules are bit-identical.
 #[test]
 fn mcts_matrix_passes_three_ways_and_cache_is_transparent() {
-    let pairs = [
-        (SchedulerKind::MctsPure, SchedulerKind::MctsPureNoCache),
-        (SchedulerKind::MctsDrl, SchedulerKind::MctsDrlNoCache),
-    ];
-    for (cached, uncached) in pairs {
-        for seed in [3u64, 19] {
-            let mk = |scheduler| CaseSpec::single(seed, 12, 2, scheduler);
-            for case in [mk(cached), mk(uncached)] {
-                let tri = case.run().unwrap();
-                assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
-            }
-            let case = mk(cached);
-            let (queue, spec) = (case.queue(), case.cluster());
-            let on = cached.build(seed, 2).schedule_multi(&queue, &spec).unwrap();
-            let off = uncached
-                .build(seed, 2)
-                .schedule_multi(&queue, &spec)
-                .unwrap();
-            assert_eq!(
-                on,
-                off,
-                "cache changed the {} schedule at seed {seed}",
-                cached.name()
-            );
+    let (cached, uncached) = (SchedulerKind::MctsDrl, SchedulerKind::MctsDrlNoCache);
+    for seed in [3u64, 19] {
+        let mk = |scheduler| CaseSpec::single(seed, 12, 2, scheduler);
+        for kind in [
+            SchedulerKind::MctsPure,
+            SchedulerKind::MctsHeuristic,
+            cached,
+            uncached,
+        ] {
+            let case = mk(kind);
+            let tri = case.run().unwrap();
+            assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
         }
+        let case = mk(cached);
+        let (queue, spec) = (case.queue(), case.cluster());
+        let on = cached.build(seed, 2).schedule_multi(&queue, &spec).unwrap();
+        let off = uncached
+            .build(seed, 2)
+            .schedule_multi(&queue, &spec)
+            .unwrap();
+        assert_eq!(on, off, "cache changed the DRL schedule at seed {seed}");
     }
 }
 

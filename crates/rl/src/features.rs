@@ -15,11 +15,6 @@ pub struct FeatureConfig {
     /// Maximum ready tasks visible to the network (paper: 15); additional
     /// ready tasks wait in a backlog the network only sees as a count.
     pub max_ready: usize,
-    /// Include the graph-derived task features (b-level, child count,
-    /// b-loads). §III-D argues these are what lifts the DRL agent above
-    /// Tetris/SJF; setting this to `false` zeroes them out (the feature
-    /// ablation) while keeping the input width unchanged.
-    pub graph_features: bool,
 }
 
 impl FeatureConfig {
@@ -29,7 +24,6 @@ impl FeatureConfig {
             dims,
             horizon: 20,
             max_ready: 15,
-            graph_features: true,
         }
     }
 
@@ -39,14 +33,7 @@ impl FeatureConfig {
             dims,
             horizon: 8,
             max_ready: 5,
-            graph_features: true,
         }
-    }
-
-    /// Disables the graph-derived features (ablation).
-    pub fn without_graph_features(mut self) -> Self {
-        self.graph_features = false;
-        self
     }
 
     /// Number of features per ready-task slot: presence flag, normalized
@@ -255,15 +242,11 @@ impl Featurizer {
                     for r in 0..cfg.dims {
                         out.push(t.demand()[r] / spec.capacity()[r]);
                     }
-                    if cfg.graph_features {
-                        out.push(f.b_level as f64 / cp);
-                        out.push(f.children as f64 / max_children);
-                        for r in 0..cfg.dims {
-                            let max_load = features.max_b_load()[r].max(f64::MIN_POSITIVE);
-                            out.push(f.b_load[r] / max_load);
-                        }
-                    } else {
-                        out.extend(std::iter::repeat_n(0.0, 2 + cfg.dims));
+                    out.push(f.b_level as f64 / cp);
+                    out.push(f.children as f64 / max_children);
+                    for r in 0..cfg.dims {
+                        let max_load = features.max_b_load()[r].max(f64::MIN_POSITIVE);
+                        out.push(f.b_load[r] / max_load);
                     }
                 }
                 None => out.extend(std::iter::repeat_n(0.0, cfg.per_task_features())),

@@ -232,31 +232,4 @@ proptest! {
         prop_assert!(ep.makespan >= dag.critical_path_length());
         prop_assert!(ep.makespan <= dag.total_work());
     }
-
-    /// Disabling graph features zeroes exactly the graph-feature slots and
-    /// never changes the mask.
-    #[test]
-    fn graph_feature_ablation_only_zeroes_features(
-        num_tasks in 2usize..20,
-        dag_seed in any::<u64>(),
-    ) {
-        let dag = random_dag(num_tasks, dag_seed);
-        let spec = ClusterSpec::unit(2);
-        let gf = GraphFeatures::compute(&dag);
-        let with = Featurizer::new(FeatureConfig::small(2));
-        let without = Featurizer::new(FeatureConfig::small(2).without_graph_features());
-        let state = SimState::new(&dag, &spec).unwrap();
-        let a = with.featurize(&dag, &spec, &state, &gf);
-        let b = without.featurize(&dag, &spec, &state, &gf);
-        prop_assert_eq!(&a.mask, &b.mask);
-        prop_assert_eq!(&a.slot_tasks, &b.slot_tasks);
-        prop_assert_eq!(a.features.len(), b.features.len());
-        // The ablated vector differs only where the full one had graph
-        // features; everything it keeps matches the full vector.
-        for (x, y) in a.features.iter().zip(&b.features) {
-            if *y != 0.0 {
-                prop_assert_eq!(x, y);
-            }
-        }
-    }
 }

@@ -47,36 +47,45 @@ impl TraceJob {
         mean(&self.reduce_runtimes)
     }
 
-    /// Builds the two-stage DAG: map tasks first (ids `0..num_map`), then
-    /// reduce tasks, with a full map→reduce shuffle edge set.
+    /// Checks the job's shape: both stages non-empty, and one demand
+    /// vector per runtime in each. [`Trace::load`] runs it on every job,
+    /// so a misshapen trace is refused before anything summarizes or
+    /// schedules it.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] if either stage is empty, the demand vectors
-    /// are not aligned with the runtimes, or the demands disagree on
-    /// resource dimensions.
-    pub fn to_dag(&self) -> Result<Dag, TraceError> {
+    /// [`TraceError::EmptyStage`] or [`TraceError::MisalignedDemands`].
+    pub fn validate(&self) -> Result<(), TraceError> {
         if self.num_map() == 0 || self.num_reduce() == 0 {
             return Err(TraceError::EmptyStage {
                 job: self.id.clone(),
             });
         }
-        if self.map_demands.len() != self.num_map() {
-            return Err(TraceError::MisalignedDemands {
-                job: self.id.clone(),
-                stage: "map",
-                runtimes: self.num_map(),
-                demands: self.map_demands.len(),
-            });
+        for (stage, runtimes, demands) in [
+            ("map", self.num_map(), self.map_demands.len()),
+            ("reduce", self.num_reduce(), self.reduce_demands.len()),
+        ] {
+            if demands != runtimes {
+                return Err(TraceError::MisalignedDemands {
+                    job: self.id.clone(),
+                    stage,
+                    runtimes,
+                    demands,
+                });
+            }
         }
-        if self.reduce_demands.len() != self.num_reduce() {
-            return Err(TraceError::MisalignedDemands {
-                job: self.id.clone(),
-                stage: "reduce",
-                runtimes: self.num_reduce(),
-                demands: self.reduce_demands.len(),
-            });
-        }
+        Ok(())
+    }
+
+    /// Builds the two-stage DAG: map tasks first (ids `0..num_map`), then
+    /// reduce tasks, with a full map→reduce shuffle edge set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError`] if [`TraceJob::validate`] rejects the job
+    /// or the demands disagree on resource dimensions.
+    pub fn to_dag(&self) -> Result<Dag, TraceError> {
+        self.validate()?;
         let dims = self.map_demands[0].dims();
         let mut b = DagBuilder::new(dims);
         let maps: Vec<_> = self
@@ -145,13 +154,19 @@ impl Trace {
         Ok(())
     }
 
-    /// Deserializes a trace saved with [`Trace::save`].
+    /// Deserializes a trace saved with [`Trace::save`] and validates
+    /// every job ([`TraceJob::validate`]).
     ///
     /// # Errors
     ///
-    /// Propagates deserialization and I/O errors.
+    /// Propagates deserialization and I/O errors, and the first job's
+    /// [`TraceError`] that fails validation.
     pub fn load<R: Read>(reader: R) -> Result<Self, Box<dyn std::error::Error>> {
-        Ok(serde_json::from_reader(reader)?)
+        let trace: Trace = serde_json::from_reader(reader)?;
+        for job in &trace.jobs {
+            job.validate()?;
+        }
+        Ok(trace)
     }
 
     /// Saves to a file path.
@@ -163,11 +178,11 @@ impl Trace {
         self.save(std::io::BufWriter::new(std::fs::File::create(path)?))
     }
 
-    /// Loads from a file path.
+    /// Loads and validates a trace file ([`Trace::load`]).
     ///
     /// # Errors
     ///
-    /// Propagates deserialization and I/O errors.
+    /// As [`Trace::load`], plus the error of opening the file.
     pub fn load_from_path<P: AsRef<Path>>(path: P) -> Result<Self, Box<dyn std::error::Error>> {
         Self::load(std::io::BufReader::new(std::fs::File::open(path)?))
     }

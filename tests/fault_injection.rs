@@ -1,8 +1,8 @@
 //! Fault-injection acceptance: the scheduler roster executing its plans
 //! under seeded failures and stragglers, every realized run vetted by the
-//! fault-aware tri-judge; the null-plan identity guarantee; deterministic
-//! retry exhaustion as a typed error; and the fault × horizon interplay
-//! on multi-job arrival streams.
+//! fault-aware tri-judge; the null-plan identity guarantee and the list
+//! plans it reproduces; deterministic retry exhaustion as a typed error;
+//! and the fault × horizon interplay on multi-job arrival streams.
 
 use spear::dag::generator::LayeredDagSpec;
 use spear::diffcheck::{check_faulty_run, CaseSpec, SchedulerKind};
@@ -103,6 +103,40 @@ fn null_plans_are_identity_regardless_of_seed() {
     assert!(a.attempts.iter().all(|&n| n == 1));
     let tri = check_faulty_run(&queue, &spec, &planned, &null, &a);
     assert!(tri.all_ok(), "{}", tri.summary());
+}
+
+/// Every list-scheduler plan is a fixed point of null-plan execution,
+/// for single DAGs and streams, on one box and on three machines: the
+/// plans start each task as soon as it can, which is what greedy
+/// dispatch does. (Search plans need not be: bnb and MCTS may idle a
+/// startable task on purpose, and dispatch starts it.)
+#[test]
+fn list_plans_are_fixed_points_of_null_plan_execution() {
+    let three = CaseSpec {
+        machines: 3,
+        ..CaseSpec::single(5, 12, 2, SchedulerKind::Tetris)
+    }
+    .cluster();
+    let list = [
+        SchedulerKind::Tetris,
+        SchedulerKind::Sjf,
+        SchedulerKind::Cp,
+        SchedulerKind::Random,
+        SchedulerKind::Graphene,
+    ];
+    for seed in [5u64, 6] {
+        for queue in [single(12, seed), stream_queue(3, 6, seed)] {
+            for spec in [&ClusterSpec::unit(2), &three] {
+                for kind in list {
+                    let planned = kind.build(seed, 2).schedule_multi(&queue, spec).unwrap();
+                    let run =
+                        execute_under_faults(&queue, spec, &planned, &FaultPlan::none(), None)
+                            .unwrap();
+                    assert_eq!(run.schedule, planned, "{} at seed {seed}", kind.name());
+                }
+            }
+        }
+    }
 }
 
 /// A certain-failure plan with a zero retry budget exhausts the very
