@@ -686,28 +686,27 @@ mod tests {
     }
 
     /// `stats` refuses a trace whose map stage has more runtimes than
-    /// demand vectors with the one-line error `schedule` gives.
+    /// demand vectors, whose demands disagree on dimensions, or whose
+    /// demand is negative, with the one-line error `schedule` gives.
     #[test]
     fn stats_and_schedule_refuse_a_misaligned_trace_alike() {
-        let job = spear::TraceJob {
+        let job = |map_demands: &[&[f64]], reduce_demands: &[&[f64]]| spear::TraceJob {
             id: "a".into(),
             map_runtimes: vec![5, 7],
             reduce_runtimes: vec![3],
-            map_demands: vec![spear::ResourceVec::from_slice(&[0.1])],
-            reduce_demands: vec![spear::ResourceVec::from_slice(&[0.1])],
+            map_demands: map_demands
+                .iter()
+                .map(|d| spear::ResourceVec::from_slice(d))
+                .collect(),
+            reduce_demands: reduce_demands
+                .iter()
+                .map(|d| spear::ResourceVec::from_slice(d))
+                .collect(),
         };
-        let path = tmp("cli-misaligned-trace.json");
-        std::fs::write(
-            &path,
-            serde_json::to_string(&Trace { jobs: vec![job] }).unwrap(),
-        )
-        .unwrap();
         let fails = |argv: &[&str]| {
             let argv: Vec<String> = argv.iter().map(|s| (*s).to_owned()).collect();
             crate::run(&argv).unwrap_err().to_string()
         };
-        let want = "job a: map stage has 2 runtimes but 1 demand vectors";
-        assert_eq!(fails(&["stats", "--trace-file", &path]), want);
         let schedule = [
             "schedule",
             "--arrivals",
@@ -717,10 +716,36 @@ mod tests {
             "--algo",
             "tetris",
         ];
-        assert_eq!(
-            fails(&[&schedule[..], &["--trace-file", &path]].concat()),
-            want
-        );
+        for (name, job, want) in [
+            (
+                "misaligned",
+                job(&[&[0.1]], &[&[0.1]]),
+                "job a: map stage has 2 runtimes but 1 demand vectors",
+            ),
+            (
+                "mixed-dims",
+                job(&[&[0.1, 0.1], &[0.1, 0.1]], &[&[0.1]]),
+                "building the two-stage DAG: task t2 has 1 resource dimensions, expected 2",
+            ),
+            (
+                "negative",
+                job(&[&[-0.1], &[0.1]], &[&[0.1]]),
+                "building the two-stage DAG: task t0 has a negative or non-finite resource demand",
+            ),
+        ] {
+            let path = tmp(&format!("cli-{name}-trace.json"));
+            std::fs::write(
+                &path,
+                serde_json::to_string(&Trace { jobs: vec![job] }).unwrap(),
+            )
+            .unwrap();
+            assert_eq!(fails(&["stats", "--trace-file", &path]), want, "{name}");
+            assert_eq!(
+                fails(&[&schedule[..], &["--trace-file", &path]].concat()),
+                want,
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -174,48 +174,9 @@ impl Matrix {
         out.data.clear();
         out.data.resize(self.rows * other.cols, 0.0);
         let n = other.cols;
-        // Row-blocked i-k-j loop order: each `other` row pulled from memory
-        // serves four output rows before being evicted, quartering the
-        // dominant memory traffic of batched forward/backward passes. Per
-        // output element the k index still ascends and zero entries of
-        // `self` are still skipped, so the accumulation sequence — and
-        // therefore every output bit — matches the plain i-k-j loop.
-        let mut i = 0;
-        while i + 4 <= self.rows {
-            let (r0, rest) = out.data[i * n..(i + 4) * n].split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            for k in 0..self.cols {
-                let a0 = self.data[i * self.cols + k];
-                let a1 = self.data[(i + 1) * self.cols + k];
-                let a2 = self.data[(i + 2) * self.cols + k];
-                let a3 = self.data[(i + 3) * self.cols + k];
-                let orow = &other.data[k * n..(k + 1) * n];
-                if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-                    for (j, &ov) in orow.iter().enumerate() {
-                        r0[j] += a0 * ov;
-                        r1[j] += a1 * ov;
-                        r2[j] += a2 * ov;
-                        r3[j] += a3 * ov;
-                    }
-                } else {
-                    for (row, a) in [
-                        (&mut *r0, a0),
-                        (&mut *r1, a1),
-                        (&mut *r2, a2),
-                        (&mut *r3, a3),
-                    ] {
-                        if a != 0.0 {
-                            for (cv, &ov) in row.iter_mut().zip(orow) {
-                                *cv += a * ov;
-                            }
-                        }
-                    }
-                }
-            }
-            i += 4;
-        }
-        for i in i..self.rows {
+        // i-k-j: per output element k ascends from 0.0 with zero entries
+        // of `self` skipped, the sequence `Dense::forward_one_into` runs.
+        for i in 0..self.rows {
             for k in 0..self.cols {
                 let a = self.data[i * self.cols + k];
                 if a == 0.0 {
@@ -228,54 +189,6 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// `self^T · other` without materializing the transpose. Shapes:
-    /// `(m×n)^T · (m×p) = n×p`. Used for weight gradients `x^T · dz`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts disagree.
-    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "transpose_matmul dimension mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[i * other.cols..(i + 1) * other.cols];
-                let crow = &mut out.data[k * other.cols..(k + 1) * other.cols];
-                for (cv, &ov) in crow.iter_mut().zip(orow) {
-                    *cv += a * ov;
-                }
-            }
-        }
-        out
-    }
-
-    /// `self · other^T`. Shapes: `(m×n) · (p×n)^T = m×p`. Used for input
-    /// gradients `dz · W^T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column counts disagree.
-    pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_transpose dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let brow = &other.data[j * other.cols..(j + 1) * other.cols];
-                let mut acc = 0.0;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                out.data[i * other.rows + j] = acc;
-            }
-        }
-        out
     }
 
     /// Adds `row` to every row of `self` in place (bias broadcast).
@@ -302,19 +215,6 @@ impl Matrix {
             }
         }
         sums
-    }
-
-    /// Element-wise `self += scale * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f64) {
-        assert_eq!(self.rows, other.rows, "shape mismatch");
-        assert_eq!(self.cols, other.cols, "shape mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
-        }
     }
 
     /// Applies `f` to every element in place.
@@ -363,26 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matmul_matches_explicit() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 1.0, 3.0], &[1.0, 1.0, 4.0]]);
-        // a^T (2x3) · b (3x3) = 2x3
-        let c = a.transpose_matmul(&b);
-        let at = Matrix::from_rows(&[&[1.0, 3.0, 5.0], &[2.0, 4.0, 6.0]]);
-        assert_eq!(c, at.matmul(&b));
-    }
-
-    #[test]
-    fn matmul_transpose_matches_explicit() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
-        let b = Matrix::from_rows(&[&[1.0, 0.0, 1.0], &[2.0, 1.0, 0.0]]);
-        // a (2x3) · b^T (3x2) = 2x2
-        let c = a.matmul_transpose(&b);
-        let bt = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0], &[1.0, 0.0]]);
-        assert_eq!(c, a.matmul(&bt));
-    }
-
-    #[test]
     fn broadcast_and_column_sums() {
         let mut m = Matrix::zeros(2, 3);
         m.add_row_broadcast(&[1.0, 2.0, 3.0]);
@@ -391,11 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_map() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let b = Matrix::from_rows(&[&[10.0, 20.0]]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.as_slice(), &[6.0, 12.0]);
+    fn map_and_fill_zero() {
+        let mut a = Matrix::from_rows(&[&[6.0, 12.0]]);
         a.map_inplace(|v| v * 2.0);
         assert_eq!(a.as_slice(), &[12.0, 24.0]);
         a.fill_zero();

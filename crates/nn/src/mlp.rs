@@ -212,8 +212,12 @@ impl Mlp {
     /// Panics if the input width disagrees with the config.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.config.input, "input width mismatch");
-        let mut a = x.clone();
-        for layer in &mut self.layers {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("an MLP always has a logits layer");
+        let mut a = first.forward(x);
+        for layer in rest {
             a = layer.forward(&a);
         }
         a
@@ -225,7 +229,7 @@ impl Mlp {
         logits.row(0).to_vec()
     }
 
-    /// Inference-only batch forward: a single matrix-matrix pass per layer
+    /// Inference-only batch forward: one [`Dense::infer`] pass per layer
     /// with no activation caching (and so no [`Mlp::backward`] afterwards)
     /// and no cache clones. Logits are bit-identical to [`Mlp::forward`].
     ///
@@ -268,18 +272,26 @@ impl Mlp {
     }
 
     /// Backward pass from `d_logits = ∂L/∂logits`, accumulating gradients
-    /// in every layer. Returns `∂L/∂x` (rarely needed, but exposed for
-    /// gradient checks).
+    /// in every layer. Each layer takes its parameter half
+    /// ([`Dense::backward_params`]); every layer but the first also hands
+    /// `dz · Wᵀ` ([`Dense::backward_input`]) down to the layer below. The
+    /// first layer's input gradient would be `∂L/∂x` of the features,
+    /// which nothing reads, so it is never computed.
     ///
     /// # Panics
     ///
     /// Panics if called before [`Mlp::forward`].
-    pub fn backward(&mut self, d_logits: &Matrix) -> Matrix {
+    pub fn backward(&mut self, d_logits: &Matrix) {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("an MLP always has a logits layer");
         let mut d = d_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            d = layer.backward(&d);
+        for layer in rest.iter_mut().rev() {
+            let dz = layer.backward_params(d);
+            d = layer.backward_input(&dz);
         }
-        d
+        first.backward_params(d);
     }
 
     /// Clears every layer's gradient accumulator.

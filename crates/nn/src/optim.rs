@@ -71,26 +71,21 @@ impl RmsProp {
 }
 
 impl Optimizer for RmsProp {
+    /// Updates every parameter in place, reading its gradient beside it
+    /// (no copy of the gradients).
     fn step(&mut self, net: &mut Mlp) {
         self.ensure_cache(net);
-        for (li, layer) in net.layers_mut().iter_mut().enumerate() {
-            let gw = layer.grad_weights().clone();
-            let cache = &mut self.cache_weights[li];
-            for (i, (&g, c)) in gw
-                .as_slice()
-                .iter()
-                .zip(cache.as_mut_slice().iter_mut())
-                .enumerate()
-            {
-                *c = self.rho * *c + (1.0 - self.rho) * g * g;
-                let w = &mut layer.weights_mut().as_mut_slice()[i];
-                *w -= self.alpha * g / (c.sqrt() + self.epsilon);
+        let (alpha, rho, epsilon) = (self.alpha, self.rho, self.epsilon);
+        let caches = self.cache_weights.iter_mut().zip(&mut self.cache_bias);
+        for (layer, (cache_w, cache_b)) in net.layers_mut().iter_mut().zip(caches) {
+            let (weights, grad_w, bias, grad_b) = layer.params_and_grads_mut();
+            for ((w, &g), c) in weights.iter_mut().zip(grad_w).zip(cache_w.as_mut_slice()) {
+                *c = rho * *c + (1.0 - rho) * g * g;
+                *w -= alpha * g / (c.sqrt() + epsilon);
             }
-            let gb: Vec<f64> = layer.grad_bias().to_vec();
-            let cache_b = &mut self.cache_bias[li];
-            for (i, (&g, c)) in gb.iter().zip(cache_b.iter_mut()).enumerate() {
-                *c = self.rho * *c + (1.0 - self.rho) * g * g;
-                layer.bias_mut()[i] -= self.alpha * g / (c.sqrt() + self.epsilon);
+            for ((b, &g), c) in bias.iter_mut().zip(grad_b).zip(cache_b.iter_mut()) {
+                *c = rho * *c + (1.0 - rho) * g * g;
+                *b -= alpha * g / (c.sqrt() + epsilon);
             }
         }
     }
@@ -111,13 +106,16 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
+    /// Updates every parameter in place: `w += (−lr)·g`, `b −= lr·g`.
     fn step(&mut self, net: &mut Mlp) {
+        let lr = self.learning_rate;
         for layer in net.layers_mut() {
-            let gw = layer.grad_weights().clone();
-            layer.weights_mut().add_scaled(&gw, -self.learning_rate);
-            let gb: Vec<f64> = layer.grad_bias().to_vec();
-            for (b, g) in layer.bias_mut().iter_mut().zip(gb) {
-                *b -= self.learning_rate * g;
+            let (weights, grad_w, bias, grad_b) = layer.params_and_grads_mut();
+            for (w, &g) in weights.iter_mut().zip(grad_w) {
+                *w += -lr * g;
+            }
+            for (b, &g) in bias.iter_mut().zip(grad_b) {
+                *b -= lr * g;
             }
         }
     }

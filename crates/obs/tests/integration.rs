@@ -14,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spear::{train_policy_observed, TrainingPipelineConfig};
 use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, NoRng};
 use spear_cluster::{Action, ClusterSpec, SimState};
 use spear_dag::generator::LayeredDagSpec;
@@ -174,6 +175,36 @@ fn instrumented_training_is_bit_identical() {
         assert!(snap.counter_value("rl.episodes").unwrap() > 0);
         assert!(snap.histogram_count("rl.episode_return").unwrap() > 0);
         assert!(snap.gauge_last("rl.grad_norm").unwrap() >= 0.0);
+    }
+}
+
+/// `rl.zero_advantage_examples` counts the examples whose rollouts all
+/// returned one makespan. Pre-training the tiny pipeline for 100 epochs
+/// at 1e-2 drives its cross-entropy to ~5e-8: the policy then samples one
+/// schedule per example, every advantage is 0 and no epoch's entropy is
+/// recorded. The tiny pipeline itself still explores.
+#[test]
+fn zero_advantage_examples_count_a_collapsed_policy() {
+    let spec = ClusterSpec::unit(2);
+    let run = |config: &TrainingPipelineConfig| {
+        let registry = MetricsRegistry::new();
+        let trained = train_policy_observed(config, &spec, &registry.sink("train")).unwrap();
+        let zero = registry
+            .snapshot()
+            .counter_value("rl.zero_advantage_examples");
+        (trained.curve, zero)
+    };
+    let mut collapsed = TrainingPipelineConfig::tiny();
+    collapsed.pretrain.epochs = 100;
+    collapsed.pretrain_alpha = 1e-2;
+    let (curve, zero) = run(&collapsed);
+    assert!(curve.iter().all(|p| p.mean_entropy == 0.0), "{curve:?}");
+    let (tiny_curve, tiny_zero) = run(&TrainingPipelineConfig::tiny());
+    assert!(tiny_curve.iter().all(|p| p.mean_entropy > 0.0));
+    if spear_obs::compiled() {
+        let all = (collapsed.num_examples * collapsed.reinforce.epochs) as u64;
+        assert_eq!(zero, Some(all));
+        assert!(tiny_zero.expect("registered with the trainer") < all);
     }
 }
 

@@ -1,4 +1,5 @@
-//! Transposition-keyed inference caches for DRL-guided search.
+//! Transposition-keyed inference caches for DRL-guided search and for
+//! REINFORCE's rollouts.
 //!
 //! MCTS rollouts revisit identical [`SimState`]s along different tree
 //! paths (and the path-replay tree re-derives them on every iteration),
@@ -11,9 +12,9 @@
 //! an **input table** keyed by [`input_key`] of the featurized input and
 //! probed between featurization and the forward pass.
 //!
-//! Both tables are capacity-bounded open-addressing tables with linear
-//! probing and **generation clearing**: callers bump the generation at
-//! each scheduling *episode* (one complete `schedule()` of one DAG),
+//! Every table is a capacity-bounded open-addressing table with linear
+//! probing and **generation clearing**: the search bumps the generation
+//! at each scheduling *episode* (one complete `schedule()` of one DAG),
 //! which invalidates every entry in O(1) without touching the storage.
 //! Within an episode the DAG, cluster spec, graph features, and network
 //! weights are all fixed, so a fingerprint-keyed entry can never go
@@ -23,6 +24,18 @@
 //! would be wrong (different DAG or weights), hence the per-episode
 //! bump. There are no deletions, so an out-of-generation slot
 //! terminates a probe chain soundly.
+//!
+//! [`PolicyNetwork`](crate::PolicyNetwork) keeps a third table, a **row
+//! cache** of 256 entries keyed by [`input_key`], for the rollouts it
+//! samples itself. REINFORCE rolls each example out 20 times under one
+//! set of weights, and most of those steps repeat an input an earlier
+//! rollout already saw. Its generation is bumped by every
+//! `PolicyNetwork::net_mut`, the only way to change the weights, rather
+//! than per episode: entries hold across DAGs (a row depends on the
+//! input bits alone) and never across a weight change. A generation
+//! sees a few dozen inputs, so a 64-bit collision is a ~2⁻⁵² event; the
+//! table has no off switch, and a test drives REINFORCE epochs through
+//! uncached forward passes and compares the weights bit for bit.
 //!
 //! An [`EvalCache`] allocates its storage at its first insert, zeroed
 //! (slot cells encode an empty slot as `0`), so building one allocates

@@ -16,7 +16,7 @@ use spear_nn::{loss, Matrix, Optimizer, RmsProp};
 use spear_obs::{Counter, Gauge, Histogram, Obs};
 
 use crate::episode::run_episode_with_features;
-use crate::{PolicyNetwork, SelectionMode};
+use crate::{Episode, PolicyNetwork, SelectionMode};
 
 /// Hyper-parameters of the REINFORCE phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +63,10 @@ pub struct TrainingCurvePoint {
 struct TrainObs {
     epochs: Counter,
     episodes: Counter,
+    /// Examples whose rollouts all returned the baseline: every
+    /// advantage is 0, so the update has no gradient and leaves the
+    /// weights where they were.
+    zero_advantage_examples: Counter,
     episode_return: Histogram,
     epoch_ns: Histogram,
     mean_makespan: Gauge,
@@ -75,6 +79,7 @@ impl TrainObs {
         TrainObs {
             epochs: obs.counter("rl.epochs"),
             episodes: obs.counter("rl.episodes"),
+            zero_advantage_examples: obs.counter("rl.zero_advantage_examples"),
             episode_return: obs.histogram("rl.episode_return"),
             epoch_ns: obs.histogram("rl.epoch_ns"),
             mean_makespan: obs.gauge("rl.mean_makespan"),
@@ -90,7 +95,9 @@ impl TrainObs {
 /// An [`Obs`] sink attached via [`ReinforceTrainer::with_obs`] records the
 /// `rl.*` metric family: per-epoch mean makespan/entropy and pre-clip
 /// gradient norm as gauges, per-episode returns (as makespans) into a
-/// histogram, and epoch wall time. Recording reads values the trainer
+/// histogram, epoch wall time, and `rl.zero_advantage_examples`, the
+/// examples whose rollouts all tied (a collapsed policy learns nothing
+/// from them). Recording reads values the trainer
 /// already computes (plus one gradient-norm pass per example when
 /// enabled) and never changes an update.
 #[derive(Debug)]
@@ -186,18 +193,6 @@ impl ReinforceTrainer {
                     )
                 })
                 .collect::<Result<_, _>>()?;
-
-            // 2. Baseline = mean return over the rollouts (paper §IV).
-            let mean_ret: f64 =
-                episodes.iter().map(|e| e.ret()).sum::<f64>() / episodes.len() as f64;
-            let scale = if self.config.normalize_returns {
-                // Returns are O(makespan); normalize by the mean magnitude
-                // so advantages are O(1) regardless of DAG size.
-                mean_ret.abs().max(1.0)
-            } else {
-                1.0
-            };
-
             for e in &episodes {
                 makespan_sum += e.makespan as f64;
             }
@@ -210,51 +205,8 @@ impl ReinforceTrainer {
                     }
                 }
             }
-
-            // 3. Accumulate the policy gradient over all steps.
-            policy.net_mut().zero_grad();
-            let total_steps: usize = episodes.iter().map(|e| e.steps.len()).sum();
-            if total_steps == 0 {
-                continue;
-            }
-            for episode in &episodes {
-                let advantage = (episode.ret() - mean_ret) / scale;
-                if advantage == 0.0 {
-                    continue;
-                }
-                let rows: Vec<&[f64]> = episode
-                    .steps
-                    .iter()
-                    .map(|s| s.features.as_slice())
-                    .collect();
-                let x = Matrix::from_rows(&rows);
-                let actions: Vec<usize> = episode.steps.iter().map(|s| s.action).collect();
-                let masks: Vec<Vec<bool>> = episode.steps.iter().map(|s| s.mask.clone()).collect();
-                let advantages = vec![advantage; actions.len()];
-                let logits = policy.net_mut().forward(&x);
-                entropy_sum += loss::mean_entropy(&logits, &masks) * actions.len() as f64;
-                entropy_count += actions.len();
-                let d = loss::policy_gradient(
-                    &logits,
-                    &actions,
-                    &advantages,
-                    &masks,
-                    1.0 / total_steps as f64,
-                );
-                policy.net_mut().backward(&d);
-            }
-
-            // 4. Update.
-            if spear_obs::compiled() {
-                if let Some(to) = &self.train_obs {
-                    to.grad_norm.set(policy.net_mut().grad_norm());
-                }
-            }
-            if let Some(max_norm) = self.config.max_grad_norm {
-                policy.net_mut().clip_grad_norm(max_norm);
-            }
-            self.optimizer.step(policy.net_mut());
-            policy.net_mut().zero_grad();
+            // 2. Learn from them: baseline, policy gradient, one update.
+            self.update(policy, &episodes, &mut entropy_sum, &mut entropy_count);
         }
 
         let point = TrainingCurvePoint {
@@ -270,6 +222,76 @@ impl ReinforceTrainer {
             }
         }
         Ok(point)
+    }
+
+    /// One example's update from its rollouts: the mean return is the
+    /// baseline (paper §IV), `advantage · ∇ log π(a|s)` is accumulated
+    /// over every step of every rollout whose advantage is nonzero, and
+    /// the optimizer takes one step. Those rollouts' decision-weighted
+    /// entropy is added to the epoch's running sums.
+    fn update(
+        &mut self,
+        policy: &mut PolicyNetwork,
+        episodes: &[Episode],
+        entropy_sum: &mut f64,
+        entropy_count: &mut usize,
+    ) {
+        let mean_ret: f64 = episodes.iter().map(|e| e.ret()).sum::<f64>() / episodes.len() as f64;
+        let scale = if self.config.normalize_returns {
+            // Returns are O(makespan); normalize by the mean magnitude
+            // so advantages are O(1) regardless of DAG size.
+            mean_ret.abs().max(1.0)
+        } else {
+            1.0
+        };
+
+        policy.net_mut().zero_grad();
+        let total_steps: usize = episodes.iter().map(|e| e.steps.len()).sum();
+        if total_steps == 0 {
+            return;
+        }
+        let mut learned = false;
+        for episode in episodes {
+            let advantage = (episode.ret() - mean_ret) / scale;
+            if advantage == 0.0 {
+                continue;
+            }
+            learned = true;
+            let rows: Vec<&[f64]> = episode
+                .steps
+                .iter()
+                .map(|s| s.features.as_slice())
+                .collect();
+            let x = Matrix::from_rows(&rows);
+            let actions: Vec<usize> = episode.steps.iter().map(|s| s.action).collect();
+            let masks: Vec<Vec<bool>> = episode.steps.iter().map(|s| s.mask.clone()).collect();
+            let advantages = vec![advantage; actions.len()];
+            let logits = policy.net_mut().forward(&x);
+            *entropy_sum += loss::mean_entropy(&logits, &masks) * actions.len() as f64;
+            *entropy_count += actions.len();
+            let d = loss::policy_gradient(
+                &logits,
+                &actions,
+                &advantages,
+                &masks,
+                1.0 / total_steps as f64,
+            );
+            policy.net_mut().backward(&d);
+        }
+
+        if spear_obs::compiled() {
+            if let Some(to) = &self.train_obs {
+                if !learned {
+                    to.zero_advantage_examples.incr();
+                }
+                to.grad_norm.set(policy.net_mut().grad_norm());
+            }
+        }
+        if let Some(max_norm) = self.config.max_grad_norm {
+            policy.net_mut().clip_grad_norm(max_norm);
+        }
+        self.optimizer.step(policy.net_mut());
+        policy.net_mut().zero_grad();
     }
 
     /// Runs the full training loop, returning the learning curve.
@@ -299,10 +321,11 @@ impl ReinforceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FeatureConfig;
+    use crate::{FeatureConfig, StateView, StepRecord};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use spear_dag::generator::LayeredDagSpec;
+    use spear_nn::{softmax_masked_into, ForwardScratch};
 
     /// End-to-end smoke test: a few epochs on tiny DAGs must improve (or
     /// at least not catastrophically regress) the mean makespan, and the
@@ -346,6 +369,120 @@ mod tests {
             assert!(p.mean_makespan.is_finite());
             assert!(p.mean_entropy >= 0.0);
         }
+    }
+
+    /// Rolls out like `run_episode_with_features`, computing every
+    /// distribution afresh: featurize, `forward_one_into`,
+    /// `softmax_masked_into`, then the policy's own draw.
+    fn uncached_episode(
+        policy: &PolicyNetwork,
+        dag: &Dag,
+        spec: &ClusterSpec,
+        features: &GraphFeatures,
+        rng: &mut StdRng,
+    ) -> Episode {
+        let mut state = spear_cluster::SimState::new(dag, spec).unwrap();
+        let (mut ready, mut scratch, mut probs) =
+            (Vec::new(), ForwardScratch::default(), Vec::new());
+        let mut steps = Vec::new();
+        while !state.is_terminal(dag) {
+            let mut view = StateView::default();
+            policy
+                .featurizer()
+                .featurize_into(dag, spec, &state, features, &mut ready, &mut view);
+            let logits = policy.net().forward_one_into(&view.features, &mut scratch);
+            softmax_masked_into(logits, &view.mask, &mut probs);
+            let action = crate::policy::sample_index(&probs, rng);
+            state
+                .apply(dag, policy.action_from_index(&view, action))
+                .unwrap();
+            steps.push(StepRecord {
+                features: view.features,
+                action,
+                mask: view.mask,
+            });
+        }
+        let makespan = state.makespan().unwrap();
+        Episode { steps, makespan }
+    }
+
+    /// REINFORCE epochs on the cached policy equal the same epochs driven
+    /// through uncached forward passes: the same curve points, the same
+    /// weight bits and the same RNG position. The weights change once per
+    /// example, and the second epoch revisits the first one's inputs, so
+    /// a row that outlived a weight change would show.
+    #[test]
+    fn cached_rollouts_train_like_uncached_ones() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let examples: Vec<(Dag, GraphFeatures)> = (0..3)
+            .map(|_| {
+                let dag = LayeredDagSpec {
+                    num_tasks: 8,
+                    ..LayeredDagSpec::paper_training()
+                }
+                .generate(&mut rng);
+                let features = GraphFeatures::compute(&dag);
+                (dag, features)
+            })
+            .collect();
+        let spec = ClusterSpec::unit(2);
+        let start = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[24], &mut rng);
+        let config = ReinforceConfig {
+            epochs: 2,
+            rollouts: 6,
+            ..ReinforceConfig::default()
+        };
+
+        let mut cached = start.clone();
+        let mut cached_rng = StdRng::seed_from_u64(9);
+        let mut trainer = ReinforceTrainer::with_learning_rate(config.clone(), 1e-2);
+        let curve: Vec<TrainingCurvePoint> = (0..config.epochs)
+            .map(|epoch| {
+                trainer
+                    .train_epoch(&mut cached, &examples, &spec, epoch, &mut cached_rng)
+                    .unwrap()
+            })
+            .collect();
+
+        let mut uncached = start;
+        let mut uncached_rng = StdRng::seed_from_u64(9);
+        let mut trainer = ReinforceTrainer::with_learning_rate(config.clone(), 1e-2);
+        let mut reference = Vec::new();
+        for epoch in 0..config.epochs {
+            let (mut makespans, mut rollouts) = (0.0, 0usize);
+            let (mut entropy_sum, mut entropy_count) = (0.0, 0usize);
+            for (dag, features) in &examples {
+                let episodes: Vec<Episode> = (0..config.rollouts)
+                    .map(|_| uncached_episode(&uncached, dag, &spec, features, &mut uncached_rng))
+                    .collect();
+                makespans += episodes.iter().map(|e| e.makespan as f64).sum::<f64>();
+                rollouts += episodes.len();
+                trainer.update(
+                    &mut uncached,
+                    &episodes,
+                    &mut entropy_sum,
+                    &mut entropy_count,
+                );
+            }
+            assert!(entropy_count > 0, "some advantage must be nonzero");
+            reference.push(TrainingCurvePoint {
+                epoch,
+                mean_makespan: makespans / rollouts as f64,
+                mean_entropy: entropy_sum / entropy_count as f64,
+            });
+        }
+
+        assert_eq!(curve, reference);
+        let bits = |p: &PolicyNetwork| {
+            p.net()
+                .layers()
+                .iter()
+                .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&cached), bits(&uncached));
+        assert_eq!(cached_rng.gen::<u64>(), uncached_rng.gen::<u64>());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{Dag, DagBuilder, ResourceVec, Task};
+use spear_dag::{Dag, DagBuilder, DagError, ResourceVec, Task, TaskId};
 
 use crate::TraceError;
 
@@ -47,14 +47,19 @@ impl TraceJob {
         mean(&self.reduce_runtimes)
     }
 
-    /// Checks the job's shape: both stages non-empty, and one demand
-    /// vector per runtime in each. [`Trace::load`] runs it on every job,
-    /// so a misshapen trace is refused before anything summarizes or
+    /// Checks the job's shape: both stages non-empty, one demand vector
+    /// per runtime in each, and every demand finite, non-negative and of
+    /// the first map demand's dimension count, with the errors
+    /// [`DagBuilder`] reports for the task each demand becomes (maps
+    /// first, then reduces). [`Trace::load`] runs it on every job, so a
+    /// misshapen trace is refused before anything summarizes or
     /// schedules it.
     ///
     /// # Errors
     ///
-    /// [`TraceError::EmptyStage`] or [`TraceError::MisalignedDemands`].
+    /// [`TraceError::EmptyStage`], [`TraceError::MisalignedDemands`], or
+    /// [`TraceError::Dag`] with [`DagError::InvalidDemand`] or
+    /// [`DagError::DimensionMismatch`].
     pub fn validate(&self) -> Result<(), TraceError> {
         if self.num_map() == 0 || self.num_reduce() == 0 {
             return Err(TraceError::EmptyStage {
@@ -74,6 +79,26 @@ impl TraceJob {
                 });
             }
         }
+        let dims = self.map_demands[0].dims();
+        for (i, demand) in self
+            .map_demands
+            .iter()
+            .chain(&self.reduce_demands)
+            .enumerate()
+        {
+            let task = TaskId::new(i);
+            if !demand.is_valid_demand() {
+                return Err(DagError::InvalidDemand(task).into());
+            }
+            if demand.dims() != dims {
+                return Err(DagError::DimensionMismatch {
+                    task,
+                    expected: dims,
+                    actual: demand.dims(),
+                }
+                .into());
+            }
+        }
         Ok(())
     }
 
@@ -83,7 +108,7 @@ impl TraceJob {
     /// # Errors
     ///
     /// Returns [`TraceError`] if [`TraceJob::validate`] rejects the job
-    /// or the demands disagree on resource dimensions.
+    /// or the runtimes overflow the DAG's total.
     pub fn to_dag(&self) -> Result<Dag, TraceError> {
         self.validate()?;
         let dims = self.map_demands[0].dims();

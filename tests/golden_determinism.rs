@@ -5,7 +5,8 @@
 //! table holds on the unit box and on a one-machine set with arbitrary
 //! network knobs: a single box is a one-machine cluster. The state keys
 //! behind the inference caches are pinned the same way, and so is the
-//! work the quick searches do, on DAGs and on an arrival stream.
+//! work the quick searches do, on DAGs and on an arrival stream. So are
+//! the bits a training run leaves: weights, losses, accuracy and curve.
 //!
 //! To regenerate after an *intentional* behavior change, run
 //! `cargo test --release --test golden_determinism -- --ignored --nocapture`
@@ -17,12 +18,13 @@ use spear::dag::generator::LayeredDagSpec;
 use spear::dag::ResourceVec;
 use spear::diffcheck::{check_schedule, CaseSpec, SchedulerKind};
 use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver};
-use spear::nn::Precision;
-use spear::rl::EvalCacheStats;
+use spear::nn::{Mlp, Precision, RmsProp};
+use spear::rl::pretrain::{self, PretrainConfig};
+use spear::rl::{EvalCacheStats, TrainingCurvePoint};
 use spear::{
-    Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FeatureConfig, JobQueue,
-    JobSource, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork, Schedule, Scheduler,
-    SearchStats, SimState, TransferMode,
+    train_policy, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FeatureConfig,
+    JobQueue, JobSource, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork, Schedule, Scheduler,
+    SearchStats, SimState, TrainingPipelineConfig, TransferMode,
 };
 
 /// Number of fixed workload DAGs each golden table covers.
@@ -230,6 +232,13 @@ const STREAM_GOLDEN: [[StreamRun; 3]; 2] = [
 /// key and the frontier table's key in the DRL search: pinning it pins
 /// that table's hits and, with them, the forward-pass counts.
 const KEY_GOLDEN: [(usize, u64); 2] = [(24, 0xde79_f6b9_8744_e4d5), (24, 0xbd77_8a49_4328_2e37)];
+
+/// FNV-1a over the bits a training run leaves ([`train_words`]):
+/// `[TrainingPipelineConfig::tiny(), three 64-row pre-training batches
+/// and a 7-row one at the committed 163 → 128/32/32 → 16 shape]`. The
+/// tiny pipeline's REINFORCE keeps its entropy above 0.4, so advantages
+/// are nonzero and every epoch runs backward passes.
+const TRAIN_GOLDEN: [u64; 2] = [0x8630_d8da_50d7_cfc9, 0x8f58_02c7_41b5_2341];
 
 /// The two clusters every table is checked on: the unit box and a
 /// one-machine set whose (unused) network knobs are arbitrary.
@@ -459,6 +468,54 @@ fn key_trail(spec: &ClusterSpec) -> (usize, u64) {
     (keys.len() - 1, fnv(keys))
 }
 
+/// The bits of a training run: every weight and bias, each
+/// pre-training epoch's loss, the accuracy, and every curve point.
+fn train_words(net: &Mlp, losses: &[f64], accuracy: f64, curve: &[TrainingCurvePoint]) -> Vec<u64> {
+    let params = net
+        .layers()
+        .iter()
+        .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()));
+    let points = curve
+        .iter()
+        .flat_map(|p| [p.epoch as f64, p.mean_makespan, p.mean_entropy]);
+    params
+        .chain(losses)
+        .copied()
+        .chain([accuracy])
+        .chain(points)
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// [`TRAIN_GOLDEN`]'s two runs: the tiny pipeline end to end, and one
+/// pre-training epoch of 64-row batches on the CP expert's 199
+/// decisions over four 25-task DAGs at the committed policy's shape.
+fn train_hashes() -> [u64; 2] {
+    let spec = ClusterSpec::unit(2);
+    let tiny = train_policy(&TrainingPipelineConfig::tiny(), &spec).expect("tiny pipeline trains");
+    let tiny = fnv(train_words(
+        tiny.policy.net(),
+        &tiny.pretrain_loss,
+        tiny.pretrain_accuracy,
+        &tiny.curve,
+    ));
+
+    let mut rng = StdRng::seed_from_u64(GOLDEN_SEED);
+    let example = LayeredDagSpec::paper_training();
+    let examples: Vec<Dag> = (0..4).map(|_| example.generate(&mut rng)).collect();
+    let mut policy = PolicyNetwork::with_hidden(FeatureConfig::paper(2), &[128, 32, 32], &mut rng);
+    let data = pretrain::build_dataset(&policy, &examples, &spec).expect("examples fit");
+    let config = PretrainConfig {
+        epochs: 1,
+        batch_size: 64,
+    };
+    let mut opt = RmsProp::new(1e-3, 0.9, 1e-9);
+    let losses = pretrain::train(&mut policy, &data, &mut opt, &config, &mut rng);
+    let accuracy = pretrain::accuracy(&policy, &data);
+    let paper = fnv(train_words(policy.net(), &losses, accuracy, &[]));
+    [tiny, paper]
+}
+
 /// The fuzz corpus's three machines of unequal shape over unequal
 /// links.
 fn three_machines() -> ClusterSpec {
@@ -580,6 +637,14 @@ fn cache_keys_match_golden_trails() {
     assert_eq!([key_trail(&unit), key_trail(&three_machines())], KEY_GOLDEN);
 }
 
+/// Training leaves the same bits: the kernels behind `backward` and the
+/// optimizer step, and the rollout rows REINFORCE samples from, may get
+/// faster but never change a weight.
+#[test]
+fn training_matches_golden_bits() {
+    assert_eq!(train_hashes(), TRAIN_GOLDEN);
+}
+
 /// A one-machine set keys every state exactly like the unit box, so the
 /// DRL search's cache hits do not depend on how a single box is spelled.
 #[test]
@@ -605,6 +670,8 @@ fn print_golden_tables() {
         }
         println!("];");
     }
+    let [tiny, paper] = train_hashes();
+    println!("const TRAIN_GOLDEN: [u64; 2] = [{tiny:#018x}, {paper:#018x}];");
     let [(a, ka), (b, kb)] = [key_trail(&unit), key_trail(&three_machines())];
     println!("const KEY_GOLDEN: [(usize, u64); 2] = [({a}, {ka:#018x}), ({b}, {kb:#018x})];");
     for (name, scheduler) in [
