@@ -2,15 +2,24 @@
 //!
 //! Runs the seeded scheduler-roster corpus (see `spear::diffcheck::corpus`:
 //! single DAGs and Poisson job streams, on one box and on seeded 2–3-machine
-//! clusters, plain and epsilon-jittered) and re-verifies every produced
-//! schedule three independent ways: `Schedule::validate` with arrival
-//! gating and per-job JCT accounting, an audited replay through a fresh
-//! arrival-aware `SimState`, and replay onto `ResourceTimeline` grids. Any
-//! disagreement is a bookkeeping bug in one of the three cores; the
-//! offending case is shrunk — machines first, then the workload — to a
-//! minimal witness and written as a fixture JSON for triage (move it under
-//! `tests/fixtures/` once the bug is fixed, so it becomes a permanent
-//! regression test).
+//! clusters, plain and epsilon-jittered) and the seeded fault corpus
+//! (`spear::diffcheck::fault_corpus`: the roster's plans under seeded
+//! failure/straggler plans) through one loop. Each case plans its workload
+//! fault-free, executes the plan under its fault plan (the null plan in the
+//! main corpus) and judges the plan and the realized run three independent
+//! ways (`spear::diffcheck::check_faulty_run`): declaratively
+//! (`Schedule::validate` with arrival gating and per-job JCT accounting,
+//! and a re-derivation of the run from the fault draws), operationally (an
+//! audited re-execution that must reproduce the run, start no attempt
+//! before its planned start and, under the null plan, reproduce the plan)
+//! and by occupancy (`ResourceTimeline` grids with re-derived transfer
+//! windows). Any disagreement is a bookkeeping bug in one of the three
+//! cores; a failing fault-free case is shrunk — machines first, then the
+//! workload — to a minimal witness and written as a fixture JSON for
+//! triage (move it under `tests/fixtures/` once the bug is fixed, so it
+//! becomes a permanent regression test). A failing fault case is reported
+//! by its label, from which `fault_corpus` rebuilds it. Deterministic retry
+//! exhaustion is legal; nondeterministic exhaustion is a finding.
 //!
 //! Usage:
 //!
@@ -25,13 +34,6 @@
 //!
 //! An unknown flag or an unparsable value is a one-line `error:` and exit
 //! code 2.
-//!
-//! The fault pass executes every roster scheduler's fault-free plan under
-//! seeded failure/straggler plans and applies the fault-aware judges
-//! (`spear::diffcheck::check_faulty_run`): declarative re-derivation from
-//! the plan's draws, audited bit-identical re-execution, and the occupancy
-//! grid over failed *and* final attempts. Deterministic retry exhaustion is
-//! legal; nondeterministic exhaustion or any judge failure is a finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,7 +95,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 fn shrink_case(case: &CaseSpec, why: &str) -> Fixture {
     // A scheduler error on a smaller workload is a different failure
     // mode; keep the shrink focused on the original disagreement.
-    let fails = |c: &CaseSpec, q: &JobQueue| c.run_on(q).is_ok_and(|tri| !tri.all_ok());
+    let fails = |c: &CaseSpec, q: &JobQueue| matches!(c.run_on(q), Ok(Some(tri)) if !tri.all_ok());
     let queue = case.queue();
     let mut small_case = *case;
     while small_case.machines > 1 {
@@ -128,31 +130,38 @@ fn main() -> ExitCode {
     };
     let seed = options.seed;
 
-    let matrix = corpus(options.cases, seed);
+    let mut matrix = corpus(options.cases, seed);
+    matrix.extend(fault_corpus(options.fault_cases, seed));
     eprintln!(
-        "[fuzz_differential] {} cases, base seed {seed:#x}",
-        matrix.len()
+        "[fuzz_differential] {} cases ({} with faults), base seed {seed:#x}",
+        matrix.len(),
+        options.fault_cases
     );
     let start = Instant::now();
-    let mut failures = 0usize;
+    let (mut failures, mut exhausted) = (0usize, 0usize);
     for (i, case) in matrix.iter().enumerate() {
+        if (i + 1) % 50 == 0 {
+            eprintln!(
+                "[fuzz_differential] {}/{} ({:.1}s)",
+                i + 1,
+                matrix.len(),
+                start.elapsed().as_secs_f64()
+            );
+        }
         let why = match case.run() {
-            Ok(tri) if tri.all_ok() => {
-                if (i + 1) % 50 == 0 {
-                    eprintln!(
-                        "[fuzz_differential] {}/{} ok ({:.1}s)",
-                        i + 1,
-                        matrix.len(),
-                        start.elapsed().as_secs_f64()
-                    );
-                }
+            Ok(Some(tri)) if tri.all_ok() => continue,
+            Ok(None) => {
+                exhausted += 1;
                 continue;
             }
-            Ok(tri) => tri.summary(),
-            Err(e) => format!("scheduler error: {e}"),
+            Ok(Some(tri)) => tri.summary(),
+            Err(e) => format!("case error: {e}"),
         };
         failures += 1;
         println!("FAIL {}: {why}", case.label());
+        if !case.faults.is_none() {
+            continue;
+        }
         let fixture = shrink_case(case, &why);
         std::fs::create_dir_all(&options.out).expect("cannot create witness dir");
         let path = options.out.join(format!("{}.json", fixture.name));
@@ -163,39 +172,6 @@ fn main() -> ExitCode {
             path.display()
         );
     }
-
-    // Fault pass: fault-free plans executed under seeded fault plans,
-    // judged by the fault-aware tri-check. `Ok(None)` is deterministic
-    // retry exhaustion — legal, counted separately.
-    let fault_matrix = fault_corpus(options.fault_cases, seed);
-    eprintln!(
-        "[fuzz_differential] {} fault cases, base seed {seed:#x}",
-        fault_matrix.len()
-    );
-    let mut exhausted = 0usize;
-    for (i, case) in fault_matrix.iter().enumerate() {
-        let why = match case.run_faulty() {
-            Ok(Some(tri)) if tri.all_ok() => {
-                if (i + 1) % 20 == 0 {
-                    eprintln!(
-                        "[fuzz_differential] faults {}/{} ok ({:.1}s)",
-                        i + 1,
-                        fault_matrix.len(),
-                        start.elapsed().as_secs_f64()
-                    );
-                }
-                continue;
-            }
-            Ok(None) => {
-                exhausted += 1;
-                continue;
-            }
-            Ok(Some(tri)) => tri.summary(),
-            Err(e) => format!("fault case error: {e}"),
-        };
-        failures += 1;
-        println!("FAIL {}: {why}", case.label());
-    }
     if exhausted > 0 {
         eprintln!(
             "[fuzz_differential] {exhausted} fault cases ended in deterministic retry \
@@ -203,7 +179,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let total = matrix.len() + fault_matrix.len();
+    let total = matrix.len();
     let elapsed = start.elapsed().as_secs_f64();
     if failures == 0 {
         println!("fuzz_differential: {total} cases, 0 disagreements ({elapsed:.1}s)");

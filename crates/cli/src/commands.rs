@@ -6,11 +6,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
 use spear::{
-    execute_under_faults, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, CpScheduler, Dag,
-    FaultPlan, FaultProfile, FeatureConfig, Graphene, JctReport, JobQueue, JobSource,
-    MachineProfile, MctsConfig, MctsScheduler, MetricsRegistry, Obs, ObservedScheduler,
-    PolicyNetwork, RandomScheduler, Scheduler, SimEnv, SjfScheduler, SyntheticTraceSpec,
-    TetrisScheduler, Trace, TraceStats, TransferMode,
+    execute_under_faults, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, CpScheduler, Dag,
+    FaultPlan, FaultProfile, FeatureConfig, Graphene, JobQueue, JobSource, MachineProfile,
+    MctsConfig, MctsScheduler, MetricsRegistry, Obs, ObservedScheduler, PolicyNetwork,
+    RandomScheduler, Scheduler, SjfScheduler, SyntheticTraceSpec, TetrisScheduler, Trace,
+    TraceStats, TransferMode,
 };
 
 use crate::args::Args;
@@ -58,23 +58,26 @@ stream of jobs (random layered DAGs, or a trace's jobs with
 --gap slots — and the scheduler works the whole stream through one
 continuous episode. The report is per-job completion times (mean, p50,
 p99 JCT and the slowdown-spread unfairness) instead of one makespan.
---horizon caps the episode's wall clock: jobs not fully scheduled by
-then count as unfinished (a --dag run is reported as the one-job stream
-that arrives at 0).
+--horizon executes the plan up to that wall clock: jobs not fully
+scheduled by then count as unfinished (a --dag run is reported as the
+one-job stream that arrives at 0).
 
 --faults injects seeded failures and stragglers at *execution* time:
 the scheduler still plans against the fault-free DAG, then the plan is
 executed under a deterministic per-(task, attempt) fault plan derived
 from --seed. Both the failure and the straggler probability are set to
-the --faults rate. A failing attempt frees its resources mid-run and
-the task re-queues (dependencies unchanged) until --max-retries extra
-attempts are exhausted, which aborts the run with a typed error; a
-straggling attempt occupies the cluster --straggler times longer than
-its runtime. The realized makespan (or, with --arrivals, the realized
-JCT report) is printed next to the planned one. Every attempt runs on
-the machine the plan placed its task on, so faults work with any
---machines. A --straggler/--max-retries pair whose worst case passes
-the 2^53-slot clock ceiling is an error.
+the --faults rate. Execution starts every attempt on the machine the
+plan placed its task on and never before the task's planned start, so
+faults work with any --machines and a fault-free run is the plan
+itself. A failing attempt frees its resources mid-run and the task
+re-queues (dependencies unchanged) until --max-retries extra attempts
+are exhausted, which aborts the run with a typed error; a straggling
+attempt occupies the cluster --straggler times longer than its
+runtime. The realized makespan (or, with --arrivals, the realized JCT
+report) is printed next to the planned one, and a complete run exits
+with an error unless the plan and the run pass the tri-judge. A
+--straggler/--max-retries pair whose worst case passes the 2^53-slot
+clock ceiling is an error.
 
 --machines N (1 to 1024) plans against a seeded cluster of N machines:
 machine 0 keeps the full --capacity, later machines shrink by a seeded
@@ -362,37 +365,6 @@ fn load_arrival_stream(args: &Args) -> Result<JobQueue, Box<dyn Error>> {
     Ok(JobQueue::new(stream)?)
 }
 
-/// Replays the union `schedule` — each task placed on its recorded
-/// machine — through a horizon-capped [`SimEnv`] and reports the JCTs at
-/// truncation: jobs whose tasks were not all scheduled before the clock
-/// hit the horizon count as unfinished.
-fn truncated_report(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    schedule: &spear::Schedule,
-    horizon: u64,
-) -> Result<JctReport, Box<dyn Error>> {
-    let mut env = SimEnv::from_queue(queue, spec)?.with_horizon(Some(horizon));
-    let mut order: Vec<spear::Placement> = schedule.placements().to_vec();
-    order.sort_by_key(|p| (p.start, p.task));
-    'placements: for p in &order {
-        while env.observe().clock() < p.start {
-            if env.is_terminal() {
-                break 'placements;
-            }
-            env.step(Action::Process)?;
-        }
-        if env.is_terminal() {
-            break;
-        }
-        env.step(Action::Place(p.task, p.machine))?;
-    }
-    while !env.is_terminal() {
-        env.step(Action::Process)?;
-    }
-    Ok(queue.jct_report_partial(env.observe()))
-}
-
 /// `spear-cli schedule`: schedule a DAG file — the one-job queue that
 /// arrives at time 0 — and report the makespan, or — with `--arrivals` —
 /// an online multi-job stream and its JCT report.
@@ -442,15 +414,19 @@ pub fn schedule(args: &Args) -> Result<(), Box<dyn Error>> {
             100.0 * schedule.utilization(dag, &spec)
         );
     }
-    let report = match &faults {
-        Some(plan) => {
-            let run = execute_under_faults(&queue, &spec, &schedule, plan, horizon)?;
-            if !run.truncated {
-                let tri = spear::diffcheck::check_faulty_run(&queue, &spec, &schedule, plan, &run);
-                if !tri.all_ok() {
-                    return Err(format!("fault replay judges disagree: {}", tri.summary()).into());
-                }
+    // A horizon without faults is a null-plan execution, cut at the horizon.
+    let report = if faults.is_some() || horizon.is_some() {
+        let plan = faults.unwrap_or_else(FaultPlan::none);
+        let run = execute_under_faults(&queue, &spec, &schedule, &plan, horizon)?;
+        if !run.truncated {
+            let tri = spear::diffcheck::check_faulty_run(&queue, &spec, &schedule, &plan, &run);
+            if !tri.all_ok() {
+                return Err(
+                    format!("the judges reject the plan or its run: {}", tri.summary()).into(),
+                );
             }
+        }
+        if faults.is_some() {
             let attempts: u32 = run.attempts.iter().sum();
             println!(
                 "faults: realized makespan {} (planned {}), {} failures, {} stragglers, \
@@ -466,12 +442,10 @@ pub fn schedule(args: &Args) -> Result<(), Box<dyn Error>> {
                     ""
                 }
             );
-            run.report
         }
-        None => match horizon {
-            Some(h) => truncated_report(&queue, &spec, &schedule, h)?,
-            None => queue.jct_report(&schedule),
-        },
+        run.report
+    } else {
+        queue.jct_report(&schedule)
     };
     if stream || horizon.is_some() {
         println!(
@@ -1157,9 +1131,10 @@ mod tests {
         .unwrap();
     }
 
-    /// A multi-machine stream under `--horizon` replays its placements
-    /// machine by machine: the JCT report prints, and the completed-job
-    /// count rises as the horizon loosens until every job completes.
+    /// A multi-machine stream under `--horizon` is executed machine by
+    /// machine up to the horizon: the JCT report prints, and the
+    /// completed-job count rises as the horizon loosens until every job
+    /// completes.
     #[test]
     fn horizon_reports_a_multi_machine_stream() {
         let argv = [
@@ -1184,13 +1159,18 @@ mod tests {
             .unwrap();
         assert!(planned.placements().iter().any(|p| p.machine > 0));
         let mut completed = Vec::new();
+        let report_at = |horizon| {
+            let none = FaultPlan::none();
+            execute_under_faults(&queue, &spec, &planned, &none, Some(horizon))
+                .unwrap()
+                .report
+        };
         for horizon in (0..=planned.makespan()).step_by(5) {
-            let report = truncated_report(&queue, &spec, &planned, horizon).unwrap();
-            completed.push(report.completions().len());
+            completed.push(report_at(horizon).completions().len());
         }
         assert!(completed.windows(2).all(|w| w[0] <= w[1]), "{completed:?}");
         assert_eq!(completed[0], 0);
-        let full = truncated_report(&queue, &spec, &planned, planned.makespan()).unwrap();
+        let full = report_at(planned.makespan());
         assert_eq!(full.completions().len(), queue.jobs());
     }
 

@@ -573,11 +573,6 @@ impl<P> EpisodeDriver<P> {
         self.episode_obs = None;
     }
 
-    /// Whether driven steps record metrics into an enabled sink.
-    pub fn observes(&self) -> bool {
-        self.obs.is_enabled()
-    }
-
     /// Builds the instrument handles on first use. Gated on the constant
     /// [`spear_obs::compiled`] so disabled builds optimize the whole
     /// instrumentation path out of the stepping loops.
@@ -590,11 +585,6 @@ impl<P> EpisodeDriver<P> {
     /// The wrapped policy.
     pub fn policy(&self) -> &P {
         &self.policy
-    }
-
-    /// Mutable access to the wrapped policy.
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
     }
 
     /// Steps `env` until it is terminal, checking every action's legality

@@ -25,14 +25,15 @@
 //! attempts the episode is poisoned and fails fast with
 //! [`ClusterError::RetriesExhausted`].
 //!
-//! [`execute_under_faults`] replays a fault-free planned [`Schedule`] of
-//! a [`JobQueue`] under a plan with greedy priority dispatch (planned
-//! `(start, task)` order, each task on its planned machine), optionally
-//! up to a horizon, returning the realized [`FaultyRun`]. The dispatcher
-//! is a policy of the one [`EpisodeDriver`].
+//! [`execute_under_faults`] runs a fault-free planned [`Schedule`] of a
+//! [`JobQueue`] under a plan, optionally up to a horizon, and returns the
+//! realized [`FaultyRun`]. It is the one replay of a plan: its dispatcher,
+//! a policy of the one [`EpisodeDriver`], starts every attempt on its
+//! task's planned machine and never before the task's planned start, so
+//! under [`FaultPlan::none()`] the run is the plan.
 
 use serde::{Deserialize, Serialize};
-use spear_dag::{TaskId, MAX_TOTAL_RUNTIME};
+use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
 
 use crate::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use crate::jobs::{JctReport, JobQueue};
@@ -176,8 +177,11 @@ impl FaultPlan {
     /// The latest clock an execution of `queue` under this plan can
     /// reach: the last arrival plus the total work × (straggler factor +
     /// max retries). Each failed attempt holds at most its runtime and the
-    /// final attempt at most `ceil(runtime × factor)`, and greedy dispatch
-    /// never idles the cluster after the last arrival while work remains.
+    /// final attempt at most `ceil(runtime × factor)`. The clock moves from
+    /// event to event, and with nothing running the next event is an
+    /// arrival or a transfer release, never a planned start: after the
+    /// last arrival the clock passes an empty cluster only for transfers,
+    /// whose delays the bound leaves out.
     #[must_use]
     pub fn worst_case_clock(&self, queue: &JobQueue) -> f64 {
         let retries = if self.fail_rate > 0.0 {
@@ -290,43 +294,71 @@ pub struct FaultyRun {
     pub truncated: bool,
 }
 
-/// Sorts a planned schedule into the greedy dispatch priority order:
-/// ascending planned start, ties by task id; each task keeps its planned
-/// machine.
-fn dispatch_order(planned: &Schedule) -> Vec<(TaskId, u32)> {
+/// A plan's placements in dispatch priority order: ascending planned
+/// start, ties by task id, each with its planned machine.
+fn dispatch_order(planned: &Schedule) -> Vec<(u64, TaskId, u32)> {
     let mut order: Vec<(u64, TaskId, u32)> = planned
         .placements()
         .iter()
         .map(|p| (p.start, p.task, p.machine))
         .collect();
     order.sort_unstable();
-    order.into_iter().map(|(_, t, m)| (t, m)).collect()
+    order
 }
 
-/// Executes a fault-free planned schedule of `queue` under `plan` with
-/// greedy priority dispatch and returns the realized run: an audited
-/// [`EpisodeDriver`] drives a [`SimEnv`] carrying the plan, optionally
-/// capped at `horizon` (the realized run may then be partial and the JCT
-/// report censored at the final clock). At every decision the dispatcher
-/// places the first task in planned `(start, task)` order that can start
-/// on its planned machine, and processes when none can. Dispatch never
-/// stalls: while nothing runs and no job or transfer is pending, every
-/// ready task's planned machine is idle and holds its inputs.
+/// Checks that `planned` gives every task of `dag` a start and a machine
+/// of `spec`, in task order.
+fn check_plan(dag: &Dag, spec: &ClusterSpec, planned: &Schedule) -> Result<(), ClusterError> {
+    for task in dag.task_ids() {
+        let p = planned
+            .placement_of(task)
+            .ok_or(ClusterError::MissingPlacement(task))?;
+        if p.machine as usize >= spec.num_machines() {
+            return Err(ClusterError::MachineOutOfRange {
+                task,
+                machine: p.machine,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Executes a fault-free planned schedule of `queue` under `plan` and
+/// returns the realized run: an audited [`EpisodeDriver`] drives a
+/// [`SimEnv`] carrying the plan, optionally capped at `horizon` (the
+/// realized run may then be partial and the JCT report censored at the
+/// final clock).
 ///
-/// Dispatch starts a task as soon as it can, so it reproduces a plan only
-/// where the plan never idles a startable task: with `FaultPlan::none()`
-/// and no horizon, a list scheduler's plan comes back unchanged, but a
-/// search plan that deliberately waits (branch-and-bound, MCTS) can be
-/// realized with a different schedule and makespan.
+/// At every decision the dispatcher places the first task, in planned
+/// `(start, task)` order, whose planned start the clock has reached and
+/// that can start on its planned machine; when there is none, it
+/// processes. No attempt therefore starts before its planned start or off
+/// its planned machine, and under [`FaultPlan::none()`] with no horizon the
+/// run is the plan, placement for placement, whichever scheduler made it
+/// (a search plan that idles a task on purpose included).
+///
+/// Dispatch does not stall on a plan the simulator produced: realized
+/// starts and finishes never precede planned ones, so when nothing runs
+/// and no arrival or transfer is pending, the clock has passed the
+/// planned start of some released task (the event that brought the plan
+/// to that start has already happened in the run), and that task can
+/// start on its idle planned machine. A plan that leaves the cluster idle
+/// with no event to wait for (one no simulator run produces) ends in
+/// [`ClusterError::NothingRunning`].
 ///
 /// # Errors
 ///
+/// * [`ClusterError::MissingPlacement`] or
+///   [`ClusterError::MachineOutOfRange`] for a plan that leaves a task
+///   out or names a machine the cluster does not have, before anything
+///   runs;
 /// * [`ClusterError::FaultClockTooLate`] for a plan whose worst case
 ///   passes the slot ceiling ([`FaultPlan::check_clock`]);
 /// * [`ClusterError::RetriesExhausted`] when a task fails more than
 ///   `max_retries + 1` attempts — even under a horizon;
-/// * [`SpearError::Audit`] on an invariant violation, and construction
-///   errors as [`SimState::new_multi`].
+/// * [`SpearError::Audit`] on an invariant violation, the simulator's
+///   error for a plan it cannot follow, and construction errors as
+///   [`SimState::new_multi`].
 pub fn execute_under_faults(
     queue: &JobQueue,
     spec: &ClusterSpec,
@@ -335,13 +367,14 @@ pub fn execute_under_faults(
     horizon: Option<u64>,
 ) -> Result<FaultyRun, SpearError> {
     plan.check_clock(queue)?;
+    check_plan(queue.union_dag(), spec, planned)?;
     let order = dispatch_order(planned);
     let dispatch = |ctx: &EnvContext<'_>, sim: &SimState, _: &[Action]| {
         order
             .iter()
-            .copied()
-            .find(|&(t, m)| sim.can_schedule_on(ctx.dag, t, m))
-            .map_or(Action::Process, |(t, m)| Action::Place(t, m))
+            .take_while(|&&(start, _, _)| start <= sim.clock())
+            .find(|&&(_, t, m)| sim.can_schedule_on(ctx.dag, t, m))
+            .map_or(Action::Process, |&(_, t, m)| Action::Place(t, m))
     };
     let mut env = SimEnv::from_queue(queue, spec)?
         .with_faults(*plan)
@@ -466,6 +499,35 @@ mod tests {
         assert_eq!(run.straggles, 0);
         assert!(run.failed_runs.is_empty());
         assert!(run.attempts.iter().all(|&a| a == 1));
+    }
+
+    #[test]
+    fn a_plan_that_omits_a_task_is_a_missing_placement() {
+        let dag = diamond(1);
+        let spec = ClusterSpec::unit(1);
+        let mut placements = greedy_schedule(&dag, &spec).placements().to_vec();
+        let dropped = placements.remove(2).task;
+        let planned = Schedule::from_placements(placements, 10);
+        let err = execute(&dag, &spec, &planned, &FaultPlan::none()).unwrap_err();
+        assert_eq!(
+            err,
+            SpearError::Cluster(ClusterError::MissingPlacement(dropped))
+        );
+    }
+
+    #[test]
+    fn a_plan_on_a_machine_the_cluster_lacks_is_out_of_range() {
+        let dag = diamond(1);
+        let spec = ClusterSpec::unit(1);
+        let mut placements = greedy_schedule(&dag, &spec).placements().to_vec();
+        placements[3].machine = 1;
+        let planned = Schedule::from_placements(placements, 10);
+        let err = execute(&dag, &spec, &planned, &FaultPlan::none()).unwrap_err();
+        let want = ClusterError::MachineOutOfRange {
+            task: TaskId::new(3),
+            machine: 1,
+        };
+        assert_eq!(err, SpearError::Cluster(want));
     }
 
     #[test]

@@ -1,48 +1,47 @@
-//! Differential schedule checking: one schedule, three independent judges.
+//! Differential schedule checking: one plan, its realized run, three
+//! independent judges.
 //!
 //! Every scheduler in this reproduction emits a [`Schedule`], and every
 //! paper comparison trusts that those schedules are feasible. This module
-//! re-verifies each schedule of a [`JobQueue`] — one DAG is the one-job
-//! queue that arrives at time 0 — **three independent ways** and flags any
-//! disagreement ([`check_schedule`]):
+//! re-verifies each plan of a [`JobQueue`] — one DAG is the one-job queue
+//! that arrives at time 0 — together with its execution by
+//! [`execute_under_faults`], the one replay of a plan, under a
+//! [`FaultPlan`] (the null plan when faults are off), **three independent
+//! ways**, and flags any disagreement ([`check_faulty_run`];
+//! [`check_schedule`] is its null-plan case):
 //!
-//! 1. [`Schedule::validate`] — the declarative checker (completeness,
-//!    precedence, transfers, capacity event sweep), plus arrival gating,
-//!    per-job JCT accounting and job-local re-validation;
-//! 2. replay through a fresh arrival-aware [`SimState`] — the operational
-//!    semantics the schedule was produced under, `Place(task, machine)` by
-//!    `Place`, with the [`InvariantAuditor`] after every step;
-//! 3. replay onto [`ResourceTimeline`] grids, one per machine — the
-//!    slot-by-slot occupancy, the third accounting of the same capacity
-//!    constraint.
+//! 1. declarative — [`Schedule::validate`] on the plan, with arrival
+//!    gating, per-job JCT accounting and job-local re-validation, and a
+//!    re-derivation of the whole run from the plan's pure fault draws;
+//! 2. operational — an audited re-execution reproduces the run, no
+//!    attempt starts before its planned start or off its planned machine,
+//!    and under the null plan the run is the plan, placement for
+//!    placement;
+//! 3. occupancy — the plan and the run's failed and final attempts placed
+//!    onto [`ResourceTimeline`] grids, one per machine, with the transfer
+//!    window of every interval re-derived from the machine set.
 //!
-//! A schedule all three accept is near-certainly feasible; a schedule they
-//! *disagree* on exposes a bookkeeping bug in one of the three cores (the
-//! epsilon-drift fixture under `tests/fixtures/` is exactly such a case,
-//! found by this harness). The seeded fuzz corpus ([`corpus`]) crosses
-//! [`LayeredDagSpec`] workloads — single DAGs and Poisson streams, on one
-//! box and on seeded multi-machine clusters — with every scheduler in the
-//! workspace, including an epsilon-jitter mode that places demands within
-//! one [`FIT_EPSILON`] of the capacity boundary, where the accounting bugs
-//! live. Failing cases shrink to minimized committed fixtures
-//! ([`Fixture`]): machines first, then the workload ([`shrink_queue`]).
-//!
-//! Fault-injected executions get their own tri-judge ([`check_faulty_run`]
-//! over a [`FaultyRun`]): the declarative judge re-derives every attempt
-//! from the plan's pure draws, the operational judge re-executes the plan
-//! under the auditor and demands a bit-identical run, and the occupancy
-//! judge replays failed *and* final attempts onto the grid. The
-//! [`fault_corpus`] crosses the roster with the EXPERIMENTS.md fault
-//! rates; deterministic retry exhaustion is a legal outcome, but any
-//! nondeterminism in it is a finding.
+//! A plan and run all three accept are near-certainly feasible; a case
+//! they *disagree* on exposes a bookkeeping bug in one of the three cores
+//! (the epsilon-drift fixture under `tests/fixtures/` is exactly such a
+//! case, found by this harness). The seeded fuzz corpus ([`corpus`])
+//! crosses [`LayeredDagSpec`] workloads — single DAGs and Poisson streams,
+//! on one box and on seeded multi-machine clusters — with every scheduler
+//! in the workspace, including an epsilon-jitter mode that places demands
+//! within one [`FIT_EPSILON`] of the capacity boundary, where the
+//! accounting bugs live; the [`fault_corpus`] crosses the roster with the
+//! EXPERIMENTS.md fault rates. [`CaseSpec::run_on`] runs either kind of
+//! case. Deterministic retry exhaustion is a legal outcome, but any
+//! nondeterminism in it is a finding. Failing cases shrink to minimized
+//! committed fixtures ([`Fixture`]): machines first, then the workload
+//! ([`shrink_queue`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use spear_cluster::{
-    execute_under_faults, Action, ClusterError, ClusterSpec, FaultOutcome, FaultPlan, FaultyRun,
-    InvariantAuditor, JobQueue, MachineSet, ResourceTimeline, Schedule, SimState, SpearError,
-    TransferMode,
+    execute_under_faults, ClusterError, ClusterSpec, FailedRun, FaultOutcome, FaultPlan, FaultyRun,
+    JobQueue, MachineSet, ResourceTimeline, Schedule, SpearError, TransferMode,
 };
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::{Dag, DagBuilder, ResourceVec, Task, TaskId, FIT_EPSILON};
@@ -163,15 +162,17 @@ impl SchedulerKind {
     }
 }
 
-/// The three independent verdicts on one schedule. `Ok(())` means the
-/// judge accepts; `Err` carries a human-readable reason.
+/// The three independent verdicts on a plan and its realized run.
+/// `Ok(())` means the judge accepts; `Err` carries a human-readable
+/// reason.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TriCheck {
-    /// Verdict of [`Schedule::validate`].
+    /// Verdict of the declarative judge: [`Schedule::validate`] and the
+    /// re-derivation of the run from the fault draws.
     pub validate: Result<(), String>,
-    /// Verdict of the step-by-step [`SimState`] replay.
+    /// Verdict of the operational judge: the audited re-execution.
     pub sim_replay: Result<(), String>,
-    /// Verdict of the slot-by-slot [`ResourceTimeline`] replay.
+    /// Verdict of the occupancy judge: the [`ResourceTimeline`] grids.
     pub timeline_replay: Result<(), String>,
 }
 
@@ -208,21 +209,89 @@ impl TriCheck {
     }
 }
 
-/// Runs all three judges on `schedule`, a schedule of `queue`'s union DAG.
+/// The null-plan case of [`check_faulty_run`]: executes `schedule`, a
+/// schedule of `queue`'s union DAG, under [`FaultPlan::none()`] and judges
+/// the plan and its run. An execution that fails is the operational
+/// judge's rejection; the other two then judge the plan alone.
 pub fn check_schedule(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> TriCheck {
+    let none = FaultPlan::none();
+    let run = execute_under_faults(queue, spec, schedule, &none, None);
+    judge(queue, spec, schedule, &none, run.as_ref())
+}
+
+/// Runs the three judges on the fault-free plan `planned` of `queue` and
+/// on `run`, its complete execution under `plan` (no horizon — every task
+/// placed):
+///
+/// 1. **validate** — [`Schedule::validate`] on the plan with arrival
+///    gating, per-job JCT accounting and job-local re-validation, then a
+///    declarative re-derivation of the whole run from the plan's pure
+///    draws: completeness, arrival gating, per-attempt durations, every
+///    failed attempt matching a `Fail` draw exactly, the retry budget,
+///    re-queue ordering, precedence and transfer windows on realized
+///    times, capacity event sweeps (the cluster's and each machine's) over
+///    final *and* failed occupancy intervals, the fault counters and the
+///    JCT report;
+/// 2. **sim replay** — a fresh audited re-execution
+///    ([`execute_under_faults`]) reproduces the recorded run bit for bit,
+///    every attempt runs on its planned machine no earlier than its
+///    planned start, and under the null plan the run is the plan;
+/// 3. **timeline replay** — the plan, then the run's failed and final
+///    attempts with their drawn durations, placed onto their machine's
+///    [`ResourceTimeline`] occupancy grid, each interval clear of its
+///    parents' transfer windows.
+pub fn check_faulty_run(
+    queue: &JobQueue,
+    spec: &ClusterSpec,
+    planned: &Schedule,
+    plan: &FaultPlan,
+    run: &FaultyRun,
+) -> TriCheck {
+    judge(queue, spec, planned, plan, Ok(run))
+}
+
+/// The tri-judge over `planned` and the result of executing it under
+/// `plan`: a failed execution is the operational judge's rejection, and
+/// the declarative and occupancy judges then judge the plan alone.
+fn judge(
+    queue: &JobQueue,
+    spec: &ClusterSpec,
+    planned: &Schedule,
+    plan: &FaultPlan,
+    run: Result<&FaultyRun, &SpearError>,
+) -> TriCheck {
+    let dag = queue.union_dag();
+    let on_plan = |e: String| format!("plan: {e}");
+    let declarative = validate(queue, spec, planned).map_err(on_plan);
+    let grids = occupancy(dag, spec, &FaultPlan::none(), planned, &[], |_| 1).map_err(on_plan);
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => {
+            return TriCheck {
+                validate: declarative,
+                sim_replay: Err(format!("execution: {e}")),
+                timeline_replay: grids,
+            }
+        }
+    };
+    let on_run = |e: String| format!("run: {e}");
+    let attempts = |t: TaskId| run.attempts.get(t.index()).copied().unwrap_or(0);
     TriCheck {
-        validate: validate(queue, spec, schedule),
-        sim_replay: replay_sim(queue, spec, schedule),
-        timeline_replay: replay_timeline(queue, spec, schedule),
+        validate: declarative.and_then(|()| validate_run(queue, spec, plan, run).map_err(on_run)),
+        sim_replay: replay(queue, spec, planned, plan, run),
+        timeline_replay: grids.and_then(|()| {
+            occupancy(dag, spec, plan, &run.schedule, &run.failed_runs, attempts).map_err(on_run)
+        }),
     }
 }
 
-/// The declarative judge: [`Schedule::validate`] on the union DAG, arrival
-/// gating, per-job JCT accounting against [`JobQueue::jct_report`], and —
-/// on a single box — every per-job sub-schedule re-validated against its
-/// own job DAG. (Transfer payloads are seeded by union task ids, so on a
-/// multi-machine cluster a job-local re-check would read other edges'
-/// payloads; the union check covers transfers there.)
+/// The declarative judge of a plan: [`Schedule::validate`] on the union
+/// DAG, arrival gating, per-job JCT accounting against
+/// [`JobQueue::jct_report`], and — on a single box — every per-job
+/// sub-schedule re-validated against its own job DAG. (Transfer payloads
+/// are seeded by union task ids, so on a multi-machine cluster a job-local
+/// re-check would read other edges' payloads; the union check covers
+/// transfers there.)
 fn validate(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
     schedule
         .validate(queue.union_dag(), spec)
@@ -270,168 +339,107 @@ fn validate(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result
     Ok(())
 }
 
-/// Replays `schedule` action-by-action through a fresh arrival-aware
-/// [`SimState`]: each task is placed on its recorded machine exactly when
-/// its recorded start equals the clock, and `Process` advances between
-/// starts. The simulator's own admission, arrival gate and transfer gate
-/// re-derive every constraint independently of the declarative judge, the
-/// [`InvariantAuditor`] runs after every placement and drain step, and the
-/// terminal state's JCT report must match the placement-derived one.
-/// Rejects schedules the operational semantics cannot realize
-/// (unreachable start times, capacity, precedence or arrival refusals,
-/// makespan mismatch).
-fn replay_sim(queue: &JobQueue, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
-    let dag = queue.union_dag();
-    let mut sim = SimState::new_multi(queue, spec).map_err(|e| format!("initial state: {e}"))?;
-    let mut auditor = InvariantAuditor::new();
-    let mut order: Vec<usize> = (0..schedule.placements().len()).collect();
-    order.sort_by_key(|&i| {
-        let p = &schedule.placements()[i];
-        (p.start, p.task)
-    });
-    for &i in &order {
-        let p = &schedule.placements()[i];
-        while sim.clock() < p.start {
-            sim.apply(dag, Action::Process)
-                .map_err(|e| format!("advancing to start {} of task {}: {e}", p.start, p.task))?;
-        }
-        if sim.clock() != p.start {
+/// The operational judge: an audited re-execution of `planned` under
+/// `plan` ([`InvariantAuditor`](spear_cluster::InvariantAuditor) after
+/// every step) reproduces `run` bit for bit; every attempt of the run
+/// starts on its task's planned machine, no earlier than its planned
+/// start; and under the null plan the run is the plan, placement for
+/// placement.
+fn replay(
+    queue: &JobQueue,
+    spec: &ClusterSpec,
+    planned: &Schedule,
+    plan: &FaultPlan,
+    run: &FaultyRun,
+) -> Result<(), String> {
+    let reexec = execute_under_faults(queue, spec, planned, plan, None)
+        .map_err(|e| format!("audited re-execution: {e}"))?;
+    if reexec.schedule != run.schedule {
+        return Err("re-executed placements diverge from the recorded run".to_owned());
+    }
+    if &reexec != run {
+        return Err(format!(
+            "re-executed accounting diverges: makespan {} vs {}, failures {} vs {}, \
+             straggles {} vs {}, {} vs {} failed runs",
+            reexec.makespan,
+            run.makespan,
+            reexec.failures,
+            run.failures,
+            reexec.straggles,
+            run.straggles,
+            reexec.failed_runs.len(),
+            run.failed_runs.len()
+        ));
+    }
+    let failed = run.failed_runs.iter().map(|f| (f.task, f.start, f.machine));
+    let finals = run.schedule.placements().iter();
+    for (task, start, machine) in failed.chain(finals.map(|p| (p.task, p.start, p.machine))) {
+        let p = planned
+            .placement_of(task)
+            .ok_or_else(|| format!("task {task} runs but has no planned placement"))?;
+        if start < p.start || machine != p.machine {
             return Err(format!(
-                "task {} starts at {} but the clock can only reach {}",
-                p.task,
-                p.start,
-                sim.clock()
+                "task {task} starts at {start} on m{machine}, planned at {} on m{}",
+                p.start, p.machine
             ));
         }
-        sim.apply(dag, Action::Place(p.task, p.machine))
-            .map_err(|e| format!("scheduling task {} at {}: {e}", p.task, p.start))?;
-        auditor
-            .check(dag, &sim)
-            .map_err(|v| format!("auditor after placing task {}: {v}", p.task))?;
     }
-    while !sim.is_terminal(dag) {
-        sim.apply(dag, Action::Process)
-            .map_err(|e| format!("draining the cluster: {e}"))?;
-        auditor
-            .check(dag, &sim)
-            .map_err(|v| format!("auditor while draining: {v}"))?;
-    }
-    match sim.makespan() {
-        Some(m) if m == schedule.makespan() => {}
-        Some(m) => {
-            return Err(format!(
-                "replayed makespan {m} != recorded makespan {}",
-                schedule.makespan()
-            ))
-        }
-        None => return Err("terminal state reports no makespan".to_owned()),
-    }
-    let from_state = queue.jct_report_partial(&sim);
-    let from_schedule = queue.jct_report(schedule);
-    if from_state != from_schedule {
+    if plan.is_none() && run.schedule != *planned {
+        let moved = planned
+            .placements()
+            .iter()
+            .find(|p| run.schedule.placement_of(p.task) != Some(p));
         return Err(format!(
-            "state-derived JCT report {from_state:?} != placement-derived {from_schedule:?}"
+            "the null-plan run is not the plan (first moved placement: {moved:?})"
         ));
     }
     Ok(())
 }
 
-/// The occupancy judge: the union schedule must fit its grids, and — for
-/// a complete stream of several jobs on a single box, where job-local ids
-/// carry no transfer payloads — so must every per-job sub-schedule on its
-/// own (a one-job queue's sub-schedule is the union schedule).
-fn replay_timeline(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    schedule: &Schedule,
-) -> Result<(), String> {
-    replay_grids(queue.union_dag(), spec, schedule)?;
-    let complete = queue
-        .union_dag()
-        .task_ids()
-        .all(|t| schedule.placement_of(t).is_some());
-    if complete && queue.jobs() > 1 && spec.num_machines() == 1 {
-        for (span, sub) in queue.spans().iter().zip(queue.per_job_schedules(schedule)) {
-            replay_grids(queue.job_dag(span.job), spec, &sub)
-                .map_err(|e| format!("job {}: {e}", span.job))?;
-        }
-    }
-    Ok(())
-}
-
-/// Replays `schedule` onto [`ResourceTimeline`]s: every placement must
-/// fit the already-placed occupancy slot-by-slot, and durations must match
-/// runtimes. (Precedence and completeness are out of scope here — the
-/// timeline is the capacity judge.)
-///
-/// The judge keeps **one occupancy grid per machine** (each with that
-/// machine's own capacity) and re-derives every cross-machine transfer
-/// delay from the [`MachineSet`] alone — seeded edge bytes divided by
-/// link bandwidth — rejecting any child that starts inside its transfer
-/// window. That derivation shares no code with [`Schedule::validate`]'s
-/// edge loop or the simulator's gate, so a bug in either shows up as a
-/// judge disagreement rather than a silent agreement.
-fn replay_grids(dag: &Dag, spec: &ClusterSpec, schedule: &Schedule) -> Result<(), String> {
-    for p in schedule.placements() {
-        let runtime = dag.task(p.task).runtime();
-        if p.finish.checked_sub(p.start) != Some(runtime) {
-            return Err(format!(
-                "task {} spans [{}, {}) but its runtime is {runtime}",
-                p.task, p.start, p.finish
-            ));
-        }
-    }
-    let placements = schedule.placements().iter();
-    fill_grids(
-        dag,
-        spec,
-        placements.map(|p| (p.task, p.start, p.finish, p.machine)),
-    )?;
-    let machines = spec.machines();
-    for e in dag.edges() {
-        let (parent, child) = match (schedule.placement_of(e.from), schedule.placement_of(e.to)) {
-            (Some(p), Some(c)) => (p, c),
-            // Completeness is the declarative judge's concern.
-            _ => continue,
-        };
-        let bytes = machines.edge_bytes(e.from.index(), e.to.index());
-        let delay = machines.transfer_delay(bytes, parent.machine, child.machine);
-        if child.start < parent.finish.saturating_add(delay) {
-            return Err(format!(
-                "task {} starts at {} inside the transfer window of its parent {} \
-                 (finish {} + {bytes} bytes over the m{}->m{} link = {delay} slots)",
-                e.to, child.start, e.from, parent.finish, parent.machine, child.machine
-            ));
-        }
-    }
-    match schedule.placements().iter().map(|p| p.finish).max() {
-        Some(latest) if latest != schedule.makespan() => Err(format!(
-            "latest finish {latest} != recorded makespan {}",
-            schedule.makespan()
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// Places occupancy intervals `(task, start, end, machine)` one by one
-/// onto a [`ResourceTimeline`] per machine (each with that machine's own
-/// capacity): every interval must fit the occupancy already placed, slot
-/// by slot.
-fn fill_grids(
+/// The occupancy judge on one realization of a plan: the final attempts
+/// in `finals` (attempt index one below the task's count in `attempts`)
+/// after the `failed` ones — the plan itself is the null plan's
+/// realization, with no failures and one attempt each. Every attempt
+/// interval must span the slots `plan` draws for it, fit the occupancy
+/// already placed on its machine's [`ResourceTimeline`] (each with that
+/// machine's own capacity) slot by slot, and start no earlier than each
+/// parent's output reaches its machine: the parent's final finish plus the
+/// transfer delay, re-derived from the [`MachineSet`] alone — seeded edge
+/// bytes divided by link bandwidth. That derivation shares no code with
+/// [`Schedule::validate`]'s edge loop or the simulator's gate, so a bug in
+/// either shows up as a judge disagreement rather than a silent
+/// agreement. Completeness is out of scope here.
+fn occupancy(
     dag: &Dag,
     spec: &ClusterSpec,
-    intervals: impl IntoIterator<Item = (TaskId, u64, u64, u32)>,
+    plan: &FaultPlan,
+    finals: &Schedule,
+    failed: &[FailedRun],
+    attempts: impl Fn(TaskId) -> u32,
 ) -> Result<(), String> {
-    let mut grids: Vec<ResourceTimeline> = spec
-        .machines()
+    let machines = spec.machines();
+    let mut grids: Vec<ResourceTimeline> = machines
         .capacities()
         .iter()
         .map(|c| ResourceTimeline::new(c.clone()))
         .collect();
-    for (task, start, end, machine) in intervals {
-        let slots = end
-            .checked_sub(start)
-            .ok_or_else(|| format!("task {task} spans [{start}, {end}) backwards"))?;
+    let failed = failed
+        .iter()
+        .map(|f| Ok::<_, String>((f.task, f.attempt, f.start, f.end, f.machine)));
+    let finals_iter = finals.placements().iter().map(|p| {
+        let last = attempts(p.task)
+            .checked_sub(1)
+            .ok_or_else(|| format!("task {} is placed without a started attempt", p.task))?;
+        Ok((p.task, last, p.start, p.finish, p.machine))
+    });
+    for interval in failed.chain(finals_iter) {
+        let (task, attempt, start, end, machine) = interval?;
+        let slots = plan.run_slots(task, attempt, dag.task(task).runtime());
+        if end.checked_sub(start) != Some(slots) {
+            return Err(format!(
+                "task {task} spans [{start}, {end}) but attempt {attempt} occupies {slots} slots"
+            ));
+        }
         let tl = grids.get_mut(machine as usize).ok_or_else(|| {
             format!(
                 "task {task} is placed on machine {machine} of a {}-machine cluster",
@@ -445,8 +453,29 @@ fn fill_grids(
             ));
         }
         tl.place(demand, start, slots);
+        for &parent in dag.parents(task) {
+            let Some(p) = finals.placement_of(parent) else {
+                continue;
+            };
+            let bytes = machines.edge_bytes(parent.index(), task.index());
+            let delay = machines.transfer_delay(bytes, p.machine, machine);
+            if start < p.finish.saturating_add(delay) {
+                return Err(format!(
+                    "task {task} starts at {start} inside the transfer window of its parent \
+                     {parent} (finish {} + {bytes} bytes over the m{}->m{machine} link = {delay} \
+                     slots)",
+                    p.finish, p.machine
+                ));
+            }
+        }
     }
-    Ok(())
+    match finals.placements().iter().map(|p| p.finish).max() {
+        Some(latest) if latest != finals.makespan() => Err(format!(
+            "latest finish {latest} != recorded makespan {}",
+            finals.makespan()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// One fuzz case: a seeded workload — one DAG, or a Poisson stream of
@@ -479,8 +508,8 @@ pub struct CaseSpec {
     /// Snap demands next to the capacity boundary (within one
     /// `FIT_EPSILON`) to probe the epsilon-admission region.
     pub epsilon_jitter: bool,
-    /// Execution-time faults for [`CaseSpec::run_faulty`], frozen to a
-    /// plan by the case seed. The scheduler always plans against the
+    /// Execution-time faults for [`CaseSpec::run_on`], frozen to a plan
+    /// by the case seed. The scheduler always plans against the
     /// fault-free workload — faults bite at execution time — so every
     /// roster member runs unchanged.
     pub faults: FaultProfile,
@@ -565,39 +594,15 @@ impl CaseSpec {
         ClusterSpec::hetero(machines).expect("machine set is valid")
     }
 
-    /// Runs the scheduler on `queue` (the case's workload, or a shrunk
-    /// one) and judges its schedule three ways.
-    ///
-    /// # Errors
-    ///
-    /// The scheduler's own failure — also a finding.
-    pub fn run_on(&self, queue: &JobQueue) -> Result<TriCheck, String> {
-        let spec = self.cluster();
-        let schedule = self
-            .scheduler
-            .build(self.seed, self.dims)
-            .schedule_multi(queue, &spec)
-            .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
-        Ok(check_schedule(queue, &spec, &schedule))
-    }
-
-    /// Runs the scheduler on the case's workload and judges its schedule
-    /// three ways.
-    ///
-    /// # Errors
-    ///
-    /// The scheduler's own failure — also a finding.
-    pub fn run(&self) -> Result<TriCheck, String> {
-        self.run_on(&self.queue())
-    }
-
-    /// The frozen fault plan of this case.
+    /// The frozen fault plan of this case (the null plan without faults).
     pub fn plan(&self) -> FaultPlan {
         self.faults.plan(self.seed)
     }
 
-    /// Plans on the fault-free workload, executes the plan under the
-    /// case's fault plan, and judges the realized run three ways.
+    /// Plans `queue` (the case's workload, or a shrunk one) with the
+    /// case's scheduler against the fault-free cluster, executes the plan
+    /// under the case's fault plan and judges the plan and its run three
+    /// ways ([`check_faulty_run`]).
     ///
     /// `Ok(None)` means the execution exhausted a task's retry budget — a
     /// legal outcome, but only a *deterministic* one: the case re-executes
@@ -606,32 +611,41 @@ impl CaseSpec {
     ///
     /// # Errors
     ///
-    /// The scheduler's own failure, a non-exhaustion execution error, or
-    /// nondeterministic exhaustion — all findings.
-    pub fn run_faulty(&self) -> Result<Option<TriCheck>, String> {
-        let queue = self.queue();
+    /// The scheduler's own failure or nondeterministic exhaustion — both
+    /// findings.
+    pub fn run_on(&self, queue: &JobQueue) -> Result<Option<TriCheck>, String> {
         let spec = self.cluster();
-        let mut scheduler = self.scheduler.build(self.seed, self.dims);
-        let planned = scheduler
-            .schedule_multi(&queue, &spec)
+        let planned = self
+            .scheduler
+            .build(self.seed, self.dims)
+            .schedule_multi(queue, &spec)
             .map_err(|e| format!("{} failed to schedule: {e}", self.scheduler.name()))?;
         let plan = self.plan();
-        match execute_under_faults(&queue, &spec, &planned, &plan, None) {
-            Ok(run) => Ok(Some(check_faulty_run(&queue, &spec, &planned, &plan, &run))),
+        let execute = || execute_under_faults(queue, &spec, &planned, &plan, None);
+        match execute() {
             Err(SpearError::Cluster(ClusterError::RetriesExhausted { task, attempts })) => {
-                match execute_under_faults(&queue, &spec, &planned, &plan, None) {
+                match execute() {
                     Err(SpearError::Cluster(ClusterError::RetriesExhausted {
                         task: t2,
                         attempts: a2,
-                    })) if t2 == task && a2 == attempts => Ok(None),
+                    })) if (t2, a2) == (task, attempts) => Ok(None),
                     other => Err(format!(
                         "retry exhaustion is nondeterministic: task {task} after {attempts} \
                          attempts, then {other:?}"
                     )),
                 }
             }
-            Err(e) => Err(format!("execution under faults failed: {e}")),
+            run => Ok(Some(judge(queue, &spec, &planned, &plan, run.as_ref()))),
         }
+    }
+
+    /// [`CaseSpec::run_on`] the case's own workload.
+    ///
+    /// # Errors
+    ///
+    /// As [`CaseSpec::run_on`].
+    pub fn run(&self) -> Result<Option<TriCheck>, String> {
+        self.run_on(&self.queue())
     }
 
     /// Short label for reports, e.g. `tetris/n25/seed42/jitter` or
@@ -758,42 +772,10 @@ fn family_case(family: usize, j: usize, base_seed: u64) -> CaseSpec {
     }
 }
 
-/// Runs the three fault-aware judges on a realized run: `run` must be the
-/// outcome of executing the fault-free `planned` schedule of `queue` to
-/// completion under `plan` (no horizon — every task placed).
-///
-/// 1. **validate** — declarative re-derivation of the whole run from the
-///    plan's pure draws: completeness, arrival gating, per-attempt
-///    durations, every failed attempt matching a `Fail` draw exactly, the
-///    retry budget, re-queue ordering, precedence and transfer windows on
-///    realized times, capacity event sweeps (the cluster's and each
-///    machine's) over final *and* failed occupancy intervals, the fault
-///    counters and the JCT report;
-/// 2. **sim replay** — a fresh audited re-execution
-///    ([`execute_under_faults`]) compared bit-for-bit against the
-///    recorded run;
-/// 3. **timeline replay** — failed and final attempts placed onto their
-///    machine's [`ResourceTimeline`] occupancy grid with their realized
-///    durations.
-pub fn check_faulty_run(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    planned: &Schedule,
-    plan: &FaultPlan,
-    run: &FaultyRun,
-) -> TriCheck {
-    let dag = queue.union_dag();
-    TriCheck {
-        validate: validate_faulty(queue, spec, plan, run),
-        sim_replay: replay_sim_faulty(queue, spec, planned, plan, run),
-        timeline_replay: replay_timeline_faulty(dag, spec, plan, run),
-    }
-}
-
-/// The declarative fault judge: re-derives the entire run from the plan's
-/// pure per-(task, attempt) draws and checks the recorded intervals and
-/// counters against that derivation.
-fn validate_faulty(
+/// The declarative judge of a run: re-derives the entire run from the
+/// plan's pure per-(task, attempt) draws and checks the recorded intervals
+/// and counters against that derivation.
+fn validate_run(
     queue: &JobQueue,
     spec: &ClusterSpec,
     plan: &FaultPlan,
@@ -1015,83 +997,6 @@ fn validate_faulty(
         return Err("the JCT report disagrees with the realized placements".to_owned());
     }
     Ok(())
-}
-
-/// The operational fault judge: re-execute the planned schedule under the
-/// same plan with the invariant auditor on, and demand a bit-identical
-/// realized run.
-fn replay_sim_faulty(
-    queue: &JobQueue,
-    spec: &ClusterSpec,
-    planned: &Schedule,
-    plan: &FaultPlan,
-    run: &FaultyRun,
-) -> Result<(), String> {
-    let reexec = execute_under_faults(queue, spec, planned, plan, None)
-        .map_err(|e| format!("audited re-execution: {e}"))?;
-    if &reexec == run {
-        return Ok(());
-    }
-    if reexec.schedule != run.schedule {
-        return Err("re-executed placements diverge from the recorded run".to_owned());
-    }
-    Err(format!(
-        "re-executed accounting diverges: makespan {} vs {}, failures {} vs {}, \
-         straggles {} vs {}, {} vs {} failed runs",
-        reexec.makespan,
-        run.makespan,
-        reexec.failures,
-        run.failures,
-        reexec.straggles,
-        run.straggles,
-        reexec.failed_runs.len(),
-        run.failed_runs.len()
-    ))
-}
-
-/// The occupancy fault judge: every failed and final attempt must fit the
-/// grid slot-by-slot with its realized duration (`Fail` draws for aborted
-/// attempts, [`FaultPlan::run_slots`] for completing ones).
-fn replay_timeline_faulty(
-    dag: &Dag,
-    spec: &ClusterSpec,
-    plan: &FaultPlan,
-    run: &FaultyRun,
-) -> Result<(), String> {
-    for p in run.schedule.placements() {
-        let attempts = run
-            .attempts
-            .get(p.task.index())
-            .copied()
-            .filter(|&a| a > 0)
-            .ok_or_else(|| format!("task {} is placed without a started attempt", p.task))?;
-        let slots = plan.run_slots(p.task, attempts - 1, dag.task(p.task).runtime());
-        if p.finish.checked_sub(p.start) != Some(slots) {
-            return Err(format!(
-                "task {} spans [{}, {}) but its final attempt occupies {slots} slots",
-                p.task, p.start, p.finish
-            ));
-        }
-    }
-    // Failed attempts hold their slots until they abort, so they share
-    // the grid with the final attempts.
-    let failed = run
-        .failed_runs
-        .iter()
-        .map(|f| (f.task, f.start, f.end, f.machine));
-    let placements = run.schedule.placements().iter();
-    fill_grids(
-        dag,
-        spec,
-        failed.chain(placements.map(|p| (p.task, p.start, p.finish, p.machine))),
-    )?;
-    match run.schedule.placements().iter().map(|p| p.finish).max() {
-        Some(latest) if latest != run.makespan => Err(format!(
-            "latest finish {latest} != recorded makespan {}",
-            run.makespan
-        )),
-        _ => Ok(()),
-    }
 }
 
 /// The seeded fault-injection corpus: `count` single-DAG cases cycling the
@@ -1429,7 +1334,7 @@ mod tests {
     fn a_clean_tetris_case_passes_three_ways() {
         let case = CaseSpec::single(7, 10, 2, SchedulerKind::Tetris);
         assert_eq!(case.label(), "tetris/n10/seed7");
-        let tri = case.run().unwrap();
+        let tri = case.run().unwrap().unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
         assert!(!tri.is_disagreement());
     }
@@ -1471,15 +1376,16 @@ mod tests {
         assert_eq!(case.label(), "tetris/j3xn6/seed5");
         let queue = case.queue();
         assert_eq!(queue.jobs(), 3);
-        let tri = case.run_on(&queue).unwrap();
+        let tri = case.run_on(&queue).unwrap().unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
     }
 
     #[test]
     fn an_early_start_multi_schedule_is_rejected() {
         // Schedule a job's task before the job arrives: the declarative
-        // judge must flag arrival gating and the sim replay must refuse
-        // (the arrival-aware state never exposes the task as ready early).
+        // judge must flag arrival gating and the operational judge must
+        // refuse (the arrival-aware executor cannot start the task early,
+        // so the null-plan run is not the plan).
         let case = CaseSpec {
             scheduler: SchedulerKind::Sjf,
             ..stream(9, 2, 4, 1, 20.0)
@@ -1552,7 +1458,7 @@ mod tests {
             ..CaseSpec::single(7, 10, 2, SchedulerKind::Tetris)
         };
         assert_eq!(case.label(), "tetris/n10/m3/bw2/direct/seed7");
-        let tri = case.run().unwrap();
+        let tri = case.run().unwrap().unwrap();
         assert!(tri.all_ok(), "{}", tri.summary());
         assert!(!tri.is_disagreement());
     }
@@ -1567,7 +1473,7 @@ mod tests {
             .collect();
         assert_eq!(cases.len(), SchedulerKind::ALL.len());
         for case in cases {
-            let tri = case.run().unwrap();
+            let tri = case.run().unwrap().unwrap();
             assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
         }
     }
@@ -1743,6 +1649,58 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_attempt_inside_its_transfer_window_is_rejected_coherently() {
+        // A chain split across two machines whose child fails its first
+        // attempt. Pulling that attempt one slot earlier keeps its
+        // duration and its grid slot but starts it before the parent's
+        // output reaches the child's machine.
+        let mut b = DagBuilder::new(1);
+        let parent = b.add_task(Task::new(2, ResourceVec::from_slice(&[0.5])));
+        let child = b.add_task(Task::new(4, ResourceVec::from_slice(&[0.5])));
+        b.add_edge(parent, child).unwrap();
+        let queue = JobQueue::single(b.build().unwrap()).unwrap();
+        let ones = ResourceVec::from_slice(&[1.0]);
+        let machines = MachineSet::uniform(2, ones, 1, TransferMode::Direct, 3, 8).unwrap();
+        let spec = ClusterSpec::hetero(machines).unwrap();
+        let delay = spec.machines().edge_delay(0, 1, 0, 1);
+        assert!(delay > 0);
+        let at = |task, start, runtime, machine| spear_cluster::Placement {
+            task,
+            start,
+            finish: start + runtime,
+            machine,
+        };
+        let planned = Schedule::from_placements(
+            vec![at(parent, 0, 2, 0), at(child, 2 + delay, 4, 1)],
+            6 + delay,
+        );
+        let fails_once = |plan: &FaultPlan| {
+            plan.outcome(parent, 0, 2) == FaultOutcome::None
+                && matches!(plan.outcome(child, 0, 4), FaultOutcome::Fail { .. })
+                && plan.outcome(child, 1, 4) == FaultOutcome::None
+        };
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                seed,
+                fail_rate: 0.5,
+                max_retries: 1,
+                ..FaultPlan::none()
+            })
+            .find(fails_once)
+            .unwrap();
+        let run = execute_under_faults(&queue, &spec, &planned, &plan, None).unwrap();
+        let tri = check_faulty_run(&queue, &spec, &planned, &plan, &run);
+        assert!(tri.all_ok(), "{}", tri.summary());
+        let mut bad = run.clone();
+        bad.failed_runs[0].start -= 1;
+        bad.failed_runs[0].end -= 1;
+        let tri = check_faulty_run(&queue, &spec, &planned, &plan, &bad);
+        assert!(tri.validate.is_err(), "{}", tri.summary());
+        assert!(tri.sim_replay.is_err(), "{}", tri.summary());
+        assert!(tri.timeline_replay.is_err(), "{}", tri.summary());
+    }
+
+    #[test]
     fn deterministic_exhaustion_is_a_legal_case_outcome() {
         let case = faulty_case(
             3,
@@ -1753,7 +1711,7 @@ mod tests {
                 max_retries: 0,
             },
         );
-        assert_eq!(case.run_faulty().unwrap(), None);
+        assert_eq!(case.run().unwrap(), None);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl SpearBuilder {
         self
     }
 
-    /// Disables the per-depth budget decay (ablation).
-    pub fn flat_budget(mut self) -> Self {
-        self.mcts.decay_budget = false;
-        self
-    }
-
     /// Sets the RNG seed used by rollouts and network initialization.
     pub fn seed(mut self, seed: u64) -> Self {
         self.mcts.seed = seed;

@@ -27,9 +27,8 @@ fn seeded_corpus_has_no_three_way_disagreements() {
     let mut failures = Vec::new();
     for case in corpus(32, 0xD1FF) {
         match case.run() {
-            Ok(tri) if tri.all_ok() => {}
-            Ok(tri) => failures.push(format!("{}: {}", case.label(), tri.summary())),
-            Err(e) => failures.push(format!("{}: {e}", case.label())),
+            Ok(Some(tri)) if tri.all_ok() => {}
+            other => failures.push(format!("{}: {other:?}", case.label())),
         }
     }
     assert!(
@@ -78,9 +77,8 @@ fn epsilon_boundary_sweep_stays_consistent() {
                 ..CaseSpec::single(seed, 14, 1, scheduler)
             };
             match case.run() {
-                Ok(tri) if tri.all_ok() => {}
-                Ok(tri) => failures.push(format!("{}: {}", case.label(), tri.summary())),
-                Err(e) => failures.push(format!("{}: {e}", case.label())),
+                Ok(Some(tri)) if tri.all_ok() => {}
+                other => failures.push(format!("{}: {other:?}", case.label())),
             }
         }
     }
@@ -107,7 +105,7 @@ fn mcts_matrix_passes_three_ways_and_cache_is_transparent() {
             uncached,
         ] {
             let case = mk(kind);
-            let tri = case.run().unwrap();
+            let tri = case.run().unwrap().unwrap();
             assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
         }
         let case = mk(cached);

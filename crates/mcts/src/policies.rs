@@ -438,27 +438,17 @@ fn map_onto<R: Copy + Into<f64>>(
 }
 
 impl DrlPolicy {
-    /// Wraps a trained policy network, with the inference cache enabled.
-    pub fn new(policy: PolicyNetwork) -> Self {
-        Self::with_cache(policy, true)
-    }
-
     /// Wraps a trained policy network, caching inferences by frontier
-    /// and by network input iff `eval_cache` is set. Cache hits reproduce
-    /// the uncached distribution bit-identically, so this only trades
-    /// memory for speed; disabling is for differential testing.
-    pub fn with_cache(policy: PolicyNetwork, eval_cache: bool) -> Self {
-        Self::with_cache_precision(policy, eval_cache, Precision::Exact)
-    }
-
-    /// [`DrlPolicy::with_cache`] with an explicit numeric mode. `Exact`
-    /// is the golden-checked `f64` path. `Fast` snapshots the weights
-    /// into an `f32` [`InferenceEngine`] and caches `f32` rows — half
-    /// the footprint per row, so its tables hold twice the entries.
-    /// Within fast mode, cached and uncached runs still agree bit-for-bit:
-    /// the masked softmax is computed entirely in `f32`, so a cached row
-    /// replays exactly, and the upcast to `f64` at the sampling boundary
-    /// is exact.
+    /// and by network input iff `eval_cache` is set, in numeric mode
+    /// `precision`. Cache hits reproduce the uncached distribution
+    /// bit-identically, so caching only trades memory for speed; disabling
+    /// it is for differential testing. `Exact` is the golden-checked `f64`
+    /// path. `Fast` snapshots the weights into an `f32` [`InferenceEngine`]
+    /// and caches `f32` rows — half the footprint per row, so its tables
+    /// hold twice the entries. Within fast mode, cached and uncached runs
+    /// still agree bit-for-bit: the masked softmax is computed entirely in
+    /// `f32`, so a cached row replays exactly, and the upcast to `f64` at
+    /// the sampling boundary is exact.
     pub fn with_cache_precision(
         policy: PolicyNetwork,
         eval_cache: bool,
@@ -746,7 +736,7 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(5);
         let net = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[12], &mut rng);
-        let mut policy = DrlPolicy::new(net);
+        let mut policy = DrlPolicy::with_cache_precision(net, true, Precision::Exact);
         let mut state = SimState::new(&dag, &spec).unwrap();
         while !state.is_terminal(&dag) {
             let legal = state.legal_actions(&dag);
@@ -778,8 +768,8 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(5);
         let net = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[12], &mut rng);
-        let mut cached = DrlPolicy::with_cache(net.clone(), true);
-        let mut uncached = DrlPolicy::with_cache(net, false);
+        let mut cached = DrlPolicy::with_cache_precision(net.clone(), true, Precision::Exact);
+        let mut uncached = DrlPolicy::with_cache_precision(net, false, Precision::Exact);
         let state = SimState::new(&dag, &spec).unwrap();
         let legal = state.legal_actions(&dag);
         let mut rng_a = StdRng::seed_from_u64(9);

@@ -1,7 +1,6 @@
-//! Snapshot exporters: JSON Lines (one self-describing object per
-//! metric) and the Prometheus text exposition format. Hand-rolled so the
-//! crate stays dependency-free; metric names are workspace-controlled
-//! but escaped anyway.
+//! The snapshot exporter: JSON Lines, one self-describing object per
+//! metric. Hand-rolled so the crate stays dependency-free; metric names
+//! are workspace-controlled but escaped anyway.
 
 use std::fmt::Write as _;
 
@@ -76,47 +75,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format.
-    /// Names are prefixed with `spear_` and sanitized to the Prometheus
-    /// charset; histogram buckets are emitted cumulatively with a final
-    /// `+Inf` bucket as the format requires.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for m in &self.metrics {
-            let name = prom_name(m.name());
-            match m {
-                MetricValue::Counter { value, .. } => {
-                    let _ = writeln!(out, "# TYPE {name} counter");
-                    let _ = writeln!(out, "{name} {value}");
-                }
-                MetricValue::Gauge { last, .. } => {
-                    let _ = writeln!(out, "# TYPE {name} gauge");
-                    let _ = writeln!(out, "{name} {}", prom_f64(*last));
-                }
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                    ..
-                } => {
-                    let _ = writeln!(out, "# TYPE {name} histogram");
-                    let mut cumulative = 0u64;
-                    for (bucket, n) in buckets {
-                        cumulative += n;
-                        if let Some(le) = bucket_upper_bound(*bucket) {
-                            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                        }
-                    }
-                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-                    let _ = writeln!(out, "{name}_sum {sum}");
-                    let _ = writeln!(out, "{name}_count {count}");
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Quotes and escapes a string for JSON output.
@@ -148,34 +106,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Formats an f64 for Prometheus, which does accept NaN and +/-Inf.
-fn prom_f64(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
-    } else {
-        format!("{v}")
-    }
-}
-
-/// Maps a dotted metric name onto the Prometheus charset with a
-/// workspace prefix: `mcts.decision_ns` → `spear_mcts_decision_ns`.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 6);
-    out.push_str("spear_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -226,29 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_buckets_are_cumulative_and_end_at_inf() {
-        let prom = sample().to_prometheus();
-        assert!(prom.contains("# TYPE spear_mcts_decision_ns histogram"));
-        assert!(prom.contains("spear_mcts_decision_ns_bucket{le=\"127\"} 1"));
-        assert!(prom.contains("spear_mcts_decision_ns_bucket{le=\"2047\"} 3"));
-        assert!(prom.contains("spear_mcts_decision_ns_bucket{le=\"+Inf\"} 3"));
-        assert!(prom.contains("spear_mcts_decision_ns_sum 2100"));
-        assert!(prom.contains("spear_mcts_decision_ns_count 3"));
-        assert!(prom.contains("spear_sim_admissions 12"));
-        assert!(prom.contains("spear_rl_mean_entropy 0.5"));
-    }
-
-    #[test]
     fn json_escaping_handles_special_characters() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(prom_f64(f64::INFINITY), "+Inf");
     }
 
     #[test]
     fn empty_snapshot_exports_empty_strings() {
         let snap = MetricsSnapshot::default();
         assert!(snap.to_jsonl().is_empty());
-        assert!(snap.to_prometheus().is_empty());
     }
 }

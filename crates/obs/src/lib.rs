@@ -4,7 +4,7 @@
 //! [`Histogram`] (fixed log-spaced buckets) and scoped [`Span`] timers —
 //! recorded into lock-free per-worker sinks ([`Obs`]) that a
 //! [`MetricsRegistry`] merges at report time into a [`MetricsSnapshot`]
-//! with JSONL and Prometheus-text exporters.
+//! with a JSON Lines exporter.
 //!
 //! # Zero-cost argument
 //!

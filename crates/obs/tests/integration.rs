@@ -267,16 +267,6 @@ fn one_run_covers_every_metric_family_in_the_exporters() {
             "not an object: {line}"
         );
     }
-
-    let prom = snapshot.to_prometheus();
-    for needle in [
-        "spear_sim_admissions",
-        "spear_sched_cp_schedule_ns_bucket{le=\"+Inf\"}",
-        "spear_mcts_iterations",
-        "spear_rl_pretrain_loss",
-    ] {
-        assert!(prom.contains(needle), "Prometheus text missing {needle}");
-    }
 }
 
 #[test]

@@ -43,7 +43,8 @@ fn full_roster_passes_three_judges_on_a_three_machine_cluster() {
         let case = roster_case(kind);
         let tri = case
             .run()
-            .unwrap_or_else(|e| panic!("{}: {e}", case.label()));
+            .unwrap_or_else(|e| panic!("{}: {e}", case.label()))
+            .unwrap();
         assert!(tri.all_ok(), "{}: {}", case.label(), tri.summary());
     }
 }
