@@ -469,12 +469,6 @@ impl SimState {
         self.jobs.job_of(task.index())
     }
 
-    /// The arrival time of job `job` (queue order); `None` for an
-    /// out-of-range index.
-    pub fn arrival_of(&self, job: usize) -> Option<u64> {
-        self.jobs.arrivals.get(job).copied()
-    }
-
     /// The machine set this state runs on (one machine for a single box).
     #[inline]
     pub fn machines(&self) -> &MachineSet {
@@ -1538,7 +1532,6 @@ mod tests {
             assert_eq!(sim.makespan(), Some(7));
             assert_eq!(sim.jobs_completed(), 2);
             assert_eq!(sim.job_of(TaskId::new(1)), 1);
-            assert_eq!(sim.arrival_of(1), Some(5));
         }
 
         #[test]

@@ -25,24 +25,29 @@
 //!
 //! # Quickstart
 //!
+//! Spear is [`MctsScheduler::drl`]: the search with its budgets in an
+//! [`MctsConfig`], guided by a [`PolicyNetwork`]. [`train_policy`] trains
+//! that network; the quickstart below searches with an untrained one.
+//!
 //! ```
+//! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
-//! use spear::{SpearBuilder, Scheduler, ClusterSpec};
 //! use spear::dag::generator::LayeredDagSpec;
+//! use spear::{ClusterSpec, FeatureConfig, MctsConfig, MctsScheduler, PolicyNetwork, Scheduler};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A random 25-task job with CPU+memory demands.
-//! let dag = LayeredDagSpec::paper_training()
-//!     .generate(&mut rand::rngs::StdRng::seed_from_u64(1));
+//! let dag = LayeredDagSpec::paper_training().generate(&mut StdRng::seed_from_u64(1));
 //! let spec = ClusterSpec::unit(2);
 //!
-//! // Budget-100 Spear with an untrained policy (see `SpearBuilder::train`
-//! // for the full pipeline).
-//! let mut spear = SpearBuilder::new()
-//!     .initial_budget(100)
-//!     .min_budget(20)
-//!     .seed(7)
-//!     .build_untrained();
+//! let config = MctsConfig {
+//!     initial_budget: 100,
+//!     min_budget: 20,
+//!     seed: 7,
+//!     ..MctsConfig::default()
+//! };
+//! let policy = PolicyNetwork::new(FeatureConfig::paper(2), &mut StdRng::seed_from_u64(7));
+//! let mut spear = MctsScheduler::drl(config, policy);
 //! let schedule = spear.schedule(&dag, &spec)?;
 //! schedule.validate(&dag, &spec)?;
 //! assert!(schedule.makespan() >= dag.critical_path_length());
@@ -56,9 +61,7 @@
 pub mod diffcheck;
 pub mod fixtures;
 mod pipeline;
-mod spear;
 
-pub use crate::spear::{SpearBuilder, SpearScheduler};
 pub use pipeline::{train_policy, train_policy_observed, TrainedPolicy, TrainingPipelineConfig};
 
 // Re-export the workspace crates under short names.
@@ -97,3 +100,8 @@ pub use spear_trace::{
     ArrivalProcess, ArrivalStreamSpec, FaultProfile, JobSource, MachineProfile, SyntheticTraceSpec,
     Trace, TraceJob, TraceStats,
 };
+
+// The README's Rust example, compiled by the doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;

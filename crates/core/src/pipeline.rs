@@ -117,8 +117,7 @@ impl TrainingPipelineConfig {
 /// A trained policy plus its training artifacts.
 #[derive(Debug)]
 pub struct TrainedPolicy {
-    /// The trained network, ready for
-    /// [`SpearBuilder::build_with_policy`](crate::SpearBuilder::build_with_policy).
+    /// The trained network, ready for [`MctsScheduler::drl`](crate::MctsScheduler::drl).
     pub policy: PolicyNetwork,
     /// Mean supervised loss per pre-training epoch.
     pub pretrain_loss: Vec<f64>,
@@ -199,6 +198,7 @@ pub fn train_policy_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MctsConfig, MctsScheduler};
 
     #[test]
     fn tiny_pipeline_runs_end_to_end() {
@@ -209,11 +209,12 @@ mod tests {
         assert!(!trained.pretrain_loss.is_empty());
         assert!(trained.pretrain_accuracy > 0.0);
         // The trained policy plugs into Spear.
-        let mut spear = crate::SpearBuilder::new()
-            .initial_budget(10)
-            .min_budget(2)
-            .feature_config(FeatureConfig::small(2))
-            .build_with_policy(trained.policy);
+        let config = MctsConfig {
+            initial_budget: 10,
+            min_budget: 2,
+            ..MctsConfig::default()
+        };
+        let mut spear = MctsScheduler::drl(config, trained.policy);
         let dag = trained.examples[0].clone();
         let s = spear_sched::Scheduler::schedule(&mut spear, &dag, &spec).unwrap();
         s.validate(&dag, &spec).unwrap();

@@ -136,21 +136,6 @@ impl ResourceVec {
         )
     }
 
-    /// Clamps every component of `self` to at most the matching component
-    /// of `upper`, in place — e.g. to keep a derived free-capacity view
-    /// from exceeding the cluster capacity it was derived from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    #[inline]
-    pub fn clamp_assign(&mut self, upper: &ResourceVec) {
-        assert_eq!(self.dims(), upper.dims(), "resource dimension mismatch");
-        for (a, b) in self.0.iter_mut().zip(&upper.0) {
-            *a = a.min(*b);
-        }
-    }
-
     /// Subtracts `other` from `self` in place, clamping at zero.
     ///
     /// # Panics
@@ -195,11 +180,6 @@ impl ResourceVec {
                 .map(|(a, b)| a.max(*b))
                 .collect(),
         )
-    }
-
-    /// Largest single component.
-    pub fn max_component(&self) -> f64 {
-        self.0.iter().cloned().fold(0.0_f64, f64::max)
     }
 
     /// Sum of all components.
@@ -315,13 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_assign_caps_components() {
-        let mut a = ResourceVec::from_slice(&[1.5, 0.2]);
-        a.clamp_assign(&ResourceVec::from_slice(&[1.0, 1.0]));
-        assert_eq!(a.as_slice(), &[1.0, 0.2]);
-    }
-
-    #[test]
     fn dot_product() {
         let a = ResourceVec::from_slice(&[2.0, 3.0]);
         let b = ResourceVec::from_slice(&[4.0, 5.0]);
@@ -367,7 +340,6 @@ mod tests {
         let b = ResourceVec::from_slice(&[2.0, 3.0]);
         let m = a.component_max(&b);
         assert_eq!(m.as_slice(), &[2.0, 5.0]);
-        assert_eq!(m.max_component(), 5.0);
         assert_eq!(m.total(), 7.0);
     }
 

@@ -170,26 +170,6 @@ where
             None => Err(first_err.expect("at least one worker ran")),
         }
     }
-
-    /// Like [`RootParallelMcts::schedule_with_stats`], but folds the
-    /// per-worker statistics into one [`SearchStats`] via
-    /// [`SearchStats::merged`]: counters summed, wall time the maximum
-    /// over the overlapping workers.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`RootParallelMcts::schedule_with_stats`].
-    pub fn schedule_with_merged_stats(
-        &mut self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-    ) -> Result<(Schedule, SearchStats), SpearError> {
-        let (schedule, stats) = self.schedule_with_stats(dag, spec)?;
-        let merged = stats
-            .into_iter()
-            .fold(SearchStats::default(), SearchStats::merged);
-        Ok((schedule, merged))
-    }
 }
 
 impl<F> Scheduler for RootParallelMcts<F>
@@ -325,9 +305,12 @@ mod tests {
         let (s1, all) = RootParallelMcts::new(3, factory(20))
             .schedule_with_stats(&dag, &spec)
             .unwrap();
-        let (s2, merged) = RootParallelMcts::new(3, factory(20))
-            .schedule_with_merged_stats(&dag, &spec)
+        let (s2, stats) = RootParallelMcts::new(3, factory(20))
+            .schedule_with_stats(&dag, &spec)
             .unwrap();
+        let merged = stats
+            .into_iter()
+            .fold(SearchStats::default(), SearchStats::merged);
         assert_eq!(s1.makespan(), s2.makespan());
         assert_eq!(
             merged.iterations,

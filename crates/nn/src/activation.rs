@@ -103,13 +103,6 @@ pub fn softmax(logits: &[f64]) -> Vec<f64> {
     exps.into_iter().map(|e| e / sum).collect()
 }
 
-/// Numerically stable log-softmax of one logit row.
-pub fn log_softmax(logits: &[f64]) -> Vec<f64> {
-    let max = logits.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let log_sum: f64 = logits.iter().map(|&l| (l - max).exp()).sum::<f64>().ln() + max;
-    logits.iter().map(|&l| l - log_sum).collect()
-}
-
 /// Softmax restricted to the legal actions: illegal entries get probability
 /// zero and the rest renormalize. This is how the policy network respects
 /// the simulator's legality filter.
@@ -203,16 +196,6 @@ mod tests {
     fn softmax_handles_large_logits() {
         let p = softmax(&[1e308f64.ln(), 0.0]);
         assert!(p.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn log_softmax_matches_softmax() {
-        let logits = [0.3, -1.2, 2.0, 0.0];
-        let p = softmax(&logits);
-        let lp = log_softmax(&logits);
-        for (a, b) in p.iter().zip(&lp) {
-            assert!((a.ln() - b).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! * [`Matrix`] — a row-major `f64` matrix with the required BLAS-like ops;
 //! * [`Dense`] layers with manual, exact backpropagation;
-//! * ReLU activation ([`Activation`]), stable [`softmax`]/[`log_softmax`]
-//!   with optional action masking;
+//! * ReLU activation ([`Activation`]) and a stable [`softmax`] with
+//!   optional action masking;
 //! * [`Mlp`] — the full network with forward/backward passes, gradient
 //!   accumulation and serde save/load;
-//! * [`RmsProp`] and [`Sgd`] optimizers;
+//! * the [`RmsProp`] optimizer;
 //! * cross-entropy and policy-gradient losses ([`loss`]).
 //!
 //! Gradients are verified against finite differences in the test suite.
@@ -51,9 +51,9 @@ mod matrix;
 mod mlp;
 mod optim;
 
-pub use activation::{log_softmax, softmax, softmax_masked, softmax_masked_into, Activation};
+pub use activation::{softmax, softmax_masked, softmax_masked_into, Activation};
 pub use infer::{softmax_masked_f32_into, InferScratch, InferenceEngine, Precision, LANES};
 pub use layer::Dense;
 pub use matrix::Matrix;
 pub use mlp::{ForwardScratch, Mlp, MlpConfig, ShapeError};
-pub use optim::{Optimizer, RmsProp, Sgd};
+pub use optim::{Optimizer, RmsProp};

@@ -191,21 +191,6 @@ impl Matrix {
         }
     }
 
-    /// Adds `row` to every row of `self` in place (bias broadcast).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != self.cols()`.
-    pub fn add_row_broadcast(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.cols, "broadcast length mismatch");
-        for r in 0..self.rows {
-            let dst = &mut self.data[r * self.cols..(r + 1) * self.cols];
-            for (d, &b) in dst.iter_mut().zip(row) {
-                *d += b;
-            }
-        }
-    }
-
     /// Column sums (used for bias gradients).
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
@@ -264,9 +249,7 @@ mod tests {
 
     #[test]
     fn broadcast_and_column_sums() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_row_broadcast(&[1.0, 2.0, 3.0]);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
+        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[1.0, 2.0, 3.0]]);
         assert_eq!(m.column_sums(), vec![2.0, 4.0, 6.0]);
     }
 

@@ -1,4 +1,4 @@
-//! Optimizers: RMSProp (the paper's choice) and plain SGD.
+//! The optimizer: RMSProp, the paper's choice.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,36 +91,6 @@ impl Optimizer for RmsProp {
     }
 }
 
-/// Plain stochastic gradient descent, kept as an ablation reference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    pub fn new(learning_rate: f64) -> Self {
-        Sgd { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    /// Updates every parameter in place: `w += (−lr)·g`, `b −= lr·g`.
-    fn step(&mut self, net: &mut Mlp) {
-        let lr = self.learning_rate;
-        for layer in net.layers_mut() {
-            let (weights, grad_w, bias, grad_b) = layer.params_and_grads_mut();
-            for (w, &g) in weights.iter_mut().zip(grad_w) {
-                *w += -lr * g;
-            }
-            for (b, &g) in bias.iter_mut().zip(grad_b) {
-                *b -= lr * g;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,13 +121,6 @@ mod tests {
         let mut opt = RmsProp::new(1e-2, 0.9, 1e-9);
         let final_loss = train_xor(&mut opt, 500);
         assert!(final_loss < 0.1, "final loss {final_loss}");
-    }
-
-    #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.5);
-        let final_loss = train_xor(&mut opt, 300);
-        assert!(final_loss < 0.3, "final loss {final_loss}");
     }
 
     #[test]

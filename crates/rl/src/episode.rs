@@ -97,7 +97,7 @@ impl<R: Rng + ?Sized> DecisionPolicy<R> for NetworkPolicy<'_, '_> {
             self.greedy,
             rng,
         );
-        let action = self.policy.action_from_index(&view, idx);
+        let action = view.action(idx, ctx.dag, state);
         if let Some(steps) = self.record.as_deref_mut() {
             steps.push(StepRecord {
                 features: view.features,

@@ -89,14 +89,7 @@ pub fn collect_expert_dataset(
         |ctx: &EnvContext<'_>, state: &SimState, _legal: &[Action]| {
             let view = featurizer.featurize(ctx.dag, ctx.spec, state, &features);
             let idx = expert.action_index(&view);
-            let action = if idx == featurizer.config().process_action() {
-                Action::Process
-            } else {
-                Action::Place(
-                    view.slot_tasks[idx].expect("legal slot actions hold a task"),
-                    0,
-                )
-            };
+            let action = view.action(idx, ctx.dag, state);
             data.features.push(view.features);
             data.actions.push(idx);
             data.masks.push(view.mask);

@@ -1,7 +1,7 @@
 //! State featurization: cluster image + ready-task slots + globals.
 
 use serde::{Deserialize, Serialize};
-use spear_cluster::{ClusterSpec, SimState};
+use spear_cluster::{Action, ClusterSpec, SimState};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
 
@@ -71,9 +71,32 @@ pub struct StateView {
     /// Task in each visible slot (`None` = empty slot).
     pub slot_tasks: Vec<Option<TaskId>>,
     /// Legality mask of length [`FeatureConfig::action_dim`]: slot actions
-    /// are legal when the slot holds a task that fits the free capacity;
-    /// the process action is legal when the cluster is non-empty.
+    /// are legal when the slot holds a task that can start on some
+    /// machine now; the process action is legal when the cluster is
+    /// non-empty or no slot action is.
     pub mask: Vec<bool>,
+}
+
+impl StateView {
+    /// The simulator action for network action `index`, in the state the
+    /// view was taken of: `Process` past the last slot, otherwise the
+    /// slot's task on the first machine it can start on now. The network
+    /// scores tasks, so the machine is chosen here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` names an empty slot or a task that cannot start
+    /// now (the mask rules both out).
+    pub fn action(&self, index: usize, dag: &Dag, state: &SimState) -> Action {
+        let Some(slot) = self.slot_tasks.get(index) else {
+            return Action::Process;
+        };
+        let task = slot.expect("masked sampling never picks an empty slot");
+        let machine = (0..state.num_machines() as u32)
+            .find(|&m| state.can_schedule_on(dag, task, m))
+            .expect("a legal slot's task can start on some machine");
+        Action::Place(task, machine)
+    }
 }
 
 /// Renders [`SimState`]s into policy-network inputs.
@@ -265,15 +288,19 @@ impl Featurizer {
         // --- Legality mask. ---
         view.mask.clear();
         view.mask.resize(cfg.action_dim(), false);
+        let mut any_slot = false;
         for (slot, task) in view.slot_tasks.iter().enumerate() {
             if let Some(t) = *task {
                 // Slot tasks are ready by construction; route the fit
                 // through the simulator's own admission rule so the mask
                 // can never disagree with `SimState::legal_actions`.
                 view.mask[slot] = state.fits_somewhere(dag, t);
+                any_slot |= view.mask[slot];
             }
         }
-        view.mask[cfg.process_action()] = !state.running().is_empty();
+        // With no slot legal and nothing running, a transfer or an
+        // arrival is pending, and waiting for it is the way forward.
+        view.mask[cfg.process_action()] = !state.running().is_empty() || !any_slot;
     }
 }
 

@@ -1,7 +1,7 @@
 //! The policy network: featurizer + MLP + masked softmax sampling.
 
 use rand::Rng;
-use spear_cluster::{Action, ClusterSpec, SimState};
+use spear_cluster::{ClusterSpec, SimState};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
 use spear_nn::{softmax_masked_into, ForwardScratch, InferenceEngine, Mlp, MlpConfig, ShapeError};
@@ -13,8 +13,8 @@ use crate::{input_key, EvalCache, FeatureConfig, Featurizer, StateView};
 const ROW_CACHE_ENTRIES: usize = 256;
 
 /// The DRL scheduling policy: maps a [`SimState`] to a distribution over
-/// `{schedule visible slot i, process}` and converts the chosen network
-/// action back into a simulator [`Action`].
+/// `{schedule visible slot i, process}`. [`StateView::action`] turns the
+/// chosen index back into a simulator [`Action`](spear_cluster::Action).
 ///
 /// The policy owns the scratch buffers of its inference path (featurizer
 /// ready-ordering and MLP activations), so repeated
@@ -184,24 +184,6 @@ impl PolicyNetwork {
         };
         (idx, view)
     }
-
-    /// Converts a network action index into a simulator [`Action`] using
-    /// the slot mapping of `view`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index refers to an empty slot (the mask prevents
-    /// this for indices produced by this policy).
-    pub fn action_from_index(&self, view: &StateView, index: usize) -> Action {
-        if index == self.featurizer.config().process_action() {
-            Action::Process
-        } else {
-            Action::Place(
-                view.slot_tasks[index].expect("masked sampling never picks an empty slot"),
-                0,
-            )
-        }
-    }
 }
 
 /// Index of the largest probability (first on ties).
@@ -279,7 +261,7 @@ mod tests {
             assert_eq!(reused, fresh.action_distribution(&dag, &spec, &state, &gf));
             let view = reused.1;
             let idx = view.mask.iter().position(|&m| m).expect("a legal action");
-            let action = policy.action_from_index(&view, idx);
+            let action = view.action(idx, &dag, &state);
             state.apply(&dag, action).unwrap();
         }
     }
@@ -319,7 +301,7 @@ mod tests {
         while !state.is_terminal(&dag) {
             let (idx, view) = policy.choose_action_index(&dag, &spec, &state, &gf, false, &mut rng);
             assert!(view.mask[idx], "sampled an illegal action");
-            let action = policy.action_from_index(&view, idx);
+            let action = view.action(idx, &dag, &state);
             state.apply(&dag, action).unwrap();
         }
         assert!(state.makespan().is_some());
@@ -334,7 +316,7 @@ mod tests {
             while !state.is_terminal(&dag) {
                 let (idx, view) =
                     policy.choose_action_index(&dag, &spec, &state, &gf, true, &mut rng);
-                let action = policy.action_from_index(&view, idx);
+                let action = view.action(idx, &dag, &state);
                 state.apply(&dag, action).unwrap();
             }
             state.makespan().unwrap()

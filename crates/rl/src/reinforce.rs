@@ -393,9 +393,7 @@ mod tests {
             let logits = policy.net().forward_one_into(&view.features, &mut scratch);
             softmax_masked_into(logits, &view.mask, &mut probs);
             let action = crate::policy::sample_index(&probs, rng);
-            state
-                .apply(dag, policy.action_from_index(&view, action))
-                .unwrap();
+            state.apply(dag, view.action(action, dag, &state)).unwrap();
             steps.push(StepRecord {
                 features: view.features,
                 action,

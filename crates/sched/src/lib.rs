@@ -2,7 +2,9 @@
 //!
 //! All schedulers implement the [`Scheduler`] trait and drive the
 //! [`spear_cluster::SimState`] simulator, so every algorithm is compared on
-//! the identical substrate:
+//! the identical substrate. The list heuristics are one type, the greedy
+//! [`PriorityListScheduler`], over a [`TaskScorer`] each; their aliases
+//! name the scorer:
 //!
 //! * [`TetrisScheduler`] — multi-resource packing by alignment score
 //!   (dot-product of demand and free capacity), dependency-oblivious
@@ -11,13 +13,12 @@
 //! * [`CpScheduler`] — largest Critical Path (b-level) first, the classic
 //!   list-scheduling heuristic, with child-count tiebreak.
 //! * [`RandomScheduler`] — uniformly random choices; the sanity floor.
-//! * [`Graphene`] — the state-of-the-art baseline: identifies troublesome
-//!   tasks by runtime threshold, virtually packs them forward and backward
-//!   in the resource-time space, and executes the best derived order.
 //!
-//! The generic machinery ([`PriorityListScheduler`], [`TaskScorer`],
-//! [`execute_priority_order`]) is public so downstream crates (the DRL
-//! expert, MCTS rollouts) can build their own greedy policies.
+//! [`Graphene`] is the state-of-the-art baseline: it identifies
+//! troublesome tasks by runtime threshold, virtually packs them forward
+//! and backward in the resource-time space, and runs the best derived
+//! order through the same greedy loop ([`execute_priority_order`]).
+//! [`BnBScheduler`] proves optima on small jobs.
 //!
 //! # Example
 //!

@@ -4,7 +4,8 @@
 //! priority: while some ready task fits the free capacity, schedule the
 //! highest-scoring one; otherwise process the cluster. The loop is the
 //! resource- and dependency-aware *executor*; the [`TaskScorer`] is the
-//! *policy*.
+//! *policy*. A fixed task order ([`execute_priority_order`]) is one more
+//! priority: earlier in the order scores higher.
 
 use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use spear_cluster::{Action, ClusterSpec, JobQueue, Schedule, SimState, SpearError};
@@ -58,14 +59,14 @@ pub trait TaskScorer {
 /// b.add_task(Task::new(1, ResourceVec::from_slice(&[1.0])));
 /// b.add_task(Task::new(1, ResourceVec::from_slice(&[1.0])));
 /// let dag = b.build()?;
-/// let schedule = PriorityListScheduler::new(Backwards)
+/// let schedule = PriorityListScheduler::with_scorer(Backwards)
 ///     .schedule(&dag, &ClusterSpec::unit(1))?;
 /// // Task 1 was scheduled first.
 /// assert_eq!(schedule.placement_of(TaskId::new(1)).unwrap().start, 0);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PriorityListScheduler<S> {
     scorer: S,
     obs: Obs,
@@ -73,7 +74,7 @@ pub struct PriorityListScheduler<S> {
 
 impl<S: TaskScorer> PriorityListScheduler<S> {
     /// Wraps a scorer into a full scheduler.
-    pub fn new(scorer: S) -> Self {
+    pub fn with_scorer(scorer: S) -> Self {
         PriorityListScheduler {
             scorer,
             obs: Obs::noop(),
@@ -84,18 +85,16 @@ impl<S: TaskScorer> PriorityListScheduler<S> {
     /// family through its [`EpisodeDriver`]. Pass [`Obs::noop`] to detach.
     #[must_use]
     pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.set_obs(obs);
+        self.obs = obs.clone();
         self
     }
+}
 
-    /// In-place variant of [`PriorityListScheduler::with_obs`].
-    pub fn set_obs(&mut self, obs: &Obs) {
-        self.obs = obs.clone();
-    }
-
-    /// Access to the wrapped scorer.
-    pub fn scorer(&self) -> &S {
-        &self.scorer
+impl<S: TaskScorer + Default> PriorityListScheduler<S> {
+    /// The scheduler over the scorer's default, as in
+    /// [`TetrisScheduler::new()`](crate::TetrisScheduler).
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -135,7 +134,7 @@ impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
 /// keeps future data local; 0 for source tasks and on a one-machine
 /// cluster, where every parent trivially shares the one machine (a bonus
 /// there would rank children above equally-scored sources).
-pub(crate) fn locality(dag: &Dag, state: &SimState, task: TaskId, m: u32) -> f64 {
+fn locality(dag: &Dag, state: &SimState, task: TaskId, m: u32) -> f64 {
     if state.num_machines() == 1 {
         return 0.0;
     }
@@ -192,9 +191,26 @@ fn select_best<F: FnMut(TaskId) -> f64>(
     }
 }
 
+/// Scores each task by its position in a fixed order, negated: the
+/// earliest-in-order task scores highest. Positions are distinct, so the
+/// greedy loop's tie-breaks only ever choose among one task's machines.
+struct Rank(Vec<usize>);
+
+impl TaskScorer for Rank {
+    fn name(&self) -> &str {
+        "priority-order"
+    }
+
+    fn score(&mut self, _ctx: &ScoreContext<'_>, task: TaskId) -> f64 {
+        -(self.0[task.index()] as f64)
+    }
+}
+
 /// Executes a fixed priority order dependency- and resource-aware: at every
 /// decision point the earliest-in-order legal task is scheduled — a task
-/// is eligible once its job has arrived, it is ready and it fits.
+/// is eligible once its job has arrived, it is ready and it fits — on its
+/// feasible machine with the highest parent locality. It is the greedy
+/// list scheduler scoring each task by its negated position in `order`.
 ///
 /// This is Graphene's final stage (running the order derived from the
 /// virtual placement through the real cluster) and is generally useful for
@@ -225,31 +241,7 @@ pub fn execute_priority_order(
         );
         rank[t.index()] = i;
     }
-
-    let policy = FnPolicy(|ctx: &EnvContext<'_>, state: &SimState, legal: &[Action]| {
-        // Earliest-in-order task first; among a task's feasible machines
-        // the highest parent locality wins (ties keep the slice order,
-        // i.e. the lowest machine id).
-        let mut best: Option<(Action, usize, f64)> = None;
-        for &a in legal {
-            let Some(t) = a.task() else {
-                continue;
-            };
-            let r = rank[t.index()];
-            let loc = a.machine().map_or(0.0, |m| locality(ctx.dag, state, t, m));
-            let better = match best {
-                Some((_, br, bl)) => r < br || (r == br && loc > bl),
-                None => true,
-            };
-            if better {
-                best = Some((a, r, loc));
-            }
-        }
-        best.map_or(Action::Process, |(a, ..)| a)
-    });
-    let mut env = SimEnv::from_queue(queue, spec)?;
-    EpisodeDriver::new(policy).drive(&mut env, &mut NoRng)?;
-    env.into_schedule()
+    PriorityListScheduler::with_scorer(Rank(rank)).schedule_multi(queue, spec)
 }
 
 #[cfg(test)]
@@ -278,7 +270,7 @@ mod tests {
     #[test]
     fn list_scheduler_serializes_when_capacity_tight() {
         let dag = three_independent();
-        let s = PriorityListScheduler::new(ById)
+        let s = PriorityListScheduler::with_scorer(ById)
             .schedule(&dag, &ClusterSpec::unit(1))
             .unwrap();
         assert_eq!(s.makespan(), 6);
@@ -293,7 +285,7 @@ mod tests {
     fn list_scheduler_packs_when_capacity_allows() {
         let dag = three_independent();
         let spec = spear_cluster::ClusterSpec::new(ResourceVec::from_slice(&[1.3])).unwrap();
-        let s = PriorityListScheduler::new(ById)
+        let s = PriorityListScheduler::with_scorer(ById)
             .schedule(&dag, &spec)
             .unwrap();
         assert_eq!(s.makespan(), 4); // two in parallel (1.2 <= 1.3), then one
@@ -312,7 +304,7 @@ mod tests {
             }
         }
         let dag = three_independent();
-        let s = PriorityListScheduler::new(Constant)
+        let s = PriorityListScheduler::with_scorer(Constant)
             .schedule(&dag, &ClusterSpec::unit(1))
             .unwrap();
         assert_eq!(s.placement_of(TaskId::new(0)).unwrap().start, 0);
@@ -364,7 +356,7 @@ mod tests {
         let queue =
             JobQueue::new(vec![(0, three_independent()), (4, three_independent())]).unwrap();
         let spec = ClusterSpec::unit(1);
-        let s = PriorityListScheduler::new(ById)
+        let s = PriorityListScheduler::with_scorer(ById)
             .schedule_multi(&queue, &spec)
             .unwrap();
         s.validate(queue.union_dag(), &spec).unwrap();

@@ -74,16 +74,6 @@ impl<S: Scheduler> ObservedScheduler<S> {
             (spear_obs::compiled() && obs.is_enabled()).then(|| SchedObs::new(obs, inner.name()));
         ObservedScheduler { inner, sched_obs }
     }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Unwraps back into the inner scheduler.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
 }
 
 impl<S: Scheduler> Scheduler for ObservedScheduler<S> {
@@ -177,7 +167,5 @@ mod tests {
         let s = wrapped.schedule(&dag, &spec).unwrap();
         s.validate(&dag, &spec).unwrap();
         assert!(wrapped.sched_obs.is_none());
-        let inner = wrapped.into_inner();
-        assert_eq!(inner.name(), "cp");
     }
 }

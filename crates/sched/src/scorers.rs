@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spear_cluster::{ClusterSpec, JobQueue, Schedule, SpearError};
 use spear_dag::TaskId;
 
-use crate::{PriorityListScheduler, Scheduler, ScoreContext, TaskScorer};
+use crate::{PriorityListScheduler, ScoreContext, TaskScorer};
 
 /// Tetris (Grandl et al., SIGCOMM 2014): packs the ready task whose demand
 /// vector is best *aligned* with the free capacity — the dot product
@@ -84,128 +83,35 @@ impl TaskScorer for RandomScorer {
     }
 }
 
-macro_rules! wrap_scheduler {
-    ($(#[$doc:meta])* $name:ident, $scorer:ty, $ctor:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: PriorityListScheduler<$scorer>,
-        }
+/// The Tetris packing scheduler. See [`TetrisScorer`].
+///
+/// ```
+/// use spear_sched::{Scheduler, TetrisScheduler};
+/// assert_eq!(TetrisScheduler::new().name(), "tetris");
+/// ```
+pub type TetrisScheduler = PriorityListScheduler<TetrisScorer>;
 
-        impl $name {
-            /// Creates the scheduler.
-            #[allow(clippy::new_without_default)]
-            pub fn new() -> Self {
-                $name {
-                    inner: PriorityListScheduler::new($ctor),
-                }
-            }
+/// The Shortest-Job-First scheduler. See [`SjfScorer`].
+pub type SjfScheduler = PriorityListScheduler<SjfScorer>;
 
-            /// Attaches a metric sink: every episode records the `sim.*`
-            /// family. Pass [`spear_obs::Obs::noop`] to detach.
-            #[must_use]
-            pub fn with_obs(mut self, obs: &spear_obs::Obs) -> Self {
-                self.inner.set_obs(obs);
-                self
-            }
-        }
-
-        impl Scheduler for $name {
-            fn name(&self) -> &str {
-                self.inner.scorer().name()
-            }
-
-            fn schedule_multi(
-                &mut self,
-                queue: &JobQueue,
-                spec: &ClusterSpec,
-            ) -> Result<Schedule, SpearError> {
-                self.inner.schedule_multi(queue, spec)
-            }
-        }
-    };
-}
-
-wrap_scheduler!(
-    /// The Tetris packing scheduler. See [`TetrisScorer`].
-    ///
-    /// ```
-    /// use spear_sched::{Scheduler, TetrisScheduler};
-    /// assert_eq!(TetrisScheduler::new().name(), "tetris");
-    /// ```
-    TetrisScheduler,
-    TetrisScorer,
-    TetrisScorer
-);
-wrap_scheduler!(
-    /// The Shortest-Job-First scheduler. See [`SjfScorer`].
-    SjfScheduler,
-    SjfScorer,
-    SjfScorer
-);
-wrap_scheduler!(
-    /// The largest-Critical-Path scheduler. See [`CpScorer`].
-    CpScheduler,
-    CpScorer,
-    CpScorer
-);
-
-impl Default for TetrisScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-impl Default for SjfScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-impl Default for CpScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The largest-Critical-Path scheduler. See [`CpScorer`].
+pub type CpScheduler = PriorityListScheduler<CpScorer>;
 
 /// The random scheduler. See [`RandomScorer`].
-#[derive(Debug, Clone)]
-pub struct RandomScheduler {
-    inner: PriorityListScheduler<RandomScorer>,
-}
+pub type RandomScheduler = PriorityListScheduler<RandomScorer>;
 
 impl RandomScheduler {
     /// Creates a random scheduler with a fixed RNG seed.
     pub fn seeded(seed: u64) -> Self {
-        RandomScheduler {
-            inner: PriorityListScheduler::new(RandomScorer::seeded(seed)),
-        }
-    }
-
-    /// Attaches a metric sink: every episode records the `sim.*` family.
-    /// Pass [`spear_obs::Obs::noop`] to detach.
-    #[must_use]
-    pub fn with_obs(mut self, obs: &spear_obs::Obs) -> Self {
-        self.inner.set_obs(obs);
-        self
-    }
-}
-
-impl Scheduler for RandomScheduler {
-    fn name(&self) -> &str {
-        "random"
-    }
-
-    fn schedule_multi(
-        &mut self,
-        queue: &JobQueue,
-        spec: &ClusterSpec,
-    ) -> Result<Schedule, SpearError> {
-        self.inner.schedule_multi(queue, spec)
+        Self::with_scorer(RandomScorer::seeded(seed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
+    use spear_cluster::ClusterSpec;
     use spear_dag::{DagBuilder, ResourceVec, Task};
 
     fn spec2() -> ClusterSpec {

@@ -8,8 +8,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
 use spear::{
-    ClusterSpec, CpScheduler, Graphene, MctsConfig, MctsScheduler, Scheduler, SjfScheduler,
-    SpearBuilder, TetrisScheduler,
+    ClusterSpec, CpScheduler, FeatureConfig, Graphene, MctsConfig, MctsScheduler, PolicyNetwork,
+    Scheduler, SjfScheduler, TetrisScheduler,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,13 +49,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             min_budget: 50,
             ..MctsConfig::default()
         })),
-        Box::new(
-            SpearBuilder::new()
-                .initial_budget(100)
-                .min_budget(25)
-                .seed(7)
-                .build_untrained(),
-        ),
+        Box::new(MctsScheduler::drl(
+            MctsConfig {
+                initial_budget: 100,
+                min_budget: 25,
+                seed: 7,
+                ..MctsConfig::default()
+            },
+            PolicyNetwork::new(FeatureConfig::paper(2), &mut StdRng::seed_from_u64(7)),
+        )),
     ];
     for s in &mut schedulers {
         let schedule = s.schedule(&dag, &spec)?;

@@ -7,7 +7,12 @@
 //! cargo run -p spear-core --example trace_scheduling --release
 //! ```
 
-use spear::{ClusterSpec, Graphene, Scheduler, SpearBuilder, SyntheticTraceSpec, TraceStats};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use spear::{
+    ClusterSpec, FeatureConfig, Graphene, MctsConfig, MctsScheduler, PolicyNetwork, Scheduler,
+    SyntheticTraceSpec, TraceStats,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = SyntheticTraceSpec::paper().generate(2019);
@@ -30,11 +35,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = ClusterSpec::unit(2);
     // Paper §V-C: Spear runs with initial budget 100, minimum budget 50
     // on the trace.
-    let mut spear = SpearBuilder::new()
-        .initial_budget(100)
-        .min_budget(50)
-        .seed(1)
-        .build_untrained();
+    let mut spear = MctsScheduler::drl(
+        MctsConfig {
+            initial_budget: 100,
+            min_budget: 50,
+            seed: 1,
+            ..MctsConfig::default()
+        },
+        PolicyNetwork::new(FeatureConfig::paper(2), &mut StdRng::seed_from_u64(1)),
+    );
     let mut graphene = Graphene::new();
 
     println!(

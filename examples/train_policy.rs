@@ -7,7 +7,9 @@
 //! cargo run -p spear-core --example train_policy --release
 //! ```
 
-use spear::{train_policy, ClusterSpec, Scheduler, SpearBuilder, TrainingPipelineConfig};
+use spear::{
+    train_policy, ClusterSpec, MctsConfig, MctsScheduler, Scheduler, TrainingPipelineConfig,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = ClusterSpec::unit(2);
@@ -53,10 +55,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("saved policy to {}", path.display());
 
     // Plug the trained policy into Spear and schedule a held-out job.
-    let mut spear = SpearBuilder::new()
-        .initial_budget(100)
-        .min_budget(25)
-        .build_with_policy(trained.policy);
+    let mut spear = MctsScheduler::drl(
+        MctsConfig {
+            initial_budget: 100,
+            min_budget: 25,
+            ..MctsConfig::default()
+        },
+        trained.policy,
+    );
     use rand::SeedableRng;
     let held_out = spear::dag::generator::LayeredDagSpec::paper_training()
         .generate(&mut rand::rngs::StdRng::seed_from_u64(9999));

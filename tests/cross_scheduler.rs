@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
 use spear::{
     ClusterSpec, CpScheduler, Dag, FeatureConfig, Graphene, MctsConfig, MctsScheduler,
-    RandomScheduler, Scheduler, SjfScheduler, SpearBuilder, TetrisScheduler,
+    PolicyNetwork, RandomScheduler, Scheduler, SjfScheduler, TetrisScheduler,
 };
 
 fn random_dag(num_tasks: usize, seed: u64) -> Dag {
@@ -39,15 +39,19 @@ fn all_schedulers_valid_on_random_jobs() {
             Box::new(RandomScheduler::seeded(seed)),
             Box::new(Graphene::new()),
             Box::new(MctsScheduler::pure(search_config(seed))),
-            Box::new(
-                SpearBuilder::new()
-                    .initial_budget(60)
-                    .min_budget(10)
-                    .feature_config(FeatureConfig::small(2))
-                    .hidden_layers(&[16])
-                    .seed(seed)
-                    .build_untrained(),
-            ),
+            Box::new(MctsScheduler::drl(
+                MctsConfig {
+                    initial_budget: 60,
+                    min_budget: 10,
+                    seed,
+                    ..MctsConfig::default()
+                },
+                PolicyNetwork::with_hidden(
+                    FeatureConfig::small(2),
+                    &[16],
+                    &mut StdRng::seed_from_u64(seed),
+                ),
+            )),
         ];
         for s in &mut schedulers {
             let schedule = s.schedule(&dag, &spec).unwrap();

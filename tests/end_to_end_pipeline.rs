@@ -4,7 +4,7 @@
 
 use spear::rl::SelectionMode;
 use spear::{
-    train_policy, ClusterSpec, FeatureConfig, PolicyNetwork, Scheduler, SpearBuilder,
+    train_policy, ClusterSpec, FeatureConfig, MctsConfig, MctsScheduler, PolicyNetwork, Scheduler,
     TrainingPipelineConfig,
 };
 
@@ -20,12 +20,13 @@ fn train_save_load_schedule_roundtrip() {
     let policy = PolicyNetwork::from_parts(FeatureConfig::small(2), net);
 
     // Schedule one of the training examples with the reloaded policy.
-    let mut spear = SpearBuilder::new()
-        .initial_budget(40)
-        .min_budget(8)
-        .feature_config(FeatureConfig::small(2))
-        .seed(5)
-        .build_with_policy(policy);
+    let config = MctsConfig {
+        initial_budget: 40,
+        min_budget: 8,
+        seed: 5,
+        ..MctsConfig::default()
+    };
+    let mut spear = MctsScheduler::drl(config, policy);
     let dag = &trained.examples[0];
     let schedule = spear.schedule(dag, &spec).unwrap();
     schedule.validate(dag, &spec).unwrap();

@@ -6,7 +6,8 @@
 //! network knobs: a single box is a one-machine cluster. The state keys
 //! behind the inference caches are pinned the same way, and so is the
 //! work the quick searches do, on DAGs and on an arrival stream. So are
-//! the bits a training run leaves: weights, losses, accuracy and curve.
+//! the bits a training run leaves: weights, losses, accuracy and curve,
+//! and the schedules of the list baselines and Graphene.
 //!
 //! To regenerate after an *intentional* behavior change, run
 //! `cargo test --release --test golden_determinism -- --ignored --nocapture`
@@ -22,9 +23,10 @@ use spear::nn::{Mlp, Precision, RmsProp};
 use spear::rl::pretrain::{self, PretrainConfig};
 use spear::rl::{EvalCacheStats, TrainingCurvePoint};
 use spear::{
-    train_policy, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, Dag, FeatureConfig,
-    JobQueue, JobSource, MachineSet, MctsConfig, MctsScheduler, PolicyNetwork, Schedule, Scheduler,
-    SearchStats, SimState, TrainingPipelineConfig, TransferMode,
+    train_policy, Action, ArrivalProcess, ArrivalStreamSpec, ClusterSpec, CpScheduler, Dag,
+    FeatureConfig, Graphene, JobQueue, JobSource, MachineSet, MctsConfig, MctsScheduler,
+    PolicyNetwork, RandomScheduler, Schedule, Scheduler, SearchStats, SimState, SjfScheduler,
+    TetrisScheduler, TrainingPipelineConfig, TransferMode,
 };
 
 /// Number of fixed workload DAGs each golden table covers.
@@ -61,6 +63,67 @@ const ENV_DRIVER_GOLDEN: [(u64, u64); GOLDEN_DAGS] = [
 
 /// Seed of the uniform policy behind [`ENV_DRIVER_GOLDEN`].
 const ENV_DRIVER_SEED: u64 = 7;
+
+/// `(makespan, placement fingerprint)` per DAG for each of [`baselines`]
+/// (Tetris, SJF, CP, seeded Random, Graphene), on a single box and on
+/// [`three_machines`], where the locality tie-break picks among a task's
+/// machines.
+const BASELINE_GOLDEN: [[[(u64, u64); GOLDEN_DAGS]; 5]; 2] = [
+    [
+        [
+            (374, 0x9969188f09566e07),
+            (366, 0xd5f8a68c120d8dc9),
+            (374, 0x215775947527b743),
+        ],
+        [
+            (380, 0x4836251781b642f0),
+            (385, 0x16204e32e87fbf26),
+            (380, 0x157f54ea0f9523cc),
+        ],
+        [
+            (348, 0xd835aebb7dacba78),
+            (330, 0x17eac6ea2c4e5e07),
+            (360, 0x24cb706a89d01086),
+        ],
+        [
+            (378, 0xeadff3d5ac6a0163),
+            (371, 0x3ba9d50719e49adf),
+            (382, 0x79fa7ba4c1932037),
+        ],
+        [
+            (360, 0xd8a0091795b0ccbd),
+            (364, 0xb61857f426ee7902),
+            (382, 0x1aa4d08181591893),
+        ],
+    ],
+    [
+        [
+            (190, 0x982005065f1deae8),
+            (219, 0x62737298dd97ab0f),
+            (212, 0xda0365c6432881b7),
+        ],
+        [
+            (219, 0x3d6eff048db4d2f5),
+            (282, 0x1eca31ce9e8be9d8),
+            (235, 0xb878d7073b9f8efd),
+        ],
+        [
+            (189, 0xa98d768a86ee5d4b),
+            (216, 0x6768dd86c653ac59),
+            (227, 0xa59f38501b18b266),
+        ],
+        [
+            (223, 0xf762c6c2d8b9c2fa),
+            (286, 0xafb4327982c80061),
+            (250, 0xbd795f31bec6428e),
+        ],
+        [
+            (215, 0x1d59431a9c9126e7),
+            (267, 0x033e5a5af22b52e2),
+            (235, 0x8046fb85abe6e570),
+        ],
+    ],
+];
 
 /// Makespans of pure MCTS (budget 60/12) on the quick workload: two
 /// 30-task DAGs of the simulation family, seed 42.
@@ -330,8 +393,16 @@ fn fingerprint(schedule: &Schedule) -> u64 {
         .flat_map(|p| [p.task.index() as u64, p.start]))
 }
 
+/// [`fingerprint`] with each task's machine folded in.
+fn placement_fingerprint(schedule: &Schedule) -> u64 {
+    fnv(schedule
+        .placements()
+        .iter()
+        .flat_map(|p| [p.task.index() as u64, p.start, p.machine.into()]))
+}
+
 /// Each DAG's schedule under `scheduler` on `spec`, validated.
-fn schedules(scheduler: &mut MctsScheduler, dags: &[Dag], spec: &ClusterSpec) -> Vec<Schedule> {
+fn schedules(scheduler: &mut impl Scheduler, dags: &[Dag], spec: &ClusterSpec) -> Vec<Schedule> {
     dags.iter()
         .map(|dag| {
             let s = scheduler
@@ -349,6 +420,30 @@ fn run(mut scheduler: MctsScheduler, spec: &ClusterSpec) -> Vec<(u64, u64)> {
         .iter()
         .map(|s| (s.makespan(), fingerprint(s)))
         .collect()
+}
+
+/// The list baselines and Graphene, in [`BASELINE_GOLDEN`]'s row order.
+fn baselines() -> [Box<dyn Scheduler>; 5] {
+    [
+        Box::new(TetrisScheduler::new()),
+        Box::new(SjfScheduler::new()),
+        Box::new(CpScheduler::new()),
+        Box::new(RandomScheduler::seeded(GOLDEN_SEED)),
+        Box::new(Graphene::new()),
+    ]
+}
+
+/// Each baseline's `(makespan, placement fingerprint)` per workload DAG.
+fn run_baselines(spec: &ClusterSpec) -> [[(u64, u64); GOLDEN_DAGS]; 5] {
+    baselines().map(|mut scheduler| {
+        let schedules = schedules(&mut scheduler, &workload(), spec);
+        std::array::from_fn(|i| {
+            (
+                schedules[i].makespan(),
+                placement_fingerprint(&schedules[i]),
+            )
+        })
+    })
 }
 
 /// The quick workload: two 30-task DAGs of the simulation family.
@@ -564,6 +659,17 @@ fn drl_guided_matches_golden_schedules() {
     }
 }
 
+/// The list baselines and Graphene reproduce their pinned schedules, on
+/// both spellings of a single box and on three machines.
+#[test]
+fn baselines_match_golden_schedules() {
+    let [single, three] = BASELINE_GOLDEN;
+    for spec in clusters() {
+        assert_eq!(run_baselines(&spec), single);
+    }
+    assert_eq!(run_baselines(&three_machines()), three);
+}
+
 /// The quick workload's makespans, for pure and DRL-guided search with
 /// the inference caches on and off.
 #[test]
@@ -670,6 +776,19 @@ fn print_golden_tables() {
         }
         println!("];");
     }
+    println!("const BASELINE_GOLDEN: [[[(u64, u64); GOLDEN_DAGS]; 5]; 2] = [");
+    for spec in [unit.clone(), three_machines()] {
+        println!("    [");
+        for row in run_baselines(&spec) {
+            println!("        [");
+            for (makespan, fp) in row {
+                println!("            ({makespan}, {fp:#018x}),");
+            }
+            println!("        ],");
+        }
+        println!("    ],");
+    }
+    println!("];");
     let [tiny, paper] = train_hashes();
     println!("const TRAIN_GOLDEN: [u64; 2] = [{tiny:#018x}, {paper:#018x}];");
     let [(a, ka), (b, kb)] = [key_trail(&unit), key_trail(&three_machines())];

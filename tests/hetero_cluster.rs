@@ -6,7 +6,8 @@
 //! pinning the network model: a degenerate 1-machine cluster is
 //! bit-identical to the single box, co-located parents never pay a
 //! transfer delay, and lowering any link bandwidth never produces an
-//! earlier makespan for the same placement order.
+//! earlier makespan for the same placement order. The DRL agent trains
+//! and rolls out on 2–4 machines.
 
 use std::path::PathBuf;
 
@@ -15,9 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::dag::generator::LayeredDagSpec;
 use spear::diffcheck::{check_schedule, CaseSpec, Fixture, SchedulerKind};
+use spear::rl::{collect_expert_dataset, run_episode, SelectionMode};
 use spear::{
-    Action, ClusterSpec, Dag, DagBuilder, JobQueue, MachineSet, Placement, ResourceVec, Schedule,
-    SimState, Task, TaskId, TransferMode,
+    train_policy, Action, ClusterSpec, Dag, DagBuilder, JobQueue, MachineProfile, MachineSet,
+    Placement, ResourceVec, Schedule, SimState, Task, TaskId, TrainingPipelineConfig, TransferMode,
 };
 
 fn fixtures_dir() -> PathBuf {
@@ -196,6 +198,46 @@ fn golden_schedule_with_an_early_start_is_rejected_by_all_judges() {
         tri.timeline_replay.is_err(),
         "timeline replay accepted a gated start"
     );
+}
+
+/// The DRL agent runs on multi-machine clusters: the tiny pipeline
+/// trains, and a sampled rollout of its policy and the CP expert's
+/// dataset both complete on seeded 25-task DAGs. Links of one byte per
+/// slot keep children waiting on transfers, so the agent also meets
+/// states where nothing runs and every visible task waits.
+#[test]
+fn rl_trains_and_rolls_out_on_two_to_four_machines() {
+    for machines in 2..=4 {
+        for mode in [TransferMode::Direct, TransferMode::ViaMaster] {
+            let set = MachineProfile {
+                base_bandwidth: 1,
+                mode,
+                ..MachineProfile::sweep(machines)
+            }
+            .generate(machines as u64)
+            .expect("the sweep profile is valid");
+            let spec = ClusterSpec::hetero(set).expect("a valid set is a valid cluster");
+            let label = format!("{machines} machines, {mode:?}");
+            let mut policy = train_policy(&TrainingPipelineConfig::tiny(), &spec)
+                .unwrap_or_else(|e| panic!("{label}: training: {e}"))
+                .policy;
+            for seed in 0..8 {
+                let dag = case_dag(seed, 25, 2);
+                let mut rng = StdRng::seed_from_u64(seed);
+                run_episode(
+                    &mut policy,
+                    &dag,
+                    &spec,
+                    SelectionMode::Sample,
+                    false,
+                    &mut rng,
+                )
+                .unwrap_or_else(|e| panic!("{label}, seed {seed}: rollout: {e}"));
+                collect_expert_dataset(policy.featurizer(), &dag, &spec)
+                    .unwrap_or_else(|e| panic!("{label}, seed {seed}: expert: {e}"));
+            }
+        }
+    }
 }
 
 /// Replays fixed `(task, machine)` placement decisions in a fixed order

@@ -3,10 +3,12 @@
 //! optimal makespan of 2T while the greedy baselines commit early and pay
 //! 2.5T — the "up to 20%" improvement the paper advertises.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use spear::fixtures::{motivating_example, motivating_optimal_makespan};
 use spear::{
-    CpScheduler, FeatureConfig, Graphene, MctsConfig, MctsScheduler, Scheduler, SjfScheduler,
-    SpearBuilder, TetrisScheduler,
+    CpScheduler, FeatureConfig, Graphene, MctsConfig, MctsScheduler, PolicyNetwork, Scheduler,
+    SjfScheduler, TetrisScheduler,
 };
 
 #[test]
@@ -78,13 +80,18 @@ fn spear_finds_the_optimum_with_less_budget() {
     let (dag, spec, _) = motivating_example();
     // DRL-guided search still finds the optimum on this instance with a
     // fraction of the pure-MCTS budget (the paper's core claim).
-    let mut spear = SpearBuilder::new()
-        .initial_budget(150)
-        .min_budget(30)
-        .feature_config(FeatureConfig::small(2))
-        .hidden_layers(&[32])
-        .seed(2)
-        .build_untrained();
+    let config = MctsConfig {
+        initial_budget: 150,
+        min_budget: 30,
+        seed: 2,
+        ..MctsConfig::default()
+    };
+    let policy = PolicyNetwork::with_hidden(
+        FeatureConfig::small(2),
+        &[32],
+        &mut StdRng::seed_from_u64(2),
+    );
+    let mut spear = MctsScheduler::drl(config, policy);
     let s = spear.schedule(&dag, &spec).unwrap();
     s.validate(&dag, &spec).unwrap();
     assert_eq!(s.makespan(), motivating_optimal_makespan());
