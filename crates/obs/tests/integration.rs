@@ -22,7 +22,10 @@ use spear_dag::Dag;
 use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts};
 use spear_obs::{MetricsRegistry, Obs};
 use spear_rl::pretrain::PretrainConfig;
-use spear_rl::{pretrain, FeatureConfig, PolicyNetwork, ReinforceConfig, ReinforceTrainer};
+use spear_rl::{
+    pretrain, run_episode, FeatureConfig, PolicyNetwork, ReinforceConfig, ReinforceTrainer,
+    SelectionMode,
+};
 use spear_sched::{CpScheduler, ObservedScheduler, Scheduler};
 
 fn dag(seed: u64, tasks: usize) -> Dag {
@@ -175,6 +178,77 @@ fn instrumented_training_is_bit_identical() {
         assert!(snap.counter_value("rl.episodes").unwrap() > 0);
         assert!(snap.histogram_count("rl.episode_return").unwrap() > 0);
         assert!(snap.gauge_last("rl.grad_norm").unwrap() >= 0.0);
+        assert!(snap.counter_value("rl.rollout_table_hits").unwrap() > 0);
+        assert!(snap.counter_value("rl.rollout_table_misses").unwrap() > 0);
+    }
+}
+
+/// `rl.rollout_table_hits + rl.rollout_table_misses` is the number of
+/// rollout decisions, and the table's counters leave training as it
+/// was. At learning rate 0 the weights never move, so `run_episode`
+/// from the trainer's RNG stream replays its rollouts one decision at a
+/// time and counts them.
+#[test]
+fn rollout_table_probes_count_every_decision() {
+    let spec = ClusterSpec::unit(2);
+    let examples: Vec<Dag> = (0..3).map(|i| dag(30 + i, 12)).collect();
+    let config = ReinforceConfig {
+        epochs: 2,
+        rollouts: 5,
+        ..ReinforceConfig::default()
+    };
+    let start = PolicyNetwork::with_hidden(
+        FeatureConfig::small(2),
+        &[16],
+        &mut StdRng::seed_from_u64(5),
+    );
+    let weights = |policy: &PolicyNetwork| {
+        let mut bytes = Vec::new();
+        policy.net().save(&mut bytes).unwrap();
+        bytes
+    };
+    let run = |obs: &Obs| {
+        let mut policy = start.clone();
+        let mut trainer = ReinforceTrainer::with_learning_rate(config.clone(), 0.0).with_obs(obs);
+        let curve = trainer
+            .train(&mut policy, &examples, &spec, &mut StdRng::seed_from_u64(6))
+            .unwrap();
+        (curve, weights(&policy))
+    };
+
+    let registry = MetricsRegistry::new();
+    let observed = run(&registry.sink("train"));
+    assert_eq!(observed, run(&Obs::noop()), "the sink changed training");
+    assert_eq!(
+        observed.1,
+        weights(&start),
+        "learning rate 0 moved a weight"
+    );
+
+    let mut replay = start.clone();
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut decisions = 0;
+    for _ in 0..config.epochs {
+        for dag in &examples {
+            for _ in 0..config.rollouts {
+                let episode = run_episode(
+                    &mut replay,
+                    dag,
+                    &spec,
+                    SelectionMode::Sample,
+                    true,
+                    &mut rng,
+                );
+                decisions += episode.unwrap().steps.len() as u64;
+            }
+        }
+    }
+    if spear_obs::compiled() {
+        let snap = registry.snapshot();
+        let hits = snap.counter_value("rl.rollout_table_hits").unwrap();
+        let misses = snap.counter_value("rl.rollout_table_misses").unwrap();
+        assert_eq!(hits + misses, decisions);
+        assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
     }
 }
 

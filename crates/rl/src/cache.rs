@@ -1,5 +1,4 @@
-//! Transposition-keyed inference caches for DRL-guided search and for
-//! REINFORCE's rollouts.
+//! Transposition-keyed inference caches for DRL-guided search.
 //!
 //! MCTS rollouts revisit identical [`SimState`]s along different tree
 //! paths (and the path-replay tree re-derives them on every iteration),
@@ -12,7 +11,7 @@
 //! an **input table** keyed by [`input_key`] of the featurized input and
 //! probed between featurization and the forward pass.
 //!
-//! Every table is a capacity-bounded open-addressing table with linear
+//! Both are capacity-bounded open-addressing tables with linear
 //! probing and **generation clearing**: the search bumps the generation
 //! at each scheduling *episode* (one complete `schedule()` of one DAG),
 //! which invalidates every entry in O(1) without touching the storage.
@@ -25,17 +24,20 @@
 //! bump. There are no deletions, so an out-of-generation slot
 //! terminates a probe chain soundly.
 //!
-//! [`PolicyNetwork`](crate::PolicyNetwork) keeps a third table, a **row
-//! cache** of 256 entries keyed by [`input_key`], for the rollouts it
-//! samples itself. REINFORCE rolls each example out 20 times under one
-//! set of weights, and most of those steps repeat an input an earlier
-//! rollout already saw. Its generation is bumped by every
-//! `PolicyNetwork::net_mut`, the only way to change the weights, rather
-//! than per episode: entries hold across DAGs (a row depends on the
-//! input bits alone) and never across a weight change. A generation
-//! sees a few dozen inputs, so a 64-bit collision is a ~2⁻⁵² event; the
-//! table has no off switch, and a test drives REINFORCE epochs through
-//! uncached forward passes and compares the weights bit for bit.
+//! The REINFORCE trainer keeps a third table, and it is not an
+//! [`EvalCache`]: REINFORCE rolls each example out 20 times under one
+//! set of weights, and most of those steps revisit a state an earlier
+//! rollout already reached. The trainer's table is keyed by
+//! [`SimState::frontier_fingerprint`] too, and it is cleared when an
+//! example starts. The weights change only after the example's last
+//! rollout, so within the table's life the DAG, the cluster and the
+//! weights are fixed and it needs no generation. Each entry keeps the
+//! state's featurized input and mask next to its row, because the
+//! update reads them back; so the table grows instead of evicting, to
+//! the few dozen states an example reaches. A 64-bit collision among
+//! those is a ~2⁻⁵² event per example; the table has no off switch, and
+//! a test drives REINFORCE epochs through uncached forward passes and
+//! compares the weights bit for bit.
 //!
 //! An [`EvalCache`] allocates its storage at its first insert, zeroed
 //! (slot cells encode an empty slot as `0`), so building one allocates

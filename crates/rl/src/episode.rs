@@ -12,8 +12,8 @@ use crate::PolicyNetwork;
 /// the argmax (evaluation / MCTS guidance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionMode {
-    /// Sample from the masked softmax — used during REINFORCE training,
-    /// where exploration comes from the stochastic policy itself.
+    /// Sample from the masked softmax, as REINFORCE's rollouts do:
+    /// exploration comes from the stochastic policy itself.
     Sample,
     /// Always take the most probable action.
     Greedy,
@@ -50,9 +50,8 @@ impl Episode {
 
 /// Rolls the policy out on `dag` from the initial state to completion.
 ///
-/// With `record = true` every decision's features/action/mask are kept for
-/// the policy-gradient update; evaluation rollouts pass `false` to skip the
-/// bookkeeping.
+/// With `record = true` every decision's features, action and mask are
+/// kept; evaluation rollouts pass `false` to skip the bookkeeping.
 ///
 /// # Errors
 ///
@@ -67,13 +66,24 @@ pub fn run_episode<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Episode, SpearError> {
     let features = GraphFeatures::compute(dag);
-    run_episode_with_features(policy, dag, spec, &features, mode, record, rng)
+    let mut steps = Vec::new();
+    let mut env = SimEnv::new(dag, spec)?;
+    let mut driver = EpisodeDriver::new(NetworkPolicy {
+        policy,
+        features: &features,
+        greedy: mode == SelectionMode::Greedy,
+        record: record.then_some(&mut steps),
+    });
+    let outcome = driver.drive(&mut env, rng)?;
+    debug_assert!(outcome.is_terminal());
+    drop(driver);
+    let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
+    Ok(Episode { steps, makespan })
 }
 
 /// [`PolicyNetwork`] adapted to the environment layer's
 /// [`DecisionPolicy`]: each decision featurizes the state, runs one
-/// masked forward pass, and (optionally) records the decision for the
-/// policy-gradient update.
+/// masked forward pass, and (optionally) records the decision.
 struct NetworkPolicy<'a, 'b> {
     policy: &'a mut PolicyNetwork,
     features: &'a GraphFeatures,
@@ -111,36 +121,6 @@ impl<R: Rng + ?Sized> DecisionPolicy<R> for NetworkPolicy<'_, '_> {
     fn name(&self) -> &str {
         "policy-network"
     }
-}
-
-/// Like [`run_episode`] but reuses precomputed [`GraphFeatures`] — the
-/// trainers roll out the same DAG many times and compute features once.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run_episode_with_features<R: Rng + ?Sized>(
-    policy: &mut PolicyNetwork,
-    dag: &Dag,
-    spec: &ClusterSpec,
-    features: &GraphFeatures,
-    mode: SelectionMode,
-    record: bool,
-    rng: &mut R,
-) -> Result<Episode, SpearError> {
-    let mut steps = Vec::new();
-    let mut env = SimEnv::new(dag, spec)?;
-    let mut driver = EpisodeDriver::new(NetworkPolicy {
-        policy,
-        features,
-        greedy: mode == SelectionMode::Greedy,
-        record: record.then_some(&mut steps),
-    });
-    let outcome = driver.drive(&mut env, rng)?;
-    debug_assert!(outcome.is_terminal());
-    drop(driver);
-    let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
-    Ok(Episode { steps, makespan })
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@ pub mod pretrain;
 mod reinforce;
 
 pub use cache::{input_key, EvalCache, EvalCacheF32, EvalCacheStats, SlotRow};
-pub use episode::{run_episode, run_episode_with_features, Episode, SelectionMode, StepRecord};
+pub use episode::{run_episode, Episode, SelectionMode, StepRecord};
 pub use expert::{collect_expert_dataset, CpExpert, ExpertDataset};
 pub use features::{FeatureConfig, Featurizer, StateView};
 pub use policy::PolicyNetwork;

@@ -6,11 +6,7 @@ use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
 use spear_nn::{softmax_masked_into, ForwardScratch, InferenceEngine, Mlp, MlpConfig, ShapeError};
 
-use crate::{input_key, EvalCache, FeatureConfig, Featurizer, StateView};
-
-/// Entries of the rollout row cache: a 25-task training example has
-/// about 49 distinct inputs, and 256 rows of 16 actions hold 32 KB.
-const ROW_CACHE_ENTRIES: usize = 256;
+use crate::{FeatureConfig, Featurizer, StateView};
 
 /// The DRL scheduling policy: maps a [`SimState`] to a distribution over
 /// `{schedule visible slot i, process}`. [`StateView::action`] turns the
@@ -21,20 +17,12 @@ const ROW_CACHE_ENTRIES: usize = 256;
 /// [`PolicyNetwork::action_distribution`] calls allocate only the
 /// distribution and view they return once the buffers reach their
 /// steady-state sizes.
-///
-/// It also keeps the rows it computed: an [`EvalCache`] keyed by
-/// [`input_key`] of the featurized input and mask. Under fixed weights a
-/// row is a pure function of those bits, and the weights change only
-/// through [`PolicyNetwork::net_mut`], which starts a new cache
-/// generation. REINFORCE's rollouts repeat most of their inputs between
-/// two updates, so most of their steps skip the forward pass.
 #[derive(Debug, Clone)]
 pub struct PolicyNetwork {
     featurizer: Featurizer,
     net: Mlp,
     ready_scratch: Vec<TaskId>,
     forward_scratch: ForwardScratch,
-    rows: EvalCache,
 }
 
 impl PolicyNetwork {
@@ -96,7 +84,6 @@ impl PolicyNetwork {
 
     fn from_parts_unchecked(config: FeatureConfig, net: Mlp) -> Self {
         PolicyNetwork {
-            rows: EvalCache::new(ROW_CACHE_ENTRIES, config.action_dim(), 0),
             featurizer: Featurizer::new(config),
             net,
             ready_scratch: Vec::new(),
@@ -119,19 +106,13 @@ impl PolicyNetwork {
         &self.net
     }
 
-    /// Mutable access to the underlying network (training). The only way
-    /// to change the weights, so it drops every cached row (one
-    /// generation bump, O(1)).
+    /// Mutable access to the underlying network (training).
     pub fn net_mut(&mut self) -> &mut Mlp {
-        self.rows.begin_generation();
         &mut self.net
     }
 
     /// Featurizes `state` and returns the masked action distribution
-    /// together with the view (slot mapping + mask). A row computed
-    /// since the last [`PolicyNetwork::net_mut`] for the same input bits
-    /// is served from the cache: the same bits the forward pass and
-    /// masked softmax would return.
+    /// together with the view (slot mapping + mask).
     pub fn action_distribution(
         &mut self,
         dag: &Dag,
@@ -143,16 +124,10 @@ impl PolicyNetwork {
         let ready = &mut self.ready_scratch;
         self.featurizer
             .featurize_into(dag, spec, state, features, ready, &mut view);
-        let key = input_key(&view.features, &view.mask);
-        if let Some((row, _)) = self.rows.get(key) {
-            probs.extend_from_slice(row);
-        } else {
-            let logits = self
-                .net
-                .forward_one_into(&view.features, &mut self.forward_scratch);
-            softmax_masked_into(logits, &view.mask, &mut probs);
-            self.rows.insert(key, &probs, &[]);
-        }
+        let logits = self
+            .net
+            .forward_one_into(&view.features, &mut self.forward_scratch);
+        softmax_masked_into(logits, &view.mask, &mut probs);
         (probs, view)
     }
 
@@ -264,33 +239,6 @@ mod tests {
             let action = view.action(idx, &dag, &state);
             state.apply(&dag, action).unwrap();
         }
-    }
-
-    /// Rows are reused while the weights stand still, and a row computed
-    /// before a weight change through `net_mut` is never served after it:
-    /// the next answer is the fresh network's.
-    #[test]
-    fn a_weight_change_drops_every_cached_row() {
-        let (dag, spec, gf, mut policy) = setup();
-        let state = SimState::new(&dag, &spec).unwrap();
-        let before = policy.action_distribution(&dag, &spec, &state, &gf);
-        assert_eq!(policy.action_distribution(&dag, &spec, &state, &gf), before);
-        assert_eq!(
-            (policy.rows.stats().hits, policy.rows.stats().misses),
-            (1, 1)
-        );
-
-        let slot = before.1.mask.iter().position(|&legal| legal).unwrap();
-        policy.net_mut().layers_mut().last_mut().unwrap().bias_mut()[slot] += 3.0;
-        let after = policy.action_distribution(&dag, &spec, &state, &gf);
-        assert_eq!(
-            (policy.rows.stats().hits, policy.rows.stats().misses),
-            (1, 2)
-        );
-        assert_ne!(after.0, before.0, "the weight change must move the row");
-        let mut fresh =
-            PolicyNetwork::from_parts(policy.feature_config().clone(), policy.net().clone());
-        assert_eq!(after, fresh.action_distribution(&dag, &spec, &state, &gf));
     }
 
     #[test]

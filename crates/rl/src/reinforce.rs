@@ -7,16 +7,22 @@
 //! steps of all rollouts. The paper trains on 144 random 25-task examples
 //! with 20 rollouts each; both counts are configurable because wall-clock
 //! budgets differ.
+//!
+//! The rollouts of one example share a [`RolloutTable`], so each distinct
+//! state they reach is featurized and run through the network once.
+
+use std::collections::HashMap;
 
 use rand::Rng;
-use spear_cluster::{ClusterSpec, SpearError};
+use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
+use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
-use spear_dag::Dag;
-use spear_nn::{loss, Matrix, Optimizer, RmsProp};
+use spear_dag::{Dag, TaskId};
+use spear_nn::{loss, softmax_masked_into, ForwardScratch, Matrix, Optimizer, RmsProp};
 use spear_obs::{Counter, Gauge, Histogram, Obs};
 
-use crate::episode::run_episode_with_features;
-use crate::{Episode, PolicyNetwork, SelectionMode};
+use crate::policy::sample_index;
+use crate::{PolicyNetwork, StateView};
 
 /// Hyper-parameters of the REINFORCE phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,8 +34,9 @@ pub struct ReinforceConfig {
     pub rollouts: usize,
     /// Optional global gradient-norm clip (stabilizes small-batch runs).
     pub max_grad_norm: Option<f64>,
-    /// Normalize returns by the Tetris estimate of each DAG so examples of
-    /// different scales contribute comparable advantages.
+    /// Divide each example's advantages by the magnitude of its mean
+    /// return (at least 1), so examples of different scales contribute
+    /// comparable advantages.
     pub normalize_returns: bool,
 }
 
@@ -52,13 +59,16 @@ pub struct TrainingCurvePoint {
     /// Mean makespan over every rollout of every example in the epoch —
     /// the negative of the mean reward.
     pub mean_makespan: f64,
-    /// Mean policy entropy over the epoch's decisions (diagnostic).
+    /// Mean policy entropy (diagnostic) over the decisions of the epoch's
+    /// rollouts whose advantage is nonzero, the ones the updates learn
+    /// from. It reads 0.0 when no rollout's advantage is nonzero: the
+    /// value of an empty sum, not a measured entropy.
     pub mean_entropy: f64,
 }
 
 /// The trainer's instruments (the `rl.*` metric family): per-epoch curve
-/// gauges, per-episode return distribution, and gradient norms. Built
-/// when an enabled sink is attached.
+/// gauges, per-episode return distribution, gradient norms and the
+/// rollout table's probes. Built when an enabled sink is attached.
 #[derive(Debug, Clone)]
 struct TrainObs {
     epochs: Counter,
@@ -67,6 +77,10 @@ struct TrainObs {
     /// advantage is 0, so the update has no gradient and leaves the
     /// weights where they were.
     zero_advantage_examples: Counter,
+    /// Rollout decisions served from the [`RolloutTable`].
+    rollout_table_hits: Counter,
+    /// Rollout decisions that featurized and ran the network.
+    rollout_table_misses: Counter,
     episode_return: Histogram,
     epoch_ns: Histogram,
     mean_makespan: Gauge,
@@ -80,6 +94,8 @@ impl TrainObs {
             epochs: obs.counter("rl.epochs"),
             episodes: obs.counter("rl.episodes"),
             zero_advantage_examples: obs.counter("rl.zero_advantage_examples"),
+            rollout_table_hits: obs.counter("rl.rollout_table_hits"),
+            rollout_table_misses: obs.counter("rl.rollout_table_misses"),
             episode_return: obs.histogram("rl.episode_return"),
             epoch_ns: obs.histogram("rl.epoch_ns"),
             mean_makespan: obs.gauge("rl.mean_makespan"),
@@ -89,17 +105,168 @@ impl TrainObs {
     }
 }
 
+/// One distinct state of an example's rollouts: its featurized input,
+/// slot → task assignment and legality mask, and the masked distribution
+/// the network gives it.
+#[derive(Debug, Default)]
+struct TableEntry {
+    view: StateView,
+    probs: Vec<f64>,
+}
+
+/// One example's rollout table: an entry per distinct state its rollouts
+/// reach, keyed by [`SimState::frontier_fingerprint`].
+///
+/// Equal frontier keys featurize bit-identically (the key's contract).
+/// Within one example the DAG, the cluster and the weights are fixed:
+/// the trainer clears the table when an example starts and updates the
+/// weights after the example's last rollout. So a hit returns exactly
+/// the bits that featurize → [`spear_nn::Mlp::forward_one_into`] →
+/// [`softmax_masked_into`] would, with no DAG key and no generation.
+/// Nothing is evicted while an example runs, so the update reads every
+/// decision's input and mask back from the table.
+#[derive(Debug, Default)]
+struct RolloutTable {
+    /// Frontier key → index into `entries`.
+    index: HashMap<u64, usize>,
+    /// The entries, in the order their states were first reached.
+    entries: Vec<TableEntry>,
+    /// The featurizer's and the forward pass's scratch, for misses.
+    ready: Vec<TaskId>,
+    scratch: ForwardScratch,
+    /// Decisions served from an entry, and decisions that computed one,
+    /// since the table was built.
+    hits: u64,
+    misses: u64,
+}
+
+impl RolloutTable {
+    /// Drops every entry.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.entries.clear();
+    }
+
+    /// The entry of `state`, computed on the first visit of its key since
+    /// the last [`RolloutTable::clear`].
+    fn entry(
+        &mut self,
+        policy: &PolicyNetwork,
+        ctx: &EnvContext<'_>,
+        state: &SimState,
+        features: &GraphFeatures,
+    ) -> usize {
+        let next = self.entries.len();
+        let e = *self
+            .index
+            .entry(state.frontier_fingerprint())
+            .or_insert(next);
+        if e < next {
+            self.hits += 1;
+            return e;
+        }
+        self.misses += 1;
+        let mut entry = TableEntry::default();
+        policy.featurizer().featurize_into(
+            ctx.dag,
+            ctx.spec,
+            state,
+            features,
+            &mut self.ready,
+            &mut entry.view,
+        );
+        let logits = policy
+            .net()
+            .forward_one_into(&entry.view.features, &mut self.scratch);
+        softmax_masked_into(logits, &entry.view.mask, &mut entry.probs);
+        self.entries.push(entry);
+        e
+    }
+
+    /// Rolls the policy out on `dag` once, sampling every decision from
+    /// its state's entry.
+    fn roll_out<R: Rng + ?Sized>(
+        &mut self,
+        policy: &PolicyNetwork,
+        dag: &Dag,
+        spec: &ClusterSpec,
+        features: &GraphFeatures,
+        rng: &mut R,
+    ) -> Result<Rollout, SpearError> {
+        let mut steps = Vec::new();
+        let mut env = SimEnv::new(dag, spec)?;
+        let mut driver = EpisodeDriver::new(TablePolicy {
+            table: self,
+            policy,
+            features,
+            steps: &mut steps,
+        });
+        let outcome = driver.drive(&mut env, rng)?;
+        debug_assert!(outcome.is_terminal());
+        drop(driver);
+        let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
+        Ok(Rollout { steps, makespan })
+    }
+}
+
+/// One rollout as the trainer records it: each decision's table entry
+/// and chosen action index, in order, and the makespan.
+#[derive(Debug)]
+struct Rollout {
+    steps: Vec<(usize, usize)>,
+    makespan: u64,
+}
+
+impl Rollout {
+    /// The REINFORCE return: the negative makespan.
+    fn ret(&self) -> f64 {
+        -(self.makespan as f64)
+    }
+}
+
+/// The trainer's rollout policy on the environment layer: samples each
+/// decision from its state's [`RolloutTable`] entry and records it.
+struct TablePolicy<'a> {
+    table: &'a mut RolloutTable,
+    policy: &'a PolicyNetwork,
+    features: &'a GraphFeatures,
+    steps: &'a mut Vec<(usize, usize)>,
+}
+
+impl<R: Rng + ?Sized> DecisionPolicy<R> for TablePolicy<'_> {
+    fn decide(
+        &mut self,
+        ctx: &EnvContext<'_>,
+        state: &SimState,
+        _legal: &[Action],
+        rng: &mut R,
+    ) -> Action {
+        let e = self.table.entry(self.policy, ctx, state, self.features);
+        let entry = &self.table.entries[e];
+        let action = sample_index(&entry.probs, rng);
+        self.steps.push((e, action));
+        entry.view.action(action, ctx.dag, state)
+    }
+
+    fn name(&self) -> &str {
+        "rollout-table"
+    }
+}
+
 /// The REINFORCE trainer. Owns the optimizer; borrows the policy per call
 /// so callers can evaluate between epochs.
 ///
 /// An [`Obs`] sink attached via [`ReinforceTrainer::with_obs`] records the
 /// `rl.*` metric family: per-epoch mean makespan/entropy and pre-clip
 /// gradient norm as gauges, per-episode returns (as makespans) into a
-/// histogram, epoch wall time, and `rl.zero_advantage_examples`, the
+/// histogram, epoch wall time, `rl.zero_advantage_examples`, the
 /// examples whose rollouts all tied (a collapsed policy learns nothing
-/// from them). Recording reads values the trainer
-/// already computes (plus one gradient-norm pass per example when
-/// enabled) and never changes an update.
+/// from them), and `rl.rollout_table_hits`/`rl.rollout_table_misses`,
+/// the rollout decisions that an example's table (see
+/// [`ReinforceTrainer::train_epoch`]) served and computed.
+/// Recording reads values the trainer already computes (plus one
+/// gradient-norm pass per example when enabled) and never changes an
+/// update.
 #[derive(Debug)]
 pub struct ReinforceTrainer {
     config: ReinforceConfig,
@@ -157,6 +324,13 @@ impl ReinforceTrainer {
     /// per example (mini-batch = the example's rollouts). Returns the
     /// epoch's curve point.
     ///
+    /// An example's rollouts share one table keyed by
+    /// [`SimState::frontier_fingerprint`], cleared when the example
+    /// starts: each distinct state they reach is featurized and run
+    /// through the network once, and a repeat is one probe. The weights
+    /// change only after the example's last rollout, so the table
+    /// changes no bit of the epoch.
+    ///
     /// # Errors
     ///
     /// Propagates simulator errors.
@@ -177,36 +351,34 @@ impl ReinforceTrainer {
         let mut makespan_count = 0usize;
         let mut entropy_sum = 0.0;
         let mut entropy_count = 0usize;
+        let mut table = RolloutTable::default();
 
         for (dag, features) in examples {
-            // 1. Roll out.
-            let episodes: Vec<_> = (0..self.config.rollouts)
-                .map(|_| {
-                    run_episode_with_features(
-                        policy,
-                        dag,
-                        spec,
-                        features,
-                        SelectionMode::Sample,
-                        true,
-                        rng,
-                    )
-                })
+            // 1. Roll out, through a table of this example's states only.
+            table.clear();
+            let rollouts: Vec<_> = (0..self.config.rollouts)
+                .map(|_| table.roll_out(policy, dag, spec, features, rng))
                 .collect::<Result<_, _>>()?;
-            for e in &episodes {
-                makespan_sum += e.makespan as f64;
+            for r in &rollouts {
+                makespan_sum += r.makespan as f64;
             }
-            makespan_count += episodes.len();
+            makespan_count += rollouts.len();
             if spear_obs::compiled() {
                 if let Some(to) = &self.train_obs {
-                    to.episodes.add(episodes.len() as u64);
-                    for e in &episodes {
-                        to.episode_return.record(e.makespan);
+                    to.episodes.add(rollouts.len() as u64);
+                    for r in &rollouts {
+                        to.episode_return.record(r.makespan);
                     }
                 }
             }
             // 2. Learn from them: baseline, policy gradient, one update.
-            self.update(policy, &episodes, &mut entropy_sum, &mut entropy_count);
+            self.update(
+                policy,
+                &table.entries,
+                &rollouts,
+                &mut entropy_sum,
+                &mut entropy_count,
+            );
         }
 
         let point = TrainingCurvePoint {
@@ -219,24 +391,28 @@ impl ReinforceTrainer {
                 to.epochs.incr();
                 to.mean_makespan.set(point.mean_makespan);
                 to.mean_entropy.set(point.mean_entropy);
+                to.rollout_table_hits.add(table.hits);
+                to.rollout_table_misses.add(table.misses);
             }
         }
         Ok(point)
     }
 
-    /// One example's update from its rollouts: the mean return is the
-    /// baseline (paper §IV), `advantage · ∇ log π(a|s)` is accumulated
-    /// over every step of every rollout whose advantage is nonzero, and
-    /// the optimizer takes one step. Those rollouts' decision-weighted
-    /// entropy is added to the epoch's running sums.
+    /// One example's update from its rollouts, whose decisions index
+    /// `entries`: the mean return is the baseline (paper §IV),
+    /// `advantage · ∇ log π(a|s)` is accumulated over every step of every
+    /// rollout whose advantage is nonzero, and the optimizer takes one
+    /// step. Those rollouts' decision-weighted entropy is added to the
+    /// epoch's running sums.
     fn update(
         &mut self,
         policy: &mut PolicyNetwork,
-        episodes: &[Episode],
+        entries: &[TableEntry],
+        rollouts: &[Rollout],
         entropy_sum: &mut f64,
         entropy_count: &mut usize,
     ) {
-        let mean_ret: f64 = episodes.iter().map(|e| e.ret()).sum::<f64>() / episodes.len() as f64;
+        let mean_ret: f64 = rollouts.iter().map(Rollout::ret).sum::<f64>() / rollouts.len() as f64;
         let scale = if self.config.normalize_returns {
             // Returns are O(makespan); normalize by the mean magnitude
             // so advantages are O(1) regardless of DAG size.
@@ -246,25 +422,29 @@ impl ReinforceTrainer {
         };
 
         policy.net_mut().zero_grad();
-        let total_steps: usize = episodes.iter().map(|e| e.steps.len()).sum();
+        let total_steps: usize = rollouts.iter().map(|r| r.steps.len()).sum();
         if total_steps == 0 {
             return;
         }
         let mut learned = false;
-        for episode in episodes {
-            let advantage = (episode.ret() - mean_ret) / scale;
+        for rollout in rollouts {
+            let advantage = (rollout.ret() - mean_ret) / scale;
             if advantage == 0.0 {
                 continue;
             }
             learned = true;
-            let rows: Vec<&[f64]> = episode
+            let rows: Vec<&[f64]> = rollout
                 .steps
                 .iter()
-                .map(|s| s.features.as_slice())
+                .map(|&(e, _)| entries[e].view.features.as_slice())
                 .collect();
             let x = Matrix::from_rows(&rows);
-            let actions: Vec<usize> = episode.steps.iter().map(|s| s.action).collect();
-            let masks: Vec<Vec<bool>> = episode.steps.iter().map(|s| s.mask.clone()).collect();
+            let actions: Vec<usize> = rollout.steps.iter().map(|&(_, a)| a).collect();
+            let masks: Vec<Vec<bool>> = rollout
+                .steps
+                .iter()
+                .map(|&(e, _)| entries[e].view.mask.clone())
+                .collect();
             let advantages = vec![advantage; actions.len()];
             let logits = policy.net_mut().forward(&x);
             *entropy_sum += loss::mean_entropy(&logits, &masks) * actions.len() as f64;
@@ -284,7 +464,7 @@ impl ReinforceTrainer {
                 if !learned {
                     to.zero_advantage_examples.incr();
                 }
-                to.grad_norm.set(policy.net_mut().grad_norm());
+                to.grad_norm.set(policy.net().grad_norm());
             }
         }
         if let Some(max_norm) = self.config.max_grad_norm {
@@ -321,11 +501,12 @@ impl ReinforceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FeatureConfig, StateView, StepRecord};
+    use crate::{FeatureConfig, Featurizer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use spear_cluster::{MachineSet, TransferMode};
     use spear_dag::generator::LayeredDagSpec;
-    use spear_nn::{softmax_masked_into, ForwardScratch};
+    use spear_dag::{DagBuilder, ResourceVec, Task};
 
     /// End-to-end smoke test: a few epochs on tiny DAGs must improve (or
     /// at least not catastrophically regress) the mean makespan, and the
@@ -371,93 +552,103 @@ mod tests {
         }
     }
 
-    /// Rolls out like `run_episode_with_features`, computing every
-    /// distribution afresh: featurize, `forward_one_into`,
-    /// `softmax_masked_into`, then the policy's own draw.
-    fn uncached_episode(
+    /// Rolls the policy out on `dag` the way the trainer did before it
+    /// had a table: every decision featurizes, runs `forward_one_into`
+    /// and `softmax_masked_into`, and gets an entry of its own.
+    fn uncached_rollout(
         policy: &PolicyNetwork,
         dag: &Dag,
         spec: &ClusterSpec,
         features: &GraphFeatures,
+        entries: &mut Vec<TableEntry>,
         rng: &mut StdRng,
-    ) -> Episode {
-        let mut state = spear_cluster::SimState::new(dag, spec).unwrap();
-        let (mut ready, mut scratch, mut probs) =
-            (Vec::new(), ForwardScratch::default(), Vec::new());
+    ) -> Rollout {
+        let mut state = SimState::new(dag, spec).unwrap();
+        let (mut ready, mut scratch) = (Vec::new(), ForwardScratch::default());
         let mut steps = Vec::new();
         while !state.is_terminal(dag) {
-            let mut view = StateView::default();
-            policy
-                .featurizer()
-                .featurize_into(dag, spec, &state, features, &mut ready, &mut view);
-            let logits = policy.net().forward_one_into(&view.features, &mut scratch);
-            softmax_masked_into(logits, &view.mask, &mut probs);
-            let action = crate::policy::sample_index(&probs, rng);
-            state.apply(dag, view.action(action, dag, &state)).unwrap();
-            steps.push(StepRecord {
-                features: view.features,
-                action,
-                mask: view.mask,
-            });
+            let mut entry = TableEntry::default();
+            policy.featurizer().featurize_into(
+                dag,
+                spec,
+                &state,
+                features,
+                &mut ready,
+                &mut entry.view,
+            );
+            let logits = policy
+                .net()
+                .forward_one_into(&entry.view.features, &mut scratch);
+            softmax_masked_into(logits, &entry.view.mask, &mut entry.probs);
+            let action = sample_index(&entry.probs, rng);
+            state
+                .apply(dag, entry.view.action(action, dag, &state))
+                .unwrap();
+            steps.push((entries.len(), action));
+            entries.push(entry);
         }
         let makespan = state.makespan().unwrap();
-        Episode { steps, makespan }
+        Rollout { steps, makespan }
     }
 
-    /// REINFORCE epochs on the cached policy equal the same epochs driven
-    /// through uncached forward passes: the same curve points, the same
-    /// weight bits and the same RNG position. The weights change once per
-    /// example, and the second epoch revisits the first one's inputs, so
-    /// a row that outlived a weight change would show.
-    #[test]
-    fn cached_rollouts_train_like_uncached_ones() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let examples: Vec<(Dag, GraphFeatures)> = (0..3)
-            .map(|_| {
-                let dag = LayeredDagSpec {
-                    num_tasks: 8,
-                    ..LayeredDagSpec::paper_training()
-                }
-                .generate(&mut rng);
-                let features = GraphFeatures::compute(&dag);
-                (dag, features)
-            })
-            .collect();
-        let spec = ClusterSpec::unit(2);
-        let start = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[24], &mut rng);
+    fn weight_bits(policy: &PolicyNetwork) -> Vec<u64> {
+        policy
+            .net()
+            .layers()
+            .iter()
+            .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Trains `epochs` epochs from `start` through `train_epoch` and
+    /// through the uncached reference, and checks that both give the same
+    /// curve, the same weight bits and the same RNG position, with some
+    /// advantage nonzero in every epoch. Returns the trained policy.
+    fn assert_table_is_transparent(
+        start: &PolicyNetwork,
+        examples: &[(Dag, GraphFeatures)],
+        spec: &ClusterSpec,
+        epochs: usize,
+    ) -> PolicyNetwork {
         let config = ReinforceConfig {
-            epochs: 2,
+            epochs,
             rollouts: 6,
             ..ReinforceConfig::default()
         };
 
-        let mut cached = start.clone();
-        let mut cached_rng = StdRng::seed_from_u64(9);
+        let mut tabled = start.clone();
+        let mut tabled_rng = StdRng::seed_from_u64(9);
         let mut trainer = ReinforceTrainer::with_learning_rate(config.clone(), 1e-2);
-        let curve: Vec<TrainingCurvePoint> = (0..config.epochs)
+        let curve: Vec<TrainingCurvePoint> = (0..epochs)
             .map(|epoch| {
                 trainer
-                    .train_epoch(&mut cached, &examples, &spec, epoch, &mut cached_rng)
+                    .train_epoch(&mut tabled, examples, spec, epoch, &mut tabled_rng)
                     .unwrap()
             })
             .collect();
 
-        let mut uncached = start;
+        let mut uncached = start.clone();
         let mut uncached_rng = StdRng::seed_from_u64(9);
         let mut trainer = ReinforceTrainer::with_learning_rate(config.clone(), 1e-2);
         let mut reference = Vec::new();
-        for epoch in 0..config.epochs {
+        for epoch in 0..epochs {
             let (mut makespans, mut rollouts) = (0.0, 0usize);
             let (mut entropy_sum, mut entropy_count) = (0.0, 0usize);
-            for (dag, features) in &examples {
-                let episodes: Vec<Episode> = (0..config.rollouts)
-                    .map(|_| uncached_episode(&uncached, dag, &spec, features, &mut uncached_rng))
+            for (dag, features) in examples {
+                let mut entries = Vec::new();
+                let example: Vec<Rollout> = (0..config.rollouts)
+                    .map(|_| {
+                        let rng = &mut uncached_rng;
+                        uncached_rollout(&uncached, dag, spec, features, &mut entries, rng)
+                    })
                     .collect();
-                makespans += episodes.iter().map(|e| e.makespan as f64).sum::<f64>();
-                rollouts += episodes.len();
+                makespans += example.iter().map(|r| r.makespan as f64).sum::<f64>();
+                rollouts += example.len();
                 trainer.update(
                     &mut uncached,
-                    &episodes,
+                    &entries,
+                    &example,
                     &mut entropy_sum,
                     &mut entropy_count,
                 );
@@ -471,16 +662,161 @@ mod tests {
         }
 
         assert_eq!(curve, reference);
-        let bits = |p: &PolicyNetwork| {
-            p.net()
-                .layers()
-                .iter()
-                .flat_map(|l| l.weights().as_slice().iter().chain(l.bias()))
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
+        assert_eq!(weight_bits(&tabled), weight_bits(&uncached));
+        assert_eq!(tabled_rng.gen::<u64>(), uncached_rng.gen::<u64>());
+        tabled
+    }
+
+    fn examples(seed: u64, count: usize, tasks: usize) -> Vec<(Dag, GraphFeatures)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let dag = LayeredDagSpec {
+                    num_tasks: tasks,
+                    ..LayeredDagSpec::paper_training()
+                }
+                .generate(&mut rng);
+                let features = GraphFeatures::compute(&dag);
+                (dag, features)
+            })
+            .collect()
+    }
+
+    fn small_policy(seed: u64) -> PolicyNetwork {
+        let mut rng = StdRng::seed_from_u64(seed);
+        PolicyNetwork::with_hidden(FeatureConfig::small(2), &[24], &mut rng)
+    }
+
+    /// Three machines with one-slot transfers, each with the unit box's
+    /// capacity.
+    fn three_machines() -> ClusterSpec {
+        let ones = ResourceVec::from_slice(&[1.0, 1.0]);
+        let machines = MachineSet::uniform(3, ones, 1, TransferMode::Direct, 5, 4).unwrap();
+        ClusterSpec::hetero(machines).unwrap()
+    }
+
+    /// Table-driven REINFORCE epochs equal epochs whose every decision
+    /// featurizes and runs the network: the same curve points, the same
+    /// weight bits and the same RNG position, on the unit box and on
+    /// three machines. The second epoch revisits the first one's states
+    /// under new weights, so a row that outlived an update would show.
+    #[test]
+    fn cached_rollouts_train_like_uncached_ones() {
+        let start = small_policy(8);
+        assert_table_is_transparent(&start, &examples(8, 3, 8), &ClusterSpec::unit(2), 2);
+        assert_table_is_transparent(&start, &examples(8, 3, 8), &three_machines(), 2);
+    }
+
+    /// A six-task fan-in DAG with the given runtimes and fixed demands.
+    fn fan_in(runtimes: [u64; 6]) -> (Dag, GraphFeatures) {
+        let mut b = DagBuilder::new(2);
+        let demands = [
+            [0.5, 0.2],
+            [0.3, 0.4],
+            [0.4, 0.3],
+            [0.2, 0.6],
+            [0.6, 0.2],
+            [0.3, 0.3],
+        ];
+        let ids: Vec<_> = runtimes
+            .iter()
+            .zip(demands)
+            .map(|(&rt, d)| b.add_task(Task::new(rt, ResourceVec::from_slice(&d))))
+            .collect();
+        for (parent, child) in [(0, 3), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)] {
+            b.add_edge(ids[parent], ids[child]).unwrap();
+        }
+        let dag = b.build().unwrap();
+        let features = GraphFeatures::compute(&dag);
+        (dag, features)
+    }
+
+    /// The table holds one example's states only. Two DAGs of one shape
+    /// and one set of demands, but different runtimes, start from equal
+    /// frontier keys and featurize apart; a table kept across the
+    /// examples would serve the first one's row to the second.
+    #[test]
+    fn the_table_is_scoped_to_one_example() {
+        let a = fan_in([3, 5, 2, 4, 6, 1]);
+        let b = fan_in([6, 2, 5, 1, 3, 4]);
+        for spec in [ClusterSpec::unit(2), three_machines()] {
+            let start_a = SimState::new(&a.0, &spec).unwrap();
+            let start_b = SimState::new(&b.0, &spec).unwrap();
+            assert_eq!(
+                start_a.frontier_fingerprint(),
+                start_b.frontier_fingerprint()
+            );
+            let featurizer = Featurizer::new(FeatureConfig::small(2));
+            assert_ne!(
+                featurizer.featurize(&a.0, &spec, &start_a, &a.1),
+                featurizer.featurize(&b.0, &spec, &start_b, &b.1)
+            );
+            assert_table_is_transparent(&small_policy(4), &[a.clone(), b.clone()], &spec, 1);
+        }
+    }
+
+    /// No row computed before an update is served after it: an example
+    /// rolled out again right after its own update starts from the same
+    /// key, and its table entries are the updated network's rows.
+    #[test]
+    fn no_row_outlives_an_update() {
+        let example = examples(21, 1, 8).remove(0);
+        let spec = ClusterSpec::unit(2);
+        let start = small_policy(21);
+        let (dag, features) = &example;
+        let initial = SimState::new(dag, &spec).unwrap();
+        let row = |policy: &PolicyNetwork| {
+            let view = policy
+                .featurizer()
+                .featurize(dag, &spec, &initial, features);
+            let logits = policy
+                .net()
+                .forward_one_into(&view.features, &mut ForwardScratch::default())
+                .to_vec();
+            let mut probs = Vec::new();
+            softmax_masked_into(&logits, &view.mask, &mut probs);
+            probs
         };
-        assert_eq!(bits(&cached), bits(&uncached));
-        assert_eq!(cached_rng.gen::<u64>(), uncached_rng.gen::<u64>());
+
+        let once = assert_table_is_transparent(&start, std::slice::from_ref(&example), &spec, 1);
+        assert_ne!(row(&start), row(&once), "the update must move the row");
+        assert_table_is_transparent(&start, &[example.clone(), example.clone()], &spec, 1);
+
+        // The trainer's own table, rolled out under `once` after a
+        // rollout under `start`, serves `once`'s row.
+        let mut table = RolloutTable::default();
+        let mut rng = StdRng::seed_from_u64(3);
+        table
+            .roll_out(&start, dag, &spec, features, &mut rng)
+            .unwrap();
+        assert_eq!(table.entries[0].probs, row(&start));
+        table.clear();
+        table
+            .roll_out(&once, dag, &spec, features, &mut rng)
+            .unwrap();
+        assert_eq!(table.entries[0].probs, row(&once));
+    }
+
+    /// Repeated states hit: every decision is one probe, and a miss is
+    /// one new entry.
+    #[test]
+    fn rollouts_of_one_example_share_entries() {
+        let (dag, features) = examples(5, 1, 12).remove(0);
+        let spec = ClusterSpec::unit(2);
+        let policy = small_policy(5);
+        let mut table = RolloutTable::default();
+        let mut rng = StdRng::seed_from_u64(6);
+        let rollouts: Vec<Rollout> = (0..10)
+            .map(|_| {
+                table
+                    .roll_out(&policy, &dag, &spec, &features, &mut rng)
+                    .unwrap()
+            })
+            .collect();
+        let decisions: usize = rollouts.iter().map(|r| r.steps.len()).sum();
+        assert_eq!(table.hits + table.misses, decisions as u64);
+        assert_eq!(table.misses, table.entries.len() as u64);
+        assert!(table.hits >= 9, "every rollout starts from one state");
     }
 
     #[test]
