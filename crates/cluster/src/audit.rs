@@ -1447,7 +1447,7 @@ mod tests {
 
         use super::*;
         use crate::env::{EpisodeDriver, FnPolicy, NoRng, SimEnv};
-        use crate::{Action, ClusterSpec, Running, SimState, SpearError};
+        use crate::{ClusterSpec, Running, SimState, SpearError};
 
         fn random_dag(num_tasks: usize, seed: u64) -> Dag {
             let spec = LayeredDagSpec {
@@ -1478,9 +1478,9 @@ mod tests {
         /// [`SpearError::Audit`] before the first decision.
         fn driver_verdict(dag: &Dag, spec: &ClusterSpec, sim: SimState) -> AuditViolation {
             let mut env = SimEnv::from_state(dag, spec, sim);
-            let mut driver = EpisodeDriver::new(FnPolicy(
-                |_: &crate::env::EnvContext<'_>, _: &SimState, legal: &[Action]| legal[0],
-            ))
+            let mut driver = EpisodeDriver::new(FnPolicy(|env: &SimEnv<'_>| {
+                env.observe().legal_actions(env.dag())[0]
+            }))
             .with_audit(true);
             match driver.drive(&mut env, &mut NoRng) {
                 Err(SpearError::Audit(v)) => v,

@@ -10,12 +10,15 @@
 //!   [`SimState`]: one DAG, or a [`JobQueue`]'s arrival stream with an
 //!   optional wall-clock horizon — a bare DAG is the one-job queue that
 //!   arrives at time 0;
-//! * [`DecisionPolicy`] — "given the observation and the legal actions,
-//!   pick one", generic over the RNG so both seeded and deterministic
-//!   policies fit;
-//! * [`EpisodeDriver`] — owns the scratch buffers from the allocation-free
-//!   hot path (`legal_actions_into` / `apply_legal`) and runs episodes to
-//!   termination (or a step bound) without allocating in steady state.
+//! * [`DecisionPolicy`] — "given the environment, pick an action",
+//!   generic over the RNG so both seeded and deterministic policies fit.
+//!   A policy reads the job, the cluster and the state off the
+//!   [`SimEnv`]; one that ranks the legal actions enumerates them itself
+//!   with [`SimEnv::legal_into`];
+//! * [`EpisodeDriver`] — runs episodes to termination (or the horizon)
+//!   through one loop, checked ([`EpisodeDriver::drive`]) or trusted
+//!   ([`EpisodeDriver::drive_trusted`]), auditing and instrumenting every
+//!   step and allocating nothing per step.
 //!
 //! The n+1 decoupled action semantics (which actions are legal, what a
 //! step does) live in [`SimState`]; everything above this module only
@@ -38,17 +41,6 @@ fn exhaustion_error(state: &SimState, task: TaskId) -> SpearError {
         task,
         attempts: state.attempts_of(task),
     })
-}
-
-/// The static part of an environment an episode runs in: the job and the
-/// cluster. Passed to every [`DecisionPolicy::decide`] call so policies
-/// need not capture the borrows themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct EnvContext<'a> {
-    /// The job being scheduled (a queue's union DAG).
-    pub dag: &'a Dag,
-    /// The cluster it runs on.
-    pub spec: &'a ClusterSpec,
 }
 
 /// The scheduling environment: a [`SimState`] plus the borrows it is
@@ -145,14 +137,6 @@ impl<'a> SimEnv<'a> {
         self.spec
     }
 
-    /// The static context handed to policies.
-    pub fn ctx(&self) -> EnvContext<'a> {
-        EnvContext {
-            dag: self.dag,
-            spec: self.spec,
-        }
-    }
-
     /// Writes the legal actions of the current state into `out` (clearing
     /// it first): ready-and-fitting `Place` actions in ascending task-id
     /// (then machine) order, then `Process` if anything is running or
@@ -174,10 +158,10 @@ impl<'a> SimEnv<'a> {
         Ok(())
     }
 
-    /// Applies an action known to be legal (obtained from
-    /// [`SimEnv::legal_into`] on this exact state) without re-checking;
-    /// legality is debug-asserted. The hot-path counterpart of
-    /// [`SimEnv::step`].
+    /// Applies an action known to be legal in the current state (one of
+    /// [`SimEnv::legal_into`]'s, or a policy's pick for this exact state)
+    /// without re-checking; legality is debug-asserted. The hot-path
+    /// counterpart of [`SimEnv::step`].
     #[inline]
     pub fn step_trusted(&mut self, action: Action) {
         self.state.apply_legal(self.dag, action);
@@ -256,67 +240,34 @@ impl Clone for SimEnv<'_> {
     }
 }
 
-/// A decision rule over legal actions: the policy side of an episode.
+/// A decision rule: the policy side of an episode.
 ///
-/// Generic over the RNG (`R: Rng + ?Sized`) so stochastic policies thread
-/// the caller's seeded generator while deterministic policies accept any —
-/// including [`NoRng`], which panics if drawn from.
+/// A policy reads what it needs off the environment — [`SimEnv::dag`],
+/// [`SimEnv::spec`] and [`SimEnv::observe`] — and one that ranks the
+/// legal actions enumerates them itself with [`SimEnv::legal_into`]; the
+/// driver enumerates nothing. Generic over the RNG (`R: Rng + ?Sized`) so
+/// stochastic policies thread the caller's seeded generator while
+/// deterministic policies accept any — including [`NoRng`], which panics
+/// if drawn from.
 pub trait DecisionPolicy<R: Rng + ?Sized> {
-    /// Picks one of `legal` for the current `state`. `legal` is exactly
-    /// [`SimEnv::legal_into`]'s output for `state` and is never empty.
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        legal: &[Action],
-        rng: &mut R,
-    ) -> Action;
-
-    /// Policy name for reports.
-    fn name(&self) -> &str {
-        "policy"
-    }
+    /// Picks an action that is legal in `env`'s current state, which is
+    /// never terminal.
+    fn decide(&mut self, env: &SimEnv<'_>, rng: &mut R) -> Action;
 }
 
-impl<R: Rng + ?Sized, P: DecisionPolicy<R> + ?Sized> DecisionPolicy<R> for &mut P {
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        legal: &[Action],
-        rng: &mut R,
-    ) -> Action {
-        (**self).decide(ctx, state, legal, rng)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
-/// Wraps a closure `(ctx, state, legal) -> Action` as a deterministic
-/// [`DecisionPolicy`] (for any RNG type). The greedy baselines and the
-/// expert are all closures over a scorer.
+/// Wraps a closure `env -> Action` as a deterministic [`DecisionPolicy`]
+/// (for any RNG type). The greedy baselines, the expert and the fault
+/// dispatcher are all closures.
 #[derive(Debug, Clone)]
 pub struct FnPolicy<F>(pub F);
 
 impl<R, F> DecisionPolicy<R> for FnPolicy<F>
 where
     R: Rng + ?Sized,
-    F: FnMut(&EnvContext<'_>, &SimState, &[Action]) -> Action,
+    F: FnMut(&SimEnv<'_>) -> Action,
 {
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        legal: &[Action],
-        _rng: &mut R,
-    ) -> Action {
-        (self.0)(ctx, state, legal)
-    }
-
-    fn name(&self) -> &str {
-        "fn-policy"
+    fn decide(&mut self, env: &SimEnv<'_>, _rng: &mut R) -> Action {
+        (self.0)(env)
     }
 }
 
@@ -480,9 +431,10 @@ impl EpisodeObs {
     }
 }
 
-/// Runs episodes of a [`DecisionPolicy`] on a [`SimEnv`], owning the
-/// legal-action scratch buffer so steady-state stepping performs no heap
-/// allocations (PR 1's hot-path contract, now behind one reusable driver).
+/// Runs episodes of a [`DecisionPolicy`] on a [`SimEnv`]. The driver
+/// enumerates no actions and allocates nothing per step: each decision is
+/// one [`DecisionPolicy::decide`] call on the environment, and a policy
+/// that ranks the legal actions keeps its own buffer for them.
 ///
 /// In debug builds (and release builds with the `audit` feature) every
 /// driven step is cross-checked by an [`InvariantAuditor`]; auditing is
@@ -502,47 +454,21 @@ impl EpisodeObs {
 #[derive(Debug, Clone)]
 pub struct EpisodeDriver<P> {
     policy: P,
-    legal: Vec<Action>,
     auditor: Option<InvariantAuditor>,
     obs: Obs,
     episode_obs: Option<EpisodeObs>,
 }
 
-impl<P: Default> Default for EpisodeDriver<P> {
-    fn default() -> Self {
-        EpisodeDriver::new(P::default())
-    }
-}
-
 impl<P> EpisodeDriver<P> {
-    /// Creates a driver around `policy` with an empty scratch buffer.
+    /// Creates a driver around `policy`, auditing by the build-profile
+    /// default and recording no metrics.
     pub fn new(policy: P) -> Self {
         EpisodeDriver {
             policy,
-            legal: Vec::new(),
             auditor: default_auditor(),
             obs: Obs::noop(),
             episode_obs: None,
         }
-    }
-
-    /// Creates a driver reusing an already-warm scratch buffer — lets hot
-    /// paths rebuild a short-lived driver per episode without losing the
-    /// buffer's capacity.
-    pub fn from_parts(policy: P, legal: Vec<Action>) -> Self {
-        EpisodeDriver {
-            policy,
-            legal,
-            auditor: default_auditor(),
-            obs: Obs::noop(),
-            episode_obs: None,
-        }
-    }
-
-    /// Releases the policy and the scratch buffer (see
-    /// [`EpisodeDriver::from_parts`]).
-    pub fn into_parts(self) -> (P, Vec<Action>) {
-        (self.policy, self.legal)
     }
 
     /// Forces invariant auditing on or off, overriding the build-profile
@@ -582,11 +508,6 @@ impl<P> EpisodeDriver<P> {
         }
     }
 
-    /// The wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
     /// Steps `env` until it is terminal, checking every action's legality
     /// ([`SimEnv::step`]).
     ///
@@ -610,57 +531,13 @@ impl<P> EpisodeDriver<P> {
         R: Rng + ?Sized,
         P: DecisionPolicy<R>,
     {
-        if let Some(auditor) = &mut self.auditor {
-            auditor.reset();
-            auditor.check(env.dag(), env.observe())?;
-        }
-        self.prepare_obs(env);
-        if spear_obs::compiled() {
-            if let Some(eo) = &self.episode_obs {
-                eo.sync_faults(env);
-            }
-        }
-        let mut steps = 0u64;
-        while !env.is_terminal() {
-            env.legal_into(&mut self.legal);
-            debug_assert!(!self.legal.is_empty(), "non-terminal state has no actions");
-            let ctx = env.ctx();
-            let action = self.policy.decide(&ctx, env.observe(), &self.legal, rng);
-            env.step(action)?;
-            if let Some(auditor) = &mut self.auditor {
-                auditor.check(env.dag(), env.observe())?;
-            }
-            if spear_obs::compiled() {
-                if let Some(eo) = &self.episode_obs {
-                    eo.record_step(env, action);
-                }
-            }
-            steps += 1;
-        }
-        // A retry-exhausted episode is terminal but poisoned: no schedule
-        // can ever emerge from it, so surface the typed error here instead
-        // of letting callers trip over a missing makespan.
-        if let Some(task) = env.observe().exhausted() {
-            return Err(exhaustion_error(env.observe(), task));
-        }
-        // A horizon-capped environment exits the loop "terminal" but
-        // truncated — report that faithfully and skip the
-        // completed-episode instruments.
-        if env.is_truncated() {
-            return Ok(DriveOutcome::Truncated { steps });
-        }
-        if spear_obs::compiled() {
-            if let Some(eo) = &self.episode_obs {
-                eo.record_terminal(env);
-            }
-        }
-        Ok(DriveOutcome::Terminal { steps })
+        self.drive_loop::<true, R>(env, rng)
     }
 
     /// Like [`EpisodeDriver::drive`] but applies actions through
-    /// [`SimEnv::step_trusted`] — the allocation- and check-free loop for hot
-    /// paths whose policies are known to pick only legal actions (legality
-    /// is still debug-asserted). This loop has no error channel, so a
+    /// [`SimEnv::step_trusted`] — the check-free loop for hot paths whose
+    /// policies are known to pick only legal actions (legality is still
+    /// debug-asserted). This loop has no error channel, so a
     /// retry-exhausted (poisoned) fault-injected episode comes back as
     /// `Terminal` — callers driving faulty environments must check
     /// [`SimState::exhausted`] on the observation (or use
@@ -675,17 +552,28 @@ impl<P> EpisodeDriver<P> {
         R: Rng + ?Sized,
         P: DecisionPolicy<R>,
     {
-        let audit = |auditor: &mut Option<InvariantAuditor>, env: &SimEnv<'_>| {
-            if let Some(auditor) = auditor {
-                if let Err(violation) = auditor.check(env.dag(), env.observe()) {
-                    panic!("invariant audit failed on the trusted path: {violation}");
-                }
-            }
-        };
+        self.drive_loop::<false, R>(env, rng)
+            .unwrap_or_else(|err| panic!("{err} on the trusted path"))
+    }
+
+    /// The one stepping loop: audit the start, then decide, step, audit
+    /// and record until `env` is terminal. `CHECKED` stepping validates
+    /// every action and fails fast on a retry-exhausted episode; trusted
+    /// stepping does neither, so its only error is an audit violation.
+    #[inline]
+    fn drive_loop<const CHECKED: bool, R>(
+        &mut self,
+        env: &mut SimEnv<'_>,
+        rng: &mut R,
+    ) -> Result<DriveOutcome, SpearError>
+    where
+        R: Rng + ?Sized,
+        P: DecisionPolicy<R>,
+    {
         if let Some(auditor) = &mut self.auditor {
             auditor.reset();
+            auditor.check(env.dag(), env.observe())?;
         }
-        audit(&mut self.auditor, env);
         self.prepare_obs(env);
         if spear_obs::compiled() {
             if let Some(eo) = &self.episode_obs {
@@ -694,12 +582,15 @@ impl<P> EpisodeDriver<P> {
         }
         let mut steps = 0u64;
         while !env.is_terminal() {
-            env.legal_into(&mut self.legal);
-            debug_assert!(!self.legal.is_empty(), "non-terminal state has no actions");
-            let ctx = env.ctx();
-            let action = self.policy.decide(&ctx, env.observe(), &self.legal, rng);
-            env.step_trusted(action);
-            audit(&mut self.auditor, env);
+            let action = self.policy.decide(env, rng);
+            if CHECKED {
+                env.step(action)?;
+            } else {
+                env.step_trusted(action);
+            }
+            if let Some(auditor) = &mut self.auditor {
+                auditor.check(env.dag(), env.observe())?;
+            }
             if spear_obs::compiled() {
                 if let Some(eo) = &self.episode_obs {
                     eo.record_step(env, action);
@@ -707,15 +598,26 @@ impl<P> EpisodeDriver<P> {
             }
             steps += 1;
         }
+        // A retry-exhausted episode is terminal but poisoned: no schedule
+        // can ever emerge from it, so surface the typed error here instead
+        // of letting callers trip over a missing makespan.
+        if CHECKED {
+            if let Some(task) = env.observe().exhausted() {
+                return Err(exhaustion_error(env.observe(), task));
+            }
+        }
+        // A horizon-capped environment exits the loop "terminal" but
+        // truncated — report that faithfully and skip the
+        // completed-episode instruments.
         if env.is_truncated() {
-            return DriveOutcome::Truncated { steps };
+            return Ok(DriveOutcome::Truncated { steps });
         }
         if spear_obs::compiled() {
             if let Some(eo) = &self.episode_obs {
                 eo.record_terminal(env);
             }
         }
-        DriveOutcome::Terminal { steps }
+        Ok(DriveOutcome::Terminal { steps })
     }
 
     /// Runs one full episode of `dag` on `spec` from the initial state and
@@ -763,8 +665,8 @@ mod tests {
     }
 
     /// First legal action — deterministic, so it runs with [`NoRng`].
-    fn first_legal() -> FnPolicy<impl FnMut(&EnvContext<'_>, &SimState, &[Action]) -> Action> {
-        FnPolicy(|_: &EnvContext<'_>, _: &SimState, legal: &[Action]| legal[0])
+    fn first_legal() -> FnPolicy<impl FnMut(&SimEnv<'_>) -> Action> {
+        FnPolicy(|env: &SimEnv<'_>| env.observe().legal_actions(env.dag())[0])
     }
 
     /// Resetting is building a fresh environment over the same inputs.
@@ -782,7 +684,7 @@ mod tests {
         assert_eq!(env.observe().start_of(TaskId::new(0)), Some(0));
         let env = SimEnv::new(&dag, &spec).unwrap();
         assert_eq!(env.observe().start_of(TaskId::new(0)), None);
-        assert_eq!(env.ctx().dag.len(), 4);
+        assert_eq!(env.dag().len(), 4);
     }
 
     #[test]
@@ -838,13 +740,8 @@ mod tests {
         let spec = ClusterSpec::unit(1);
         struct UniformRandom;
         impl<R: Rng + ?Sized> DecisionPolicy<R> for UniformRandom {
-            fn decide(
-                &mut self,
-                _: &EnvContext<'_>,
-                _: &SimState,
-                legal: &[Action],
-                rng: &mut R,
-            ) -> Action {
+            fn decide(&mut self, env: &SimEnv<'_>, rng: &mut R) -> Action {
+                let legal = env.observe().legal_actions(env.dag());
                 legal[rng.gen_range(0..legal.len())]
             }
         }

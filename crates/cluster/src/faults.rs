@@ -35,10 +35,10 @@
 use serde::{Deserialize, Serialize};
 use spear_dag::{Dag, TaskId, MAX_TOTAL_RUNTIME};
 
-use crate::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
+use crate::env::{EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use crate::jobs::{JctReport, JobQueue};
 use crate::state::mix64;
-use crate::{Action, ClusterError, ClusterSpec, Schedule, SimState, SpearError};
+use crate::{Action, ClusterError, ClusterSpec, Schedule, SpearError};
 
 /// Hash-domain salt of the fail/no-fail draw.
 const SALT_FAIL: u64 = 0x1fd3_4c2b_9a6e_8d17;
@@ -78,7 +78,7 @@ pub enum FaultOutcome {
 ///
 /// `FaultPlan::none()` is the identity plan — a simulator carrying it is
 /// bit-identical to one carrying no plan at all (see
-/// [`SimState::with_faults`]).
+/// [`SimState::with_faults`](crate::SimState::with_faults)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Seed of the per-(task, attempt) hash draws.
@@ -230,9 +230,9 @@ pub struct FailedRun {
     pub machine: u32,
 }
 
-/// Per-episode fault bookkeeping carried by [`SimState`] when a plan is
-/// attached. Boxed behind an `Option` so fault-free states grow by one
-/// pointer and skip every fault branch.
+/// Per-episode fault bookkeeping carried by [`SimState`](crate::SimState)
+/// when a plan is attached. Boxed behind an `Option` so fault-free states
+/// grow by one pointer and skip every fault branch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FaultState {
     /// The plan realizing per-attempt outcomes.
@@ -358,7 +358,7 @@ fn check_plan(dag: &Dag, spec: &ClusterSpec, planned: &Schedule) -> Result<(), C
 ///   `max_retries + 1` attempts — even under a horizon;
 /// * [`SpearError::Audit`] on an invariant violation, the simulator's
 ///   error for a plan it cannot follow, and construction errors as
-///   [`SimState::new_multi`].
+///   [`SimState::new_multi`](crate::SimState::new_multi).
 pub fn execute_under_faults(
     queue: &JobQueue,
     spec: &ClusterSpec,
@@ -369,11 +369,12 @@ pub fn execute_under_faults(
     plan.check_clock(queue)?;
     check_plan(queue.union_dag(), spec, planned)?;
     let order = dispatch_order(planned);
-    let dispatch = |ctx: &EnvContext<'_>, sim: &SimState, _: &[Action]| {
+    let dispatch = |env: &SimEnv<'_>| {
+        let sim = env.observe();
         order
             .iter()
             .take_while(|&&(start, _, _)| start <= sim.clock())
-            .find(|&&(_, t, m)| sim.can_schedule_on(ctx.dag, t, m))
+            .find(|&&(_, t, m)| sim.can_schedule_on(env.dag(), t, m))
             .map_or(Action::Process, |&(_, t, m)| Action::Place(t, m))
     };
     let mut env = SimEnv::from_queue(queue, spec)?
@@ -401,6 +402,7 @@ pub fn execute_under_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimState;
     use spear_dag::{Dag, DagBuilder, ResourceVec, Task};
 
     fn plan(fail_rate: f64, straggler_rate: f64, factor: f64, retries: u32) -> FaultPlan {

@@ -390,11 +390,6 @@ impl JctReport {
         }
         max - min
     }
-
-    /// Finish time of the last completed job (0 if none).
-    pub fn last_finish(&self) -> u64 {
-        self.completions.iter().map(|c| c.finish).max().unwrap_or(0)
-    }
 }
 
 /// Simulation-time arrival bookkeeping of an episode, embedded in every
@@ -593,7 +588,6 @@ mod tests {
         assert_eq!(report.p50_jct(), Some(2));
         assert_eq!(report.p99_jct(), Some(4));
         assert!((report.unfairness() - 1.0).abs() < 1e-12);
-        assert_eq!(report.last_finish(), 7);
 
         let per_job = queue.per_job_schedules(&schedule);
         assert_eq!(per_job.len(), 2);
@@ -614,7 +608,6 @@ mod tests {
         assert_eq!(report.p99_jct(), None);
         // Censored bounds still witness unfairness among the starved jobs.
         assert!((report.unfairness() - 3.0).abs() < 1e-12);
-        assert_eq!(report.last_finish(), 0);
     }
 
     #[cfg(debug_assertions)]

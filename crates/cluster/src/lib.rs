@@ -57,7 +57,7 @@ mod timeline;
 
 pub use action::Action;
 pub use audit::{AuditViolation, InvariantAuditor};
-pub use env::{DecisionPolicy, DriveOutcome, EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
+pub use env::{DecisionPolicy, DriveOutcome, EpisodeDriver, FnPolicy, NoRng, SimEnv};
 pub use error::{ClusterError, ErrorContext, SpearError};
 pub use faults::{execute_under_faults, FailedRun, FaultOutcome, FaultPlan, FaultyRun};
 pub use hetero::{MachineSet, TransferMode};

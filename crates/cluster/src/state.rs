@@ -450,12 +450,6 @@ impl SimState {
         self.jobs.jobs_in_flight()
     }
 
-    /// Jobs whose every task has completed.
-    #[inline]
-    pub fn jobs_completed(&self) -> usize {
-        self.jobs.jobs_done
-    }
-
     /// Arrival time of the next not-yet-arrived job — always strictly
     /// after the current clock (jobs whose arrival the clock has reached
     /// are injected into the frontier eagerly).
@@ -1518,7 +1512,6 @@ mod tests {
             // Job 0 done at t=2; the cluster idles but job 1 is queued, so
             // Process is legal and jumps the clock to the arrival.
             assert_eq!(sim.clock(), 2);
-            assert_eq!(sim.jobs_completed(), 1);
             assert!(sim.ready().is_empty());
             assert_eq!(sim.legal_actions(dag), vec![Action::Process]);
             sim.apply(dag, Action::Process).unwrap();
@@ -1530,7 +1523,6 @@ mod tests {
             sim.apply(dag, Action::Process).unwrap();
             assert!(sim.is_terminal(dag));
             assert_eq!(sim.makespan(), Some(7));
-            assert_eq!(sim.jobs_completed(), 2);
             assert_eq!(sim.job_of(TaskId::new(1)), 1);
         }
 
@@ -1606,7 +1598,6 @@ mod tests {
                     assert_eq!(bare, one);
                     assert_eq!(bare.frontier_fingerprint(), one.frontier_fingerprint());
                     if bare.is_terminal(&dag) {
-                        assert_eq!(bare.jobs_completed(), 1);
                         break;
                     }
                     let action = *bare.legal_actions(&dag).last().unwrap();

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng};
-use spear_cluster::{Action, ClusterSpec, Schedule, SimState};
+use spear_cluster::env::{EpisodeDriver, FnPolicy, NoRng, SimEnv};
+use spear_cluster::{Action, ClusterSpec, Schedule};
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::Dag;
 
@@ -24,7 +24,8 @@ fn random_dag(num_tasks: usize, seed: u64) -> Dag {
 /// Runs one full episode with a seeded random policy, auditing on or off.
 fn run_episode(dag: &Dag, spec: &ClusterSpec, policy_seed: u64, audit: bool) -> Schedule {
     let mut rng = StdRng::seed_from_u64(policy_seed);
-    let policy = FnPolicy(move |_: &EnvContext<'_>, _: &SimState, legal: &[Action]| {
+    let policy = FnPolicy(move |env: &SimEnv<'_>| {
+        let legal = env.observe().legal_actions(env.dag());
         legal[rng.gen_range(0..legal.len())]
     });
     let mut driver = EpisodeDriver::new(policy).with_audit(audit);
@@ -58,7 +59,7 @@ proptest! {
 /// episode unless explicitly disabled; `with_audit` overrides both ways.
 #[test]
 fn debug_builds_audit_by_default() {
-    let pick_first = |_: &EnvContext<'_>, _: &SimState, legal: &[Action]| legal[0];
+    let pick_first = |env: &SimEnv<'_>| -> Action { env.observe().legal_actions(env.dag())[0] };
     let driver = EpisodeDriver::new(FnPolicy(pick_first));
     assert_eq!(
         driver.audits(),

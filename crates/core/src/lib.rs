@@ -82,7 +82,7 @@ pub use spear_cluster::env;
 pub use spear_cluster::audit;
 
 // The most-used types at the top level.
-pub use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
+pub use spear_cluster::env::{DecisionPolicy, EpisodeDriver, SimEnv};
 pub use spear_cluster::{
     execute_under_faults, Action, AuditViolation, ClusterError, ClusterSpec, ErrorContext,
     FailedRun, FaultOutcome, FaultPlan, FaultyRun, InvariantAuditor, JctReport, JobCompletion,

@@ -55,7 +55,6 @@ impl TrainingPipelineConfig {
                 epochs: 7000,
                 rollouts: 20,
                 max_grad_norm: Some(10.0),
-                normalize_returns: true,
             },
             reinforce_alpha: 1e-4,
             seed: 0,
@@ -80,7 +79,6 @@ impl TrainingPipelineConfig {
                 epochs: 40,
                 rollouts: 8,
                 max_grad_norm: Some(10.0),
-                normalize_returns: true,
             },
             reinforce_alpha: 1e-3,
             seed: 0,
@@ -106,7 +104,6 @@ impl TrainingPipelineConfig {
                 epochs: 3,
                 rollouts: 4,
                 max_grad_norm: Some(5.0),
-                normalize_returns: true,
             },
             reinforce_alpha: 1e-3,
             seed: 0,

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
+use spear::env::{DecisionPolicy, EpisodeDriver, SimEnv};
 use spear::{Action, ClusterSpec, Dag, Schedule, SimState};
 use spear_dag::generator::LayeredDagSpec;
 
@@ -26,18 +26,9 @@ fn random_dag(num_tasks: usize, seed: u64) -> Dag {
 struct UniformPolicy;
 
 impl DecisionPolicy<StdRng> for UniformPolicy {
-    fn decide(
-        &mut self,
-        _ctx: &EnvContext<'_>,
-        _state: &SimState,
-        legal: &[Action],
-        rng: &mut StdRng,
-    ) -> Action {
+    fn decide(&mut self, env: &SimEnv<'_>, rng: &mut StdRng) -> Action {
+        let legal = env.observe().legal_actions(env.dag());
         legal[rng.gen_range(0..legal.len())]
-    }
-
-    fn name(&self) -> &str {
-        "uniform"
     }
 }
 

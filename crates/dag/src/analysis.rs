@@ -4,8 +4,8 @@
 //! features: the **b-level** (longest runtime path from the task to an exit,
 //! inclusive), the **number of children**, and the per-resource **b-load**
 //! (the task load — `runtime × demand` — accumulated along the b-level
-//! path). This module computes all of them plus the t-level and the critical
-//! path used by the CP baseline and the supervised pre-training expert.
+//! path). This module computes all of them, the critical path used by the
+//! CP baseline and the supervised pre-training expert, and the t-level.
 
 use serde::{Deserialize, Serialize};
 
@@ -71,34 +71,11 @@ pub fn child_counts(dag: &Dag) -> Vec<usize> {
     dag.task_ids().map(|t| dag.children(t).len()).collect()
 }
 
-/// Number of (transitive) descendants of every task.
-pub fn descendant_counts(dag: &Dag) -> Vec<usize> {
-    let n = dag.len();
-    // Bitset per task; fine for the paper's graph sizes (≤ a few hundred).
-    let words = n.div_ceil(64);
-    let mut sets = vec![vec![0u64; words]; n];
-    for &v in dag.topological_order().iter().rev() {
-        let mut acc = vec![0u64; words];
-        for &c in dag.children(v) {
-            acc[c.index() / 64] |= 1u64 << (c.index() % 64);
-            for (a, s) in acc.iter_mut().zip(&sets[c.index()]) {
-                *a |= s;
-            }
-        }
-        sets[v.index()] = acc;
-    }
-    sets.iter()
-        .map(|s| s.iter().map(|w| w.count_ones() as usize).sum())
-        .collect()
-}
-
 /// One task's worth of static (schedule-independent) features.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskFeatures {
     /// b-level (see [`b_levels`]).
     pub b_level: u64,
-    /// t-level (see [`t_levels`]).
-    pub t_level: u64,
     /// Direct child count.
     pub children: usize,
     /// Per-resource b-load (see [`b_loads`]).
@@ -118,11 +95,10 @@ pub struct GraphFeatures {
 }
 
 impl GraphFeatures {
-    /// Computes every static feature of `dag` in three topological sweeps,
+    /// Computes every static feature of `dag` in two topological sweeps,
     /// then ranks the tasks in the CP order ([`GraphFeatures::cp_order`]).
     pub fn compute(dag: &Dag) -> Self {
         let bl = b_levels(dag);
-        let tl = t_levels(dag);
         let loads = b_loads(dag);
         let kids = child_counts(dag);
         let critical_path = bl.iter().copied().max().unwrap_or(0);
@@ -134,7 +110,6 @@ impl GraphFeatures {
         let per_task = (0..dag.len())
             .map(|i| TaskFeatures {
                 b_level: bl[i],
-                t_level: tl[i],
                 children: kids[i],
                 b_load: loads.iter().map(|l| l[i]).collect(),
             })
@@ -302,24 +277,6 @@ mod tests {
     fn child_and_descendant_counts() {
         let d = diamond();
         assert_eq!(child_counts(&d), vec![2, 1, 1, 0]);
-        assert_eq!(descendant_counts(&d), vec![3, 1, 1, 0]);
-    }
-
-    #[test]
-    fn descendant_counts_on_wide_graph() {
-        // 70 sources all feeding one sink: exercises multi-word bitsets.
-        let mut b = DagBuilder::new(1);
-        let sources: Vec<TaskId> = (0..70)
-            .map(|_| b.add_task(Task::new(1, ResourceVec::from_slice(&[0.1]))))
-            .collect();
-        let sink = b.add_task(Task::new(1, ResourceVec::from_slice(&[0.1])));
-        for &s in &sources {
-            b.add_edge(s, sink).unwrap();
-        }
-        let d = b.build().unwrap();
-        let desc = descendant_counts(&d);
-        assert!(desc[..70].iter().all(|&c| c == 1));
-        assert_eq!(desc[70], 0);
     }
 
     #[test]

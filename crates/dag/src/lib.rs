@@ -6,7 +6,7 @@
 //! [`Task`]s, each with an integer runtime and a multi-dimensional
 //! [`ResourceVec`] demand — together with the graph analyses the paper's
 //! scheduling policies rely on ([`analysis::GraphFeatures`]: b-level,
-//! t-level, b-load, critical path, child/descendant counts) and the random
+//! b-load, child counts, critical path) and the random
 //! workload generators used in the evaluation section
 //! ([`generator::LayeredDagSpec`], [`generator::MapReduceSpec`]).
 //!

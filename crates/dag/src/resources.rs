@@ -46,7 +46,6 @@ impl ResourceVec {
     /// use spear_dag::ResourceVec;
     /// let z = ResourceVec::zeros(3);
     /// assert_eq!(z.dims(), 3);
-    /// assert!(z.is_zero());
     /// ```
     pub fn zeros(dims: usize) -> Self {
         ResourceVec(vec![0.0; dims])
@@ -72,11 +71,6 @@ impl ResourceVec {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.0
-    }
-
-    /// Returns `true` if every component is (numerically) zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&v| v.abs() < 1e-12)
     }
 
     /// Returns `true` if every component is finite and non-negative.
@@ -186,22 +180,6 @@ impl ResourceVec {
     pub fn total(&self) -> f64 {
         self.0.iter().sum()
     }
-
-    /// Fraction of `capacity` used, averaged over dimensions. Returns 0 for
-    /// zero capacity dimensions.
-    pub fn utilization_of(&self, capacity: &ResourceVec) -> f64 {
-        debug_assert_eq!(self.dims(), capacity.dims());
-        if self.dims() == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .0
-            .iter()
-            .zip(&capacity.0)
-            .map(|(&u, &c)| if c > 0.0 { u / c } else { 0.0 })
-            .sum();
-        sum / self.dims() as f64
-    }
 }
 
 /// The single feasibility tolerance of the workspace: every demand-vs-
@@ -257,12 +235,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeros_is_zero() {
-        assert!(ResourceVec::zeros(2).is_zero());
-        assert!(!ResourceVec::from_slice(&[0.0, 0.1]).is_zero());
-    }
-
-    #[test]
     fn fits_within_exact_boundary() {
         let cap = ResourceVec::from_slice(&[1.0, 1.0]);
         assert!(ResourceVec::from_slice(&[1.0, 1.0]).fits_within(&cap));
@@ -299,20 +271,6 @@ mod tests {
         let a = ResourceVec::from_slice(&[2.0, 3.0]);
         let b = ResourceVec::from_slice(&[4.0, 5.0]);
         assert_eq!(a.dot(&b), 23.0);
-    }
-
-    #[test]
-    fn utilization_is_mean_fraction() {
-        let used = ResourceVec::from_slice(&[0.5, 1.0]);
-        let cap = ResourceVec::from_slice(&[1.0, 2.0]);
-        assert!((used.utilization_of(&cap) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_ignores_zero_capacity_dims() {
-        let used = ResourceVec::from_slice(&[0.5, 0.7]);
-        let cap = ResourceVec::from_slice(&[1.0, 0.0]);
-        assert!((used.utilization_of(&cap) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use spear_cluster::env::{DecisionPolicy, EnvContext};
+use spear_cluster::env::{DecisionPolicy, SimEnv};
 use spear_cluster::{Action, ClusterSpec, SimState};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
@@ -94,33 +94,27 @@ pub trait SearchPolicy {
 
 /// Adapts the rollout half of a [`SearchPolicy`] to the environment
 /// layer's [`DecisionPolicy`], so rollouts run on the shared
-/// [`EpisodeDriver`](spear_cluster::env::EpisodeDriver). The adapter
-/// rebuilds the richer [`PolicyContext`] — which carries the precomputed
-/// graph features the env layer deliberately does not know about — from
-/// the driver's [`EnvContext`] at every decision.
-pub(crate) struct RolloutAdapter<'p, 'f, P: SearchPolicy + ?Sized> {
+/// [`EpisodeDriver`](spear_cluster::env::EpisodeDriver). At every decision
+/// the adapter enumerates the legal actions into `legal`, the search's
+/// reused scratch buffer, and rebuilds the richer [`PolicyContext`] —
+/// which carries the precomputed graph features the env layer
+/// deliberately does not know about — from the environment.
+pub(crate) struct RolloutAdapter<'p, 'f, 'l, P: SearchPolicy + ?Sized> {
     pub policy: &'p mut P,
     pub features: &'f GraphFeatures,
+    pub legal: &'l mut Vec<Action>,
 }
 
-impl<P: SearchPolicy + ?Sized> DecisionPolicy<StdRng> for RolloutAdapter<'_, '_, P> {
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        legal: &[Action],
-        rng: &mut StdRng,
-    ) -> Action {
+impl<P: SearchPolicy + ?Sized> DecisionPolicy<StdRng> for RolloutAdapter<'_, '_, '_, P> {
+    fn decide(&mut self, env: &SimEnv<'_>, rng: &mut StdRng) -> Action {
+        env.legal_into(self.legal);
         let ctx = PolicyContext {
-            dag: ctx.dag,
-            spec: ctx.spec,
+            dag: env.dag(),
+            spec: env.spec(),
             features: self.features,
         };
-        self.policy.choose_rollout(&ctx, state, legal, rng)
-    }
-
-    fn name(&self) -> &str {
-        self.policy.name()
+        self.policy
+            .choose_rollout(&ctx, env.observe(), self.legal, rng)
     }
 }
 

@@ -335,19 +335,18 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
     /// negative makespan.
     ///
     /// `env` and `legal` are the search's [`RolloutScratch`] buffers. The
-    /// step loop is the shared [`EpisodeDriver`] in trusted mode, rebuilt
-    /// around the scratch legal buffer each rollout so the hot path stays
-    /// allocation-free once the buffers have warmed up: actions are
-    /// enumerated into the reused buffer and applied with
+    /// step loop is the shared [`EpisodeDriver`] in trusted mode, around a
+    /// [`RolloutAdapter`] that enumerates each decision's actions into the
+    /// scratch legal buffer, so the hot path stays allocation-free once
+    /// the buffers have warmed up: actions are applied with
     /// [`SimEnv::step_trusted`].
     fn rollout(&mut self, env: &mut SimEnv<'a>, legal: &mut Vec<Action>) -> f64 {
         let adapter = RolloutAdapter {
             policy: &mut *self.policy,
             features: self.features,
+            legal,
         };
-        let mut driver = EpisodeDriver::from_parts(adapter, std::mem::take(legal));
-        let outcome = driver.drive_trusted(env, &mut self.rng);
-        *legal = driver.into_parts().1;
+        let outcome = EpisodeDriver::new(adapter).drive_trusted(env, &mut self.rng);
         self.rollout_steps += outcome.steps();
         -(env.makespan().expect("rollouts run to the terminal state") as f64)
     }

@@ -19,9 +19,8 @@ impl Activation {
     /// Applies the activation to a single value.
     ///
     /// This is the scalar kernel behind the fused bias+activation passes
-    /// in `Dense` — it must perform exactly the same floating-point
-    /// operation per element as [`Activation::forward_slice_inplace`] so
-    /// fused and unfused paths stay bit-identical.
+    /// in `Dense`: every layer applies its activation through it, in
+    /// training and in inference alike.
     #[inline]
     pub fn apply(self, v: f64) -> f64 {
         match self {
@@ -39,30 +38,6 @@ impl Activation {
             Activation::Relu => v.max(0.0),
             Activation::Identity => v,
             Activation::Tanh => v.tanh(),
-        }
-    }
-
-    /// Applies the activation to every element of `z` in place.
-    pub fn forward_inplace(self, z: &mut Matrix) {
-        self.forward_slice_inplace(z.as_mut_slice());
-    }
-
-    /// Applies the activation to a raw slice in place — the allocation-free
-    /// inference path works on borrowed buffers instead of matrices.
-    #[inline]
-    pub fn forward_slice_inplace(self, z: &mut [f64]) {
-        match self {
-            Activation::Relu => {
-                for v in z.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-            Activation::Identity => {}
-            Activation::Tanh => {
-                for v in z.iter_mut() {
-                    *v = v.tanh();
-                }
-            }
         }
     }
 
@@ -158,10 +133,15 @@ pub fn softmax_masked_into(logits: &[f64], mask: &[bool], out: &mut Vec<f64>) {
 mod tests {
     use super::*;
 
+    /// `v` with `act` applied to every element, as a one-row matrix.
+    fn activated(act: Activation, v: &[f64]) -> Matrix {
+        let row: Vec<f64> = v.iter().map(|&x| act.apply(x)).collect();
+        Matrix::from_rows(&[row.as_slice()])
+    }
+
     #[test]
     fn relu_forward_backward() {
-        let mut z = Matrix::from_rows(&[&[-1.0, 0.0, 2.0]]);
-        Activation::Relu.forward_inplace(&mut z);
+        let z = activated(Activation::Relu, &[-1.0, 0.0, 2.0]);
         assert_eq!(z.as_slice(), &[0.0, 0.0, 2.0]);
         let mut dz = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]);
         Activation::Relu.backward_inplace(&z, &mut dz);
@@ -170,8 +150,7 @@ mod tests {
 
     #[test]
     fn tanh_forward_backward() {
-        let mut z = Matrix::from_rows(&[&[0.0]]);
-        Activation::Tanh.forward_inplace(&mut z);
+        let z = activated(Activation::Tanh, &[0.0]);
         assert_eq!(z.as_slice(), &[0.0]);
         let mut dz = Matrix::from_rows(&[&[1.0]]);
         Activation::Tanh.backward_inplace(&z, &mut dz);
@@ -180,8 +159,7 @@ mod tests {
 
     #[test]
     fn identity_is_noop() {
-        let mut z = Matrix::from_rows(&[&[-3.0, 5.0]]);
-        Activation::Identity.forward_inplace(&mut z);
+        let z = activated(Activation::Identity, &[-3.0, 5.0]);
         assert_eq!(z.as_slice(), &[-3.0, 5.0]);
     }
 

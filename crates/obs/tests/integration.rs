@@ -15,8 +15,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spear::{train_policy_observed, TrainingPipelineConfig};
-use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, NoRng};
-use spear_cluster::{Action, ClusterSpec, SimState};
+use spear_cluster::env::{DecisionPolicy, EpisodeDriver, NoRng, SimEnv};
+use spear_cluster::{Action, ClusterSpec};
 use spear_dag::generator::LayeredDagSpec;
 use spear_dag::Dag;
 use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts};
@@ -49,16 +49,10 @@ fn mcts_config(budget: u64, seed: u64) -> MctsConfig {
 struct FirstFit;
 
 impl<R: rand::Rng + ?Sized> DecisionPolicy<R> for FirstFit {
-    fn decide(
-        &mut self,
-        _ctx: &EnvContext<'_>,
-        _state: &SimState,
-        legal: &[Action],
-        _rng: &mut R,
-    ) -> Action {
-        legal
-            .iter()
-            .copied()
+    fn decide(&mut self, env: &SimEnv<'_>, _rng: &mut R) -> Action {
+        env.observe()
+            .legal_actions(env.dag())
+            .into_iter()
             .find(|a| matches!(a, Action::Place(..)))
             .unwrap_or(Action::Process)
     }

@@ -7,8 +7,8 @@
 //! in the network's own action space, and [`collect_expert_dataset`] turns
 //! its decisions into `(features, action, mask)` training rows.
 
-use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
-use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
+use spear_cluster::env::{EpisodeDriver, FnPolicy, NoRng, SimEnv};
+use spear_cluster::{ClusterSpec, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::Dag;
 
@@ -85,19 +85,17 @@ pub fn collect_expert_dataset(
     let expert = CpExpert::new();
     let mut data = ExpertDataset::default();
     let mut env = SimEnv::new(dag, spec)?;
-    let mut driver = EpisodeDriver::new(FnPolicy(
-        |ctx: &EnvContext<'_>, state: &SimState, _legal: &[Action]| {
-            let view = featurizer.featurize(ctx.dag, ctx.spec, state, &features);
-            let idx = expert.action_index(&view);
-            let action = view.action(idx, ctx.dag, state);
-            data.features.push(view.features);
-            data.actions.push(idx);
-            data.masks.push(view.mask);
-            action
-        },
-    ));
-    driver.drive(&mut env, &mut NoRng)?;
-    drop(driver);
+    EpisodeDriver::new(FnPolicy(|env: &SimEnv<'_>| {
+        let (dag, state) = (env.dag(), env.observe());
+        let view = featurizer.featurize(dag, env.spec(), state, &features);
+        let idx = expert.action_index(&view);
+        let action = view.action(idx, dag, state);
+        data.features.push(view.features);
+        data.actions.push(idx);
+        data.masks.push(view.mask);
+        action
+    }))
+    .drive(&mut env, &mut NoRng)?;
     let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
     Ok((data, makespan))
 }

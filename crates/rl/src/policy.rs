@@ -1,28 +1,24 @@
-//! The policy network: featurizer + MLP + masked softmax sampling.
+//! The policy network: featurizer + MLP, and the index choices over its
+//! masked distribution.
 
 use rand::Rng;
-use spear_cluster::{ClusterSpec, SimState};
-use spear_dag::analysis::GraphFeatures;
-use spear_dag::{Dag, TaskId};
-use spear_nn::{softmax_masked_into, ForwardScratch, InferenceEngine, Mlp, MlpConfig, ShapeError};
+use spear_nn::{InferenceEngine, Mlp, MlpConfig, ShapeError};
 
-use crate::{FeatureConfig, Featurizer, StateView};
+use crate::{FeatureConfig, Featurizer};
 
-/// The DRL scheduling policy: maps a [`SimState`] to a distribution over
-/// `{schedule visible slot i, process}`. [`StateView::action`] turns the
-/// chosen index back into a simulator [`Action`](spear_cluster::Action).
+/// The DRL scheduling policy: maps a [`SimState`](spear_cluster::SimState)
+/// to a distribution over `{schedule visible slot i, process}`.
+/// [`StateView::action`](crate::StateView::action) turns the chosen index
+/// back into a simulator [`Action`](spear_cluster::Action).
 ///
-/// The policy owns the scratch buffers of its inference path (featurizer
-/// ready-ordering and MLP activations), so repeated
-/// [`PolicyNetwork::action_distribution`] calls allocate only the
-/// distribution and view they return once the buffers reach their
-/// steady-state sizes.
+/// The policy is its featurizer and its network and nothing else: a
+/// rollout ([`run_episode`](crate::run_episode), the REINFORCE trainer)
+/// or a search policy featurizes and runs the network through scratch
+/// buffers of its own.
 #[derive(Debug, Clone)]
 pub struct PolicyNetwork {
     featurizer: Featurizer,
     net: Mlp,
-    ready_scratch: Vec<TaskId>,
-    forward_scratch: ForwardScratch,
 }
 
 impl PolicyNetwork {
@@ -86,8 +82,6 @@ impl PolicyNetwork {
         PolicyNetwork {
             featurizer: Featurizer::new(config),
             net,
-            ready_scratch: Vec::new(),
-            forward_scratch: ForwardScratch::default(),
         }
     }
 
@@ -111,26 +105,6 @@ impl PolicyNetwork {
         &mut self.net
     }
 
-    /// Featurizes `state` and returns the masked action distribution
-    /// together with the view (slot mapping + mask).
-    pub fn action_distribution(
-        &mut self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        state: &SimState,
-        features: &GraphFeatures,
-    ) -> (Vec<f64>, StateView) {
-        let (mut probs, mut view) = (Vec::new(), StateView::default());
-        let ready = &mut self.ready_scratch;
-        self.featurizer
-            .featurize_into(dag, spec, state, features, ready, &mut view);
-        let logits = self
-            .net
-            .forward_one_into(&view.features, &mut self.forward_scratch);
-        softmax_masked_into(logits, &view.mask, &mut probs);
-        (probs, view)
-    }
-
     /// Snapshots the current weights into an `f32`
     /// [`InferenceEngine`] for the fast-precision path. The snapshot
     /// does not track later training updates — re-snapshot after an
@@ -139,30 +113,10 @@ impl PolicyNetwork {
     pub fn inference_engine(&self) -> InferenceEngine {
         InferenceEngine::from_mlp(&self.net)
     }
-
-    /// Picks a network action: samples from the masked distribution, or
-    /// takes the argmax when `greedy`.
-    pub fn choose_action_index<R: Rng + ?Sized>(
-        &mut self,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        state: &SimState,
-        features: &GraphFeatures,
-        greedy: bool,
-        rng: &mut R,
-    ) -> (usize, StateView) {
-        let (probs, view) = self.action_distribution(dag, spec, state, features);
-        let idx = if greedy {
-            argmax(&probs)
-        } else {
-            sample_index(&probs, rng)
-        };
-        (idx, view)
-    }
 }
 
 /// Index of the largest probability (first on ties).
-fn argmax(probs: &[f64]) -> usize {
+pub(crate) fn argmax(probs: &[f64]) -> usize {
     let mut best = 0;
     for (i, &p) in probs.iter().enumerate() {
         if p > probs[best] {
@@ -194,83 +148,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use spear_dag::generator::LayeredDagSpec;
 
-    fn setup() -> (Dag, ClusterSpec, GraphFeatures, PolicyNetwork) {
+    fn setup() -> PolicyNetwork {
         let mut rng = StdRng::seed_from_u64(1);
-        let dag = LayeredDagSpec {
-            num_tasks: 10,
-            ..LayeredDagSpec::paper_training()
-        }
-        .generate(&mut rng);
-        let spec = ClusterSpec::unit(2);
-        let gf = GraphFeatures::compute(&dag);
-        let policy = PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16, 8], &mut rng);
-        (dag, spec, gf, policy)
-    }
-
-    #[test]
-    fn distribution_is_masked_and_normalized() {
-        let (dag, spec, gf, mut policy) = setup();
-        let state = SimState::new(&dag, &spec).unwrap();
-        let (probs, view) = policy.action_distribution(&dag, &spec, &state, &gf);
-        assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for (p, &legal) in probs.iter().zip(&view.mask) {
-            if !legal {
-                assert_eq!(*p, 0.0);
-            }
-        }
-    }
-
-    /// Reusing the scratch buffers is invisible: at every state of an
-    /// episode, a long-lived policy answers like one built fresh from the
-    /// same network.
-    #[test]
-    fn reused_scratch_buffers_match_a_fresh_policy() {
-        let (dag, spec, gf, mut policy) = setup();
-        let mut state = SimState::new(&dag, &spec).unwrap();
-        while !state.is_terminal(&dag) {
-            let reused = policy.action_distribution(&dag, &spec, &state, &gf);
-            let mut fresh =
-                PolicyNetwork::from_parts(policy.feature_config().clone(), policy.net().clone());
-            assert_eq!(reused, fresh.action_distribution(&dag, &spec, &state, &gf));
-            let view = reused.1;
-            let idx = view.mask.iter().position(|&m| m).expect("a legal action");
-            let action = view.action(idx, &dag, &state);
-            state.apply(&dag, action).unwrap();
-        }
-    }
-
-    #[test]
-    fn chosen_actions_are_always_legal() {
-        let (dag, spec, gf, mut policy) = setup();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut state = SimState::new(&dag, &spec).unwrap();
-        while !state.is_terminal(&dag) {
-            let (idx, view) = policy.choose_action_index(&dag, &spec, &state, &gf, false, &mut rng);
-            assert!(view.mask[idx], "sampled an illegal action");
-            let action = view.action(idx, &dag, &state);
-            state.apply(&dag, action).unwrap();
-        }
-        assert!(state.makespan().is_some());
-    }
-
-    #[test]
-    fn greedy_mode_is_deterministic() {
-        let (dag, spec, gf, mut policy) = setup();
-        let run = |policy: &mut PolicyNetwork, seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut state = SimState::new(&dag, &spec).unwrap();
-            while !state.is_terminal(&dag) {
-                let (idx, view) =
-                    policy.choose_action_index(&dag, &spec, &state, &gf, true, &mut rng);
-                let action = view.action(idx, &dag, &state);
-                state.apply(&dag, action).unwrap();
-            }
-            state.makespan().unwrap()
-        };
-        // Greedy ignores the RNG: different seeds, same makespan.
-        assert_eq!(run(&mut policy, 1), run(&mut policy, 999));
+        PolicyNetwork::with_hidden(FeatureConfig::small(2), &[16, 8], &mut rng)
     }
 
     #[test]
@@ -284,7 +165,7 @@ mod tests {
 
     #[test]
     fn from_parts_roundtrip() {
-        let (_, _, _, policy) = setup();
+        let policy = setup();
         let cfg = policy.feature_config().clone();
         let net = policy.net().clone();
         let rebuilt = PolicyNetwork::from_parts(cfg, net);
@@ -296,7 +177,7 @@ mod tests {
 
     #[test]
     fn try_from_parts_rejects_a_network_for_another_layout() {
-        let (_, _, _, policy) = setup();
+        let policy = setup();
         let err = PolicyNetwork::try_from_parts(FeatureConfig::paper(2), policy.net().clone())
             .expect_err("a small-config network does not fit the paper layout");
         assert_eq!(err.what, "policy network input width");

@@ -11,18 +11,15 @@
 //! The rollouts of one example share a [`RolloutTable`], so each distinct
 //! state they reach is featurized and run through the network once.
 
-use std::collections::HashMap;
-
 use rand::Rng;
-use spear_cluster::env::{DecisionPolicy, EnvContext, EpisodeDriver, SimEnv};
-use spear_cluster::{Action, ClusterSpec, SimState, SpearError};
+use spear_cluster::{ClusterSpec, SpearError};
 use spear_dag::analysis::GraphFeatures;
-use spear_dag::{Dag, TaskId};
-use spear_nn::{loss, softmax_masked_into, ForwardScratch, Matrix, Optimizer, RmsProp};
+use spear_dag::Dag;
+use spear_nn::{loss, Matrix, Optimizer, RmsProp};
 use spear_obs::{Counter, Gauge, Histogram, Obs};
 
-use crate::policy::sample_index;
-use crate::{PolicyNetwork, StateView};
+use crate::episode::{Rollout, RolloutTable, TableEntry};
+use crate::{PolicyNetwork, SelectionMode};
 
 /// Hyper-parameters of the REINFORCE phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,10 +31,6 @@ pub struct ReinforceConfig {
     pub rollouts: usize,
     /// Optional global gradient-norm clip (stabilizes small-batch runs).
     pub max_grad_norm: Option<f64>,
-    /// Divide each example's advantages by the magnitude of its mean
-    /// return (at least 1), so examples of different scales contribute
-    /// comparable advantages.
-    pub normalize_returns: bool,
 }
 
 impl Default for ReinforceConfig {
@@ -46,7 +39,6 @@ impl Default for ReinforceConfig {
             epochs: 100,
             rollouts: 20,
             max_grad_norm: Some(10.0),
-            normalize_returns: true,
         }
     }
 }
@@ -102,154 +94,6 @@ impl TrainObs {
             mean_entropy: obs.gauge("rl.mean_entropy"),
             grad_norm: obs.gauge("rl.grad_norm"),
         }
-    }
-}
-
-/// One distinct state of an example's rollouts: its featurized input,
-/// slot → task assignment and legality mask, and the masked distribution
-/// the network gives it.
-#[derive(Debug, Default)]
-struct TableEntry {
-    view: StateView,
-    probs: Vec<f64>,
-}
-
-/// One example's rollout table: an entry per distinct state its rollouts
-/// reach, keyed by [`SimState::frontier_fingerprint`].
-///
-/// Equal frontier keys featurize bit-identically (the key's contract).
-/// Within one example the DAG, the cluster and the weights are fixed:
-/// the trainer clears the table when an example starts and updates the
-/// weights after the example's last rollout. So a hit returns exactly
-/// the bits that featurize → [`spear_nn::Mlp::forward_one_into`] →
-/// [`softmax_masked_into`] would, with no DAG key and no generation.
-/// Nothing is evicted while an example runs, so the update reads every
-/// decision's input and mask back from the table.
-#[derive(Debug, Default)]
-struct RolloutTable {
-    /// Frontier key → index into `entries`.
-    index: HashMap<u64, usize>,
-    /// The entries, in the order their states were first reached.
-    entries: Vec<TableEntry>,
-    /// The featurizer's and the forward pass's scratch, for misses.
-    ready: Vec<TaskId>,
-    scratch: ForwardScratch,
-    /// Decisions served from an entry, and decisions that computed one,
-    /// since the table was built.
-    hits: u64,
-    misses: u64,
-}
-
-impl RolloutTable {
-    /// Drops every entry.
-    fn clear(&mut self) {
-        self.index.clear();
-        self.entries.clear();
-    }
-
-    /// The entry of `state`, computed on the first visit of its key since
-    /// the last [`RolloutTable::clear`].
-    fn entry(
-        &mut self,
-        policy: &PolicyNetwork,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        features: &GraphFeatures,
-    ) -> usize {
-        let next = self.entries.len();
-        let e = *self
-            .index
-            .entry(state.frontier_fingerprint())
-            .or_insert(next);
-        if e < next {
-            self.hits += 1;
-            return e;
-        }
-        self.misses += 1;
-        let mut entry = TableEntry::default();
-        policy.featurizer().featurize_into(
-            ctx.dag,
-            ctx.spec,
-            state,
-            features,
-            &mut self.ready,
-            &mut entry.view,
-        );
-        let logits = policy
-            .net()
-            .forward_one_into(&entry.view.features, &mut self.scratch);
-        softmax_masked_into(logits, &entry.view.mask, &mut entry.probs);
-        self.entries.push(entry);
-        e
-    }
-
-    /// Rolls the policy out on `dag` once, sampling every decision from
-    /// its state's entry.
-    fn roll_out<R: Rng + ?Sized>(
-        &mut self,
-        policy: &PolicyNetwork,
-        dag: &Dag,
-        spec: &ClusterSpec,
-        features: &GraphFeatures,
-        rng: &mut R,
-    ) -> Result<Rollout, SpearError> {
-        let mut steps = Vec::new();
-        let mut env = SimEnv::new(dag, spec)?;
-        let mut driver = EpisodeDriver::new(TablePolicy {
-            table: self,
-            policy,
-            features,
-            steps: &mut steps,
-        });
-        let outcome = driver.drive(&mut env, rng)?;
-        debug_assert!(outcome.is_terminal());
-        drop(driver);
-        let makespan = env.makespan().ok_or(SpearError::IncompleteEpisode)?;
-        Ok(Rollout { steps, makespan })
-    }
-}
-
-/// One rollout as the trainer records it: each decision's table entry
-/// and chosen action index, in order, and the makespan.
-#[derive(Debug)]
-struct Rollout {
-    steps: Vec<(usize, usize)>,
-    makespan: u64,
-}
-
-impl Rollout {
-    /// The REINFORCE return: the negative makespan.
-    fn ret(&self) -> f64 {
-        -(self.makespan as f64)
-    }
-}
-
-/// The trainer's rollout policy on the environment layer: samples each
-/// decision from its state's [`RolloutTable`] entry and records it.
-struct TablePolicy<'a> {
-    table: &'a mut RolloutTable,
-    policy: &'a PolicyNetwork,
-    features: &'a GraphFeatures,
-    steps: &'a mut Vec<(usize, usize)>,
-}
-
-impl<R: Rng + ?Sized> DecisionPolicy<R> for TablePolicy<'_> {
-    fn decide(
-        &mut self,
-        ctx: &EnvContext<'_>,
-        state: &SimState,
-        _legal: &[Action],
-        rng: &mut R,
-    ) -> Action {
-        let e = self.table.entry(self.policy, ctx, state, self.features);
-        let entry = &self.table.entries[e];
-        let action = sample_index(&entry.probs, rng);
-        self.steps.push((e, action));
-        entry.view.action(action, ctx.dag, state)
-    }
-
-    fn name(&self) -> &str {
-        "rollout-table"
     }
 }
 
@@ -325,11 +169,11 @@ impl ReinforceTrainer {
     /// epoch's curve point.
     ///
     /// An example's rollouts share one table keyed by
-    /// [`SimState::frontier_fingerprint`], cleared when the example
-    /// starts: each distinct state they reach is featurized and run
-    /// through the network once, and a repeat is one probe. The weights
-    /// change only after the example's last rollout, so the table
-    /// changes no bit of the epoch.
+    /// [`SimState::frontier_fingerprint`](spear_cluster::SimState::frontier_fingerprint),
+    /// cleared when the example starts: each distinct state they reach is
+    /// featurized and run through the network once, and a repeat is one
+    /// probe. The weights change only after the example's last rollout,
+    /// so the table changes no bit of the epoch.
     ///
     /// # Errors
     ///
@@ -357,7 +201,7 @@ impl ReinforceTrainer {
             // 1. Roll out, through a table of this example's states only.
             table.clear();
             let rollouts: Vec<_> = (0..self.config.rollouts)
-                .map(|_| table.roll_out(policy, dag, spec, features, rng))
+                .map(|_| table.roll_out(policy, dag, spec, features, SelectionMode::Sample, rng))
                 .collect::<Result<_, _>>()?;
             for r in &rollouts {
                 makespan_sum += r.makespan as f64;
@@ -374,7 +218,7 @@ impl ReinforceTrainer {
             // 2. Learn from them: baseline, policy gradient, one update.
             self.update(
                 policy,
-                &table.entries,
+                table.entries(),
                 &rollouts,
                 &mut entropy_sum,
                 &mut entropy_count,
@@ -413,13 +257,10 @@ impl ReinforceTrainer {
         entropy_count: &mut usize,
     ) {
         let mean_ret: f64 = rollouts.iter().map(Rollout::ret).sum::<f64>() / rollouts.len() as f64;
-        let scale = if self.config.normalize_returns {
-            // Returns are O(makespan); normalize by the mean magnitude
-            // so advantages are O(1) regardless of DAG size.
-            mean_ret.abs().max(1.0)
-        } else {
-            1.0
-        };
+        // Returns are O(makespan); normalize by the mean magnitude (at
+        // least 1) so advantages are O(1) regardless of DAG size and
+        // examples of different scales contribute comparably.
+        let scale = mean_ret.abs().max(1.0);
 
         policy.net_mut().zero_grad();
         let total_steps: usize = rollouts.iter().map(|r| r.steps.len()).sum();
@@ -501,12 +342,15 @@ impl ReinforceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::episode::tests::three_machines;
+    use crate::policy::sample_index;
     use crate::{FeatureConfig, Featurizer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use spear_cluster::{MachineSet, TransferMode};
+    use spear_cluster::SimState;
     use spear_dag::generator::LayeredDagSpec;
     use spear_dag::{DagBuilder, ResourceVec, Task};
+    use spear_nn::{softmax_masked_into, ForwardScratch};
 
     /// End-to-end smoke test: a few epochs on tiny DAGs must improve (or
     /// at least not catastrophically regress) the mean makespan, and the
@@ -530,7 +374,6 @@ mod tests {
                 epochs: 15,
                 rollouts: 8,
                 max_grad_norm: Some(5.0),
-                normalize_returns: true,
             },
             1e-2,
         );
@@ -687,14 +530,6 @@ mod tests {
         PolicyNetwork::with_hidden(FeatureConfig::small(2), &[24], &mut rng)
     }
 
-    /// Three machines with one-slot transfers, each with the unit box's
-    /// capacity.
-    fn three_machines() -> ClusterSpec {
-        let ones = ResourceVec::from_slice(&[1.0, 1.0]);
-        let machines = MachineSet::uniform(3, ones, 1, TransferMode::Direct, 5, 4).unwrap();
-        ClusterSpec::hetero(machines).unwrap()
-    }
-
     /// Table-driven REINFORCE epochs equal epochs whose every decision
     /// featurizes and runs the network: the same curve points, the same
     /// weight bits and the same RNG position, on the unit box and on
@@ -787,14 +622,21 @@ mod tests {
         let mut table = RolloutTable::default();
         let mut rng = StdRng::seed_from_u64(3);
         table
-            .roll_out(&start, dag, &spec, features, &mut rng)
+            .roll_out(
+                &start,
+                dag,
+                &spec,
+                features,
+                SelectionMode::Sample,
+                &mut rng,
+            )
             .unwrap();
-        assert_eq!(table.entries[0].probs, row(&start));
+        assert_eq!(table.entries()[0].probs, row(&start));
         table.clear();
         table
-            .roll_out(&once, dag, &spec, features, &mut rng)
+            .roll_out(&once, dag, &spec, features, SelectionMode::Sample, &mut rng)
             .unwrap();
-        assert_eq!(table.entries[0].probs, row(&once));
+        assert_eq!(table.entries()[0].probs, row(&once));
     }
 
     /// Repeated states hit: every decision is one probe, and a miss is
@@ -809,13 +651,20 @@ mod tests {
         let rollouts: Vec<Rollout> = (0..10)
             .map(|_| {
                 table
-                    .roll_out(&policy, &dag, &spec, &features, &mut rng)
+                    .roll_out(
+                        &policy,
+                        &dag,
+                        &spec,
+                        &features,
+                        SelectionMode::Sample,
+                        &mut rng,
+                    )
                     .unwrap()
             })
             .collect();
         let decisions: usize = rollouts.iter().map(|r| r.steps.len()).sum();
         assert_eq!(table.hits + table.misses, decisions as u64);
-        assert_eq!(table.misses, table.entries.len() as u64);
+        assert_eq!(table.misses, table.entries().len() as u64);
         assert!(table.hits >= 9, "every rollout starts from one state");
     }
 
@@ -840,7 +689,6 @@ mod tests {
                 epochs: 3,
                 rollouts: 4,
                 max_grad_norm: None,
-                normalize_returns: false,
             });
             trainer.train(&mut policy, &[dag], &spec, &mut rng).unwrap()
         };

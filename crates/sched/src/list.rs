@@ -7,7 +7,7 @@
 //! *policy*. A fixed task order ([`execute_priority_order`]) is one more
 //! priority: earlier in the order scores higher.
 
-use spear_cluster::env::{EnvContext, EpisodeDriver, FnPolicy, NoRng, SimEnv};
+use spear_cluster::env::{EpisodeDriver, FnPolicy, NoRng, SimEnv};
 use spear_cluster::{Action, ClusterSpec, JobQueue, Schedule, SimState, SpearError};
 use spear_dag::analysis::GraphFeatures;
 use spear_dag::{Dag, TaskId};
@@ -111,16 +111,19 @@ impl<S: TaskScorer> Scheduler for PriorityListScheduler<S> {
         let mut env = SimEnv::from_queue(queue, spec)?;
         let features = GraphFeatures::compute(env.dag());
         let scorer = &mut self.scorer;
+        let mut legal = Vec::new();
         // The legal `Place` actions are exactly the ready-and-fitting
         // candidates, already in ascending task-id order; the greedy policy
         // just ranks them (strict `>` keeps ties on the lowest id).
-        let policy = FnPolicy(|ctx: &EnvContext<'_>, state: &SimState, legal: &[Action]| {
+        let policy = FnPolicy(|env: &SimEnv<'_>| {
+            env.legal_into(&mut legal);
+            let (dag, state) = (env.dag(), env.observe());
             let score_ctx = ScoreContext {
-                dag: ctx.dag,
+                dag,
                 state,
                 features: &features,
             };
-            select_best(ctx.dag, state, legal, |t| scorer.score(&score_ctx, t))
+            select_best(dag, state, &legal, |t| scorer.score(&score_ctx, t))
         });
         EpisodeDriver::new(policy)
             .with_obs(&self.obs)

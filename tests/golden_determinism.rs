@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use spear::dag::generator::LayeredDagSpec;
 use spear::dag::ResourceVec;
 use spear::diffcheck::{check_schedule, CaseSpec, SchedulerKind};
-use spear::env::{DecisionPolicy, EnvContext, EpisodeDriver};
+use spear::env::{DecisionPolicy, EpisodeDriver, SimEnv};
 use spear::nn::{Mlp, Precision, RmsProp};
 use spear::rl::pretrain::{self, PretrainConfig};
 use spear::rl::{EvalCacheStats, TrainingCurvePoint};
@@ -524,13 +524,8 @@ fn stream_runs(spec: &ClusterSpec) -> [StreamRun; 3] {
 struct UniformDriverPolicy;
 
 impl DecisionPolicy<StdRng> for UniformDriverPolicy {
-    fn decide(
-        &mut self,
-        _ctx: &EnvContext<'_>,
-        _state: &SimState,
-        legal: &[Action],
-        rng: &mut StdRng,
-    ) -> Action {
+    fn decide(&mut self, env: &SimEnv<'_>, rng: &mut StdRng) -> Action {
+        let legal = env.observe().legal_actions(env.dag());
         legal[rng.gen_range(0..legal.len())]
     }
 }
