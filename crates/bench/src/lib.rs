@@ -1,25 +1,31 @@
 //! The experiment harness: regenerates every table and figure of the
-//! Spear paper's evaluation section (§V).
+//! Spear paper's evaluation section (§V), the design ablations and the
+//! fault sweep.
 //!
-//! Each `fig*`/`table*` binary in `src/bin` is a thin wrapper around a
-//! module of [`experiments`]; all of them accept `--paper` for the paper's
-//! full parameters and default to `--quick`, a laptop-scale configuration
-//! that preserves the qualitative shape (who wins, by roughly what factor)
-//! at a fraction of the wall-clock. `run_all` regenerates everything and
-//! writes machine-readable artifacts to `results/`.
+//! One binary, `experiments`, runs them: `experiments [NAME…] [--paper]`
+//! runs each named experiment once (all of them when none is named),
+//! prints its tables and writes its artifacts to `results/`. Every
+//! experiment is a module of [`experiments`]; the quick scale, the
+//! default, is a laptop-scale configuration that preserves the
+//! qualitative shape (who wins, by roughly what factor) at a fraction of
+//! the wall-clock, and `--paper` selects the paper's full parameters.
+//! A run without names also writes the printed tables to
+//! `results/experiments_<s>.md`, where `<s>` is `quick` or `paper`.
 //!
-//! | experiment | binary | paper result reproduced |
+//! | name | paper result reproduced | artifacts |
 //! |---|---|---|
-//! | Fig. 6(a) | `fig6a` | per-DAG makespans, Spear vs 4 baselines |
-//! | Fig. 6(b) | `fig6b` | scheduler runtime distributions |
-//! | Fig. 7(a) | `fig7a` | pure-MCTS makespan vs budget |
-//! | Fig. 7(b) | `fig7b` | % of jobs MCTS beats Tetris vs budget |
-//! | Table I   | `table1` | MCTS runtime vs graph size × budget |
-//! | Fig. 8(a) | `fig8a` | Spear@100 ≈ MCTS@1000 > Tetris/CP/SJF |
-//! | Fig. 8(b) | `fig8b` | the DRL learning curve |
-//! | Fig. 9(a,b) | `fig9ab` | trace task-count / runtime CDFs |
-//! | Fig. 9(c) | `fig9c` | makespan reduction vs Graphene CDF |
-//! | ablations | `ablations` | design-choice ablations (DESIGN.md §5) |
+//! | `fig6` | Fig. 6(a) per-DAG makespans, Spear vs 4 baselines; Fig. 6(b) scheduler runtimes | `fig6a_<s>.{json,csv}`, `fig6b_<s>.csv` |
+//! | `fig7` | Fig. 7(a) pure-MCTS makespan vs budget; Fig. 7(b) % of jobs MCTS beats Tetris | `fig7_<s>.json`, `fig7{a,b}_<s>.csv` |
+//! | `table1` | Table I, MCTS runtime vs graph size × budget | `table1_<s>.{json,csv}` |
+//! | `fig8a` | Fig. 8(a), Spear@100 ≈ MCTS@1000 > Tetris/CP/SJF | `fig8a_<s>.{json,csv}` |
+//! | `fig8b` | Fig. 8(b), the DRL learning curve | `fig8b_<s>.{json,csv}` |
+//! | `fig9ab` | Fig. 9(a,b), trace task-count / runtime CDFs | `fig9{a,b}_<s>.csv`, `fig9_trace_<s>.json` |
+//! | `fig9c` | Fig. 9(c), makespan reduction vs Graphene CDF | `fig9c_<s>.{json,csv}` |
+//! | `ablations` | design-choice ablations (DESIGN.md §5) | `ablations_<s>.json` |
+//! | `fault_sweep` | the roster under seeded faults at rates 0–20% (EXPERIMENTS.md) | `fault_sweep_<s>.{json,csv}` |
+//!
+//! `fig6`, `fig8a`, `fig9c` and `ablations` need the trained policy,
+//! which [`policy::obtain`] caches as `results/policy_<s>.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,7 +35,7 @@ pub mod policy;
 pub mod report;
 pub mod workload;
 
-/// Experiment scale selection, shared by all binaries.
+/// Experiment scale selection, shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Laptop-scale defaults: minutes of wall-clock, same qualitative
@@ -40,16 +46,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses the scale from process arguments: `--paper` selects
-    /// [`Scale::Paper`], anything else (or nothing) stays quick.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// A short tag for artifact names.
     pub fn tag(self) -> &'static str {
         match self {

@@ -3,7 +3,7 @@
 //! Several experiments need the trained DRL policy (Fig. 6(a), Fig. 8(a),
 //! Fig. 9(c), ablations). Training is the most expensive step, so the
 //! result is cached under `results/policy_<scale>.json` and reused across
-//! binaries; delete the file to force retraining.
+//! runs; delete the file to force retraining.
 
 use spear::{
     train_policy, ClusterSpec, FeatureConfig, PolicyNetwork, TrainedPolicy, TrainingPipelineConfig,

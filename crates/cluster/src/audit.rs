@@ -25,10 +25,9 @@
 //!   `finish == start + runtime`, and completed tasks finished by the
 //!   current clock.
 //! * **Arrival coherence** — arrival monotonicity (no task starts before
-//!   its job arrives; no unarrived source leaks into the frontier), the
-//!   injected-job prefix matches the clock, and the per-job completed
-//!   counts (the job-tagged half of conservation) reconcile with the
-//!   placement table. A bare DAG is the one-job queue arriving at 0.
+//!   its job arrives; no unarrived source leaks into the frontier) and
+//!   the injected-job prefix matches the clock. A bare DAG is the one-job
+//!   queue arriving at 0.
 //! * **Fault coherence** (fault-injected states only) — attempt counts
 //!   are monotone across audited steps and bounded by the retry budget,
 //!   every recorded failed run matches the plan's seeded failure point,
@@ -148,17 +147,6 @@ pub enum AuditViolation {
     UnarrivedReady {
         /// The prematurely listed task.
         task: TaskId,
-    },
-    /// A job's recorded completed-task count disagrees with the one
-    /// derived from the placement table — per-job (job-tagged)
-    /// conservation is broken, so JCT accounting would silently lie.
-    JobCountMismatch {
-        /// The job with corrupt accounting (queue order).
-        job: usize,
-        /// The state's recorded completed-task count.
-        recorded: usize,
-        /// The count derived from starts/running.
-        derived: usize,
     },
     /// The incrementally maintained placement hash disagrees with a
     /// from-scratch recomputation — the frontier fingerprint of a
@@ -314,15 +302,6 @@ impl fmt::Display for AuditViolation {
             AuditViolation::UnarrivedReady { task } => write!(
                 f,
                 "ready frontier lists task {task}, whose job has not arrived"
-            ),
-            AuditViolation::JobCountMismatch {
-                job,
-                recorded,
-                derived,
-            } => write!(
-                f,
-                "job {job} records {recorded} completed tasks but {derived} derive \
-                 from the placements"
             ),
             AuditViolation::FingerprintDesync { stored, recomputed } => write!(
                 f,
@@ -605,12 +584,9 @@ impl InvariantAuditor {
             }
         }
 
-        // 6b. Arrival coherence: arrival monotonicity and job-tagged
-        // conservation. The injected prefix must match what the clock
-        // implies, no start may precede its job's arrival, no unarrived
-        // source may sit in the frontier, and the per-job completed
-        // counts (the basis of JCT accounting and the in-flight gauges)
-        // must reconcile with the placement table.
+        // 6b. Arrival coherence: the injected prefix must match what the
+        // clock implies, no start may precede its job's arrival, and no
+        // unarrived source may sit in the frontier.
         let jobs = &state.jobs;
         let derived_injected = jobs.arrivals.partition_point(|&a| a <= state.clock);
         if jobs.next_arrival != derived_injected {
@@ -636,29 +612,6 @@ impl InvariantAuditor {
             if jobs.arrivals[jobs.job_of(t.index())] > state.clock {
                 return Err(AuditViolation::UnarrivedReady { task: t });
             }
-        }
-        let mut jobs_done = 0usize;
-        for job in 0..jobs.jobs() {
-            let range = jobs.job_range(job);
-            let tasks = range.len();
-            let derived = range.filter(|&i| is_done(i)).count();
-            if derived != jobs.completed[job] as usize {
-                return Err(AuditViolation::JobCountMismatch {
-                    job,
-                    recorded: jobs.completed[job] as usize,
-                    derived,
-                });
-            }
-            if derived == tasks {
-                jobs_done += 1;
-            }
-        }
-        if jobs_done != jobs.jobs_done {
-            return Err(AuditViolation::CountMismatch {
-                field: "jobs_done",
-                recorded: jobs.jobs_done,
-                derived: jobs_done,
-            });
         }
 
         // 6c. Fault coherence: attempt counts are monotone and bounded,
@@ -1111,43 +1064,6 @@ mod tests {
                     field: "injected_jobs",
                     recorded: 2,
                     derived: 1
-                }
-            );
-        }
-
-        #[test]
-        fn per_job_completed_count_corruption_is_caught() {
-            let queue = queue();
-            let dag = queue.union_dag();
-            let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
-            sim.apply(dag, Action::Process).unwrap(); // job 0 done at t=2
-            sim.jobs.completed[0] = 0;
-            let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
-            assert_eq!(
-                err,
-                AuditViolation::JobCountMismatch {
-                    job: 0,
-                    recorded: 0,
-                    derived: 1
-                }
-            );
-        }
-
-        #[test]
-        fn jobs_done_counter_corruption_is_caught() {
-            let queue = queue();
-            let dag = queue.union_dag();
-            let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
-            sim.run_with(dag, |_, actions| actions[0]).unwrap();
-            sim.jobs.jobs_done = 1;
-            let err = InvariantAuditor::new().check(dag, &sim).unwrap_err();
-            assert_eq!(
-                err,
-                AuditViolation::CountMismatch {
-                    field: "jobs_done",
-                    recorded: 1,
-                    derived: 2
                 }
             );
         }
@@ -1649,11 +1565,6 @@ mod tests {
             },
             AuditViolation::UnarrivedReady {
                 task: TaskId::new(4),
-            },
-            AuditViolation::JobCountMismatch {
-                job: 1,
-                recorded: 0,
-                derived: 1,
             },
             AuditViolation::RetryOverrun {
                 task: TaskId::new(5),

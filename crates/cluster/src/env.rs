@@ -859,9 +859,9 @@ mod tests {
             let mut env = SimEnv::new(&dag, &spec).unwrap().with_faults(flaky(1.0, 2));
             let mut driver = EpisodeDriver::new(first_legal());
             let err = driver.drive(&mut env, &mut NoRng).unwrap_err();
-            match err.root_cause() {
+            match err {
                 SpearError::Cluster(ClusterError::RetriesExhausted { attempts, .. }) => {
-                    assert_eq!(*attempts, 3); // max_retries + 1
+                    assert_eq!(attempts, 3); // max_retries + 1
                 }
                 other => panic!("expected RetriesExhausted, got {other}"),
             }
@@ -870,7 +870,7 @@ mod tests {
             // And the schedule extractor reports the same condition.
             let err = env.into_schedule().unwrap_err();
             assert!(matches!(
-                err.root_cause(),
+                err,
                 SpearError::Cluster(ClusterError::RetriesExhausted { .. })
             ));
         }

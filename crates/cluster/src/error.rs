@@ -181,10 +181,6 @@ impl Error for ClusterError {}
 /// The workspace-wide error type: every fallible scheduling, simulation or
 /// parsing path funnels into one of these variants, so callers match on a
 /// single enum instead of juggling per-crate error types.
-///
-/// The [`Context`](SpearError::Context) variant attaches a human-readable
-/// breadcrumb (which job, which file, which phase) on the way up; build it
-/// with [`ErrorContext::context`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SpearError {
@@ -200,33 +196,6 @@ pub enum SpearError {
     /// The invariant auditor found the simulation state internally
     /// inconsistent (see [`AuditViolation`]).
     Audit(AuditViolation),
-    /// A wrapped error with a human-readable breadcrumb.
-    Context {
-        /// What the failing operation was doing.
-        context: String,
-        /// The underlying error.
-        source: Box<SpearError>,
-    },
-}
-
-impl SpearError {
-    /// Wraps the error with a breadcrumb describing the failing operation.
-    #[must_use]
-    pub fn context(self, context: impl Into<String>) -> SpearError {
-        SpearError::Context {
-            context: context.into(),
-            source: Box::new(self),
-        }
-    }
-
-    /// The innermost error, unwrapping any [`Context`](SpearError::Context)
-    /// layers.
-    pub fn root_cause(&self) -> &SpearError {
-        match self {
-            SpearError::Context { source, .. } => source.root_cause(),
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for SpearError {
@@ -239,7 +208,6 @@ impl fmt::Display for SpearError {
                 write!(f, "episode ended before reaching the terminal state")
             }
             SpearError::Audit(v) => write!(f, "invariant audit failed: {v}"),
-            SpearError::Context { context, source } => write!(f, "{context}: {source}"),
         }
     }
 }
@@ -252,7 +220,6 @@ impl Error for SpearError {
             SpearError::Stg(e) => Some(e),
             SpearError::IncompleteEpisode => None,
             SpearError::Audit(v) => Some(v),
-            SpearError::Context { source, .. } => Some(source.as_ref()),
         }
     }
 }
@@ -278,36 +245,6 @@ impl From<StgError> for SpearError {
 impl From<AuditViolation> for SpearError {
     fn from(v: AuditViolation) -> Self {
         SpearError::Audit(v)
-    }
-}
-
-/// Extension trait adding [`SpearError::context`] breadcrumbs to any
-/// `Result` whose error converts into [`SpearError`].
-///
-/// ```
-/// use spear_cluster::{ClusterError, ErrorContext, SpearError};
-///
-/// let r: Result<(), ClusterError> = Err(ClusterError::NothingRunning);
-/// let e = r.context("processing job 7").unwrap_err();
-/// assert!(e.to_string().starts_with("processing job 7:"));
-/// assert_eq!(e.root_cause(), &SpearError::Cluster(ClusterError::NothingRunning));
-/// ```
-pub trait ErrorContext<T> {
-    /// Converts the error into [`SpearError`] and attaches `context`.
-    fn context(self, context: impl Into<String>) -> Result<T, SpearError>;
-
-    /// Like [`ErrorContext::context`] but builds the breadcrumb lazily —
-    /// use when formatting it is not free.
-    fn with_context<C: Into<String>, F: FnOnce() -> C>(self, f: F) -> Result<T, SpearError>;
-}
-
-impl<T, E: Into<SpearError>> ErrorContext<T> for Result<T, E> {
-    fn context(self, context: impl Into<String>) -> Result<T, SpearError> {
-        self.map_err(|e| e.into().context(context))
-    }
-
-    fn with_context<C: Into<String>, F: FnOnce() -> C>(self, f: F) -> Result<T, SpearError> {
-        self.map_err(|e| e.into().context(f()))
     }
 }
 
@@ -376,30 +313,5 @@ mod tests {
         let s: SpearError = StgError::MissingHeader.into();
         assert_eq!(s.to_string(), StgError::MissingHeader.to_string());
         assert!(!SpearError::IncompleteEpisode.to_string().is_empty());
-    }
-
-    #[test]
-    fn context_chains_and_root_cause_unwraps() {
-        let r: Result<(), ClusterError> = Err(ClusterError::SimulationFinished);
-        let e = r
-            .context("stepping the episode")
-            .with_context(|| format!("scheduling job {}", 3))
-            .unwrap_err();
-        let msg = e.to_string();
-        assert!(msg.contains("scheduling job 3"));
-        assert!(msg.contains("stepping the episode"));
-        assert!(msg.contains("terminal state"));
-        assert_eq!(
-            e.root_cause(),
-            &SpearError::Cluster(ClusterError::SimulationFinished)
-        );
-        // `source()` walks the same chain std-style.
-        let mut depth = 0;
-        let mut cur: &dyn Error = &e;
-        while let Some(next) = cur.source() {
-            depth += 1;
-            cur = next;
-        }
-        assert_eq!(depth, 3); // two context layers + the ClusterError leaf
     }
 }

@@ -240,10 +240,6 @@ pub(crate) struct FaultState {
     /// Execution attempts started per task (monotone; incremented at
     /// schedule time).
     pub(crate) attempts: Vec<u32>,
-    /// Clock of each task's most recent failure (meaningful once the
-    /// task has failed at least once) — feeds the re-execution latency
-    /// histogram.
-    pub(crate) last_fail: Vec<u64>,
     /// Every aborted attempt, in failure order: the capacity these runs
     /// held over `[start, end)` is part of the realized resource usage
     /// and is re-checked by the fault-aware judges.
@@ -260,7 +256,6 @@ impl FaultState {
         FaultState {
             plan,
             attempts: vec![0; tasks],
-            last_fail: vec![0; tasks],
             failed_runs: Vec::new(),
             straggles: 0,
             exhausted: None,
@@ -551,9 +546,9 @@ mod tests {
         let planned = greedy_schedule(&dag, &spec);
         let p = plan(1.0, 0.0, 1.0, 2);
         let err = execute(&dag, &spec, &planned, &p).unwrap_err();
-        match err.root_cause() {
+        match err {
             SpearError::Cluster(ClusterError::RetriesExhausted { attempts, .. }) => {
-                assert_eq!(*attempts, 3);
+                assert_eq!(attempts, 3);
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }

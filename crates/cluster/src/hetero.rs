@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 use spear_dag::ResourceVec;
 
-use crate::ClusterError;
+use crate::{mix64, ClusterError};
 
 /// How intermediate data travels between machines (dslab's
 /// `DataTransferMode`).
@@ -44,18 +44,6 @@ impl TransferMode {
             )),
         }
     }
-}
-
-/// SplitMix64 finalizer over the seed/edge mix — the same full-avalanche
-/// bijection the state fingerprint uses, duplicated here so the network
-/// model stays self-contained (judges re-derive delays from a
-/// `MachineSet` alone).
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Most machines a [`MachineSet`] may hold. The bandwidth matrix of the
@@ -235,9 +223,11 @@ impl MachineSet {
     /// indices, so every judge re-derives identical sizes.
     #[inline]
     pub fn edge_bytes(&self, parent: usize, child: usize) -> u64 {
-        let h = mix(self.seed
-            ^ (parent as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (child as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53));
+        let h = mix64(
+            self.seed
+                ^ (parent as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ (child as u64).wrapping_mul(0xc4ce_b9fe_1a85_ec53),
+        );
         1 + h % self.max_edge_bytes
     }
 

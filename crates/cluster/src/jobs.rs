@@ -395,10 +395,10 @@ impl JctReport {
 /// Simulation-time arrival bookkeeping of an episode, embedded in every
 /// [`SimState`]. A bare DAG is the one-job queue that arrives at time 0.
 ///
-/// Only [`JobLedger::next_arrival`], the per-job completion counts and
-/// `jobs_done` mutate during an episode; the arrival/bound tables are
-/// per-episode constants, cloned (and reused via `clone_from`) with the
-/// state so search-tree snapshots need no back-reference to the queue.
+/// Only [`JobLedger::next_arrival`] mutates during an episode; the
+/// arrival/bound tables are per-episode constants, cloned (and reused via
+/// `clone_from`) with the state so search-tree snapshots need no
+/// back-reference to the queue.
 #[derive(Debug, PartialEq)]
 pub(crate) struct JobLedger {
     /// Arrival slot per job, non-decreasing (queue order).
@@ -408,10 +408,6 @@ pub(crate) struct JobLedger {
     pub(crate) bounds: Vec<u32>,
     /// Jobs injected into the frontier so far (a prefix of `arrivals`).
     pub(crate) next_arrival: usize,
-    /// Completed-task count per job.
-    pub(crate) completed: Vec<u32>,
-    /// Jobs whose every task has completed.
-    pub(crate) jobs_done: usize,
 }
 
 // Manual `Clone` so `clone_from` reuses the interior vectors — the MCTS
@@ -422,8 +418,6 @@ impl Clone for JobLedger {
             arrivals: self.arrivals.clone(),
             bounds: self.bounds.clone(),
             next_arrival: self.next_arrival,
-            completed: self.completed.clone(),
-            jobs_done: self.jobs_done,
         }
     }
 
@@ -431,8 +425,6 @@ impl Clone for JobLedger {
         self.arrivals.clone_from(&source.arrivals);
         self.bounds.clone_from(&source.bounds);
         self.next_arrival = source.next_arrival;
-        self.completed.clone_from(&source.completed);
-        self.jobs_done = source.jobs_done;
     }
 }
 
@@ -446,8 +438,6 @@ impl JobLedger {
             arrivals: queue.spans().iter().map(|s| s.arrival).collect(),
             bounds,
             next_arrival: 0,
-            completed: vec![0; queue.jobs()],
-            jobs_done: 0,
         }
     }
 
@@ -458,18 +448,6 @@ impl JobLedger {
             arrivals: vec![0],
             bounds: vec![0, tasks as u32],
             next_arrival: 0,
-            completed: vec![0],
-            jobs_done: 0,
-        }
-    }
-
-    /// Records the completion of union-DAG task index `task`.
-    #[inline]
-    pub(crate) fn complete(&mut self, task: usize) {
-        let job = self.job_of(task);
-        self.completed[job] += 1;
-        if self.completed[job] as usize == self.job_range(job).len() {
-            self.jobs_done += 1;
         }
     }
 
@@ -501,12 +479,6 @@ impl JobLedger {
     #[inline]
     pub(crate) fn pending_jobs(&self) -> usize {
         self.arrivals.len() - self.next_arrival
-    }
-
-    /// Arrived jobs that have not completed all their tasks.
-    #[inline]
-    pub(crate) fn jobs_in_flight(&self) -> usize {
-        self.next_arrival - self.jobs_done
     }
 }
 
@@ -743,6 +715,5 @@ mod tests {
         assert_eq!(multi.job_range(1), 2..3);
         assert_eq!(multi.next_arrival_time(), Some(0));
         assert_eq!(multi.pending_jobs(), 2);
-        assert_eq!(multi.jobs_in_flight(), 0);
     }
 }

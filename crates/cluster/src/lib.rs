@@ -58,11 +58,11 @@ mod timeline;
 pub use action::Action;
 pub use audit::{AuditViolation, InvariantAuditor};
 pub use env::{DecisionPolicy, DriveOutcome, EpisodeDriver, FnPolicy, NoRng, SimEnv};
-pub use error::{ClusterError, ErrorContext, SpearError};
+pub use error::{ClusterError, SpearError};
 pub use faults::{execute_under_faults, FailedRun, FaultOutcome, FaultPlan, FaultyRun};
 pub use hetero::{MachineSet, TransferMode};
 pub use jobs::{JctReport, JobCompletion, JobQueue, JobSpan};
 pub use schedule::{Placement, Schedule};
 pub use spec::ClusterSpec;
-pub use state::{Running, SimState};
+pub use state::{mix64, Running, SimState};
 pub use timeline::ResourceTimeline;

@@ -14,9 +14,11 @@ use crate::{Action, ClusterError, ClusterSpec, Placement, Schedule};
 /// Seed of the frontier fingerprint fold (an arbitrary odd constant).
 const FRONTIER_SEED: u64 = 0x27d4_eb2f_1656_67c5;
 
-/// SplitMix64 finalizer: a cheap full-avalanche bijection on `u64`.
+/// SplitMix64 finalizer: a cheap full-avalanche bijection on `u64`. The
+/// one mixing function behind the frontier fingerprint, the fault plan's
+/// draws, the machine set's edge payloads and the inference cache's keys.
 #[inline]
-pub(crate) fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -109,8 +111,8 @@ pub struct SimState {
     // violation rather than a silent wrong cache hit.
     pub(crate) placement_hash: u64,
     // Arrival bookkeeping: which jobs of the queue have reached the
-    // frontier and how far each has completed. Always present — a bare
-    // DAG is the one-job queue that arrives at time 0.
+    // frontier. Always present — a bare DAG is the one-job queue that
+    // arrives at time 0.
     pub(crate) jobs: JobLedger,
     // Fault-injection bookkeeping; `None` in fault-free episodes, which
     // therefore stay bit-identical to the pre-fault simulator (every
@@ -411,13 +413,14 @@ impl SimState {
         self.faults.as_deref().map_or(&[], |f| &f.failed_runs)
     }
 
-    /// Clock of `task`'s most recent failed attempt, or `None` if it has
-    /// never failed.
+    /// Clock of `task`'s most recent failed attempt (the `end` of its
+    /// latest [`FailedRun`]), or `None` if it has never failed.
     pub fn last_failure_of(&self, task: TaskId) -> Option<u64> {
-        let f = self.faults.as_deref()?;
-        let i = task.index();
-        let failed = f.attempts[i].saturating_sub(u32::from(self.starts[i].is_some()));
-        (failed > 0).then_some(f.last_fail[i])
+        self.failed_runs()
+            .iter()
+            .rev()
+            .find(|run| run.task == task)
+            .map(|run| run.end)
     }
 
     /// Slots the *current* (or final) execution attempt of `task`
@@ -444,10 +447,18 @@ impl SimState {
         self.jobs.pending_jobs()
     }
 
-    /// Arrived jobs with at least one uncompleted task.
-    #[inline]
+    /// Arrived jobs with at least one task not yet done, derived on each
+    /// call. A task is done once started and no longer running (the
+    /// invariant auditor's rule), so a job stays in flight while a failed
+    /// attempt has re-queued its last task.
     pub fn jobs_in_flight(&self) -> usize {
-        self.jobs.jobs_in_flight()
+        (0..self.jobs.next_arrival)
+            .filter(|&job| {
+                let tasks = self.jobs.job_range(job);
+                tasks.clone().any(|i| self.starts[i].is_none())
+                    || self.running.iter().any(|r| tasks.contains(&r.task.index()))
+            })
+            .count()
     }
 
     /// Arrival time of the next not-yet-arrived job — always strictly
@@ -944,8 +955,7 @@ impl SimState {
                     // no repair: a failed task never released children.
                     self.retire_failed(done.task, next);
                 } else {
-                    self.tracker.complete_in_place(dag, done.task);
-                    self.jobs.complete(done.task.index());
+                    self.tracker.complete(dag, done.task);
                 }
             } else {
                 i += 1;
@@ -1001,7 +1011,6 @@ impl SimState {
             attempt: f.attempts[i] - 1,
             machine,
         });
-        f.last_fail[i] = now;
         if f.attempts[i] >= f.plan.max_attempts() {
             // Keep the *first* exhaustion: it is the one that ended the
             // episode, and determinism demands a stable culprit.
@@ -1624,6 +1633,27 @@ mod tests {
         }
 
         #[test]
+        fn jobs_in_flight_drops_a_finished_job_while_a_later_one_runs() {
+            // Job 0 (runtime 2) arrives at 0, job 1 (runtime 4) at 1; the
+            // two fit side by side.
+            let queue =
+                JobQueue::new(vec![(0, one_task_job(2, 0.4)), (1, one_task_job(4, 0.4))]).unwrap();
+            let dag = queue.union_dag();
+            let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1)).unwrap();
+            assert_eq!(sim.jobs_in_flight(), 1); // job 1 has not arrived
+            sim.apply(dag, Action::Place(TaskId::new(0), 0)).unwrap();
+            sim.apply(dag, Action::Process).unwrap(); // t=1: job 1 arrives
+            assert_eq!(sim.jobs_in_flight(), 2);
+            sim.apply(dag, Action::Place(TaskId::new(1), 0)).unwrap();
+            sim.apply(dag, Action::Process).unwrap(); // t=2: job 0 done
+            assert_eq!(sim.clock(), 2);
+            assert_eq!(sim.jobs_in_flight(), 1);
+            sim.apply(dag, Action::Process).unwrap(); // t=5: job 1 done
+            assert_eq!(sim.jobs_in_flight(), 0);
+            assert!(sim.is_terminal(dag));
+        }
+
+        #[test]
         fn jct_report_partial_counts_unfinished_jobs() {
             let queue =
                 JobQueue::new(vec![(0, one_task_job(2, 0.6)), (5, one_task_job(2, 0.6))]).unwrap();
@@ -1644,6 +1674,7 @@ mod tests {
     mod faults {
         use super::*;
         use crate::faults::FaultPlan;
+        use crate::JobQueue;
 
         /// A plan whose every attempt of every task fails.
         fn always_fail(max_retries: u32) -> FaultPlan {
@@ -1694,6 +1725,55 @@ mod tests {
             assert_eq!(sim.attempts_of(TaskId::new(0)), 1);
             assert_eq!(sim.fault_failures(), 1);
             assert_eq!(sim.last_failure_of(TaskId::new(0)), Some(sim.clock()));
+        }
+
+        #[test]
+        fn a_failed_last_task_puts_its_job_back_in_flight() {
+            // Job 0 is the chain t0 → t1, job 1 the one-slot task t2, both
+            // arriving at 0. The plan's seed is the first under which t0
+            // and t2 succeed and t1 fails once, then succeeds.
+            let chain_job = chain();
+            let mut b = DagBuilder::new(1);
+            b.add_task(Task::new(1, ResourceVec::from_slice(&[0.4])));
+            let queue = JobQueue::new(vec![(0, chain_job), (0, b.build().unwrap())]).unwrap();
+            let dag = queue.union_dag();
+            let (t0, t1, t2) = (TaskId::new(0), TaskId::new(1), TaskId::new(2));
+            let plan = (0..)
+                .map(|seed| FaultPlan {
+                    seed,
+                    fail_rate: 0.5,
+                    straggler_rate: 0.0,
+                    straggler_factor: 1.0,
+                    max_retries: 1,
+                })
+                .find(|p| {
+                    let runs =
+                        |task: TaskId, attempt| p.outcome(task, attempt, dag.task(task).runtime());
+                    runs(t0, 0) == FaultOutcome::None
+                        && matches!(runs(t1, 0), FaultOutcome::Fail { .. })
+                        && runs(t1, 1) == FaultOutcome::None
+                        && runs(t2, 0) == FaultOutcome::None
+                })
+                .unwrap();
+            let mut sim = SimState::new_multi(&queue, &ClusterSpec::unit(1))
+                .unwrap()
+                .with_faults(plan);
+            assert_eq!(sim.jobs_in_flight(), 2);
+            sim.apply(dag, Action::Place(t0, 0)).unwrap();
+            sim.apply(dag, Action::Place(t2, 0)).unwrap();
+            sim.apply(dag, Action::Process).unwrap(); // t=1: job 1 done
+            assert_eq!(sim.jobs_in_flight(), 1);
+            sim.apply(dag, Action::Process).unwrap(); // t=2: t0 done
+            sim.apply(dag, Action::Place(t1, 0)).unwrap();
+            sim.apply(dag, Action::Process).unwrap(); // t1's attempt aborts
+            assert_eq!(sim.ready(), &[t1]);
+            assert_eq!(sim.fault_failures(), 1);
+            assert_eq!(sim.last_failure_of(t1), Some(sim.clock()));
+            assert_eq!(sim.jobs_in_flight(), 1);
+            sim.apply(dag, Action::Place(t1, 0)).unwrap();
+            sim.apply(dag, Action::Process).unwrap();
+            assert!(sim.is_terminal(dag));
+            assert_eq!(sim.jobs_in_flight(), 0);
         }
 
         #[test]

@@ -84,9 +84,9 @@ pub use spear_cluster::audit;
 // The most-used types at the top level.
 pub use spear_cluster::env::{DecisionPolicy, EpisodeDriver, SimEnv};
 pub use spear_cluster::{
-    execute_under_faults, Action, AuditViolation, ClusterError, ClusterSpec, ErrorContext,
-    FailedRun, FaultOutcome, FaultPlan, FaultyRun, InvariantAuditor, JctReport, JobCompletion,
-    JobQueue, JobSpan, MachineSet, Placement, Schedule, SimState, SpearError, TransferMode,
+    execute_under_faults, Action, AuditViolation, ClusterError, ClusterSpec, FailedRun,
+    FaultOutcome, FaultPlan, FaultyRun, InvariantAuditor, JctReport, JobCompletion, JobQueue,
+    JobSpan, MachineSet, Placement, Schedule, SimState, SpearError, TransferMode,
 };
 pub use spear_dag::{Dag, DagBuilder, DagError, ResourceVec, Task, TaskId};
 pub use spear_mcts::{MctsConfig, MctsScheduler, RootParallelMcts, SearchStats};

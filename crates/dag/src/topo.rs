@@ -50,7 +50,7 @@ pub fn depth(dag: &Dag) -> usize {
 /// Incrementally tracks which tasks are *ready* (all parents completed).
 ///
 /// The tracker starts with the DAG's sources ready; calling
-/// [`ReadyTracker::complete`] marks a task finished and returns the tasks
+/// [`ReadyTracker::complete`] marks a task finished and inserts the tasks
 /// that became ready as a result. The simulator, every baseline scheduler
 /// and the MCTS state all use this to maintain the frontier.
 ///
@@ -64,8 +64,9 @@ pub fn depth(dag: &Dag) -> usize {
 /// let dag = b.build()?;
 /// let mut tracker = ReadyTracker::new(&dag);
 /// assert_eq!(tracker.ready(), &[a]);
-/// let newly = tracker.complete(&dag, a);
-/// assert_eq!(newly, vec![c]);
+/// tracker.take(a);
+/// tracker.complete(&dag, a);
+/// assert_eq!(tracker.ready(), &[c]);
 /// # Ok(())
 /// # }
 /// ```
@@ -167,32 +168,10 @@ impl ReadyTracker {
         self.ready.insert(pos, task);
     }
 
-    /// Marks `task` completed and returns the children that became ready
-    /// (also inserted into the ready set, keeping it sorted).
-    pub fn complete(&mut self, dag: &Dag, task: TaskId) -> Vec<TaskId> {
-        self.completed += 1;
-        let mut newly = Vec::new();
-        for &c in dag.children(task) {
-            let p = &mut self.pending_parents[c.index()];
-            debug_assert!(*p > 0, "completing a parent twice");
-            *p -= 1;
-            if *p == 0 {
-                newly.push(c);
-            }
-        }
-        for &t in &newly {
-            let pos = self.ready.partition_point(|&r| r < t);
-            self.ready.insert(pos, t);
-        }
-        newly
-    }
-
-    /// Marks `task` completed, inserting newly ready children directly into
-    /// the (sorted) ready set without allocating. The hot-path variant of
-    /// [`ReadyTracker::complete`] for callers that discard the newly-ready
-    /// list — e.g. the MCTS rollout loop.
+    /// Marks `task` completed, inserting the children that became ready
+    /// into the (sorted) ready set without allocating.
     #[inline]
-    pub fn complete_in_place(&mut self, dag: &Dag, task: TaskId) {
+    pub fn complete(&mut self, dag: &Dag, task: TaskId) {
         self.completed += 1;
         for &c in dag.children(task) {
             let p = &mut self.pending_parents[c.index()];
@@ -256,11 +235,14 @@ mod tests {
         let mut t = ReadyTracker::new(&d);
         assert_eq!(t.ready(), &[TaskId::new(0)]);
         t.take(TaskId::new(0));
-        assert_eq!(t.complete(&d, TaskId::new(0)), vec![TaskId::new(1)]);
+        t.complete(&d, TaskId::new(0));
+        assert_eq!(t.ready(), &[TaskId::new(1)]);
         t.take(TaskId::new(1));
-        assert_eq!(t.complete(&d, TaskId::new(1)), vec![TaskId::new(2)]);
+        t.complete(&d, TaskId::new(1));
+        assert_eq!(t.ready(), &[TaskId::new(2)]);
         t.take(TaskId::new(2));
-        assert_eq!(t.complete(&d, TaskId::new(2)), vec![]);
+        t.complete(&d, TaskId::new(2));
+        assert!(t.ready().is_empty());
         assert!(t.all_done(&d));
     }
 
@@ -269,15 +251,17 @@ mod tests {
         let d = fork_join();
         let mut t = ReadyTracker::new(&d);
         t.take(TaskId::new(0));
-        let newly = t.complete(&d, TaskId::new(0));
-        assert_eq!(newly.len(), 3);
+        t.complete(&d, TaskId::new(0));
+        assert_eq!(t.ready().len(), 3);
         // Finish two of the three middle tasks: join is not ready yet.
         for id in [1, 2] {
             t.take(TaskId::new(id));
-            assert!(t.complete(&d, TaskId::new(id)).is_empty());
+            t.complete(&d, TaskId::new(id));
+            assert!(!t.ready().contains(&TaskId::new(4)));
         }
         t.take(TaskId::new(3));
-        assert_eq!(t.complete(&d, TaskId::new(3)), vec![TaskId::new(4)]);
+        t.complete(&d, TaskId::new(3));
+        assert_eq!(t.ready(), &[TaskId::new(4)]);
     }
 
     #[test]

@@ -122,14 +122,7 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
         // ends).
         policy.on_episode_start();
         let mut tree = Tree::new();
-        let untried = root_env.observe().legal_actions(dag);
-        let terminal = untried.is_empty();
-        let terminal_value = if terminal {
-            -(root_env.makespan().unwrap_or(0) as f64)
-        } else {
-            0.0
-        };
-        let root = tree.push(Node::fresh(None, None, untried, terminal, terminal_value));
+        let root = tree.push(Node::fresh(None, root_env.observe(), dag));
         Ok(MctsSearch {
             dag,
             spec,
@@ -267,22 +260,7 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
                     .choose_expansion(&ctx, env.observe(), &node.untried, &mut self.rng);
             let action = self.tree.node_mut(id).untried.swap_remove(pick);
             env.step_trusted(action);
-            let untried = env.observe().legal_actions(self.dag);
-            let terminal = untried.is_empty();
-            let terminal_value = if terminal {
-                -(env.makespan().unwrap_or(0) as f64)
-            } else {
-                0.0
-            };
-            let child = self.tree.push(Node::fresh(
-                Some(id),
-                Some(action),
-                untried,
-                terminal,
-                terminal_value,
-            ));
-            self.tree.node_mut(id).children.push((action, child));
-            child
+            self.tree.push_child(id, action, env.observe(), self.dag)
         };
         self.max_depth = self.max_depth.max(depth + 1);
         // --- Simulation (continues in the scratch env). ---
@@ -393,24 +371,9 @@ impl<'a, P: SearchPolicy + ?Sized> MctsSearch<'a, P> {
             .map(|&(_, id)| id);
         let child = match existing {
             Some(id) => id,
-            None => {
-                let untried = self.root_env.observe().legal_actions(self.dag);
-                let terminal = untried.is_empty();
-                let terminal_value = if terminal {
-                    -(self.root_env.makespan().unwrap_or(0) as f64)
-                } else {
-                    0.0
-                };
-                let id = self.tree.push(Node::fresh(
-                    Some(self.root),
-                    Some(action),
-                    untried,
-                    terminal,
-                    terminal_value,
-                ));
-                self.tree.node_mut(self.root).children.push((action, id));
-                id
-            }
+            None => self
+                .tree
+                .push_child(self.root, action, self.root_env.observe(), self.dag),
         };
         self.root = child;
         // Depth is measured from the current root; re-rooting starts a

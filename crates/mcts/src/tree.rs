@@ -1,6 +1,7 @@
 //! The arena-allocated search tree.
 
-use spear_cluster::Action;
+use spear_cluster::{Action, SimState};
+use spear_dag::Dag;
 
 /// Index of a node in the [`Tree`] arena.
 pub type NodeId = usize;
@@ -20,9 +21,8 @@ pub type NodeId = usize;
 pub struct Node {
     /// Parent node (`None` for the root).
     pub parent: Option<NodeId>,
-    /// The action that led here from the parent.
-    pub action: Option<Action>,
-    /// Expanded children, in expansion order.
+    /// Expanded children and the actions that reach them, in expansion
+    /// order.
     pub children: Vec<(Action, NodeId)>,
     /// Legal actions not yet expanded.
     pub untried: Vec<Action>,
@@ -41,18 +41,20 @@ pub struct Node {
 }
 
 impl Node {
-    /// A fresh, unvisited node. `terminal_value` is the exact return of
-    /// the completed schedule when `terminal`, and ignored otherwise.
-    pub fn fresh(
-        parent: Option<NodeId>,
-        action: Option<Action>,
-        untried: Vec<Action>,
-        terminal: bool,
-        terminal_value: f64,
-    ) -> Self {
+    /// A fresh, unvisited node below `parent` for `state` of `dag`: its
+    /// untried actions are the state's legal actions, and a state without
+    /// any is terminal, valued at the exact return of its completed
+    /// schedule.
+    pub fn fresh(parent: Option<NodeId>, state: &SimState, dag: &Dag) -> Self {
+        let untried = state.legal_actions(dag);
+        let terminal = untried.is_empty();
+        let terminal_value = if terminal {
+            -(state.makespan().unwrap_or(0) as f64)
+        } else {
+            0.0
+        };
         Node {
             parent,
-            action,
             children: Vec::new(),
             untried,
             terminal,
@@ -126,36 +128,25 @@ impl Tree {
         &mut self.nodes[id]
     }
 
-    /// Depth of `id` below the arena's original root (edges walked to the
-    /// top).
-    pub fn depth(&self, mut id: NodeId) -> usize {
-        let mut d = 0;
-        while let Some(p) = self.nodes[id].parent {
-            id = p;
-            d += 1;
-        }
-        d
-    }
-
-    /// Propagates a rollout return from `id` up to the root: increments
-    /// visits, updates max and sum.
-    pub fn backpropagate(&mut self, mut id: NodeId, value: f64) {
-        loop {
-            let node = &mut self.nodes[id];
-            node.visits += 1;
-            node.max_value = node.max_value.max(value);
-            node.sum_value += value;
-            match node.parent {
-                Some(p) => id = p,
-                None => break,
-            }
-        }
+    /// Allocates the [fresh](Node::fresh) node of `state`, reached from
+    /// `parent` by `action`, and links it as `parent`'s newest child.
+    pub fn push_child(
+        &mut self,
+        parent: NodeId,
+        action: Action,
+        state: &SimState,
+        dag: &Dag,
+    ) -> NodeId {
+        let id = self.push(Node::fresh(Some(parent), state, dag));
+        self.nodes[parent].children.push((action, id));
+        id
     }
 
     /// Propagates a rollout return from `id` up to `stop` inclusive, then
-    /// halts. After the search re-roots (see `MctsSearch::advance`), nodes
-    /// above the current root are never consulted again, so updating them
-    /// is pure waste — and the wasted path grows with every committed
+    /// halts, incrementing visits and updating max and sum on the way.
+    /// After the search re-roots (see `MctsSearch::advance`), nodes above
+    /// the current root are never consulted again, so updating them is
+    /// pure waste — and the wasted path grows with every committed
     /// decision. `stop` must be an ancestor of `id` (or `id` itself).
     pub fn backpropagate_to(&mut self, mut id: NodeId, stop: NodeId, value: f64) {
         loop {
@@ -179,7 +170,16 @@ mod tests {
     use super::*;
 
     fn make_node(parent: Option<NodeId>) -> Node {
-        Node::fresh(parent, None, Vec::new(), false, 0.0)
+        Node {
+            parent,
+            children: Vec::new(),
+            untried: Vec::new(),
+            terminal: false,
+            terminal_value: 0.0,
+            visits: 0,
+            max_value: f64::NEG_INFINITY,
+            sum_value: 0.0,
+        }
     }
 
     #[test]
@@ -188,9 +188,9 @@ mod tests {
         let root = tree.push(make_node(None));
         let child = tree.push(make_node(Some(root)));
         let grandchild = tree.push(make_node(Some(child)));
-        assert_eq!(tree.depth(root), 0);
-        assert_eq!(tree.depth(child), 1);
-        assert_eq!(tree.depth(grandchild), 2);
+        assert_eq!(tree.node(root).parent, None);
+        assert_eq!(tree.node(child).parent, Some(root));
+        assert_eq!(tree.node(grandchild).parent, Some(child));
         assert_eq!(tree.len(), 3);
     }
 
@@ -199,8 +199,9 @@ mod tests {
         let mut tree = Tree::new();
         let root = tree.push(make_node(None));
         let child = tree.push(make_node(Some(root)));
-        tree.backpropagate(child, -50.0);
-        tree.backpropagate(child, -30.0);
+        let grandchild = tree.push(make_node(Some(child)));
+        tree.backpropagate_to(grandchild, root, -50.0);
+        tree.backpropagate_to(grandchild, root, -30.0);
         let r = tree.node(root);
         assert_eq!(r.visits, 2);
         assert_eq!(r.max_value, -30.0);
@@ -209,6 +210,10 @@ mod tests {
         let c = tree.node(child);
         assert_eq!(c.visits, 2);
         assert_eq!(c.max_value, -30.0);
+        // Stopping at `child` leaves the root untouched.
+        tree.backpropagate_to(grandchild, child, -10.0);
+        assert_eq!(tree.node(child).visits, 3);
+        assert_eq!(tree.node(root).visits, 2);
     }
 
     #[test]

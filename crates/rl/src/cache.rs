@@ -54,19 +54,12 @@
 //! [`SimState`]: spear_cluster::SimState
 //! [`SimState::frontier_fingerprint`]: spear_cluster::SimState::frontier_fingerprint
 
+use spear_cluster::mix64;
 use spear_dag::TaskId;
 
 /// How many slots a probe walks before giving up (on `get`) or
 /// evicting (on `insert`).
 const PROBE_LIMIT: usize = 8;
-
-/// SplitMix64 finalizer: a cheap full-avalanche bijection on `u64`.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// The input table's key: a 64-bit hash of the exact bits of one policy
 /// input, every feature's [`f64::to_bits`] plus the legality mask.

@@ -121,17 +121,10 @@ impl Featurizer {
         &self.config
     }
 
-    /// Orders the ready set by descending b-level, breaking ties by
-    /// descending child count then ascending id (the CP ordering), and
-    /// truncates to the visible window.
-    pub fn visible_ready(&self, state: &SimState, features: &GraphFeatures) -> Vec<TaskId> {
-        let mut ready = Vec::new();
-        self.visible_ready_into(state, features, &mut ready);
-        ready
-    }
-
-    /// [`Featurizer::visible_ready`] into a caller-owned buffer (cleared
-    /// first).
+    /// Writes the visible window into a caller-owned buffer (cleared
+    /// first): the ready set ordered by descending b-level, ties broken by
+    /// descending child count then ascending id (the CP ordering),
+    /// truncated to `max_ready` tasks.
     ///
     /// The CP order is a total order fixed per DAG
     /// ([`GraphFeatures::cp_order`]), so the ready set sorted by it is a

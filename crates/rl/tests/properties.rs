@@ -193,7 +193,9 @@ proptest! {
                 (std::cmp::Reverse(f.b_level), std::cmp::Reverse(f.children), t)
             });
             full.truncate(max_ready);
-            prop_assert_eq!(fz.visible_ready(&state, &gf), full);
+            let mut visible = Vec::new();
+            fz.visible_ready_into(&state, &gf, &mut visible);
+            prop_assert_eq!(visible, full);
             let view = fz.featurize(dag, &spec, &state, &gf);
             for (slot, task) in view.slot_tasks.iter().enumerate() {
                 let legal = task.is_some_and(|t| state.can_schedule(dag, t));

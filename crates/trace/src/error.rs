@@ -4,11 +4,12 @@ use spear_dag::DagError;
 
 /// Errors raised while turning trace jobs into schedulable DAGs.
 ///
-/// `spear-trace` sits below the cluster layer, so this is its own error
-/// type rather than a [`spear_cluster::SpearError`] variant; callers that
-/// mix the two go through `Box<dyn Error>` or wrap at the call site.
-///
-/// [`spear_cluster::SpearError`]: https://docs.rs/spear-cluster
+/// `spear-trace` depends on `spear-cluster` (machine profiles build
+/// machine sets), so [`spear_cluster::SpearError`] cannot name trace
+/// errors without a dependency cycle: this is the trace layer's own error
+/// type, and it wraps a [`spear_cluster::ClusterError`] where it needs
+/// one. Callers that mix the two go through `Box<dyn Error>` or wrap at
+/// the call site.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TraceError {
